@@ -25,7 +25,7 @@ from .control import (
     pointwise_null_control,
     pointwise_solve,
     random_search_lower_bound,
-    _adjoint_kernel,
+    _backward_endmaps,
     _pointwise_response_matrix,
     _pointwise_target,
     _truncated_lstsq,
@@ -49,10 +49,9 @@ from .signals import (
 )
 from .solver import (
     EvoProblem,
-    adjoint_blocks,
+    _direction_blocks,
     apply_adjoint_operator,
     apply_forward_operator,
-    forward_blocks,
     nu_independence_check,
     solve_adjoint,
     solve_forward,
@@ -61,6 +60,7 @@ from .solver import (
     timestep_oracle,
 )
 from .spatial import check_skew
+from .transform import block_solve
 from .waveforms import band_limited_signal, bump_signal, random_signal, smooth_bump
 
 __all__ = ["CriterionResult", "run_acceptance", "ALL_CRITERIA"]
@@ -81,14 +81,13 @@ def _batched_solve(inst: Instance, direction: str, phis: np.ndarray) -> np.ndarr
     reports are not needed.
     """
     pad_grid, npad = inst.grid.padded(inst.pad_fraction)
-    blocks = forward_blocks(inst.law, inst.A, inst.nu, pad_grid) \
-        if direction == "forward" else adjoint_blocks(inst.law, inst.A, inst.nu, pad_grid)
-    batch = phis.shape[2]
-    padded = np.zeros((pad_grid.n, inst.m, batch), dtype=complex)
+    padded = np.zeros((pad_grid.n, inst.m, phis.shape[2]), dtype=complex)
     padded[npad:npad + inst.grid.n] = phis
-    hat = np.fft.fft(padded, axis=0)
-    uhat = np.linalg.solve(blocks[:, None], hat.transpose(0, 2, 1)[..., None])[..., 0]
-    return np.fft.ifft(uhat.transpose(0, 2, 1), axis=0)
+    blocks = _direction_blocks(inst.law, inst.A, inst.nu, pad_grid, direction)
+    sols = block_solve(blocks, padded)[0]
+    # numpy's reductions sum in memory order, so criteria 1 and 3 get their
+    # recorded last digits only from batch-major memory.
+    return np.ascontiguousarray(sols.transpose(0, 2, 1)).transpose(0, 2, 1)
 
 
 def criterion_1_norm_bound(fast: bool = False) -> CriterionResult:
@@ -305,7 +304,7 @@ def criterion_8_control_duality(fast: bool = False) -> CriterionResult:
 
         finite_nontrivial = math.isfinite(obs.c_obs) and label.endswith(("B=tri", "B=2"))
         if finite_nontrivial and (search_checked < 1 or not fast):
-            K1, K2 = _dense_observability_pair(cp, inst.pad_fraction)
+            K1, K2 = _backward_endmaps(cp, inst.pad_fraction)
             budget = 2000 if fast else 10_000
             lb, _ = random_search_lower_bound(
                 lambda v: K1 @ v, lambda v: K2 @ v, K1.shape[1],
@@ -316,23 +315,6 @@ def criterion_8_control_duality(fast: bool = False) -> CriterionResult:
             search_checked += 1
     return CriterionResult(8, "null-control duality (three-way agreement)",
                            bool(ok), measured)
-
-
-def _dense_observability_pair(cp: ControlProblem, pad_fraction: float):
-    base = cp.base
-    grid, m, q = base.grid, base.A.m, cp.q
-    n = grid.n
-    post = grid.index_at_or_after(cp.T)
-    n_post = n - post
-    kernel, npad, N = _adjoint_kernel(cp, pad_fraction)
-    i = np.arange(n)
-    jp = np.arange(n_post)
-    idx = (npad + i[:, None] - (post + jp[None, :])) % N
-    gathered = kernel[idx]
-    K1 = gathered.transpose(0, 2, 1, 3).reshape(n * m, n_post * m)
-    filtered = np.einsum("kl,ipkj->iplj", np.conj(cp.B), gathered)
-    K2 = filtered.transpose(0, 2, 1, 3).reshape(n * q, n_post * m)
-    return K1, K2
 
 
 def _scalar_decay_problem(n: int):

@@ -113,9 +113,8 @@ def _verify_duality(cfg, rng):
 
 
 def _verify_causality(cfg, rng):
-    from .signals import WeightedSignal
-    from .solver import (EvoProblem, solve_adjoint, solve_forward,
-                         timestep_adjoint_oracle, timestep_oracle)
+    from .solver import (EvoProblem, _first_nonzero, _last_nonzero, solve_adjoint,
+                         solve_forward, timestep_adjoint_oracle, timestep_oracle)
 
     import numpy as np
 
@@ -130,7 +129,7 @@ def _verify_causality(cfg, rng):
     ok = rep.causality_leakage <= rep.wraparound_tolerance + 1e-12
     if cfg.law.is_finite_sum and cfg.law.order <= 1:
         u_step = timestep_oracle(prob)
-        start = _support_start(rhs.phi)
+        start = _first_nonzero(rhs.phi)
         mass = float(np.linalg.norm(u_step.phi[:start]))
         total = max(float(np.linalg.norm(u_step.phi)), 1e-300)
         result["stepper_leakage"] = mass / total
@@ -144,25 +143,13 @@ def _verify_causality(cfg, rng):
     ok = ok and rep_a.amnesia_leakage <= rep_a.wraparound_tolerance + 1e-12
     if cfg.law.is_finite_sum and cfg.law.order <= 1 and cfg.grid.symmetric:
         v_step = timestep_adjoint_oracle(prob_a)
-        end = _support_end(back.phi)
+        end = _last_nonzero(back.phi)
         mass = float(np.linalg.norm(v_step.phi[end + 1:]))
         total = max(float(np.linalg.norm(v_step.phi)), 1e-300)
         result["adjoint_stepper_leakage"] = mass / total
         ok = ok and result["adjoint_stepper_leakage"] < cfg.tolerances["cross_method"]
     result["passed"] = bool(ok)
     return result
-
-
-def _support_start(phi) -> int:
-    import numpy as np
-    nz = np.flatnonzero(np.abs(phi).max(axis=1) > 0)
-    return int(nz[0]) if nz.size else phi.shape[0]
-
-
-def _support_end(phi) -> int:
-    import numpy as np
-    nz = np.flatnonzero(np.abs(phi).max(axis=1) > 0)
-    return int(nz[-1]) if nz.size else -1
 
 
 def _verify_reversal(cfg, rng):
@@ -432,11 +419,6 @@ def suite(name: str, out_dir: str = "") -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    threads = os.environ.get("EVOQ_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
 
     if args.command == "suite":
         try:

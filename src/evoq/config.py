@@ -9,6 +9,7 @@ raise `SchemaError` with a pointer to the offending field.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -55,6 +56,8 @@ def _expect(obj: dict, key: str, path: str):
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        _fail(path, f"expected a finite number, got {value!r}")
     return float(value)
 
 

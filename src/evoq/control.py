@@ -27,11 +27,12 @@ from .errors import (
 from .signals import NORM_FLOOR, TimeGrid, WeightedSignal
 from .solver import (
     EvoProblem,
-    adjoint_blocks,
-    forward_blocks,
+    _direction_blocks,
+    _split_law,
     solve_forward,
     timestep_oracle,
 )
+from .transform import block_solve
 
 __all__ = [
     "ControlProblem",
@@ -267,23 +268,21 @@ class EndMaps:
     q: int
 
 
-def _forward_kernel(p_like: ControlProblem, pad_fraction: float) -> tuple:
-    """Impulse responses of the spectral forward solve on the padded grid.
+def _impulse_kernel(cp: ControlProblem, pad_fraction: float, direction: str) -> tuple:
+    """Impulse responses of the spectral solve in `direction` on the padded grid.
 
     Returns (kernel, npad, N) where kernel[:, :, i] is the padded flat
     solution to a unit impulse in component i placed at the first original
     sample.  The solve is a circulant, so every other column of the solution
     operator is an index shift of these.
     """
-    base = p_like.base
+    base = cp.base
     pad_grid, npad = base.grid.padded(pad_fraction)
-    blocks = forward_blocks(base.law, base.A, base.nu, pad_grid)
+    blocks = _direction_blocks(base.law, base.A, base.nu, pad_grid, direction)
     m = base.A.m
     rhs = np.zeros((pad_grid.n, m, m), dtype=complex)
     rhs[npad] = np.eye(m)
-    hat = np.fft.fft(rhs, axis=0)
-    uhat = np.linalg.solve(blocks[:, None], hat.transpose(0, 2, 1)[..., None])[..., 0]
-    kernel = np.fft.ifft(uhat.transpose(0, 2, 1), axis=0)
+    kernel, _ = block_solve(blocks, rhs)
     return kernel, npad, pad_grid.n
 
 
@@ -309,7 +308,7 @@ def assemble_endmaps(cp: ControlProblem, pad_fraction: float = 0.25,
             "method='power-iteration' or coarsen the grid"
         )
 
-    kernel, npad, N = _forward_kernel(cp, pad_fraction)
+    kernel, npad, N = _impulse_kernel(cp, pad_fraction, "forward")
     # Row block jp (post sample), column block j (source sample).  The solve
     # is a circulant on the padded grid and the kernel holds the response to
     # an impulse at padded index npad, so the entry for padded row
@@ -400,17 +399,23 @@ class ObservabilityEstimate:
     cutoff: float
 
 
-def _adjoint_kernel(cp: ControlProblem, pad_fraction: float) -> tuple:
+def _backward_endmaps(cp: ControlProblem, pad_fraction: float) -> tuple:
+    """Dense maps from a backward datum supported at or after T to the
+    backward solution (K1) and to its B^*-filtered observation (K2)."""
     base = cp.base
-    pad_grid, npad = base.grid.padded(pad_fraction)
-    blocks = adjoint_blocks(base.law, base.A, base.nu, pad_grid)
-    m = base.A.m
-    rhs = np.zeros((pad_grid.n, m, m), dtype=complex)
-    rhs[npad] = np.eye(m)
-    hat = np.fft.fft(rhs, axis=0)
-    uhat = np.linalg.solve(blocks[:, None], hat.transpose(0, 2, 1)[..., None])[..., 0]
-    kernel = np.fft.ifft(uhat.transpose(0, 2, 1), axis=0)
-    return kernel, npad, pad_grid.n
+    grid, m, q = base.grid, base.A.m, cp.q
+    n = grid.n
+    post = grid.index_at_or_after(cp.T)
+    n_post = n - post
+    kernel, npad, N = _impulse_kernel(cp, pad_fraction, "adjoint")
+    i = np.arange(n)
+    jp = np.arange(n_post)
+    idx = (npad + i[:, None] - (post + jp[None, :])) % N
+    gathered = kernel[idx]                    # (n, n_post, m, m)
+    K1 = gathered.transpose(0, 2, 1, 3).reshape(n * m, n_post * m)
+    filtered = np.einsum("kl,ipkj->iplj", np.conj(cp.B), gathered)
+    K2 = filtered.transpose(0, 2, 1, 3).reshape(n * q, n_post * m)
+    return K1, K2
 
 
 def observability_constant(cp: ControlProblem, endmaps: Optional[EndMaps] = None,
@@ -427,11 +432,9 @@ def observability_constant(cp: ControlProblem, endmaps: Optional[EndMaps] = None
     because the two are equivalent).
     """
     base = cp.base
-    grid, m, q = base.grid, base.A.m, cp.q
-    n = grid.n
+    grid, m = base.grid, base.A.m
     post = grid.index_at_or_after(cp.T)
-    n_post = n - post
-    if n_post < 1:
+    if grid.n - post < 1:
         raise PreconditionError("no samples at or after the horizon T")
 
     if method == "power-iteration":
@@ -439,14 +442,7 @@ def observability_constant(cp: ControlProblem, endmaps: Optional[EndMaps] = None
     if method != "generalized-svd":
         raise PreconditionError(f"unknown method {method!r}")
 
-    kernel, npad, N = _adjoint_kernel(cp, pad_fraction)
-    i = np.arange(n)
-    jp = np.arange(n_post)
-    idx = (npad + i[:, None] - (post + jp[None, :])) % N
-    gathered = kernel[idx]                    # (n, n_post, m, m)
-    K1 = gathered.transpose(0, 2, 1, 3).reshape(n * m, n_post * m)
-    filtered = np.einsum("kl,ipkj->iplj", np.conj(cp.B), gathered)
-    K2 = filtered.transpose(0, 2, 1, 3).reshape(n * q, n_post * m)
+    K1, K2 = _backward_endmaps(cp, pad_fraction)
 
     U2, s2, V2h = np.linalg.svd(K2, full_matrices=True)
     sigma_max = float(s2[0]) if s2.size else 0.0
@@ -498,13 +494,6 @@ def _assert_primal_agreement(cp, endmaps, estimate, pad_fraction, rtol, check_pr
             f"observability verdict (finite={finite}) disagrees with the "
             f"primal range inclusion (included={report.included})"
         )
-
-
-def _ratio(K1, K2, x):
-    denom = np.linalg.norm(K2 @ x)
-    if denom == 0.0:
-        return math.inf
-    return float(np.linalg.norm(K1 @ x) / denom)
 
 
 def random_search_lower_bound(apply_K1, apply_K2, dim: int,
@@ -645,8 +634,7 @@ def pointwise_solve(cp: ControlProblem, G: Optional[WeightedSignal] = None) -> P
         raise PreconditionError("pointwise_solve needs the pointwise variant")
     base = cp.base
     grid, m, nu = base.grid, base.A.m, base.nu
-    M0 = base.law.coeffs[0]
-    M1 = base.law.coeffs[1] if base.law.order == 1 else np.zeros_like(M0)
+    M0, M1 = _split_law(base.law)
     if not (0.0 < cp.T <= grid.t_min + (grid.n - 1) * grid.dt):
         raise PreconditionError("horizon must satisfy 0 < T <= last sample time")
 
@@ -730,8 +718,7 @@ def _pointwise_target(cp: ControlProblem) -> np.ndarray:
     produce exactly this readout for the closed loop to vanish at T."""
     base = cp.base
     grid, nu = base.grid, base.nu
-    M0 = base.law.coeffs[0]
-    M1 = base.law.coeffs[1] if base.law.order == 1 else np.zeros_like(M0)
+    M0, M1 = _split_law(base.law)
     drift = (M1 + base.A.A) @ cp.U0
     rhs_phi = _step_indicator_weights(grid)[:, None] \
         * np.exp(-nu * grid.times)[:, None] * drift[None, :]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NonCoerciveError, PoleError, PreconditionError
 from .signals import TimeGrid, WeightedSignal
-from .transform import grid_frequencies
+from .transform import block_apply, grid_frequencies
 
 __all__ = [
     "MaterialLaw",
@@ -178,17 +178,12 @@ def coercivity(law: MaterialLaw, nu: float, grid: TimeGrid) -> CoercivityCertifi
                                  min_location=float(xi[k]))
 
 
-def _apply_blocks(phi: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    hat = np.fft.fft(phi, axis=0)
-    return np.fft.ifft(np.einsum("kij,kj->ki", blocks, hat), axis=0)
-
-
 def apply_material_op(law: MaterialLaw, f: WeightedSignal) -> WeightedSignal:
     """Apply the material-law operator at f's weight: multiplier M(i xi + nu)."""
     if f.nu < law.nu0:
         raise PreconditionError(f"weight {f.nu} below the declared bound nu0={law.nu0}")
     z = 1j * grid_frequencies(f.grid) + f.nu
-    return f.with_phi(_apply_blocks(f.phi, eval_law_many(law, z)))
+    return f.with_phi(block_apply(eval_law_many(law, z), f.phi))
 
 
 def apply_adjoint_material_op(law: MaterialLaw, g: WeightedSignal) -> WeightedSignal:
@@ -203,4 +198,4 @@ def apply_adjoint_material_op(law: MaterialLaw, g: WeightedSignal) -> WeightedSi
         raise PreconditionError(f"weight {nu} below the declared bound nu0={law.nu0}")
     z = 1j * grid_frequencies(g.grid) + nu
     blocks = np.conj(np.swapaxes(eval_law_many(law, z), 1, 2))
-    return g.with_phi(_apply_blocks(g.phi, blocks))
+    return g.with_phi(block_apply(blocks, g.phi))

@@ -5,9 +5,12 @@ time-stepping oracle and the verification harnesses built on the pair.
 The primary path solves one m-by-m block per grid frequency; the blocks of
 the backward (adjoint) system are the exact conjugate transposes of the
 forward blocks, which makes the duality pairing identity hold to rounding.
-The trapezoidal stepper is exactly causal by construction and serves as the
-cross-check for the spectral path, whose periodic wrap-around is measured on
-a zero-padded margin and reported alongside every solution.
+All block arithmetic goes through `transform.block_apply` and
+`transform.block_solve`, so the two directions differ only in their blocks
+and in the region their solutions must leave empty.  The trapezoidal
+stepper is exactly causal by construction and serves as the cross-check for
+the spectral path, whose periodic wrap-around is measured on a zero-padded
+margin and reported alongside every solution.
 """
 
 from __future__ import annotations
@@ -20,13 +23,12 @@ import numpy as np
 from .errors import (
     OracleError,
     PreconditionError,
-    SolverError,
     UnsupportedLawError,
 )
 from .material import CoercivityCertificate, MaterialLaw, coercivity, eval_law_many, finite_sum_law
 from .signals import NORM_FLOOR, TimeGrid, WeightedSignal, time_reverse
 from .spatial import SpatialOperator
-from .transform import grid_frequencies
+from .transform import block_apply, block_solve, grid_frequencies
 
 __all__ = [
     "EvoProblem",
@@ -111,26 +113,18 @@ def adjoint_blocks(law: MaterialLaw, A: SpatialOperator, nu: float,
 
     Computed as the conjugate transpose of the forward blocks, which they
     equal identically; sharing the arithmetic keeps the discrete duality
-    pairing exact.
+    pairing exact.  Like the forward blocks, they are applied and solved only
+    through `transform.block_apply` and `transform.block_solve`.
     """
     P = forward_blocks(law, A, nu, grid)
     return np.conj(np.swapaxes(P, 1, 2))
 
 
-def _block_solve(blocks: np.ndarray, phi: np.ndarray):
-    """Solve one m-by-m system per frequency (LU with partial pivoting).
-
-    Returns the solution in flat coordinates together with the relative
-    frequency-domain residual of the assembled operator.
-    """
-    hat = np.fft.fft(phi, axis=0)
-    try:
-        uhat = np.linalg.solve(blocks, hat[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:  # unreachable under a positive certificate
-        raise SolverError(f"singular frequency block: {exc}") from exc
-    defect = np.einsum("kij,kj->ki", blocks, uhat) - hat
-    residual = float(np.linalg.norm(defect) / max(np.linalg.norm(hat), NORM_FLOOR))
-    return np.fft.ifft(uhat, axis=0), residual
+def _direction_blocks(law: MaterialLaw, A: SpatialOperator, nu: float,
+                      grid: TimeGrid, direction: str) -> np.ndarray:
+    if direction == "forward":
+        return forward_blocks(law, A, nu, grid)
+    return adjoint_blocks(law, A, nu, grid)
 
 
 def _first_nonzero(phi: np.ndarray) -> int:
@@ -143,8 +137,41 @@ def _last_nonzero(phi: np.ndarray) -> int:
     return int(nz[-1]) if nz.size else -1
 
 
-def _segment_mass(phi: np.ndarray, sl: slice) -> float:
-    return float(np.linalg.norm(phi[sl]))
+def _spectral_solve(p: EvoProblem, pad_fraction: float) -> SolveReport:
+    """Solve either direction on a zero-padded grid; leakage and wrap-around
+    are measured before the rhs support (forward) or after it (adjoint)."""
+    forward = p.direction == "forward"
+    pad_grid, npad = p.grid.padded(pad_fraction)
+    cert = coercivity(p.law, p.nu, pad_grid)
+    blocks = _direction_blocks(p.law, p.A, p.nu, pad_grid, p.direction)
+
+    phi_pad = np.zeros((pad_grid.n, p.rhs.m), dtype=complex)
+    phi_pad[npad:npad + p.grid.n] = p.rhs.phi
+    u_pad, residual = block_solve(blocks, phi_pad)
+
+    if forward:
+        first = _first_nonzero(p.rhs.phi)
+        pinned_pad, pinned = slice(0, npad + first), slice(0, first)
+    else:
+        last = _last_nonzero(p.rhs.phi)
+        pinned_pad, pinned = slice(npad + last + 1, pad_grid.n), slice(last + 1, p.grid.n)
+    total = max(float(np.linalg.norm(u_pad)), NORM_FLOOR)
+    wraparound = float(np.linalg.norm(u_pad[pinned_pad])) / total
+
+    u = u_pad[npad:npad + p.grid.n]
+    solution = WeightedSignal(p.grid, p.rhs.nu, u)
+    crop_total = max(float(np.linalg.norm(u)), NORM_FLOOR)
+    leakage = float(np.linalg.norm(u[pinned])) / crop_total
+
+    return SolveReport(
+        solution=solution,
+        residual_rel=residual,
+        norm_ratio=solution.norm / max(p.rhs.norm, NORM_FLOOR),
+        wraparound_tolerance=wraparound,
+        certificate=cert,
+        causality_leakage=leakage if forward else None,
+        amnesia_leakage=None if forward else leakage,
+    )
 
 
 def solve_forward(p: EvoProblem, pad_fraction: float = 0.25) -> SolveReport:
@@ -158,31 +185,7 @@ def solve_forward(p: EvoProblem, pad_fraction: float = 0.25) -> SolveReport:
     """
     if p.direction != "forward":
         raise PreconditionError("solve_forward needs direction='forward'")
-    pad_grid, npad = p.grid.padded(pad_fraction)
-    cert = coercivity(p.law, p.nu, pad_grid)
-    blocks = forward_blocks(p.law, p.A, p.nu, pad_grid)
-
-    phi_pad = np.zeros((pad_grid.n, p.rhs.m), dtype=complex)
-    phi_pad[npad:npad + p.grid.n] = p.rhs.phi
-    u_pad, residual = _block_solve(blocks, phi_pad)
-
-    first = npad + _first_nonzero(p.rhs.phi)
-    total = max(float(np.linalg.norm(u_pad)), NORM_FLOOR)
-    wraparound = _segment_mass(u_pad, slice(0, first)) / total
-
-    u = u_pad[npad:npad + p.grid.n]
-    solution = WeightedSignal(p.grid, p.nu, u)
-    crop_total = max(float(np.linalg.norm(u)), NORM_FLOOR)
-    leakage = _segment_mass(u, slice(0, first - npad)) / crop_total
-
-    return SolveReport(
-        solution=solution,
-        residual_rel=residual,
-        norm_ratio=solution.norm / max(p.rhs.norm, NORM_FLOOR),
-        wraparound_tolerance=wraparound,
-        certificate=cert,
-        causality_leakage=leakage,
-    )
+    return _spectral_solve(p, pad_fraction)
 
 
 def solve_adjoint(p: EvoProblem, pad_fraction: float = 0.25) -> SolveReport:
@@ -194,52 +197,27 @@ def solve_adjoint(p: EvoProblem, pad_fraction: float = 0.25) -> SolveReport:
     """
     if p.direction != "adjoint":
         raise PreconditionError("solve_adjoint needs direction='adjoint'")
-    pad_grid, npad = p.grid.padded(pad_fraction)
-    cert = coercivity(p.law, p.nu, pad_grid)
-    blocks = adjoint_blocks(p.law, p.A, p.nu, pad_grid)
+    return _spectral_solve(p, pad_fraction)
 
-    phi_pad = np.zeros((pad_grid.n, p.rhs.m), dtype=complex)
-    phi_pad[npad:npad + p.grid.n] = p.rhs.phi
-    u_pad, residual = _block_solve(blocks, phi_pad)
 
-    last = npad + _last_nonzero(p.rhs.phi)
-    total = max(float(np.linalg.norm(u_pad)), NORM_FLOOR)
-    wraparound = _segment_mass(u_pad, slice(last + 1, pad_grid.n)) / total
-
-    u = u_pad[npad:npad + p.grid.n]
-    solution = WeightedSignal(p.grid, -p.nu, u)
-    crop_total = max(float(np.linalg.norm(u)), NORM_FLOOR)
-    leakage = _segment_mass(u, slice(max(last + 1 - npad, 0), p.grid.n)) / crop_total
-
-    return SolveReport(
-        solution=solution,
-        residual_rel=residual,
-        norm_ratio=solution.norm / max(p.rhs.norm, NORM_FLOOR),
-        wraparound_tolerance=wraparound,
-        certificate=cert,
-        amnesia_leakage=leakage,
-    )
+def _apply_operator(law: MaterialLaw, A: SpatialOperator, f: WeightedSignal,
+                    direction: str) -> WeightedSignal:
+    nu = f.nu if direction == "forward" else -f.nu
+    if nu <= 0:
+        raise PreconditionError(f"{direction} application needs nu > 0, got weight {f.nu}")
+    return f.with_phi(block_apply(_direction_blocks(law, A, nu, f.grid, direction), f.phi))
 
 
 def apply_forward_operator(law: MaterialLaw, A: SpatialOperator,
                            f: WeightedSignal) -> WeightedSignal:
     """Apply the assembled forward operator (no inversion) to f at weight nu."""
-    if f.nu <= 0:
-        raise PreconditionError("forward application needs a positive weight")
-    blocks = forward_blocks(law, A, f.nu, f.grid)
-    hat = np.fft.fft(f.phi, axis=0)
-    return f.with_phi(np.fft.ifft(np.einsum("kij,kj->ki", blocks, hat), axis=0))
+    return _apply_operator(law, A, f, "forward")
 
 
 def apply_adjoint_operator(law: MaterialLaw, A: SpatialOperator,
                            g: WeightedSignal) -> WeightedSignal:
     """Apply the assembled backward operator to g at weight -nu."""
-    nu = -g.nu
-    if nu <= 0:
-        raise PreconditionError("adjoint application needs weight -nu with nu > 0")
-    blocks = adjoint_blocks(law, A, nu, g.grid)
-    hat = np.fft.fft(g.phi, axis=0)
-    return g.with_phi(np.fft.ifft(np.einsum("kij,kj->ki", blocks, hat), axis=0))
+    return _apply_operator(law, A, g, "adjoint")
 
 
 def _split_law(law: MaterialLaw):
@@ -309,11 +287,9 @@ def timestep_adjoint_oracle(p: EvoProblem) -> WeightedSignal:
         raise PreconditionError("the reversal route needs a symmetric grid")
     if not p.law.is_finite_sum or p.law.conjugate_argument:
         raise UnsupportedLawError("the reversal route needs a plain finite-sum law")
-    from .spatial import SpatialOperator as _SO
-
     law_rev = finite_sum_law([c.conj().T for c in p.law.coeffs], nu0=p.law.nu0)
     reversed_rhs = time_reverse(p.rhs)
-    forward = EvoProblem(p.nu, p.grid, law_rev, _SO(-p.A.A), reversed_rhs, "forward")
+    forward = EvoProblem(p.nu, p.grid, law_rev, p.A.negated(), reversed_rhs, "forward")
     return time_reverse(timestep_oracle(forward))
 
 
@@ -349,8 +325,7 @@ def time_reversal_conjugation_check(law: MaterialLaw, A: SpatialOperator,
         raise PreconditionError("time reversal needs a symmetric grid")
 
     reversed_law = finite_sum_law([c.conj().T for c in law.coeffs], nu0=law.nu0)
-    z = 1j * grid_frequencies(grid) + nu
-    blocks_b = z[:, None, None] * eval_law_many(reversed_law, z) - A.A
+    blocks_b = forward_blocks(reversed_law, A.negated(), nu, grid)
 
     discrepancies = []
     for g in signals:
@@ -358,9 +333,7 @@ def time_reversal_conjugation_check(law: MaterialLaw, A: SpatialOperator,
             raise PreconditionError("all test signals must share one grid and weight")
         direct = apply_adjoint_operator(law, A, g)
         w = time_reverse(g)
-        hat = np.fft.fft(w.phi, axis=0)
-        applied = w.with_phi(np.fft.ifft(np.einsum("kij,kj->ki", blocks_b, hat), axis=0))
-        roundtrip = time_reverse(applied)
+        roundtrip = time_reverse(w.with_phi(block_apply(blocks_b, w.phi)))
         discrepancies.append((direct - roundtrip).norm / max(direct.norm, NORM_FLOOR))
     return ConjugationReport(tuple(discrepancies), max(discrepancies))
 
@@ -404,9 +377,7 @@ def nu_independence_check(law: MaterialLaw, A: SpatialOperator,
         weight = nu if direction == "forward" else -nu
         rhs = signal_from_function(grid, weight, rhs_fn)
         prob = EvoProblem(nu=nu, grid=grid, law=law, A=A, rhs=rhs, direction=direction)
-        report = solve_forward(prob, pad_fraction) if direction == "forward" \
-            else solve_adjoint(prob, pad_fraction)
-        values.append(report.solution.values()[lo:hi])
+        values.append(_spectral_solve(prob, pad_fraction).solution.values()[lo:hi])
     scale = max(float(np.abs(values[0]).max()), NORM_FLOOR)
     diff = float(np.abs(values[0] - values[1]).max()) / scale
     return NuIndependenceReport(nu1=nu1, nu2=nu2, window=window, sup_rel_diff=diff)

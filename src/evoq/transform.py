@@ -17,8 +17,8 @@ from typing import Callable
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import NotInvertibleError, SymbolError
-from .signals import TimeGrid, WeightedSignal
+from .errors import NotInvertibleError, SolverError, SymbolError
+from .signals import NORM_FLOOR, TimeGrid, WeightedSignal
 
 __all__ = [
     "Spectrum",
@@ -118,6 +118,34 @@ def antiderivative(g: WeightedSignal) -> WeightedSignal:
     return WeightedSignal(g.grid, nu, phi)
 
 
+def block_apply(blocks: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Multiply each frequency of `phi` by its block: ifft(blocks_k fft(phi)_k).
+
+    `blocks` has shape (N, m, m); `phi` holds flat coordinates of shape
+    (N, m) or a batch of shape (N, m, b).
+    """
+    hat = np.fft.fft(phi, axis=0)
+    return np.fft.ifft(np.einsum("kij,kj...->ki...", blocks, hat), axis=0)
+
+
+def block_solve(blocks: np.ndarray, phi: np.ndarray):
+    """Solve one m-by-m system per frequency (LU with partial pivoting).
+
+    Same shapes as `block_apply`; a batch shares one factorization per block.
+    Returns the solution in flat coordinates together with the relative
+    frequency-domain residual of the assembled operator.
+    """
+    hat = np.fft.fft(phi, axis=0)
+    try:
+        uhat = np.linalg.solve(blocks, hat[..., None] if hat.ndim == 2 else hat)
+    except np.linalg.LinAlgError as exc:  # unreachable under a positive certificate
+        raise SolverError(f"singular frequency block: {exc}") from exc
+    uhat = uhat.reshape(hat.shape)
+    defect = np.einsum("kij,kj...->ki...", blocks, uhat) - hat
+    residual = float(np.linalg.norm(defect) / max(np.linalg.norm(hat), NORM_FLOOR))
+    return np.fft.ifft(uhat, axis=0), residual
+
+
 def spectral_multiplier(
     f: WeightedSignal, sym: Callable[[float], np.ndarray]
 ) -> WeightedSignal:
@@ -145,6 +173,4 @@ def spectral_multiplier(
     if not np.isfinite(blocks).all():
         bad = np.argwhere(~np.isfinite(blocks))[0]
         raise SymbolError(f"symbol returned a non-finite entry at frequency index {bad[0]}")
-    hat = np.fft.fft(f.phi, axis=0)
-    out = np.einsum("kij,kj->ki", blocks, hat)
-    return WeightedSignal(f.grid, f.nu, np.fft.ifft(out, axis=0))
+    return WeightedSignal(f.grid, f.nu, block_apply(blocks, f.phi))

@@ -10,20 +10,23 @@ import pytest
 from evoq.acceptance import ALL_CRITERIA, _batched_solve
 
 
-def test_batched_solve_matches_per_problem_path():
-    # criteria 1 and 3 rely on the batched kernel; pin it to solve_forward
+@pytest.mark.parametrize("direction", ["forward", "adjoint"])
+def test_batched_solve_matches_per_problem_path(direction):
+    # criteria 1 and 3 rely on the batched kernel; pin it to the per-problem solve
     import evoq
 
     inst = evoq.make_wave_instance(n=128)
     rng = np.random.default_rng(0)
     phis = rng.standard_normal((inst.grid.n, inst.m, 3)) \
         + 1j * rng.standard_normal((inst.grid.n, inst.m, 3))
-    batch = _batched_solve(inst, "forward", phis)
+    batch = _batched_solve(inst, direction, phis)
     npad = inst.grid.padded(inst.pad_fraction)[1]
+    weight = inst.nu if direction == "forward" else -inst.nu
+    solve = evoq.solve_forward if direction == "forward" else evoq.solve_adjoint
     for b in range(3):
-        rhs = evoq.WeightedSignal(inst.grid, inst.nu, phis[:, :, b])
-        direct = evoq.solve_forward(
-            evoq.EvoProblem(inst.nu, inst.grid, inst.law, inst.A, rhs, "forward"),
+        rhs = evoq.WeightedSignal(inst.grid, weight, phis[:, :, b])
+        direct = solve(
+            evoq.EvoProblem(inst.nu, inst.grid, inst.law, inst.A, rhs, direction),
             inst.pad_fraction).solution.phi
         crop = batch[npad:npad + inst.grid.n, :, b]
         assert np.abs(crop - direct).max() <= 1e-12 * np.abs(direct).max()

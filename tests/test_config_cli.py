@@ -155,6 +155,18 @@ class TestCliExitCodes:
         code = main(["solve", "--config", write_config(tmp_path, payload)])
         assert code == 2
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                             ids=["NaN", "Infinity"])
+    @pytest.mark.parametrize("field", ["nu", "grid.t_max"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, field, value):
+        with open(os.path.join(CONFIG_DIR, "heat_small.json")) as fh:
+            payload = json.load(fh)
+        section, _, key = field.rpartition(".")
+        (payload[section] if section else payload)[key] = value
+        code = main(["solve", "--config", write_config(tmp_path, payload)])
+        assert code == 2
+        assert field in capsys.readouterr().err
+
     def test_noncoercive_mass_exits_2(self, tmp_path):
         payload = base_config()
         payload["spatial"] = {"kind": "matrix", "matrix": [[[0.0, 0.0]]]}

@@ -216,8 +216,8 @@ class TestObservability:
         base = rotation_base(n=64)
         cp = ControlProblem(base=base, B=np.eye(2), T=0.5)
         maps = assemble_endmaps(cp)
-        from evoq.control import _adjoint_kernel
-        kernel, npad, N = _adjoint_kernel(cp, 0.25)
+        from evoq.control import _impulse_kernel
+        kernel, npad, N = _impulse_kernel(cp, 0.25, "adjoint")
         g = base.grid
         post = g.index_at_or_after(0.5)
         n_post = g.n - post
