@@ -20,12 +20,11 @@ from .control import (
     ControlProblem,
     assemble_endmaps,
     douglas_check,
-    null_control,
-    observability_constant,
     pointwise_null_control,
     pointwise_solve,
     random_search_lower_bound,
     _backward_endmaps,
+    _duality_verdicts,
     _pointwise_response_matrix,
     _pointwise_target,
     _truncated_lstsq,
@@ -281,21 +280,11 @@ def criterion_8_control_duality(fast: bool = False) -> CriterionResult:
         cp = ControlProblem(base=base, B=B, T=1.0)
         maps = assemble_endmaps(cp, inst.pad_fraction)
 
-        feasible = []
-        for _ in range(max(inst.m, 3)):
-            probe_rhs = random_signal(inst.grid, inst.nu, inst.m, rng)
-            probe = ControlProblem(
-                base=EvoProblem(inst.nu, inst.grid, inst.law, inst.A,
-                                probe_rhs, "forward"),
-                B=B, T=1.0)
-            feasible.append(null_control(probe, maps).feasible)
-        dgl = douglas_check(maps.L_F, maps.L_G)
-        obs = observability_constant(cp, maps, pad_fraction=inst.pad_fraction,
-                                     check_primal=False)
-        verdicts = {all(feasible), dgl.included, math.isfinite(obs.c_obs)}
+        feasible, dgl, obs = _duality_verdicts(cp, maps, rng, inst.pad_fraction)
+        verdicts = {feasible, dgl.included, math.isfinite(obs.c_obs)}
         agree = len(verdicts) == 1
         measured[label] = {
-            "feasible": all(feasible),
+            "feasible": feasible,
             "included": dgl.included,
             "c_obs": obs.c_obs if math.isfinite(obs.c_obs) else "inf",
             "agree": agree,
@@ -399,7 +388,7 @@ def _brute_force_min_norm_excess(cp: ControlProblem, fast: bool = False) -> floa
     b = _pointwise_target(cp)
     if Phi.shape[0] != 1:
         raise ValueError("the piecewise-constant search handles one readout equation")
-    g_min, _ = _truncated_lstsq(Phi, b, 1e-10)
+    g_min, _ = _truncated_lstsq(np.linalg.svd(Phi, full_matrices=False), b, 1e-10)
     min_norm = float(np.linalg.norm(g_min))
 
     grid = cp.base.grid

@@ -254,105 +254,59 @@ def _control_result_dict(res) -> dict:
 def _cmd_control(cfg, args) -> int:
     import math
 
-    from .control import (assemble_endmaps, null_control,
-                          observability_constant, pointwise_null_control)
+    import numpy as np
+
+    from .control import (_duality_verdicts, assemble_endmaps, null_control,
+                          observability_constant, pointwise_duality_check,
+                          pointwise_null_control)
+    from .material import coercivity
     from .signals import save_signal
 
     cp = _control_problem(cfg, args.variant)
+    pointwise = cp.variant == "pointwise"
+    rtol = cfg.tolerances["svd_cutoff"]
+    feasibility_tol = cfg.tolerances["pointwise_feasibility" if pointwise else "feasibility"]
 
     if args.certify_duality:
-        if cp.variant != "supported":
-            from .control import pointwise_duality_check
-            chk = pointwise_duality_check(cp, rtol=cfg.tolerances["svd_cutoff"],
-                                          feasibility_tol=cfg.tolerances["pointwise_feasibility"])
-            payload = {
-                "command": "control --certify-duality",
-                "variant": "pointwise",
-                "verdicts": {
-                    "feasible_for_basis": chk["feasible_for_basis"],
-                    "range_included": chk["range_included"],
-                },
-                "agree": chk["agree"],
-            }
-            _write_json(payload, args.out, "duality_table.json", args.json)
-            return EXIT_OK if chk["agree"] else EXIT_NUMERICAL
-        maps = assemble_endmaps(cp, cfg.pad_fraction)
-        verdict_rows = _three_way_verdicts(cfg, cp, maps)
-        payload = {"command": "control --certify-duality", "variant": "supported",
-                   **verdict_rows}
+        if pointwise:
+            chk = pointwise_duality_check(cp, rtol=rtol, feasibility_tol=feasibility_tol)
+            verdicts = {"feasible_for_basis": chk["feasible_for_basis"],
+                        "range_included": chk["range_included"]}
+        else:
+            maps = assemble_endmaps(cp, cfg.pad_fraction)
+            feasible, douglas, obs = _duality_verdicts(
+                cp, maps, np.random.default_rng(cfg.seed), cfg.pad_fraction,
+                rtol, feasibility_tol)
+            verdicts = {"feasible_for_spanning_set": feasible,
+                        "range_included": douglas.included,
+                        "observability_finite": math.isfinite(obs.c_obs)}
+        agree = len(set(verdicts.values())) == 1
+        payload = {"command": "control --certify-duality", "variant": cp.variant,
+                   "verdicts": verdicts, "agree": agree}
         _write_json(payload, args.out, "duality_table.json", args.json)
-        return EXIT_OK if verdict_rows["agree"] else EXIT_NUMERICAL
-
-    from .material import coercivity
+        return EXIT_OK if agree else EXIT_NUMERICAL
 
     cert = coercivity(cfg.law, cfg.nu, cfg.grid)
-
-    if cp.variant == "pointwise":
-        res = pointwise_null_control(cp, rtol=cfg.tolerances["svd_cutoff"],
-                                     feasibility_tol=cfg.tolerances["pointwise_feasibility"])
-        payload = {"command": "control", "variant": "pointwise", "seed": cfg.seed,
-                   "certificate": _certificate_dict(cert),
-                   "result": _control_result_dict(res)}
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            save_signal(res.G, os.path.join(args.out, "control_G"))
-        _write_json(payload, args.out, "control_result.json", args.json)
-        return EXIT_OK
-
-    maps = assemble_endmaps(cp, cfg.pad_fraction)
-    res = null_control(cp, maps, rtol=cfg.tolerances["svd_cutoff"],
-                       feasibility_tol=cfg.tolerances["feasibility"])
-    obs = observability_constant(cp, maps, pad_fraction=cfg.pad_fraction,
-                                 rtol=cfg.tolerances["svd_cutoff"])
-    payload = {"command": "control", "variant": "supported", "seed": cfg.seed,
+    if pointwise:
+        res = pointwise_null_control(cp, rtol=rtol, feasibility_tol=feasibility_tol)
+    else:
+        maps = assemble_endmaps(cp, cfg.pad_fraction)
+        res = null_control(cp, maps, rtol=rtol, feasibility_tol=feasibility_tol)
+        obs = observability_constant(cp, maps, pad_fraction=cfg.pad_fraction, rtol=rtol)
+    payload = {"command": "control", "variant": cp.variant, "seed": cfg.seed,
                "certificate": _certificate_dict(cert),
                "result": _control_result_dict(res)}
-    obs_payload = {
-        "c_obs": obs.c_obs if math.isfinite(obs.c_obs) else "infinity",
-        "method": obs.method,
-        "cutoff": obs.cutoff,
-    }
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         save_signal(res.G, os.path.join(args.out, "control_G"))
-        save_signal(obs.witness, os.path.join(args.out, "observability_witness"))
+        if not pointwise:
+            save_signal(obs.witness, os.path.join(args.out, "observability_witness"))
     _write_json(payload, args.out, "control_result.json", args.json)
-    _write_json(obs_payload, args.out, "observability.json", args.json)
+    if not pointwise:
+        obs_payload = {"c_obs": obs.c_obs if math.isfinite(obs.c_obs) else "infinity",
+                       "method": obs.method, "cutoff": obs.cutoff}
+        _write_json(obs_payload, args.out, "observability.json", args.json)
     return EXIT_OK
-
-
-def _three_way_verdicts(cfg, cp, maps) -> dict:
-    import math
-
-    import numpy as np
-
-    from .control import (ControlProblem, douglas_check, null_control,
-                          observability_constant)
-    from .signals import WeightedSignal
-    from .solver import EvoProblem
-
-    rng = np.random.default_rng(cfg.seed)
-    feasible = []
-    for _ in range(max(cfg.m, 3)):
-        phi = rng.standard_normal((cfg.grid.n, cfg.m)) \
-            + 1j * rng.standard_normal((cfg.grid.n, cfg.m))
-        base = EvoProblem(cfg.nu, cfg.grid, cfg.law, cfg.A,
-                          WeightedSignal(cfg.grid, cfg.nu, phi), "forward")
-        probe = ControlProblem(base=base, B=cp.B, T=cp.T, variant="supported")
-        feasible.append(null_control(probe, maps,
-                                     rtol=cfg.tolerances["svd_cutoff"],
-                                     feasibility_tol=cfg.tolerances["feasibility"]).feasible)
-    douglas = douglas_check(maps.L_F, maps.L_G, rtol=cfg.tolerances["svd_cutoff"])
-    obs = observability_constant(cp, maps, pad_fraction=cfg.pad_fraction,
-                                 rtol=cfg.tolerances["svd_cutoff"],
-                                 check_primal=False)
-    verdicts = {
-        "feasible_for_spanning_set": all(feasible),
-        "range_included": douglas.included,
-        "observability_finite": math.isfinite(obs.c_obs),
-    }
-    return {"verdicts": verdicts,
-            "agree": len(set(verdicts.values())) == 1}
 
 
 def _cmd_suite(args) -> int:

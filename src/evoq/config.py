@@ -166,7 +166,11 @@ def _parse_spatial(section: dict, nu: float):
                                              "spatial.matrix"), label="matrix")
         return A, None
     k = _as_int(_expect(section, "k", "spatial"), "spatial.k")
+    if k < 1:
+        _fail("spatial.k", f"must be at least 1, got {k}")
     dx = _as_number(section.get("dx", 1.0), "spatial.dx")
+    if dx <= 0:
+        _fail("spatial.dx", f"must be positive, got {dx}")
 
     def coeff(name, size, default=None):
         if name not in section:
@@ -203,9 +207,14 @@ def load_config(path: str) -> InstanceConfig:
         _fail("nu", "weight must be positive")
 
     gsec = _expect(raw, "grid", "config")
-    grid = TimeGrid(_as_number(_expect(gsec, "t_min", "grid"), "grid.t_min"),
-                    _as_number(_expect(gsec, "t_max", "grid"), "grid.t_max"),
-                    _as_int(_expect(gsec, "n", "grid"), "grid.n"))
+    t_min = _as_number(_expect(gsec, "t_min", "grid"), "grid.t_min")
+    t_max = _as_number(_expect(gsec, "t_max", "grid"), "grid.t_max")
+    if not t_min < t_max:
+        _fail("grid.t_min", f"must be below grid.t_max, got [{t_min}, {t_max}]")
+    n = _as_int(_expect(gsec, "n", "grid"), "grid.n")
+    if n < 2:
+        _fail("grid.n", f"need at least 2 samples, got {n}")
+    grid = TimeGrid(t_min, t_max, n)
     pad = _as_number(gsec.get("padding_fraction", 0.25), "grid.padding_fraction")
     if pad < 0:
         _fail("grid.padding_fraction", "must be >= 0")
@@ -262,8 +271,8 @@ def load_config(path: str) -> InstanceConfig:
         control = ControlSpec(B=B, T=T, variant=variant, U0=U0, forcing=forcing)
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        _fail("seed", "must be an integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        _fail("seed", "must be a non-negative integer")
 
     tolerances = dict(DEFAULT_TOLERANCES)
     user_tols = raw.get("tolerances", {})

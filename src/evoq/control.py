@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -33,6 +34,7 @@ from .solver import (
     timestep_oracle,
 )
 from .transform import block_solve
+from .waveforms import random_signal
 
 __all__ = [
     "ControlProblem",
@@ -154,8 +156,12 @@ class DouglasReport:
     conditions: dict
 
 
-def _svd_rank(s: np.ndarray, cutoff: float) -> int:
-    return int(np.sum(s > cutoff))
+def _truncation(s: np.ndarray, rtol: float) -> tuple:
+    """(sigma_max, cutoff, rank) of descending singular values `s`: the one
+    truncation rule, a cutoff `rtol` relative to sigma_max."""
+    sigma_max = float(s[0]) if s.size else 0.0
+    cutoff = sigma_max * rtol
+    return sigma_max, cutoff, int(np.sum(s > cutoff))
 
 
 def douglas_check(Amat: np.ndarray, Bmat: np.ndarray,
@@ -169,17 +175,29 @@ def douglas_check(Amat: np.ndarray, Bmat: np.ndarray,
     and the constant c = ||C||_2, which is simultaneously the smallest ball
     radius and the smallest adjoint-domination constant.  When excluded,
     returns a witness x with B^* x ~ 0 but A^* x != 0.
+
+    The conditions `range_inclusion` and `factorization` are not
+    independent: both measure the mass of A - B B^+ A (the first through the
+    range projector, the second through the factor), so their agreement
+    checks the arithmetic rather than a second property.
     """
-    Amat = np.atleast_2d(np.asarray(Amat, dtype=complex))
     Bmat = np.atleast_2d(np.asarray(Bmat, dtype=complex))
+    return _douglas(Amat, Bmat, np.linalg.svd(Bmat, full_matrices=False),
+                    rtol, inclusion_rtol, probes, rng)
+
+
+def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple, rtol: float,
+             inclusion_rtol: float = 1e-8, probes: int = 8,
+             rng: Optional[np.random.Generator] = None) -> DouglasReport:
+    """Body of `douglas_check` for a complex 2-D `Bmat` whose thin SVD
+    (U, s, Vh) the caller already holds."""
+    Amat = np.atleast_2d(np.asarray(Amat, dtype=complex))
     if Amat.shape[0] != Bmat.shape[0]:
         raise PreconditionError("A and B must share their codomain dimension")
     rng = rng or np.random.default_rng(0)
 
-    Ub, sb, Vbh = np.linalg.svd(Bmat, full_matrices=False)
-    sigma_max_b = float(sb[0]) if sb.size else 0.0
-    cutoff = sigma_max_b * rtol
-    rank_b = _svd_rank(sb, cutoff)
+    Ub, sb, Vbh = svd_b
+    sigma_max_b, cutoff, rank_b = _truncation(sb, rtol)
     Ur = Ub[:, :rank_b]
 
     # Mass of A outside the numerical range of B.
@@ -189,8 +207,7 @@ def douglas_check(Amat: np.ndarray, Bmat: np.ndarray,
     outside_norm = float(np.linalg.norm(outside, 2))
     included = outside_norm <= inclusion_rtol * scale
 
-    conditions = {}
-    conditions["range_inclusion"] = included
+    conditions = {"range_inclusion": included}
 
     if rank_b:
         pinv_b = Vbh[:rank_b].conj().T @ ((Ur.conj().T @ Amat) / sb[:rank_b, None])
@@ -267,6 +284,12 @@ class EndMaps:
     m: int
     q: int
 
+    @cached_property
+    def _svd_G(self) -> tuple:
+        """Thin SVD (U, s, Vh) of L_G, taken on first use and shared by every
+        null-control solve and range-inclusion check on these maps."""
+        return np.linalg.svd(self.L_G, full_matrices=False)
+
 
 def _impulse_kernel(cp: ControlProblem, pad_fraction: float, direction: str) -> tuple:
     """Impulse responses of the spectral solve in `direction` on the padded grid.
@@ -339,16 +362,15 @@ def assemble_endmaps(cp: ControlProblem, pad_fraction: float = 0.25,
                    nu=base.nu, m=m, q=q)
 
 
-def _truncated_lstsq(M: np.ndarray, b: np.ndarray, rtol: float):
-    """Least-norm solution of M x = b through a truncated SVD."""
-    U, s, Vh = np.linalg.svd(M, full_matrices=False)
-    sigma_max = float(s[0]) if s.size else 0.0
-    cutoff = sigma_max * rtol
-    r = _svd_rank(s, cutoff)
+def _truncated_lstsq(svd: tuple, b: np.ndarray, rtol: float):
+    """Least-norm solution of M x = b through a truncated SVD, given the
+    factorization `svd` = (U, s, Vh) of M rather than M itself, so one
+    factorization serves every right-hand side."""
+    U, s, Vh = svd
+    sigma_max, cutoff, r = _truncation(s, rtol)
     coeffs = (U[:, :r].conj().T @ b) / s[:r]
     x = Vh[:r].conj().T @ coeffs
-    report = RegularizationReport(rank=r, cutoff=cutoff, sigma_max=sigma_max)
-    return x, report
+    return x, RegularizationReport(rank=r, cutoff=cutoff, sigma_max=sigma_max)
 
 
 def null_control(cp: ControlProblem, endmaps: Optional[EndMaps] = None,
@@ -367,14 +389,14 @@ def null_control(cp: ControlProblem, endmaps: Optional[EndMaps] = None,
     maps = endmaps or assemble_endmaps(cp, pad_fraction)
     f_flat = cp.F.phi.reshape(-1)
     target = -(maps.L_F @ f_flat)
-    g_flat, reg = _truncated_lstsq(maps.L_G, target, rtol)
+    g_flat, reg = _truncated_lstsq(maps._svd_G, target, rtol)
     residual = maps.L_G @ g_flat - target
     rel = float(np.linalg.norm(residual) / max(np.linalg.norm(target), NORM_FLOOR))
     feasible = rel < feasibility_tol
 
     grid = maps.grid
     G = WeightedSignal(grid, maps.nu, g_flat.reshape(grid.n, maps.q))
-    terminal = float(np.sqrt(grid.dt) * np.linalg.norm(maps.L_G @ g_flat + maps.L_F @ f_flat))
+    terminal = float(np.sqrt(grid.dt) * np.linalg.norm(residual))
     return ControlResult(
         G=G,
         terminal_residual=terminal,
@@ -445,12 +467,9 @@ def observability_constant(cp: ControlProblem, endmaps: Optional[EndMaps] = None
     K1, K2 = _backward_endmaps(cp, pad_fraction)
 
     U2, s2, V2h = np.linalg.svd(K2, full_matrices=True)
-    sigma_max = float(s2[0]) if s2.size else 0.0
-    cutoff = sigma_max * rtol
-    r = _svd_rank(s2, cutoff)
+    _, cutoff, r = _truncation(s2, rtol)
     norm_k1 = max(float(np.linalg.norm(K1, 2)), NORM_FLOOR)
 
-    c_obs = math.inf
     if r < V2h.shape[0]:
         null_basis = V2h[r:].conj().T
         blind = K1 @ null_basis
@@ -487,13 +506,35 @@ def _assert_primal_agreement(cp, endmaps, estimate, pad_fraction, rtol, check_pr
     if not check_primal:
         return
     maps = endmaps or assemble_endmaps(cp, pad_fraction)
-    report = douglas_check(maps.L_F, maps.L_G, rtol=rtol)
+    report = _douglas(maps.L_F, maps.L_G, maps._svd_G, rtol=rtol)
     finite = math.isfinite(estimate.c_obs)
     if finite != report.included:
         raise ConsistencyError(
             f"observability verdict (finite={finite}) disagrees with the "
             f"primal range inclusion (included={report.included})"
         )
+
+
+def _duality_verdicts(cp: ControlProblem, maps: EndMaps,
+                      rng: np.random.Generator, pad_fraction: float,
+                      rtol: float = DEFAULT_SVD_RTOL,
+                      feasibility_tol: float = 1e-6) -> tuple:
+    """(feasible, douglas, observability) on one set of end maps: null control
+    of max(m, 3) forcings drawn from `rng`, ran(L_F) in ran(L_G), and the
+    backward observability estimate.  By duality the three verdicts agree."""
+    base = cp.base
+    feasible = []
+    for _ in range(max(base.A.m, 3)):
+        probe_rhs = random_signal(base.grid, base.nu, base.A.m, rng)
+        probe = ControlProblem(
+            base=EvoProblem(base.nu, base.grid, base.law, base.A, probe_rhs, "forward"),
+            B=cp.B, T=cp.T)
+        feasible.append(null_control(probe, maps, rtol=rtol,
+                                     feasibility_tol=feasibility_tol).feasible)
+    douglas = _douglas(maps.L_F, maps.L_G, maps._svd_G, rtol=rtol)
+    obs = observability_constant(cp, maps, pad_fraction=pad_fraction, rtol=rtol,
+                                 check_primal=False)
+    return all(feasible), douglas, obs
 
 
 def random_search_lower_bound(apply_K1, apply_K2, dim: int,
@@ -615,11 +656,17 @@ def _step_indicator_weights(grid: TimeGrid) -> np.ndarray:
     return w
 
 
-def _interp_at(grid: TimeGrid, phi: np.ndarray, T: float) -> np.ndarray:
+def _bracket(grid: TimeGrid, T: float) -> tuple:
+    """(jlo, theta) with T = t_jlo + theta dt, jlo clamped so that sample
+    jlo + 1 exists; the linear readout at T weighs jlo by 1 - theta."""
     jlo = grid.index_below(T)
     if jlo >= grid.n - 1:
         jlo = grid.n - 2
-    theta = (T - (grid.t_min + jlo * grid.dt)) / grid.dt
+    return jlo, (T - (grid.t_min + jlo * grid.dt)) / grid.dt
+
+
+def _interp_at(grid: TimeGrid, phi: np.ndarray, T: float) -> np.ndarray:
+    jlo, theta = _bracket(grid, T)
     return (1.0 - theta) * phi[jlo] + theta * phi[jlo + 1]
 
 
@@ -690,10 +737,7 @@ def _pointwise_response_matrix(cp: ControlProblem) -> tuple:
             EvoProblem(nu, grid, base.law, base.A, rhs, "forward")
         ).phi
 
-    jlo = grid.index_below(cp.T)
-    if jlo >= grid.n - 1:
-        jlo = grid.n - 2
-    theta = (cp.T - (grid.t_min + jlo * grid.dt)) / grid.dt
+    jlo, theta = _bracket(grid, cp.T)
     scale = math.exp(nu * cp.T)
 
     def kernel_at(l, kidx):
@@ -756,7 +800,7 @@ def pointwise_null_control(cp: ControlProblem,
     if np.linalg.norm(via - direct) > 1e-10 * max(np.linalg.norm(direct), 1.0):
         raise ConsistencyError("pointwise response assembly disagrees with a direct solve")
 
-    g_active, reg = _truncated_lstsq(Phi, b, rtol)
+    g_active, reg = _truncated_lstsq(np.linalg.svd(Phi, full_matrices=False), b, rtol)
     residual = float(np.linalg.norm(Phi @ g_active - b))
     feasible = residual < feasibility_tol * (1.0 + float(np.linalg.norm(b)))
 
@@ -786,12 +830,13 @@ def pointwise_duality_check(cp: ControlProblem,
         probe = ControlProblem(base=base, B=cp.B, T=cp.T, variant="pointwise",
                                U0=np.eye(m)[i])
         Psi[:, i] = _pointwise_target(probe)
+    svd_phi = np.linalg.svd(Phi, full_matrices=False)
     feasible = []
     for i in range(m):
-        g, _ = _truncated_lstsq(Phi, Psi[:, i], rtol)
+        g, _ = _truncated_lstsq(svd_phi, Psi[:, i], rtol)
         resid = float(np.linalg.norm(Phi @ g - Psi[:, i]))
         feasible.append(resid < feasibility_tol * (1.0 + float(np.linalg.norm(Psi[:, i]))))
-    report = douglas_check(Psi, Phi, rtol=rtol)
+    report = _douglas(Psi, Phi, svd_phi, rtol=rtol)
     return {
         "feasible_for_basis": all(feasible),
         "range_included": report.included,

@@ -167,6 +167,27 @@ class TestCliExitCodes:
         assert code == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, command", [
+        ("grid.n", 1, "solve"),
+        ("grid.t_min", 8.0, "solve"),
+        ("spatial.k", 0, "solve"),
+        ("spatial.k", -1, "solve"),
+        ("spatial.dx", 0.0, "solve"),
+        ("spatial.dx", -1.0, "solve"),
+        ("seed", -1, "verify"),
+    ])
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, field, value, command):
+        with open(os.path.join(CONFIG_DIR, "heat_small.json")) as fh:
+            payload = json.load(fh)
+        section, _, key = field.rpartition(".")
+        (payload[section] if section else payload)[key] = value
+        argv = [command, "--config", write_config(tmp_path, payload)]
+        if command == "verify":
+            argv += ["--suite", "duality"]
+        code = main(argv)
+        assert code == 2
+        assert field in capsys.readouterr().err
+
     def test_noncoercive_mass_exits_2(self, tmp_path):
         payload = base_config()
         payload["spatial"] = {"kind": "matrix", "matrix": [[[0.0, 0.0]]]}

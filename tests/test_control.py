@@ -158,6 +158,26 @@ class TestNullControl:
             <= 1e-10 * max(np.abs(res1.G.phi).max(), 1e-300)
 
 
+    def test_end_maps_factor_L_G_once(self, monkeypatch):
+        F = bump_signal(TimeGrid(-4.0, 4.0, 48), 1.0, 2, center=0.0, width=1.0)
+        cp = ControlProblem(base=rotation_base(n=48, rhs=F),
+                            B=np.array([[1.0, 0.3], [0.0, 0.5]]), T=1.0)
+        maps = assemble_endmaps(cp)
+        svd = np.linalg.svd
+        factored = []
+
+        def counting_svd(a, *args, **kwargs):
+            if a is maps.L_G:
+                factored.append(a)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        null_control(cp, maps)
+        null_control(cp, maps)
+        observability_constant(cp, maps)  # its primal Douglas check runs
+        assert len(factored) == 1
+
+
 class TestObservability:
     def test_identity_injection_unit_constant(self):
         base = rotation_base()
