@@ -36,7 +36,7 @@ from .instances import (
     make_maxwell_instance,
     make_wave_instance,
 )
-from .material import coercivity, finite_sum_law
+from .material import finite_sum_law
 from .signals import (
     NORM_FLOOR,
     SupportWindow,
@@ -48,9 +48,7 @@ from .signals import (
 )
 from .solver import (
     EvoProblem,
-    _direction_blocks,
-    apply_adjoint_operator,
-    apply_forward_operator,
+    SpectralOperator,
     nu_independence_check,
     solve_adjoint,
     solve_forward,
@@ -59,7 +57,6 @@ from .solver import (
     timestep_oracle,
 )
 from .spatial import check_skew
-from .transform import block_solve
 from .waveforms import band_limited_signal, bump_signal, random_signal, smooth_bump
 
 __all__ = ["CriterionResult", "run_acceptance", "ALL_CRITERIA"]
@@ -73,17 +70,10 @@ class CriterionResult:
     measured: dict = field(default_factory=dict)
 
 
-def _batched_solve(inst: Instance, direction: str, phis: np.ndarray) -> np.ndarray:
-    """Solve a batch of right-hand sides (n, m, batch) on the padded grid.
-
-    Returns the padded flat solutions (N, m, batch); used where per-call
-    reports are not needed.
-    """
-    pad_grid, npad = inst.grid.padded(inst.pad_fraction)
-    padded = np.zeros((pad_grid.n, inst.m, phis.shape[2]), dtype=complex)
-    padded[npad:npad + inst.grid.n] = phis
-    blocks = _direction_blocks(inst.law, inst.A, inst.nu, pad_grid, direction)
-    sols = block_solve(blocks, padded)[0]
+def _batched_solve(op: SpectralOperator, direction: str, phis: np.ndarray) -> np.ndarray:
+    """Padded flat solutions (N, m, batch) for a batch (n, m, batch) of
+    right-hand sides; used where per-call reports are not needed."""
+    sols = op.padded_solve(phis, direction == "forward")[0]
     # numpy's reductions sum in memory order, so criteria 1 and 3 get their
     # recorded last digits only from batch-major memory.
     return np.ascontiguousarray(sols.transpose(0, 2, 1)).transpose(0, 2, 1)
@@ -96,12 +86,12 @@ def criterion_1_norm_bound(fast: bool = False) -> CriterionResult:
     worst = 0.0
     details = {}
     for inst in bundled_instances(n=512):
-        pad_grid, _ = inst.grid.padded(inst.pad_fraction)
-        cert = coercivity(inst.law, inst.nu, pad_grid)
+        op = SpectralOperator(inst.law, inst.A, inst.nu, inst.grid, inst.pad_fraction)
+        cert = op.certificate
         for direction in ("forward", "adjoint"):
             phis = rng.standard_normal((inst.grid.n, inst.m, count)) \
                 + 1j * rng.standard_normal((inst.grid.n, inst.m, count))
-            sols = _batched_solve(inst, direction, phis)
+            sols = _batched_solve(op, direction, phis)
             ratios = np.linalg.norm(sols, axis=(0, 1)) / np.linalg.norm(phis, axis=(0, 1))
             scaled = float(np.max(ratios)) * cert.c_est
             details[f"{inst.name}_{direction}_max_ratio_times_c"] = scaled
@@ -153,10 +143,10 @@ def criterion_3_duality_pairing(fast: bool = False) -> CriterionResult:
             + 1j * rng.standard_normal((inst.grid.n, inst.m, count))
         gs = rng.standard_normal((inst.grid.n, inst.m, count)) \
             + 1j * rng.standard_normal((inst.grid.n, inst.m, count))
-        npad = inst.grid.padded(inst.pad_fraction)[1]
-        n = inst.grid.n
-        sf = _batched_solve(inst, "forward", fs)[npad:npad + n]
-        sg = _batched_solve(inst, "adjoint", gs)[npad:npad + n]
+        op = SpectralOperator(inst.law, inst.A, inst.nu, inst.grid, inst.pad_fraction)
+        npad, n = op.npad, inst.grid.n
+        sf = _batched_solve(op, "forward", fs)[npad:npad + n]
+        sg = _batched_solve(op, "adjoint", gs)[npad:npad + n]
         dt = inst.grid.dt
         lhs = dt * np.einsum("jmb,jmb->b", np.conj(sf), gs)
         rhs = dt * np.einsum("jmb,jmb->b", np.conj(fs), sg)
@@ -172,11 +162,12 @@ def criterion_4_adjoint_system_formula(fast: bool = False) -> CriterionResult:
     rng = np.random.default_rng(404)
     worst = 0.0
     for inst in bundled_instances(n=512):
+        op = SpectralOperator(inst.law, inst.A, inst.nu, inst.grid, 0.0)
         for _ in range(3 if fast else 10):
             f = band_limited_signal(inst.grid, inst.nu, inst.m, rng)
             g = band_limited_signal(inst.grid, -inst.nu, inst.m, rng)
-            lhs = nu_product(apply_forward_operator(inst.law, inst.A, f), g)
-            rhs = nu_product(f, apply_adjoint_operator(inst.law, inst.A, g))
+            lhs = nu_product(op.apply(f), g)
+            rhs = nu_product(f, op.apply(g))
             worst = max(worst, abs(lhs - rhs) / (f.norm * g.norm))
     return CriterionResult(4, "backward system is the pairing adjoint",
                            worst <= 1e-10, {"max_relative_gap": worst})

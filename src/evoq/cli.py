@@ -91,20 +91,16 @@ def _cmd_solve(cfg, args, direction: str) -> int:
 
 
 def _verify_duality(cfg, rng):
-    import numpy as np
-
     from .signals import nu_product
-    from .solver import EvoProblem, solve_adjoint, solve_forward
+    from .solver import SpectralOperator
     from .waveforms import random_signal
 
+    op = SpectralOperator(cfg.law, cfg.A, cfg.nu, cfg.grid, cfg.pad_fraction)
     worst = 0.0
     for _ in range(32):
         f = random_signal(cfg.grid, cfg.nu, cfg.m, rng)
         g = random_signal(cfg.grid, -cfg.nu, cfg.m, rng)
-        uf = solve_forward(EvoProblem(cfg.nu, cfg.grid, cfg.law, cfg.A, f, "forward"),
-                           cfg.pad_fraction)
-        vg = solve_adjoint(EvoProblem(cfg.nu, cfg.grid, cfg.law, cfg.A, g, "adjoint"),
-                           cfg.pad_fraction)
+        uf, vg = op.solve(f), op.solve(g)
         gap = abs(nu_product(uf.solution, g) - nu_product(f, vg.solution))
         worst = max(worst, gap / (f.norm * g.norm))
     tol = cfg.tolerances["pairing"]
@@ -113,14 +109,15 @@ def _verify_duality(cfg, rng):
 
 
 def _verify_causality(cfg, rng):
-    from .solver import (EvoProblem, _first_nonzero, _last_nonzero, solve_adjoint,
-                         solve_forward, timestep_adjoint_oracle, timestep_oracle)
+    from .solver import (EvoProblem, SpectralOperator, _first_nonzero, _last_nonzero,
+                         timestep_adjoint_oracle, timestep_oracle)
 
     import numpy as np
 
+    op = SpectralOperator(cfg.law, cfg.A, cfg.nu, cfg.grid, cfg.pad_fraction)
     rhs = cfg.build_rhs()
     prob = EvoProblem(cfg.nu, cfg.grid, cfg.law, cfg.A, rhs, "forward")
-    rep = solve_forward(prob, cfg.pad_fraction)
+    rep = op.solve(rhs)
     result = {
         "suite": "causality",
         "spectral_leakage": rep.causality_leakage,
@@ -137,7 +134,7 @@ def _verify_causality(cfg, rng):
 
     back = cfg.build_rhs(weight=-cfg.nu)
     prob_a = EvoProblem(cfg.nu, cfg.grid, cfg.law, cfg.A, back, "adjoint")
-    rep_a = solve_adjoint(prob_a, cfg.pad_fraction)
+    rep_a = op.solve(back)
     result["adjoint_spectral_leakage"] = rep_a.amnesia_leakage
     result["adjoint_wraparound_tolerance"] = rep_a.wraparound_tolerance
     ok = ok and rep_a.amnesia_leakage <= rep_a.wraparound_tolerance + 1e-12

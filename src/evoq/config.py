@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import SchemaError
 from .material import MaterialLaw, finite_sum_law
-from .signals import TimeGrid, WeightedSignal, load_signal, signal_from_values
+from .signals import (TimeGrid, WeightedSignal, _weight_exponents, load_signal,
+                      signal_from_values)
 from .spatial import (
     SpatialOperator,
     build_heat_block,
@@ -159,6 +160,33 @@ def _build_signal(spec: dict, grid: TimeGrid, m: int, weight: float,
     return signal_from_values(grid, weight, values)
 
 
+def _check_forcing(spec, path: str, m: int, config_path: str) -> None:
+    """Parse-time check of a forcing object (`rhs` or `control.F`), so that
+    `_build_signal` never meets a value it cannot use."""
+    if not isinstance(spec, dict):
+        _fail(path, "must be a forcing object")
+    shape = spec.get("shape", "bump")
+    if shape not in ("bump", "indicator", "zero", "custom"):
+        _fail(f"{path}.shape", f"unknown shape {shape!r}")
+    if shape == "custom":
+        base = spec.get("csv")
+        if not isinstance(base, str):
+            _fail(f"{path}.csv", "custom forcing needs a csv path")
+        resolved = (base if os.path.isabs(base)
+                    else os.path.join(os.path.dirname(config_path), base))
+        for suffix in (".csv", ".json"):
+            if not os.path.exists(resolved + suffix):
+                _fail(f"{path}.csv", f"referenced file {resolved + suffix} does not exist")
+    for key in ("center", "width", "amplitude", "lo", "hi"):
+        if key in spec:
+            _as_number(spec[key], f"{path}.{key}")
+    if spec.get("width", 1.0) <= 0:
+        _fail(f"{path}.width", f"must be positive, got {spec['width']}")
+    component = _as_int(spec.get("component", 0), f"{path}.component")
+    if not 0 <= component < m:
+        _fail(f"{path}.component", f"must be an index in [0, {m}), got {component}")
+
+
 def _parse_spatial(section: dict, nu: float):
     kind = _expect(section, "kind", "spatial")
     if kind == "matrix":
@@ -215,9 +243,13 @@ def load_config(path: str) -> InstanceConfig:
     if n < 2:
         _fail("grid.n", f"need at least 2 samples, got {n}")
     grid = TimeGrid(t_min, t_max, n)
+    try:
+        _weight_exponents(nu, grid)
+    except OverflowError as exc:
+        _fail("nu", f"too large for the grid [grid.t_min, grid.t_max): {exc}")
     pad = _as_number(gsec.get("padding_fraction", 0.25), "grid.padding_fraction")
-    if pad < 0:
-        _fail("grid.padding_fraction", "must be >= 0")
+    if not 0 <= pad <= 1:
+        _fail("grid.padding_fraction", f"must lie in [0, 1], got {pad}")
 
     A, law = _parse_spatial(_expect(raw, "spatial", "config"), nu)
     if law is None:
@@ -232,19 +264,7 @@ def load_config(path: str) -> InstanceConfig:
         _fail("law", "builder kinds define their own law; drop the law section")
 
     rhs_spec = raw.get("rhs", {"shape": "bump"})
-    if not isinstance(rhs_spec, dict):
-        _fail("rhs", "must be an object")
-    if rhs_spec.get("shape") == "custom":
-        base = rhs_spec.get("csv")
-        if not isinstance(base, str):
-            _fail("rhs.csv", "custom rhs needs a csv path")
-        resolved = base if os.path.isabs(base) else os.path.join(os.path.dirname(path), base)
-        for suffix in (".csv", ".json"):
-            if not os.path.exists(resolved + suffix):
-                _fail("rhs.csv", f"referenced file {resolved + suffix} does not exist")
-    comp = rhs_spec.get("component", 0)
-    if not isinstance(comp, int) or not 0 <= comp < A.m:
-        _fail("rhs.component", f"must be an index in [0, {A.m})")
+    _check_forcing(rhs_spec, "rhs", A.m, path)
 
     control = None
     if "control" in raw:
@@ -266,8 +286,8 @@ def load_config(path: str) -> InstanceConfig:
             if T <= 0:
                 _fail("control.T", "pointwise horizon must be positive")
         forcing = csec.get("F")
-        if forcing is not None and not isinstance(forcing, dict):
-            _fail("control.F", "must be a forcing object like rhs")
+        if forcing is not None:
+            _check_forcing(forcing, "control.F", A.m, path)
         control = ControlSpec(B=B, T=T, variant=variant, U0=U0, forcing=forcing)
 
     seed = raw.get("seed", 0)

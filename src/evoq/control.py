@@ -26,14 +26,7 @@ from .errors import (
     UnsupportedLawError,
 )
 from .signals import NORM_FLOOR, TimeGrid, WeightedSignal
-from .solver import (
-    EvoProblem,
-    _direction_blocks,
-    _split_law,
-    solve_forward,
-    timestep_oracle,
-)
-from .transform import block_solve
+from .solver import EvoProblem, SpectralOperator, _split_law, timestep_oracle
 from .waveforms import random_signal
 
 __all__ = [
@@ -291,22 +284,19 @@ class EndMaps:
         return np.linalg.svd(self.L_G, full_matrices=False)
 
 
-def _impulse_kernel(cp: ControlProblem, pad_fraction: float, direction: str) -> tuple:
-    """Impulse responses of the spectral solve in `direction` on the padded grid.
+def _impulse_kernel(op: SpectralOperator, forward: bool) -> tuple:
+    """Impulse responses of the forward or backward solve of `op`.
 
     Returns (kernel, npad, N) where kernel[:, :, i] is the padded flat
     solution to a unit impulse in component i placed at the first original
     sample.  The solve is a circulant, so every other column of the solution
     operator is an index shift of these.
     """
-    base = cp.base
-    pad_grid, npad = base.grid.padded(pad_fraction)
-    blocks = _direction_blocks(base.law, base.A, base.nu, pad_grid, direction)
-    m = base.A.m
-    rhs = np.zeros((pad_grid.n, m, m), dtype=complex)
-    rhs[npad] = np.eye(m)
-    kernel, _ = block_solve(blocks, rhs)
-    return kernel, npad, pad_grid.n
+    m = op.A.m
+    impulse = np.zeros((op.grid.n, m, m), dtype=complex)
+    impulse[0] = np.eye(m)
+    kernel, _ = op.padded_solve(impulse, forward)
+    return kernel, op.npad, op.pad_grid.n
 
 
 def assemble_endmaps(cp: ControlProblem, pad_fraction: float = 0.25,
@@ -331,7 +321,8 @@ def assemble_endmaps(cp: ControlProblem, pad_fraction: float = 0.25,
             "method='power-iteration' or coarsen the grid"
         )
 
-    kernel, npad, N = _impulse_kernel(cp, pad_fraction, "forward")
+    op = SpectralOperator(base.law, base.A, base.nu, grid, pad_fraction)
+    kernel, npad, N = _impulse_kernel(op, forward=True)
     # Row block jp (post sample), column block j (source sample).  The solve
     # is a circulant on the padded grid and the kernel holds the response to
     # an impulse at padded index npad, so the entry for padded row
@@ -348,11 +339,7 @@ def assemble_endmaps(cp: ControlProblem, pad_fraction: float = 0.25,
     rng = np.random.default_rng(7)
     for _ in range(2):
         f = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-        direct = solve_forward(
-            EvoProblem(base.nu, grid, base.law, base.A,
-                       WeightedSignal(grid, base.nu, f), "forward"),
-            pad_fraction,
-        ).solution.phi[post:]
+        direct = op.solve(WeightedSignal(grid, base.nu, f)).solution.phi[post:]
         via_matrix = (L_F @ f.reshape(-1)).reshape(n_post, m)
         err = np.linalg.norm(via_matrix - direct) / max(np.linalg.norm(direct), NORM_FLOOR)
         if err > 1e-10:
@@ -429,7 +416,8 @@ def _backward_endmaps(cp: ControlProblem, pad_fraction: float) -> tuple:
     n = grid.n
     post = grid.index_at_or_after(cp.T)
     n_post = n - post
-    kernel, npad, N = _impulse_kernel(cp, pad_fraction, "adjoint")
+    op = SpectralOperator(base.law, base.A, base.nu, grid, pad_fraction)
+    kernel, npad, N = _impulse_kernel(op, forward=False)
     i = np.arange(n)
     jp = np.arange(n_post)
     idx = (npad + i[:, None] - (post + jp[None, :])) % N
@@ -592,18 +580,16 @@ def random_search_lower_bound(apply_K1, apply_K2, dim: int,
 def _observability_power_iteration(cp: ControlProblem, pad_fraction: float,
                                    rtol: float) -> ObservabilityEstimate:
     """Matrix-free fallback: each evaluation is one backward solve."""
-    from .solver import solve_adjoint
-
     base = cp.base
     grid, m = base.grid, base.A.m
     post = grid.index_at_or_after(cp.T)
     n_post = grid.n - post
     Bh = cp.B.conj().T
+    op = SpectralOperator(base.law, base.A, base.nu, grid, pad_fraction)
 
     def apply_K1(flat_post):
         g = _embed_post(flat_post, grid, -base.nu, post, m)
-        prob = EvoProblem(base.nu, grid, base.law, base.A, g, "adjoint")
-        return solve_adjoint(prob, pad_fraction).solution.phi.reshape(-1)
+        return op.solve(g).solution.phi.reshape(-1)
 
     def apply_K2(flat_post):
         sol = apply_K1(flat_post).reshape(grid.n, m)

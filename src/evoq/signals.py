@@ -4,8 +4,9 @@ A function f with e^{-nu t} f(t) square integrable over the real line is
 stored through its flat coordinates phi_j = e^{-nu t_j} f(t_j).  In flat
 coordinates every weighted operation (norms, the cross-weight pairing,
 restrictions, time reversal) becomes a plain array operation, and the
-exponential weight never has to be materialised, so moderate nu * t cannot
-overflow double precision.
+exponential weight never has to be materialised.  Only converting samples
+to flat coordinates and back evaluates it, under one rule: |nu * t| <= 700
+on every grid sample, below where e^{nu t} overflows double precision.
 """
 
 from __future__ import annotations
@@ -128,10 +129,7 @@ class WeightedSignal:
         Only safe while |nu * t| stays below the exp overflow threshold; the
         flat representation itself never has this restriction.
         """
-        exponents = self.nu * self.grid.times
-        if np.max(np.abs(exponents)) > 700.0:
-            raise OverflowError("e^{nu t} overflows on this grid; stay in flat coordinates")
-        return np.exp(exponents)[:, None] * self.phi
+        return np.exp(_weight_exponents(self.nu, self.grid))[:, None] * self.phi
 
     def with_phi(self, phi: np.ndarray) -> "WeightedSignal":
         return WeightedSignal(self.grid, self.nu, phi)
@@ -155,6 +153,24 @@ class WeightedSignal:
         return WeightedSignal(self.grid, self.nu, -self.phi)
 
 
+_EXPONENT_LIMIT = 700.0
+
+
+def _weight_exponents(nu: float, grid: TimeGrid) -> np.ndarray:
+    """The weight's exponents nu * t_j on the grid: the one overflow rule.
+
+    Raises `OverflowError` when some |nu * t_j| exceeds 700, just below where
+    e^{|nu t|} overflows double precision.
+    """
+    with np.errstate(over="ignore"):
+        exponents = nu * grid.times
+        peak = float(np.max(np.abs(exponents)))
+    if peak > _EXPONENT_LIMIT:
+        raise OverflowError(f"|nu t| reaches {peak:.6g} on this grid and e^(nu t) "
+                            f"overflows above {_EXPONENT_LIMIT:g}")
+    return exponents
+
+
 def zero_signal(grid: TimeGrid, nu: float, m: int) -> WeightedSignal:
     return WeightedSignal(grid, nu, np.zeros((grid.n, m), dtype=complex))
 
@@ -164,10 +180,7 @@ def signal_from_values(grid: TimeGrid, nu: float, values: np.ndarray) -> Weighte
     values = np.asarray(values, dtype=complex)
     if values.ndim == 1:
         values = values[:, None]
-    exponents = -nu * grid.times
-    if np.max(np.abs(exponents)) > 700.0:
-        raise OverflowError("e^{-nu t} overflows on this grid")
-    return WeightedSignal(grid, nu, np.exp(exponents)[:, None] * values)
+    return WeightedSignal(grid, nu, np.exp(_weight_exponents(-nu, grid))[:, None] * values)
 
 
 def signal_from_function(grid: TimeGrid, nu: float, fn: Callable[[np.ndarray], np.ndarray]) -> WeightedSignal:

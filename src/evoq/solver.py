@@ -2,15 +2,15 @@
 (d/dt,nu applied to M(d/dt,nu) plus a skew block A), with an independent
 time-stepping oracle and the verification harnesses built on the pair.
 
-The primary path solves one m-by-m block per grid frequency; the blocks of
-the backward (adjoint) system are the exact conjugate transposes of the
-forward blocks, which makes the duality pairing identity hold to rounding.
-All block arithmetic goes through `transform.block_apply` and
-`transform.block_solve`, so the two directions differ only in their blocks
-and in the region their solutions must leave empty.  The trapezoidal
-stepper is exactly causal by construction and serves as the cross-check for
-the spectral path, whose periodic wrap-around is measured on a zero-padded
-margin and reported alongside every solution.
+The primary path solves one m-by-m block per grid frequency.  One
+`SpectralOperator` per (law, A, nu, padded grid) builds the forward blocks
+and the coercivity certificate once and serves both directions; the
+backward (adjoint) blocks are their exact conjugate transposes, which makes
+the duality pairing identity hold to rounding.  All block arithmetic goes
+through `transform.block_apply` and `transform.block_solve`.  The
+trapezoidal stepper is exactly causal by construction and serves as the
+cross-check for the spectral path, whose periodic wrap-around is measured on
+a zero-padded margin and reported alongside every solution.
 """
 
 from __future__ import annotations
@@ -107,26 +107,6 @@ def forward_blocks(law: MaterialLaw, A: SpatialOperator, nu: float,
     return z[:, None, None] * eval_law_many(law, z) + A.A
 
 
-def adjoint_blocks(law: MaterialLaw, A: SpatialOperator, nu: float,
-                   grid: TimeGrid) -> np.ndarray:
-    """Frequency blocks of the backward system, -(i xi - nu) M(i xi + nu)^* - A.
-
-    Computed as the conjugate transpose of the forward blocks, which they
-    equal identically; sharing the arithmetic keeps the discrete duality
-    pairing exact.  Like the forward blocks, they are applied and solved only
-    through `transform.block_apply` and `transform.block_solve`.
-    """
-    P = forward_blocks(law, A, nu, grid)
-    return np.conj(np.swapaxes(P, 1, 2))
-
-
-def _direction_blocks(law: MaterialLaw, A: SpatialOperator, nu: float,
-                      grid: TimeGrid, direction: str) -> np.ndarray:
-    if direction == "forward":
-        return forward_blocks(law, A, nu, grid)
-    return adjoint_blocks(law, A, nu, grid)
-
-
 def _first_nonzero(phi: np.ndarray) -> int:
     nz = np.flatnonzero(np.abs(phi).max(axis=1) > 0.0)
     return int(nz[0]) if nz.size else phi.shape[0]
@@ -137,41 +117,93 @@ def _last_nonzero(phi: np.ndarray) -> int:
     return int(nz[-1]) if nz.size else -1
 
 
-def _spectral_solve(p: EvoProblem, pad_fraction: float) -> SolveReport:
-    """Solve either direction on a zero-padded grid; leakage and wrap-around
-    are measured before the rhs support (forward) or after it (adjoint)."""
-    forward = p.direction == "forward"
-    pad_grid, npad = p.grid.padded(pad_fraction)
-    cert = coercivity(p.law, p.nu, pad_grid)
-    blocks = _direction_blocks(p.law, p.A, p.nu, pad_grid, p.direction)
+@dataclass(frozen=True)
+class SpectralOperator:
+    """The operator of (law, A, nu) on `grid` padded by `pad_fraction`.
 
-    phi_pad = np.zeros((pad_grid.n, p.rhs.m), dtype=complex)
-    phi_pad[npad:npad + p.grid.n] = p.rhs.phi
-    u_pad, residual = block_solve(blocks, phi_pad)
+    The certificate, the forward blocks and their conjugate transposes (the
+    backward blocks, equal to them identically, which keeps the duality
+    pairing exact) are each built on first use and kept.  Data at weight +nu
+    goes to the forward system, data at -nu to the backward system.
+    """
 
-    if forward:
-        first = _first_nonzero(p.rhs.phi)
-        pinned_pad, pinned = slice(0, npad + first), slice(0, first)
-    else:
-        last = _last_nonzero(p.rhs.phi)
-        pinned_pad, pinned = slice(npad + last + 1, pad_grid.n), slice(last + 1, p.grid.n)
-    total = max(float(np.linalg.norm(u_pad)), NORM_FLOOR)
-    wraparound = float(np.linalg.norm(u_pad[pinned_pad])) / total
+    law: MaterialLaw
+    A: SpatialOperator
+    nu: float
+    grid: TimeGrid
+    pad_fraction: float
 
-    u = u_pad[npad:npad + p.grid.n]
-    solution = WeightedSignal(p.grid, p.rhs.nu, u)
-    crop_total = max(float(np.linalg.norm(u)), NORM_FLOOR)
-    leakage = float(np.linalg.norm(u[pinned])) / crop_total
+    def __post_init__(self):
+        if self.nu <= 0:
+            raise PreconditionError(f"the operator needs nu > 0, got {self.nu}")
+        pad_grid, npad = self.grid.padded(self.pad_fraction)
+        object.__setattr__(self, "pad_grid", pad_grid)
+        object.__setattr__(self, "npad", npad)
 
-    return SolveReport(
-        solution=solution,
-        residual_rel=residual,
-        norm_ratio=solution.norm / max(p.rhs.norm, NORM_FLOOR),
-        wraparound_tolerance=wraparound,
-        certificate=cert,
-        causality_leakage=leakage if forward else None,
-        amnesia_leakage=None if forward else leakage,
-    )
+    def _cached(self, key: str, build: Callable):
+        # a frozen dataclass leaves its instance dict writable
+        if key not in self.__dict__:
+            self.__dict__[key] = build()
+        return self.__dict__[key]
+
+    @property
+    def certificate(self) -> CoercivityCertificate:
+        return self._cached("_cert", lambda: coercivity(self.law, self.nu, self.pad_grid))
+
+    @property
+    def blocks(self) -> np.ndarray:
+        return self._cached("_fwd", lambda: forward_blocks(self.law, self.A, self.nu,
+                                                           self.pad_grid))
+
+    @property
+    def adjoint_blocks(self) -> np.ndarray:
+        return self._cached("_adj", lambda: np.conj(np.swapaxes(self.blocks, 1, 2)))
+
+    def _is_forward(self, f: WeightedSignal) -> bool:
+        if f.grid != self.grid or abs(f.nu) != self.nu or f.m != self.A.m:
+            raise PreconditionError(f"signal must live on the operator's grid at weight "
+                                    f"+-{self.nu} with dimension {self.A.m}")
+        return f.nu > 0
+
+    def _embed(self, phi: np.ndarray) -> np.ndarray:
+        padded = np.zeros((self.pad_grid.n,) + phi.shape[1:], dtype=complex)
+        padded[self.npad:self.npad + self.grid.n] = phi
+        return padded
+
+    def padded_solve(self, phi: np.ndarray, forward: bool):
+        """(padded solution, relative residual) for flat data (n, m) or a batch
+        (n, m, b) embedded at `npad`; takes no certificate."""
+        return block_solve(self.blocks if forward else self.adjoint_blocks, self._embed(phi))
+
+    def apply(self, f: WeightedSignal) -> WeightedSignal:
+        """The operator (no inversion, no certificate) on f zero-extended to the
+        padded grid, cropped back."""
+        out = block_apply(self.blocks if self._is_forward(f) else self.adjoint_blocks,
+                          self._embed(f.phi))
+        return f.with_phi(out[self.npad:self.npad + self.grid.n])
+
+    def solve(self, rhs: WeightedSignal) -> SolveReport:
+        """Certified solve; leakage and wrap-around are measured before the rhs
+        support (forward) or after it (backward)."""
+        forward = self._is_forward(rhs)
+        cert = self.certificate
+        u_pad, residual = self.padded_solve(rhs.phi, forward)
+        npad, n = self.npad, self.grid.n
+        if forward:
+            first = _first_nonzero(rhs.phi)
+            pinned_pad, pinned = slice(0, npad + first), slice(0, first)
+        else:
+            last = _last_nonzero(rhs.phi)
+            pinned_pad, pinned = slice(npad + last + 1, self.pad_grid.n), slice(last + 1, n)
+        total = max(float(np.linalg.norm(u_pad)), NORM_FLOOR)
+        wraparound = float(np.linalg.norm(u_pad[pinned_pad])) / total
+        u = u_pad[npad:npad + n]
+        solution = WeightedSignal(self.grid, rhs.nu, u)
+        crop_total = max(float(np.linalg.norm(u)), NORM_FLOOR)
+        leakage = float(np.linalg.norm(u[pinned])) / crop_total
+        return SolveReport(solution, residual, solution.norm / max(rhs.norm, NORM_FLOOR),
+                           wraparound, cert, leakage if forward else None,
+                           None if forward else leakage)
 
 
 def solve_forward(p: EvoProblem, pad_fraction: float = 0.25) -> SolveReport:
@@ -185,7 +217,7 @@ def solve_forward(p: EvoProblem, pad_fraction: float = 0.25) -> SolveReport:
     """
     if p.direction != "forward":
         raise PreconditionError("solve_forward needs direction='forward'")
-    return _spectral_solve(p, pad_fraction)
+    return SpectralOperator(p.law, p.A, p.nu, p.grid, pad_fraction).solve(p.rhs)
 
 
 def solve_adjoint(p: EvoProblem, pad_fraction: float = 0.25) -> SolveReport:
@@ -197,27 +229,19 @@ def solve_adjoint(p: EvoProblem, pad_fraction: float = 0.25) -> SolveReport:
     """
     if p.direction != "adjoint":
         raise PreconditionError("solve_adjoint needs direction='adjoint'")
-    return _spectral_solve(p, pad_fraction)
-
-
-def _apply_operator(law: MaterialLaw, A: SpatialOperator, f: WeightedSignal,
-                    direction: str) -> WeightedSignal:
-    nu = f.nu if direction == "forward" else -f.nu
-    if nu <= 0:
-        raise PreconditionError(f"{direction} application needs nu > 0, got weight {f.nu}")
-    return f.with_phi(block_apply(_direction_blocks(law, A, nu, f.grid, direction), f.phi))
+    return SpectralOperator(p.law, p.A, p.nu, p.grid, pad_fraction).solve(p.rhs)
 
 
 def apply_forward_operator(law: MaterialLaw, A: SpatialOperator,
                            f: WeightedSignal) -> WeightedSignal:
     """Apply the assembled forward operator (no inversion) to f at weight nu."""
-    return _apply_operator(law, A, f, "forward")
+    return SpectralOperator(law, A, f.nu, f.grid, 0.0).apply(f)
 
 
 def apply_adjoint_operator(law: MaterialLaw, A: SpatialOperator,
                            g: WeightedSignal) -> WeightedSignal:
     """Apply the assembled backward operator to g at weight -nu."""
-    return _apply_operator(law, A, g, "adjoint")
+    return SpectralOperator(law, A, -g.nu, g.grid, 0.0).apply(g)
 
 
 def _split_law(law: MaterialLaw):
@@ -324,17 +348,16 @@ def time_reversal_conjugation_check(law: MaterialLaw, A: SpatialOperator,
     if not grid.symmetric:
         raise PreconditionError("time reversal needs a symmetric grid")
 
-    blocks_a = _direction_blocks(law, A, nu, grid, "adjoint")
+    direct_op = SpectralOperator(law, A, nu, grid, 0.0)
     reversed_law = finite_sum_law([c.conj().T for c in law.coeffs], nu0=law.nu0)
-    blocks_b = forward_blocks(reversed_law, A.negated(), nu, grid)
+    reversed_op = SpectralOperator(reversed_law, A.negated(), nu, grid, 0.0)
 
     discrepancies = []
     for g in signals:
         if g.grid != grid or g.nu != -nu:
             raise PreconditionError("all test signals must share one grid and weight")
-        direct = g.with_phi(block_apply(blocks_a, g.phi))
-        w = time_reverse(g)
-        roundtrip = time_reverse(w.with_phi(block_apply(blocks_b, w.phi)))
+        direct = direct_op.apply(g)
+        roundtrip = time_reverse(reversed_op.apply(time_reverse(g)))
         discrepancies.append((direct - roundtrip).norm / max(direct.norm, NORM_FLOOR))
     return ConjugationReport(tuple(discrepancies), max(discrepancies))
 
@@ -378,7 +401,8 @@ def nu_independence_check(law: MaterialLaw, A: SpatialOperator,
         weight = nu if direction == "forward" else -nu
         rhs = signal_from_function(grid, weight, rhs_fn)
         prob = EvoProblem(nu=nu, grid=grid, law=law, A=A, rhs=rhs, direction=direction)
-        values.append(_spectral_solve(prob, pad_fraction).solution.values()[lo:hi])
+        report = SpectralOperator(law, A, nu, grid, pad_fraction).solve(prob.rhs)
+        values.append(report.solution.values()[lo:hi])
     scale = max(float(np.abs(values[0]).max()), NORM_FLOOR)
     diff = float(np.abs(values[0] - values[1]).max()) / scale
     return NuIndependenceReport(nu1=nu1, nu2=nu2, window=window, sup_rel_diff=diff)

@@ -19,8 +19,10 @@ def test_batched_solve_matches_per_problem_path(direction):
     rng = np.random.default_rng(0)
     phis = rng.standard_normal((inst.grid.n, inst.m, 3)) \
         + 1j * rng.standard_normal((inst.grid.n, inst.m, 3))
-    batch = _batched_solve(inst, direction, phis)
-    npad = inst.grid.padded(inst.pad_fraction)[1]
+    op = evoq.solver.SpectralOperator(inst.law, inst.A, inst.nu, inst.grid,
+                                      inst.pad_fraction)
+    batch = _batched_solve(op, direction, phis)
+    npad = op.npad
     weight = inst.nu if direction == "forward" else -inst.nu
     solve = evoq.solve_forward if direction == "forward" else evoq.solve_adjoint
     for b in range(3):

@@ -175,12 +175,27 @@ class TestCliExitCodes:
         ("spatial.dx", 0.0, "solve"),
         ("spatial.dx", -1.0, "solve"),
         ("seed", -1, "verify"),
+        ("nu", 800, "solve"),
+        ("nu", 1e308, "solve"),
+        ("grid.t_max", 1e308, "solve"),
+        ("grid.padding_fraction", 1e9, "solve"),
+        ("rhs.center", "x", "solve"),
+        ("rhs.width", "x", "solve"),
+        ("rhs.amplitude", "x", "solve"),
+        ("rhs.lo", "x", "solve"),
+        ("rhs.hi", "x", "solve"),
+        ("rhs.width", 0, "solve"),
+        ("rhs.component", True, "solve"),
+        ("control.F.component", 99, "control"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, field, value, command):
         with open(os.path.join(CONFIG_DIR, "heat_small.json")) as fh:
             payload = json.load(fh)
-        section, _, key = field.rpartition(".")
-        (payload[section] if section else payload)[key] = value
+        *sections, key = field.split(".")
+        target = payload
+        for name in sections:
+            target = target.setdefault(name, {})
+        target[key] = value
         argv = [command, "--config", write_config(tmp_path, payload)]
         if command == "verify":
             argv += ["--suite", "duality"]

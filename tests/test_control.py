@@ -237,7 +237,9 @@ class TestObservability:
         cp = ControlProblem(base=base, B=np.eye(2), T=0.5)
         maps = assemble_endmaps(cp)
         from evoq.control import _impulse_kernel
-        kernel, npad, N = _impulse_kernel(cp, 0.25, "adjoint")
+        from evoq.solver import SpectralOperator
+        op = SpectralOperator(base.law, base.A, base.nu, base.grid, 0.25)
+        kernel, npad, N = _impulse_kernel(op, forward=False)
         g = base.grid
         post = g.index_at_or_after(0.5)
         n_post = g.n - post

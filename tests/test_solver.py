@@ -5,6 +5,8 @@ closed-form rotation kernel integrated by composite Simpson for the Duhamel
 check, and hand recurrences for the stepper.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -359,3 +361,41 @@ class TestOperatorApplications:
         au = u.with_phi(u.phi @ inst.A.A.T)
         budget = (2.0 + inst.A.norm / c) * (f.norm + df.norm)
         assert au.norm <= budget
+
+
+class TestSpectralOperator:
+    def test_duality_suite_builds_blocks_and_certificate_once(self, monkeypatch, tmp_path):
+        from evoq import solver
+        from evoq.cli import main
+
+        calls = {"forward_blocks": 0, "coercivity": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(solver, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(solver, name, counted)
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", "heat_small.json")
+        code = main(["verify", "--config", config, "--suite", "duality",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert calls == {"forward_blocks": 1, "coercivity": 1}
+
+    def test_solve_pair_matches_operator_bit_for_bit(self):
+        from evoq.solver import SpectralOperator
+
+        inst = evoq.make_heat_instance(n=256)
+        rng = np.random.default_rng(11)
+        f = random_signal(inst.grid, inst.nu, inst.m, rng)
+        g = random_signal(inst.grid, -inst.nu, inst.m, rng)
+        pair = (
+            solve_forward(EvoProblem(inst.nu, inst.grid, inst.law, inst.A, f, "forward"),
+                          inst.pad_fraction),
+            solve_adjoint(EvoProblem(inst.nu, inst.grid, inst.law, inst.A, g, "adjoint"),
+                          inst.pad_fraction),
+        )
+        op = SpectralOperator(inst.law, inst.A, inst.nu, inst.grid, inst.pad_fraction)
+        for report, rhs in zip(pair, (f, g)):
+            direct = op.solve(rhs)
+            assert np.array_equal(report.solution.phi, direct.solution.phi)
+            assert report.residual_rel == direct.residual_rel
+            assert report.certificate == direct.certificate
