@@ -302,6 +302,8 @@ def load_config(path: str) -> InstanceConfig:
         if key not in DEFAULT_TOLERANCES:
             _fail(f"tolerances.{key}", "unknown tolerance name")
         tolerances[key] = _as_number(value, f"tolerances.{key}")
+        if tolerances[key] <= 0:
+            _fail(f"tolerances.{key}", f"must be > 0, got {value!r}")
 
     return InstanceConfig(nu=nu, grid=grid, pad_fraction=pad, law=law, A=A,
                           rhs_spec=rhs_spec, seed=seed, tolerances=tolerances,

@@ -183,7 +183,7 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple, rtol: float,
              inclusion_rtol: float = 1e-8, probes: int = 8,
              rng: Optional[np.random.Generator] = None) -> DouglasReport:
     """Body of `douglas_check` for a complex 2-D `Bmat` whose thin SVD
-    (U, s, Vh) the caller already holds."""
+    (U, s, Vh) the caller already holds; the constant ||V_r core||_2 is ||core||_2."""
     Amat = np.atleast_2d(np.asarray(Amat, dtype=complex))
     if Amat.shape[0] != Bmat.shape[0]:
         raise PreconditionError("A and B must share their codomain dimension")
@@ -202,14 +202,11 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple, rtol: float,
 
     conditions = {"range_inclusion": included}
 
-    if rank_b:
-        pinv_b = Vbh[:rank_b].conj().T @ ((Ur.conj().T @ Amat) / sb[:rank_b, None])
-    else:
-        pinv_b = np.zeros((Bmat.shape[1], Amat.shape[1]), dtype=complex)
-    factor = pinv_b
+    core = (Ur.conj().T @ Amat) / sb[:rank_b, None]
+    factor = Vbh[:rank_b].conj().T @ core
     factor_residual = float(np.linalg.norm(Amat - Bmat @ factor, 2))
     conditions["factorization"] = factor_residual <= max(1e-10 * scale, 10 * cutoff)
-    constant = float(np.linalg.norm(factor, 2)) if factor.size else 0.0
+    constant = float(np.linalg.norm(core, 2)) if core.size else 0.0
 
     # Ball inclusion, probed: the min-norm preimage of A y must fit in the
     # c-ball and reproduce A y.
@@ -352,12 +349,24 @@ def assemble_endmaps(cp: ControlProblem, pad_fraction: float = 0.25,
 def _truncated_lstsq(svd: tuple, b: np.ndarray, rtol: float):
     """Least-norm solution of M x = b through a truncated SVD, given the
     factorization `svd` = (U, s, Vh) of M rather than M itself, so one
-    factorization serves every right-hand side."""
+    factorization serves every right-hand side, `b` or each column of it."""
     U, s, Vh = svd
     sigma_max, cutoff, r = _truncation(s, rtol)
-    coeffs = (U[:, :r].conj().T @ b) / s[:r]
+    coeffs = ((U[:, :r].conj().T @ b).T / s[:r]).T  # rank axis last to broadcast
     x = Vh[:r].conj().T @ coeffs
     return x, RegularizationReport(rank=r, cutoff=cutoff, sigma_max=sigma_max)
+
+
+def _null_solve(maps: EndMaps, f: np.ndarray, rtol: float,
+                feasibility_tol: float) -> tuple:
+    """`null_control`'s solve and verdict for one flattened forcing `f` or,
+    feasible only if each is, for every column of `f`."""
+    target = -(maps.L_F @ f)
+    g, reg = _truncated_lstsq(maps._svd_G, target, rtol)
+    residual = maps.L_G @ g - target
+    rel = (np.linalg.norm(residual, axis=0)
+           / np.maximum(np.linalg.norm(target, axis=0), NORM_FLOOR))
+    return g, residual, reg, bool(np.all(rel < feasibility_tol))
 
 
 def null_control(cp: ControlProblem, endmaps: Optional[EndMaps] = None,
@@ -374,12 +383,7 @@ def null_control(cp: ControlProblem, endmaps: Optional[EndMaps] = None,
     if cp.variant != "supported":
         raise PreconditionError("null_control drives the supported variant")
     maps = endmaps or assemble_endmaps(cp, pad_fraction)
-    f_flat = cp.F.phi.reshape(-1)
-    target = -(maps.L_F @ f_flat)
-    g_flat, reg = _truncated_lstsq(maps._svd_G, target, rtol)
-    residual = maps.L_G @ g_flat - target
-    rel = float(np.linalg.norm(residual) / max(np.linalg.norm(target), NORM_FLOOR))
-    feasible = rel < feasibility_tol
+    g_flat, residual, reg, feasible = _null_solve(maps, cp.F.phi.reshape(-1), rtol, feasibility_tol)
 
     grid = maps.grid
     G = WeightedSignal(grid, maps.nu, g_flat.reshape(grid.n, maps.q))
@@ -437,9 +441,9 @@ def observability_constant(cp: ControlProblem, endmaps: Optional[EndMaps] = None
     B-filtered counterpart.
 
     Flags +inf when a post-horizon datum is invisible to the observation but
-    not to the state, and cross-checks the verdict against the primal range
-    inclusion when the primal end maps are available (a disagreement raises,
-    because the two are equivalent).
+    not to the state (one thin SVD of K1 on ker K2 is test and witness), and
+    cross-checks the verdict against the primal range inclusion when the
+    primal end maps are available (a disagreement raises, as they are equivalent).
     """
     base = cp.base
     grid, m = base.grid, base.A.m
@@ -456,14 +460,12 @@ def observability_constant(cp: ControlProblem, endmaps: Optional[EndMaps] = None
 
     U2, s2, V2h = np.linalg.svd(K2, full_matrices=True)
     _, cutoff, r = _truncation(s2, rtol)
-    norm_k1 = max(float(np.linalg.norm(K1, 2)), NORM_FLOOR)
 
     if r < V2h.shape[0]:
         null_basis = V2h[r:].conj().T
         blind = K1 @ null_basis
-        blind_norm = float(np.linalg.norm(blind, 2))
-        if blind_norm > 1e-8 * norm_k1:
-            Ub, _, Vbh = np.linalg.svd(blind, full_matrices=False)
+        _, s_blind, Vbh = np.linalg.svd(blind, full_matrices=False)
+        if float(s_blind[0]) > 1e-8 * max(float(np.linalg.norm(K1, 2)), NORM_FLOOR):
             witness_flat = null_basis @ Vbh[0].conj()
             witness = _embed_post(witness_flat, grid, -base.nu, post, m)
             estimate = ObservabilityEstimate(math.inf, witness, "generalized-svd", cutoff)
@@ -508,21 +510,17 @@ def _duality_verdicts(cp: ControlProblem, maps: EndMaps,
                       rtol: float = DEFAULT_SVD_RTOL,
                       feasibility_tol: float = 1e-6) -> tuple:
     """(feasible, douglas, observability) on one set of end maps: null control
-    of max(m, 3) forcings drawn from `rng`, ran(L_F) in ran(L_G), and the
-    backward observability estimate.  By duality the three verdicts agree."""
+    of max(m, 3) forcings drawn from `rng` (one right-hand side of as many
+    columns), ran(L_F) in ran(L_G), and the backward observability estimate.
+    By duality the three verdicts agree."""
     base = cp.base
-    feasible = []
-    for _ in range(max(base.A.m, 3)):
-        probe_rhs = random_signal(base.grid, base.nu, base.A.m, rng)
-        probe = ControlProblem(
-            base=EvoProblem(base.nu, base.grid, base.law, base.A, probe_rhs, "forward"),
-            B=cp.B, T=cp.T)
-        feasible.append(null_control(probe, maps, rtol=rtol,
-                                     feasibility_tol=feasibility_tol).feasible)
+    probes = np.stack([random_signal(base.grid, base.nu, base.A.m, rng).phi.reshape(-1)
+                       for _ in range(max(base.A.m, 3))], axis=1)
+    feasible = _null_solve(maps, probes, rtol, feasibility_tol)[3]
     douglas = _douglas(maps.L_F, maps.L_G, maps._svd_G, rtol=rtol)
     obs = observability_constant(cp, maps, pad_fraction=pad_fraction, rtol=rtol,
                                  check_primal=False)
-    return all(feasible), douglas, obs
+    return feasible, douglas, obs
 
 
 def random_search_lower_bound(apply_K1, apply_K2, dim: int,

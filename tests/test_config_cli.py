@@ -187,6 +187,10 @@ class TestCliExitCodes:
         ("rhs.width", 0, "solve"),
         ("rhs.component", True, "solve"),
         ("control.F.component", 99, "control"),
+        ("grid.t_min", -400.0, "verify --suite nu-independence"),
+        ("tolerances.svd_cutoff", 0, "control"),
+        ("tolerances.svd_cutoff", -1, "control"),
+        ("tolerances.pairing", -1.0, "verify"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, field, value, command):
         with open(os.path.join(CONFIG_DIR, "heat_small.json")) as fh:
@@ -196,7 +200,8 @@ class TestCliExitCodes:
         for name in sections:
             target = target.setdefault(name, {})
         target[key] = value
-        argv = [command, "--config", write_config(tmp_path, payload)]
+        name, *options = command.split()
+        argv = [name, "--config", write_config(tmp_path, payload), *options]
         if command == "verify":
             argv += ["--suite", "duality"]
         code = main(argv)

@@ -177,6 +177,83 @@ class TestNullControl:
         observability_constant(cp, maps)  # its primal Douglas check runs
         assert len(factored) == 1
 
+    def test_batched_lstsq_matches_column_solves(self):
+        from evoq.control import _truncated_lstsq
+
+        rng = np.random.default_rng(5)
+        M = (rng.standard_normal((12, 4)) + 1j * rng.standard_normal((12, 4))) \
+            @ (rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8)))
+        b = rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5))
+        svd = np.linalg.svd(M, full_matrices=False)
+        x, reg = _truncated_lstsq(svd, b, 1e-10)
+        assert reg.rank == 4 and x.shape == (8, 5)
+        for k in range(b.shape[1]):
+            column, _ = _truncated_lstsq(svd, b[:, k], 1e-10)
+            assert np.abs(x[:, k] - column).max() <= 1e-12 * np.abs(column).max()
+
+    @pytest.mark.parametrize("command", [["control"], ["control", "--certify-duality"]],
+                             ids=["control", "certify"])
+    @pytest.mark.parametrize("injection, svds", [("I", 7), ("zero", 8)])
+    def test_dense_svd_count_per_command(self, monkeypatch, tmp_path, command,
+                                         injection, svds):
+        # B = I: K2 has no null space, so ||K1||_2 is never needed.  B = 0:
+        # the blind matrix is decomposed once, and the Douglas factor is zero.
+        import json
+
+        from evoq.cli import main
+
+        B = np.eye(5) if injection == "I" else np.zeros((5, 1))
+        config = {
+            "seed": 3, "nu": 1.0,
+            "grid": {"t_min": -4.0, "t_max": 4.0, "n": 32, "padding_fraction": 0.25},
+            "spatial": {"kind": "heat", "k": 2, "a": 2.0},
+            "rhs": {"shape": "bump", "component": 0, "center": -1.0, "width": 1.0},
+            "control": {"B": [[[float(v), 0.0] for v in row] for row in B],
+                        "T": 1.0, "variant": "supported"},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        svd = np.linalg.svd
+        calls = []
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        # np.linalg.norm(., 2) reaches the implementation module's binding
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg._linalg, "svd", counting_svd)
+        assert main([*command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == svds
+
+    def test_batched_probe_verdicts_match_per_probe_null_control(self, monkeypatch):
+        # reference: one null_control per probe, over the same draws of the rng
+        from evoq import control
+        from evoq.acceptance import _control_instances
+
+        solve_one = control.null_control
+        monkeypatch.setattr(control, "null_control", lambda *a, **k: pytest.fail(
+            "the certificate must solve its probes in one batch"))
+        verdicts = set()
+        for inst, B, label in _control_instances():
+            rhs = random_signal(inst.grid, inst.nu, inst.m, np.random.default_rng(8))
+            cp = ControlProblem(base=EvoProblem(inst.nu, inst.grid, inst.law, inst.A,
+                                                rhs, "forward"), B=B, T=1.0)
+            maps = assemble_endmaps(cp, inst.pad_fraction)
+            batched_rng, loop_rng = np.random.default_rng(9), np.random.default_rng(9)
+            batched, _, _ = control._duality_verdicts(cp, maps, batched_rng,
+                                                      inst.pad_fraction)
+            looped = []
+            for _ in range(max(inst.m, 3)):
+                probe = random_signal(inst.grid, inst.nu, inst.m, loop_rng)
+                base = EvoProblem(inst.nu, inst.grid, inst.law, inst.A, probe, "forward")
+                looped.append(solve_one(ControlProblem(base=base, B=B, T=1.0),
+                                        maps).feasible)
+            assert batched == all(looped), label
+            assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
+            verdicts.add(batched)
+        assert verdicts == {True, False}
+
 
 class TestObservability:
     def test_identity_injection_unit_constant(self):

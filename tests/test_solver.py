@@ -279,14 +279,35 @@ class TestNuIndependence:
         inst = evoq.make_heat_instance(n=256)
         rep = nu_independence_check(inst.law, inst.A, self.bump_fn(inst.m),
                                     inst.grid, 1.5, 1.5)
-        assert rep.sup_rel_diff <= 1e-13
+        assert set(rep.sup_rel_diff) == {"forward", "adjoint"}
+        for diff in rep.sup_rel_diff.values():
+            assert diff <= 1e-13
 
     def test_heat_forward_and_adjoint(self):
         inst = evoq.make_heat_instance(n=512)
-        for direction in ("forward", "adjoint"):
-            rep = nu_independence_check(inst.law, inst.A, self.bump_fn(inst.m),
-                                        inst.grid, 1.0, 2.0, direction=direction)
-            assert rep.sup_rel_diff <= 1e-4
+        rep = nu_independence_check(inst.law, inst.A, self.bump_fn(inst.m),
+                                    inst.grid, 1.0, 2.0)
+        assert set(rep.sup_rel_diff) == {"forward", "adjoint"}
+        for diff in rep.sup_rel_diff.values():
+            assert diff <= 1e-4
+
+    def test_suite_builds_one_operator_per_weight(self, monkeypatch, tmp_path):
+        # the forward and the backward solve at one weight share its blocks
+        # and its certificate
+        from evoq import solver
+        from evoq.cli import main
+
+        calls = {"forward_blocks": 0, "coercivity": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(solver, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(solver, name, counted)
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", "heat_small.json")
+        code = main(["verify", "--config", config, "--suite", "nu-independence",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert calls == {"forward_blocks": 2, "coercivity": 2}
 
 
 class TestRandomInstanceProperties:
