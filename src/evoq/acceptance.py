@@ -23,7 +23,6 @@ from .control import (
     pointwise_null_control,
     pointwise_solve,
     random_search_lower_bound,
-    _backward_endmaps,
     _duality_verdicts,
     _pointwise_response_matrix,
     _pointwise_target,
@@ -270,7 +269,7 @@ def criterion_8_control_duality(fast: bool = False) -> CriterionResult:
         cp = ControlProblem(base=base, B=B, T=1.0)
         maps = assemble_endmaps(cp, inst.pad_fraction)
 
-        feasible, dgl, obs = _duality_verdicts(cp, maps, rng, inst.pad_fraction)
+        feasible, dgl, obs = _duality_verdicts(cp, maps, rng)
         verdicts = {feasible, dgl.included, math.isfinite(obs.c_obs)}
         agree = len(verdicts) == 1
         measured[label] = {
@@ -283,7 +282,7 @@ def criterion_8_control_duality(fast: bool = False) -> CriterionResult:
 
         finite_nontrivial = math.isfinite(obs.c_obs) and label.endswith(("B=tri", "B=2"))
         if finite_nontrivial and (search_checked < 1 or not fast):
-            K1, K2 = _backward_endmaps(cp, inst.pad_fraction)
+            K1, K2 = maps.K1, maps.K2
             budget = 2000 if fast else 10_000
             lb, _ = random_search_lower_bound(
                 lambda v: K1 @ v, lambda v: K2 @ v, K1.shape[1],

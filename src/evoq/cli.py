@@ -277,8 +277,7 @@ def _cmd_control(cfg, args) -> int:
         else:
             maps = assemble_endmaps(cp, cfg.pad_fraction)
             feasible, douglas, obs = _duality_verdicts(
-                cp, maps, np.random.default_rng(cfg.seed), cfg.pad_fraction,
-                rtol, feasibility_tol)
+                cp, maps, np.random.default_rng(cfg.seed), rtol, feasibility_tol)
             verdicts = {"feasible_for_spanning_set": feasible,
                         "range_included": douglas.included,
                         "observability_finite": math.isfinite(obs.c_obs)}
@@ -288,13 +287,15 @@ def _cmd_control(cfg, args) -> int:
         _write_json(payload, args.out, "duality_table.json", args.json)
         return EXIT_OK if agree else EXIT_NUMERICAL
 
-    cert = coercivity(cfg.law, cfg.nu, cfg.grid)
     if pointwise:
+        # the stepper runs on the unpadded grid
+        cert = coercivity(cfg.law, cfg.nu, cfg.grid)
         res = pointwise_null_control(cp, rtol=rtol, feasibility_tol=feasibility_tol)
     else:
         maps = assemble_endmaps(cp, cfg.pad_fraction)
+        cert = maps.certificate
         res = null_control(cp, maps, rtol=rtol, feasibility_tol=feasibility_tol)
-        obs = observability_constant(cp, maps, pad_fraction=cfg.pad_fraction, rtol=rtol)
+        obs = observability_constant(cp, maps, rtol=rtol)
     payload = {"command": "control", "variant": cp.variant, "seed": cfg.seed,
                "certificate": _certificate_dict(cert),
                "result": _control_result_dict(res)}

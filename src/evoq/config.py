@@ -44,8 +44,22 @@ DEFAULT_TOLERANCES = {
 }
 
 
+# Bytes allowed for the padded frequency blocks (N_pad, m, m) complex that
+# every operator builds; a config beyond it is refused before any array of
+# grid or spatial size is allocated.
+_BLOCK_BUDGET = 256 * 2 ** 20
+
+
 def _fail(path: str, message: str):
     raise SchemaError(f"{path}: {message}")
+
+
+def _check_block_budget(n_pad: int, m: int, path: str) -> None:
+    need = n_pad * m * m * 16
+    if need > _BLOCK_BUDGET:
+        _fail(path, f"the padded blocks ({n_pad} x {m} x {m} complex) need {need} "
+                    f"bytes, over the {_BLOCK_BUDGET}-byte budget; lower spatial.k "
+                    "or grid.n")
 
 
 def _expect(obj: dict, key: str, path: str):
@@ -187,15 +201,17 @@ def _check_forcing(spec, path: str, m: int, config_path: str) -> None:
         _fail(f"{path}.component", f"must be an index in [0, {m}), got {component}")
 
 
-def _parse_spatial(section: dict, nu: float):
+def _parse_spatial(section: dict, nu: float, n_pad: int):
     kind = _expect(section, "kind", "spatial")
     if kind == "matrix":
         A = check_skew(_parse_complex_matrix(_expect(section, "matrix", "spatial"),
                                              "spatial.matrix"), label="matrix")
+        _check_block_budget(n_pad, A.m, "spatial.matrix")
         return A, None
     k = _as_int(_expect(section, "k", "spatial"), "spatial.k")
     if k < 1:
         _fail("spatial.k", f"must be at least 1, got {k}")
+    _check_block_budget(n_pad, 2 * k + 1, "spatial.k")  # every builder has m = 2k + 1
     dx = _as_number(section.get("dx", 1.0), "spatial.dx")
     if dx <= 0:
         _fail("spatial.dx", f"must be positive, got {dx}")
@@ -243,15 +259,17 @@ def load_config(path: str) -> InstanceConfig:
     if n < 2:
         _fail("grid.n", f"need at least 2 samples, got {n}")
     grid = TimeGrid(t_min, t_max, n)
+    pad = _as_number(gsec.get("padding_fraction", 0.25), "grid.padding_fraction")
+    if not 0 <= pad <= 1:
+        _fail("grid.padding_fraction", f"must lie in [0, 1], got {pad}")
+    n_pad = grid.padded(pad)[0].n
+    _check_block_budget(n_pad, 1, "grid.n")
     try:
         _weight_exponents(nu, grid)
     except OverflowError as exc:
         _fail("nu", f"too large for the grid [grid.t_min, grid.t_max): {exc}")
-    pad = _as_number(gsec.get("padding_fraction", 0.25), "grid.padding_fraction")
-    if not 0 <= pad <= 1:
-        _fail("grid.padding_fraction", f"must lie in [0, 1], got {pad}")
 
-    A, law = _parse_spatial(_expect(raw, "spatial", "config"), nu)
+    A, law = _parse_spatial(_expect(raw, "spatial", "config"), nu, n_pad)
     if law is None:
         lsec = _expect(raw, "law", "config")
         coeffs = [_parse_complex_matrix(c, f"law.coeffs[{i}]")

@@ -26,7 +26,8 @@ from .errors import (
     UnsupportedLawError,
 )
 from .signals import NORM_FLOOR, TimeGrid, WeightedSignal
-from .solver import EvoProblem, SpectralOperator, _split_law, timestep_oracle
+from .solver import (CoercivityCertificate, EvoProblem, SpectralOperator, _split_law,
+                     timestep_oracle)
 from .waveforms import random_signal
 
 __all__ = [
@@ -259,15 +260,23 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple, rtol: float,
 
 @dataclass(frozen=True)
 class EndMaps:
-    """Dense matrices of the maps F -> post-horizon response and
-    G -> post-horizon response through B, in flat coordinates.
+    """Both sides of the duality for one supported control problem, cut from
+    the forward and backward impulse kernels of one `SpectralOperator`.
 
-    Row space: samples with t_j >= T stacked time-major; column spaces: the
+    Primal: L_F and L_G map F, and G through B, to the post-horizon response;
+    rows are the samples with t_j >= T stacked time-major, columns the
     full-grid flat arrays of F (dimension n*m) and G (dimension n*q).
+    Dual: K1 and K2 map a backward datum supported at or after T (columns,
+    dimension n_post*m) to the backward solution (rows n*m) and to its
+    B^*-filtered observation (rows n*q).  `certificate` is the operator's
+    padded-grid certificate, the one that bounds every solve behind the maps.
     """
 
     L_F: np.ndarray
     L_G: np.ndarray
+    K1: np.ndarray
+    K2: np.ndarray
+    certificate: CoercivityCertificate
     post_start: int
     grid: TimeGrid
     nu: float
@@ -281,28 +290,36 @@ class EndMaps:
         return np.linalg.svd(self.L_G, full_matrices=False)
 
 
-def _impulse_kernel(op: SpectralOperator, forward: bool) -> tuple:
-    """Impulse responses of the forward or backward solve of `op`.
+def _kernel_blocks(op: SpectralOperator, forward: bool, rows: np.ndarray,
+                   cols: np.ndarray) -> np.ndarray:
+    """Blocks (len(rows), len(cols), m, m) of the forward or backward solution
+    operator of `op` between original sample indices `rows` and `cols`.
 
-    Returns (kernel, npad, N) where kernel[:, :, i] is the padded flat
-    solution to a unit impulse in component i placed at the first original
-    sample.  The solve is a circulant, so every other column of the solution
-    operator is an index shift of these.
+    The solve is a circulant on the padded grid, so one impulse solve per
+    component (impulse at padded index npad) gives every block: the entry
+    for padded row npad+r and padded source npad+c sits at kernel index
+    (npad + r - c) mod N.
     """
     m = op.A.m
     impulse = np.zeros((op.grid.n, m, m), dtype=complex)
     impulse[0] = np.eye(m)
     kernel, _ = op.padded_solve(impulse, forward)
-    return kernel, op.npad, op.pad_grid.n
+    return kernel[(op.npad + rows[:, None] - cols[None, :]) % op.pad_grid.n]
+
+
+def _time_major(blocks: np.ndarray) -> np.ndarray:
+    """Blocks (r, c, a, b) as the dense (r*a, c*b) matrix."""
+    r, c, a, b = blocks.shape
+    return blocks.transpose(0, 2, 1, 3).reshape(r * a, c * b)
 
 
 def assemble_endmaps(cp: ControlProblem, pad_fraction: float = 0.25,
                      size_guard: int = DEFAULT_SIZE_GUARD) -> EndMaps:
-    """Assemble the two post-horizon response maps as dense matrices.
+    """Assemble the primal and the backward end maps as dense matrices.
 
-    Columns are exact index shifts of one set of impulse solves (the solver
-    is a circulant in flat coordinates); linearity against direct solves is
-    verified on random probes to 1e-10 before returning.
+    Columns are exact index shifts of one set of impulse solves per direction
+    on one operator; linearity of L_F against direct solves is verified on
+    random probes to 1e-10 before returning.
     """
     base = cp.base
     grid, m, q = base.grid, base.A.m, cp.q
@@ -319,19 +336,13 @@ def assemble_endmaps(cp: ControlProblem, pad_fraction: float = 0.25,
         )
 
     op = SpectralOperator(base.law, base.A, base.nu, grid, pad_fraction)
-    kernel, npad, N = _impulse_kernel(op, forward=True)
-    # Row block jp (post sample), column block j (source sample).  The solve
-    # is a circulant on the padded grid and the kernel holds the response to
-    # an impulse at padded index npad, so the entry for padded row
-    # npad+post+jp and padded source npad+j sits at kernel index
-    # (npad + post + jp - j) mod N.
-    jp = np.arange(n_post)
-    j = np.arange(n)
-    idx = (npad + post + jp[:, None] - j[None, :]) % N
-    gathered = kernel[idx]                    # (n_post, n, m, m)
-    L_F = gathered.transpose(0, 2, 1, 3).reshape(n_post * m, n * m)
-    throughB = np.einsum("pjik,kl->pjil", gathered, cp.B)
-    L_G = throughB.transpose(0, 2, 1, 3).reshape(n_post * m, n * q)
+    full, after = np.arange(n), post + np.arange(n_post)
+    forward = _kernel_blocks(op, True, after, full)     # (n_post, n, m, m)
+    L_F = _time_major(forward)
+    L_G = _time_major(np.einsum("pjik,kl->pjil", forward, cp.B))
+    backward = _kernel_blocks(op, False, full, after)   # (n, n_post, m, m)
+    K1 = _time_major(backward)
+    K2 = _time_major(np.einsum("kl,ipkj->iplj", np.conj(cp.B), backward))
 
     rng = np.random.default_rng(7)
     for _ in range(2):
@@ -342,8 +353,8 @@ def assemble_endmaps(cp: ControlProblem, pad_fraction: float = 0.25,
         if err > 1e-10:
             raise ConsistencyError(f"end-map assembly disagrees with a direct solve: {err:.3e}")
 
-    return EndMaps(L_F=L_F, L_G=L_G, post_start=post, grid=grid,
-                   nu=base.nu, m=m, q=q)
+    return EndMaps(L_F=L_F, L_G=L_G, K1=K1, K2=K2, certificate=op.certificate,
+                   post_start=post, grid=grid, nu=base.nu, m=m, q=q)
 
 
 def _truncated_lstsq(svd: tuple, b: np.ndarray, rtol: float):
@@ -412,43 +423,22 @@ class ObservabilityEstimate:
     cutoff: float
 
 
-def _backward_endmaps(cp: ControlProblem, pad_fraction: float) -> tuple:
-    """Dense maps from a backward datum supported at or after T to the
-    backward solution (K1) and to its B^*-filtered observation (K2)."""
-    base = cp.base
-    grid, m, q = base.grid, base.A.m, cp.q
-    n = grid.n
-    post = grid.index_at_or_after(cp.T)
-    n_post = n - post
-    op = SpectralOperator(base.law, base.A, base.nu, grid, pad_fraction)
-    kernel, npad, N = _impulse_kernel(op, forward=False)
-    i = np.arange(n)
-    jp = np.arange(n_post)
-    idx = (npad + i[:, None] - (post + jp[None, :])) % N
-    gathered = kernel[idx]                    # (n, n_post, m, m)
-    K1 = gathered.transpose(0, 2, 1, 3).reshape(n * m, n_post * m)
-    filtered = np.einsum("kl,ipkj->iplj", np.conj(cp.B), gathered)
-    K2 = filtered.transpose(0, 2, 1, 3).reshape(n * q, n_post * m)
-    return K1, K2
-
-
 def observability_constant(cp: ControlProblem, endmaps: Optional[EndMaps] = None,
                            pad_fraction: float = 0.25,
                            rtol: float = DEFAULT_SVD_RTOL,
-                           method: str = "generalized-svd",
-                           check_primal: bool = True) -> ObservabilityEstimate:
-    """Largest generalized singular value of the backward end-map against its
-    B-filtered counterpart.
+                           method: str = "generalized-svd") -> ObservabilityEstimate:
+    """Largest generalized singular value of the backward end-map K1 against
+    its B-filtered counterpart K2.
 
-    Flags +inf when a post-horizon datum is invisible to the observation but
-    not to the state (one thin SVD of K1 on ker K2 is test and witness), and
-    cross-checks the verdict against the primal range inclusion when the
-    primal end maps are available (a disagreement raises, as they are equivalent).
+    Assembles the end maps (under their size guard) unless `endmaps` is
+    given.  Flags +inf when a post-horizon datum is invisible to the
+    observation but not to the state (one thin SVD of K1 on ker K2 is test
+    and witness), then cross-checks the verdict against the primal range
+    inclusion ran L_F in ran L_G of the same maps; a disagreement raises, as
+    the two are equivalent.
     """
-    base = cp.base
-    grid, m = base.grid, base.A.m
-    post = grid.index_at_or_after(cp.T)
-    if grid.n - post < 1:
+    grid = cp.base.grid
+    if grid.n - grid.index_at_or_after(cp.T) < 1:
         raise PreconditionError("no samples at or after the horizon T")
 
     if method == "power-iteration":
@@ -456,9 +446,23 @@ def observability_constant(cp: ControlProblem, endmaps: Optional[EndMaps] = None
     if method != "generalized-svd":
         raise PreconditionError(f"unknown method {method!r}")
 
-    K1, K2 = _backward_endmaps(cp, pad_fraction)
+    maps = endmaps or assemble_endmaps(cp, pad_fraction)
+    estimate = _observability(maps, rtol)
+    report = _douglas(maps.L_F, maps.L_G, maps._svd_G, rtol=rtol)
+    finite = math.isfinite(estimate.c_obs)
+    if finite != report.included:
+        raise ConsistencyError(
+            f"observability verdict (finite={finite}) disagrees with the "
+            f"primal range inclusion (included={report.included})"
+        )
+    return estimate
 
-    U2, s2, V2h = np.linalg.svd(K2, full_matrices=True)
+
+def _observability(maps: EndMaps, rtol: float) -> ObservabilityEstimate:
+    """`observability_constant`'s generalized-SVD estimate on `maps`, with no
+    primal cross-check."""
+    K1 = maps.K1
+    U2, s2, V2h = np.linalg.svd(maps.K2, full_matrices=True)
     _, cutoff, r = _truncation(s2, rtol)
 
     if r < V2h.shape[0]:
@@ -466,11 +470,9 @@ def observability_constant(cp: ControlProblem, endmaps: Optional[EndMaps] = None
         blind = K1 @ null_basis
         _, s_blind, Vbh = np.linalg.svd(blind, full_matrices=False)
         if float(s_blind[0]) > 1e-8 * max(float(np.linalg.norm(K1, 2)), NORM_FLOOR):
-            witness_flat = null_basis @ Vbh[0].conj()
-            witness = _embed_post(witness_flat, grid, -base.nu, post, m)
-            estimate = ObservabilityEstimate(math.inf, witness, "generalized-svd", cutoff)
-            _assert_primal_agreement(cp, endmaps, estimate, pad_fraction, rtol, check_primal)
-            return estimate
+            witness = _embed_post(null_basis @ Vbh[0].conj(), maps.grid, -maps.nu,
+                                  maps.post_start, maps.m)
+            return ObservabilityEstimate(math.inf, witness, "generalized-svd", cutoff)
 
     W = K1 @ (V2h[:r].conj().T / s2[:r][None, :])
     Uw, sw, Vwh = np.linalg.svd(W, full_matrices=False)
@@ -479,10 +481,8 @@ def observability_constant(cp: ControlProblem, endmaps: Optional[EndMaps] = None
     wnorm = np.linalg.norm(witness_flat)
     if wnorm > 0:
         witness_flat = witness_flat / wnorm
-    witness = _embed_post(witness_flat, grid, -base.nu, post, m)
-    estimate = ObservabilityEstimate(c_obs, witness, "generalized-svd", cutoff)
-    _assert_primal_agreement(cp, endmaps, estimate, pad_fraction, rtol, check_primal)
-    return estimate
+    witness = _embed_post(witness_flat, maps.grid, -maps.nu, maps.post_start, maps.m)
+    return ObservabilityEstimate(c_obs, witness, "generalized-svd", cutoff)
 
 
 def _embed_post(flat_post: np.ndarray, grid: TimeGrid, nu: float,
@@ -492,21 +492,8 @@ def _embed_post(flat_post: np.ndarray, grid: TimeGrid, nu: float,
     return WeightedSignal(grid, nu, phi)
 
 
-def _assert_primal_agreement(cp, endmaps, estimate, pad_fraction, rtol, check_primal):
-    if not check_primal:
-        return
-    maps = endmaps or assemble_endmaps(cp, pad_fraction)
-    report = _douglas(maps.L_F, maps.L_G, maps._svd_G, rtol=rtol)
-    finite = math.isfinite(estimate.c_obs)
-    if finite != report.included:
-        raise ConsistencyError(
-            f"observability verdict (finite={finite}) disagrees with the "
-            f"primal range inclusion (included={report.included})"
-        )
-
-
 def _duality_verdicts(cp: ControlProblem, maps: EndMaps,
-                      rng: np.random.Generator, pad_fraction: float,
+                      rng: np.random.Generator,
                       rtol: float = DEFAULT_SVD_RTOL,
                       feasibility_tol: float = 1e-6) -> tuple:
     """(feasible, douglas, observability) on one set of end maps: null control
@@ -518,9 +505,7 @@ def _duality_verdicts(cp: ControlProblem, maps: EndMaps,
                        for _ in range(max(base.A.m, 3))], axis=1)
     feasible = _null_solve(maps, probes, rtol, feasibility_tol)[3]
     douglas = _douglas(maps.L_F, maps.L_G, maps._svd_G, rtol=rtol)
-    obs = observability_constant(cp, maps, pad_fraction=pad_fraction, rtol=rtol,
-                                 check_primal=False)
-    return feasible, douglas, obs
+    return feasible, douglas, _observability(maps, rtol)
 
 
 def random_search_lower_bound(apply_K1, apply_K2, dim: int,

@@ -172,6 +172,7 @@ class TestCliExitCodes:
         ("grid.t_min", 8.0, "solve"),
         ("spatial.k", 0, "solve"),
         ("spatial.k", -1, "solve"),
+        ("spatial.k", 1000000, "solve"),
         ("spatial.dx", 0.0, "solve"),
         ("spatial.dx", -1.0, "solve"),
         ("seed", -1, "verify"),
@@ -207,6 +208,28 @@ class TestCliExitCodes:
         code = main(argv)
         assert code == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spatial, budget, field", [
+        ({"spatial": {"kind": "matrix", "matrix": [[[0.0, 0.0]]]},
+          "law": {"coeffs": [[[[1.0, 0.0]]]]}},
+         192 * 16 - 1, "grid.n"),                  # n = 128 pads to 192; m = 1
+        ({}, 192 * 25 * 16 - 1, "spatial.k"),      # heat k = 2: m = 5
+        ({"spatial": {"kind": "matrix", "matrix": [[[0.0, 0.0]] * 2] * 2},
+          "law": {"coeffs": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}},
+         192 * 4 * 16 - 1, "spatial.matrix"),
+    ], ids=["grid.n", "spatial.k", "spatial.matrix"])
+    def test_block_budget_exits_2(self, tmp_path, capsys, monkeypatch, spatial, budget,
+                                  field):
+        # the padded blocks (N_pad, m, m) complex must fit the budget; a budget
+        # one byte short exercises the refusal without allocating anything large
+        from evoq import config as config_module
+
+        monkeypatch.setattr(config_module, "_BLOCK_BUDGET", budget)
+        path = write_config(tmp_path, {**base_config(), **spatial})
+        assert main(["solve", "--config", path]) == 2
+        assert field in capsys.readouterr().err
+        monkeypatch.setattr(config_module, "_BLOCK_BUDGET", budget + 1)
+        assert main(["solve", "--config", path]) == 0
 
     def test_noncoercive_mass_exits_2(self, tmp_path):
         payload = base_config()

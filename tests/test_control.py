@@ -6,6 +6,7 @@ the synthesised control, closed-form decay trajectories, and direct impulse
 solves against the assembled columns.
 """
 
+import json
 import math
 
 import numpy as np
@@ -35,6 +36,22 @@ from evoq import (
 from evoq.waveforms import bump_signal, random_signal
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def write_heat_control_config(tmp_path, injection):
+    """A heat k=2 (m=5), n=32 supported-control config with B = I or B = 0."""
+    B = np.eye(5) if injection == "I" else np.zeros((5, 1))
+    config = {
+        "seed": 3, "nu": 1.0,
+        "grid": {"t_min": -4.0, "t_max": 4.0, "n": 32, "padding_fraction": 0.25},
+        "spatial": {"kind": "heat", "k": 2, "a": 2.0},
+        "rhs": {"shape": "bump", "component": 0, "center": -1.0, "width": 1.0},
+        "control": {"B": [[[float(v), 0.0] for v in row] for row in B],
+                    "T": 1.0, "variant": "supported"},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return str(path)
 
 
 def rotation_base(n=128, nu=1.0, rhs=None):
@@ -198,21 +215,9 @@ class TestNullControl:
                                          injection, svds):
         # B = I: K2 has no null space, so ||K1||_2 is never needed.  B = 0:
         # the blind matrix is decomposed once, and the Douglas factor is zero.
-        import json
-
         from evoq.cli import main
 
-        B = np.eye(5) if injection == "I" else np.zeros((5, 1))
-        config = {
-            "seed": 3, "nu": 1.0,
-            "grid": {"t_min": -4.0, "t_max": 4.0, "n": 32, "padding_fraction": 0.25},
-            "spatial": {"kind": "heat", "k": 2, "a": 2.0},
-            "rhs": {"shape": "bump", "component": 0, "center": -1.0, "width": 1.0},
-            "control": {"B": [[[float(v), 0.0] for v in row] for row in B],
-                        "T": 1.0, "variant": "supported"},
-        }
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
+        path = write_heat_control_config(tmp_path, injection)
         svd = np.linalg.svd
         calls = []
 
@@ -223,8 +228,33 @@ class TestNullControl:
         # np.linalg.norm(., 2) reaches the implementation module's binding
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         monkeypatch.setattr(np.linalg._linalg, "svd", counting_svd)
-        assert main([*command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert main([*command, "--config", path, "--out", str(tmp_path / "out")]) == 0
         assert len(calls) == svds
+
+    @pytest.mark.parametrize("command", [["control"], ["control", "--certify-duality"]],
+                             ids=["control", "certify"])
+    def test_one_operator_per_command(self, monkeypatch, tmp_path, command):
+        # primal and backward maps come from one operator's blocks, and the
+        # reported certificate is that operator's own
+        from evoq import material, solver
+        from evoq.cli import main
+
+        calls = {"forward_blocks": 0, "coercivity": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        counting(solver, "forward_blocks")
+        counting(solver, "coercivity")
+        counting(material, "coercivity")  # the CLI's own import
+        path = write_heat_control_config(tmp_path, "I")
+        assert main([*command, "--config", path, "--out", str(tmp_path / "out")]) == 0
+        assert calls == {"forward_blocks": 1, "coercivity": 1}
 
     def test_batched_probe_verdicts_match_per_probe_null_control(self, monkeypatch):
         # reference: one null_control per probe, over the same draws of the rng
@@ -241,8 +271,7 @@ class TestNullControl:
                                                 rhs, "forward"), B=B, T=1.0)
             maps = assemble_endmaps(cp, inst.pad_fraction)
             batched_rng, loop_rng = np.random.default_rng(9), np.random.default_rng(9)
-            batched, _, _ = control._duality_verdicts(cp, maps, batched_rng,
-                                                      inst.pad_fraction)
+            batched, _, _ = control._duality_verdicts(cp, maps, batched_rng)
             looped = []
             for _ in range(max(inst.m, 3)):
                 probe = random_signal(inst.grid, inst.nu, inst.m, loop_rng)
@@ -313,19 +342,8 @@ class TestObservability:
         base = rotation_base(n=64)
         cp = ControlProblem(base=base, B=np.eye(2), T=0.5)
         maps = assemble_endmaps(cp)
-        from evoq.control import _impulse_kernel
-        from evoq.solver import SpectralOperator
-        op = SpectralOperator(base.law, base.A, base.nu, base.grid, 0.25)
-        kernel, npad, N = _impulse_kernel(op, forward=False)
-        g = base.grid
-        post = g.index_at_or_after(0.5)
-        n_post = g.n - post
-        i = np.arange(g.n)
-        jp = np.arange(n_post)
-        idx = (npad + i[:, None] - (post + jp[None, :])) % N
-        K1 = kernel[idx].transpose(0, 2, 1, 3).reshape(g.n * 2, n_post * 2)
-        gap = np.linalg.norm(maps.L_F.conj().T - K1, 2)
-        assert gap <= 1e-10 * np.linalg.norm(K1, 2)
+        gap = np.linalg.norm(maps.L_F.conj().T - maps.K1, 2)
+        assert gap <= 1e-10 * np.linalg.norm(maps.K1, 2)
 
     def test_power_iteration_matches_dense(self):
         base = rotation_base(n=48)
@@ -335,6 +353,19 @@ class TestObservability:
         free = observability_constant(cp, method="power-iteration")
         assert free.method == "power-iteration"
         assert free.c_obs == pytest.approx(dense.c_obs, rel=1e-2)
+
+    def test_size_guard_precedes_dense_work(self, monkeypatch):
+        from evoq import control
+
+        assemble = control.assemble_endmaps
+        monkeypatch.setattr(control, "assemble_endmaps",
+                            lambda cp, pad_fraction=0.25: assemble(cp, pad_fraction,
+                                                                   size_guard=1000))
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail(
+            "no SVD may run before the size guard"))
+        cp = ControlProblem(base=rotation_base(n=128), B=np.eye(2), T=1.0)
+        with pytest.raises(SizeGuardError):
+            observability_constant(cp)
 
     def test_primal_consistency_enforced(self):
         base = rotation_base()
