@@ -16,10 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import DefinitenessError, EvoqError, SchemaError
 from .material import MaterialLaw, finite_sum_law
-from .signals import (TimeGrid, WeightedSignal, _weight_exponents, load_signal,
-                      signal_from_values)
+from .signals import TimeGrid, WeightedSignal, _weight_exponents, load_signal, zero_signal
 from .spatial import (
     SpatialOperator,
     build_heat_block,
@@ -27,9 +26,9 @@ from .spatial import (
     build_wave_block,
     check_skew,
 )
-from .waveforms import indicator, smooth_bump
+from .waveforms import bump_signal, indicator_signal
 
-__all__ = ["InstanceConfig", "ControlSpec", "load_config", "DEFAULT_TOLERANCES"]
+__all__ = ["InstanceConfig", "ControlSpec", "Forcing", "load_config", "DEFAULT_TOLERANCES"]
 
 # One rung per extra discretisation error source.
 DEFAULT_TOLERANCES = {
@@ -113,12 +112,54 @@ def _parse_complex_vector(value, path: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Forcing:
+    """A forcing object (`rhs` or `control.F`), parsed and checked once.
+
+    `path` is the config field it came from; the numbers carry their
+    defaults.  A custom forcing holds the signal read from its CSV at load
+    time, already checked against the grid and the dimension.
+    """
+
+    path: str
+    shape: str
+    component: int
+    amplitude: float = 1.0
+    center: float = 0.0
+    width: float = 1.0
+    lo: float = 0.0
+    hi: float = 1.0
+    custom: Optional[WeightedSignal] = None
+
+    def signal(self, grid: TimeGrid, m: int, weight: float) -> WeightedSignal:
+        """The forcing on `grid` in m components, stored at `weight`."""
+        if self.shape == "custom":
+            if self.custom.nu != weight:
+                _fail(f"{self.path}.csv", f"custom forcing carries weight "
+                                          f"{self.custom.nu}, expected {weight}")
+            return self.custom
+        if self.shape == "zero":
+            return zero_signal(grid, weight, m)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                if self.shape == "bump":
+                    return bump_signal(grid, weight, m, self.component, self.center,
+                                       self.width, self.amplitude)
+                return indicator_signal(grid, weight, m, self.component, self.lo, self.hi,
+                                        self.amplitude)
+        except ValueError:
+            # profiles peak at 1 and the weight at e^700: only the amplitude
+            # can make a sample overflow
+            _fail(f"{self.path}.amplitude", f"{self.amplitude} overflows the forcing "
+                                            f"at weight {weight}")
+
+
+@dataclass(frozen=True)
 class ControlSpec:
     B: np.ndarray
     T: float
     variant: str
+    forcing: Forcing
     U0: Optional[np.ndarray] = None
-    forcing: Optional[dict] = None
 
 
 @dataclass(frozen=True)
@@ -128,7 +169,7 @@ class InstanceConfig:
     pad_fraction: float
     law: MaterialLaw
     A: SpatialOperator
-    rhs_spec: dict
+    rhs: Forcing
     seed: int
     tolerances: dict
     control: Optional[ControlSpec] = None
@@ -140,65 +181,41 @@ class InstanceConfig:
 
     def build_rhs(self, weight: Optional[float] = None) -> WeightedSignal:
         """Materialise the configured forcing at the given weight (default +nu)."""
-        return _build_signal(self.rhs_spec, self.grid, self.m,
-                             self.nu if weight is None else weight,
-                             self.source_path)
+        return self.rhs.signal(self.grid, self.m, self.nu if weight is None else weight)
 
 
-def _build_signal(spec: dict, grid: TimeGrid, m: int, weight: float,
-                  source_path: Optional[str]) -> WeightedSignal:
-    shape = spec.get("shape", "bump")
-    if shape == "custom":
-        base = spec["csv"]
-        if source_path is not None and not os.path.isabs(base):
-            base = os.path.join(os.path.dirname(source_path), base)
-        sig = load_signal(base)
-        if sig.grid != grid or sig.m != m:
-            raise SchemaError("custom rhs does not match the configured grid/dimension")
-        if sig.nu != weight:
-            raise SchemaError(f"custom rhs carries weight {sig.nu}, expected {weight}")
-        return sig
-    component = spec.get("component", 0)
-    amplitude = spec.get("amplitude", 1.0)
-    values = np.zeros((grid.n, m), dtype=complex)
-    if shape == "bump":
-        values[:, component] = amplitude * smooth_bump(
-            grid.times, spec.get("center", 0.0), spec.get("width", 1.0))
-    elif shape == "indicator":
-        values[:, component] = amplitude * indicator(
-            grid.times, spec.get("lo", 0.0), spec.get("hi", 1.0))
-    elif shape == "zero":
-        pass
-    else:
-        raise SchemaError(f"rhs.shape: unknown shape {shape!r}")
-    return signal_from_values(grid, weight, values)
+def _read_custom(base, path: str, grid: TimeGrid, m: int, config_path: str):
+    if not isinstance(base, str):
+        _fail(path, "custom forcing needs a csv path")
+    resolved = os.path.join(os.path.dirname(os.path.abspath(config_path)), base)
+    for suffix in (".csv", ".json"):
+        if not os.path.exists(resolved + suffix):
+            _fail(path, f"referenced file {resolved + suffix} does not exist")
+    try:
+        sig = load_signal(resolved)
+    except (ValueError, KeyError, TypeError, EvoqError) as exc:
+        _fail(path, f"cannot read {resolved}: {type(exc).__name__}: {exc}")
+    if sig.grid != grid or sig.m != m:
+        _fail(path, "custom forcing does not match the configured grid/dimension")
+    return sig
 
 
-def _check_forcing(spec, path: str, m: int, config_path: str) -> None:
-    """Parse-time check of a forcing object (`rhs` or `control.F`), so that
-    `_build_signal` never meets a value it cannot use."""
+def _parse_forcing(spec, path: str, grid: TimeGrid, m: int, config_path: str) -> Forcing:
     if not isinstance(spec, dict):
         _fail(path, "must be a forcing object")
     shape = spec.get("shape", "bump")
     if shape not in ("bump", "indicator", "zero", "custom"):
         _fail(f"{path}.shape", f"unknown shape {shape!r}")
-    if shape == "custom":
-        base = spec.get("csv")
-        if not isinstance(base, str):
-            _fail(f"{path}.csv", "custom forcing needs a csv path")
-        resolved = (base if os.path.isabs(base)
-                    else os.path.join(os.path.dirname(config_path), base))
-        for suffix in (".csv", ".json"):
-            if not os.path.exists(resolved + suffix):
-                _fail(f"{path}.csv", f"referenced file {resolved + suffix} does not exist")
-    for key in ("center", "width", "amplitude", "lo", "hi"):
-        if key in spec:
-            _as_number(spec[key], f"{path}.{key}")
-    if spec.get("width", 1.0) <= 0:
+    numbers = {key: _as_number(spec[key], f"{path}.{key}")
+               for key in ("amplitude", "center", "width", "lo", "hi") if key in spec}
+    if numbers.get("width", 1.0) <= 0:
         _fail(f"{path}.width", f"must be positive, got {spec['width']}")
     component = _as_int(spec.get("component", 0), f"{path}.component")
     if not 0 <= component < m:
         _fail(f"{path}.component", f"must be an index in [0, {m}), got {component}")
+    custom = (_read_custom(spec.get("csv"), f"{path}.csv", grid, m, config_path)
+              if shape == "custom" else None)
+    return Forcing(path, shape, component, custom=custom, **numbers)
 
 
 def _parse_spatial(section: dict, nu: float, n_pad: int):
@@ -222,17 +239,21 @@ def _parse_spatial(section: dict, nu: float, n_pad: int):
                 _fail("spatial", f"kind {kind!r} requires field {name!r}")
             return default
         value = section[name]
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-        return _parse_complex_matrix(value, f"spatial.{name}")
+        if isinstance(value, list):
+            return _parse_complex_matrix(value, f"spatial.{name}")
+        return _as_number(value, f"spatial.{name}")
 
-    if kind == "heat":
-        return build_heat_block(k, coeff("a", k), dx=dx, nu=nu)
-    if kind == "wave":
-        return build_wave_block(k, coeff("T_elast", k + 1), dx=dx, nu=nu)
-    if kind == "maxwell":
-        return build_maxwell_block(k, coeff("eps", k, 1.0), coeff("mu", k + 1, 1.0),
-                                   coeff("sigma", k, 0.0), dx=dx, nu=nu)
+    try:
+        if kind == "heat":
+            return build_heat_block(k, coeff("a", k), dx=dx, nu=nu)
+        if kind == "wave":
+            return build_wave_block(k, coeff("T_elast", k + 1), dx=dx, nu=nu)
+        if kind == "maxwell":
+            return build_maxwell_block(k, coeff("eps", k, 1.0), coeff("mu", k + 1, 1.0),
+                                       coeff("sigma", k, 0.0), dx=dx, nu=nu)
+    except DefinitenessError as exc:
+        # the builders' messages open with the coefficient's name
+        raise SchemaError(f"spatial.{exc}") from None
     _fail("spatial.kind", f"unknown kind {kind!r}")
 
 
@@ -281,8 +302,7 @@ def load_config(path: str) -> InstanceConfig:
     elif "law" in raw:
         _fail("law", "builder kinds define their own law; drop the law section")
 
-    rhs_spec = raw.get("rhs", {"shape": "bump"})
-    _check_forcing(rhs_spec, "rhs", A.m, path)
+    rhs = _parse_forcing(raw.get("rhs", {"shape": "bump"}), "rhs", grid, A.m, path)
 
     control = None
     if "control" in raw:
@@ -303,10 +323,9 @@ def load_config(path: str) -> InstanceConfig:
                 _fail("control.U0", f"must have {A.m} entries")
             if T <= 0:
                 _fail("control.T", "pointwise horizon must be positive")
-        forcing = csec.get("F")
-        if forcing is not None:
-            _check_forcing(forcing, "control.F", A.m, path)
-        control = ControlSpec(B=B, T=T, variant=variant, U0=U0, forcing=forcing)
+        forcing = rhs if csec.get("F") is None else _parse_forcing(
+            csec["F"], "control.F", grid, A.m, path)
+        control = ControlSpec(B=B, T=T, variant=variant, forcing=forcing, U0=U0)
 
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
@@ -324,5 +343,5 @@ def load_config(path: str) -> InstanceConfig:
             _fail(f"tolerances.{key}", f"must be > 0, got {value!r}")
 
     return InstanceConfig(nu=nu, grid=grid, pad_fraction=pad, law=law, A=A,
-                          rhs_spec=rhs_spec, seed=seed, tolerances=tolerances,
+                          rhs=rhs, seed=seed, tolerances=tolerances,
                           control=control, source_path=os.path.abspath(path))

@@ -155,7 +155,8 @@ def coercivity(law: MaterialLaw, nu: float, grid: TimeGrid) -> CoercivityCertifi
 
     Uses a dense Hermitian eigensolve per grid frequency.  Raises
     `NonCoerciveError` (carrying the offending frequency) when the estimate
-    is not positive, and `PreconditionError` when nu is inadmissible.
+    is not positive (NaN included), and `PreconditionError` when nu is
+    inadmissible.
     """
     if nu <= 0:
         raise PreconditionError(f"coercivity requires nu > 0, got {nu}")
@@ -168,7 +169,7 @@ def coercivity(law: MaterialLaw, nu: float, grid: TimeGrid) -> CoercivityCertifi
     lam = np.linalg.eigvalsh(herm)[:, 0]
     k = int(np.argmin(lam))
     c_est = float(lam[k])
-    if c_est <= 0:
+    if not c_est > 0:  # a NaN minimum certifies nothing either
         raise NonCoerciveError(
             f"law is not coercive at nu={nu}: lambda_min={c_est:.3e} at xi={xi[k]:.6g}",
             min_location=float(xi[k]),

@@ -11,6 +11,12 @@ through `transform.block_apply` and `transform.block_solve`.  The
 trapezoidal stepper is exactly causal by construction and serves as the
 cross-check for the spectral path, whose periodic wrap-around is measured on
 a zero-padded margin and reported alongside every solution.
+
+The checks the CLI's `verify` suites and the acceptance criteria share:
+`causality_check` (causality forward, amnesia backward, on one operator),
+`time_reversal_conjugation_check` and `nu_independence_check`.  The
+duality pairing is checked twice on purpose: per pair by `verify --suite
+duality`, batched by acceptance criterion 3 (see `cli._verify_duality`).
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ __all__ = [
     "apply_adjoint_operator",
     "timestep_oracle",
     "timestep_adjoint_oracle",
+    "causality_check",
     "time_reversal_conjugation_check",
     "nu_independence_check",
     "ConjugationReport",
@@ -107,14 +114,19 @@ def forward_blocks(law: MaterialLaw, A: SpatialOperator, nu: float,
     return z[:, None, None] * eval_law_many(law, z) + A.A
 
 
-def _first_nonzero(phi: np.ndarray) -> int:
+def _pinned(phi: np.ndarray, forward: bool) -> slice:
+    """Samples that causality (forward: before the support of the data `phi`)
+    or amnesia (backward: after it) pins to zero."""
     nz = np.flatnonzero(np.abs(phi).max(axis=1) > 0.0)
-    return int(nz[0]) if nz.size else phi.shape[0]
+    n = phi.shape[0]
+    if forward:
+        return slice(0, int(nz[0]) if nz.size else n)
+    return slice(int(nz[-1]) + 1 if nz.size else 0, n)
 
 
-def _last_nonzero(phi: np.ndarray) -> int:
-    nz = np.flatnonzero(np.abs(phi).max(axis=1) > 0.0)
-    return int(nz[-1]) if nz.size else -1
+def _leakage(u: np.ndarray, pinned: slice) -> float:
+    """Relative mass of u on the pinned samples."""
+    return float(np.linalg.norm(u[pinned])) / max(float(np.linalg.norm(u)), NORM_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -189,18 +201,13 @@ class SpectralOperator:
         cert = self.certificate
         u_pad, residual = self.padded_solve(rhs.phi, forward)
         npad, n = self.npad, self.grid.n
-        if forward:
-            first = _first_nonzero(rhs.phi)
-            pinned_pad, pinned = slice(0, npad + first), slice(0, first)
-        else:
-            last = _last_nonzero(rhs.phi)
-            pinned_pad, pinned = slice(npad + last + 1, self.pad_grid.n), slice(last + 1, n)
-        total = max(float(np.linalg.norm(u_pad)), NORM_FLOOR)
-        wraparound = float(np.linalg.norm(u_pad[pinned_pad])) / total
+        pinned = _pinned(rhs.phi, forward)
+        pinned_pad = (slice(0, npad + pinned.stop) if forward
+                      else slice(npad + pinned.start, self.pad_grid.n))
+        wraparound = _leakage(u_pad, pinned_pad)
         u = u_pad[npad:npad + n]
         solution = WeightedSignal(self.grid, rhs.nu, u)
-        crop_total = max(float(np.linalg.norm(u)), NORM_FLOOR)
-        leakage = float(np.linalg.norm(u[pinned])) / crop_total
+        leakage = _leakage(u, pinned)
         return SolveReport(solution, residual, solution.norm / max(rhs.norm, NORM_FLOOR),
                            wraparound, cert, leakage if forward else None,
                            None if forward else leakage)
@@ -315,6 +322,37 @@ def timestep_adjoint_oracle(p: EvoProblem) -> WeightedSignal:
     reversed_rhs = time_reverse(p.rhs)
     forward = EvoProblem(p.nu, p.grid, law_rev, p.A.negated(), reversed_rhs, "forward")
     return time_reverse(timestep_oracle(forward))
+
+
+def causality_check(op: SpectralOperator, rhs: WeightedSignal, back: WeightedSignal,
+                    tol: float) -> dict:
+    """Causality of the forward system and amnesia of the backward one, on one
+    operator.
+
+    `rhs` (weight +nu) and `back` (weight -nu) are solved spectrally; the
+    mass each solution leaves where its data's support pins it to zero must
+    stay within the measured wrap-around.  Where the law is a finite sum of
+    order at most one, the exactly causal stepper must leak less than `tol`;
+    the backward stepper also needs a symmetric grid.  Returns the measured
+    values and `passed`.
+    """
+    out = {}
+    ok = True
+    steppable = op.law.is_finite_sum and op.law.order <= 1
+    for prefix, data, forward in (("", rhs, True), ("adjoint_", back, False)):
+        rep = op.solve(data)
+        leak = rep.causality_leakage if forward else rep.amnesia_leakage
+        out[prefix + "spectral_leakage"] = leak
+        out[prefix + "wraparound_tolerance"] = rep.wraparound_tolerance
+        ok = ok and leak <= rep.wraparound_tolerance + 1e-12
+        if steppable and (forward or op.grid.symmetric):
+            prob = EvoProblem(op.nu, op.grid, op.law, op.A, data,
+                              "forward" if forward else "adjoint")
+            stepped = (timestep_oracle if forward else timestep_adjoint_oracle)(prob)
+            out[prefix + "stepper_leakage"] = _leakage(stepped.phi, _pinned(data.phi, forward))
+            ok = ok and out[prefix + "stepper_leakage"] < tol
+    out["passed"] = bool(ok)
+    return out
 
 
 @dataclass(frozen=True)

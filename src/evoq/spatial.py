@@ -83,19 +83,25 @@ def _as_matrix(value, size: int, name: str) -> np.ndarray:
 
 
 def _require_positive_hermitian_part(mat: np.ndarray, name: str) -> None:
-    lam = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-    if lam[0] <= 0:
+    herm = 0.5 * (mat + mat.conj().T)
+    lam = np.linalg.eigvalsh(herm) if np.isfinite(herm).all() else [np.nan]
+    if not lam[0] > 0:
         raise DefinitenessError(
             f"{name} needs a positive definite Hermitian part, lambda_min={lam[0]:.3e}"
         )
 
 
+def _inverse(mat: np.ndarray, name: str) -> np.ndarray:
+    inv = np.linalg.inv(mat)
+    if not np.isfinite(inv).all():
+        raise DefinitenessError(f"{name} is too close to singular to invert")
+    return inv
+
+
 def _require_spd(mat: np.ndarray, name: str) -> None:
     if np.abs(mat - mat.conj().T).max() > 1e-12 * (1.0 + np.abs(mat).max()):
         raise DefinitenessError(f"{name} must be Hermitian")
-    lam = np.linalg.eigvalsh(mat)
-    if lam[0] <= 0:
-        raise DefinitenessError(f"{name} must be positive definite, lambda_min={lam[0]:.3e}")
+    _require_positive_hermitian_part(mat, name)
 
 
 def _forward_difference(k: int, dx: float) -> np.ndarray:
@@ -146,7 +152,7 @@ def build_heat_block(k: int, a, dx: float = 1.0, nu: Optional[float] = None):
     M0 = np.zeros((m, m), dtype=complex)
     M0[:k + 1, :k + 1] = np.eye(k + 1)
     M1 = np.zeros((m, m), dtype=complex)
-    M1[k + 1:, k + 1:] = np.linalg.inv(a)
+    M1[k + 1:, k + 1:] = _inverse(a, "a")
     law = finite_sum_law([M0, M1])
     if nu is not None:
         _check_block_coercivity(M0, M1, nu, "heat block")
@@ -171,7 +177,7 @@ def build_wave_block(k: int, T_elast, dx: float = 1.0, nu: Optional[float] = Non
     m = 2 * k + 1
     M0 = np.zeros((m, m), dtype=complex)
     M0[:k, :k] = np.eye(k)
-    M0[k:, k:] = np.linalg.inv(T_elast)
+    M0[k:, k:] = _inverse(T_elast, "T_elast")
     law = finite_sum_law([M0])
     if nu is not None:
         _check_block_coercivity(M0, np.zeros_like(M0), nu, "wave block")
@@ -216,8 +222,8 @@ def _check_block_coercivity(M0: np.ndarray, M1: np.ndarray, nu: float, what: str
     # z M(z) is nu*M0 + Herm(M1) at every frequency, so one eigensolve
     # certifies the whole line.
     H = nu * 0.5 * (M0 + M0.conj().T) + 0.5 * (M1 + M1.conj().T)
-    lam = np.linalg.eigvalsh(H)
-    if lam[0] <= 0:
+    lam = np.linalg.eigvalsh(H) if np.isfinite(H).all() else [np.nan]
+    if not lam[0] > 0:
         raise NonCoerciveError(
             f"{what} is not coercive at nu={nu}: lambda_min={lam[0]:.3e}",
             min_value=float(lam[0]),

@@ -66,23 +66,3 @@ def band_limited_signal(grid: TimeGrid, nu: float, m: int,
     hat[idx] = rng.standard_normal((len(idx), m)) + 1j * rng.standard_normal((len(idx), m))
     phi = np.fft.ifft(hat, axis=0)
     return WeightedSignal(grid, nu, phi)
-
-
-def band_limit(sig: WeightedSignal, max_bin: int) -> WeightedSignal:
-    """Project a signal onto the bins |k| <= max_bin."""
-    n = sig.grid.n
-    hat = np.fft.fft(sig.phi, axis=0)
-    keep = np.zeros(n, dtype=bool)
-    keep[:max_bin + 1] = True
-    keep[n - max_bin:] = True
-    hat[~keep] = 0.0
-    return sig.with_phi(np.fft.ifft(hat, axis=0))
-
-
-def nyquist_free(sig: WeightedSignal) -> bool:
-    """True when the signal has no content in the Nyquist bin."""
-    n = sig.grid.n
-    if n % 2:
-        return True
-    hat = np.fft.fft(sig.phi, axis=0)
-    return bool(np.abs(hat[n // 2]).max() == 0.0)

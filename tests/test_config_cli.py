@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import evoq
 from evoq.cli import main
 from evoq.config import DEFAULT_TOLERANCES, load_config
 from evoq.errors import SchemaError
@@ -88,8 +89,6 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, payload))
 
     def test_custom_rhs_roundtrip(self, tmp_path):
-        import evoq
-
         payload = base_config()
         cfg0 = load_config(write_config(tmp_path, payload))
         sig = cfg0.build_rhs()
@@ -157,7 +156,7 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")],
                              ids=["NaN", "Infinity"])
-    @pytest.mark.parametrize("field", ["nu", "grid.t_max"])
+    @pytest.mark.parametrize("field", ["nu", "grid.t_max", "spatial.a"])
     def test_non_finite_number_exits_2(self, tmp_path, capsys, field, value):
         with open(os.path.join(CONFIG_DIR, "heat_small.json")) as fh:
             payload = json.load(fh)
@@ -192,10 +191,19 @@ class TestCliExitCodes:
         ("tolerances.svd_cutoff", 0, "control"),
         ("tolerances.svd_cutoff", -1, "control"),
         ("tolerances.pairing", -1.0, "verify"),
+        ("rhs.amplitude", 1e308, "solve"),
+        ("spatial.a", 1e308, "solve"),
+        ("spatial.a", 1e-320, "solve"),
+        ("law", {"coeffs": [[[[1e308, 0.0]]]]}, "solve"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, field, value, command):
         with open(os.path.join(CONFIG_DIR, "heat_small.json")) as fh:
             payload = json.load(fh)
+        if field.split(".")[0] == "law":
+            # builder kinds refuse a law section: such a row runs on a 1 x 1
+            # matrix kind, which needs no control section
+            payload["spatial"] = {"kind": "matrix", "matrix": [[[0.0, 0.0]]]}
+            del payload["control"]
         *sections, key = field.split(".")
         target = payload
         for name in sections:
@@ -230,6 +238,64 @@ class TestCliExitCodes:
         assert field in capsys.readouterr().err
         monkeypatch.setattr(config_module, "_BLOCK_BUDGET", budget + 1)
         assert main(["solve", "--config", path]) == 0
+
+    @pytest.mark.parametrize("header, csv_row", [
+        (None, "nan"),
+        ("{}", None),
+        ("not json", None),
+    ], ids=["nan-row", "empty-header", "header-not-json"])
+    def test_unreadable_custom_forcing_exits_2(self, tmp_path, capsys, header, csv_row):
+        # a custom forcing is read at load time, and each way its files can
+        # be wrong is a rejected config naming the field
+        cfg = load_config(write_config(tmp_path, base_config()))
+        evoq.save_signal(cfg.build_rhs(), str(tmp_path / "forcing"))
+        if header is not None:
+            (tmp_path / "forcing.json").write_text(header)
+        if csv_row is not None:
+            lines = (tmp_path / "forcing.csv").read_text().splitlines()
+            lines[3] = ",".join([csv_row] * len(lines[3].split(",")))
+            (tmp_path / "forcing.csv").write_text("\n".join(lines) + "\n")
+        payload = {**base_config(), "rhs": {"shape": "custom", "csv": "forcing"}}
+        assert main(["solve", "--config", write_config(tmp_path, payload, "c2.json")]) == 2
+        assert "rhs.csv" in capsys.readouterr().err
+
+    def test_non_finite_report_numbers_are_strings(self, tmp_path):
+        # at a vanishing weight the heat solve is singular at frequency 0:
+        # the norms overflow, a numerical failure written as valid JSON
+        with open(os.path.join(CONFIG_DIR, "heat_small.json")) as fh:
+            payload = json.load(fh)
+        payload["nu"] = 1e-300
+        out = tmp_path / "out"
+        assert main(["solve", "--config", write_config(tmp_path, payload),
+                     "--out", str(out)]) == 1
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"),
+                            parse_constant=reject)["report"]
+        assert report["norm_ratio"] == "infinity"
+        assert report["causality_leakage"] == "nan"
+
+    def test_control_csvs_reload_to_recomputed_signals(self, tmp_path):
+        payload = base_config()
+        payload["control"] = {"B": [[[1.0, 0.0]]] + [[[0.0, 0.0]]] * 4, "T": 1.0}
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["control", "--config", path, "--out", str(out)]) == 0
+
+        cfg = load_config(path)
+        rtol = cfg.tolerances["svd_cutoff"]
+        base = evoq.EvoProblem(cfg.nu, cfg.grid, cfg.law, cfg.A, cfg.build_rhs(), "forward")
+        cp = evoq.ControlProblem(base=base, B=cfg.control.B, T=cfg.control.T)
+        maps = evoq.assemble_endmaps(cp, cfg.pad_fraction)
+        G = evoq.null_control(cp, maps, rtol=rtol,
+                              feasibility_tol=cfg.tolerances["feasibility"]).G
+        witness = evoq.observability_constant(cp, maps, rtol=rtol).witness
+        for name, expected in (("control_G", G), ("observability_witness", witness)):
+            loaded = evoq.load_signal(str(out / name))
+            assert (loaded.grid, loaded.nu) == (expected.grid, expected.nu)
+            assert loaded.phi.tobytes() == expected.phi.tobytes(), name
 
     def test_noncoercive_mass_exits_2(self, tmp_path):
         payload = base_config()

@@ -4,9 +4,10 @@
 reloads the `control_G` and `solution` CSVs bit for bit against a library
 recompute and checks that the control verdicts are consistent.  Here the
 n = 32 control and duality cells of one `control-dense` cycle, one pointwise
-and one solve command run through `evoq.cli.main` in-process and must all
-pass those checks, so a change that breaks them fails here rather than in a
-benchmark run.
+and one solve command, and the first duality, reversal and weight-independence
+command per kind of one `verify-repeat` cycle run through `evoq.cli.main`
+in-process and must all pass those checks, so a change that breaks them
+fails here rather than in a benchmark run.
 """
 
 import importlib.util
@@ -42,7 +43,16 @@ def _commands():
     return dense + [first["pointwise"], first["solve"]]
 
 
+def _verify_commands():
+    first = {}
+    for c in _load("workloads").generate("verify-repeat", 1, 1):
+        _, kind, _, suite = c["cell"].split("/")
+        first.setdefault((kind, suite), c)
+    return list(first.values())
+
+
 COMMANDS = _commands()
+VERIFY_COMMANDS = _verify_commands()
 CHECKS = _load("checks")
 
 
@@ -51,7 +61,12 @@ def test_slice_covers_every_dense_cell():
     assert len({c["cell"] for c in COMMANDS}) == 20
 
 
-@pytest.mark.parametrize("cmd", COMMANDS, ids=[c["cell"] for c in COMMANDS])
+def test_verify_slice_covers_every_kind_and_suite():
+    assert len(VERIFY_COMMANDS) == 9
+
+
+@pytest.mark.parametrize("cmd", COMMANDS + VERIFY_COMMANDS,
+                         ids=[c["cell"] for c in COMMANDS + VERIFY_COMMANDS])
 def test_command_passes_benchmark_checks(tmp_path, capsys, cmd):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cmd["config"]))
