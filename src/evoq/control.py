@@ -8,6 +8,14 @@ decision here is made relative to a declared truncated-SVD cutoff
 (sigma_max * 1e-10 by default) which is reported with each result.
 Infeasibility is a finding, not an error: certifying that a system cannot be
 controlled (say, B = 0) is part of the job.
+
+Every dense entry point (`douglas_check`, `assemble_endmaps`, `null_control`,
+`observability_constant`, the pointwise pair and the duality verdicts) runs
+on one OpenBLAS thread whatever the caller's thread count or `EVOQ_THREADS`
+says, then restores the caller's count.  Mid-size complex SVDs are faster
+that way than on two threads, and the results no longer depend on the
+thread count (bitwise reproducibility still assumes the same numpy/OpenBLAS
+build and CPU kernel).  Other stages still follow the caller's count.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .errors import (
     ConsistencyError,
     PreconditionError,
@@ -158,6 +167,7 @@ def _truncation(s: np.ndarray, rtol: float) -> tuple:
     return sigma_max, cutoff, int(np.sum(s > cutoff))
 
 
+@one_blas_thread
 def douglas_check(Amat: np.ndarray, Bmat: np.ndarray,
                   rtol: float = DEFAULT_SVD_RTOL,
                   inclusion_rtol: float = 1e-8,
@@ -313,6 +323,7 @@ def _time_major(blocks: np.ndarray) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(r * a, c * b)
 
 
+@one_blas_thread
 def assemble_endmaps(cp: ControlProblem, pad_fraction: float = 0.25,
                      size_guard: int = DEFAULT_SIZE_GUARD) -> EndMaps:
     """Assemble the primal and the backward end maps as dense matrices.
@@ -380,6 +391,7 @@ def _null_solve(maps: EndMaps, f: np.ndarray, rtol: float,
     return g, residual, reg, bool(np.all(rel < feasibility_tol))
 
 
+@one_blas_thread
 def null_control(cp: ControlProblem, endmaps: Optional[EndMaps] = None,
                  pad_fraction: float = 0.25,
                  rtol: float = DEFAULT_SVD_RTOL,
@@ -423,6 +435,7 @@ class ObservabilityEstimate:
     cutoff: float
 
 
+@one_blas_thread
 def observability_constant(cp: ControlProblem, endmaps: Optional[EndMaps] = None,
                            pad_fraction: float = 0.25,
                            rtol: float = DEFAULT_SVD_RTOL,
@@ -492,6 +505,7 @@ def _embed_post(flat_post: np.ndarray, grid: TimeGrid, nu: float,
     return WeightedSignal(grid, nu, phi)
 
 
+@one_blas_thread
 def _duality_verdicts(cp: ControlProblem, maps: EndMaps,
                       rng: np.random.Generator,
                       rtol: float = DEFAULT_SVD_RTOL,
@@ -741,6 +755,7 @@ def _pointwise_target(cp: ControlProblem) -> np.ndarray:
     return M0 @ v2_at_T - M0 @ cp.U0
 
 
+@one_blas_thread
 def pointwise_null_control(cp: ControlProblem,
                            rtol: float = DEFAULT_SVD_RTOL,
                            feasibility_tol: float = 1e-8) -> ControlResult:
@@ -786,6 +801,7 @@ def pointwise_null_control(cp: ControlProblem,
     )
 
 
+@one_blas_thread
 def pointwise_duality_check(cp: ControlProblem,
                             rtol: float = DEFAULT_SVD_RTOL,
                             feasibility_tol: float = 1e-8) -> dict:

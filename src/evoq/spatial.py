@@ -82,9 +82,18 @@ def _as_matrix(value, size: int, name: str) -> np.ndarray:
     return arr
 
 
+def _hermitian_part(mat: np.ndarray, name: str) -> np.ndarray:
+    """0.5 (mat + mat^*) as the block's coercivity check forms it, which must
+    be finite: a finite coefficient can still overflow it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm = 0.5 * (mat + mat.conj().T)
+    if not np.isfinite(herm).all():
+        raise DefinitenessError(f"{name} has a Hermitian part that is not finite")
+    return herm
+
+
 def _require_positive_hermitian_part(mat: np.ndarray, name: str) -> None:
-    herm = 0.5 * (mat + mat.conj().T)
-    lam = np.linalg.eigvalsh(herm) if np.isfinite(herm).all() else [np.nan]
+    lam = np.linalg.eigvalsh(_hermitian_part(mat, name))
     if not lam[0] > 0:
         raise DefinitenessError(
             f"{name} needs a positive definite Hermitian part, lambda_min={lam[0]:.3e}"
@@ -95,6 +104,7 @@ def _inverse(mat: np.ndarray, name: str) -> np.ndarray:
     inv = np.linalg.inv(mat)
     if not np.isfinite(inv).all():
         raise DefinitenessError(f"{name} is too close to singular to invert")
+    _hermitian_part(inv, f"{name} is too close to singular: its inverse")
     return inv
 
 
@@ -199,6 +209,7 @@ def build_maxwell_block(k: int, eps, mu, sigma, dx: float = 1.0,
     sigma = _as_matrix(sigma, k, "sigma")
     _require_spd(eps, "eps")
     _require_spd(mu, "mu")
+    _hermitian_part(sigma, "sigma")
     D0 = _clamped_difference(k, dx)
     A = np.block([
         [np.zeros((k, k)), -D0.T],

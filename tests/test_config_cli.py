@@ -195,6 +195,8 @@ class TestCliExitCodes:
         ("spatial.a", 1e308, "solve"),
         ("spatial.a", 1e-320, "solve"),
         ("law", {"coeffs": [[[[1e308, 0.0]]]]}, "solve"),
+        ("spatial.T_elast", 1e-308, "solve"),
+        ("spatial.sigma", 1e308, "solve"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, field, value, command):
         with open(os.path.join(CONFIG_DIR, "heat_small.json")) as fh:
@@ -204,6 +206,10 @@ class TestCliExitCodes:
             # matrix kind, which needs no control section
             payload["spatial"] = {"kind": "matrix", "matrix": [[[0.0, 0.0]]]}
             del payload["control"]
+        if field in ("spatial.T_elast", "spatial.sigma"):
+            # a coefficient of another builder kind; k = 4 keeps m = 9
+            kind = "wave" if field == "spatial.T_elast" else "maxwell"
+            payload["spatial"] = {"kind": kind, "k": 4}
         *sections, key = field.split(".")
         target = payload
         for name in sections:

@@ -8,6 +8,9 @@ solves against the assembled columns.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -469,3 +472,90 @@ class TestPointwise:
     def test_horizon_validation(self):
         with pytest.raises(PreconditionError):
             self.scalar_cp(T=-1.0)
+
+
+class TestOneBlasThread:
+    """The dense control entry points run on one OpenBLAS thread and hand the
+    caller's thread count back."""
+
+    @pytest.fixture
+    def two_threads(self):
+        from evoq import _blas
+
+        threads = _blas.blas_threads()
+        if threads is None:
+            pytest.skip("numpy's BLAS exposes no OpenBLAS thread setter")
+        get, set_ = threads
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    @staticmethod
+    def record_svd_threads(monkeypatch, get):
+        svd = np.linalg.svd
+        seen = []
+
+        def recording_svd(*args, **kwargs):
+            seen.append(get())
+            return svd(*args, **kwargs)
+
+        # np.linalg.norm(., 2) reaches the implementation module's binding
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(np.linalg._linalg, "svd", recording_svd)
+        return seen
+
+    @pytest.mark.parametrize("command", [["control"], ["control", "--certify-duality"]],
+                             ids=["control", "certify"])
+    def test_every_svd_runs_on_one_thread(self, monkeypatch, tmp_path, two_threads,
+                                          command):
+        from evoq.cli import main
+
+        seen = self.record_svd_threads(monkeypatch, two_threads)
+        path = write_heat_control_config(tmp_path, "zero")
+        assert main([*command, "--config", path, "--out", str(tmp_path / "out")]) == 0
+        assert seen and set(seen) == {1}
+        assert two_threads() == 2
+
+    def test_count_restored_after_an_exception(self, two_threads):
+        cp = ControlProblem(base=rotation_base(), B=np.eye(2), T=1.0)
+        with pytest.raises(SizeGuardError):
+            assemble_endmaps(cp, size_guard=10)
+        assert two_threads() == 2
+
+    def test_without_a_setter_calls_straight_through(self, monkeypatch, two_threads):
+        from evoq import _blas
+
+        monkeypatch.setattr(_blas, "blas_threads", lambda: None)
+        seen = self.record_svd_threads(monkeypatch, two_threads)
+        report = douglas_check(np.eye(3), np.eye(3))
+        assert report.included and seen and set(seen) == {2}
+
+    def test_control_output_does_not_depend_on_the_thread_count(self, tmp_path):
+        # a wave k=4 (m=9), n=32, B = I cell; on two threads the unpinned
+        # SVDs gave other last digits in every control output file
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        config = {
+            "seed": 5, "nu": 1.0,
+            "grid": {"t_min": -4.0, "t_max": 4.0, "n": 32, "padding_fraction": 0.25},
+            "spatial": {"kind": "wave", "k": 4, "dx": 1.0, "T_elast": 2.0},
+            "rhs": {"shape": "bump", "component": 0, "center": -1.0, "width": 1.2},
+            "control": {"B": [[[float(i == j), 0.0] for j in range(9)] for i in range(9)],
+                        "T": 1.0, "variant": "supported"},
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": os.path.abspath(src),
+                   "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-m", "evoq.cli", "control", "--config", "cfg.json",
+                 "--json", "--out", f"out{threads}"],
+                cwd=tmp_path, env=env, capture_output=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            out = tmp_path / f"out{threads}"
+            runs.append((proc.stdout, {p.name: p.read_bytes() for p in out.iterdir()}))
+        (stdout1, files1), (stdout2, files2) = runs
+        assert len(files1) == 6  # two signals (csv + json header) and two reports
+        assert stdout1 == stdout2
+        assert files1 == files2

@@ -1,7 +1,7 @@
 """Check that two source trees of evoq produce byte-identical CLI outputs.
 
     python3 tools/same_outputs.py OLD_SRC NEW_SRC [--workload NAME --seed S]
-                                  [--only REGEX]
+                                  [--only REGEX] [--old-env KEY=VALUE ...]
 
 OLD_SRC and NEW_SRC are the `src` directories of two checkouts.  Each
 command runs in its own process, once with each tree alone on PYTHONPATH,
@@ -20,7 +20,10 @@ The default command set (65 commands):
   - `suite acceptance --json`.
 `--workload NAME --seed S` runs one cycle of a benchmark workload from
 `perfbench/workloads.py` instead.  `--only REGEX` keeps the commands whose
-label matches.  Run from anywhere; configs are read from this checkout.
+label matches.  `--old-env KEY=VALUE` (repeatable) sets an environment
+variable for the OLD tree's commands only, say `OPENBLAS_NUM_THREADS=1` to
+compare a change against its parent run on one BLAS thread.  Run from
+anywhere; configs are read from this checkout.
 """
 
 from __future__ import annotations
@@ -88,13 +91,7 @@ def workload_commands(name, seed):
     return commands
 
 
-def _env(src):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src
-    return env
-
-
-def _run(src, workdir, index, argv, config):
+def _run(env, workdir, index, argv, config):
     """Run one command in `workdir`; returns (exit code, stdout, stderr)."""
     argv = list(argv)
     out = os.path.join("out", f"{index:03d}")
@@ -105,7 +102,7 @@ def _run(src, workdir, index, argv, config):
         argv[1:1] = ["--config", cfg]
     argv += ["--out", out]
     proc = subprocess.run([sys.executable, "-m", "evoq.cli", *argv], cwd=workdir,
-                          capture_output=True, env=_env(src))
+                          capture_output=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -119,8 +116,11 @@ def _files(top):
     return found
 
 
-def compare(old_src, new_src, commands, work):
-    """Run every command on both trees; returns the list of differences."""
+def compare(old_src, new_src, commands, work, old_env=None):
+    """Run every command on both trees, the old one with `old_env` added to
+    its environment; returns the list of differences."""
+    envs = {"old": {**os.environ, **(old_env or {}), "PYTHONPATH": old_src},
+            "new": {**os.environ, "PYTHONPATH": new_src}}
     sides = {}
     for side in ("old", "new"):
         workdir = os.path.join(work, side)
@@ -129,8 +129,8 @@ def compare(old_src, new_src, commands, work):
         sides[side] = workdir
     differences = []
     for index, (label, argv, config) in enumerate(commands):
-        old = _run(old_src, sides["old"], index, argv, config)
-        new = _run(new_src, sides["new"], index, argv, config)
+        old = _run(envs["old"], sides["old"], index, argv, config)
+        new = _run(envs["new"], sides["new"], index, argv, config)
         found = [what for what, a, b in zip(("exit code", "stdout", "stderr"), old, new)
                  if a != b]
         out = os.path.join("out", f"{index:03d}")
@@ -152,7 +152,16 @@ def main(argv=None) -> int:
     p.add_argument("--workload", help="one cycle of this benchmark workload")
     p.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
     p.add_argument("--only", help="keep the commands whose label matches this regex")
+    p.add_argument("--old-env", action="append", default=[], metavar="KEY=VALUE",
+                   help="set an environment variable for the old tree's commands "
+                        "(repeatable)")
     args = p.parse_args(argv)
+    old_env = {}
+    for item in args.old_env:
+        key, sep, value = item.partition("=")
+        if not key or not sep:
+            p.error(f"--old-env needs KEY=VALUE, got {item!r}")
+        old_env[key] = value
 
     old_src, new_src = (os.path.realpath(s) for s in (args.old_src, args.new_src))
     # With the tree first on PYTHONPATH and a working directory without an
@@ -172,7 +181,7 @@ def main(argv=None) -> int:
 
     work = tempfile.mkdtemp(prefix="same_outputs_")
     try:
-        differences = compare(old_src, new_src, commands, work)
+        differences = compare(old_src, new_src, commands, work, old_env)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     if differences:
