@@ -7,6 +7,7 @@ from .errors import (
     EvoqError,
     GridError,
     NonCoerciveError,
+    NonFiniteSignalError,
     NotInvertibleError,
     NotSkewError,
     OracleError,

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DefinitenessError, EvoqError, SchemaError
+from .errors import DefinitenessError, EvoqError, NonCoerciveError, NotSkewError, SchemaError
 from .material import MaterialLaw, finite_sum_law
 from .signals import TimeGrid, WeightedSignal, _weight_exponents, load_signal, zero_signal
 from .spatial import (
@@ -221,8 +221,11 @@ def _parse_forcing(spec, path: str, grid: TimeGrid, m: int, config_path: str) ->
 def _parse_spatial(section: dict, nu: float, n_pad: int):
     kind = _expect(section, "kind", "spatial")
     if kind == "matrix":
-        A = check_skew(_parse_complex_matrix(_expect(section, "matrix", "spatial"),
-                                             "spatial.matrix"), label="matrix")
+        matrix = _parse_complex_matrix(_expect(section, "matrix", "spatial"), "spatial.matrix")
+        try:
+            A = check_skew(matrix, label="matrix")
+        except NotSkewError as exc:
+            _fail("spatial.matrix", str(exc))
         _check_block_budget(n_pad, A.m, "spatial.matrix")
         return A, None
     k = _as_int(_expect(section, "k", "spatial"), "spatial.k")
@@ -251,7 +254,7 @@ def _parse_spatial(section: dict, nu: float, n_pad: int):
         if kind == "maxwell":
             return build_maxwell_block(k, coeff("eps", k, 1.0), coeff("mu", k + 1, 1.0),
                                        coeff("sigma", k, 0.0), dx=dx, nu=nu)
-    except DefinitenessError as exc:
+    except (DefinitenessError, NonCoerciveError) as exc:
         # the builders' messages open with the coefficient's name
         raise SchemaError(f"spatial.{exc}") from None
     _fail("spatial.kind", f"unknown kind {kind!r}")

@@ -51,7 +51,6 @@ __all__ = [
     "assemble_endmaps",
     "null_control",
     "observability_constant",
-    "random_search_lower_bound",
     "pointwise_solve",
     "pointwise_null_control",
     "pointwise_duality_check",
@@ -59,6 +58,8 @@ __all__ = [
 
 DEFAULT_SVD_RTOL = 1e-10
 DEFAULT_SIZE_GUARD = 4_000_000
+_INCLUSION_RTOL = 1e-8  # mass outside ran(B) that still counts as inside, relative
+_PROBES = 8             # random probes per ball-inclusion and adjoint-domination check
 
 
 @dataclass(frozen=True)
@@ -170,8 +171,6 @@ def _truncation(s: np.ndarray, rtol: float) -> tuple:
 @one_blas_thread
 def douglas_check(Amat: np.ndarray, Bmat: np.ndarray,
                   rtol: float = DEFAULT_SVD_RTOL,
-                  inclusion_rtol: float = 1e-8,
-                  probes: int = 8,
                   rng: Optional[np.random.Generator] = None) -> DouglasReport:
     """Decide ran(A) subseteq ran(B) for matrices with a common row space.
 
@@ -186,12 +185,10 @@ def douglas_check(Amat: np.ndarray, Bmat: np.ndarray,
     checks the arithmetic rather than a second property.
     """
     Bmat = np.atleast_2d(np.asarray(Bmat, dtype=complex))
-    return _douglas(Amat, Bmat, np.linalg.svd(Bmat, full_matrices=False),
-                    rtol, inclusion_rtol, probes, rng)
+    return _douglas(Amat, Bmat, np.linalg.svd(Bmat, full_matrices=False), rtol, rng)
 
 
 def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple, rtol: float,
-             inclusion_rtol: float = 1e-8, probes: int = 8,
              rng: Optional[np.random.Generator] = None) -> DouglasReport:
     """Body of `douglas_check` for a complex 2-D `Bmat` whose thin SVD
     (U, s, Vh) the caller already holds; the constant ||V_r core||_2 is ||core||_2."""
@@ -209,7 +206,7 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple, rtol: float,
     norm_a = float(np.linalg.norm(Amat, 2))
     scale = max(norm_a, sigma_max_b, NORM_FLOOR)
     outside_norm = float(np.linalg.norm(outside, 2))
-    included = outside_norm <= inclusion_rtol * scale
+    included = outside_norm <= _INCLUSION_RTOL * scale
 
     conditions = {"range_inclusion": included}
 
@@ -222,23 +219,23 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple, rtol: float,
     # Ball inclusion, probed: the min-norm preimage of A y must fit in the
     # c-ball and reproduce A y.
     ball_ok = True
-    for _ in range(probes):
+    for _ in range(_PROBES):
         y = rng.standard_normal(Amat.shape[1]) + 1j * rng.standard_normal(Amat.shape[1])
         y /= np.linalg.norm(y)
         g = factor @ y
         reach = float(np.linalg.norm(Bmat @ g - Amat @ y))
-        ball_ok &= reach <= max(inclusion_rtol * scale, 10 * cutoff)
+        ball_ok &= reach <= max(_INCLUSION_RTOL * scale, 10 * cutoff)
         ball_ok &= np.linalg.norm(g) <= constant * (1 + 1e-8) + 1e-12
     conditions["ball_inclusion"] = bool(ball_ok)
 
     # Adjoint domination on random probes; meaningful constant only when the
     # factorisation holds.
     dom_ok = True
-    for _ in range(probes):
+    for _ in range(_PROBES):
         x = rng.standard_normal(Amat.shape[0]) + 1j * rng.standard_normal(Amat.shape[0])
         lhs = float(np.linalg.norm(Amat.conj().T @ x))
         rhs = float(np.linalg.norm(Bmat.conj().T @ x))
-        dom_ok &= lhs <= constant * rhs * (1 + 1e-8) + inclusion_rtol * scale * np.linalg.norm(x)
+        dom_ok &= lhs <= constant * rhs * (1 + 1e-8) + _INCLUSION_RTOL * scale * np.linalg.norm(x)
 
     witness = None
     if not included:
@@ -248,7 +245,7 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple, rtol: float,
         witness = Uo[:, 0]
         lhs = float(np.linalg.norm(Amat.conj().T @ witness))
         rhs = float(np.linalg.norm(Bmat.conj().T @ witness))
-        defeated = lhs > max(constant, 1.0) * rhs * (1 + 1e-8) + inclusion_rtol * scale
+        defeated = lhs > max(constant, 1.0) * rhs * (1 + 1e-8) + _INCLUSION_RTOL * scale
         conditions["adjoint_domination"] = not defeated
     else:
         conditions["adjoint_domination"] = bool(dom_ok)
@@ -342,8 +339,7 @@ def assemble_endmaps(cp: ControlProblem, pad_fraction: float = 0.25,
     if n_post * m * n * max(m, q) > size_guard:
         raise SizeGuardError(
             f"dense end maps need {n_post * m * n * max(m, q)} entries "
-            f"(> guard {size_guard}); use observability_constant with "
-            "method='power-iteration' or coarsen the grid"
+            f"(> guard {size_guard}); coarsen the grid or move the horizon T later"
         )
 
     op = SpectralOperator(base.law, base.A, base.nu, grid, pad_fraction)
@@ -431,34 +427,25 @@ class ObservabilityEstimate:
 
     c_obs: float
     witness: WeightedSignal
-    method: str
+    method: str  # "generalized-svd", the one (dense) route
     cutoff: float
 
 
 @one_blas_thread
 def observability_constant(cp: ControlProblem, endmaps: Optional[EndMaps] = None,
                            pad_fraction: float = 0.25,
-                           rtol: float = DEFAULT_SVD_RTOL,
-                           method: str = "generalized-svd") -> ObservabilityEstimate:
+                           rtol: float = DEFAULT_SVD_RTOL) -> ObservabilityEstimate:
     """Largest generalized singular value of the backward end-map K1 against
     its B-filtered counterpart K2.
 
-    Assembles the end maps (under their size guard) unless `endmaps` is
-    given.  Flags +inf when a post-horizon datum is invisible to the
-    observation but not to the state (one thin SVD of K1 on ker K2 is test
-    and witness), then cross-checks the verdict against the primal range
-    inclusion ran L_F in ran L_G of the same maps; a disagreement raises, as
-    the two are equivalent.
+    Assembles the end maps unless `endmaps` is given; past their size guard
+    this raises `SizeGuardError`, as there is no matrix-free route.  Flags
+    +inf when a post-horizon datum is invisible to the observation but not
+    to the state (one thin SVD of K1 on ker K2 is test and witness), then
+    cross-checks the verdict against the primal range inclusion
+    ran L_F in ran L_G of the same maps; a disagreement raises, as the two
+    are equivalent.
     """
-    grid = cp.base.grid
-    if grid.n - grid.index_at_or_after(cp.T) < 1:
-        raise PreconditionError("no samples at or after the horizon T")
-
-    if method == "power-iteration":
-        return _observability_power_iteration(cp, pad_fraction, rtol)
-    if method != "generalized-svd":
-        raise PreconditionError(f"unknown method {method!r}")
-
     maps = endmaps or assemble_endmaps(cp, pad_fraction)
     estimate = _observability(maps, rtol)
     report = _douglas(maps.L_F, maps.L_G, maps._svd_G, rtol=rtol)
@@ -520,82 +507,6 @@ def _duality_verdicts(cp: ControlProblem, maps: EndMaps,
     feasible = _null_solve(maps, probes, rtol, feasibility_tol)[3]
     douglas = _douglas(maps.L_F, maps.L_G, maps._svd_G, rtol=rtol)
     return feasible, douglas, _observability(maps, rtol)
-
-
-def random_search_lower_bound(apply_K1, apply_K2, dim: int,
-                              budget: int = 10_000,
-                              rng: Optional[np.random.Generator] = None) -> tuple:
-    """Maximise ||K1 x|| / ||K2 x|| by random sampling plus exact line
-    maximisation along random directions.
-
-    Each refinement step solves the 2x2 generalized eigenproblem restricted
-    to span{x, d} in closed form, so the search spends its budget on
-    evaluations only.  Returns (best ratio, best x); the value is a valid
-    lower bound for the supremum by construction.
-    """
-    rng = rng or np.random.default_rng(1234)
-    n_seed = max(budget // 4, 1)
-    best_x, best_val = None, -1.0
-    for _ in range(n_seed):
-        x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        a = np.linalg.norm(apply_K1(x))
-        b = np.linalg.norm(apply_K2(x))
-        val = math.inf if b == 0 else a / b
-        if val > best_val:
-            best_val, best_x = val, x
-    x = best_x / np.linalg.norm(best_x)
-    k1x, k2x = apply_K1(x), apply_K2(x)
-    for _ in range(budget - n_seed):
-        d = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        d /= np.linalg.norm(d)
-        k1d, k2d = apply_K1(d), apply_K2(d)
-        # Generalized eigenproblem of the 2x2 pencil on span{x, d}.
-        A2 = np.array([[np.vdot(k1x, k1x), np.vdot(k1x, k1d)],
-                       [np.vdot(k1d, k1x), np.vdot(k1d, k1d)]])
-        B2 = np.array([[np.vdot(k2x, k2x), np.vdot(k2x, k2d)],
-                       [np.vdot(k2d, k2x), np.vdot(k2d, k2d)]])
-        B2 += 1e-300 * np.eye(2)
-        try:
-            import scipy.linalg as sla
-            vals, vecs = sla.eigh(A2, B2)
-        except Exception:
-            continue
-        w = vecs[:, -1]
-        cand = w[0] * x + w[1] * d
-        nc = np.linalg.norm(cand)
-        if nc == 0:
-            continue
-        cand /= nc
-        k1c, k2c = w[0] * k1x + w[1] * k1d, w[0] * k2x + w[1] * k2d
-        denom = np.linalg.norm(k2c)
-        val = math.inf if denom == 0 else float(np.linalg.norm(k1c) / denom)
-        if val > best_val:
-            best_val, x, k1x, k2x = val, cand, k1c / nc, k2c / nc
-    return best_val, x
-
-
-def _observability_power_iteration(cp: ControlProblem, pad_fraction: float,
-                                   rtol: float) -> ObservabilityEstimate:
-    """Matrix-free fallback: each evaluation is one backward solve."""
-    base = cp.base
-    grid, m = base.grid, base.A.m
-    post = grid.index_at_or_after(cp.T)
-    n_post = grid.n - post
-    Bh = cp.B.conj().T
-    op = SpectralOperator(base.law, base.A, base.nu, grid, pad_fraction)
-
-    def apply_K1(flat_post):
-        g = _embed_post(flat_post, grid, -base.nu, post, m)
-        return op.solve(g).solution.phi.reshape(-1)
-
-    def apply_K2(flat_post):
-        sol = apply_K1(flat_post).reshape(grid.n, m)
-        return (sol @ Bh.T).reshape(-1)
-
-    best, x = random_search_lower_bound(apply_K1, apply_K2, n_post * m, budget=400)
-    c_obs = math.inf if best > 1.0 / rtol else best
-    witness = _embed_post(x, grid, -base.nu, post, m)
-    return ObservabilityEstimate(c_obs, witness, "power-iteration", rtol)
 
 
 # ---------------------------------------------------------------------------

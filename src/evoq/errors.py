@@ -21,6 +21,10 @@ class PoleError(EvoqError):
     """A material law was evaluated at a pole."""
 
 
+class NonFiniteSignalError(EvoqError, ValueError):
+    """A signal would hold a non-finite sample, as when a solve overflows."""
+
+
 class SymbolError(EvoqError):
     """A spectral symbol produced non-finite entries."""
 

@@ -164,8 +164,10 @@ def coercivity(law: MaterialLaw, nu: float, grid: TimeGrid) -> CoercivityCertifi
         raise PreconditionError(f"nu={nu} below the declared bound nu0={law.nu0}")
     xi = grid_frequencies(grid)
     z = 1j * xi + nu
-    blocks = z[:, None, None] * eval_law_many(law, z)
-    herm = 0.5 * (blocks + np.conj(np.swapaxes(blocks, 1, 2)))
+    # an overflow leaves a NaN minimum, which the check below refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = z[:, None, None] * eval_law_many(law, z)
+        herm = 0.5 * (blocks + np.conj(np.swapaxes(blocks, 1, 2)))
     lam = np.linalg.eigvalsh(herm)[:, 0]
     k = int(np.argmin(lam))
     c_est = float(lam[k])

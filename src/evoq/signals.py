@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GridError, PairingError, WindowError
+from .errors import GridError, NonFiniteSignalError, PairingError, WindowError
 
 NORM_FLOOR = 1e-300
 
@@ -109,7 +109,7 @@ class WeightedSignal:
                 f"phi must have shape (n, m) with n={self.grid.n}, got {phi.shape}"
             )
         if not np.isfinite(phi).all():
-            raise ValueError("signal entries must be finite")
+            raise NonFiniteSignalError("signal entries must be finite")
         phi = np.ascontiguousarray(phi)
         phi.setflags(write=False)
         object.__setattr__(self, "phi", phi)

@@ -61,7 +61,8 @@ def check_skew(A: np.ndarray, label: str = "") -> SpatialOperator:
         raise NotSkewError(f"matrix must be square, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise NotSkewError("matrix entries must be finite")
-    defect = A + A.conj().T
+    with np.errstate(over="ignore"):  # an overflowing defect fails the test below
+        defect = A + A.conj().T
     tol = 1e-12 * (1.0 + np.abs(A).max())
     worst = np.abs(defect).max()
     if worst > tol:
@@ -165,7 +166,7 @@ def build_heat_block(k: int, a, dx: float = 1.0, nu: Optional[float] = None):
     M1[k + 1:, k + 1:] = _inverse(a, "a")
     law = finite_sum_law([M0, M1])
     if nu is not None:
-        _check_block_coercivity(M0, M1, nu, "heat block")
+        _check_block_coercivity(M0, M1, nu, "heat", "a")
     return op, law
 
 
@@ -190,7 +191,7 @@ def build_wave_block(k: int, T_elast, dx: float = 1.0, nu: Optional[float] = Non
     M0[k:, k:] = _inverse(T_elast, "T_elast")
     law = finite_sum_law([M0])
     if nu is not None:
-        _check_block_coercivity(M0, np.zeros_like(M0), nu, "wave block")
+        _check_block_coercivity(M0, np.zeros_like(M0), nu, "wave", "T_elast")
     return op, law
 
 
@@ -224,18 +225,21 @@ def build_maxwell_block(k: int, eps, mu, sigma, dx: float = 1.0,
     M1[:k, :k] = sigma
     law = finite_sum_law([M0, M1])
     if nu is not None:
-        _check_block_coercivity(M0, M1, nu, "maxwell block")
+        _check_block_coercivity(M0, M1, nu, "maxwell", "sigma")
     return op, law
 
 
-def _check_block_coercivity(M0: np.ndarray, M1: np.ndarray, nu: float, what: str) -> None:
+def _check_block_coercivity(M0: np.ndarray, M1: np.ndarray, nu: float, kind: str,
+                            coefficient: str) -> None:
     # For laws M0 + z^{-1} M1 with Hermitian M0 the Hermitian part of
     # z M(z) is nu*M0 + Herm(M1) at every frequency, so one eigensolve
-    # certifies the whole line.
+    # certifies the whole line.  The other coefficients passed their own
+    # definiteness checks, so the message opens with `coefficient`.
     H = nu * 0.5 * (M0 + M0.conj().T) + 0.5 * (M1 + M1.conj().T)
     lam = np.linalg.eigvalsh(H) if np.isfinite(H).all() else [np.nan]
     if not lam[0] > 0:
         raise NonCoerciveError(
-            f"{what} is not coercive at nu={nu}: lambda_min={lam[0]:.3e}",
+            f"{coefficient} leaves the {kind} block not coercive at nu={nu}: "
+            f"lambda_min={lam[0]:.3e}",
             min_value=float(lam[0]),
         )

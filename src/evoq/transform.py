@@ -125,7 +125,9 @@ def block_apply(blocks: np.ndarray, phi: np.ndarray) -> np.ndarray:
     (N, m) or a batch of shape (N, m, b).
     """
     hat = np.fft.fft(phi, axis=0)
-    return np.fft.ifft(np.einsum("kij,kj...->ki...", blocks, hat), axis=0)
+    # an overflow is refused where the result becomes a `WeightedSignal`
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fft.ifft(np.einsum("kij,kj...->ki...", blocks, hat), axis=0)
 
 
 def block_solve(blocks: np.ndarray, phi: np.ndarray):
@@ -141,9 +143,10 @@ def block_solve(blocks: np.ndarray, phi: np.ndarray):
     except np.linalg.LinAlgError as exc:  # unreachable under a positive certificate
         raise SolverError(f"singular frequency block: {exc}") from exc
     uhat = uhat.reshape(hat.shape)
-    defect = np.einsum("kij,kj...->ki...", blocks, uhat) - hat
-    residual = float(np.linalg.norm(defect) / max(np.linalg.norm(hat), NORM_FLOOR))
-    return np.fft.ifft(uhat, axis=0), residual
+    with np.errstate(over="ignore", invalid="ignore"):  # as in `block_apply`
+        defect = np.einsum("kij,kj...->ki...", blocks, uhat) - hat
+        residual = float(np.linalg.norm(defect) / max(np.linalg.norm(hat), NORM_FLOOR))
+        return np.fft.ifft(uhat, axis=0), residual
 
 
 def spectral_multiplier(

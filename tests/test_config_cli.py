@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,14 @@ def write_config(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def main_recording_warnings(argv):
+    """(exit code, every warning raised) of one `main` call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, caught
 
 
 def base_config():
@@ -197,14 +206,17 @@ class TestCliExitCodes:
         ("law", {"coeffs": [[[[1e308, 0.0]]]]}, "solve"),
         ("spatial.T_elast", 1e-308, "solve"),
         ("spatial.sigma", 1e308, "solve"),
+        ("spatial.sigma", -1.0, "solve"),
+        ("spatial.matrix", [[[-1.0, 0.0]]], "solve"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, field, value, command):
         with open(os.path.join(CONFIG_DIR, "heat_small.json")) as fh:
             payload = json.load(fh)
-        if field.split(".")[0] == "law":
+        if field.split(".")[0] == "law" or field == "spatial.matrix":
             # builder kinds refuse a law section: such a row runs on a 1 x 1
             # matrix kind, which needs no control section
             payload["spatial"] = {"kind": "matrix", "matrix": [[[0.0, 0.0]]]}
+            payload["law"] = {"coeffs": [[[[1.0, 0.0]]]]}
             del payload["control"]
         if field in ("spatial.T_elast", "spatial.sigma"):
             # a coefficient of another builder kind; k = 4 keeps m = 9
@@ -219,9 +231,29 @@ class TestCliExitCodes:
         argv = [name, "--config", write_config(tmp_path, payload), *options]
         if command == "verify":
             argv += ["--suite", "duality"]
-        code = main(argv)
+        code, caught = main_recording_warnings(argv)
         assert code == 2
         assert field in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("command", [
+        "solve", "adjoint", "verify --suite duality", "verify --suite causality",
+        "verify --suite reversal", "verify --suite nu-independence", "control",
+    ])
+    def test_overflowing_solution_exits_1(self, tmp_path, capsys, command):
+        # a finite dx whose solution overflows is a numerical failure, told
+        # in one line; the reversal suite overflows in an apply, not a solve
+        with open(os.path.join(CONFIG_DIR, "heat_small.json")) as fh:
+            payload = json.load(fh)
+        payload["grid"]["n"] = 64
+        payload["spatial"]["dx"] = 1e-308
+        name, *options = command.split()
+        code, caught = main_recording_warnings(
+            [name, "--config", write_config(tmp_path, payload), *options])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("evoq: numerical failure") and err.count("\n") == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("spatial, budget, field", [
         ({"spatial": {"kind": "matrix", "matrix": [[[0.0, 0.0]]]},
