@@ -162,8 +162,7 @@ def criterion_5_time_reversal(fast: bool = False) -> CriterionResult:
     for inst in bundled_instances(n=512):
         signals = [band_limited_signal(inst.grid, -inst.nu, inst.m, rng)
                    for _ in range(2 if fast else 5)]
-        rep = time_reversal_conjugation_check(inst.law, inst.A, signals)
-        worst = max(worst, rep.max_discrepancy)
+        worst = max(worst, time_reversal_conjugation_check(inst.law, inst.A, signals))
     return CriterionResult(5, "time-reversal conjugation of the backward system",
                            worst <= 1e-8, {"max_discrepancy": worst})
 
@@ -179,9 +178,9 @@ def criterion_6_nu_independence(fast: bool = False) -> CriterionResult:
             values[:, 0] = smooth_bump(t, 0.0, 1.0)
             return values
 
-        rep = nu_independence_check(inst.law, inst.A, fn, inst.grid, 1.0, 2.0,
-                                    pad_fraction=inst.pad_fraction)
-        for direction, diff in rep.sup_rel_diff.items():
+        diffs = nu_independence_check(inst.law, inst.A, fn, inst.grid, 1.0, 2.0,
+                                      pad_fraction=inst.pad_fraction)
+        for direction, diff in diffs.items():
             measured[f"{inst.name}_{direction}"] = diff
             worst = max(worst, diff)
     return CriterionResult(6, "eventual independence of the weight",

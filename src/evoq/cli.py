@@ -134,11 +134,10 @@ def _verify_reversal(cfg, rng):
     from .waveforms import band_limited_signal
 
     signals = [band_limited_signal(cfg.grid, -cfg.nu, cfg.m, rng) for _ in range(5)]
-    report = time_reversal_conjugation_check(cfg.law, cfg.A, signals)
+    worst = time_reversal_conjugation_check(cfg.law, cfg.A, signals)
     tol = cfg.tolerances["conjugation"]
     return {"suite": "reversal", "signals": len(signals),
-            "max_discrepancy": report.max_discrepancy, "tolerance": tol,
-            "passed": report.max_discrepancy <= tol}
+            "max_discrepancy": worst, "tolerance": tol, "passed": worst <= tol}
 
 
 def _verify_nu_independence(cfg, rng):
@@ -169,11 +168,11 @@ def _verify_nu_independence(cfg, rng):
         raise SchemaError(f"grid.t_min, grid.t_max: the nu-independence suite "
                           f"solves at weight 2: {exc}") from None
 
-    rep = nu_independence_check(cfg.law, cfg.A, fn, grid, 1.0, 2.0,
-                                pad_fraction=cfg.pad_fraction)
+    diffs = nu_independence_check(cfg.law, cfg.A, fn, grid, 1.0, 2.0,
+                                  pad_fraction=cfg.pad_fraction)
     out = {"suite": "nu-independence", "nu1": 1.0, "nu2": 2.0, "samples": grid.n}
     ok = True
-    for direction, diff in rep.sup_rel_diff.items():
+    for direction, diff in diffs.items():
         out[f"{direction}_sup_rel_diff"] = diff
         ok = ok and diff < cfg.tolerances["cross_nu"]
     out["passed"] = bool(ok)
@@ -337,13 +336,6 @@ def run(config_path: str, command: str, out_dir: str = "") -> int:
     return main(argv)
 
 
-def suite(name: str, out_dir: str = "") -> int:
-    argv = ["suite", name]
-    if out_dir:
-        argv += ["--out", out_dir]
-    return main(argv)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -354,8 +346,12 @@ def main(argv=None) -> int:
             print(f"evoq: I/O failure: {exc}", file=sys.stderr)
             return EXIT_IO
 
+    from numpy.linalg import LinAlgError
+
     from .config import load_config
-    from .errors import EvoqError, SchemaError
+    from .errors import (DefinitenessError, EvoqError, NonCoerciveError, NotSkewError,
+                         PreconditionError, SchemaError, SizeGuardError,
+                         UnsupportedLawError)
 
     try:
         cfg = load_config(args.config)
@@ -374,10 +370,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"evoq: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    except EvoqError as exc:
+    except (EvoqError, LinAlgError) as exc:
         kind = type(exc).__name__
-        if kind in ("NonCoerciveError", "DefinitenessError", "NotSkewError",
-                    "PreconditionError", "UnsupportedLawError", "SizeGuardError"):
+        if isinstance(exc, (NonCoerciveError, DefinitenessError, NotSkewError,
+                            PreconditionError, UnsupportedLawError, SizeGuardError)):
             print(f"evoq: config rejected ({kind}): {exc}", file=sys.stderr)
             return EXIT_SCHEMA
         print(f"evoq: numerical failure ({kind}): {exc}", file=sys.stderr)

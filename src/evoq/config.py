@@ -67,6 +67,12 @@ def _expect(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _as_section(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        _fail(path, f"must be an object, got {value!r}")
+    return value
+
+
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
@@ -105,6 +111,8 @@ def _parse_complex_matrix(value, path: str) -> np.ndarray:
 
 
 def _parse_complex_vector(value, path: str) -> np.ndarray:
+    if not isinstance(value, list):
+        _fail(path, f"expected a list of [re, im] pairs, got {value!r}")
     mat = _parse_complex_matrix([value] if value and isinstance(value[0], list)
                                 and len(value[0]) == 2
                                 and not isinstance(value[0][0], list) else value, path)
@@ -223,7 +231,7 @@ def _parse_spatial(section: dict, nu: float, n_pad: int):
     if kind == "matrix":
         matrix = _parse_complex_matrix(_expect(section, "matrix", "spatial"), "spatial.matrix")
         try:
-            A = check_skew(matrix, label="matrix")
+            A = check_skew(matrix)
         except NotSkewError as exc:
             _fail("spatial.matrix", str(exc))
         _check_block_budget(n_pad, A.m, "spatial.matrix")
@@ -274,7 +282,7 @@ def load_config(path: str) -> InstanceConfig:
     if nu <= 0:
         _fail("nu", "weight must be positive")
 
-    gsec = _expect(raw, "grid", "config")
+    gsec = _as_section(_expect(raw, "grid", "config"), "grid")
     t_min = _as_number(_expect(gsec, "t_min", "grid"), "grid.t_min")
     t_max = _as_number(_expect(gsec, "t_max", "grid"), "grid.t_max")
     if not t_min < t_max:
@@ -293,11 +301,15 @@ def load_config(path: str) -> InstanceConfig:
     except OverflowError as exc:
         _fail("nu", f"too large for the grid [grid.t_min, grid.t_max): {exc}")
 
-    A, law = _parse_spatial(_expect(raw, "spatial", "config"), nu, n_pad)
+    A, law = _parse_spatial(_as_section(_expect(raw, "spatial", "config"), "spatial"),
+                            nu, n_pad)
     if law is None:
-        lsec = _expect(raw, "law", "config")
+        lsec = _as_section(_expect(raw, "law", "config"), "law")
+        raw_coeffs = _expect(lsec, "coeffs", "law")
+        if not isinstance(raw_coeffs, list) or not raw_coeffs:
+            _fail("law.coeffs", f"expected a non-empty list of matrices, got {raw_coeffs!r}")
         coeffs = [_parse_complex_matrix(c, f"law.coeffs[{i}]")
-                  for i, c in enumerate(_expect(lsec, "coeffs", "law"))]
+                  for i, c in enumerate(raw_coeffs)]
         for i, c in enumerate(coeffs):
             if c.shape != (A.m, A.m):
                 _fail(f"law.coeffs[{i}]", f"shape {c.shape} != ({A.m}, {A.m})")
@@ -309,13 +321,15 @@ def load_config(path: str) -> InstanceConfig:
 
     control = None
     if "control" in raw:
-        csec = raw["control"]
+        csec = _as_section(raw["control"], "control")
         B = _parse_complex_matrix(_expect(csec, "B", "control"), "control.B")
         if B.shape[0] != A.m:
             _fail("control.B", f"needs {A.m} rows, got {B.shape[0]}")
         T = _as_number(_expect(csec, "T", "control"), "control.T")
-        if not grid.t_min <= T <= grid.t_max:
-            _fail("control.T", "horizon must lie inside the grid")
+        last = grid.t_min + (grid.n - 1) * grid.dt
+        if not grid.t_min <= T <= last:
+            _fail("control.T", f"horizon must lie between the first and the last "
+                               f"sample, [{grid.t_min!r}, {last!r}], got {T!r}")
         variant = csec.get("variant", "supported")
         if variant not in ("supported", "pointwise"):
             _fail("control.variant", f"unknown variant {variant!r}")
@@ -335,9 +349,7 @@ def load_config(path: str) -> InstanceConfig:
         _fail("seed", "must be a non-negative integer")
 
     tolerances = dict(DEFAULT_TOLERANCES)
-    user_tols = raw.get("tolerances", {})
-    if not isinstance(user_tols, dict):
-        _fail("tolerances", "must be an object")
+    user_tols = _as_section(raw.get("tolerances", {}), "tolerances")
     for key, value in user_tols.items():
         if key not in DEFAULT_TOLERANCES:
             _fail(f"tolerances.{key}", "unknown tolerance name")

@@ -170,7 +170,6 @@ def _truncation(s: np.ndarray, rtol: float) -> tuple:
 
 @one_blas_thread
 def douglas_check(Amat: np.ndarray, Bmat: np.ndarray,
-                  rtol: float = DEFAULT_SVD_RTOL,
                   rng: Optional[np.random.Generator] = None) -> DouglasReport:
     """Decide ran(A) subseteq ran(B) for matrices with a common row space.
 
@@ -185,7 +184,8 @@ def douglas_check(Amat: np.ndarray, Bmat: np.ndarray,
     checks the arithmetic rather than a second property.
     """
     Bmat = np.atleast_2d(np.asarray(Bmat, dtype=complex))
-    return _douglas(Amat, Bmat, np.linalg.svd(Bmat, full_matrices=False), rtol, rng)
+    svd_b = np.linalg.svd(Bmat, full_matrices=False)
+    return _douglas(Amat, Bmat, svd_b, DEFAULT_SVD_RTOL, rng)
 
 
 def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple, rtol: float,
@@ -389,7 +389,6 @@ def _null_solve(maps: EndMaps, f: np.ndarray, rtol: float,
 
 @one_blas_thread
 def null_control(cp: ControlProblem, endmaps: Optional[EndMaps] = None,
-                 pad_fraction: float = 0.25,
                  rtol: float = DEFAULT_SVD_RTOL,
                  feasibility_tol: float = 1e-6) -> ControlResult:
     """Least-norm control removing the post-horizon response to F.
@@ -401,7 +400,7 @@ def null_control(cp: ControlProblem, endmaps: Optional[EndMaps] = None,
     """
     if cp.variant != "supported":
         raise PreconditionError("null_control drives the supported variant")
-    maps = endmaps or assemble_endmaps(cp, pad_fraction)
+    maps = endmaps or assemble_endmaps(cp)
     g_flat, residual, reg, feasible = _null_solve(maps, cp.F.phi.reshape(-1), rtol, feasibility_tol)
 
     grid = maps.grid
@@ -433,20 +432,20 @@ class ObservabilityEstimate:
 
 @one_blas_thread
 def observability_constant(cp: ControlProblem, endmaps: Optional[EndMaps] = None,
-                           pad_fraction: float = 0.25,
                            rtol: float = DEFAULT_SVD_RTOL) -> ObservabilityEstimate:
     """Largest generalized singular value of the backward end-map K1 against
     its B-filtered counterpart K2.
 
-    Assembles the end maps unless `endmaps` is given; past their size guard
-    this raises `SizeGuardError`, as there is no matrix-free route.  Flags
+    Assembles the end maps at the default padding unless `endmaps` is given
+    (pass `assemble_endmaps(cp, pad_fraction)` for another); past their size
+    guard this raises `SizeGuardError`, as there is no matrix-free route.  Flags
     +inf when a post-horizon datum is invisible to the observation but not
     to the state (one thin SVD of K1 on ker K2 is test and witness), then
     cross-checks the verdict against the primal range inclusion
     ran L_F in ran L_G of the same maps; a disagreement raises, as the two
     are equivalent.
     """
-    maps = endmaps or assemble_endmaps(cp, pad_fraction)
+    maps = endmaps or assemble_endmaps(cp)
     estimate = _observability(maps, rtol)
     report = _douglas(maps.L_F, maps.L_G, maps._svd_G, rtol=rtol)
     finite = math.isfinite(estimate.c_obs)
@@ -519,16 +518,13 @@ class PointwiseSolution:
     """State trajectory with a pointwise readout at the horizon.
 
     `M0U_at_T` is the M0-weighted state at T (linear interpolation between
-    flat samples); `hminus_norm` reports the same vector measured in the
-    smoothing norm ||(I + A^* A)^{-1/2} . || for fidelity to weak point
-    values, and `max_jump` tracks the largest jump of M0 (U - step U0)
+    flat samples), and `max_jump` tracks the largest jump of M0 (U - step U0)
     between adjacent samples (a continuity diagnostic that must shrink
     with dt).
     """
 
     U: WeightedSignal
     M0U_at_T: np.ndarray
-    hminus_norm: float
     max_jump: float
 
 
@@ -574,7 +570,7 @@ def pointwise_solve(cp: ControlProblem, G: Optional[WeightedSignal] = None) -> P
     if cp.variant != "pointwise":
         raise PreconditionError("pointwise_solve needs the pointwise variant")
     base = cp.base
-    grid, m, nu = base.grid, base.A.m, base.nu
+    grid, nu = base.grid, base.nu
     M0, M1 = _split_law(base.law)
     if not (0.0 < cp.T <= grid.t_min + (grid.n - 1) * grid.dt):
         raise PreconditionError("horizon must satisfy 0 < T <= last sample time")
@@ -596,14 +592,9 @@ def pointwise_solve(cp: ControlProblem, G: Optional[WeightedSignal] = None) -> P
     v_at_T = math.exp(nu * cp.T) * _interp_at(grid, V.phi, cp.T)
     m0u = M0 @ (v_at_T + cp.U0)
 
-    smooth = np.eye(m) + base.A.A.conj().T @ base.A.A
-    y = np.linalg.solve(smooth, m0u)
-    hminus = float(math.sqrt(max(np.vdot(m0u, y).real, 0.0)))
-
     m0v_vals = (V.phi * np.exp(nu * grid.times)[:, None]) @ M0.T
     jumps = np.abs(np.diff(m0v_vals, axis=0)).max() if grid.n > 1 else 0.0
-    return PointwiseSolution(U=U, M0U_at_T=m0u, hminus_norm=hminus,
-                             max_jump=float(jumps))
+    return PointwiseSolution(U=U, M0U_at_T=m0u, max_jump=float(jumps))
 
 
 def _pointwise_response_matrix(cp: ControlProblem) -> tuple:

@@ -40,10 +40,9 @@ class PreconditionError(EvoqError):
 class NonCoerciveError(EvoqError):
     """The coercivity certificate failed; carries where the minimum sat."""
 
-    def __init__(self, message, min_location=None, min_value=None):
+    def __init__(self, message, min_location=None):
         super().__init__(message)
         self.min_location = min_location
-        self.min_value = min_value
 
 
 class NotSkewError(EvoqError):

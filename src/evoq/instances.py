@@ -1,8 +1,8 @@
 """Bundled desk-scale instances: heat, wave and Maxwell analogues.
 
-These mirror the three builder stencils with fixed coefficients and are used
-by the verification suites, the acceptance runner and the shipped example
-configurations.
+These mirror the three builder stencils with fixed coefficients at weight
+nu = 1 and are used by the verification suites, the acceptance runner and the
+shipped example configurations.
 """
 
 from __future__ import annotations
@@ -36,31 +36,20 @@ class Instance:
         return self.A.m
 
 
-def make_heat_instance(k: int = 4, n: int = 512, t_half: float = 8.0,
-                       nu: float = 1.0, a: float = 2.0,
-                       pad_fraction: float = 0.25) -> Instance:
-    A, law = build_heat_block(k, a, nu=nu)
-    return Instance("heat", nu, TimeGrid(-t_half, t_half, n), law, A, pad_fraction)
+def make_heat_instance(k: int = 4, n: int = 512, t_half: float = 8.0) -> Instance:
+    A, law = build_heat_block(k, a=2.0, nu=1.0)
+    return Instance("heat", 1.0, TimeGrid(-t_half, t_half, n), law, A)
 
 
-def make_wave_instance(k: int = 4, n: int = 512, t_half: float = 8.0,
-                       nu: float = 1.0, t_elast: float = 2.0,
-                       pad_fraction: float = 0.25) -> Instance:
-    A, law = build_wave_block(k, t_elast, nu=nu)
-    return Instance("wave", nu, TimeGrid(-t_half, t_half, n), law, A, pad_fraction)
+def make_wave_instance(k: int = 4, n: int = 512, t_half: float = 8.0) -> Instance:
+    A, law = build_wave_block(k, T_elast=2.0, nu=1.0)
+    return Instance("wave", 1.0, TimeGrid(-t_half, t_half, n), law, A)
 
 
-def make_maxwell_instance(k: int = 4, n: int = 512, t_half: float = 8.0,
-                          nu: float = 1.0, eps: float = 1.0, mu: float = 1.0,
-                          sigma: float = 0.5,
-                          pad_fraction: float = 0.25) -> Instance:
-    A, law = build_maxwell_block(k, eps, mu, sigma, nu=nu)
-    return Instance("maxwell", nu, TimeGrid(-t_half, t_half, n), law, A, pad_fraction)
+def make_maxwell_instance(k: int = 4, n: int = 512, t_half: float = 8.0) -> Instance:
+    A, law = build_maxwell_block(k, eps=1.0, mu=1.0, sigma=0.5, nu=1.0)
+    return Instance("maxwell", 1.0, TimeGrid(-t_half, t_half, n), law, A)
 
 
-def bundled_instances(n: int = 512, **kwargs) -> list:
-    return [
-        make_heat_instance(n=n, **kwargs),
-        make_wave_instance(n=n, **kwargs),
-        make_maxwell_instance(n=n, **kwargs),
-    ]
+def bundled_instances(n: int = 512) -> list:
+    return [make_heat_instance(n=n), make_wave_instance(n=n), make_maxwell_instance(n=n)]

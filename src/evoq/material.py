@@ -175,7 +175,6 @@ def coercivity(law: MaterialLaw, nu: float, grid: TimeGrid) -> CoercivityCertifi
         raise NonCoerciveError(
             f"law is not coercive at nu={nu}: lambda_min={c_est:.3e} at xi={xi[k]:.6g}",
             min_location=float(xi[k]),
-            min_value=c_est,
         )
     return CoercivityCertificate(nu=nu, c_est=c_est, sample_count=len(xi),
                                  min_location=float(xi[k]))

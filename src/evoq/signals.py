@@ -120,8 +120,10 @@ class WeightedSignal:
 
     @property
     def norm(self) -> float:
-        """Weighted L2 norm, dt-quadrature of the flat coordinates."""
-        return math.sqrt(self.grid.dt) * float(np.linalg.norm(self.phi))
+        """Weighted L2 norm, dt-quadrature of the flat coordinates; +inf where
+        finite samples square past the float range."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return math.sqrt(self.grid.dt) * float(np.linalg.norm(self.phi))
 
     def values(self) -> np.ndarray:
         """Reconstruct the unweighted samples f(t_j) = e^{nu t_j} phi_j.

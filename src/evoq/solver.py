@@ -48,8 +48,6 @@ __all__ = [
     "causality_check",
     "time_reversal_conjugation_check",
     "nu_independence_check",
-    "ConjugationReport",
-    "NuIndependenceReport",
 ]
 
 
@@ -125,8 +123,10 @@ def _pinned(phi: np.ndarray, forward: bool) -> slice:
 
 
 def _leakage(u: np.ndarray, pinned: slice) -> float:
-    """Relative mass of u on the pinned samples."""
-    return float(np.linalg.norm(u[pinned])) / max(float(np.linalg.norm(u)), NORM_FLOOR)
+    """Relative mass of u on the pinned samples; NaN or 0 where a norm
+    overflows, which the reports write as "nan"."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(u[pinned])) / max(float(np.linalg.norm(u)), NORM_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -355,24 +355,16 @@ def causality_check(op: SpectralOperator, rhs: WeightedSignal, back: WeightedSig
     return out
 
 
-@dataclass(frozen=True)
-class ConjugationReport:
-    """Discrepancies between the directly assembled backward operator and its
-    time-reversed forward realisation."""
-
-    discrepancies: tuple
-    max_discrepancy: float
-
-
 def time_reversal_conjugation_check(law: MaterialLaw, A: SpatialOperator,
-                                    signals: Sequence[WeightedSignal]) -> ConjugationReport:
+                                    signals: Sequence[WeightedSignal]) -> float:
     """Check that conjugating by time reversal turns the backward system into
     a forward one with adjointed coefficients and negated spatial block.
 
     For each test signal g at weight -nu, compares (a) the assembled backward
     operator applied to g against (b) reverse, apply the forward-type
     operator with law sum_k z^{-k} M_k^* and spatial block -A, reverse back.
-    The two agree exactly on every frequency bin except possibly Nyquist, so
+    Returns the largest discrepancy |a - b| / |a| over the signals.  The two
+    agree exactly on every frequency bin except possibly Nyquist, so
     band-limited signals see discrepancies at rounding level.
     """
     if not law.is_finite_sum or law.conjugate_argument:
@@ -397,43 +389,31 @@ def time_reversal_conjugation_check(law: MaterialLaw, A: SpatialOperator,
         direct = direct_op.apply(g)
         roundtrip = time_reverse(reversed_op.apply(time_reverse(g)))
         discrepancies.append((direct - roundtrip).norm / max(direct.norm, NORM_FLOOR))
-    return ConjugationReport(tuple(discrepancies), max(discrepancies))
-
-
-@dataclass(frozen=True)
-class NuIndependenceReport:
-    """`sup_rel_diff` maps "forward" and "adjoint" to that direction's sup
-    difference, relative to the solution at `nu1`."""
-
-    nu1: float
-    nu2: float
-    window: tuple
-    sup_rel_diff: dict
+    return max(discrepancies)
 
 
 def nu_independence_check(law: MaterialLaw, A: SpatialOperator,
                           rhs_fn: Callable[[np.ndarray], np.ndarray],
                           grid: TimeGrid, nu1: float, nu2: float,
-                          window: Optional[tuple] = None,
-                          pad_fraction: float = 0.25) -> NuIndependenceReport:
+                          pad_fraction: float = 0.25) -> dict:
     """Solve the same unweighted problem at two admissible weights, forward
     and backward, and compare the reconstructed (unweighted) solutions on an
     interior window.  One operator per weight serves both directions.
+    Returns {"forward": d, "adjoint": d} with d the direction's sup
+    difference relative to the solution at `nu1`.
 
     The right-hand side is given as a function of time so that it defines an
-    element of both weighted spaces.  The default window starts a quarter
-    span in from the left and ends slightly past the grid centre: further
-    right, reconstructing e^{nu t} phi at the larger weight amplifies the
+    element of both weighted spaces.  The window starts a quarter span in
+    from the left and ends slightly past the grid centre: further right,
+    reconstructing e^{nu t} phi at the larger weight amplifies the
     truncation tail exponentially and the comparison would measure noise.
     """
     from .signals import signal_from_function
 
-    if window is None:
-        span = grid.t_max - grid.t_min
-        mid = 0.5 * (grid.t_min + grid.t_max)
-        window = (grid.t_min + span / 4.0, mid + span / 8.0)
-    lo = grid.index_at_or_after(window[0])
-    hi = grid.index_at_or_after(window[1])
+    span = grid.t_max - grid.t_min
+    mid = 0.5 * (grid.t_min + grid.t_max)
+    lo = grid.index_at_or_after(grid.t_min + span / 4.0)
+    hi = grid.index_at_or_after(mid + span / 8.0)
     if hi <= lo:
         raise PreconditionError("comparison window contains no samples")
 
@@ -451,4 +431,4 @@ def nu_independence_check(law: MaterialLaw, A: SpatialOperator,
     for direction, (at_nu1, at_nu2) in values.items():
         scale = max(float(np.abs(at_nu1).max()), NORM_FLOOR)
         diffs[direction] = float(np.abs(at_nu1 - at_nu2).max()) / scale
-    return NuIndependenceReport(nu1=nu1, nu2=nu2, window=window, sup_rel_diff=diffs)
+    return diffs

@@ -31,7 +31,6 @@ class SpatialOperator:
     """A skew-selfadjoint matrix acting pointwise in time."""
 
     A: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         A = np.ascontiguousarray(self.A, dtype=complex)
@@ -47,10 +46,10 @@ class SpatialOperator:
         return float(np.linalg.norm(self.A, 2))
 
     def negated(self) -> "SpatialOperator":
-        return SpatialOperator(-self.A, label=f"-({self.label})" if self.label else "")
+        return SpatialOperator(-self.A)
 
 
-def check_skew(A: np.ndarray, label: str = "") -> SpatialOperator:
+def check_skew(A: np.ndarray) -> SpatialOperator:
     """Wrap a matrix after verifying A^* = -A entrywise.
 
     The tolerance is 1e-12 * (1 + max|A|).  On failure the error carries the
@@ -71,7 +70,7 @@ def check_skew(A: np.ndarray, label: str = "") -> SpatialOperator:
             f"matrix is not skew-selfadjoint: |(A + A^*)[{i},{j}]| = {worst:.3e} > {tol:.3e}",
             entry=(int(i), int(j)),
         )
-    return SpatialOperator(A, label=label)
+    return SpatialOperator(A)
 
 
 def _as_matrix(value, size: int, name: str) -> np.ndarray:
@@ -158,7 +157,7 @@ def build_heat_block(k: int, a, dx: float = 1.0, nu: Optional[float] = None):
         [np.zeros((k + 1, k + 1)), -D.T],
         [D, np.zeros((k, k))],
     ])
-    op = check_skew(A, label=f"heat(k={k})")
+    op = check_skew(A)
     m = 2 * k + 1
     M0 = np.zeros((m, m), dtype=complex)
     M0[:k + 1, :k + 1] = np.eye(k + 1)
@@ -184,7 +183,7 @@ def build_wave_block(k: int, T_elast, dx: float = 1.0, nu: Optional[float] = Non
         [np.zeros((k, k)), -D0.T],
         [D0, np.zeros((k + 1, k + 1))],
     ])
-    op = check_skew(A, label=f"wave(k={k})")
+    op = check_skew(A)
     m = 2 * k + 1
     M0 = np.zeros((m, m), dtype=complex)
     M0[:k, :k] = np.eye(k)
@@ -216,7 +215,7 @@ def build_maxwell_block(k: int, eps, mu, sigma, dx: float = 1.0,
         [np.zeros((k, k)), -D0.T],
         [D0, np.zeros((k + 1, k + 1))],
     ])
-    op = check_skew(A, label=f"maxwell(k={k})")
+    op = check_skew(A)
     m = 2 * k + 1
     M0 = np.zeros((m, m), dtype=complex)
     M0[:k, :k] = eps
@@ -240,6 +239,5 @@ def _check_block_coercivity(M0: np.ndarray, M1: np.ndarray, nu: float, kind: str
     if not lam[0] > 0:
         raise NonCoerciveError(
             f"{coefficient} leaves the {kind} block not coercive at nu={nu}: "
-            f"lambda_min={lam[0]:.3e}",
-            min_value=float(lam[0]),
+            f"lambda_min={lam[0]:.3e}"
         )

@@ -61,10 +61,6 @@ class Spectrum:
         return self.hat.shape[1]
 
     @property
-    def frequencies(self) -> np.ndarray:
-        return grid_frequencies(self.grid)
-
-    @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.hat))
 

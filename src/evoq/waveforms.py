@@ -49,18 +49,15 @@ def random_signal(grid: TimeGrid, nu: float, m: int,
 
 
 def band_limited_signal(grid: TimeGrid, nu: float, m: int,
-                        rng: np.random.Generator,
-                        max_bin: int | None = None) -> WeightedSignal:
+                        rng: np.random.Generator) -> WeightedSignal:
     """Random signal with spectral content only on low frequency bins.
 
-    Keeps bins |k| <= max_bin (default n // 8), in particular nothing at
-    Nyquist, so multiplier identities that are exact away from the Nyquist
-    tie-break hold at rounding level on these signals.
+    Keeps bins |k| <= max(n // 8, 1), and never Nyquist, so multiplier
+    identities that are exact away from the Nyquist tie-break hold at
+    rounding level on these signals.
     """
     n = grid.n
-    if max_bin is None:
-        max_bin = max(n // 8, 1)
-    max_bin = min(max_bin, (n - 1) // 2)
+    max_bin = min(max(n // 8, 1), (n - 1) // 2)
     hat = np.zeros((n, m), dtype=complex)
     idx = np.r_[0:max_bin + 1, n - max_bin:n]
     hat[idx] = rng.standard_normal((len(idx), m)) + 1j * rng.standard_normal((len(idx), m))

@@ -31,6 +31,14 @@ def main_recording_warnings(argv):
     return code, caught
 
 
+def bundled(name, n):
+    """A bundled config at n samples."""
+    with open(os.path.join(CONFIG_DIR, f"{name}.json")) as fh:
+        payload = json.load(fh)
+    payload["grid"]["n"] = n
+    return payload
+
+
 def base_config():
     return {
         "seed": 7,
@@ -208,6 +216,16 @@ class TestCliExitCodes:
         ("spatial.sigma", 1e308, "solve"),
         ("spatial.sigma", -1.0, "solve"),
         ("spatial.matrix", [[[-1.0, 0.0]]], "solve"),
+        ("grid", None, "solve"),
+        ("grid", 5, "solve"),
+        ("spatial", None, "solve"),
+        ("law", 5, "solve"),
+        ("law.coeffs", [], "solve"),
+        ("law.coeffs", 5, "solve"),
+        ("control", None, "control"),
+        ("control", None, "control --certify-duality"),
+        ("control.T", 8.0, "control"),  # past the last sample, 7.9375
+        ("control.T", 8.0, "control --certify-duality"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, field, value, command):
         with open(os.path.join(CONFIG_DIR, "heat_small.json")) as fh:
@@ -235,6 +253,57 @@ class TestCliExitCodes:
         assert code == 2
         assert field in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("edit, field", [
+        ({"U0": 5}, "control.U0"),
+        ({"T": 5.99}, "control.T"),  # past the last sample, 5.875
+    ], ids=["U0-number", "T-past-last-sample"])
+    @pytest.mark.parametrize("command", ["control", "control --certify-duality"])
+    def test_malformed_pointwise_control_exits_2(self, tmp_path, capsys, edit, field,
+                                                 command):
+        # both commands refuse the same horizons, at load time
+        payload = bundled("pointwise_decay", 64)
+        payload["control"].update(edit)
+        name, *options = command.split()
+        code = main([name, "--config", write_config(tmp_path, payload), *options])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"evoq: config rejected: {field}:") and err.count("\n") == 1
+
+    def test_last_sample_is_a_valid_horizon(self, tmp_path):
+        payload = bundled("pointwise_decay", 64)
+        payload["control"]["T"] = 5.875
+        assert main(["control", "--config", write_config(tmp_path, payload)]) == 0
+
+    def test_unconverged_svd_exits_1(self, tmp_path, capsys):
+        # a tiny B entry leaves an SVD that does not converge: a numerical
+        # failure told in one line (the dense algebra still warns on the way)
+        payload = bundled("heat_small", 32)
+        payload["control"]["B"][0][0] = [1e-308, 0.0]
+        code, _ = main_recording_warnings(
+            ["control", "--config", write_config(tmp_path, payload), "--certify-duality"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("evoq: numerical failure (LinAlgError):") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("base, code", [
+        ("NonCoerciveError", 2), ("DefinitenessError", 2), ("NotSkewError", 2),
+        ("PreconditionError", 2), ("UnsupportedLawError", 2), ("SizeGuardError", 2),
+        ("ConsistencyError", 1), ("SolverError", 1), ("NonFiniteSignalError", 1),
+    ])
+    def test_errors_are_classified_by_class(self, tmp_path, capsys, monkeypatch, base, code):
+        # a subclass exits as its base class does, under its own name
+        from evoq import cli, errors
+
+        error = type(f"Special{base}", (getattr(errors, base),), {})
+
+        def fail(*args):
+            raise error("probe")
+
+        monkeypatch.setattr(cli, "_cmd_solve", fail)
+        assert main(["solve", "--config", write_config(tmp_path, base_config())]) == code
+        verdict = "config rejected" if code == 2 else "numerical failure"
+        assert capsys.readouterr().err == f"evoq: {verdict} (Special{base}): probe\n"
 
     @pytest.mark.parametrize("command", [
         "solve", "adjoint", "verify --suite duality", "verify --suite causality",
@@ -304,8 +373,10 @@ class TestCliExitCodes:
             payload = json.load(fh)
         payload["nu"] = 1e-300
         out = tmp_path / "out"
-        assert main(["solve", "--config", write_config(tmp_path, payload),
-                     "--out", str(out)]) == 1
+        code, caught = main_recording_warnings(
+            ["solve", "--config", write_config(tmp_path, payload), "--out", str(out)])
+        assert code == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
         def reject(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
@@ -314,6 +385,19 @@ class TestCliExitCodes:
                             parse_constant=reject)["report"]
         assert report["norm_ratio"] == "infinity"
         assert report["causality_leakage"] == "nan"
+
+    @pytest.mark.parametrize("command", [
+        "adjoint", "verify --suite duality", "verify --suite causality"])
+    def test_overflowing_norms_warn_nothing(self, tmp_path, command):
+        # the vanishing weight of the test above, under the other commands
+        # whose norms overflow
+        payload = bundled("heat_small", 256)
+        payload["nu"] = 1e-300
+        name, *options = command.split()
+        code, caught = main_recording_warnings(
+            [name, "--config", write_config(tmp_path, payload), *options])
+        assert code == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_control_csvs_reload_to_recomputed_signals(self, tmp_path):
         payload = base_config()
