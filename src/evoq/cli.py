@@ -3,7 +3,7 @@
     evoq solve    --config FILE --out DIR [--json]
     evoq adjoint  --config FILE --out DIR [--json]
     evoq verify   --config FILE --suite NAME [--out DIR] [--json]
-    evoq control  --config FILE [--variant V] [--certify-duality] --out DIR [--json]
+    evoq control  --config FILE [--certify-duality] --out DIR [--json]
     evoq suite    acceptance [--out DIR] [--json] [--fast]
 
 Exit codes: 0 all enabled assertions pass, 1 numerical assertion failure,
@@ -130,9 +130,14 @@ def _verify_causality(cfg, rng):
 
 
 def _verify_reversal(cfg, rng):
+    from .errors import SchemaError
     from .solver import time_reversal_conjugation_check
     from .waveforms import band_limited_signal
 
+    grid = cfg.grid
+    if not grid.symmetric:
+        raise SchemaError(f"grid.t_min, grid.t_max: the reversal suite needs a grid "
+                          f"symmetric about 0, got [{grid.t_min!r}, {grid.t_max!r})")
     signals = [band_limited_signal(cfg.grid, -cfg.nu, cfg.m, rng) for _ in range(5)]
     worst = time_reversal_conjugation_check(cfg.law, cfg.A, signals)
     tol = cfg.tolerances["conjugation"]
@@ -197,21 +202,6 @@ def _cmd_verify(cfg, args) -> int:
     return EXIT_OK if result["passed"] else EXIT_NUMERICAL
 
 
-def _control_problem(cfg, variant):
-    from .control import ControlProblem
-    from .errors import SchemaError
-    from .solver import EvoProblem
-
-    if cfg.control is None:
-        raise SchemaError("config has no control section")
-    spec = cfg.control
-    variant = variant or spec.variant
-    rhs = spec.forcing.signal(cfg.grid, cfg.m, cfg.nu)
-    base = EvoProblem(cfg.nu, cfg.grid, cfg.law, cfg.A, rhs, "forward")
-    return ControlProblem(base=base, B=spec.B, T=spec.T, variant=variant,
-                          U0=spec.U0 if variant == "pointwise" else None)
-
-
 def _control_result_dict(res) -> dict:
     return {
         "feasible": res.feasible,
@@ -231,10 +221,13 @@ def _cmd_control(cfg, args) -> int:
     from .control import (_duality_verdicts, assemble_endmaps, null_control,
                           observability_constant, pointwise_duality_check,
                           pointwise_null_control)
+    from .errors import SchemaError
     from .material import coercivity
     from .signals import save_signal
 
-    cp = _control_problem(cfg, args.variant)
+    cp = cfg.control
+    if cp is None:
+        raise SchemaError("config has no control section")
     pointwise = cp.variant == "pointwise"
     rtol = cfg.tolerances["svd_cutoff"]
     feasibility_tol = cfg.tolerances["pointwise_feasibility" if pointwise else "feasibility"]
@@ -318,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", required=True, choices=sorted(_VERIFY_SUITES))
     p_control = sub.add_parser("control", help="null-control synthesis")
     common(p_control)
-    p_control.add_argument("--variant", choices=["supported", "pointwise"])
     p_control.add_argument("--certify-duality", action="store_true")
     p_suite = sub.add_parser("suite", help="run a bundled suite")
     p_suite.add_argument("name", choices=["acceptance"])
@@ -326,14 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="reduced sample counts (smoke run)")
     common(p_suite, needs_config=False)
     return parser
-
-
-def run(config_path: str, command: str, out_dir: str = "") -> int:
-    """Programmatic one-call interface mirroring the CLI."""
-    argv = [command, "--config", config_path]
-    if out_dir:
-        argv += ["--out", out_dir]
-    return main(argv)
 
 
 def main(argv=None) -> int:

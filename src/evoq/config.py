@@ -3,7 +3,9 @@ spatial block, forcing and (optionally) a control section.
 
 Matrices are written inline, row major, every entry an explicit [re, im]
 pair; times are in seconds and weights in 1/seconds.  Validation failures
-raise `SchemaError` with a pointer to the offending field.
+raise `SchemaError` with a pointer to the offending field.  A control
+section is built into its `ControlProblem` at load time, so every command
+refuses one that cannot be built.
 """
 
 from __future__ import annotations
@@ -16,9 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DefinitenessError, EvoqError, NonCoerciveError, NotSkewError, SchemaError
+from .control import ControlProblem
+from .errors import (DefinitenessError, EvoqError, NonCoerciveError, NotSkewError, SchemaError,
+                     UnsupportedLawError)
 from .material import MaterialLaw, finite_sum_law
 from .signals import TimeGrid, WeightedSignal, _weight_exponents, load_signal, zero_signal
+from .solver import EvoProblem
 from .spatial import (
     SpatialOperator,
     build_heat_block,
@@ -28,7 +33,7 @@ from .spatial import (
 )
 from .waveforms import bump_signal, indicator_signal
 
-__all__ = ["InstanceConfig", "ControlSpec", "Forcing", "load_config", "DEFAULT_TOLERANCES"]
+__all__ = ["InstanceConfig", "Forcing", "load_config", "DEFAULT_TOLERANCES"]
 
 # One rung per extra discretisation error source.
 DEFAULT_TOLERANCES = {
@@ -162,15 +167,6 @@ class Forcing:
 
 
 @dataclass(frozen=True)
-class ControlSpec:
-    B: np.ndarray
-    T: float
-    variant: str
-    forcing: Forcing
-    U0: Optional[np.ndarray] = None
-
-
-@dataclass(frozen=True)
 class InstanceConfig:
     nu: float
     grid: TimeGrid
@@ -180,7 +176,7 @@ class InstanceConfig:
     rhs: Forcing
     seed: int
     tolerances: dict
-    control: Optional[ControlSpec] = None
+    control: Optional[ControlProblem] = None
     source_path: Optional[str] = None
 
     @property
@@ -268,6 +264,37 @@ def _parse_spatial(section: dict, nu: float, n_pad: int):
     _fail("spatial.kind", f"unknown kind {kind!r}")
 
 
+def _parse_control(csec: dict, nu: float, grid: TimeGrid, law: MaterialLaw,
+                   A: SpatialOperator, rhs: Forcing, config_path: str) -> ControlProblem:
+    """The control section as the problem it poses: its forcing (`control.F`,
+    else `rhs`) at +nu on the forward instance, with B, T, variant and U0."""
+    B = _parse_complex_matrix(_expect(csec, "B", "control"), "control.B")
+    if B.shape[0] != A.m:
+        _fail("control.B", f"needs {A.m} rows, got {B.shape[0]}")
+    T = _as_number(_expect(csec, "T", "control"), "control.T")
+    last = grid.t_min + (grid.n - 1) * grid.dt
+    if not grid.t_min <= T <= last:
+        _fail("control.T", f"horizon must lie between the first and the last "
+                           f"sample, [{grid.t_min!r}, {last!r}], got {T!r}")
+    variant = csec.get("variant", "supported")
+    if variant not in ("supported", "pointwise"):
+        _fail("control.variant", f"unknown variant {variant!r}")
+    U0 = None
+    if variant == "pointwise":
+        U0 = _parse_complex_vector(_expect(csec, "U0", "control"), "control.U0")
+        if U0.shape != (A.m,):
+            _fail("control.U0", f"must have {A.m} entries")
+        if T <= 0:
+            _fail("control.T", "pointwise horizon must be positive")
+    forcing = rhs if csec.get("F") is None else _parse_forcing(
+        csec["F"], "control.F", grid, A.m, config_path)
+    base = EvoProblem(nu, grid, law, A, forcing.signal(grid, A.m, nu), "forward")
+    try:
+        return ControlProblem(base=base, B=B, T=T, variant=variant, U0=U0)
+    except UnsupportedLawError as exc:
+        _fail("control.variant", str(exc))
+
+
 def load_config(path: str) -> InstanceConfig:
     """Parse and validate an instance configuration file."""
     with open(path) as fh:
@@ -318,31 +345,10 @@ def load_config(path: str) -> InstanceConfig:
         _fail("law", "builder kinds define their own law; drop the law section")
 
     rhs = _parse_forcing(raw.get("rhs", {"shape": "bump"}), "rhs", grid, A.m, path)
-
     control = None
     if "control" in raw:
-        csec = _as_section(raw["control"], "control")
-        B = _parse_complex_matrix(_expect(csec, "B", "control"), "control.B")
-        if B.shape[0] != A.m:
-            _fail("control.B", f"needs {A.m} rows, got {B.shape[0]}")
-        T = _as_number(_expect(csec, "T", "control"), "control.T")
-        last = grid.t_min + (grid.n - 1) * grid.dt
-        if not grid.t_min <= T <= last:
-            _fail("control.T", f"horizon must lie between the first and the last "
-                               f"sample, [{grid.t_min!r}, {last!r}], got {T!r}")
-        variant = csec.get("variant", "supported")
-        if variant not in ("supported", "pointwise"):
-            _fail("control.variant", f"unknown variant {variant!r}")
-        U0 = None
-        if variant == "pointwise":
-            U0 = _parse_complex_vector(_expect(csec, "U0", "control"), "control.U0")
-            if U0.shape != (A.m,):
-                _fail("control.U0", f"must have {A.m} entries")
-            if T <= 0:
-                _fail("control.T", "pointwise horizon must be positive")
-        forcing = rhs if csec.get("F") is None else _parse_forcing(
-            csec["F"], "control.F", grid, A.m, path)
-        control = ControlSpec(B=B, T=T, variant=variant, forcing=forcing, U0=U0)
+        control = _parse_control(_as_section(raw["control"], "control"), nu, grid, law, A,
+                                 rhs, path)
 
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:

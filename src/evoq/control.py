@@ -11,8 +11,8 @@ controlled (say, B = 0) is part of the job.
 
 Every dense entry point (`douglas_check`, `assemble_endmaps`, `null_control`,
 `observability_constant`, the pointwise pair and the duality verdicts) runs
-on one OpenBLAS thread whatever the caller's thread count or `EVOQ_THREADS`
-says, then restores the caller's count.  Mid-size complex SVDs are faster
+on one OpenBLAS thread whatever the caller's thread count says, then
+restores the caller's count.  Mid-size complex SVDs are faster
 that way than on two threads, and the results no longer depend on the
 thread count (bitwise reproducibility still assumes the same numpy/OpenBLAS
 build and CPU kernel).  Other stages still follow the caller's count.
@@ -66,9 +66,10 @@ _PROBES = 8             # random probes per ball-inclusion and adjoint-dominatio
 class ControlProblem:
     """A forward instance plus an injection B, a horizon T and a variant.
 
-    The supported variant reads the forcing F from `base.rhs`; the pointwise
-    variant carries an initial state U0 instead and requires a law of the
-    form M0 + z^{-1} M1.
+    T lies between the first and the last sample.  The supported variant
+    reads the forcing F from `base.rhs`; the pointwise variant carries an
+    initial state U0 instead, needs T > 0 and requires a law of the form
+    M0 + z^{-1} M1.
     """
 
     base: EvoProblem
@@ -90,8 +91,10 @@ class ControlProblem:
         if self.base.direction != "forward":
             raise PreconditionError("control problems build on a forward instance")
         grid = self.base.grid
-        if not (grid.t_min <= self.T <= grid.t_max):
-            raise PreconditionError("horizon T must lie inside the grid")
+        last = grid.t_min + (grid.n - 1) * grid.dt
+        if not grid.t_min <= self.T <= last:
+            raise PreconditionError(f"horizon T must lie between the first and the last "
+                                    f"sample, [{grid.t_min!r}, {last!r}], got {self.T!r}")
         if self.variant == "supported":
             if self.U0 is not None:
                 raise PreconditionError("the supported variant takes no initial state")
@@ -210,8 +213,9 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple, rtol: float,
 
     conditions = {"range_inclusion": included}
 
-    core = (Ur.conj().T @ Amat) / sb[:rank_b, None]
-    factor = Vbh[:rank_b].conj().T @ core
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite_solution
+        core = (Ur.conj().T @ Amat) / sb[:rank_b, None]
+        factor = _finite_solution(Vbh[:rank_b].conj().T @ core, sb[:rank_b])
     factor_residual = float(np.linalg.norm(Amat - Bmat @ factor, 2))
     conditions["factorization"] = factor_residual <= max(1e-10 * scale, 10 * cutoff)
     constant = float(np.linalg.norm(core, 2)) if core.size else 0.0
@@ -321,25 +325,23 @@ def _time_major(blocks: np.ndarray) -> np.ndarray:
 
 
 @one_blas_thread
-def assemble_endmaps(cp: ControlProblem, pad_fraction: float = 0.25,
-                     size_guard: int = DEFAULT_SIZE_GUARD) -> EndMaps:
+def assemble_endmaps(cp: ControlProblem, pad_fraction: float = 0.25) -> EndMaps:
     """Assemble the primal and the backward end maps as dense matrices.
 
     Columns are exact index shifts of one set of impulse solves per direction
     on one operator; linearity of L_F against direct solves is verified on
-    random probes to 1e-10 before returning.
+    random probes to 1e-10 before returning.  Maps of more than
+    `DEFAULT_SIZE_GUARD` entries raise `SizeGuardError` before any solve.
     """
     base = cp.base
     grid, m, q = base.grid, base.A.m, cp.q
     n = grid.n
     post = grid.index_at_or_after(cp.T)
-    n_post = n - post
-    if n_post < 1:
-        raise PreconditionError("no samples at or after the horizon T")
-    if n_post * m * n * max(m, q) > size_guard:
+    n_post = n - post  # at least 1: T lies at or before the last sample
+    if n_post * m * n * max(m, q) > DEFAULT_SIZE_GUARD:
         raise SizeGuardError(
             f"dense end maps need {n_post * m * n * max(m, q)} entries "
-            f"(> guard {size_guard}); coarsen the grid or move the horizon T later"
+            f"(> guard {DEFAULT_SIZE_GUARD}); coarsen the grid or move the horizon T later"
         )
 
     op = SpectralOperator(base.law, base.A, base.nu, grid, pad_fraction)
@@ -356,8 +358,9 @@ def assemble_endmaps(cp: ControlProblem, pad_fraction: float = 0.25,
         f = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
         direct = op.solve(WeightedSignal(grid, base.nu, f)).solution.phi[post:]
         via_matrix = (L_F @ f.reshape(-1)).reshape(n_post, m)
-        err = np.linalg.norm(via_matrix - direct) / max(np.linalg.norm(direct), NORM_FLOOR)
-        if err > 1e-10:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed norm fails
+            err = np.linalg.norm(via_matrix - direct) / max(np.linalg.norm(direct), NORM_FLOOR)
+        if not err <= 1e-10:
             raise ConsistencyError(f"end-map assembly disagrees with a direct solve: {err:.3e}")
 
     return EndMaps(L_F=L_F, L_G=L_G, K1=K1, K2=K2, certificate=op.certificate,
@@ -370,9 +373,22 @@ def _truncated_lstsq(svd: tuple, b: np.ndarray, rtol: float):
     factorization serves every right-hand side, `b` or each column of it."""
     U, s, Vh = svd
     sigma_max, cutoff, r = _truncation(s, rtol)
-    coeffs = ((U[:, :r].conj().T @ b).T / s[:r]).T  # rank axis last to broadcast
-    x = Vh[:r].conj().T @ coeffs
-    return x, RegularizationReport(rank=r, cutoff=cutoff, sigma_max=sigma_max)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite_solution
+        coeffs = ((U[:, :r].conj().T @ b).T / s[:r]).T  # rank axis last to broadcast
+        x = Vh[:r].conj().T @ coeffs
+    return _finite_solution(x, s[:r]), RegularizationReport(rank=r, cutoff=cutoff,
+                                                             sigma_max=sigma_max)
+
+
+def _finite_solution(x: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """`x`, a solution through the kept singular values `kept`, if it is
+    finite.  The cutoff is relative, so a map that is tiny as a whole keeps
+    singular values whose inverses overflow."""
+    if not np.isfinite(x).all():
+        raise np.linalg.LinAlgError(
+            f"the truncated least-norm solution overflows: the kept singular values "
+            f"fall to {kept[-1]:.3e}")
+    return x
 
 
 def _null_solve(maps: EndMaps, f: np.ndarray, rtol: float,
@@ -572,8 +588,6 @@ def pointwise_solve(cp: ControlProblem, G: Optional[WeightedSignal] = None) -> P
     base = cp.base
     grid, nu = base.grid, base.nu
     M0, M1 = _split_law(base.law)
-    if not (0.0 < cp.T <= grid.t_min + (grid.n - 1) * grid.dt):
-        raise PreconditionError("horizon must satisfy 0 < T <= last sample time")
 
     mask = _step_indicator_mask(grid)
     flat_weight = np.exp(-nu * grid.times)

@@ -109,7 +109,9 @@ def forward_blocks(law: MaterialLaw, A: SpatialOperator, nu: float,
                    grid: TimeGrid) -> np.ndarray:
     """Frequency blocks (i xi + nu) M(i xi + nu) + A, shape (n, m, m)."""
     z = 1j * grid_frequencies(grid) + nu
-    return z[:, None, None] * eval_law_many(law, z) + A.A
+    # an overflowing block fails the certificate, or the signal an apply makes
+    with np.errstate(over="ignore", invalid="ignore"):
+        return z[:, None, None] * eval_law_many(law, z) + A.A
 
 
 def _pinned(phi: np.ndarray, forward: bool) -> slice:

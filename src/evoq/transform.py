@@ -120,9 +120,9 @@ def block_apply(blocks: np.ndarray, phi: np.ndarray) -> np.ndarray:
     `blocks` has shape (N, m, m); `phi` holds flat coordinates of shape
     (N, m) or a batch of shape (N, m, b).
     """
-    hat = np.fft.fft(phi, axis=0)
     # an overflow is refused where the result becomes a `WeightedSignal`
     with np.errstate(over="ignore", invalid="ignore"):
+        hat = np.fft.fft(phi, axis=0)
         return np.fft.ifft(np.einsum("kij,kj...->ki...", blocks, hat), axis=0)
 
 
@@ -133,13 +133,14 @@ def block_solve(blocks: np.ndarray, phi: np.ndarray):
     Returns the solution in flat coordinates together with the relative
     frequency-domain residual of the assembled operator.
     """
-    hat = np.fft.fft(phi, axis=0)
-    try:
-        uhat = np.linalg.solve(blocks, hat[..., None] if hat.ndim == 2 else hat)
-    except np.linalg.LinAlgError as exc:  # unreachable under a positive certificate
-        raise SolverError(f"singular frequency block: {exc}") from exc
-    uhat = uhat.reshape(hat.shape)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in `block_apply`
+    # as in `block_apply`; `np.linalg.solve` sets its own error state
+    with np.errstate(over="ignore", invalid="ignore"):
+        hat = np.fft.fft(phi, axis=0)
+        try:
+            uhat = np.linalg.solve(blocks, hat[..., None] if hat.ndim == 2 else hat)
+        except np.linalg.LinAlgError as exc:  # unreachable under a positive certificate
+            raise SolverError(f"singular frequency block: {exc}") from exc
+        uhat = uhat.reshape(hat.shape)
         defect = np.einsum("kij,kj...->ki...", blocks, uhat) - hat
         residual = float(np.linalg.norm(defect) / max(np.linalg.norm(hat), NORM_FLOOR))
         return np.fft.ifft(uhat, axis=0), residual

@@ -9,10 +9,10 @@ from .signals import TimeGrid, WeightedSignal, signal_from_values
 
 def smooth_bump(t: np.ndarray, center: float = 0.0, width: float = 1.0) -> np.ndarray:
     """C-infinity bump supported on (center-width, center+width), peak 1."""
-    s = (np.asarray(t, dtype=float) - center) / width
-    out = np.zeros_like(s)
-    inside = np.abs(s) < 1.0
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # a tiny width sends s to inf
+        s = (np.asarray(t, dtype=float) - center) / width
+        out = np.zeros_like(s)
+        inside = np.abs(s) < 1.0
         out[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
     return out
 

@@ -1,5 +1,6 @@
 """Configuration parsing and the command-line front end."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -226,6 +227,7 @@ class TestCliExitCodes:
         ("control", None, "control --certify-duality"),
         ("control.T", 8.0, "control"),  # past the last sample, 7.9375
         ("control.T", 8.0, "control --certify-duality"),
+        ("grid.t_min", -4.0, "verify --suite reversal"),  # not symmetric about 0
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, field, value, command):
         with open(os.path.join(CONFIG_DIR, "heat_small.json")) as fh:
@@ -276,15 +278,31 @@ class TestCliExitCodes:
         assert main(["control", "--config", write_config(tmp_path, payload)]) == 0
 
     def test_unconverged_svd_exits_1(self, tmp_path, capsys):
-        # a tiny B entry leaves an SVD that does not converge: a numerical
-        # failure told in one line (the dense algebra still warns on the way)
+        # a tiny B entry scales every singular value of L_G near 1e-308, so the
+        # least-norm solve through them overflows: a numerical failure told in
+        # one line, under both control commands
         payload = bundled("heat_small", 32)
         payload["control"]["B"][0][0] = [1e-308, 0.0]
-        code, _ = main_recording_warnings(
-            ["control", "--config", write_config(tmp_path, payload), "--certify-duality"])
-        assert code == 1
+        path = write_config(tmp_path, payload)
+        for options in ([], ["--certify-duality"]):
+            code, caught = main_recording_warnings(["control", "--config", path, *options])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("evoq: numerical failure (LinAlgError):")
+            assert err.count("\n") == 1
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("command", ["solve", "control", "control --certify-duality"])
+    def test_pointwise_control_on_an_order_2_law_exits_2(self, tmp_path, capsys, command):
+        # the control section is built at load, so every command refuses a
+        # pointwise variant on a law that is not M0 + z^-1 M1
+        payload = bundled("pointwise_decay", 64)
+        payload["law"]["coeffs"].append([[[1.0, 0.0]]])
+        name, *options = command.split()
+        code = main([name, "--config", write_config(tmp_path, payload), *options])
+        assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("evoq: numerical failure (LinAlgError):") and err.count("\n") == 1
+        assert err.startswith("evoq: config rejected: control.variant:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("base, code", [
         ("NonCoerciveError", 2), ("DefinitenessError", 2), ("NotSkewError", 2),
@@ -387,17 +405,23 @@ class TestCliExitCodes:
         assert report["causality_leakage"] == "nan"
 
     @pytest.mark.parametrize("command", [
-        "adjoint", "verify --suite duality", "verify --suite causality"])
-    def test_overflowing_norms_warn_nothing(self, tmp_path, command):
+        "adjoint", "verify --suite duality", "verify --suite causality",
+        "control", "control --certify-duality"])
+    def test_overflowing_norms_warn_nothing(self, tmp_path, capsys, command):
         # the vanishing weight of the test above, under the other commands
-        # whose norms overflow
-        payload = bundled("heat_small", 256)
-        payload["nu"] = 1e-300
+        # whose norms overflow; dense control runs at n = 32 and fails in
+        # its end-map check, told in one line, where the others fail the
+        # check their report records
         name, *options = command.split()
+        payload = bundled("heat_small", 32 if name == "control" else 256)
+        payload["nu"] = 1e-300
         code, caught = main_recording_warnings(
             [name, "--config", write_config(tmp_path, payload), *options])
         assert code == 1
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        if name == "control":
+            err = capsys.readouterr().err
+            assert err.startswith("evoq: numerical failure") and err.count("\n") == 1
 
     def test_control_csvs_reload_to_recomputed_signals(self, tmp_path):
         payload = base_config()
@@ -476,10 +500,15 @@ class TestCliExitCodes:
         assert proc.returncode == 0
         assert "solve" in proc.stdout
 
-    def test_programmatic_run_wrapper(self, tmp_path):
-        from evoq.cli import run
-
-        code = run(os.path.join(CONFIG_DIR, "heat_small.json"), "solve",
-                   str(tmp_path / "out"))
-        assert code == 0
-        assert (tmp_path / "out" / "report.json").exists()
+    def test_console_script_is_cli_main(self, capsys):
+        # the installed `evoq` script is `evoq.cli.main`, the one way in
+        tomllib = pytest.importorskip("tomllib")
+        with open(os.path.join(CONFIG_DIR, "..", "pyproject.toml"), "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["evoq"]
+        module, _, name = target.partition(":")
+        entry = getattr(importlib.import_module(module), name)
+        assert entry is main
+        with pytest.raises(SystemExit) as exc:
+            entry(["--help"])
+        assert exc.value.code == 0
+        assert "control" in capsys.readouterr().out

@@ -131,11 +131,14 @@ class TestEndMaps:
             col = maps.L_F[:, j * 2 + i].reshape(-1, 2)
             assert np.abs(col - direct).max() <= 1e-10 * max(np.abs(direct).max(), 1.0)
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
+        from evoq import control
+
+        monkeypatch.setattr(control, "DEFAULT_SIZE_GUARD", 1000)
         base = rotation_base(n=128)
         cp = ControlProblem(base=base, B=np.eye(2), T=1.0)
         with pytest.raises(SizeGuardError):
-            assemble_endmaps(cp, size_guard=1000)
+            assemble_endmaps(cp)
 
 
 class TestNullControl:
@@ -366,10 +369,7 @@ class TestObservability:
     def test_size_guard_precedes_dense_work(self, monkeypatch):
         from evoq import control
 
-        assemble = control.assemble_endmaps
-        monkeypatch.setattr(control, "assemble_endmaps",
-                            lambda cp, pad_fraction=0.25: assemble(cp, pad_fraction,
-                                                                   size_guard=1000))
+        monkeypatch.setattr(control, "DEFAULT_SIZE_GUARD", 1000)
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail(
             "no SVD may run before the size guard"))
         cp = ControlProblem(base=rotation_base(n=128), B=np.eye(2), T=1.0)
@@ -479,6 +479,15 @@ class TestPointwise:
         with pytest.raises(PreconditionError):
             self.scalar_cp(T=-1.0)
 
+    @pytest.mark.parametrize("variant", ["supported", "pointwise"])
+    def test_horizon_past_the_last_sample_rejected(self, variant):
+        # on [-2, 6) at n = 64 the last sample is 5.875: T = 5.9 lies inside
+        # the grid but past every sample
+        base = self.scalar_cp(n=64).base
+        U0 = np.array([1.0]) if variant == "pointwise" else None
+        with pytest.raises(PreconditionError, match="last sample"):
+            ControlProblem(base=base, B=np.eye(1), T=5.9, variant=variant, U0=U0)
+
 
 class TestOneBlasThread:
     """The dense control entry points run on one OpenBLAS thread and hand the
@@ -523,10 +532,13 @@ class TestOneBlasThread:
         assert seen and set(seen) == {1}
         assert two_threads() == 2
 
-    def test_count_restored_after_an_exception(self, two_threads):
+    def test_count_restored_after_an_exception(self, monkeypatch, two_threads):
+        from evoq import control
+
+        monkeypatch.setattr(control, "DEFAULT_SIZE_GUARD", 10)
         cp = ControlProblem(base=rotation_base(), B=np.eye(2), T=1.0)
         with pytest.raises(SizeGuardError):
-            assemble_endmaps(cp, size_guard=10)
+            assemble_endmaps(cp)
         assert two_threads() == 2
 
     def test_without_a_setter_calls_straight_through(self, monkeypatch, two_threads):

@@ -4,11 +4,11 @@ escapes `evoq.cli.main`, and a rejected config names the field it rejected.
 The first test takes a bundled heat, wave or Maxwell config, or a 1 x 1
 matrix config, at n = 64 and without a control section, swaps one numeric
 field for a value of another type, a non-finite number, its negative or an
-extreme magnitude, and runs `solve` on it.  The second takes `heat_small`
-at n = 32 or `pointwise_decay` at n = 64, mutates one number of the
-control section the same way or replaces a whole section by null, a
-number, a list or a string, and runs `control` or
-`control --certify-duality`.
+extreme magnitude, and runs `solve`, `adjoint` or one of the four `verify`
+suites on it.  The second takes `heat_small` at n = 32 or `pointwise_decay`
+at n = 64, mutates one number of the control section the same way or
+replaces a whole section by null, a number, a list or a string, and runs
+`control` or `control --certify-duality`.
 """
 
 import contextlib
@@ -101,11 +101,16 @@ def run_on(payload, argv):
     return code, err.getvalue()
 
 
+COMMANDS = (["solve"], ["adjoint"], ["verify", "--suite", "duality"],
+            ["verify", "--suite", "causality"], ["verify", "--suite", "reversal"],
+            ["verify", "--suite", "nu-independence"])
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.sampled_from(FIELDS), st.sampled_from(sorted(MUTATIONS)))
-def test_mutated_number_exits_with_a_defined_code(field, mutation):
+@given(st.sampled_from(FIELDS), st.sampled_from(sorted(MUTATIONS)), st.sampled_from(COMMANDS))
+def test_mutated_number_exits_with_a_defined_code(field, mutation, argv):
     kind, path = field
-    code, err = run_on(mutated(CONFIGS[kind], path, mutation), ["solve"])
+    code, err = run_on(mutated(CONFIGS[kind], path, mutation), argv)
     assert code in (0, 1, 2, 3)
     if code == 2:
         named = path.split("[")[0]
