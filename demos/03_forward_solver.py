@@ -34,7 +34,7 @@ report = solve_forward(prob, inst.pad_fraction)
 print(f"\nspectral solve:")
 print(f"   residual            = {report.residual_rel:.2e}")
 print(f"   ||u|| / ||f||       = {report.norm_ratio:.4f}  (bound 1/c = {1/cert.c_est:.4f})")
-print(f"   causality leakage   = {report.causality_leakage:.2e}")
+print(f"   causality leakage   = {report.leakage:.2e}")
 print(f"   wrap-around (pad)   = {report.wraparound_tolerance:.2e}")
 
 stepped = timestep_oracle(prob)

@@ -16,7 +16,7 @@ from evoq import (
     solve_adjoint,
     solve_forward,
     time_reversal_conjugation_check,
-    timestep_adjoint_oracle,
+    timestep_oracle,
 )
 from evoq.waveforms import band_limited_signal, bump_signal, random_signal
 
@@ -37,9 +37,9 @@ back = bump_signal(inst.grid, -inst.nu, inst.m, component=0, center=-2.0, width=
 prob = EvoProblem(inst.nu, inst.grid, inst.law, inst.A, back, "adjoint")
 rep = solve_adjoint(prob, inst.pad_fraction)
 print(f"\nbackward solve of data supported in (-inf, -1]:")
-print(f"   spectral leakage after -1 = {rep.amnesia_leakage:.2e} "
+print(f"   spectral leakage after -1 = {rep.leakage:.2e} "
       f"(wrap-around {rep.wraparound_tolerance:.2e})")
-stepped = timestep_adjoint_oracle(prob)
+stepped = timestep_oracle(prob)
 tail = np.abs(stepped.phi[inst.grid.index_at_or_after(-1.0 + inst.grid.dt):]).max()
 print(f"   reversal-route stepper leaves the future exactly empty: max |tail| = {tail:.1f}")
 

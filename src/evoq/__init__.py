@@ -49,7 +49,6 @@ from .material import (
     CoercivityCertificate,
     MaterialLaw,
     adjoint_law,
-    apply_adjoint_material_op,
     apply_material_op,
     coercivity,
     eval_law,
@@ -66,13 +65,11 @@ from .spatial import (
 from .solver import (
     EvoProblem,
     SolveReport,
-    apply_adjoint_operator,
-    apply_forward_operator,
+    apply_operator,
     nu_independence_check,
     solve_adjoint,
     solve_forward,
     time_reversal_conjugation_check,
-    timestep_adjoint_oracle,
     timestep_oracle,
 )
 from .control import (

@@ -60,17 +60,14 @@ def _certificate_dict(cert) -> dict:
 
 
 def _report_dict(report) -> dict:
-    out = {
+    leakage = "causality_leakage" if report.solution.nu > 0 else "amnesia_leakage"
+    return {
         "residual_rel": report.residual_rel,
         "norm_ratio": report.norm_ratio,
         "wraparound_tolerance": report.wraparound_tolerance,
         "certificate": _certificate_dict(report.certificate),
+        leakage: report.leakage,
     }
-    if report.causality_leakage is not None:
-        out["causality_leakage"] = report.causality_leakage
-    if report.amnesia_leakage is not None:
-        out["amnesia_leakage"] = report.amnesia_leakage
-    return out
 
 
 def _cmd_solve(cfg, args, direction: str) -> int:
@@ -232,13 +229,19 @@ def _cmd_control(cfg, args) -> int:
     rtol = cfg.tolerances["svd_cutoff"]
     feasibility_tol = cfg.tolerances["pointwise_feasibility" if pointwise else "feasibility"]
 
+    if pointwise:
+        # the stepper runs on the unpadded grid
+        cert = coercivity(cfg.law, cfg.nu, cfg.grid)
+    else:
+        maps = assemble_endmaps(cp, cfg.pad_fraction)
+        cert = maps.certificate
+
     if args.certify_duality:
         if pointwise:
             chk = pointwise_duality_check(cp, rtol=rtol, feasibility_tol=feasibility_tol)
             verdicts = {"feasible_for_basis": chk["feasible_for_basis"],
                         "range_included": chk["range_included"]}
         else:
-            maps = assemble_endmaps(cp, cfg.pad_fraction)
             feasible, douglas, obs = _duality_verdicts(
                 cp, maps, np.random.default_rng(cfg.seed), rtol, feasibility_tol)
             verdicts = {"feasible_for_spanning_set": feasible,
@@ -251,12 +254,8 @@ def _cmd_control(cfg, args) -> int:
         return EXIT_OK if agree else EXIT_NUMERICAL
 
     if pointwise:
-        # the stepper runs on the unpadded grid
-        cert = coercivity(cfg.law, cfg.nu, cfg.grid)
         res = pointwise_null_control(cp, rtol=rtol, feasibility_tol=feasibility_tol)
     else:
-        maps = assemble_endmaps(cp, cfg.pad_fraction)
-        cert = maps.certificate
         res = null_control(cp, maps, rtol=rtol, feasibility_tol=feasibility_tol)
         obs = observability_constant(cp, maps, rtol=rtol)
     payload = {"command": "control", "variant": cp.variant, "seed": cfg.seed,

@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .control import ControlProblem
-from .errors import (DefinitenessError, EvoqError, NonCoerciveError, NotSkewError, SchemaError,
-                     UnsupportedLawError)
+from .errors import (DefinitenessError, EvoqError, NonCoerciveError, NotSkewError,
+                     PreconditionError, SchemaError, UnsupportedLawError)
 from .material import MaterialLaw, finite_sum_law
 from .signals import TimeGrid, WeightedSignal, _weight_exponents, load_signal, zero_signal
 from .solver import EvoProblem
@@ -269,30 +269,18 @@ def _parse_control(csec: dict, nu: float, grid: TimeGrid, law: MaterialLaw,
     """The control section as the problem it poses: its forcing (`control.F`,
     else `rhs`) at +nu on the forward instance, with B, T, variant and U0."""
     B = _parse_complex_matrix(_expect(csec, "B", "control"), "control.B")
-    if B.shape[0] != A.m:
-        _fail("control.B", f"needs {A.m} rows, got {B.shape[0]}")
     T = _as_number(_expect(csec, "T", "control"), "control.T")
-    last = grid.t_min + (grid.n - 1) * grid.dt
-    if not grid.t_min <= T <= last:
-        _fail("control.T", f"horizon must lie between the first and the last "
-                           f"sample, [{grid.t_min!r}, {last!r}], got {T!r}")
     variant = csec.get("variant", "supported")
-    if variant not in ("supported", "pointwise"):
-        _fail("control.variant", f"unknown variant {variant!r}")
-    U0 = None
-    if variant == "pointwise":
-        U0 = _parse_complex_vector(_expect(csec, "U0", "control"), "control.U0")
-        if U0.shape != (A.m,):
-            _fail("control.U0", f"must have {A.m} entries")
-        if T <= 0:
-            _fail("control.T", "pointwise horizon must be positive")
+    U0 = (_parse_complex_vector(_expect(csec, "U0", "control"), "control.U0")
+          if variant == "pointwise" else None)
     forcing = rhs if csec.get("F") is None else _parse_forcing(
         csec["F"], "control.F", grid, A.m, config_path)
     base = EvoProblem(nu, grid, law, A, forcing.signal(grid, A.m, nu), "forward")
     try:
         return ControlProblem(base=base, B=B, T=T, variant=variant, U0=U0)
-    except UnsupportedLawError as exc:
-        _fail("control.variant", str(exc))
+    except (PreconditionError, UnsupportedLawError) as exc:
+        # ControlProblem's messages open with the field's name
+        raise SchemaError(f"control.{exc}") from None
 
 
 def load_config(path: str) -> InstanceConfig:

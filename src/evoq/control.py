@@ -79,42 +79,42 @@ class ControlProblem:
     U0: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        # each message opens with its field, which the config prefixes with
+        # its section
         B = np.ascontiguousarray(np.atleast_2d(self.B), dtype=complex)
         if B.shape[0] != self.base.A.m:
-            raise PreconditionError(
-                f"B must have {self.base.A.m} rows, got {B.shape[0]}"
-            )
+            raise PreconditionError(f"B: needs {self.base.A.m} rows, got {B.shape[0]}")
         if B.shape[1] < 1:
-            raise PreconditionError("B needs at least one column")
+            raise PreconditionError("B: needs at least one column")
         B.setflags(write=False)
         object.__setattr__(self, "B", B)
         if self.base.direction != "forward":
-            raise PreconditionError("control problems build on a forward instance")
+            raise PreconditionError("base: control problems build on a forward instance")
         grid = self.base.grid
         last = grid.t_min + (grid.n - 1) * grid.dt
         if not grid.t_min <= self.T <= last:
-            raise PreconditionError(f"horizon T must lie between the first and the last "
+            raise PreconditionError(f"T: horizon must lie between the first and the last "
                                     f"sample, [{grid.t_min!r}, {last!r}], got {self.T!r}")
         if self.variant == "supported":
             if self.U0 is not None:
-                raise PreconditionError("the supported variant takes no initial state")
+                raise PreconditionError("U0: the supported variant takes no initial state")
         elif self.variant == "pointwise":
             law = self.base.law
             if not law.is_finite_sum or law.order > 1 or law.conjugate_argument:
                 raise UnsupportedLawError(
-                    "pointwise control needs a law of the form M0 + z^{-1} M1"
+                    "variant: pointwise control needs a law of the form M0 + z^{-1} M1"
                 )
             if self.T <= 0:
-                raise PreconditionError("the pointwise horizon must be positive")
+                raise PreconditionError("T: pointwise horizon must be positive")
             U0 = np.ascontiguousarray(np.asarray(self.U0, dtype=complex).ravel())
             if U0.shape != (self.base.A.m,):
-                raise PreconditionError("U0 must be an m-vector")
+                raise PreconditionError(f"U0: must have {self.base.A.m} entries")
             if not np.isfinite(U0).all():
-                raise PreconditionError("U0 must be finite")
+                raise PreconditionError("U0: must be finite")
             U0.setflags(write=False)
             object.__setattr__(self, "U0", U0)
         else:
-            raise PreconditionError(f"unknown variant {self.variant!r}")
+            raise PreconditionError(f"variant: unknown variant {self.variant!r}")
 
     @property
     def F(self) -> WeightedSignal:
@@ -220,39 +220,41 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple, rtol: float,
     conditions["factorization"] = factor_residual <= max(1e-10 * scale, 10 * cutoff)
     constant = float(np.linalg.norm(core, 2)) if core.size else 0.0
 
-    # Ball inclusion, probed: the min-norm preimage of A y must fit in the
-    # c-ball and reproduce A y.
-    ball_ok = True
-    for _ in range(_PROBES):
-        y = rng.standard_normal(Amat.shape[1]) + 1j * rng.standard_normal(Amat.shape[1])
-        y /= np.linalg.norm(y)
-        g = factor @ y
-        reach = float(np.linalg.norm(Bmat @ g - Amat @ y))
-        ball_ok &= reach <= max(_INCLUSION_RTOL * scale, 10 * cutoff)
-        ball_ok &= np.linalg.norm(g) <= constant * (1 + 1e-8) + 1e-12
-    conditions["ball_inclusion"] = bool(ball_ok)
+    # products that overflow leave a norm that _norm refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Ball inclusion, probed: the min-norm preimage of A y must fit in the
+        # c-ball and reproduce A y.
+        ball_ok = True
+        for _ in range(_PROBES):
+            y = rng.standard_normal(Amat.shape[1]) + 1j * rng.standard_normal(Amat.shape[1])
+            y /= np.linalg.norm(y)
+            g = factor @ y
+            reach = _norm(Bmat @ g - Amat @ y)
+            ball_ok &= reach <= max(_INCLUSION_RTOL * scale, 10 * cutoff)
+            ball_ok &= _norm(g) <= constant * (1 + 1e-8) + 1e-12
+        conditions["ball_inclusion"] = bool(ball_ok)
 
-    # Adjoint domination on random probes; meaningful constant only when the
-    # factorisation holds.
-    dom_ok = True
-    for _ in range(_PROBES):
-        x = rng.standard_normal(Amat.shape[0]) + 1j * rng.standard_normal(Amat.shape[0])
-        lhs = float(np.linalg.norm(Amat.conj().T @ x))
-        rhs = float(np.linalg.norm(Bmat.conj().T @ x))
-        dom_ok &= lhs <= constant * rhs * (1 + 1e-8) + _INCLUSION_RTOL * scale * np.linalg.norm(x)
+        # Adjoint domination on random probes; meaningful constant only when the
+        # factorisation holds.
+        dom_ok = True
+        for _ in range(_PROBES):
+            x = rng.standard_normal(Amat.shape[0]) + 1j * rng.standard_normal(Amat.shape[0])
+            lhs = _norm(Amat.conj().T @ x)
+            rhs = _norm(Bmat.conj().T @ x)
+            dom_ok &= lhs <= constant * rhs * (1 + 1e-8) + _INCLUSION_RTOL * scale * np.linalg.norm(x)
 
-    witness = None
-    if not included:
-        # Strongest direction of A orthogonal to ran(B): B^* x ~ 0, A^* x != 0,
-        # so the witness defeats every candidate constant.
-        Uo, _, _ = np.linalg.svd(outside, full_matrices=False)
-        witness = Uo[:, 0]
-        lhs = float(np.linalg.norm(Amat.conj().T @ witness))
-        rhs = float(np.linalg.norm(Bmat.conj().T @ witness))
-        defeated = lhs > max(constant, 1.0) * rhs * (1 + 1e-8) + _INCLUSION_RTOL * scale
-        conditions["adjoint_domination"] = not defeated
-    else:
-        conditions["adjoint_domination"] = bool(dom_ok)
+        witness = None
+        if not included:
+            # Strongest direction of A orthogonal to ran(B): B^* x ~ 0, A^* x != 0,
+            # so the witness defeats every candidate constant.
+            Uo, _, _ = np.linalg.svd(outside, full_matrices=False)
+            witness = Uo[:, 0]
+            lhs = _norm(Amat.conj().T @ witness)
+            rhs = _norm(Bmat.conj().T @ witness)
+            defeated = lhs > max(constant, 1.0) * rhs * (1 + 1e-8) + _INCLUSION_RTOL * scale
+            conditions["adjoint_domination"] = not defeated
+        else:
+            conditions["adjoint_domination"] = bool(dom_ok)
 
     verdicts = set(conditions.values())
     if len(verdicts) != 1:
@@ -378,6 +380,16 @@ def _truncated_lstsq(svd: tuple, b: np.ndarray, rtol: float):
         x = Vh[:r].conj().T @ coeffs
     return _finite_solution(x, s[:r]), RegularizationReport(rank=r, cutoff=cutoff,
                                                              sigma_max=sigma_max)
+
+
+def _norm(v: np.ndarray) -> float:
+    """||v||_2, computed with no warning and refused when it is not finite:
+    a norm that overflows decides nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.linalg.norm(v))
+    if not math.isfinite(value):
+        raise np.linalg.LinAlgError("a norm overflows the float range")
+    return value
 
 
 def _finite_solution(x: np.ndarray, kept: np.ndarray) -> np.ndarray:
@@ -596,7 +608,8 @@ def pointwise_solve(cp: ControlProblem, G: Optional[WeightedSignal] = None) -> P
     if G is not None:
         if G.grid != grid or G.nu != nu or G.m != cp.q:
             raise PreconditionError("G must live on the problem grid at weight nu")
-        rhs_phi = rhs_phi + G.phi @ cp.B.T
+        with np.errstate(over="ignore", invalid="ignore"):  # WeightedSignal refuses inf
+            rhs_phi = rhs_phi + G.phi @ cp.B.T
     rhs = WeightedSignal(grid, nu, rhs_phi)
     V = timestep_oracle(EvoProblem(nu, grid, base.law, base.A, rhs, "forward"))
 
@@ -702,7 +715,7 @@ def pointwise_null_control(cp: ControlProblem,
 
     g_active, reg = _truncated_lstsq(np.linalg.svd(Phi, full_matrices=False), b, rtol)
     residual = float(np.linalg.norm(Phi @ g_active - b))
-    feasible = residual < feasibility_tol * (1.0 + float(np.linalg.norm(b)))
+    feasible = residual < feasibility_tol * (1.0 + _norm(b))
 
     phi_G = np.zeros((grid.n, q), dtype=complex)
     phi_G[active] = g_active.reshape(len(active), q)

@@ -29,7 +29,6 @@ __all__ = [
     "adjoint_law",
     "coercivity",
     "apply_material_op",
-    "apply_adjoint_material_op",
 ]
 
 
@@ -181,23 +180,16 @@ def coercivity(law: MaterialLaw, nu: float, grid: TimeGrid) -> CoercivityCertifi
 
 
 def apply_material_op(law: MaterialLaw, f: WeightedSignal) -> WeightedSignal:
-    """Apply the material-law operator at f's weight: multiplier M(i xi + nu)."""
-    if f.nu < law.nu0:
-        raise PreconditionError(f"weight {f.nu} below the declared bound nu0={law.nu0}")
-    z = 1j * grid_frequencies(f.grid) + f.nu
-    return f.with_phi(block_apply(eval_law_many(law, z), f.phi))
+    """Apply the material-law operator in flat coordinates at |f.nu| = nu.
 
-
-def apply_adjoint_material_op(law: MaterialLaw, g: WeightedSignal) -> WeightedSignal:
-    """Apply the paired operator on the opposite weight.
-
-    For g at weight -nu this is the multiplier M(i xi + nu)^* applied to the
-    flat coordinates, the unique operator satisfying
-    <M f, g>_nu = <f, (this)(g)>_nu for all f at weight nu.
+    At weight +nu this is the multiplier M(i xi + nu); at weight -nu it is
+    M(i xi + nu)^*, the unique operator with <M f, g>_nu = <f, (this)(g)>_nu
+    for all f at weight nu and g at weight -nu.
     """
-    nu = -g.nu
+    nu = abs(f.nu)
     if nu < law.nu0:
         raise PreconditionError(f"weight {nu} below the declared bound nu0={law.nu0}")
-    z = 1j * grid_frequencies(g.grid) + nu
-    blocks = np.conj(np.swapaxes(eval_law_many(law, z), 1, 2))
-    return g.with_phi(block_apply(blocks, g.phi))
+    blocks = eval_law_many(law, 1j * grid_frequencies(f.grid) + nu)
+    if f.nu < 0:
+        blocks = np.conj(np.swapaxes(blocks, 1, 2))
+    return f.with_phi(block_apply(blocks, f.phi))

@@ -22,7 +22,7 @@ duality`, batched by acceptance criterion 3 (see `cli._verify_duality`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,10 +41,8 @@ __all__ = [
     "SolveReport",
     "solve_forward",
     "solve_adjoint",
-    "apply_forward_operator",
-    "apply_adjoint_operator",
+    "apply_operator",
     "timestep_oracle",
-    "timestep_adjoint_oracle",
     "causality_check",
     "time_reversal_conjugation_check",
     "nu_independence_check",
@@ -90,10 +88,11 @@ class EvoProblem:
 class SolveReport:
     """Solution plus the diagnostics every solve ships with.
 
-    `wraparound_tolerance` is the relative mass the periodic spectral path
-    leaves in the region that causality (forward) or amnesia (adjoint) pins
-    to zero on the padded grid; cross-method comparisons should not expect
-    agreement below it.
+    `leakage` is the relative mass of the solution where causality (forward,
+    before the rhs support) or amnesia (backward, after it) pins it to zero;
+    the solution's weight says which.  `wraparound_tolerance` is the mass the
+    periodic spectral path leaves in that region on the padded grid;
+    cross-method comparisons should not expect agreement below it.
     """
 
     solution: WeightedSignal
@@ -101,8 +100,7 @@ class SolveReport:
     norm_ratio: float
     wraparound_tolerance: float
     certificate: CoercivityCertificate
-    causality_leakage: Optional[float] = None
-    amnesia_leakage: Optional[float] = None
+    leakage: float
 
 
 def forward_blocks(law: MaterialLaw, A: SpatialOperator, nu: float,
@@ -209,10 +207,8 @@ class SpectralOperator:
         wraparound = _leakage(u_pad, pinned_pad)
         u = u_pad[npad:npad + n]
         solution = WeightedSignal(self.grid, rhs.nu, u)
-        leakage = _leakage(u, pinned)
         return SolveReport(solution, residual, solution.norm / max(rhs.norm, NORM_FLOOR),
-                           wraparound, cert, leakage if forward else None,
-                           None if forward else leakage)
+                           wraparound, cert, _leakage(u, pinned))
 
 
 def solve_forward(p: EvoProblem, pad_fraction: float = 0.25) -> SolveReport:
@@ -241,16 +237,11 @@ def solve_adjoint(p: EvoProblem, pad_fraction: float = 0.25) -> SolveReport:
     return SpectralOperator(p.law, p.A, p.nu, p.grid, pad_fraction).solve(p.rhs)
 
 
-def apply_forward_operator(law: MaterialLaw, A: SpatialOperator,
-                           f: WeightedSignal) -> WeightedSignal:
-    """Apply the assembled forward operator (no inversion) to f at weight nu."""
-    return SpectralOperator(law, A, f.nu, f.grid, 0.0).apply(f)
-
-
-def apply_adjoint_operator(law: MaterialLaw, A: SpatialOperator,
-                           g: WeightedSignal) -> WeightedSignal:
-    """Apply the assembled backward operator to g at weight -nu."""
-    return SpectralOperator(law, A, -g.nu, g.grid, 0.0).apply(g)
+def apply_operator(law: MaterialLaw, A: SpatialOperator,
+                   f: WeightedSignal) -> WeightedSignal:
+    """Apply the assembled operator (no inversion) to f: the forward one at
+    weight +nu, the backward one at -nu."""
+    return SpectralOperator(law, A, abs(f.nu), f.grid, 0.0).apply(f)
 
 
 def _split_law(law: MaterialLaw):
@@ -267,19 +258,37 @@ def _split_law(law: MaterialLaw):
 
 
 def timestep_oracle(p: EvoProblem) -> WeightedSignal:
-    """Integrate the forward system by implicit trapezoidal stepping.
+    """Integrate the system by implicit trapezoidal stepping, independent of
+    the spectral path, which it cross-checks.
 
-    Works in flat coordinates, (d/dt + nu) M0 phi + (M1 + A) phi = rhs,
-    marching from the left grid edge with zero incoming state.  Exactly
-    causal by construction: a sample of the output can only depend on
-    right-hand-side samples at or before it.  Independent of the spectral
-    path, which it cross-checks.
+    Forward: works in flat coordinates, (d/dt + nu) M0 phi + (M1 + A) phi =
+    rhs, marching from the left grid edge with zero incoming state, and is
+    exactly causal by construction: a sample of the output can only depend
+    on right-hand-side samples at or before it.
+
+    Backward: the exactly amnesic reversal route.  Reverses the data,
+    integrates the conjugated forward system (adjointed coefficients,
+    negated spatial block) and reverses back, so a support bound (-inf, a]
+    on the right-hand side is inherited exactly, sample by sample.  Needs a
+    symmetric grid and a plain finite-sum law.  Both routes need a law of
+    order at most one.
     """
-    if p.direction != "forward":
-        raise PreconditionError("the stepper integrates the forward system")
-    M0, M1 = _split_law(p.law)
-    dt = p.grid.dt
-    K = p.nu * M0 + M1 + p.A.A
+    if p.direction == "forward":
+        return _trapezoidal(p.law, p.A.A, p.rhs)
+    if not p.grid.symmetric:
+        raise PreconditionError("the reversal route needs a symmetric grid")
+    if not p.law.is_finite_sum or p.law.conjugate_argument:
+        raise UnsupportedLawError("the reversal route needs a plain finite-sum law")
+    law_rev = finite_sum_law([c.conj().T for c in p.law.coeffs], nu0=p.law.nu0)
+    return time_reverse(_trapezoidal(law_rev, -p.A.A, time_reverse(p.rhs)))
+
+
+def _trapezoidal(law: MaterialLaw, A: np.ndarray, rhs: WeightedSignal) -> WeightedSignal:
+    """The forward stepper on `rhs` at its (positive) weight."""
+    M0, M1 = _split_law(law)
+    grid, nu = rhs.grid, rhs.nu
+    dt = grid.dt
+    K = nu * M0 + M1 + A
     step = M0 / dt + 0.5 * K
     lam = np.linalg.eigvalsh(0.5 * (step + step.conj().T))[0]
     if lam <= 0:
@@ -289,41 +298,20 @@ def timestep_oracle(p: EvoProblem) -> WeightedSignal:
         )
     try:
         propagate = np.linalg.solve(step, M0 / dt - 0.5 * K)
-        inject = np.linalg.solve(step, 0.5 * np.eye(p.A.m, dtype=complex))
+        inject = np.linalg.solve(step, 0.5 * np.eye(rhs.m, dtype=complex))
     except np.linalg.LinAlgError as exc:
         raise OracleError(f"singular step matrix: {exc}") from exc
 
-    psi = p.rhs.phi
+    psi = rhs.phi
     out = np.zeros_like(psi)
     # Virtual step into the first sample from a zero state and zero rhs
     # before the grid, so the recurrence is shift invariant in the rhs.
     state = inject @ psi[0]
     out[0] = state
-    for j in range(1, p.grid.n):
+    for j in range(1, grid.n):
         state = propagate @ state + inject @ (psi[j - 1] + psi[j])
         out[j] = state
-    return WeightedSignal(p.grid, p.nu, out)
-
-
-def timestep_adjoint_oracle(p: EvoProblem) -> WeightedSignal:
-    """Backward solve along the exactly amnesic route.
-
-    Reverses the data, integrates the conjugated forward system (adjointed
-    coefficients, negated spatial block) with the causal stepper, and
-    reverses back.  A support bound (-inf, a] on the right-hand side is
-    inherited exactly, sample by sample.  Needs a symmetric grid and a
-    finite-sum law of order at most one.
-    """
-    if p.direction != "adjoint":
-        raise PreconditionError("timestep_adjoint_oracle needs direction='adjoint'")
-    if not p.grid.symmetric:
-        raise PreconditionError("the reversal route needs a symmetric grid")
-    if not p.law.is_finite_sum or p.law.conjugate_argument:
-        raise UnsupportedLawError("the reversal route needs a plain finite-sum law")
-    law_rev = finite_sum_law([c.conj().T for c in p.law.coeffs], nu0=p.law.nu0)
-    reversed_rhs = time_reverse(p.rhs)
-    forward = EvoProblem(p.nu, p.grid, law_rev, p.A.negated(), reversed_rhs, "forward")
-    return time_reverse(timestep_oracle(forward))
+    return WeightedSignal(grid, nu, out)
 
 
 def causality_check(op: SpectralOperator, rhs: WeightedSignal, back: WeightedSignal,
@@ -343,14 +331,13 @@ def causality_check(op: SpectralOperator, rhs: WeightedSignal, back: WeightedSig
     steppable = op.law.is_finite_sum and op.law.order <= 1
     for prefix, data, forward in (("", rhs, True), ("adjoint_", back, False)):
         rep = op.solve(data)
-        leak = rep.causality_leakage if forward else rep.amnesia_leakage
-        out[prefix + "spectral_leakage"] = leak
+        out[prefix + "spectral_leakage"] = rep.leakage
         out[prefix + "wraparound_tolerance"] = rep.wraparound_tolerance
-        ok = ok and leak <= rep.wraparound_tolerance + 1e-12
+        ok = ok and rep.leakage <= rep.wraparound_tolerance + 1e-12
         if steppable and (forward or op.grid.symmetric):
             prob = EvoProblem(op.nu, op.grid, op.law, op.A, data,
                               "forward" if forward else "adjoint")
-            stepped = (timestep_oracle if forward else timestep_adjoint_oracle)(prob)
+            stepped = timestep_oracle(prob)
             out[prefix + "stepper_leakage"] = _leakage(stepped.phi, _pinned(data.phi, forward))
             ok = ok and out[prefix + "stepper_leakage"] < tol
     out["passed"] = bool(ok)

@@ -138,7 +138,10 @@ def block_solve(blocks: np.ndarray, phi: np.ndarray):
         hat = np.fft.fft(phi, axis=0)
         try:
             uhat = np.linalg.solve(blocks, hat[..., None] if hat.ndim == 2 else hat)
-        except np.linalg.LinAlgError as exc:  # unreachable under a positive certificate
+        except np.linalg.LinAlgError as exc:
+            # reached under a positive certificate too, when it is so small
+            # against the block's other entries (Maxwell mu = 1e-308, say)
+            # that LU meets an exactly zero pivot
             raise SolverError(f"singular frequency block: {exc}") from exc
         uhat = uhat.reshape(hat.shape)
         defect = np.einsum("kij,kj...->ki...", blocks, uhat) - hat

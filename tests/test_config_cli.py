@@ -156,6 +156,19 @@ class TestCliExitCodes:
                      "--out", str(tmp_path / "out")])
         assert code == 0
 
+    @pytest.mark.parametrize("command, key, absent", [
+        ("solve", "causality_leakage", "amnesia_leakage"),
+        ("adjoint", "amnesia_leakage", "causality_leakage"),
+    ])
+    def test_leakage_key_names_the_direction(self, tmp_path, command, key, absent):
+        out = tmp_path / "out"
+        code = main([command, "--config", os.path.join(CONFIG_DIR, "heat_small.json"),
+                     "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())["report"]
+        assert report[key] <= report["wraparound_tolerance"] + 1e-12
+        assert absent not in report
+
     @pytest.mark.parametrize("suite", ["duality", "causality", "reversal",
                                        "nu-independence"])
     def test_verify_suites_pass(self, tmp_path, suite):
@@ -303,6 +316,38 @@ class TestCliExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("evoq: config rejected: control.variant:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("law, error", [
+        ({"coeffs": [[[[1.0, 0.0]]], [[[-2.0, 0.0]]]]}, "NonCoerciveError"),
+        ({"nu0": 5.0}, "PreconditionError"),
+    ], ids=["not-coercive-at-nu", "nu-below-nu0"])
+    @pytest.mark.parametrize("command", ["solve", "control", "control --certify-duality"])
+    def test_pointwise_law_is_certified_by_every_command(self, tmp_path, capsys, law, error,
+                                                         command):
+        payload = bundled("pointwise_decay", 64)
+        payload["law"].update(law)
+        name, *options = command.split()
+        code = main([name, "--config", write_config(tmp_path, payload), *options])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"evoq: config rejected ({error}):") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field, value, command", [
+        ("B", [[[1e308, 0.0]]], "control --certify-duality"),
+        ("U0", [[1e308, 0.0]], "control"),
+    ], ids=["B-certify", "U0-control"])
+    def test_overflowing_pointwise_norm_exits_1(self, tmp_path, capsys, field, value, command):
+        # finite entries whose norms overflow: refused in one line, not
+        # reported as an infinite but feasible control
+        payload = bundled("pointwise_decay", 64)
+        payload["control"][field] = value
+        name, *options = command.split()
+        code, caught = main_recording_warnings(
+            [name, "--config", write_config(tmp_path, payload), *options])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("evoq: numerical failure (LinAlgError):") and err.count("\n") == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("base, code", [
         ("NonCoerciveError", 2), ("DefinitenessError", 2), ("NotSkewError", 2),

@@ -17,7 +17,6 @@ from evoq import (
     TimeGrid,
     adjoint_law,
     antiderivative,
-    apply_adjoint_material_op,
     apply_material_op,
     coercivity,
     eval_law,
@@ -195,7 +194,7 @@ class TestMaterialOperators:
     def test_adjoint_op_identity_law(self):
         g = TimeGrid(-2.0, 2.0, 64)
         sig = random_signal(g, -1.0, 2, np.random.default_rng(6))
-        out = apply_adjoint_material_op(finite_sum_law([np.eye(2)]), sig)
+        out = apply_material_op(finite_sum_law([np.eye(2)]), sig)
         assert np.abs(out.phi - sig.phi).max() <= 1e-13
 
     def test_adjoint_op_alternating_antiderivative_path(self):
@@ -208,7 +207,7 @@ class TestMaterialOperators:
         m1 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         law = finite_sum_law([m0, m1])
         gsig = bump_signal(g, -nu, 2, component=0, center=0.0, width=1.0)
-        direct = apply_adjoint_material_op(law, gsig)
+        direct = apply_material_op(law, gsig)
         quadrature = gsig.with_phi(gsig.phi @ np.conj(m0)) \
             - antiderivative(gsig.with_phi(gsig.phi @ np.conj(m1)))
         gap = (direct - quadrature).norm / direct.norm
@@ -223,7 +222,7 @@ class TestMaterialOperators:
             f = random_signal(g, 1.0, 3, rng)
             h = random_signal(g, -1.0, 3, rng)
             lhs = nu_product(apply_material_op(law, f), h)
-            rhs = nu_product(f, apply_adjoint_material_op(law, h))
+            rhs = nu_product(f, apply_material_op(law, h))
             worst = max(worst, abs(lhs - rhs) / (f.norm * h.norm))
         assert worst <= 1e-10
 
