@@ -70,7 +70,7 @@ class CriterionResult:
 def _batched_solve(op: SpectralOperator, direction: str, phis: np.ndarray) -> np.ndarray:
     """Padded flat solutions (N, m, batch) for a batch (n, m, batch) of
     right-hand sides; used where per-call reports are not needed."""
-    sols = op.padded_solve(phis, direction == "forward")[0]
+    sols = op.padded_solve(phis, direction == "forward")
     # numpy's reductions sum in memory order, so criteria 1 and 3 get their
     # recorded last digits only from batch-major memory.
     return np.ascontiguousarray(sols.transpose(0, 2, 1)).transpose(0, 2, 1)

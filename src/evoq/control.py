@@ -316,7 +316,7 @@ def _kernel_blocks(op: SpectralOperator, forward: bool, rows: np.ndarray,
     m = op.A.m
     impulse = np.zeros((op.grid.n, m, m), dtype=complex)
     impulse[0] = np.eye(m)
-    kernel, _ = op.padded_solve(impulse, forward)
+    kernel = op.padded_solve(impulse, forward)
     return kernel[(op.npad + rows[:, None] - cols[None, :]) % op.pad_grid.n]
 
 

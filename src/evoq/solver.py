@@ -12,11 +12,16 @@ trapezoidal stepper is exactly causal by construction and serves as the
 cross-check for the spectral path, whose periodic wrap-around is measured on
 a zero-padded margin and reported alongside every solution.
 
+`SpectralOperator.solve` ships a full `SolveReport`.  Callers that read
+only the solution call `solutions` (certified signals: the duality pairs,
+the weight comparison) or `padded_solve` (padded arrays: end-map kernels,
+acceptance batches); neither computes a residual.  A batch of right-hand
+sides shares one factorization per block, and each of its columns comes out
+with the bits of a one-column solve.
+
 The checks the CLI's `verify` suites and the acceptance criteria share:
 `causality_check` (causality forward, amnesia backward, on one operator),
-`time_reversal_conjugation_check` and `nu_independence_check`.  The
-duality pairing is checked twice on purpose: per pair by `verify --suite
-duality`, batched by acceptance criterion 3 (see `cli._verify_duality`).
+`time_reversal_conjugation_check` and `nu_independence_check`.
 """
 
 from __future__ import annotations
@@ -182,10 +187,22 @@ class SpectralOperator:
         padded[self.npad:self.npad + self.grid.n] = phi
         return padded
 
-    def padded_solve(self, phi: np.ndarray, forward: bool):
-        """(padded solution, relative residual) for flat data (n, m) or a batch
-        (n, m, b) embedded at `npad`; takes no certificate."""
+    def padded_solve(self, phi: np.ndarray, forward: bool) -> np.ndarray:
+        """The padded solution for flat data (n, m) or a batch (n, m, b)
+        embedded at `npad`; takes no certificate and computes no residual."""
         return block_solve(self.blocks if forward else self.adjoint_blocks, self._embed(phi))
+
+    def solutions(self, signals: Sequence[WeightedSignal]) -> list:
+        """Certified solutions of signals at one weight from one batched solve,
+        with no residual and no report; each has the bits of its own solve."""
+        if len({self._is_forward(f) for f in signals}) != 1:
+            raise PreconditionError("a batch needs signals at one weight")
+        self.certificate  # refuses a law that is not coercive at nu, as `solve` does
+        u = self.padded_solve(np.stack([f.phi for f in signals], axis=-1), signals[0].nu > 0)
+        # a signal refuses a non-finite solution and copies its column
+        # contiguously, so sums over it run in a one-column solve's order
+        return [f.with_phi(u[self.npad:self.npad + self.grid.n, :, b])
+                for b, f in enumerate(signals)]
 
     def apply(self, f: WeightedSignal) -> WeightedSignal:
         """The operator (no inversion, no certificate) on f zero-extended to the
@@ -199,7 +216,8 @@ class SpectralOperator:
         support (forward) or after it (backward)."""
         forward = self._is_forward(rhs)
         cert = self.certificate
-        u_pad, residual = self.padded_solve(rhs.phi, forward)
+        u_pad, residual = block_solve(self.blocks if forward else self.adjoint_blocks,
+                                      self._embed(rhs.phi), residual=True)
         npad, n = self.npad, self.grid.n
         pinned = _pinned(rhs.phi, forward)
         pinned_pad = (slice(0, npad + pinned.stop) if forward
@@ -414,8 +432,8 @@ def nu_independence_check(law: MaterialLaw, A: SpatialOperator,
     for nu in (nu1, nu2):
         op = SpectralOperator(law, A, nu, grid, pad_fraction)
         for direction, weight in (("forward", nu), ("adjoint", -nu)):
-            rhs = signal_from_function(grid, weight, rhs_fn)
-            values[direction].append(op.solve(rhs).solution.values()[lo:hi])
+            (u,) = op.solutions([signal_from_function(grid, weight, rhs_fn)])
+            values[direction].append(u.values()[lo:hi])
     diffs = {}
     for direction, (at_nu1, at_nu2) in values.items():
         scale = max(float(np.abs(at_nu1).max()), NORM_FLOOR)

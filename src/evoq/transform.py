@@ -126,11 +126,12 @@ def block_apply(blocks: np.ndarray, phi: np.ndarray) -> np.ndarray:
         return np.fft.ifft(np.einsum("kij,kj...->ki...", blocks, hat), axis=0)
 
 
-def block_solve(blocks: np.ndarray, phi: np.ndarray):
+def block_solve(blocks: np.ndarray, phi: np.ndarray, residual: bool = False):
     """Solve one m-by-m system per frequency (LU with partial pivoting).
 
-    Same shapes as `block_apply`; a batch shares one factorization per block.
-    Returns the solution in flat coordinates together with the relative
+    Same shapes as `block_apply`; a batch shares one factorization per block,
+    and each of its columns gets the bits it would get solved alone.  Returns
+    the solution in flat coordinates; with `residual`, also the relative
     frequency-domain residual of the assembled operator.
     """
     # as in `block_apply`; `np.linalg.solve` sets its own error state
@@ -144,9 +145,11 @@ def block_solve(blocks: np.ndarray, phi: np.ndarray):
             # that LU meets an exactly zero pivot
             raise SolverError(f"singular frequency block: {exc}") from exc
         uhat = uhat.reshape(hat.shape)
+        u = np.fft.ifft(uhat, axis=0)
+        if not residual:
+            return u
         defect = np.einsum("kij,kj...->ki...", blocks, uhat) - hat
-        residual = float(np.linalg.norm(defect) / max(np.linalg.norm(hat), NORM_FLOOR))
-        return np.fft.ifft(uhat, axis=0), residual
+        return u, float(np.linalg.norm(defect) / max(np.linalg.norm(hat), NORM_FLOOR))
 
 
 def spectral_multiplier(

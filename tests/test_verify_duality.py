@@ -1,0 +1,93 @@
+"""`verify --suite duality` solves its pairs in batches; its report must equal,
+bit for bit, the one-pair-at-a-time loop kept here as the reference."""
+
+import importlib.util
+import json
+import os
+
+import numpy as np
+import pytest
+
+from evoq.cli import _verify_duality, main
+from evoq.config import load_config
+from evoq.errors import PreconditionError
+from evoq.signals import nu_product
+from evoq.solver import SpectralOperator
+from evoq.waveforms import random_signal
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+BUNDLED = ("heat_small", "wave_small", "maxwell_small")
+
+
+def reference_duality(cfg, rng):
+    """The suite solving one pair at a time with full solve reports."""
+    op = SpectralOperator(cfg.law, cfg.A, cfg.nu, cfg.grid, cfg.pad_fraction)
+    worst = 0.0
+    for _ in range(32):
+        f = random_signal(cfg.grid, cfg.nu, cfg.m, rng)
+        g = random_signal(cfg.grid, -cfg.nu, cfg.m, rng)
+        uf, vg = op.solve(f), op.solve(g)
+        gap = abs(nu_product(uf.solution, g) - nu_product(f, vg.solution))
+        worst = max(worst, gap / (f.norm * g.norm))
+    tol = cfg.tolerances["pairing"]
+    return {"suite": "duality", "pairs": 32, "max_relative_gap": worst,
+            "tolerance": tol, "passed": worst <= tol}
+
+
+def _generated_configs():
+    """The first n = 512 duality config per kind of one benchmark cycle."""
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    configs = {}
+    for cmd in workloads.generate("verify-repeat", 1, 1):
+        cfg = cmd["config"]
+        if cmd["args"][2] == "duality" and cfg["grid"]["n"] == 512:
+            configs.setdefault(f"generated-{cfg['spatial']['kind']}-512", cfg)
+    assert len(configs) == 3
+    return configs
+
+
+def _cases():
+    cases = []
+    for name in BUNDLED:
+        with open(os.path.join(ROOT, "configs", f"{name}.json")) as fh:
+            cases.append(pytest.param(json.load(fh), id=name))
+    cases += [pytest.param(cfg, id=name) for name, cfg in _generated_configs().items()]
+    return cases
+
+
+@pytest.mark.parametrize("payload", _cases())
+def test_batched_suite_equals_per_pair_loop(tmp_path, payload):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    cfg = load_config(str(path))
+    batched = _verify_duality(cfg, np.random.default_rng(cfg.seed))
+    assert batched == reference_duality(cfg, np.random.default_rng(cfg.seed))
+    assert batched["passed"]
+
+
+def test_singular_block_in_a_batch_exits_1(tmp_path, capsys):
+    # Maxwell with mu = 1e-308 passes the certificate, but LU meets an exactly
+    # zero pivot in some frequency block, as in a single solve
+    with open(os.path.join(ROOT, "configs", "maxwell_small.json")) as fh:
+        payload = json.load(fh)
+    payload["grid"]["n"] = 64
+    payload["spatial"]["mu"] = 1e-308
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    for argv in (["solve"], ["verify", "--suite", "duality"]):
+        assert main(argv + ["--config", str(path)]) == 1
+        assert "(SolverError): singular frequency block" in capsys.readouterr().err
+
+
+def test_solutions_refuse_a_batch_of_mixed_weights():
+    cfg = load_config(os.path.join(ROOT, "configs", "heat_small.json"))
+    op = SpectralOperator(cfg.law, cfg.A, cfg.nu, cfg.grid, cfg.pad_fraction)
+    rng = np.random.default_rng(0)
+    f, g = (random_signal(cfg.grid, w, cfg.m, rng) for w in (cfg.nu, -cfg.nu))
+    with pytest.raises(PreconditionError, match="one weight"):
+        op.solutions([f, g])
+    with pytest.raises(PreconditionError, match="one weight"):
+        op.solutions([])
