@@ -76,9 +76,9 @@ def _batched_solve(op: SpectralOperator, direction: str, phis: np.ndarray) -> np
     return np.ascontiguousarray(sols.transpose(0, 2, 1)).transpose(0, 2, 1)
 
 
-def criterion_1_norm_bound(fast: bool = False) -> CriterionResult:
+def criterion_1_norm_bound() -> CriterionResult:
     """Solution-operator norm below 1/c on random data, both directions."""
-    count = 20 if fast else 100
+    count = 100
     rng = np.random.default_rng(101)
     worst = 0.0
     details = {}
@@ -97,7 +97,7 @@ def criterion_1_norm_bound(fast: bool = False) -> CriterionResult:
                            worst <= 1.05, {"worst_ratio_times_c": worst, **details})
 
 
-def criterion_2_causality_amnesia(fast: bool = False) -> CriterionResult:
+def criterion_2_causality_amnesia() -> CriterionResult:
     """Spectral leakage within the reported wrap-around and exact support
     preservation on the stepping path, both directions, on one operator."""
     measured = {}
@@ -106,7 +106,7 @@ def criterion_2_causality_amnesia(fast: bool = False) -> CriterionResult:
         op = SpectralOperator(inst.law, inst.A, inst.nu, inst.grid, inst.pad_fraction)
         rhs, back = (bump_signal(inst.grid, weight, inst.m, component=0, center=-2.0,
                                  width=1.0) for weight in (inst.nu, -inst.nu))
-        rep = causality_check(op, rhs, back, 1e-6)
+        rep = causality_check(op, rhs, back)
         ok &= rep.pop("passed")
         for key, value in rep.items():
             # this criterion's keys name the wrap-around without "_tolerance"
@@ -115,9 +115,9 @@ def criterion_2_causality_amnesia(fast: bool = False) -> CriterionResult:
                            bool(ok), measured)
 
 
-def criterion_3_duality_pairing(fast: bool = False) -> CriterionResult:
+def criterion_3_duality_pairing() -> CriterionResult:
     """<S f, g> = <f, S* g> to 1e-10 relative over random pairs."""
-    count = 20 if fast else 100
+    count = 100
     rng = np.random.default_rng(303)
     worst = 0.0
     for inst in bundled_instances(n=512):
@@ -138,14 +138,14 @@ def criterion_3_duality_pairing(fast: bool = False) -> CriterionResult:
                            worst <= 1e-10, {"max_relative_gap": worst})
 
 
-def criterion_4_adjoint_system_formula(fast: bool = False) -> CriterionResult:
+def criterion_4_adjoint_system_formula() -> CriterionResult:
     """The assembled backward operator is the pairing adjoint of the
     assembled forward operator on smooth signals."""
     rng = np.random.default_rng(404)
     worst = 0.0
     for inst in bundled_instances(n=512):
         op = SpectralOperator(inst.law, inst.A, inst.nu, inst.grid, 0.0)
-        for _ in range(3 if fast else 10):
+        for _ in range(10):
             f = band_limited_signal(inst.grid, inst.nu, inst.m, rng)
             g = band_limited_signal(inst.grid, -inst.nu, inst.m, rng)
             lhs = nu_product(op.apply(f), g)
@@ -155,19 +155,19 @@ def criterion_4_adjoint_system_formula(fast: bool = False) -> CriterionResult:
                            worst <= 1e-10, {"max_relative_gap": worst})
 
 
-def criterion_5_time_reversal(fast: bool = False) -> CriterionResult:
+def criterion_5_time_reversal() -> CriterionResult:
     """Reversal conjugates the backward system into a forward one."""
     rng = np.random.default_rng(505)
     worst = 0.0
     for inst in bundled_instances(n=512):
         signals = [band_limited_signal(inst.grid, -inst.nu, inst.m, rng)
-                   for _ in range(2 if fast else 5)]
+                   for _ in range(5)]
         worst = max(worst, time_reversal_conjugation_check(inst.law, inst.A, signals))
     return CriterionResult(5, "time-reversal conjugation of the backward system",
                            worst <= 1e-8, {"max_discrepancy": worst})
 
 
-def criterion_6_nu_independence(fast: bool = False) -> CriterionResult:
+def criterion_6_nu_independence() -> CriterionResult:
     """Reconstructed solutions agree between weights 1 and 2 on an interior
     window, both directions."""
     worst = 0.0
@@ -187,11 +187,11 @@ def criterion_6_nu_independence(fast: bool = False) -> CriterionResult:
                            worst <= 1e-4, {"worst_sup_rel_diff": worst, **measured})
 
 
-def criterion_7_douglas(fast: bool = False) -> CriterionResult:
+def criterion_7_douglas() -> CriterionResult:
     """Four-way agreement of the range-inclusion conditions on constructed
     ground truth, with factor recovery."""
     rng = np.random.default_rng(707)
-    pairs = 10 if fast else 50
+    pairs = 50
     agreements = 0
     worst_factor = 0.0
     for trial in range(pairs):
@@ -289,13 +289,12 @@ def random_search_lower_bound(apply_K1, apply_K2, dim: int,
     return best_val, x
 
 
-def criterion_8_control_duality(fast: bool = False) -> CriterionResult:
+def criterion_8_control_duality() -> CriterionResult:
     """Three-way agreement of feasibility, range inclusion and finite
     observability; random-search lower bound within 5% where finite."""
     rng = np.random.default_rng(808)
     measured = {}
     ok = True
-    search_checked = 0
     for inst, B, label in _control_instances():
         rhs = random_signal(inst.grid, inst.nu, inst.m, rng)
         base = EvoProblem(inst.nu, inst.grid, inst.law, inst.A, rhs, "forward")
@@ -313,17 +312,14 @@ def criterion_8_control_duality(fast: bool = False) -> CriterionResult:
         }
         ok &= agree
 
-        finite_nontrivial = math.isfinite(obs.c_obs) and label.endswith(("B=tri", "B=2"))
-        if finite_nontrivial and (search_checked < 1 or not fast):
+        if math.isfinite(obs.c_obs) and label.endswith(("B=tri", "B=2")):
             K1, K2 = maps.K1, maps.K2
-            budget = 2000 if fast else 10_000
             lb, _ = random_search_lower_bound(
                 lambda v: K1 @ v, lambda v: K2 @ v, K1.shape[1],
-                budget=budget, rng=np.random.default_rng(4242))
+                budget=10_000, rng=np.random.default_rng(4242))
             measured[label]["search_lower_bound"] = lb
             ok &= lb <= obs.c_obs * (1 + 1e-9)
             ok &= obs.c_obs <= 1.05 * lb
-            search_checked += 1
     return CriterionResult(8, "null-control duality (three-way agreement)",
                            bool(ok), measured)
 
@@ -363,7 +359,7 @@ def _dirac_vs_regular_gap(n: int) -> float:
     return float(np.linalg.norm(d)) / ref
 
 
-def criterion_9_pointwise_control(fast: bool = False) -> CriterionResult:
+def criterion_9_pointwise_control() -> CriterionResult:
     """Closed-loop pointwise null control plus the first-order convergence of
     the impulse formulation towards the shifted-state one."""
     measured = {}
@@ -390,19 +386,19 @@ def criterion_9_pointwise_control(fast: bool = False) -> CriterionResult:
     measured["heat_closed_loop"] = res_heat.terminal_residual
     ok &= res_heat.feasible and res_heat.terminal_residual < bound_heat
 
-    gaps = [_dirac_vs_regular_gap(n) for n in ((256, 512) if fast else (512, 1024, 2048))]
+    gaps = [_dirac_vs_regular_gap(n) for n in (512, 1024, 2048)]
     orders = [math.log2(gaps[i] / gaps[i + 1]) for i in range(len(gaps) - 1)]
     measured["dirac_gaps"] = gaps
     measured["dirac_orders"] = orders
     ok &= min(orders) >= 0.9
 
-    lstq = _brute_force_min_norm_excess(cp, fast)
+    lstq = _brute_force_min_norm_excess(cp)
     measured["scalar_min_norm_excess"] = lstq
     ok &= lstq <= 0.05
     return CriterionResult(9, "pointwise null control", bool(ok), measured)
 
 
-def _brute_force_min_norm_excess(cp: ControlProblem, fast: bool = False) -> float:
+def _brute_force_min_norm_excess(cp: ControlProblem) -> float:
     """Relative excess of a derivative-free piecewise-constant search over the
     synthesised least-norm control (a valid upper bound by construction).
     Scalar instances only: one readout equation."""
@@ -424,7 +420,7 @@ def _brute_force_min_norm_excess(cp: ControlProblem, fast: bool = False) -> floa
     phi_basis = Phi @ basis  # (m, pieces); scalar problem: (1, pieces)
 
     rng = np.random.default_rng(1717)
-    budget = 2000 if fast else 10_000
+    budget = 10_000
 
     def score(directions):
         response = (directions @ phi_basis.T)[:, 0]
@@ -451,13 +447,12 @@ def _brute_force_min_norm_excess(cp: ControlProblem, fast: bool = False) -> floa
     return best / min_norm - 1.0
 
 
-def criterion_10_oracle_equivalence(fast: bool = False) -> CriterionResult:
+def criterion_10_oracle_equivalence() -> CriterionResult:
     """Spectral solve against the causal stepper on all finite-sum instances,
     and against the closed-form convolution oracle on the rotation system."""
     measured = {}
     ok = True
-    n = 2048 if fast else 4096
-    for inst in bundled_instances(n=n):
+    for inst in bundled_instances(n=4096):
         rhs = bump_signal(inst.grid, inst.nu, inst.m, component=0,
                           center=4.0, width=1.5)
         prob = EvoProblem(inst.nu, inst.grid, inst.law, inst.A, rhs, "forward")
@@ -469,7 +464,7 @@ def criterion_10_oracle_equivalence(fast: bool = False) -> CriterionResult:
         measured[f"{inst.name}_tolerance"] = tol
         ok &= diff < tol
 
-    diff_rot = _rotation_duhamel_gap(1024 if fast else 2048)
+    diff_rot = _rotation_duhamel_gap(2048)
     measured["rotation_duhamel_diff"] = diff_rot
     ok &= diff_rot < 1e-6
     return CriterionResult(10, "spectral path against independent oracles",
@@ -526,6 +521,6 @@ ALL_CRITERIA = [
 ]
 
 
-def run_acceptance(fast: bool = False) -> list:
+def run_acceptance() -> list:
     """Run all criteria and return their results in order."""
-    return [crit(fast=fast) for crit in ALL_CRITERIA]
+    return [crit() for crit in ALL_CRITERIA]

@@ -4,7 +4,7 @@
     evoq adjoint  --config FILE --out DIR [--json]
     evoq verify   --config FILE --suite NAME [--out DIR] [--json]
     evoq control  --config FILE [--certify-duality] --out DIR [--json]
-    evoq suite    acceptance [--out DIR] [--json] [--fast]
+    evoq suite    acceptance [--out DIR] [--json]
 
 Exit codes: 0 all enabled assertions pass, 1 numerical assertion failure,
 2 configuration rejected, 3 I/O failure.  Reports are deterministic for a
@@ -130,8 +130,7 @@ def _verify_causality(cfg, rng):
 
     op = SpectralOperator(cfg.law, cfg.A, cfg.nu, cfg.grid, cfg.pad_fraction)
     return {"suite": "causality",
-            **causality_check(op, cfg.build_rhs(), cfg.build_rhs(weight=-cfg.nu),
-                              cfg.tolerances["cross_method"])}
+            **causality_check(op, cfg.build_rhs(), cfg.build_rhs(weight=-cfg.nu))}
 
 
 def _verify_reversal(cfg, rng):
@@ -234,8 +233,6 @@ def _cmd_control(cfg, args) -> int:
     if cp is None:
         raise SchemaError("config has no control section")
     pointwise = cp.variant == "pointwise"
-    rtol = cfg.tolerances["svd_cutoff"]
-    feasibility_tol = cfg.tolerances["pointwise_feasibility" if pointwise else "feasibility"]
 
     if pointwise:
         # the stepper runs on the unpadded grid
@@ -246,12 +243,12 @@ def _cmd_control(cfg, args) -> int:
 
     if args.certify_duality:
         if pointwise:
-            chk = pointwise_duality_check(cp, rtol=rtol, feasibility_tol=feasibility_tol)
+            chk = pointwise_duality_check(cp)
             verdicts = {"feasible_for_basis": chk["feasible_for_basis"],
                         "range_included": chk["range_included"]}
         else:
-            feasible, douglas, obs = _duality_verdicts(
-                cp, maps, np.random.default_rng(cfg.seed), rtol, feasibility_tol)
+            feasible, douglas, obs = _duality_verdicts(cp, maps,
+                                                       np.random.default_rng(cfg.seed))
             verdicts = {"feasible_for_spanning_set": feasible,
                         "range_included": douglas.included,
                         "observability_finite": math.isfinite(obs.c_obs)}
@@ -262,10 +259,10 @@ def _cmd_control(cfg, args) -> int:
         return EXIT_OK if agree else EXIT_NUMERICAL
 
     if pointwise:
-        res = pointwise_null_control(cp, rtol=rtol, feasibility_tol=feasibility_tol)
+        res = pointwise_null_control(cp)
     else:
-        res = null_control(cp, maps, rtol=rtol, feasibility_tol=feasibility_tol)
-        obs = observability_constant(cp, maps, rtol=rtol)
+        res = null_control(cp, maps)
+        obs = observability_constant(cp, maps)
     payload = {"command": "control", "variant": cp.variant, "seed": cfg.seed,
                "certificate": _certificate_dict(cert),
                "result": _control_result_dict(res)}
@@ -284,7 +281,7 @@ def _cmd_control(cfg, args) -> int:
 def _cmd_suite(args) -> int:
     from .acceptance import run_acceptance
 
-    results = run_acceptance(fast=args.fast)
+    results = run_acceptance()
     rows = []
     for res in results:
         rows.append({"criterion": res.cid, "name": res.name,
@@ -321,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_control.add_argument("--certify-duality", action="store_true")
     p_suite = sub.add_parser("suite", help="run a bundled suite")
     p_suite.add_argument("name", choices=["acceptance"])
-    p_suite.add_argument("--fast", action="store_true",
-                         help="reduced sample counts (smoke run)")
     common(p_suite, needs_config=False)
     return parser
 

@@ -3,9 +3,10 @@ spatial block, forcing and (optionally) a control section.
 
 Matrices are written inline, row major, every entry an explicit [re, im]
 pair; times are in seconds and weights in 1/seconds.  Validation failures
-raise `SchemaError` with a pointer to the offending field.  A control
-section is built into its `ControlProblem` at load time, so every command
-refuses one that cannot be built.
+raise `SchemaError` with a pointer to the offending field, and so does a
+key the parser would not read.  The tolerance ladder is fixed, so no
+config sets it.  A control section is built into its `ControlProblem` at
+load time, so every command refuses one that cannot be built.
 """
 
 from __future__ import annotations
@@ -14,16 +15,18 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
 
-from .control import ControlProblem
+from .control import (DEFAULT_SVD_RTOL, FEASIBILITY_TOL, POINTWISE_FEASIBILITY_TOL,
+                      ControlProblem)
 from .errors import (DefinitenessError, EvoqError, NonCoerciveError, NotSkewError,
                      PreconditionError, SchemaError, UnsupportedLawError)
 from .material import MaterialLaw, finite_sum_law
 from .signals import TimeGrid, WeightedSignal, _weight_exponents, load_signal, zero_signal
-from .solver import EvoProblem
+from .solver import CROSS_METHOD_TOL, EvoProblem
 from .spatial import (
     SpatialOperator,
     build_heat_block,
@@ -35,17 +38,18 @@ from .waveforms import bump_signal, indicator_signal
 
 __all__ = ["InstanceConfig", "Forcing", "load_config", "DEFAULT_TOLERANCES"]
 
-# One rung per extra discretisation error source.
-DEFAULT_TOLERANCES = {
+# The one tolerance ladder, a rung per extra discretisation error source.  It
+# is fixed: every verdict of every config is decided on the same rungs.
+DEFAULT_TOLERANCES = MappingProxyType({
     "algebraic": 1e-12,
     "pairing": 1e-10,
     "conjugation": 1e-8,
-    "cross_method": 1e-6,
+    "cross_method": CROSS_METHOD_TOL,
     "cross_nu": 1e-4,
-    "feasibility": 1e-6,
-    "pointwise_feasibility": 1e-8,
-    "svd_cutoff": 1e-10,
-}
+    "feasibility": FEASIBILITY_TOL,
+    "pointwise_feasibility": POINTWISE_FEASIBILITY_TOL,
+    "svd_cutoff": DEFAULT_SVD_RTOL,
+})
 
 
 # Bytes allowed for the padded frequency blocks (N_pad, m, m) complex that
@@ -54,8 +58,30 @@ DEFAULT_TOLERANCES = {
 _BLOCK_BUDGET = 256 * 2 ** 20
 
 
+# The keys the parser reads, per section; any other key is refused.
+_ROOT_FIELDS = ("seed", "nu", "grid", "spatial", "law", "rhs", "control")
+_GRID_FIELDS = ("t_min", "t_max", "n", "padding_fraction")
+_SPATIAL_FIELDS = {
+    "matrix": ("kind", "matrix"),
+    "heat": ("kind", "k", "dx", "a"),
+    "wave": ("kind", "k", "dx", "T_elast"),
+    "maxwell": ("kind", "k", "dx", "eps", "mu", "sigma"),
+}
+_LAW_FIELDS = ("coeffs", "nu0")
+_FORCING_FIELDS = ("shape", "component", "amplitude", "center", "width", "lo", "hi", "csv")
+_CONTROL_FIELDS = ("B", "T", "variant", "U0", "F")
+
+
 def _fail(path: str, message: str):
     raise SchemaError(f"{path}: {message}")
+
+
+def _known(section: dict, path: str, fields) -> None:
+    """Refuse a key of `section` (at `path`, "" for the root) that is not
+    in `fields`, so that a misspelt key cannot silently fall back to a default."""
+    for key in section:
+        if key not in fields:
+            _fail(f"{path}.{key}" if path else key, "unknown field")
 
 
 def _check_block_budget(n_pad: int, m: int, path: str) -> None:
@@ -175,13 +201,17 @@ class InstanceConfig:
     A: SpatialOperator
     rhs: Forcing
     seed: int
-    tolerances: dict
     control: Optional[ControlProblem] = None
     source_path: Optional[str] = None
 
     @property
     def m(self) -> int:
         return self.A.m
+
+    @property
+    def tolerances(self) -> MappingProxyType:
+        """The fixed tolerance ladder, `DEFAULT_TOLERANCES`."""
+        return DEFAULT_TOLERANCES
 
     def build_rhs(self, weight: Optional[float] = None) -> WeightedSignal:
         """Materialise the configured forcing at the given weight (default +nu)."""
@@ -207,6 +237,7 @@ def _read_custom(base, path: str, grid: TimeGrid, m: int, config_path: str):
 def _parse_forcing(spec, path: str, grid: TimeGrid, m: int, config_path: str) -> Forcing:
     if not isinstance(spec, dict):
         _fail(path, "must be a forcing object")
+    _known(spec, path, _FORCING_FIELDS)
     shape = spec.get("shape", "bump")
     if shape not in ("bump", "indicator", "zero", "custom"):
         _fail(f"{path}.shape", f"unknown shape {shape!r}")
@@ -224,6 +255,9 @@ def _parse_forcing(spec, path: str, grid: TimeGrid, m: int, config_path: str) ->
 
 def _parse_spatial(section: dict, nu: float, n_pad: int):
     kind = _expect(section, "kind", "spatial")
+    if not isinstance(kind, str) or kind not in _SPATIAL_FIELDS:
+        _fail("spatial.kind", f"unknown kind {kind!r}")
+    _known(section, "spatial", _SPATIAL_FIELDS[kind])
     if kind == "matrix":
         matrix = _parse_complex_matrix(_expect(section, "matrix", "spatial"), "spatial.matrix")
         try:
@@ -255,24 +289,24 @@ def _parse_spatial(section: dict, nu: float, n_pad: int):
             return build_heat_block(k, coeff("a", k), dx=dx, nu=nu)
         if kind == "wave":
             return build_wave_block(k, coeff("T_elast", k + 1), dx=dx, nu=nu)
-        if kind == "maxwell":
-            return build_maxwell_block(k, coeff("eps", k, 1.0), coeff("mu", k + 1, 1.0),
-                                       coeff("sigma", k, 0.0), dx=dx, nu=nu)
+        return build_maxwell_block(k, coeff("eps", k, 1.0), coeff("mu", k + 1, 1.0),
+                                   coeff("sigma", k, 0.0), dx=dx, nu=nu)
     except (DefinitenessError, NonCoerciveError) as exc:
         # the builders' messages open with the coefficient's name
         raise SchemaError(f"spatial.{exc}") from None
-    _fail("spatial.kind", f"unknown kind {kind!r}")
 
 
 def _parse_control(csec: dict, nu: float, grid: TimeGrid, law: MaterialLaw,
                    A: SpatialOperator, rhs: Forcing, config_path: str) -> ControlProblem:
     """The control section as the problem it poses: its forcing (`control.F`,
     else `rhs`) at +nu on the forward instance, with B, T, variant and U0."""
+    _known(csec, "control", _CONTROL_FIELDS)
     B = _parse_complex_matrix(_expect(csec, "B", "control"), "control.B")
     T = _as_number(_expect(csec, "T", "control"), "control.T")
     variant = csec.get("variant", "supported")
+    # a U0 given to the supported variant is refused by ControlProblem
     U0 = (_parse_complex_vector(_expect(csec, "U0", "control"), "control.U0")
-          if variant == "pointwise" else None)
+          if variant == "pointwise" or "U0" in csec else None)
     forcing = rhs if csec.get("F") is None else _parse_forcing(
         csec["F"], "control.F", grid, A.m, config_path)
     base = EvoProblem(nu, grid, law, A, forcing.signal(grid, A.m, nu), "forward")
@@ -292,12 +326,14 @@ def load_config(path: str) -> InstanceConfig:
             raise SchemaError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError("config root must be an object")
+    _known(raw, "", _ROOT_FIELDS)
 
     nu = _as_number(_expect(raw, "nu", "config"), "nu")
     if nu <= 0:
         _fail("nu", "weight must be positive")
 
     gsec = _as_section(_expect(raw, "grid", "config"), "grid")
+    _known(gsec, "grid", _GRID_FIELDS)
     t_min = _as_number(_expect(gsec, "t_min", "grid"), "grid.t_min")
     t_max = _as_number(_expect(gsec, "t_max", "grid"), "grid.t_max")
     if not t_min < t_max:
@@ -320,6 +356,7 @@ def load_config(path: str) -> InstanceConfig:
                             nu, n_pad)
     if law is None:
         lsec = _as_section(_expect(raw, "law", "config"), "law")
+        _known(lsec, "law", _LAW_FIELDS)
         raw_coeffs = _expect(lsec, "coeffs", "law")
         if not isinstance(raw_coeffs, list) or not raw_coeffs:
             _fail("law.coeffs", f"expected a non-empty list of matrices, got {raw_coeffs!r}")
@@ -342,15 +379,6 @@ def load_config(path: str) -> InstanceConfig:
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         _fail("seed", "must be a non-negative integer")
 
-    tolerances = dict(DEFAULT_TOLERANCES)
-    user_tols = _as_section(raw.get("tolerances", {}), "tolerances")
-    for key, value in user_tols.items():
-        if key not in DEFAULT_TOLERANCES:
-            _fail(f"tolerances.{key}", "unknown tolerance name")
-        tolerances[key] = _as_number(value, f"tolerances.{key}")
-        if tolerances[key] <= 0:
-            _fail(f"tolerances.{key}", f"must be > 0, got {value!r}")
-
     return InstanceConfig(nu=nu, grid=grid, pad_fraction=pad, law=law, A=A,
-                          rhs=rhs, seed=seed, tolerances=tolerances,
-                          control=control, source_path=os.path.abspath(path))
+                          rhs=rhs, seed=seed, control=control,
+                          source_path=os.path.abspath(path))

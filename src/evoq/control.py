@@ -5,7 +5,7 @@ observability constants for the backward system, and the pointwise
 
 Range inclusion over the reals is ill-posed in floating point, so every
 decision here is made relative to a declared truncated-SVD cutoff
-(sigma_max * 1e-10 by default) which is reported with each result.
+(sigma_max * 1e-10, fixed) which is reported with each result.
 Infeasibility is a finding, not an error: certifying that a system cannot be
 controlled (say, B = 0) is part of the job.
 
@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 DEFAULT_SVD_RTOL = 1e-10
+FEASIBILITY_TOL = 1e-6            # null control: residual relative to the target
+POINTWISE_FEASIBILITY_TOL = 1e-8  # pointwise: readout residual over 1 + ||target||
 DEFAULT_SIZE_GUARD = 4_000_000
 _INCLUSION_RTOL = 1e-8  # mass outside ran(B) that still counts as inside, relative
 _PROBES = 8             # random probes per ball-inclusion and adjoint-domination check
@@ -188,10 +190,10 @@ def douglas_check(Amat: np.ndarray, Bmat: np.ndarray,
     """
     Bmat = np.atleast_2d(np.asarray(Bmat, dtype=complex))
     svd_b = np.linalg.svd(Bmat, full_matrices=False)
-    return _douglas(Amat, Bmat, svd_b, DEFAULT_SVD_RTOL, rng)
+    return _douglas(Amat, Bmat, svd_b, rng)
 
 
-def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple, rtol: float,
+def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
              rng: Optional[np.random.Generator] = None) -> DouglasReport:
     """Body of `douglas_check` for a complex 2-D `Bmat` whose thin SVD
     (U, s, Vh) the caller already holds; the constant ||V_r core||_2 is ||core||_2."""
@@ -201,7 +203,7 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple, rtol: float,
     rng = rng or np.random.default_rng(0)
 
     Ub, sb, Vbh = svd_b
-    sigma_max_b, cutoff, rank_b = _truncation(sb, rtol)
+    sigma_max_b, cutoff, rank_b = _truncation(sb, DEFAULT_SVD_RTOL)
     Ur = Ub[:, :rank_b]
 
     # Mass of A outside the numerical range of B.
@@ -356,10 +358,11 @@ def assemble_endmaps(cp: ControlProblem, pad_fraction: float = 0.25) -> EndMaps:
     K2 = _time_major(np.einsum("kl,ipkj->iplj", np.conj(cp.B), backward))
 
     rng = np.random.default_rng(7)
-    for _ in range(2):
-        f = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-        direct = op.solve(WeightedSignal(grid, base.nu, f)).solution.phi[post:]
-        via_matrix = (L_F @ f.reshape(-1)).reshape(n_post, m)
+    probes = [WeightedSignal(grid, base.nu, rng.standard_normal((n, m))
+                             + 1j * rng.standard_normal((n, m))) for _ in range(2)]
+    for f, u in zip(probes, op.solutions(probes)):
+        direct = u.phi[post:]
+        via_matrix = (L_F @ f.phi.reshape(-1)).reshape(n_post, m)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed norm fails
             err = np.linalg.norm(via_matrix - direct) / max(np.linalg.norm(direct), NORM_FLOOR)
         if not err <= 1e-10:
@@ -403,33 +406,30 @@ def _finite_solution(x: np.ndarray, kept: np.ndarray) -> np.ndarray:
     return x
 
 
-def _null_solve(maps: EndMaps, f: np.ndarray, rtol: float,
-                feasibility_tol: float) -> tuple:
+def _null_solve(maps: EndMaps, f: np.ndarray) -> tuple:
     """`null_control`'s solve and verdict for one flattened forcing `f` or,
     feasible only if each is, for every column of `f`."""
     target = -(maps.L_F @ f)
-    g, reg = _truncated_lstsq(maps._svd_G, target, rtol)
+    g, reg = _truncated_lstsq(maps._svd_G, target, DEFAULT_SVD_RTOL)
     residual = maps.L_G @ g - target
     rel = (np.linalg.norm(residual, axis=0)
            / np.maximum(np.linalg.norm(target, axis=0), NORM_FLOOR))
-    return g, residual, reg, bool(np.all(rel < feasibility_tol))
+    return g, residual, reg, bool(np.all(rel < FEASIBILITY_TOL))
 
 
 @one_blas_thread
-def null_control(cp: ControlProblem, endmaps: Optional[EndMaps] = None,
-                 rtol: float = DEFAULT_SVD_RTOL,
-                 feasibility_tol: float = 1e-6) -> ControlResult:
+def null_control(cp: ControlProblem, endmaps: Optional[EndMaps] = None) -> ControlResult:
     """Least-norm control removing the post-horizon response to F.
 
     Solves L_G g = -L_F f by truncated-SVD pseudoinverse; feasible iff the
-    relative residual stays below `feasibility_tol`.  With B = 0 and a
+    relative residual stays below `FEASIBILITY_TOL`.  With B = 0 and a
     nonvanishing post-horizon response this reports feasible=False together
     with the best-effort control.
     """
     if cp.variant != "supported":
         raise PreconditionError("null_control drives the supported variant")
     maps = endmaps or assemble_endmaps(cp)
-    g_flat, residual, reg, feasible = _null_solve(maps, cp.F.phi.reshape(-1), rtol, feasibility_tol)
+    g_flat, residual, reg, feasible = _null_solve(maps, cp.F.phi.reshape(-1))
 
     grid = maps.grid
     G = WeightedSignal(grid, maps.nu, g_flat.reshape(grid.n, maps.q))
@@ -459,8 +459,8 @@ class ObservabilityEstimate:
 
 
 @one_blas_thread
-def observability_constant(cp: ControlProblem, endmaps: Optional[EndMaps] = None,
-                           rtol: float = DEFAULT_SVD_RTOL) -> ObservabilityEstimate:
+def observability_constant(cp: ControlProblem,
+                           endmaps: Optional[EndMaps] = None) -> ObservabilityEstimate:
     """Largest generalized singular value of the backward end-map K1 against
     its B-filtered counterpart K2.
 
@@ -474,8 +474,8 @@ def observability_constant(cp: ControlProblem, endmaps: Optional[EndMaps] = None
     are equivalent.
     """
     maps = endmaps or assemble_endmaps(cp)
-    estimate = _observability(maps, rtol)
-    report = _douglas(maps.L_F, maps.L_G, maps._svd_G, rtol=rtol)
+    estimate = _observability(maps)
+    report = _douglas(maps.L_F, maps.L_G, maps._svd_G)
     finite = math.isfinite(estimate.c_obs)
     if finite != report.included:
         raise ConsistencyError(
@@ -485,12 +485,12 @@ def observability_constant(cp: ControlProblem, endmaps: Optional[EndMaps] = None
     return estimate
 
 
-def _observability(maps: EndMaps, rtol: float) -> ObservabilityEstimate:
+def _observability(maps: EndMaps) -> ObservabilityEstimate:
     """`observability_constant`'s generalized-SVD estimate on `maps`, with no
     primal cross-check."""
     K1 = maps.K1
     U2, s2, V2h = np.linalg.svd(maps.K2, full_matrices=True)
-    _, cutoff, r = _truncation(s2, rtol)
+    _, cutoff, r = _truncation(s2, DEFAULT_SVD_RTOL)
 
     if r < V2h.shape[0]:
         null_basis = V2h[r:].conj().T
@@ -521,9 +521,7 @@ def _embed_post(flat_post: np.ndarray, grid: TimeGrid, nu: float,
 
 @one_blas_thread
 def _duality_verdicts(cp: ControlProblem, maps: EndMaps,
-                      rng: np.random.Generator,
-                      rtol: float = DEFAULT_SVD_RTOL,
-                      feasibility_tol: float = 1e-6) -> tuple:
+                      rng: np.random.Generator) -> tuple:
     """(feasible, douglas, observability) on one set of end maps: null control
     of max(m, 3) forcings drawn from `rng` (one right-hand side of as many
     columns), ran(L_F) in ran(L_G), and the backward observability estimate.
@@ -531,9 +529,9 @@ def _duality_verdicts(cp: ControlProblem, maps: EndMaps,
     base = cp.base
     probes = np.stack([random_signal(base.grid, base.nu, base.A.m, rng).phi.reshape(-1)
                        for _ in range(max(base.A.m, 3))], axis=1)
-    feasible = _null_solve(maps, probes, rtol, feasibility_tol)[3]
-    douglas = _douglas(maps.L_F, maps.L_G, maps._svd_G, rtol=rtol)
-    return feasible, douglas, _observability(maps, rtol)
+    feasible = _null_solve(maps, probes)[3]
+    douglas = _douglas(maps.L_F, maps.L_G, maps._svd_G)
+    return feasible, douglas, _observability(maps)
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +685,7 @@ def _pointwise_target(cp: ControlProblem) -> np.ndarray:
 @one_blas_thread
 def pointwise_null_control(cp: ControlProblem,
                            rtol: float = DEFAULT_SVD_RTOL,
-                           feasibility_tol: float = 1e-8) -> ControlResult:
+                           feasibility_tol: float = POINTWISE_FEASIBILITY_TOL) -> ControlResult:
     """Least-norm control steering the M0-weighted state to zero at T.
 
     Admissible controls are supported on t >= 0.  Feasibility means the
@@ -731,9 +729,7 @@ def pointwise_null_control(cp: ControlProblem,
 
 
 @one_blas_thread
-def pointwise_duality_check(cp: ControlProblem,
-                            rtol: float = DEFAULT_SVD_RTOL,
-                            feasibility_tol: float = 1e-8) -> dict:
+def pointwise_duality_check(cp: ControlProblem) -> dict:
     """Feasibility for a basis of initial states against the range inclusion
     of the assembled pair; the two verdicts must agree."""
     base = cp.base
@@ -747,10 +743,11 @@ def pointwise_duality_check(cp: ControlProblem,
     svd_phi = np.linalg.svd(Phi, full_matrices=False)
     feasible = []
     for i in range(m):
-        g, _ = _truncated_lstsq(svd_phi, Psi[:, i], rtol)
+        g, _ = _truncated_lstsq(svd_phi, Psi[:, i], DEFAULT_SVD_RTOL)
         resid = float(np.linalg.norm(Phi @ g - Psi[:, i]))
-        feasible.append(resid < feasibility_tol * (1.0 + float(np.linalg.norm(Psi[:, i]))))
-    report = _douglas(Psi, Phi, svd_phi, rtol=rtol)
+        feasible.append(resid < POINTWISE_FEASIBILITY_TOL
+                        * (1.0 + float(np.linalg.norm(Psi[:, i]))))
+    report = _douglas(Psi, Phi, svd_phi)
     return {
         "feasible_for_basis": all(feasible),
         "range_included": report.included,

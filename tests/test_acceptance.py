@@ -38,7 +38,7 @@ def test_batched_solve_matches_per_problem_path(direction):
 @pytest.mark.parametrize("criterion", ALL_CRITERIA,
                          ids=[c.__name__ for c in ALL_CRITERIA])
 def test_criterion(criterion):
-    result = criterion(fast=False)
+    result = criterion()
     status = "PASS" if result.passed else "FAIL"
     print(f"\n[{status}] criterion {result.cid}: {result.name}")
     for key, value in result.measured.items():

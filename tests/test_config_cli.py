@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -88,11 +89,13 @@ class TestLoadConfig:
         with pytest.raises(SchemaError, match="ragged"):
             load_config(write_config(tmp_path, payload))
 
-    def test_unknown_tolerance_rejected(self, tmp_path):
+    def test_tolerances_section_rejected(self, tmp_path):
+        # the ladder is fixed: even an empty section is an unknown field
         payload = base_config()
-        payload["tolerances"] = {"made_up": 1.0}
-        with pytest.raises(SchemaError, match="made_up"):
+        payload["tolerances"] = {}
+        with pytest.raises(SchemaError, match="^tolerances: unknown field$"):
             load_config(write_config(tmp_path, payload))
+        assert isinstance(DEFAULT_TOLERANCES, MappingProxyType)
 
     def test_component_out_of_range(self, tmp_path):
         payload = base_config()
@@ -219,9 +222,12 @@ class TestCliExitCodes:
         ("rhs.component", True, "solve"),
         ("control.F.component", 99, "control"),
         ("grid.t_min", -400.0, "verify --suite nu-independence"),
-        ("tolerances.svd_cutoff", 0, "control"),
-        ("tolerances.svd_cutoff", -1, "control"),
-        ("tolerances.pairing", -1.0, "verify"),
+        # the ladder is fixed, so a tolerances section of any value is
+        # refused: {"svd_cutoff": 0.5} used to make both control commands
+        # exit 1, and {"pairing": 1e9} let the duality suite pass any gap
+        ("tolerances", {"svd_cutoff": 0.5}, "control"),
+        ("tolerances", {"svd_cutoff": 0.5}, "control --certify-duality"),
+        ("tolerances", {"pairing": 1e9}, "verify"),
         ("rhs.amplitude", 1e308, "solve"),
         ("spatial.a", 1e308, "solve"),
         ("spatial.a", 1e-320, "solve"),
@@ -241,6 +247,8 @@ class TestCliExitCodes:
         ("control.T", 8.0, "control"),  # past the last sample, 7.9375
         ("control.T", 8.0, "control --certify-duality"),
         ("grid.t_min", -4.0, "verify --suite reversal"),  # not symmetric about 0
+        ("tolerances", {"pairing": 1e9}, "solve"),
+        ("tolerances", {"feasibility": 1.0}, "control --certify-duality"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, field, value, command):
         with open(os.path.join(CONFIG_DIR, "heat_small.json")) as fh:
@@ -268,6 +276,30 @@ class TestCliExitCodes:
         assert code == 2
         assert field in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("field, value, command, message", [
+        ("rsh", {"shape": "zero"}, "solve", "unknown field"),
+        ("grid.padding_fracton", 0.5, "solve", "unknown field"),
+        ("rhs.widht", 2.0, "solve", "unknown field"),
+        ("spatial.aa", 3.0, "solve", "unknown field"),
+        ("spatial.T_elast", 3.0, "solve", "unknown field"),  # a wave field on heat
+        ("control.varient", "pointwise", "control", "unknown field"),
+        ("control.U0", [[1.0, 0.0]] * 9, "control",
+         "the supported variant takes no initial state"),
+    ], ids=["rsh", "grid.padding_fracton", "rhs.widht", "spatial.aa", "spatial.T_elast",
+            "control.varient", "control.U0"])
+    def test_unread_field_exits_2(self, tmp_path, capsys, field, value, command, message):
+        # a key the parser would not read (a misspelling, another kind's
+        # coefficient, another variant's state) is refused, not run on defaults
+        payload = bundled("heat_small", 64)
+        *sections, key = field.split(".")
+        target = payload
+        for name in sections:
+            target = target[name]
+        target[key] = value
+        code = main([command, "--config", write_config(tmp_path, payload)])
+        assert code == 2
+        assert capsys.readouterr().err == f"evoq: config rejected: {field}: {message}\n"
 
     @pytest.mark.parametrize("edit, field", [
         ({"U0": 5}, "control.U0"),
@@ -476,13 +508,11 @@ class TestCliExitCodes:
         assert main(["control", "--config", path, "--out", str(out)]) == 0
 
         cfg = load_config(path)
-        rtol = cfg.tolerances["svd_cutoff"]
         base = evoq.EvoProblem(cfg.nu, cfg.grid, cfg.law, cfg.A, cfg.build_rhs(), "forward")
         cp = evoq.ControlProblem(base=base, B=cfg.control.B, T=cfg.control.T)
         maps = evoq.assemble_endmaps(cp, cfg.pad_fraction)
-        G = evoq.null_control(cp, maps, rtol=rtol,
-                              feasibility_tol=cfg.tolerances["feasibility"]).G
-        witness = evoq.observability_constant(cp, maps, rtol=rtol).witness
+        G = evoq.null_control(cp, maps).G
+        witness = evoq.observability_constant(cp, maps).witness
         for name, expected in (("control_G", G), ("observability_witness", witness)):
             loaded = evoq.load_signal(str(out / name))
             assert (loaded.grid, loaded.nu) == (expected.grid, expected.nu)
