@@ -2,10 +2,12 @@
 
 Each criterion function returns a `CriterionResult` with the measured
 quantities it judged; `run_acceptance` executes all of them.  Tolerances
-follow the ladder used across the library: 1e-12 algebraic, 1e-10 pairing,
-1e-8 conjugation on band-limited data, 1e-6 / 1e-4 for cross-method and
-cross-weight comparisons, with cross-method bounds widened to the measured
-wrap-around where the periodic spectral path is one of the two sides.
+are the rungs of the library's one ladder, `config.DEFAULT_TOLERANCES`:
+1e-10 pairing, 1e-8 conjugation on band-limited data, 1e-6 / 1e-4 for
+cross-method and cross-weight comparisons, with cross-method bounds widened
+to the measured wrap-around where the periodic spectral path is one of the
+two sides, and the truncated-SVD cutoff and pointwise feasibility rungs of
+`control`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,10 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import simpson
 
+from .config import DEFAULT_TOLERANCES
 from .control import (
+    DEFAULT_SVD_RTOL,
+    POINTWISE_FEASIBILITY_TOL,
     ControlProblem,
     assemble_endmaps,
     douglas_check,
@@ -45,6 +50,7 @@ from .signals import (
     zero_signal,
 )
 from .solver import (
+    CROSS_METHOD_TOL,
     EvoProblem,
     SpectralOperator,
     causality_check,
@@ -135,7 +141,8 @@ def criterion_3_duality_pairing() -> CriterionResult:
         norms = dt * np.linalg.norm(fs, axis=(0, 1)) * np.linalg.norm(gs, axis=(0, 1))
         worst = max(worst, float(np.max(np.abs(lhs - rhs) / norms)))
     return CriterionResult(3, "duality pairing of forward and adjoint solves",
-                           worst <= 1e-10, {"max_relative_gap": worst})
+                           worst <= DEFAULT_TOLERANCES["pairing"],
+                           {"max_relative_gap": worst})
 
 
 def criterion_4_adjoint_system_formula() -> CriterionResult:
@@ -152,7 +159,8 @@ def criterion_4_adjoint_system_formula() -> CriterionResult:
             rhs = nu_product(f, op.apply(g))
             worst = max(worst, abs(lhs - rhs) / (f.norm * g.norm))
     return CriterionResult(4, "backward system is the pairing adjoint",
-                           worst <= 1e-10, {"max_relative_gap": worst})
+                           worst <= DEFAULT_TOLERANCES["pairing"],
+                           {"max_relative_gap": worst})
 
 
 def criterion_5_time_reversal() -> CriterionResult:
@@ -164,7 +172,8 @@ def criterion_5_time_reversal() -> CriterionResult:
                    for _ in range(5)]
         worst = max(worst, time_reversal_conjugation_check(inst.law, inst.A, signals))
     return CriterionResult(5, "time-reversal conjugation of the backward system",
-                           worst <= 1e-8, {"max_discrepancy": worst})
+                           worst <= DEFAULT_TOLERANCES["conjugation"],
+                           {"max_discrepancy": worst})
 
 
 def criterion_6_nu_independence() -> CriterionResult:
@@ -184,7 +193,8 @@ def criterion_6_nu_independence() -> CriterionResult:
             measured[f"{inst.name}_{direction}"] = diff
             worst = max(worst, diff)
     return CriterionResult(6, "eventual independence of the weight",
-                           worst <= 1e-4, {"worst_sup_rel_diff": worst, **measured})
+                           worst <= DEFAULT_TOLERANCES["cross_nu"],
+                           {"worst_sup_rel_diff": worst, **measured})
 
 
 def criterion_7_douglas() -> CriterionResult:
@@ -210,7 +220,7 @@ def criterion_7_douglas() -> CriterionResult:
         if rep.included:
             worst_factor = max(worst_factor,
                                float(rep.factor_residual / max(np.linalg.norm(A, 2), 1.0)))
-    ok = agreements == pairs and worst_factor <= 1e-10
+    ok = agreements == pairs and worst_factor <= DEFAULT_SVD_RTOL
     return CriterionResult(7, "range-inclusion conditions agree with ground truth",
                            bool(ok), {"agreements": agreements, "pairs": pairs,
                                       "worst_factor_residual": worst_factor})
@@ -367,7 +377,7 @@ def criterion_9_pointwise_control() -> CriterionResult:
 
     cp = _scalar_decay_problem(1024)
     res = pointwise_null_control(cp)
-    bound = 1e-8 * (1.0 + float(np.linalg.norm(cp.U0)))
+    bound = POINTWISE_FEASIBILITY_TOL * (1.0 + float(np.linalg.norm(cp.U0)))
     measured["scalar_closed_loop"] = res.terminal_residual
     ok &= res.feasible and res.terminal_residual < bound
 
@@ -382,7 +392,7 @@ def criterion_9_pointwise_control() -> CriterionResult:
                       zero_signal(heat.grid, heat.nu, m), "forward")
     cp_heat = ControlProblem(base=base, B=B, T=2.0, variant="pointwise", U0=U0)
     res_heat = pointwise_null_control(cp_heat)
-    bound_heat = 1e-8 * (1.0 + float(np.linalg.norm(U0)))
+    bound_heat = POINTWISE_FEASIBILITY_TOL * (1.0 + float(np.linalg.norm(U0)))
     measured["heat_closed_loop"] = res_heat.terminal_residual
     ok &= res_heat.feasible and res_heat.terminal_residual < bound_heat
 
@@ -406,7 +416,8 @@ def _brute_force_min_norm_excess(cp: ControlProblem) -> float:
     b = _pointwise_target(cp)
     if Phi.shape[0] != 1:
         raise ValueError("the piecewise-constant search handles one readout equation")
-    g_min, _ = _truncated_lstsq(np.linalg.svd(Phi, full_matrices=False), b, 1e-10)
+    g_min, _ = _truncated_lstsq(np.linalg.svd(Phi, full_matrices=False), b,
+                                DEFAULT_SVD_RTOL)
     min_norm = float(np.linalg.norm(g_min))
 
     grid = cp.base.grid
@@ -459,14 +470,14 @@ def criterion_10_oracle_equivalence() -> CriterionResult:
         rep = solve_forward(prob, inst.pad_fraction)
         u_step = timestep_oracle(prob)
         diff = (u_step - rep.solution).norm / max(rep.solution.norm, NORM_FLOOR)
-        tol = max(1e-6, rep.wraparound_tolerance)
+        tol = max(CROSS_METHOD_TOL, rep.wraparound_tolerance)
         measured[f"{inst.name}_stepper_diff"] = diff
         measured[f"{inst.name}_tolerance"] = tol
         ok &= diff < tol
 
     diff_rot = _rotation_duhamel_gap(2048)
     measured["rotation_duhamel_diff"] = diff_rot
-    ok &= diff_rot < 1e-6
+    ok &= diff_rot < CROSS_METHOD_TOL
     return CriterionResult(10, "spectral path against independent oracles",
                            bool(ok), measured)
 

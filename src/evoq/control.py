@@ -5,7 +5,11 @@ observability constants for the backward system, and the pointwise
 
 Range inclusion over the reals is ill-posed in floating point, so every
 decision here is made relative to a declared truncated-SVD cutoff
-(sigma_max * 1e-10, fixed) which is reported with each result.
+(sigma_max * 1e-10, fixed) which is reported with each result.  A threshold
+on a spectral norm is first decided from cheap bounds,
+||M||_F / sqrt(min(shape)) <= ||M||_2 <= ||M||_F widened for rounding; the
+exact norm (an SVD) is taken only when the bounds straddle the threshold,
+so a verdict is the one the exact norms give.
 Infeasibility is a finding, not an error: certifying that a system cannot be
 controlled (say, B = 0) is part of the job.
 
@@ -21,9 +25,9 @@ build and CPU kernel).  Other stages still follow the caller's count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -62,6 +66,9 @@ POINTWISE_FEASIBILITY_TOL = 1e-8  # pointwise: readout residual over 1 + ||targe
 DEFAULT_SIZE_GUARD = 4_000_000
 _INCLUSION_RTOL = 1e-8  # mass outside ran(B) that still counts as inside, relative
 _PROBES = 8             # random probes per ball-inclusion and adjoint-domination check
+_ROUNDING = 1e-10       # relative widening of each cheap norm bound, for its rounding
+_FROBENIUS_MIN = 1e-150  # below it the squares in a Frobenius norm may underflow
+_POWER_STEPS = 3        # power steps behind the lower bound on ||core||_2
 
 
 @dataclass(frozen=True)
@@ -154,15 +161,93 @@ class DouglasReport:
     A = BC, inclusion of A(unit ball) in B(ball of radius c), and the adjoint
     domination ||A^* x|| <= c ||B^* x||.  Their verdicts are returned so
     callers can assert agreement.
+
+    `constant` (c = ||C||_2) and `factor_residual` (||A - BC||_2) are exact
+    2-norms, taken on first read (one SVD each) and None when excluded; the
+    verdicts need only bounds on them.
     """
 
     included: bool
-    constant: Optional[float]
     factor: Optional[np.ndarray]
     witness: Optional[np.ndarray]
     cutoff: float
-    factor_residual: Optional[float]
     conditions: dict
+    # brackets of ||A - BC||_2 and ||C||_2 when included
+    _norms: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def constant(self) -> Optional[float]:
+        return self._norms[1].exact if self.included else None
+
+    @cached_property
+    def factor_residual(self) -> Optional[float]:
+        return self._norms[0].exact if self.included else None
+
+
+class _Bracket:
+    """lo <= x <= hi for a value x whose exact computation is costly; `exact`
+    computes it on first read."""
+
+    def __init__(self, lo: float, hi: float, exact: Callable[[], float]):
+        self.lo, self.hi, self._exact = lo, hi, exact
+
+    @cached_property
+    def exact(self) -> float:
+        return self._exact()
+
+
+def _known(value: float) -> _Bracket:
+    return _Bracket(value, value, lambda: value)
+
+
+def _monotone(fn: Callable[..., float], *args: _Bracket) -> _Bracket:
+    """fn(*args) for an `fn` that does not decrease in any argument."""
+    return _Bracket(fn(*(a.lo for a in args)), fn(*(a.hi for a in args)),
+                    lambda: fn(*(a.exact for a in args)))
+
+
+def _at_most(value: _Bracket, threshold: _Bracket) -> bool:
+    """value <= threshold: from the bounds when they decide it, else from the
+    exact values, the threshold's first."""
+    if value.hi <= threshold.lo:
+        return True
+    if value.lo > threshold.hi:
+        return False
+    limit = threshold.exact
+    return value.exact <= limit
+
+
+@one_blas_thread
+def _exact_norm(M: np.ndarray) -> float:
+    return float(np.linalg.norm(M, 2))
+
+
+def _norm_bracket(M: np.ndarray, lower: float = 0.0) -> _Bracket:
+    """||M||_2 between max(||M||_F / sqrt(min(shape)), `lower`) and ||M||_F,
+    each widened by `_ROUNDING`.  A Frobenius norm that is not finite, or
+    small enough for its squares to underflow, brackets nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        fro = float(np.linalg.norm(M))
+    if _FROBENIUS_MIN <= fro < math.inf:
+        lo = max(fro / math.sqrt(min(M.shape)), lower) * (1 - _ROUNDING)
+        hi = fro * (1 + _ROUNDING)
+    else:
+        lo, hi = 0.0, math.inf
+    return _Bracket(lo, hi, lambda: _exact_norm(M))
+
+
+def _power_lower_bound(M: np.ndarray) -> float:
+    """||M v|| / ||v|| after `_POWER_STEPS` power steps started at the
+    largest row of M, so at least that row's norm: a lower bound on
+    ||M||_2.  Each iterate is scaled to a largest entry of 1, so that ||v||
+    cannot underflow; 0 when the arithmetic leaves the float range."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v = M[int(np.argmax(np.linalg.norm(M, axis=1)))].conj()
+        for _ in range(_POWER_STEPS):
+            v = M.conj().T @ (M @ (v / np.abs(v).max()))
+        v = v / np.abs(v).max()
+        value = float(np.linalg.norm(M @ v) / np.linalg.norm(v))
+    return value if math.isfinite(value) else 0.0
 
 
 def _truncation(s: np.ndarray, rtol: float) -> tuple:
@@ -180,13 +265,19 @@ def douglas_check(Amat: np.ndarray, Bmat: np.ndarray,
 
     When included, returns the factor C = B^+ A (verified to satisfy A = BC)
     and the constant c = ||C||_2, which is simultaneously the smallest ball
-    radius and the smallest adjoint-domination constant.  When excluded,
-    returns a witness x with B^* x ~ 0 but A^* x != 0.
+    radius and the smallest adjoint-domination constant; both `constant` and
+    `factor_residual` are exact when read.  When excluded, returns a unit
+    witness x with B^* x ~ 0 but A^* x != 0: the normalized largest column of
+    the part of A outside ran(B), or its top left singular vector only when
+    that column does not defeat every candidate constant.
 
-    The conditions `range_inclusion` and `factorization` are not
-    independent: both measure the mass of A - B B^+ A (the first through the
-    range projector, the second through the factor), so their agreement
-    checks the arithmetic rather than a second property.
+    Each threshold on a 2-norm (of A, of that outside part, of A - BC and of
+    C) is decided from cheap bounds, and from the exact norm only when the
+    bounds straddle it, so the verdicts are those of the exact norms.  The
+    conditions `range_inclusion` and `factorization` are not independent:
+    both measure the mass of A - B B^+ A (the first through the range
+    projector, the second through the factor), so their agreement checks the
+    arithmetic rather than a second property.
     """
     Bmat = np.atleast_2d(np.asarray(Bmat, dtype=complex))
     svd_b = np.linalg.svd(Bmat, full_matrices=False)
@@ -196,7 +287,10 @@ def douglas_check(Amat: np.ndarray, Bmat: np.ndarray,
 def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
              rng: Optional[np.random.Generator] = None) -> DouglasReport:
     """Body of `douglas_check` for a complex 2-D `Bmat` whose thin SVD
-    (U, s, Vh) the caller already holds; the constant ||V_r core||_2 is ||core||_2."""
+    (U, s, Vh) the caller already holds; the constant ||V_r core||_2 is
+    ||core||_2.  Every comparison goes through `_at_most`, and the probes
+    draw from `rng` in the same order whichever way a comparison is decided.
+    """
     Amat = np.atleast_2d(np.asarray(Amat, dtype=complex))
     if Amat.shape[0] != Bmat.shape[0]:
         raise PreconditionError("A and B must share their codomain dimension")
@@ -208,19 +302,19 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
 
     # Mass of A outside the numerical range of B.
     outside = Amat - Ur @ (Ur.conj().T @ Amat)
-    norm_a = float(np.linalg.norm(Amat, 2))
-    scale = max(norm_a, sigma_max_b, NORM_FLOOR)
-    outside_norm = float(np.linalg.norm(outside, 2))
-    included = outside_norm <= _INCLUSION_RTOL * scale
+    norm_a = _norm_bracket(Amat)
+    scale = _monotone(lambda a: max(a, sigma_max_b, NORM_FLOOR), norm_a)
+    included = _at_most(_norm_bracket(outside), _monotone(lambda s: _INCLUSION_RTOL * s, scale))
 
     conditions = {"range_inclusion": included}
 
     with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite_solution
         core = (Ur.conj().T @ Amat) / sb[:rank_b, None]
         factor = _finite_solution(Vbh[:rank_b].conj().T @ core, sb[:rank_b])
-    factor_residual = float(np.linalg.norm(Amat - Bmat @ factor, 2))
-    conditions["factorization"] = factor_residual <= max(1e-10 * scale, 10 * cutoff)
-    constant = float(np.linalg.norm(core, 2)) if core.size else 0.0
+    residual = _norm_bracket(Amat - Bmat @ factor)
+    conditions["factorization"] = _at_most(
+        residual, _monotone(lambda s: max(1e-10 * s, 10 * cutoff), scale))
+    constant = _norm_bracket(core, _power_lower_bound(core)) if core.size else _known(0.0)
 
     # products that overflow leave a norm that _norm refuses
     with np.errstate(over="ignore", invalid="ignore"):
@@ -232,28 +326,46 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
             y /= np.linalg.norm(y)
             g = factor @ y
             reach = _norm(Bmat @ g - Amat @ y)
-            ball_ok &= reach <= max(_INCLUSION_RTOL * scale, 10 * cutoff)
-            ball_ok &= _norm(g) <= constant * (1 + 1e-8) + 1e-12
+            ball_ok &= _at_most(_known(reach), _monotone(
+                lambda s: max(_INCLUSION_RTOL * s, 10 * cutoff), scale))
+            ball_ok &= _at_most(_known(_norm(g)), _monotone(lambda c: c * (1 + 1e-8) + 1e-12,
+                                                            constant))
         conditions["ball_inclusion"] = bool(ball_ok)
 
         # Adjoint domination on random probes; meaningful constant only when the
-        # factorisation holds.
+        # factorisation holds, so decided only then.
         dom_ok = True
         for _ in range(_PROBES):
             x = rng.standard_normal(Amat.shape[0]) + 1j * rng.standard_normal(Amat.shape[0])
             lhs = _norm(Amat.conj().T @ x)
             rhs = _norm(Bmat.conj().T @ x)
-            dom_ok &= lhs <= constant * rhs * (1 + 1e-8) + _INCLUSION_RTOL * scale * np.linalg.norm(x)
+            if included:
+                xn = np.linalg.norm(x)
+                dom_ok &= _at_most(_known(lhs), _monotone(
+                    lambda c, s: c * rhs * (1 + 1e-8) + _INCLUSION_RTOL * s * xn,
+                    constant, scale))
 
         witness = None
         if not included:
-            # Strongest direction of A orthogonal to ran(B): B^* x ~ 0, A^* x != 0,
-            # so the witness defeats every candidate constant.
-            Uo, _, _ = np.linalg.svd(outside, full_matrices=False)
-            witness = Uo[:, 0]
-            lhs = _norm(Amat.conj().T @ witness)
-            rhs = _norm(Bmat.conj().T @ witness)
-            defeated = lhs > max(constant, 1.0) * rhs * (1 + 1e-8) + _INCLUSION_RTOL * scale
+            # A direction of A orthogonal to ran(B): B^* x ~ 0, A^* x != 0, so
+            # the witness defeats every candidate constant.  The largest column
+            # of `outside` has ||A^* x|| >= ||outside||_F / sqrt(cols); the
+            # strongest direction, an SVD, is taken only when it fails.
+            def candidates():
+                columns = np.linalg.norm(outside, axis=0)
+                j = int(np.argmax(columns))
+                if columns[j] > 0:
+                    yield outside[:, j] / columns[j]
+                yield np.linalg.svd(outside, full_matrices=False)[0][:, 0]
+
+            for witness in candidates():
+                lhs = _norm(Amat.conj().T @ witness)
+                rhs = _norm(Bmat.conj().T @ witness)
+                defeated = not _at_most(_known(lhs), _monotone(
+                    lambda c, s: max(c, 1.0) * rhs * (1 + 1e-8) + _INCLUSION_RTOL * s,
+                    constant, scale))
+                if defeated:
+                    break
             conditions["adjoint_domination"] = not defeated
         else:
             conditions["adjoint_domination"] = bool(dom_ok)
@@ -264,12 +376,11 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
 
     return DouglasReport(
         included=included,
-        constant=constant if included else None,
         factor=factor if included else None,
         witness=witness,
         cutoff=cutoff,
-        factor_residual=factor_residual if included else None,
         conditions=conditions,
+        _norms=(residual, constant) if included else None,
     )
 
 
@@ -496,7 +607,8 @@ def _observability(maps: EndMaps) -> ObservabilityEstimate:
         null_basis = V2h[r:].conj().T
         blind = K1 @ null_basis
         _, s_blind, Vbh = np.linalg.svd(blind, full_matrices=False)
-        if float(s_blind[0]) > 1e-8 * max(float(np.linalg.norm(K1, 2)), NORM_FLOOR):
+        if not _at_most(_known(float(s_blind[0])),
+                        _monotone(lambda k: 1e-8 * max(k, NORM_FLOOR), _norm_bracket(K1))):
             witness = _embed_post(null_basis @ Vbh[0].conj(), maps.grid, -maps.nu,
                                   maps.post_start, maps.m)
             return ObservabilityEstimate(math.inf, witness, "generalized-svd", cutoff)
@@ -530,8 +642,8 @@ def _duality_verdicts(cp: ControlProblem, maps: EndMaps,
     probes = np.stack([random_signal(base.grid, base.nu, base.A.m, rng).phi.reshape(-1)
                        for _ in range(max(base.A.m, 3))], axis=1)
     feasible = _null_solve(maps, probes)[3]
-    douglas = _douglas(maps.L_F, maps.L_G, maps._svd_G)
-    return feasible, douglas, _observability(maps)
+    observability = _observability(maps)
+    return feasible, _douglas(maps.L_F, maps.L_G, maps._svd_G), observability
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import pytest
 
 import evoq
 from evoq import (
+    ConsistencyError,
     ControlProblem,
     EvoProblem,
     PreconditionError,
@@ -36,6 +37,7 @@ from evoq import (
     support_leakage,
     zero_signal,
 )
+from evoq._blas import one_blas_thread
 from evoq.acceptance import random_search_lower_bound
 from evoq.waveforms import bump_signal, random_signal
 
@@ -98,6 +100,244 @@ class TestDouglasCheck:
             rep = douglas_check(A, B, rng=rng)
             assert len(set(rep.conditions.values())) == 1
             assert rep.included == (trial % 2 == 0)
+
+
+@one_blas_thread
+def exact_douglas(Amat, Bmat, svd_b):
+    """Reference: the range-inclusion check with every threshold decided on
+    exact 2-norms and the witness taken from an SVD of the mass outside
+    ran(B), on one BLAS thread as in every caller of `_douglas`.  Returns
+    (included, conditions, constant, factor_residual) or raises the same
+    ConsistencyError."""
+    from evoq.control import _INCLUSION_RTOL, _PROBES, _finite_solution, _norm, _truncation
+
+    Amat = np.atleast_2d(np.asarray(Amat, dtype=complex))
+    rng = np.random.default_rng(0)
+    Ub, sb, Vbh = svd_b
+    sigma_max_b, cutoff, rank_b = _truncation(sb, 1e-10)
+    Ur = Ub[:, :rank_b]
+    outside = Amat - Ur @ (Ur.conj().T @ Amat)
+    scale = max(float(np.linalg.norm(Amat, 2)), sigma_max_b, 1e-300)
+    included = float(np.linalg.norm(outside, 2)) <= _INCLUSION_RTOL * scale
+    conditions = {"range_inclusion": included}
+    core = (Ur.conj().T @ Amat) / sb[:rank_b, None]
+    factor = _finite_solution(Vbh[:rank_b].conj().T @ core, sb[:rank_b])
+    factor_residual = float(np.linalg.norm(Amat - Bmat @ factor, 2))
+    conditions["factorization"] = factor_residual <= max(1e-10 * scale, 10 * cutoff)
+    constant = float(np.linalg.norm(core, 2)) if core.size else 0.0
+    ball_ok = True
+    for _ in range(_PROBES):
+        y = rng.standard_normal(Amat.shape[1]) + 1j * rng.standard_normal(Amat.shape[1])
+        y /= np.linalg.norm(y)
+        g = factor @ y
+        ball_ok &= _norm(Bmat @ g - Amat @ y) <= max(_INCLUSION_RTOL * scale, 10 * cutoff)
+        ball_ok &= _norm(g) <= constant * (1 + 1e-8) + 1e-12
+    conditions["ball_inclusion"] = bool(ball_ok)
+    dom_ok = True
+    for _ in range(_PROBES):
+        x = rng.standard_normal(Amat.shape[0]) + 1j * rng.standard_normal(Amat.shape[0])
+        lhs = _norm(Amat.conj().T @ x)
+        rhs = _norm(Bmat.conj().T @ x)
+        dom_ok &= lhs <= constant * rhs * (1 + 1e-8) + _INCLUSION_RTOL * scale * np.linalg.norm(x)
+    if not included:
+        witness = np.linalg.svd(outside, full_matrices=False)[0][:, 0]
+        lhs = _norm(Amat.conj().T @ witness)
+        rhs = _norm(Bmat.conj().T @ witness)
+        conditions["adjoint_domination"] = not (
+            lhs > max(constant, 1.0) * rhs * (1 + 1e-8) + _INCLUSION_RTOL * scale)
+    else:
+        conditions["adjoint_domination"] = bool(dom_ok)
+    if len(set(conditions.values())) != 1:
+        raise ConsistencyError(f"the four range-inclusion conditions disagree: {conditions}")
+    return included, conditions, constant, factor_residual
+
+
+def exact_blind(maps):
+    """Reference blind test of the observability estimate: some post-horizon
+    datum on ker K2 moves K1 beyond 1e-8 ||K1||_2."""
+    _, s2, V2h = np.linalg.svd(maps.K2, full_matrices=True)
+    rank = int(np.sum(s2 > s2[0] * 1e-10)) if s2.size else 0
+    if rank == V2h.shape[0]:
+        return False
+    s_blind = np.linalg.svd(maps.K1 @ V2h[rank:].conj().T, compute_uv=False)
+    return float(s_blind[0]) > 1e-8 * max(float(np.linalg.norm(maps.K1, 2)), 1e-300)
+
+
+def desk_end_maps(tmp_path):
+    """(label, end maps) of the 18 dense configs `tools/same_outputs.py` runs
+    and of the acceptance suite's control instances."""
+    import importlib.util
+
+    from evoq.acceptance import _control_instances
+    from evoq.config import load_config
+
+    spec = importlib.util.spec_from_file_location(
+        "same_outputs", os.path.join(os.path.dirname(__file__), "..", "tools",
+                                     "same_outputs.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    dense = [(label, config) for label, argv, config in tool.default_commands()
+             if label.startswith("control/dense-")]
+    assert len(dense) == 18
+    for label, config in dense:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        cfg = load_config(str(path))
+        yield label, assemble_endmaps(cfg.control, cfg.pad_fraction)
+    for inst, B, label in _control_instances():
+        rhs = random_signal(inst.grid, inst.nu, inst.m, np.random.default_rng(8))
+        cp = ControlProblem(base=EvoProblem(inst.nu, inst.grid, inst.law, inst.A,
+                                            rhs, "forward"), B=B, T=1.0)
+        yield label, assemble_endmaps(cp, inst.pad_fraction)
+
+
+def count_svds(monkeypatch):
+    """Record (shape, exact 2-norm?) of every SVD; np.linalg.norm(., 2) is an
+    SVD without vectors through the implementation module's binding."""
+    svd = np.linalg.svd
+    calls = []
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append((a.shape, kwargs.get("compute_uv", True) is False))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg._linalg, "svd", counting_svd)
+    return calls
+
+
+def crandn(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def unit(v):
+    return v / np.linalg.norm(v)
+
+
+def outside_mass(seed, rows, relative, b_scale, r_scale):
+    """(A, B), square A = B R plus a rank-one part of 2-norm `relative` times
+    the scale max(||B R||_2, ||B||_2), orthogonal to ran(B)."""
+    rng = np.random.default_rng(seed)
+    B = b_scale * crandn(rng, rows, 4)
+    A = B @ crandn(rng, 4, rows) * r_scale
+    u = np.linalg.svd(B)[0][:, -1]
+    w = crandn(rng, rows)
+    scale = max(np.linalg.norm(A, 2), np.linalg.norm(B, 2))
+    return A + relative * scale * np.outer(u, unit(w).conj()), B
+
+
+def douglas_outcome(A, B):
+    """(included, conditions) of `_douglas`, or the ConsistencyError message."""
+    from evoq.control import _douglas
+
+    try:
+        rep = _douglas(A, B, np.linalg.svd(B, full_matrices=False))
+    except ConsistencyError as exc:
+        return str(exc)
+    return rep.included, rep.conditions
+
+
+def exact_outcome(A, B):
+    try:
+        return exact_douglas(A, B, np.linalg.svd(B, full_matrices=False))[:2]
+    except ConsistencyError as exc:
+        return str(exc)
+
+
+class TestNormBrackets:
+    """Every threshold on a 2-norm is decided from cheap bounds, and the
+    verdicts are those of the exact norms."""
+
+    def test_desk_verdicts_match_exact_norms_without_any(self, monkeypatch, tmp_path):
+        from evoq.control import _douglas, _observability
+
+        verdicts = set()
+        for label, maps in desk_end_maps(tmp_path):
+            svd_g = maps._svd_G
+            reference = exact_douglas(maps.L_F, maps.L_G, svd_g)
+            blind = exact_blind(maps)
+            with monkeypatch.context() as patch:
+                calls = count_svds(patch)
+                rep = one_blas_thread(_douglas)(maps.L_F, maps.L_G, svd_g)
+                douglas_calls = list(calls)
+                obs = _observability(maps)
+            # no exact 2-norm anywhere, and no SVD of the mass outside ran(L_G)
+            assert douglas_calls == [], label
+            assert len(calls) == 2 and not any(norm for _, norm in calls), label
+            assert (rep.included, rep.conditions) == reference[:2], label
+            assert math.isinf(obs.c_obs) == blind, label
+            if rep.included:  # exact when read, to the bit
+                assert (rep.constant, rep.factor_residual) == reference[2:], label
+            verdicts.add(rep.included)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("seed, rows, relative, b_scale, r_scale, verdict", [
+        (1, 40, 5e-8, 1.0, 0.1, False),     # ||outside||_2 just above 1e-8 scale
+        (5, 10, 7e-11, 0.1, 10.0, True),    # ||A - BC||_2 just below 1e-10 scale
+        (1, 40, 2e-9, 1.0, 0.1, "raises"),  # inside ran(B) by one rung, not the other
+        # entries near 1e-160: the squares in ||.||_F underflow, so no bracket
+        (2, 12, 1e-3, 1e-160, 1.0, "raises"),
+    ])
+    def test_straddled_threshold_takes_the_exact_norm(self, monkeypatch, seed, rows,
+                                                      relative, b_scale, r_scale,
+                                                      verdict):
+        A, B = outside_mass(seed, rows, relative, b_scale, r_scale)
+        expected = exact_outcome(A, B)
+        with monkeypatch.context() as patch:
+            calls = count_svds(patch)
+            outcome = douglas_outcome(A, B)
+        assert outcome == expected
+        assert any(norm for _, norm in calls)
+        if verdict == "raises":
+            assert "disagree" in outcome
+        else:
+            assert outcome[0] is verdict and set(outcome[1].values()) == {verdict}
+
+    @pytest.mark.parametrize("spread", [False, True], ids=["conditioned", "graded"])
+    def test_equal_maps_decide_the_tight_constant_from_bounds(self, monkeypatch, spread):
+        # A = B: C projects onto ran(B^*), ||C||_2 = 1, and adjoint domination
+        # ||A^* x|| <= c ||B^* x|| (1 + 1e-8) is tight; graded singular values
+        # down to 1e-9 leave rows of the core off unit length by about 1e-8
+        rng = np.random.default_rng(12)
+        B = crandn(rng, 12, 6)
+        if spread:
+            U, _, Vh = np.linalg.svd(B, full_matrices=False)
+            B = U @ np.diag(np.logspace(0, -9, 6)) @ Vh
+        expected = exact_outcome(B, B)
+        with monkeypatch.context() as patch:
+            calls = count_svds(patch)
+            rep = douglas_check(B, B)
+        assert (rep.included, rep.conditions) == expected
+        assert rep.included and len(calls) == 1 and not calls[0][1]
+        assert rep.constant == pytest.approx(1.0, rel=1e-6)
+
+    def test_weak_largest_column_falls_back_to_the_svd_witness(self, monkeypatch):
+        # B keeps singular values 1, 0.5 and 2e-10 and truncates 0.5e-10 (the
+        # cutoff is 1e-10).  Outside ran(B), A has a direction B^* misses,
+        # spread thinly over 399 columns, and the truncated direction filling
+        # the remaining column alone.  That column is the largest, but B^*
+        # still sees it, and A's mass along the 2e-10 direction makes the
+        # constant large enough that it does not defeat; the top singular
+        # vector of the outside mass, the first direction, does.
+        rng = np.random.default_rng(4)
+        rows, cols = 10, 400
+        U = np.linalg.qr(crandn(rng, rows, rows))[0]
+        V = np.linalg.qr(crandn(rng, 4, 4))[0]
+        B = U[:, :4] @ np.diag([1.0, 0.5, 2e-10, 0.5e-10]) @ V.conj().T
+        spread = np.ones(cols)
+        spread[0] = 0.0
+        A = (B @ crandn(rng, 4, cols) / cols
+             + 1e-2 * np.outer(U[:, 2], unit(crandn(rng, cols)))
+             + 1e-2 * np.outer(U[:, 4], unit(spread)))
+        A[:, 0] += 1e-3 * U[:, 3]
+        expected = exact_outcome(A, B)
+        with monkeypatch.context() as patch:
+            calls = count_svds(patch)
+            rep = douglas_check(A, B)
+        assert (rep.included, rep.conditions) == expected
+        assert not rep.included
+        assert ((rows, cols), False) in calls  # the witness SVD
+        assert abs(np.vdot(U[:, 4], rep.witness)) == pytest.approx(1.0, abs=1e-8)
 
 
 class TestEndMaps:
@@ -217,24 +457,17 @@ class TestNullControl:
 
     @pytest.mark.parametrize("command", [["control"], ["control", "--certify-duality"]],
                              ids=["control", "certify"])
-    @pytest.mark.parametrize("injection, svds", [("I", 7), ("zero", 8)])
+    @pytest.mark.parametrize("injection, svds", [("I", 3), ("zero", 3)])
     def test_dense_svd_count_per_command(self, monkeypatch, tmp_path, command,
                                          injection, svds):
-        # B = I: K2 has no null space, so ||K1||_2 is never needed.  B = 0:
-        # the blind matrix is decomposed once, and the Douglas factor is zero.
+        # L_G once (shared), K2, and W (B = I) or the blind matrix (B = 0).
+        # Every thresholded 2-norm is decided from its Frobenius bracket, and
+        # B = 0's Douglas witness is a column of L_F, so no norm(., 2) and no
+        # SVD of the mass outside ran(L_G) runs.
         from evoq.cli import main
 
         path = write_heat_control_config(tmp_path, injection)
-        svd = np.linalg.svd
-        calls = []
-
-        def counting_svd(*args, **kwargs):
-            calls.append(args[0].shape)
-            return svd(*args, **kwargs)
-
-        # np.linalg.norm(., 2) reaches the implementation module's binding
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        monkeypatch.setattr(np.linalg._linalg, "svd", counting_svd)
+        calls = count_svds(monkeypatch)
         assert main([*command, "--config", path, "--out", str(tmp_path / "out")]) == 0
         assert len(calls) == svds
 
