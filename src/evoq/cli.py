@@ -251,7 +251,7 @@ def _cmd_control(cfg, args) -> int:
                                                        np.random.default_rng(cfg.seed))
             verdicts = {"feasible_for_spanning_set": feasible,
                         "range_included": douglas.included,
-                        "observability_finite": math.isfinite(obs.c_obs)}
+                        "observability_finite": obs.finite}
         agree = len(set(verdicts.values())) == 1
         payload = {"command": "control --certify-duality", "variant": cp.variant,
                    "verdicts": verdicts, "agree": agree}

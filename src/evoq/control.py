@@ -9,7 +9,13 @@ decision here is made relative to a declared truncated-SVD cutoff
 on a spectral norm is first decided from cheap bounds,
 ||M||_F / sqrt(min(shape)) <= ||M||_2 <= ||M||_F widened for rounding; the
 exact norm (an SVD) is taken only when the bounds straddle the threshold,
-so a verdict is the one the exact norms give.
+so a verdict is the one the exact norms give.  The observability verdict is
+decided the same way: a tall filtered map keeps every column when its
+singular values, taken without vectors, all clear the cutoff by a guard band
+wider than the two LAPACK routines ever differ, and otherwise the norm of
+what the unfiltered map sees of its kernel is bracketed.  The values behind
+a verdict (the observability constant and its witness, the Douglas constant
+and factor residual) are exact, computed when first read.
 Infeasibility is a finding, not an error: certifying that a system cannot be
 controlled (say, B = 0) is part of the job.
 
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -69,6 +75,13 @@ _PROBES = 8             # random probes per ball-inclusion and adjoint-dominatio
 _ROUNDING = 1e-10       # relative widening of each cheap norm bound, for its rounding
 _FROBENIUS_MIN = 1e-150  # below it the squares in a Frobenius norm may underflow
 _POWER_STEPS = 3        # power steps behind the lower bound on ||core||_2
+# Least distance, relative to sigma_max, between each singular value of K2
+# taken without vectors and the cutoff before that rank is trusted.  The SVD
+# routines with and without vectors differ by at most 2.6e-15 sigma_max on the
+# 36 tall K2 of `tools/same_outputs.py`'s default commands and one
+# control-dense benchmark cycle; both are backward stable, so the gap is a
+# modest multiple of eps sigma_max.
+_RANK_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -269,15 +282,17 @@ def douglas_check(Amat: np.ndarray, Bmat: np.ndarray,
     `factor_residual` are exact when read.  When excluded, returns a unit
     witness x with B^* x ~ 0 but A^* x != 0: the normalized largest column of
     the part of A outside ran(B), or its top left singular vector only when
-    that column does not defeat every candidate constant.
+    that column does not defeat the factor's constant.
 
     Each threshold on a 2-norm (of A, of that outside part, of A - BC and of
     C) is decided from cheap bounds, and from the exact norm only when the
     bounds straddle it, so the verdicts are those of the exact norms.  The
-    conditions `range_inclusion` and `factorization` are not independent:
-    both measure the mass of A - B B^+ A (the first through the range
-    projector, the second through the factor), so their agreement checks the
-    arithmetic rather than a second property.
+    thresholds scale with ||A||_2 alone: scaling B leaves ran(B), and so
+    every verdict, unchanged.  The conditions `range_inclusion` and
+    `factorization` are not independent: both measure the mass of
+    A - B B^+ A (the first through the range projector, the second through
+    the factor), so their agreement checks the arithmetic rather than a
+    second property.
     """
     Bmat = np.atleast_2d(np.asarray(Bmat, dtype=complex))
     svd_b = np.linalg.svd(Bmat, full_matrices=False)
@@ -297,23 +312,24 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
     rng = rng or np.random.default_rng(0)
 
     Ub, sb, Vbh = svd_b
-    sigma_max_b, cutoff, rank_b = _truncation(sb, DEFAULT_SVD_RTOL)
+    _, cutoff, rank_b = _truncation(sb, DEFAULT_SVD_RTOL)
     Ur = Ub[:, :rank_b]
 
-    # Mass of A outside the numerical range of B.
-    outside = Amat - Ur @ (Ur.conj().T @ Amat)
-    norm_a = _norm_bracket(Amat)
-    scale = _monotone(lambda a: max(a, sigma_max_b, NORM_FLOOR), norm_a)
-    included = _at_most(_norm_bracket(outside), _monotone(lambda s: _INCLUSION_RTOL * s, scale))
+    # Mass of A outside the numerical range of B, against the scale of A
+    # alone: scaling B moves neither ran(B) nor a verdict.
+    core = Ur.conj().T @ Amat  # divided by the kept singular values below
+    outside = Amat - Ur @ core
+    scale = _monotone(lambda a: max(a, NORM_FLOOR), _norm_bracket(Amat))
+    rung = _monotone(lambda s: _INCLUSION_RTOL * s, scale)
+    included = _at_most(_norm_bracket(outside), rung)
 
     conditions = {"range_inclusion": included}
 
     with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite_solution
-        core = (Ur.conj().T @ Amat) / sb[:rank_b, None]
+        core /= sb[:rank_b, None]
         factor = _finite_solution(Vbh[:rank_b].conj().T @ core, sb[:rank_b])
     residual = _norm_bracket(Amat - Bmat @ factor)
-    conditions["factorization"] = _at_most(
-        residual, _monotone(lambda s: max(1e-10 * s, 10 * cutoff), scale))
+    conditions["factorization"] = _at_most(residual, _monotone(lambda s: 1e-10 * s, scale))
     constant = _norm_bracket(core, _power_lower_bound(core)) if core.size else _known(0.0)
 
     # products that overflow leave a norm that _norm refuses
@@ -325,20 +341,20 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
             y = rng.standard_normal(Amat.shape[1]) + 1j * rng.standard_normal(Amat.shape[1])
             y /= np.linalg.norm(y)
             g = factor @ y
-            reach = _norm(Bmat @ g - Amat @ y)
-            ball_ok &= _at_most(_known(reach), _monotone(
-                lambda s: max(_INCLUSION_RTOL * s, 10 * cutoff), scale))
+            ball_ok &= _at_most(_known(_norm(Bmat @ g - Amat @ y)), rung)
             ball_ok &= _at_most(_known(_norm(g)), _monotone(lambda c: c * (1 + 1e-8) + 1e-12,
                                                             constant))
         conditions["ball_inclusion"] = bool(ball_ok)
 
         # Adjoint domination on random probes; meaningful constant only when the
-        # factorisation holds, so decided only then.
+        # factorisation holds, so decided only then.  The adjoints are formed
+        # once for every probe and the witness.
+        Ah, Bh = Amat.conj().T, Bmat.conj().T
         dom_ok = True
         for _ in range(_PROBES):
             x = rng.standard_normal(Amat.shape[0]) + 1j * rng.standard_normal(Amat.shape[0])
-            lhs = _norm(Amat.conj().T @ x)
-            rhs = _norm(Bmat.conj().T @ x)
+            lhs = _norm(Ah @ x)
+            rhs = _norm(Bh @ x)
             if included:
                 xn = np.linalg.norm(x)
                 dom_ok &= _at_most(_known(lhs), _monotone(
@@ -348,7 +364,7 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
         witness = None
         if not included:
             # A direction of A orthogonal to ran(B): B^* x ~ 0, A^* x != 0, so
-            # the witness defeats every candidate constant.  The largest column
+            # ||A^* x|| > c ||B^* x|| defeats the factor's constant c.  The largest column
             # of `outside` has ||A^* x|| >= ||outside||_F / sqrt(cols); the
             # strongest direction, an SVD, is taken only when it fails.
             def candidates():
@@ -359,10 +375,10 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
                 yield np.linalg.svd(outside, full_matrices=False)[0][:, 0]
 
             for witness in candidates():
-                lhs = _norm(Amat.conj().T @ witness)
-                rhs = _norm(Bmat.conj().T @ witness)
+                lhs = _norm(Ah @ witness)
+                rhs = _norm(Bh @ witness)
                 defeated = not _at_most(_known(lhs), _monotone(
-                    lambda c, s: max(c, 1.0) * rhs * (1 + 1e-8) + _INCLUSION_RTOL * s,
+                    lambda c, s: c * rhs * (1 + 1e-8) + _INCLUSION_RTOL * s,
                     constant, scale))
                 if defeated:
                     break
@@ -559,14 +575,95 @@ class ObservabilityEstimate:
     """Smallest constant bounding the backward solution by its B-filtered
     observation, over right-hand sides supported at or after the horizon.
 
-    `c_obs` is +inf exactly when the filtered map has a kernel direction the
-    unfiltered map still sees, which by duality is the uncontrollable case.
+    `c_obs` is +inf exactly when the filtered map K2 has a kernel direction
+    the unfiltered map K1 still sees, which by duality is the uncontrollable
+    case.  `finite` is that verdict, decided on first read from the cheapest
+    evidence that settles it: a tall K2 whose singular values, taken without
+    vectors, all lie more than `_RANK_GUARD` sigma_max from the cutoff keeps
+    every column, so it has no kernel; otherwise the full SVD of K2 gives its
+    kernel, and ||K1 on it||_2 against 1e-8 ||K1||_2 is decided from norm
+    brackets, from the top singular value only when they straddle.
+    `c_obs`, `witness` and `cutoff` are exact: the full SVD of K2 and of K1
+    on ker K2 or of the whitened map, computed together on first read, on
+    one BLAS thread.
     """
 
-    c_obs: float
-    witness: WeightedSignal
     method: str  # "generalized-svd", the one (dense) route
-    cutoff: float
+    _maps: EndMaps = field(repr=False, compare=False)
+
+    @cached_property
+    @one_blas_thread
+    def finite(self) -> bool:
+        if "_exact" in self.__dict__:
+            return math.isfinite(self.c_obs)
+        return self._full_column_rank() or self._seen_kernel() is None
+
+    @property
+    def c_obs(self) -> float:
+        return self._exact[0]
+
+    @property
+    def witness(self) -> WeightedSignal:
+        return self._exact[1]
+
+    @property
+    def cutoff(self) -> float:
+        return self._exact[2]
+
+    def _full_column_rank(self) -> bool:
+        """K2 keeps every column at the cutoff, decided from its singular
+        values alone when each clears the cutoff by the guard band; False
+        when that does not decide it."""
+        K2 = self._maps.K2
+        if K2.shape[0] < K2.shape[1]:
+            return False
+        s = np.linalg.svd(K2, compute_uv=False)
+        sigma_max, cutoff, rank = _truncation(s, DEFAULT_SVD_RTOL)
+        guard = _RANK_GUARD * sigma_max
+        return (rank == K2.shape[1] and guard >= np.finfo(float).tiny
+                and bool(np.all(np.abs(s - cutoff) > guard)))
+
+    @cached_property
+    def _svd_K2(self) -> tuple:
+        """(s, Vh, cutoff, rank) of the full SVD of K2."""
+        _, s2, V2h = np.linalg.svd(self._maps.K2, full_matrices=True)
+        return (s2, V2h, *_truncation(s2, DEFAULT_SVD_RTOL)[1:])
+
+    def _seen_kernel(self) -> Optional[Callable[[], np.ndarray]]:
+        """None when K1 sees no datum of ker K2 beyond 1e-8 ||K1||_2; else a
+        function giving the unit datum of ker K2 that K1 sees most."""
+        _, V2h, _, r = self._svd_K2
+        if r == V2h.shape[0]:
+            return None
+        null_basis = V2h[r:].conj().T
+        blind = self._maps.K1 @ null_basis
+        svd = cache(lambda: np.linalg.svd(blind, full_matrices=False))
+        bounds = _norm_bracket(blind)
+        top = _Bracket(bounds.lo, bounds.hi, lambda: float(svd()[1][0]))
+        if _at_most(top, _monotone(lambda k: 1e-8 * max(k, NORM_FLOOR),
+                                   _norm_bracket(self._maps.K1))):
+            return None
+        return lambda: null_basis @ svd()[2][0].conj()
+
+    @cached_property
+    @one_blas_thread
+    def _exact(self) -> tuple:
+        """(c_obs, witness, cutoff)."""
+        maps = self._maps
+        s2, V2h, cutoff, r = self._svd_K2
+        seen = self._seen_kernel()
+        if seen is not None:
+            return math.inf, _embed_post(seen(), maps.grid, -maps.nu, maps.post_start,
+                                         maps.m), cutoff
+        whiten = V2h[:r].conj().T / s2[:r][None, :]
+        _, sw, Vwh = np.linalg.svd(maps.K1 @ whiten, full_matrices=False)
+        c_obs = float(sw[0]) if sw.size else 0.0
+        witness_flat = whiten @ Vwh[0].conj()
+        wnorm = np.linalg.norm(witness_flat)
+        if wnorm > 0:
+            witness_flat = witness_flat / wnorm
+        return c_obs, _embed_post(witness_flat, maps.grid, -maps.nu, maps.post_start,
+                                  maps.m), cutoff
 
 
 @one_blas_thread
@@ -579,15 +676,16 @@ def observability_constant(cp: ControlProblem,
     (pass `assemble_endmaps(cp, pad_fraction)` for another); past their size
     guard this raises `SizeGuardError`, as there is no matrix-free route.  Flags
     +inf when a post-horizon datum is invisible to the observation but not
-    to the state (one thin SVD of K1 on ker K2 is test and witness), then
+    to the state (a thin SVD of K1 on ker K2 gives the witness), then
     cross-checks the verdict against the primal range inclusion
     ran L_F in ran L_G of the same maps; a disagreement raises, as the two
-    are equivalent.
+    are equivalent.  The returned estimate's values are computed here, before
+    the verdict, so no values-only pass runs.
     """
     maps = endmaps or assemble_endmaps(cp)
     estimate = _observability(maps)
-    report = _douglas(maps.L_F, maps.L_G, maps._svd_G)
     finite = math.isfinite(estimate.c_obs)
+    report = _douglas(maps.L_F, maps.L_G, maps._svd_G)
     if finite != report.included:
         raise ConsistencyError(
             f"observability verdict (finite={finite}) disagrees with the "
@@ -598,30 +696,8 @@ def observability_constant(cp: ControlProblem,
 
 def _observability(maps: EndMaps) -> ObservabilityEstimate:
     """`observability_constant`'s generalized-SVD estimate on `maps`, with no
-    primal cross-check."""
-    K1 = maps.K1
-    U2, s2, V2h = np.linalg.svd(maps.K2, full_matrices=True)
-    _, cutoff, r = _truncation(s2, DEFAULT_SVD_RTOL)
-
-    if r < V2h.shape[0]:
-        null_basis = V2h[r:].conj().T
-        blind = K1 @ null_basis
-        _, s_blind, Vbh = np.linalg.svd(blind, full_matrices=False)
-        if not _at_most(_known(float(s_blind[0])),
-                        _monotone(lambda k: 1e-8 * max(k, NORM_FLOOR), _norm_bracket(K1))):
-            witness = _embed_post(null_basis @ Vbh[0].conj(), maps.grid, -maps.nu,
-                                  maps.post_start, maps.m)
-            return ObservabilityEstimate(math.inf, witness, "generalized-svd", cutoff)
-
-    W = K1 @ (V2h[:r].conj().T / s2[:r][None, :])
-    Uw, sw, Vwh = np.linalg.svd(W, full_matrices=False)
-    c_obs = float(sw[0]) if sw.size else 0.0
-    witness_flat = (V2h[:r].conj().T / s2[:r][None, :]) @ Vwh[0].conj()
-    wnorm = np.linalg.norm(witness_flat)
-    if wnorm > 0:
-        witness_flat = witness_flat / wnorm
-    witness = _embed_post(witness_flat, maps.grid, -maps.nu, maps.post_start, maps.m)
-    return ObservabilityEstimate(c_obs, witness, "generalized-svd", cutoff)
+    primal cross-check; every value is computed when first read."""
+    return ObservabilityEstimate("generalized-svd", maps)
 
 
 def _embed_post(flat_post: np.ndarray, grid: TimeGrid, nu: float,
@@ -636,13 +712,15 @@ def _duality_verdicts(cp: ControlProblem, maps: EndMaps,
                       rng: np.random.Generator) -> tuple:
     """(feasible, douglas, observability) on one set of end maps: null control
     of max(m, 3) forcings drawn from `rng` (one right-hand side of as many
-    columns), ran(L_F) in ran(L_G), and the backward observability estimate.
-    By duality the three verdicts agree."""
+    columns), ran(L_F) in ran(L_G), and the backward observability estimate,
+    whose verdict `finite` is decided here and whose values are computed only
+    when read.  By duality the three verdicts agree."""
     base = cp.base
     probes = np.stack([random_signal(base.grid, base.nu, base.A.m, rng).phi.reshape(-1)
                        for _ in range(max(base.A.m, 3))], axis=1)
     feasible = _null_solve(maps, probes)[3]
     observability = _observability(maps)
+    observability.finite  # decided before the Douglas check allocates
     return feasible, _douglas(maps.L_F, maps.L_G, maps._svd_G), observability
 
 
@@ -810,12 +888,13 @@ def pointwise_null_control(cp: ControlProblem,
     Phi, active = _pointwise_response_matrix(cp)
     b = _pointwise_target(cp)
 
-    # Linearity probe: the assembled response must match a direct solve.
+    # Linearity probe: the assembled response must match a direct solve.  The
+    # probe is scaled by 1/||B||_2 when ||B||_2 > 1, so that B g stays finite.
     rng = np.random.default_rng(11)
     grid, q, nu = cp.base.grid, cp.q, cp.base.nu
     probe = np.zeros((grid.n, q), dtype=complex)
     probe[active] = (rng.standard_normal((len(active), q))
-                     + 1j * rng.standard_normal((len(active), q)))
+                     + 1j * rng.standard_normal((len(active), q))) / max(_exact_norm(cp.B), 1.0)
     zero_cp = ControlProblem(base=cp.base, B=cp.B, T=cp.T, variant="pointwise",
                              U0=np.zeros(cp.base.A.m))
     direct = pointwise_solve(zero_cp, WeightedSignal(grid, nu, probe)).M0U_at_T

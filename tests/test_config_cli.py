@@ -337,6 +337,34 @@ class TestCliExitCodes:
             assert err.count("\n") == 1
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_a_huge_injection_entry_leaves_the_verdicts_agreeing(self, tmp_path, capsys):
+        # scaling a column of B moves neither ran(L_G) nor a verdict: the mass
+        # outside ran(L_G) is measured against ||L_F||_2 alone.  Measured
+        # against max(||L_F||_2, sigma_max(L_G)), an entry of 1e100 made the
+        # range inclusion read `true` beside two `false` verdicts
+        payload = bundled("heat_small", 32)
+        payload["control"]["B"][1][0] = [1e100, 0.0]
+        path = write_config(tmp_path, payload)
+        assert main(["control", "--certify-duality", "--config", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdicts"] == {
+            "feasible_for_spanning_set": False, "range_included": False,
+            "observability_finite": False}
+        assert main(["control", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "observability.json") as fh:
+            assert json.load(fh)["c_obs"] == "infinity"
+
+    def test_a_huge_pointwise_injection_is_controlled(self, tmp_path, capsys):
+        # B = 1e308 only scales the sought control by 1e-308; the random
+        # linearity probe, scaled by 1/||B||_2, no longer overflows in B g
+        payload = bundled("pointwise_decay", 64)
+        payload["control"]["B"] = [[[1e308, 0.0]]]
+        code, caught = main_recording_warnings(
+            ["control", "--config", write_config(tmp_path, payload), "--json"])
+        assert code == 0, capsys.readouterr().err
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["feasible"] and result["terminal_residual"] < 1e-8
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("command", ["solve", "control", "control --certify-duality"])
     def test_pointwise_control_on_an_order_2_law_exits_2(self, tmp_path, capsys, command):
         # the control section is built at load, so every command refuses a
