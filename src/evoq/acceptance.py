@@ -413,7 +413,7 @@ def _brute_force_min_norm_excess(cp: ControlProblem) -> float:
     synthesised least-norm control (a valid upper bound by construction).
     Scalar instances only: one readout equation."""
     Phi, active = _pointwise_response_matrix(cp)
-    b = _pointwise_target(cp)
+    b = _pointwise_target(cp.base, cp.T, cp.U0)
     if Phi.shape[0] != 1:
         raise ValueError("the piecewise-constant search handles one readout equation")
     g_min, _ = _truncated_lstsq(np.linalg.svd(Phi, full_matrices=False), b,

@@ -26,7 +26,7 @@ from .errors import (DefinitenessError, EvoqError, NonCoerciveError, NotSkewErro
                      PreconditionError, SchemaError, UnsupportedLawError)
 from .material import MaterialLaw, finite_sum_law
 from .signals import TimeGrid, WeightedSignal, _weight_exponents, load_signal, zero_signal
-from .solver import CROSS_METHOD_TOL, EvoProblem
+from .solver import CROSS_METHOD_TOL, DEFAULT_PAD_FRACTION, EvoProblem
 from .spatial import (
     SpatialOperator,
     build_heat_block,
@@ -342,7 +342,8 @@ def load_config(path: str) -> InstanceConfig:
     if n < 2:
         _fail("grid.n", f"need at least 2 samples, got {n}")
     grid = TimeGrid(t_min, t_max, n)
-    pad = _as_number(gsec.get("padding_fraction", 0.25), "grid.padding_fraction")
+    pad = _as_number(gsec.get("padding_fraction", DEFAULT_PAD_FRACTION),
+                     "grid.padding_fraction")
     if not 0 <= pad <= 1:
         _fail("grid.padding_fraction", f"must lie in [0, 1], got {pad}")
     n_pad = grid.padded(pad)[0].n

@@ -33,9 +33,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._blas import one_blas_thread
 from .errors import (
@@ -45,8 +46,8 @@ from .errors import (
     UnsupportedLawError,
 )
 from .signals import NORM_FLOOR, TimeGrid, WeightedSignal
-from .solver import (CoercivityCertificate, EvoProblem, SpectralOperator, _split_law,
-                     timestep_oracle)
+from .solver import (DEFAULT_PAD_FRACTION, CoercivityCertificate, EvoProblem,
+                     SpectralOperator, _split_law, timestep_oracle)
 from .waveforms import random_signal
 
 __all__ = [
@@ -160,9 +161,12 @@ class ControlResult:
 
     G: WeightedSignal
     terminal_residual: float
-    control_norm: float
     feasible: bool
     regularization: RegularizationReport
+
+    @property
+    def control_norm(self) -> float:
+        return self.G.norm
 
 
 @dataclass(frozen=True)
@@ -456,7 +460,8 @@ def _time_major(blocks: np.ndarray) -> np.ndarray:
 
 
 @one_blas_thread
-def assemble_endmaps(cp: ControlProblem, pad_fraction: float = 0.25) -> EndMaps:
+def assemble_endmaps(cp: ControlProblem,
+                     pad_fraction: float = DEFAULT_PAD_FRACTION) -> EndMaps:
     """Assemble the primal and the backward end maps as dense matrices.
 
     Columns are exact index shifts of one set of impulse solves per direction
@@ -564,7 +569,6 @@ def null_control(cp: ControlProblem, endmaps: Optional[EndMaps] = None) -> Contr
     return ControlResult(
         G=G,
         terminal_residual=terminal,
-        control_norm=G.norm,
         feasible=feasible,
         regularization=reg,
     )
@@ -585,10 +589,14 @@ class ObservabilityEstimate:
     brackets, from the top singular value only when they straddle.
     `c_obs`, `witness` and `cutoff` are exact: the full SVD of K2 and of K1
     on ker K2 or of the whitened map, computed together on first read, on
-    one BLAS thread.
+    one BLAS thread.  The verdict and the values share one kernel test,
+    `_seen_kernel`, and its witness is computed only when a value is read.
+
+    `ObservabilityEstimate(maps)` is the estimate on `maps` with no primal
+    cross-check; `observability_constant` adds one.
     """
 
-    method: str  # "generalized-svd", the one (dense) route
+    method: ClassVar[str] = "generalized-svd"  # the one (dense) route
     _maps: EndMaps = field(repr=False, compare=False)
 
     @cached_property
@@ -596,7 +604,7 @@ class ObservabilityEstimate:
     def finite(self) -> bool:
         if "_exact" in self.__dict__:
             return math.isfinite(self.c_obs)
-        return self._full_column_rank() or self._seen_kernel() is None
+        return self._full_column_rank() or self._seen_kernel is None
 
     @property
     def c_obs(self) -> float:
@@ -629,9 +637,12 @@ class ObservabilityEstimate:
         _, s2, V2h = np.linalg.svd(self._maps.K2, full_matrices=True)
         return (s2, V2h, *_truncation(s2, DEFAULT_SVD_RTOL)[1:])
 
+    @cached_property
     def _seen_kernel(self) -> Optional[Callable[[], np.ndarray]]:
         """None when K1 sees no datum of ker K2 beyond 1e-8 ||K1||_2; else a
-        function giving the unit datum of ker K2 that K1 sees most."""
+        function giving the unit datum of ker K2 that K1 sees most, which
+        takes the SVD of K1 on ker K2 on its first call unless the verdict
+        already took it."""
         _, V2h, _, r = self._svd_K2
         if r == V2h.shape[0]:
             return None
@@ -651,7 +662,7 @@ class ObservabilityEstimate:
         """(c_obs, witness, cutoff)."""
         maps = self._maps
         s2, V2h, cutoff, r = self._svd_K2
-        seen = self._seen_kernel()
+        seen = self._seen_kernel
         if seen is not None:
             return math.inf, _embed_post(seen(), maps.grid, -maps.nu, maps.post_start,
                                          maps.m), cutoff
@@ -683,7 +694,7 @@ def observability_constant(cp: ControlProblem,
     the verdict, so no values-only pass runs.
     """
     maps = endmaps or assemble_endmaps(cp)
-    estimate = _observability(maps)
+    estimate = ObservabilityEstimate(maps)
     finite = math.isfinite(estimate.c_obs)
     report = _douglas(maps.L_F, maps.L_G, maps._svd_G)
     if finite != report.included:
@@ -692,12 +703,6 @@ def observability_constant(cp: ControlProblem,
             f"primal range inclusion (included={report.included})"
         )
     return estimate
-
-
-def _observability(maps: EndMaps) -> ObservabilityEstimate:
-    """`observability_constant`'s generalized-SVD estimate on `maps`, with no
-    primal cross-check; every value is computed when first read."""
-    return ObservabilityEstimate("generalized-svd", maps)
 
 
 def _embed_post(flat_post: np.ndarray, grid: TimeGrid, nu: float,
@@ -719,7 +724,7 @@ def _duality_verdicts(cp: ControlProblem, maps: EndMaps,
     probes = np.stack([random_signal(base.grid, base.nu, base.A.m, rng).phi.reshape(-1)
                        for _ in range(max(base.A.m, 3))], axis=1)
     feasible = _null_solve(maps, probes)[3]
-    observability = _observability(maps)
+    observability = ObservabilityEstimate(maps)
     observability.finite  # decided before the Douglas check allocates
     return feasible, _douglas(maps.L_F, maps.L_G, maps._svd_G), observability
 
@@ -762,52 +767,64 @@ def _step_indicator_weights(grid: TimeGrid) -> np.ndarray:
     return w
 
 
-def _bracket(grid: TimeGrid, T: float) -> tuple:
-    """(jlo, theta) with T = t_jlo + theta dt, jlo clamped so that sample
-    jlo + 1 exists; the linear readout at T weighs jlo by 1 - theta."""
-    jlo = grid.index_below(T)
-    if jlo >= grid.n - 1:
-        jlo = grid.n - 2
-    return jlo, (T - (grid.t_min + jlo * grid.dt)) / grid.dt
+def _stepped(base: EvoProblem, rhs_phi: np.ndarray) -> np.ndarray:
+    """Flat samples of the causal response of `base`'s system to the flat
+    forcing `rhs_phi`, by the trapezoidal stepper on `base`'s grid.
+
+    The pointwise variant's one driver: the response to the initial state,
+    to a control and to each impulse behind the response matrix is stepped
+    here, and nowhere else."""
+    grid, nu = base.grid, base.nu
+    rhs = WeightedSignal(grid, nu, rhs_phi)
+    return timestep_oracle(EvoProblem(nu, grid, base.law, base.A, rhs, "forward")).phi
 
 
-def _interp_at(grid: TimeGrid, phi: np.ndarray, T: float) -> np.ndarray:
-    jlo, theta = _bracket(grid, T)
-    return (1.0 - theta) * phi[jlo] + theta * phi[jlo + 1]
+def _drift(base: EvoProblem, U0: np.ndarray) -> np.ndarray:
+    """Flat samples of step (M1 + A) U0, the forcing an initial state U0
+    puts on the system: U = V + step U0 when V is the causal response to
+    B G minus it."""
+    grid = base.grid
+    M1 = _split_law(base.law)[1]
+    return (_step_indicator_weights(grid)[:, None] * np.exp(-base.nu * grid.times)[:, None]
+            * ((M1 + base.A.A) @ U0)[None, :])
+
+
+def _at_T(grid: TimeGrid, nu: float, T: float, phi: np.ndarray) -> np.ndarray:
+    """The readout at T of flat samples `phi`, time on the first axis:
+    e^{nu T} times the linear interpolation between the samples around T
+    (the last two when T is the last sample)."""
+    jlo = min(grid.index_below(T), grid.n - 2)
+    theta = (T - (grid.t_min + jlo * grid.dt)) / grid.dt
+    return math.exp(nu * T) * ((1.0 - theta) * phi[jlo] + theta * phi[jlo + 1])
 
 
 def pointwise_solve(cp: ControlProblem, G: Optional[WeightedSignal] = None) -> PointwiseSolution:
     """Initial-value solve for laws M0 + z^{-1} M1.
 
-    Computes V as the causal response to B G - step(M1 + A) U0 with the
-    trapezoidal stepper (exactly causal) and returns U = V + step U0 together
-    with the M0-weighted state read out at the horizon.
+    Steps V, the causal response to B G - step (M1 + A) U0, and returns
+    U = V + step U0 together with the M0-weighted state read out at the
+    horizon.
     """
     if cp.variant != "pointwise":
         raise PreconditionError("pointwise_solve needs the pointwise variant")
     base = cp.base
     grid, nu = base.grid, base.nu
-    M0, M1 = _split_law(base.law)
+    M0 = base.law.coeffs[0]
 
-    mask = _step_indicator_mask(grid)
-    flat_weight = np.exp(-nu * grid.times)
-    drift = (M1 + base.A.A) @ cp.U0
-    rhs_phi = -_step_indicator_weights(grid)[:, None] * flat_weight[:, None] * drift[None, :]
+    rhs_phi = -_drift(base, cp.U0)
     if G is not None:
         if G.grid != grid or G.nu != nu or G.m != cp.q:
             raise PreconditionError("G must live on the problem grid at weight nu")
         with np.errstate(over="ignore", invalid="ignore"):  # WeightedSignal refuses inf
             rhs_phi = rhs_phi + G.phi @ cp.B.T
-    rhs = WeightedSignal(grid, nu, rhs_phi)
-    V = timestep_oracle(EvoProblem(nu, grid, base.law, base.A, rhs, "forward"))
+    V = _stepped(base, rhs_phi)
 
-    step_u0 = mask[:, None] * flat_weight[:, None] * cp.U0[None, :]
-    U = WeightedSignal(grid, nu, V.phi + step_u0)
+    flat_weight = np.exp(-nu * grid.times)
+    step_u0 = _step_indicator_mask(grid)[:, None] * flat_weight[:, None] * cp.U0[None, :]
+    U = WeightedSignal(grid, nu, V + step_u0)
+    m0u = M0 @ (_at_T(grid, nu, cp.T, V) + cp.U0)
 
-    v_at_T = math.exp(nu * cp.T) * _interp_at(grid, V.phi, cp.T)
-    m0u = M0 @ (v_at_T + cp.U0)
-
-    m0v_vals = (V.phi * np.exp(nu * grid.times)[:, None]) @ M0.T
+    m0v_vals = (V * np.exp(nu * grid.times)[:, None]) @ M0.T
     jumps = np.abs(np.diff(m0v_vals, axis=0)).max() if grid.n > 1 else 0.0
     return PointwiseSolution(U=U, M0U_at_T=m0u, max_jump=float(jumps))
 
@@ -816,60 +833,35 @@ def _pointwise_response_matrix(cp: ControlProblem) -> tuple:
     """Columns of G -> M0 (response to B G)(T), exploiting shift invariance.
 
     One stepper run per control component gives the response to an impulse at
-    the first nonnegative sample; responses to later impulses are index
+    the first nonnegative sample j0; responses to later impulses are index
     shifts of it.  Unknowns are the flat G samples with t_j >= 0 (the support
     constraint on admissible controls), time-major.
     """
     base = cp.base
-    grid, m, nu, q = base.grid, base.A.m, base.nu, cp.q
-    M0 = base.law.coeffs[0]
-    j0 = int(np.argmax(_step_indicator_mask(grid)))
-    if not _step_indicator_mask(grid).any():
-        raise PreconditionError("the grid has no samples with t >= 0")
+    grid, q = base.grid, cp.q
+    j0 = int(np.argmax(_step_indicator_mask(grid)))  # a sample exists: 0 < T is on the grid
     active = np.arange(j0, grid.n)
 
-    kernels = np.zeros((q, grid.n, m), dtype=complex)
-    for l in range(q):
-        phi = np.zeros((grid.n, q), dtype=complex)
-        phi[j0, l] = 1.0
-        rhs = WeightedSignal(grid, nu, phi @ cp.B.T)
-        kernels[l] = timestep_oracle(
-            EvoProblem(nu, grid, base.law, base.A, rhs, "forward")
-        ).phi
-
-    jlo, theta = _bracket(grid, cp.T)
-    scale = math.exp(nu * cp.T)
-
-    def kernel_at(l, kidx):
-        shifted = kidx + j0
-        valid = (shifted >= 0) & (shifted < grid.n)
-        out = np.zeros((len(kidx), m), dtype=complex)
-        out[valid] = kernels[l][shifted[valid]]
-        return out
-
-    cols = np.zeros((m, len(active), q), dtype=complex)
-    for l in range(q):
-        lo = kernel_at(l, jlo - active)
-        hi = kernel_at(l, jlo + 1 - active)
-        resp = scale * ((1.0 - theta) * lo + theta * hi)
-        cols[:, :, l] = (resp @ M0.T).T
-    Phi = cols.reshape(m, len(active) * q)
+    impulses = np.zeros((q, grid.n, q), dtype=complex)
+    impulses[np.arange(q), j0, np.arange(q)] = 1.0
+    kernels = np.stack([_stepped(base, phi @ cp.B.T) for phi in impulses], axis=1)
+    # Row k of `responses` (n, q, active, m) holds the response at sample k to
+    # an impulse at each active sample j0 + i: kernel sample k - i, zero for
+    # k < i.  A window view of the kernels zero-extended in front, so only the
+    # two rows the readout takes are read.
+    padded = np.concatenate([np.zeros((len(active) - 1,) + kernels.shape[1:], dtype=complex),
+                             kernels])
+    responses = np.moveaxis(sliding_window_view(padded, len(active), axis=0)[..., ::-1], -1, 2)
+    readout = _at_T(grid, base.nu, cp.T, responses) @ base.law.coeffs[0].T  # (q, active, m)
+    Phi = readout.transpose(2, 1, 0).reshape(base.A.m, len(active) * q)
     return Phi, active
 
 
-def _pointwise_target(cp: ControlProblem) -> np.ndarray:
+def _pointwise_target(base: EvoProblem, T: float, U0: np.ndarray) -> np.ndarray:
     """b = M0 (response to step (M1+A) U0)(T) - M0 U0; the control must
-    produce exactly this readout for the closed loop to vanish at T."""
-    base = cp.base
-    grid, nu = base.grid, base.nu
-    M0, M1 = _split_law(base.law)
-    drift = (M1 + base.A.A) @ cp.U0
-    rhs_phi = _step_indicator_weights(grid)[:, None] \
-        * np.exp(-nu * grid.times)[:, None] * drift[None, :]
-    V2 = timestep_oracle(EvoProblem(nu, grid, base.law, base.A,
-                                    WeightedSignal(grid, nu, rhs_phi), "forward"))
-    v2_at_T = math.exp(nu * cp.T) * _interp_at(grid, V2.phi, cp.T)
-    return M0 @ v2_at_T - M0 @ cp.U0
+    produce exactly this readout for the closed loop from U0 to vanish at T."""
+    M0 = base.law.coeffs[0]
+    return M0 @ _at_T(base.grid, base.nu, T, _stepped(base, _drift(base, U0))) - M0 @ U0
 
 
 @one_blas_thread
@@ -885,19 +877,18 @@ def pointwise_null_control(cp: ControlProblem,
     """
     if cp.variant != "pointwise":
         raise PreconditionError("pointwise_null_control needs the pointwise variant")
+    base, q = cp.base, cp.q
+    grid, nu = base.grid, base.nu
     Phi, active = _pointwise_response_matrix(cp)
-    b = _pointwise_target(cp)
+    b = _pointwise_target(base, cp.T, cp.U0)
 
     # Linearity probe: the assembled response must match a direct solve.  The
     # probe is scaled by 1/||B||_2 when ||B||_2 > 1, so that B g stays finite.
     rng = np.random.default_rng(11)
-    grid, q, nu = cp.base.grid, cp.q, cp.base.nu
     probe = np.zeros((grid.n, q), dtype=complex)
     probe[active] = (rng.standard_normal((len(active), q))
                      + 1j * rng.standard_normal((len(active), q))) / max(_exact_norm(cp.B), 1.0)
-    zero_cp = ControlProblem(base=cp.base, B=cp.B, T=cp.T, variant="pointwise",
-                             U0=np.zeros(cp.base.A.m))
-    direct = pointwise_solve(zero_cp, WeightedSignal(grid, nu, probe)).M0U_at_T
+    direct = base.law.coeffs[0] @ _at_T(grid, nu, cp.T, _stepped(base, probe @ cp.B.T))
     via = Phi @ probe[active].reshape(-1)
     if np.linalg.norm(via - direct) > 1e-10 * max(np.linalg.norm(direct), 1.0):
         raise ConsistencyError("pointwise response assembly disagrees with a direct solve")
@@ -913,7 +904,6 @@ def pointwise_null_control(cp: ControlProblem,
     return ControlResult(
         G=G,
         terminal_residual=float(np.linalg.norm(closed_loop.M0U_at_T)),
-        control_norm=G.norm,
         feasible=feasible,
         regularization=reg,
     )
@@ -922,26 +912,28 @@ def pointwise_null_control(cp: ControlProblem,
 @one_blas_thread
 def pointwise_duality_check(cp: ControlProblem) -> dict:
     """Feasibility for a basis of initial states against the range inclusion
-    of the assembled pair; the two verdicts must agree."""
+    of the assembled pair; the two verdicts must agree.
+
+    The m basis targets are solved as one right-hand side of m columns.  Phi
+    is divided by max(||B||_2, 1) first: scaling leaves ran(Phi), and so
+    every verdict, unchanged, and keeps the Douglas probes' norms finite
+    when B is huge.
+    """
+    if cp.variant != "pointwise":
+        raise PreconditionError("pointwise_duality_check needs the pointwise variant")
     base = cp.base
-    m = base.A.m
-    Phi, active = _pointwise_response_matrix(cp)
-    Psi = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        probe = ControlProblem(base=base, B=cp.B, T=cp.T, variant="pointwise",
-                               U0=np.eye(m)[i])
-        Psi[:, i] = _pointwise_target(probe)
+    Phi = _pointwise_response_matrix(cp)[0] / max(_exact_norm(cp.B), 1.0)
+    Psi = np.stack([_pointwise_target(base, cp.T, U0)
+                    for U0 in np.eye(base.A.m, dtype=complex)], axis=1)
     svd_phi = np.linalg.svd(Phi, full_matrices=False)
-    feasible = []
-    for i in range(m):
-        g, _ = _truncated_lstsq(svd_phi, Psi[:, i], DEFAULT_SVD_RTOL)
-        resid = float(np.linalg.norm(Phi @ g - Psi[:, i]))
-        feasible.append(resid < POINTWISE_FEASIBILITY_TOL
-                        * (1.0 + float(np.linalg.norm(Psi[:, i]))))
+    g, _ = _truncated_lstsq(svd_phi, Psi, DEFAULT_SVD_RTOL)
+    residual = np.linalg.norm(Phi @ g - Psi, axis=0)
+    feasible = bool(np.all(residual < POINTWISE_FEASIBILITY_TOL
+                           * (1.0 + np.linalg.norm(Psi, axis=0))))
     report = _douglas(Psi, Phi, svd_phi)
     return {
-        "feasible_for_basis": all(feasible),
+        "feasible_for_basis": feasible,
         "range_included": report.included,
-        "agree": all(feasible) == report.included,
+        "agree": feasible == report.included,
         "douglas": report,
     }

@@ -8,9 +8,11 @@ shipped example configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .material import MaterialLaw
 from .signals import TimeGrid
+from .solver import DEFAULT_PAD_FRACTION
 from .spatial import (
     SpatialOperator,
     build_heat_block,
@@ -29,7 +31,7 @@ class Instance:
     grid: TimeGrid
     law: MaterialLaw
     A: SpatialOperator
-    pad_fraction: float = 0.25
+    pad_fraction: ClassVar[float] = DEFAULT_PAD_FRACTION
 
     @property
     def m(self) -> int:

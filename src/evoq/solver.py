@@ -27,6 +27,7 @@ The checks the CLI's `verify` suites and the acceptance criteria share:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,6 +57,9 @@ __all__ = [
 # Largest disagreement two independent solution methods may show, where the
 # periodic wrap-around is not the bound (the stepper's leakage, say).
 CROSS_METHOD_TOL = 1e-6
+# Share of the grid's samples added as zeros on each side of a spectral solve,
+# unless a config or caller names another.
+DEFAULT_PAD_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -161,24 +165,19 @@ class SpectralOperator:
         object.__setattr__(self, "pad_grid", pad_grid)
         object.__setattr__(self, "npad", npad)
 
-    def _cached(self, key: str, build: Callable):
-        # a frozen dataclass leaves its instance dict writable
-        if key not in self.__dict__:
-            self.__dict__[key] = build()
-        return self.__dict__[key]
-
-    @property
+    # cached_property writes the instance dict, which a frozen dataclass leaves
+    # writable
+    @cached_property
     def certificate(self) -> CoercivityCertificate:
-        return self._cached("_cert", lambda: coercivity(self.law, self.nu, self.pad_grid))
+        return coercivity(self.law, self.nu, self.pad_grid)
 
-    @property
+    @cached_property
     def blocks(self) -> np.ndarray:
-        return self._cached("_fwd", lambda: forward_blocks(self.law, self.A, self.nu,
-                                                           self.pad_grid))
+        return forward_blocks(self.law, self.A, self.nu, self.pad_grid)
 
-    @property
+    @cached_property
     def adjoint_blocks(self) -> np.ndarray:
-        return self._cached("_adj", lambda: np.conj(np.swapaxes(self.blocks, 1, 2)))
+        return np.conj(np.swapaxes(self.blocks, 1, 2))
 
     def _is_forward(self, f: WeightedSignal) -> bool:
         if f.grid != self.grid or abs(f.nu) != self.nu or f.m != self.A.m:
@@ -233,7 +232,7 @@ class SpectralOperator:
                            wraparound, cert, _leakage(u, pinned))
 
 
-def solve_forward(p: EvoProblem, pad_fraction: float = 0.25) -> SolveReport:
+def solve_forward(p: EvoProblem, pad_fraction: float = DEFAULT_PAD_FRACTION) -> SolveReport:
     """Solve the forward system per frequency block on a zero-padded grid.
 
     The solution operator is bounded by 1/c with c the certified coercivity
@@ -247,7 +246,7 @@ def solve_forward(p: EvoProblem, pad_fraction: float = 0.25) -> SolveReport:
     return SpectralOperator(p.law, p.A, p.nu, p.grid, pad_fraction).solve(p.rhs)
 
 
-def solve_adjoint(p: EvoProblem, pad_fraction: float = 0.25) -> SolveReport:
+def solve_adjoint(p: EvoProblem, pad_fraction: float = DEFAULT_PAD_FRACTION) -> SolveReport:
     """Solve the backward system; the mirror image of `solve_forward`.
 
     The right-hand side lives at weight -nu; a support bound (-inf, a] on it
@@ -406,7 +405,7 @@ def time_reversal_conjugation_check(law: MaterialLaw, A: SpatialOperator,
 def nu_independence_check(law: MaterialLaw, A: SpatialOperator,
                           rhs_fn: Callable[[np.ndarray], np.ndarray],
                           grid: TimeGrid, nu1: float, nu2: float,
-                          pad_fraction: float = 0.25) -> dict:
+                          pad_fraction: float = DEFAULT_PAD_FRACTION) -> dict:
     """Solve the same unweighted problem at two admissible weights, forward
     and backward, and compare the reconstructed (unweighted) solutions on an
     interior window.  One operator per weight serves both directions.

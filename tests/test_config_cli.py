@@ -355,14 +355,22 @@ class TestCliExitCodes:
 
     def test_a_huge_pointwise_injection_is_controlled(self, tmp_path, capsys):
         # B = 1e308 only scales the sought control by 1e-308; the random
-        # linearity probe, scaled by 1/||B||_2, no longer overflows in B g
+        # linearity probe, scaled by 1/||B||_2, no longer overflows in B g,
+        # and the certificate, which divides Phi by ||B||_2, agrees
         payload = bundled("pointwise_decay", 64)
         payload["control"]["B"] = [[[1e308, 0.0]]]
-        code, caught = main_recording_warnings(
-            ["control", "--config", write_config(tmp_path, payload), "--json"])
+        path = write_config(tmp_path, payload)
+        code, caught = main_recording_warnings(["control", "--config", path, "--json"])
         assert code == 0, capsys.readouterr().err
         result = json.loads(capsys.readouterr().out)["result"]
         assert result["feasible"] and result["terminal_residual"] < 1e-8
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        code, caught = main_recording_warnings(
+            ["control", "--certify-duality", "--config", path, "--json"])
+        assert code == 0, capsys.readouterr().err
+        table = json.loads(capsys.readouterr().out)
+        assert table["agree"] and table["verdicts"] == {"feasible_for_basis": True,
+                                                        "range_included": True}
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("command", ["solve", "control", "control --certify-duality"])
@@ -393,9 +401,8 @@ class TestCliExitCodes:
         assert err.startswith(f"evoq: config rejected ({error}):") and err.count("\n") == 1
 
     @pytest.mark.parametrize("field, value, command", [
-        ("B", [[[1e308, 0.0]]], "control --certify-duality"),
         ("U0", [[1e308, 0.0]], "control"),
-    ], ids=["B-certify", "U0-control"])
+    ], ids=["U0-control"])
     def test_overflowing_pointwise_norm_exits_1(self, tmp_path, capsys, field, value, command):
         # finite entries whose norms overflow: refused in one line, not
         # reported as an infinite but feasible control

@@ -288,7 +288,7 @@ class TestNormBrackets:
     verdicts are those of the exact norms."""
 
     def test_desk_verdicts_match_exact_norms_without_any(self, monkeypatch, tmp_path):
-        from evoq.control import _douglas, _observability
+        from evoq.control import ObservabilityEstimate, _douglas
 
         verdicts = set()
         for label, maps in desk_end_maps(tmp_path):
@@ -299,7 +299,7 @@ class TestNormBrackets:
                 calls = count_svds(patch)
                 rep = one_blas_thread(_douglas)(maps.L_F, maps.L_G, svd_g)
                 douglas_calls = list(calls)
-                finite = _observability(maps).finite
+                finite = ObservabilityEstimate(maps).finite
             # no exact 2-norm anywhere, no SVD of the mass outside ran(L_G),
             # and the verdict on observability from K2's own SVDs alone: one
             # on the dense configs, values then vectors on a rank-deficient K2
@@ -404,20 +404,20 @@ class TestLazyObservability:
     whoever reads them first and at whatever thread count."""
 
     def test_desk_estimates_match_the_full_route(self, monkeypatch, tmp_path, two_threads):
-        from evoq.control import _observability
+        from evoq.control import ObservabilityEstimate
 
         verdicts = set()
         for label, maps in desk_end_maps(tmp_path):
             reference = full_route_observability(maps)
             # the certificate's order: the verdict, then (here) the values,
             # read outside any one-thread scope
-            certify = _observability(maps)
+            certify = ObservabilityEstimate(maps)
             assert certify.finite == math.isfinite(reference[0]), label
             assert two_threads() == 2
             assert same_bits(lazy_values(certify), reference), label
             # `observability_constant`'s order: the values, then the verdict
             # from them, with no further SVD
-            control = _observability(maps)
+            control = ObservabilityEstimate(maps)
             assert same_bits(lazy_values(control), reference), label
             with monkeypatch.context() as patch:
                 calls = count_svds(patch)
@@ -433,14 +433,14 @@ class TestLazyObservability:
                                                                  third, values_decide):
         # a tall K2 whose third singular value sits within _RANK_GUARD of the
         # cutoff: the values alone cannot be trusted to rank it
-        from evoq.control import _observability
+        from evoq.control import ObservabilityEstimate
 
         rng = np.random.default_rng(21)
         V = orthonormal(rng, 4, 4)
         K2 = orthonormal(rng, 12, 4) @ np.diag([1.0, 0.5, third, 1e-3]) @ V.conj().T
         maps = synthetic_maps(crandn(rng, 8, 4), K2)
         reference = full_route_observability(maps)
-        estimate = _observability(maps)
+        estimate = ObservabilityEstimate(maps)
         with monkeypatch.context() as patch:
             calls = count_svds(patch)
             assert estimate.finite == math.isfinite(reference[0])
@@ -453,7 +453,7 @@ class TestLazyObservability:
         # K1 sees ker K2 with two singular values `seen`, so the Frobenius
         # bracket of K1 on ker K2, [seen, sqrt(2) seen], straddles the rung
         # 1e-8 ||K1||_2, whose own bracket is [0.71e-8, 1.41e-8]
-        from evoq.control import _observability
+        from evoq.control import ObservabilityEstimate
 
         rng = np.random.default_rng(22)
         V = orthonormal(rng, 4, 4)
@@ -461,7 +461,7 @@ class TestLazyObservability:
         K1 = orthonormal(rng, 4, 4) @ np.diag([1.0, 1.0, seen, seen]) @ V.conj().T
         maps = synthetic_maps(K1, K2)
         reference = full_route_observability(maps)
-        estimate = _observability(maps)
+        estimate = ObservabilityEstimate(maps)
         with monkeypatch.context() as patch:
             calls = count_svds(patch)
             assert estimate.finite is finite == math.isfinite(reference[0])
@@ -834,6 +834,13 @@ class TestPointwise:
         cp = self.scalar_cp(n=512)
         chk = pointwise_duality_check(cp)
         assert chk["agree"] and chk["feasible_for_basis"]
+
+    @pytest.mark.parametrize("entry", [pointwise_solve, pointwise_null_control,
+                                       pointwise_duality_check])
+    def test_supported_variant_refused(self, entry):
+        cp = ControlProblem(base=self.scalar_cp(n=64).base, B=np.eye(1), T=2.0)
+        with pytest.raises(PreconditionError, match="needs the pointwise variant"):
+            entry(cp)
 
     def test_wrong_law_shape_rejected(self):
         law = finite_sum_law([np.eye(1), np.eye(1), np.eye(1)])
