@@ -917,12 +917,15 @@ def pointwise_duality_check(cp: ControlProblem) -> dict:
     The m basis targets are solved as one right-hand side of m columns.  Phi
     is divided by max(||B||_2, 1) first: scaling leaves ran(Phi), and so
     every verdict, unchanged, and keeps the Douglas probes' norms finite
-    when B is huge.
+    when B is huge.  A ||B||_2 that is not finite is refused.
     """
     if cp.variant != "pointwise":
         raise PreconditionError("pointwise_duality_check needs the pointwise variant")
     base = cp.base
-    Phi = _pointwise_response_matrix(cp)[0] / max(_exact_norm(cp.B), 1.0)
+    scale = _exact_norm(cp.B)
+    if not math.isfinite(scale):
+        raise np.linalg.LinAlgError("a norm overflows the float range")
+    Phi = _pointwise_response_matrix(cp)[0] / max(scale, 1.0)
     Psi = np.stack([_pointwise_target(base, cp.T, U0)
                     for U0 in np.eye(base.A.m, dtype=complex)], axis=1)
     svd_phi = np.linalg.svd(Phi, full_matrices=False)

@@ -401,11 +401,13 @@ class TestCliExitCodes:
         assert err.startswith(f"evoq: config rejected ({error}):") and err.count("\n") == 1
 
     @pytest.mark.parametrize("field, value, command", [
+        ("B", [[[1.7e308, 1.7e308]]], "control --certify-duality"),
         ("U0", [[1e308, 0.0]], "control"),
-    ], ids=["U0-control"])
+    ], ids=["B-certify", "U0-control"])
     def test_overflowing_pointwise_norm_exits_1(self, tmp_path, capsys, field, value, command):
         # finite entries whose norms overflow: refused in one line, not
-        # reported as an infinite but feasible control
+        # reported as an infinite but feasible control.  A B of modulus
+        # 2.4e308 has no finite ||B||_2 to divide Phi by
         payload = bundled("pointwise_decay", 64)
         payload["control"][field] = value
         name, *options = command.split()
