@@ -1,10 +1,15 @@
 """Run a function on one BLAS thread.
 
-The dense control algebra (SVDs and products of a few hundred to a few
-thousand rows) is faster on one OpenBLAS thread than on two, and its bits
-then no longer depend on the thread count.  `one_blas_thread` sets the
-OpenBLAS that `numpy.linalg` loaded to one thread for the duration of a call
-and restores the caller's count afterwards, also on an exception.
+Every CLI command runs on one OpenBLAS thread (`cli.main`), and so do the
+library routes whose results the CLI writes: the dense control entry points
+and `SpectralOperator.solve`.  Their work (SVDs and products of a few
+hundred to a few thousand rows, norms and dot products over a few thousand
+rows) mostly runs faster on one thread than on two, and a reduction past
+OpenBLAS's threading cut gives other last digits on two; on one thread no
+output depends on the thread count.  `one_blas_thread` sets the OpenBLAS
+that `numpy.linalg` loaded to one thread for the duration of a call and
+restores the caller's count afterwards, also on an exception.  A pin inside
+a pin costs one getter call.
 
 The library is looked up on first use, not at import, and only inside
 numpy's own install (the wheel's `numpy.libs`, or `numpy/.libs`), attaching

@@ -9,7 +9,8 @@
 Exit codes: 0 all enabled assertions pass, 1 numerical assertion failure,
 2 configuration rejected, 3 I/O failure.  Reports are deterministic for a
 fixed config (fixed seed, index-ordered reductions), so reruns produce
-bitwise-identical JSON.
+bitwise-identical JSON.  Every command runs on one OpenBLAS thread and hands
+the caller's count back, so no report depends on OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
@@ -324,7 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    from ._blas import one_blas_thread
 
+    return one_blas_thread(_run)(args)
+
+
+def _run(args) -> int:
     if args.command == "suite":
         try:
             return _cmd_suite(args)

@@ -22,10 +22,10 @@ controlled (say, B = 0) is part of the job.
 Every dense entry point (`douglas_check`, `assemble_endmaps`, `null_control`,
 `observability_constant`, the pointwise pair and the duality verdicts) runs
 on one OpenBLAS thread whatever the caller's thread count says, then
-restores the caller's count.  Mid-size complex SVDs are faster
-that way than on two threads, and the results no longer depend on the
-thread count (bitwise reproducibility still assumes the same numpy/OpenBLAS
-build and CPU kernel).  Other stages still follow the caller's count.
+restores the caller's count, as every CLI command does.  Mid-size complex
+SVDs are faster that way than on two threads, and the results no longer
+depend on the thread count (bitwise reproducibility still assumes the same
+numpy/OpenBLAS build and CPU kernel).
 """
 
 from __future__ import annotations
@@ -864,6 +864,16 @@ def _pointwise_target(base: EvoProblem, T: float, U0: np.ndarray) -> np.ndarray:
     return M0 @ _at_T(base.grid, base.nu, T, _stepped(base, _drift(base, U0))) - M0 @ U0
 
 
+def _b_scale(B: np.ndarray) -> float:
+    """max(||B||_2, 1), the divisor that keeps the pointwise variant's
+    products with a huge B finite; it keeps every bit when ||B||_2 <= 1.
+    A ||B||_2 that is not finite is refused."""
+    scale = _exact_norm(B)
+    if not math.isfinite(scale):
+        raise np.linalg.LinAlgError("a norm overflows the float range")
+    return max(scale, 1.0)
+
+
 @one_blas_thread
 def pointwise_null_control(cp: ControlProblem,
                            rtol: float = DEFAULT_SVD_RTOL,
@@ -883,11 +893,11 @@ def pointwise_null_control(cp: ControlProblem,
     b = _pointwise_target(base, cp.T, cp.U0)
 
     # Linearity probe: the assembled response must match a direct solve.  The
-    # probe is scaled by 1/||B||_2 when ||B||_2 > 1, so that B g stays finite.
+    # probe is divided by _b_scale, so that B g stays finite.
     rng = np.random.default_rng(11)
     probe = np.zeros((grid.n, q), dtype=complex)
     probe[active] = (rng.standard_normal((len(active), q))
-                     + 1j * rng.standard_normal((len(active), q))) / max(_exact_norm(cp.B), 1.0)
+                     + 1j * rng.standard_normal((len(active), q))) / _b_scale(cp.B)
     direct = base.law.coeffs[0] @ _at_T(grid, nu, cp.T, _stepped(base, probe @ cp.B.T))
     via = Phi @ probe[active].reshape(-1)
     if np.linalg.norm(via - direct) > 1e-10 * max(np.linalg.norm(direct), 1.0):
@@ -915,17 +925,14 @@ def pointwise_duality_check(cp: ControlProblem) -> dict:
     of the assembled pair; the two verdicts must agree.
 
     The m basis targets are solved as one right-hand side of m columns.  Phi
-    is divided by max(||B||_2, 1) first: scaling leaves ran(Phi), and so
-    every verdict, unchanged, and keeps the Douglas probes' norms finite
-    when B is huge.  A ||B||_2 that is not finite is refused.
+    is divided by `_b_scale` first: scaling leaves ran(Phi), and so every
+    verdict, unchanged, and keeps the Douglas probes' norms finite when B is
+    huge.
     """
     if cp.variant != "pointwise":
         raise PreconditionError("pointwise_duality_check needs the pointwise variant")
     base = cp.base
-    scale = _exact_norm(cp.B)
-    if not math.isfinite(scale):
-        raise np.linalg.LinAlgError("a norm overflows the float range")
-    Phi = _pointwise_response_matrix(cp)[0] / max(scale, 1.0)
+    Phi = _pointwise_response_matrix(cp)[0] / _b_scale(cp.B)
     Psi = np.stack([_pointwise_target(base, cp.T, U0)
                     for U0 in np.eye(base.A.m, dtype=complex)], axis=1)
     svd_phi = np.linalg.svd(Phi, full_matrices=False)

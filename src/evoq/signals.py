@@ -121,9 +121,16 @@ class WeightedSignal:
     @property
     def norm(self) -> float:
         """Weighted L2 norm, dt-quadrature of the flat coordinates; +inf where
-        finite samples square past the float range."""
+        finite samples square past the float range.  When every square
+        underflows, the samples are rescaled by their largest modulus, so a
+        nonzero signal never has norm 0."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return math.sqrt(self.grid.dt) * float(np.linalg.norm(self.phi))
+            value = float(np.linalg.norm(self.phi))
+        if value == 0.0 and self.phi.any():
+            moduli = np.abs(self.phi)
+            largest = float(moduli.max())
+            value = largest * float(np.linalg.norm(moduli / largest))
+        return math.sqrt(self.grid.dt) * value
 
     def values(self) -> np.ndarray:
         """Reconstruct the unweighted samples f(t_j) = e^{nu t_j} phi_j.

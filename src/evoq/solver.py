@@ -12,12 +12,15 @@ trapezoidal stepper is exactly causal by construction and serves as the
 cross-check for the spectral path, whose periodic wrap-around is measured on
 a zero-padded margin and reported alongside every solution.
 
-`SpectralOperator.solve` ships a full `SolveReport`.  Callers that read
-only the solution call `solutions` (certified signals: the duality pairs,
-the weight comparison) or `padded_solve` (padded arrays: end-map kernels,
-acceptance batches); neither computes a residual.  A batch of right-hand
-sides shares one factorization per block, and each of its columns comes out
-with the bits of a one-column solve.
+`SpectralOperator.solve` ships a full `SolveReport`, computed on one
+OpenBLAS thread: at large n its norms pass OpenBLAS's threading cut, where a
+second thread changes their last digits and costs more than it saves.  So
+`solve_forward` and `solve_adjoint` return the bits the CLI writes.  Callers
+that read only the solution call `solutions` (certified signals: the
+duality pairs, the weight comparison) or `padded_solve` (padded arrays:
+end-map kernels, acceptance batches); neither computes a residual.  A batch
+of right-hand sides shares one factorization per block, and each of its
+columns comes out with the bits of a one-column solve.
 
 The checks the CLI's `verify` suites and the acceptance criteria share:
 `causality_check` (causality forward, amnesia backward, on one operator),
@@ -32,6 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .errors import (
     OracleError,
     PreconditionError,
@@ -214,6 +218,7 @@ class SpectralOperator:
                           self._embed(f.phi))
         return f.with_phi(out[self.npad:self.npad + self.grid.n])
 
+    @one_blas_thread
     def solve(self, rhs: WeightedSignal) -> SolveReport:
         """Certified solve; leakage and wrap-around are measured before the rhs
         support (forward) or after it (backward)."""

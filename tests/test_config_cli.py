@@ -364,6 +364,8 @@ class TestCliExitCodes:
         assert code == 0, capsys.readouterr().err
         result = json.loads(capsys.readouterr().out)["result"]
         assert result["feasible"] and result["terminal_residual"] < 1e-8
+        # the control's entries are near 1e-308, and so their squares underflow
+        assert result["control_norm"] > 0
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         code, caught = main_recording_warnings(
             ["control", "--certify-duality", "--config", path, "--json"])
@@ -402,12 +404,13 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("field, value, command", [
         ("B", [[[1.7e308, 1.7e308]]], "control --certify-duality"),
+        ("B", [[[1.7e308, 1.7e308]]], "control"),
         ("U0", [[1e308, 0.0]], "control"),
-    ], ids=["B-certify", "U0-control"])
+    ], ids=["B-certify", "B-control", "U0-control"])
     def test_overflowing_pointwise_norm_exits_1(self, tmp_path, capsys, field, value, command):
         # finite entries whose norms overflow: refused in one line, not
         # reported as an infinite but feasible control.  A B of modulus
-        # 2.4e308 has no finite ||B||_2 to divide Phi by
+        # 2.4e308 has no finite ||B||_2 to divide Phi or the probe by
         payload = bundled("pointwise_decay", 64)
         payload["control"][field] = value
         name, *options = command.split()

@@ -865,8 +865,19 @@ class TestPointwise:
             ControlProblem(base=base, B=np.eye(1), T=5.9, variant=variant, U0=U0)
 
 
+def write_wave_config(tmp_path, n):
+    """The bundled wave k=4 (m=9) config at n samples."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "configs", "wave_small.json")) as fh:
+        config = json.load(fh)
+    config["grid"]["n"] = n
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
 class TestOneBlasThread:
-    """The dense control entry points run on one OpenBLAS thread and hand the
+    """Every CLI command, the dense control entry points and the spectral
+    solve whose report the CLI writes run on one OpenBLAS thread and hand the
     caller's thread count back."""
 
     @staticmethod
@@ -891,6 +902,31 @@ class TestOneBlasThread:
 
         seen = self.record_svd_threads(monkeypatch, two_threads)
         path = write_heat_control_config(tmp_path, "zero")
+        assert main([*command, "--config", path, "--out", str(tmp_path / "out")]) == 0
+        assert seen and set(seen) == {1}
+        assert two_threads() == 2
+
+    @pytest.mark.parametrize("command", [
+        ["solve"], ["adjoint"],
+        *[["verify", "--suite", suite]
+          for suite in ("duality", "causality", "reversal", "nu-independence")],
+        ["control"],
+    ], ids=["solve", "adjoint", "duality", "causality", "reversal", "nu-independence",
+            "control"])
+    def test_every_command_reduces_on_one_thread(self, monkeypatch, tmp_path, two_threads,
+                                                 command):
+        from evoq.cli import main
+
+        # the reductions, and the block solves (the weight-independence
+        # suite's only BLAS calls)
+        seen = []
+        for namespace, name in ((np.linalg, "norm"), (np, "vdot"), (np.linalg, "solve")):
+            def recording(*args, _original=getattr(namespace, name), **kwargs):
+                seen.append(two_threads())
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(namespace, name, recording)
+        path = write_heat_control_config(tmp_path, "I")
         assert main([*command, "--config", path, "--out", str(tmp_path / "out")]) == 0
         assert seen and set(seen) == {1}
         assert two_threads() == 2
@@ -940,3 +976,39 @@ class TestOneBlasThread:
         assert len(files1) == 6  # two signals (csv + json header) and two reports
         assert stdout1 == stdout2
         assert files1 == files2
+
+    @pytest.mark.parametrize("command", [["solve"], ["verify", "--suite", "duality"]],
+                             ids=["solve", "duality"])
+    def test_large_grid_output_does_not_depend_on_the_thread_count(self, tmp_path, command):
+        # at n=2048 (m=9) the report's norms pass OpenBLAS's threading cut;
+        # unpinned, two threads gave other last digits.  A host with one
+        # core runs both on one thread, so there this shows nothing
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        write_wave_config(tmp_path, 2048)
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": os.path.abspath(src),
+                   "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-m", "evoq.cli", *command, "--config", "cfg.json",
+                 "--json", "--out", f"out{threads}"],
+                cwd=tmp_path, env=env, capture_output=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            out = tmp_path / f"out{threads}"
+            runs.append((proc.stdout, {p.name: p.read_bytes() for p in out.iterdir()}))
+        assert runs[0] == runs[1]
+
+    def test_library_solve_gives_the_cli_report(self, tmp_path, two_threads):
+        from evoq.cli import _json_safe, _report_dict, main
+        from evoq.config import load_config
+
+        path = write_wave_config(tmp_path, 2048)
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "report.json") as fh:
+            written = json.load(fh)["report"]
+        cfg = load_config(path)
+        base = EvoProblem(cfg.nu, cfg.grid, cfg.law, cfg.A, cfg.build_rhs(weight=cfg.nu),
+                          "forward")
+        report = solve_forward(base, cfg.pad_fraction)
+        assert two_threads() == 2
+        assert json.loads(json.dumps(_json_safe(_report_dict(report)))) == written

@@ -99,6 +99,17 @@ class TestWeightedSignal:
         sig = random_signal(g, 3.0, 2, np.random.default_rng(1))
         assert sig.norm == pytest.approx(direct_weighted_norm(sig), rel=1e-12)
 
+    def test_tiny_signal_has_a_positive_norm(self):
+        # every square underflows, and the rescaled norm is the unscaled
+        # signal's norm times 2^-1000, to rounding
+        g = TimeGrid(-10.0, 10.0, 300)
+        sig = random_signal(g, 3.0, 2, np.random.default_rng(1))
+        tiny = sig * 2.0 ** -1000
+        assert float(np.linalg.norm(tiny.phi)) == 0.0
+        assert tiny.norm == pytest.approx(sig.norm * 2.0 ** -1000, rel=1e-14)
+        assert WeightedSignal(g, 3.0, np.full((300, 2), 1e-300 + 0j)).norm > 0.0
+        assert WeightedSignal(g, 3.0, np.zeros((300, 2))).norm == 0.0
+
     def test_values_roundtrip(self):
         g = TimeGrid(-4.0, 4.0, 64)
         rng = np.random.default_rng(2)
