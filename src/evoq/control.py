@@ -9,13 +9,14 @@ decision here is made relative to a declared truncated-SVD cutoff
 on a spectral norm is first decided from cheap bounds,
 ||M||_F / sqrt(min(shape)) <= ||M||_2 <= ||M||_F widened for rounding; the
 exact norm (an SVD) is taken only when the bounds straddle the threshold,
-so a verdict is the one the exact norms give.  The observability verdict is
-decided the same way: a tall filtered map keeps every column when its
-singular values, taken without vectors, all clear the cutoff by a guard band
-wider than the two LAPACK routines ever differ, and otherwise the norm of
-what the unfiltered map sees of its kernel is bracketed.  The values behind
-a verdict (the observability constant and its witness, the Douglas constant
-and factor residual) are exact, computed when first read.
+so a verdict is the one the exact norms give.  Observability is read off the
+same primal check: the backward (nu-adjoint) end maps are the adjoints of
+L_F and L_G, so by Douglas' lemma in its control/observation form c_obs is
+finite exactly when ran L_F lies in ran L_G, and is then the norm of the
+Douglas core.  Each assembly checks that adjointness against real backward
+solves.  The values behind a verdict (the observability constant and its
+witness, the Douglas constant and factor residual) are exact, computed when
+first read.
 Infeasibility is a finding, not an error: certifying that a system cannot be
 controlled (say, B = 0) is part of the job.
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
@@ -76,13 +77,6 @@ _PROBES = 8             # random probes per ball-inclusion and adjoint-dominatio
 _ROUNDING = 1e-10       # relative widening of each cheap norm bound, for its rounding
 _FROBENIUS_MIN = 1e-150  # below it the squares in a Frobenius norm may underflow
 _POWER_STEPS = 3        # power steps behind the lower bound on ||core||_2
-# Least distance, relative to sigma_max, between each singular value of K2
-# taken without vectors and the cutoff before that rank is trusted.  The SVD
-# routines with and without vectors differ by at most 2.6e-15 sigma_max on the
-# 36 tall K2 of `tools/same_outputs.py`'s default commands and one
-# control-dense benchmark cycle; both are backward stable, so the gap is a
-# modest multiple of eps sigma_max.
-_RANK_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -189,7 +183,8 @@ class DouglasReport:
     witness: Optional[np.ndarray]
     cutoff: float
     conditions: dict
-    # brackets of ||A - BC||_2 and ||C||_2 when included
+    # when included: brackets of ||A - BC||_2 and ||C||_2, and the core
+    # U_r^* A / s_r, whose 2-norm is ||C||_2
     _norms: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @cached_property
@@ -400,28 +395,27 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
         witness=witness,
         cutoff=cutoff,
         conditions=conditions,
-        _norms=(residual, constant) if included else None,
+        _norms=(residual, constant, core) if included else None,
     )
 
 
 @dataclass(frozen=True)
 class EndMaps:
-    """Both sides of the duality for one supported control problem, cut from
-    the forward and backward impulse kernels of one `SpectralOperator`.
+    """The primal end maps of one supported control problem, cut from the
+    forward impulse kernel of one `SpectralOperator`.
 
-    Primal: L_F and L_G map F, and G through B, to the post-horizon response;
-    rows are the samples with t_j >= T stacked time-major, columns the
-    full-grid flat arrays of F (dimension n*m) and G (dimension n*q).
-    Dual: K1 and K2 map a backward datum supported at or after T (columns,
-    dimension n_post*m) to the backward solution (rows n*m) and to its
-    B^*-filtered observation (rows n*q).  `certificate` is the operator's
-    padded-grid certificate, the one that bounds every solve behind the maps.
+    L_F and L_G map F, and G through B, to the post-horizon response; rows
+    are the samples with t_j >= T stacked time-major, columns the full-grid
+    flat arrays of F (dimension n*m) and G (dimension n*q).  Their adjoints
+    are the backward end maps: L_F^H maps a backward datum supported at or
+    after T to the backward solution, L_G^H to its B^*-filtered observation
+    (checked against backward solves at assembly).  `certificate` is the
+    operator's padded-grid certificate, the one that bounds every solve
+    behind the maps.
     """
 
     L_F: np.ndarray
     L_G: np.ndarray
-    K1: np.ndarray
-    K2: np.ndarray
     certificate: CoercivityCertificate
     post_start: int
     grid: TimeGrid
@@ -435,11 +429,20 @@ class EndMaps:
         null-control solve and range-inclusion check on these maps."""
         return np.linalg.svd(self.L_G, full_matrices=False)
 
+    @cached_property
+    def _inclusion(self) -> DouglasReport:
+        """The range-inclusion check ran L_F in ran L_G on `_svd_G`, taken on
+        first use and shared by the duality verdicts and the observability
+        estimate."""
+        return _douglas(self.L_F, self.L_G, self._svd_G)
+
 
 def _kernel_blocks(op: SpectralOperator, forward: bool, rows: np.ndarray,
                    cols: np.ndarray) -> np.ndarray:
     """Blocks (len(rows), len(cols), m, m) of the forward or backward solution
-    operator of `op` between original sample indices `rows` and `cols`.
+    operator of `op` between original sample indices `rows` and `cols`.  The
+    end maps take the forward blocks; the backward ones serve the acceptance
+    suite's reference backward maps.
 
     The solve is a circulant on the padded grid, so one impulse solve per
     component (impulse at padded index npad) gives every block: the entry
@@ -459,14 +462,25 @@ def _time_major(blocks: np.ndarray) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(r * a, c * b)
 
 
+def _check_agrees(via: np.ndarray, direct: np.ndarray, what: str) -> None:
+    """Raise `ConsistencyError` unless `via` matches `direct` to 1e-10
+    relative; an overflowed norm fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = np.linalg.norm(via - direct) / max(np.linalg.norm(direct), NORM_FLOOR)
+    if not err <= 1e-10:
+        raise ConsistencyError(f"{what}: {err:.3e}")
+
+
 @one_blas_thread
 def assemble_endmaps(cp: ControlProblem,
                      pad_fraction: float = DEFAULT_PAD_FRACTION) -> EndMaps:
-    """Assemble the primal and the backward end maps as dense matrices.
+    """Assemble the primal end maps as dense matrices.
 
-    Columns are exact index shifts of one set of impulse solves per direction
-    on one operator; linearity of L_F against direct solves is verified on
-    random probes to 1e-10 before returning.  Maps of more than
+    Columns are exact index shifts of one set of impulse solves on one
+    operator.  Before returning, two checks run on random probes to 1e-10:
+    linearity of L_F against direct solves, and a dot test of L_F^H against
+    backward solves of post-horizon data at weight -nu, the nu-adjoint system
+    whose observability the maps decide.  Maps of more than
     `DEFAULT_SIZE_GUARD` entries raise `SizeGuardError` before any solve.
     """
     base = cp.base
@@ -485,22 +499,22 @@ def assemble_endmaps(cp: ControlProblem,
     forward = _kernel_blocks(op, True, after, full)     # (n_post, n, m, m)
     L_F = _time_major(forward)
     L_G = _time_major(np.einsum("pjik,kl->pjil", forward, cp.B))
-    backward = _kernel_blocks(op, False, full, after)   # (n, n_post, m, m)
-    K1 = _time_major(backward)
-    K2 = _time_major(np.einsum("kl,ipkj->iplj", np.conj(cp.B), backward))
 
     rng = np.random.default_rng(7)
     probes = [WeightedSignal(grid, base.nu, rng.standard_normal((n, m))
                              + 1j * rng.standard_normal((n, m))) for _ in range(2)]
     for f, u in zip(probes, op.solutions(probes)):
-        direct = u.phi[post:]
-        via_matrix = (L_F @ f.phi.reshape(-1)).reshape(n_post, m)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed norm fails
-            err = np.linalg.norm(via_matrix - direct) / max(np.linalg.norm(direct), NORM_FLOOR)
-        if not err <= 1e-10:
-            raise ConsistencyError(f"end-map assembly disagrees with a direct solve: {err:.3e}")
+        _check_agrees((L_F @ f.phi.reshape(-1)).reshape(n_post, m), u.phi[post:],
+                      "end-map assembly disagrees with a direct solve")
+    # Dot test: L_F^H y is the backward solve of a post-horizon datum y.
+    data = np.zeros((2, n, m), dtype=complex)
+    data[:, post:] = rng.standard_normal((2, n_post, m)) + 1j * rng.standard_normal((2, n_post, m))
+    duals = [WeightedSignal(grid, -base.nu, phi) for phi in data]
+    for y, v in zip(duals, op.solutions(duals)):
+        _check_agrees(np.conj(y.phi[post:].reshape(-1).conj() @ L_F).reshape(n, m), v.phi,
+                      "the adjoint of L_F disagrees with a backward solve")
 
-    return EndMaps(L_F=L_F, L_G=L_G, K1=K1, K2=K2, certificate=op.certificate,
+    return EndMaps(L_F=L_F, L_G=L_G, certificate=op.certificate,
                    post_start=post, grid=grid, nu=base.nu, m=m, q=q)
 
 
@@ -579,32 +593,25 @@ class ObservabilityEstimate:
     """Smallest constant bounding the backward solution by its B-filtered
     observation, over right-hand sides supported at or after the horizon.
 
-    `c_obs` is +inf exactly when the filtered map K2 has a kernel direction
-    the unfiltered map K1 still sees, which by duality is the uncontrollable
-    case.  `finite` is that verdict, decided on first read from the cheapest
-    evidence that settles it: a tall K2 whose singular values, taken without
-    vectors, all lie more than `_RANK_GUARD` sigma_max from the cutoff keeps
-    every column, so it has no kernel; otherwise the full SVD of K2 gives its
-    kernel, and ||K1 on it||_2 against 1e-8 ||K1||_2 is decided from norm
-    brackets, from the top singular value only when they straddle.
-    `c_obs`, `witness` and `cutoff` are exact: the full SVD of K2 and of K1
-    on ker K2 or of the whitened map, computed together on first read, on
-    one BLAS thread.  The verdict and the values share one kernel test,
-    `_seen_kernel`, and its witness is computed only when a value is read.
-
-    `ObservabilityEstimate(maps)` is the estimate on `maps` with no primal
-    cross-check; `observability_constant` adds one.
+    The backward end maps are L_F^H and L_G^H, so by Douglas' lemma (in the
+    control/observation duality of Dolecki and Russell) `c_obs` is finite
+    exactly when ran L_F lies in ran L_G, and then equals ||core||_2 for the
+    Douglas core U_r^* L_F / s_r of the thin SVD of L_G.  `finite` is that
+    verdict, read off the maps' one range-inclusion check.  `c_obs`,
+    `witness` and `cutoff` are computed together on first read, on one BLAS
+    thread: a finite constant and its witness U_r s_r^{-1} u_1 (normalised)
+    from one thin SVD of the core, 0.0 when L_G keeps nothing; an infinite
+    one with the Douglas witness, a unit datum that L_G^H misses and L_F^H
+    sees.  `cutoff` is the truncation of L_G, sigma_max(L_G) * 1e-10.
     """
 
     method: ClassVar[str] = "generalized-svd"  # the one (dense) route
     _maps: EndMaps = field(repr=False, compare=False)
 
-    @cached_property
+    @property
     @one_blas_thread
     def finite(self) -> bool:
-        if "_exact" in self.__dict__:
-            return math.isfinite(self.c_obs)
-        return self._full_column_rank() or self._seen_kernel is None
+        return self._maps._inclusion.included
 
     @property
     def c_obs(self) -> float:
@@ -618,91 +625,39 @@ class ObservabilityEstimate:
     def cutoff(self) -> float:
         return self._exact[2]
 
-    def _full_column_rank(self) -> bool:
-        """K2 keeps every column at the cutoff, decided from its singular
-        values alone when each clears the cutoff by the guard band; False
-        when that does not decide it."""
-        K2 = self._maps.K2
-        if K2.shape[0] < K2.shape[1]:
-            return False
-        s = np.linalg.svd(K2, compute_uv=False)
-        sigma_max, cutoff, rank = _truncation(s, DEFAULT_SVD_RTOL)
-        guard = _RANK_GUARD * sigma_max
-        return (rank == K2.shape[1] and guard >= np.finfo(float).tiny
-                and bool(np.all(np.abs(s - cutoff) > guard)))
-
-    @cached_property
-    def _svd_K2(self) -> tuple:
-        """(s, Vh, cutoff, rank) of the full SVD of K2."""
-        _, s2, V2h = np.linalg.svd(self._maps.K2, full_matrices=True)
-        return (s2, V2h, *_truncation(s2, DEFAULT_SVD_RTOL)[1:])
-
-    @cached_property
-    def _seen_kernel(self) -> Optional[Callable[[], np.ndarray]]:
-        """None when K1 sees no datum of ker K2 beyond 1e-8 ||K1||_2; else a
-        function giving the unit datum of ker K2 that K1 sees most, which
-        takes the SVD of K1 on ker K2 on its first call unless the verdict
-        already took it."""
-        _, V2h, _, r = self._svd_K2
-        if r == V2h.shape[0]:
-            return None
-        null_basis = V2h[r:].conj().T
-        blind = self._maps.K1 @ null_basis
-        svd = cache(lambda: np.linalg.svd(blind, full_matrices=False))
-        bounds = _norm_bracket(blind)
-        top = _Bracket(bounds.lo, bounds.hi, lambda: float(svd()[1][0]))
-        if _at_most(top, _monotone(lambda k: 1e-8 * max(k, NORM_FLOOR),
-                                   _norm_bracket(self._maps.K1))):
-            return None
-        return lambda: null_basis @ svd()[2][0].conj()
-
     @cached_property
     @one_blas_thread
     def _exact(self) -> tuple:
         """(c_obs, witness, cutoff)."""
         maps = self._maps
-        s2, V2h, cutoff, r = self._svd_K2
-        seen = self._seen_kernel
-        if seen is not None:
-            return math.inf, _embed_post(seen(), maps.grid, -maps.nu, maps.post_start,
-                                         maps.m), cutoff
-        whiten = V2h[:r].conj().T / s2[:r][None, :]
-        _, sw, Vwh = np.linalg.svd(maps.K1 @ whiten, full_matrices=False)
-        c_obs = float(sw[0]) if sw.size else 0.0
-        witness_flat = whiten @ Vwh[0].conj()
-        wnorm = np.linalg.norm(witness_flat)
-        if wnorm > 0:
-            witness_flat = witness_flat / wnorm
-        return c_obs, _embed_post(witness_flat, maps.grid, -maps.nu, maps.post_start,
-                                  maps.m), cutoff
+        report = maps._inclusion
+        core = report._norms[2] if report.included else None
+        if core is None:
+            c_obs, datum = math.inf, report.witness
+        elif core.size:
+            u, s, _ = np.linalg.svd(core, full_matrices=False)
+            U, sg, _ = maps._svd_G
+            r = core.shape[0]
+            datum = U[:, :r] @ (u[:, 0] / sg[:r])
+            c_obs, datum = float(s[0]), datum / np.linalg.norm(datum)
+        else:  # L_G keeps nothing, and L_F is negligible
+            c_obs, datum = 0.0, np.zeros(maps.L_F.shape[0], dtype=complex)
+        return c_obs, _embed_post(datum, maps.grid, -maps.nu, maps.post_start,
+                                  maps.m), report.cutoff
 
 
-@one_blas_thread
 def observability_constant(cp: ControlProblem,
                            endmaps: Optional[EndMaps] = None) -> ObservabilityEstimate:
-    """Largest generalized singular value of the backward end-map K1 against
-    its B-filtered counterpart K2.
+    """Largest generalized singular value of the backward end map L_F^H
+    against its B-filtered counterpart L_G^H: +inf when a post-horizon datum
+    is invisible to the observation but not to the state.
 
     Assembles the end maps at the default padding unless `endmaps` is given
     (pass `assemble_endmaps(cp, pad_fraction)` for another); past their size
-    guard this raises `SizeGuardError`, as there is no matrix-free route.  Flags
-    +inf when a post-horizon datum is invisible to the observation but not
-    to the state (a thin SVD of K1 on ker K2 gives the witness), then
-    cross-checks the verdict against the primal range inclusion
-    ran L_F in ran L_G of the same maps; a disagreement raises, as the two
-    are equivalent.  The returned estimate's values are computed here, before
-    the verdict, so no values-only pass runs.
+    guard this raises `SizeGuardError`, as there is no matrix-free route.
+    The values are computed when first read.
     """
-    maps = endmaps or assemble_endmaps(cp)
-    estimate = ObservabilityEstimate(maps)
-    finite = math.isfinite(estimate.c_obs)
-    report = _douglas(maps.L_F, maps.L_G, maps._svd_G)
-    if finite != report.included:
-        raise ConsistencyError(
-            f"observability verdict (finite={finite}) disagrees with the "
-            f"primal range inclusion (included={report.included})"
-        )
-    return estimate
+    return ObservabilityEstimate(endmaps or assemble_endmaps(cp))
 
 
 def _embed_post(flat_post: np.ndarray, grid: TimeGrid, nu: float,
@@ -718,15 +673,13 @@ def _duality_verdicts(cp: ControlProblem, maps: EndMaps,
     """(feasible, douglas, observability) on one set of end maps: null control
     of max(m, 3) forcings drawn from `rng` (one right-hand side of as many
     columns), ran(L_F) in ran(L_G), and the backward observability estimate,
-    whose verdict `finite` is decided here and whose values are computed only
-    when read.  By duality the three verdicts agree."""
+    whose verdict is that inclusion and whose values are computed only when
+    read.  By duality the three verdicts agree."""
     base = cp.base
     probes = np.stack([random_signal(base.grid, base.nu, base.A.m, rng).phi.reshape(-1)
                        for _ in range(max(base.A.m, 3))], axis=1)
     feasible = _null_solve(maps, probes)[3]
-    observability = ObservabilityEstimate(maps)
-    observability.finite  # decided before the Douglas check allocates
-    return feasible, _douglas(maps.L_F, maps.L_G, maps._svd_G), observability
+    return feasible, maps._inclusion, ObservabilityEstimate(maps)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,8 @@ from evoq import (
     zero_signal,
 )
 from evoq._blas import one_blas_thread
-from evoq.acceptance import random_search_lower_bound
+from evoq.acceptance import backward_end_maps, random_search_lower_bound
+from evoq.solver import DEFAULT_PAD_FRACTION
 from evoq.waveforms import bump_signal, random_signal
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -153,43 +154,25 @@ def exact_douglas(Amat, Bmat, svd_b):
 
 
 @one_blas_thread
-def full_route_observability(maps):
-    """Reference: the observability estimate with every SVD taken, as the
-    full route computes it on one BLAS thread.  Returns (c_obs, witness
-    samples, cutoff)."""
-    from evoq.control import _embed_post
-
-    K1 = maps.K1
-    _, s2, V2h = np.linalg.svd(maps.K2, full_matrices=True)
-    cutoff = s2[0] * 1e-10 if s2.size else 0.0
-    r = int(np.sum(s2 > cutoff))
-
-    def embed(flat):
-        return _embed_post(flat, maps.grid, -maps.nu, maps.post_start, maps.m).phi
-
+def full_route_observability(K1, K2):
+    """Reference: c_obs on the backward maps K1, K2 of `backward_end_maps`,
+    with every SVD taken on one BLAS thread: +inf when K1 sees the kernel of
+    K2 beyond 1e-8 ||K1||_2, else the largest generalized singular value of
+    the pair, the top singular value of K1 on K2's whitened co-kernel."""
+    _, s2, V2h = np.linalg.svd(K2, full_matrices=True)
+    r = int(np.sum(s2 > (s2[0] * 1e-10 if s2.size else 0.0)))
     if r < V2h.shape[0]:
-        null_basis = V2h[r:].conj().T
-        _, s_blind, Vbh = np.linalg.svd(K1 @ null_basis, full_matrices=False)
-        if float(s_blind[0]) > 1e-8 * max(float(np.linalg.norm(K1, 2)), 1e-300):
-            return math.inf, embed(null_basis @ Vbh[0].conj()), cutoff
+        blind = K1 @ V2h[r:].conj().T
+        if np.linalg.norm(blind, 2) > 1e-8 * max(float(np.linalg.norm(K1, 2)), 1e-300):
+            return math.inf
     whiten = V2h[:r].conj().T / s2[:r][None, :]
-    _, sw, Vwh = np.linalg.svd(K1 @ whiten, full_matrices=False)
-    witness = whiten @ Vwh[0].conj()
-    return float(sw[0]), embed(witness / np.linalg.norm(witness)), cutoff
-
-
-def lazy_values(estimate):
-    """(c_obs, witness samples, cutoff) as read from an estimate."""
-    return estimate.c_obs, estimate.witness.phi, estimate.cutoff
-
-
-def same_bits(a, b):
-    return a[0] == b[0] and np.array_equal(a[1], b[1]) and a[2] == b[2]
+    return float(np.linalg.svd(K1 @ whiten, compute_uv=False)[0])
 
 
 def desk_end_maps(tmp_path):
-    """(label, end maps) of the 18 dense configs `tools/same_outputs.py` runs
-    and of the acceptance suite's control instances."""
+    """(label, end maps, reference backward maps (K1, K2)) of the 18 dense
+    configs `tools/same_outputs.py` runs and of the acceptance suite's
+    control instances."""
     import importlib.util
 
     from evoq.acceptance import _control_instances
@@ -207,12 +190,14 @@ def desk_end_maps(tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         cfg = load_config(str(path))
-        yield label, assemble_endmaps(cfg.control, cfg.pad_fraction)
+        yield (label, assemble_endmaps(cfg.control, cfg.pad_fraction),
+               backward_end_maps(cfg.control, cfg.pad_fraction))
     for inst, B, label in _control_instances():
         rhs = random_signal(inst.grid, inst.nu, inst.m, np.random.default_rng(8))
         cp = ControlProblem(base=EvoProblem(inst.nu, inst.grid, inst.law, inst.A,
                                             rhs, "forward"), B=B, T=1.0)
-        yield label, assemble_endmaps(cp, inst.pad_fraction)
+        yield (label, assemble_endmaps(cp, inst.pad_fraction),
+               backward_end_maps(cp, inst.pad_fraction))
 
 
 def count_svds(monkeypatch):
@@ -291,25 +276,20 @@ class TestNormBrackets:
         from evoq.control import ObservabilityEstimate, _douglas
 
         verdicts = set()
-        for label, maps in desk_end_maps(tmp_path):
+        for label, maps, backward in desk_end_maps(tmp_path):
             svd_g = maps._svd_G
             reference = exact_douglas(maps.L_F, maps.L_G, svd_g)
-            blind = math.isinf(full_route_observability(maps)[0])
+            blind = math.isinf(full_route_observability(*backward))
             with monkeypatch.context() as patch:
                 calls = count_svds(patch)
                 rep = one_blas_thread(_douglas)(maps.L_F, maps.L_G, svd_g)
-                douglas_calls = list(calls)
                 finite = ObservabilityEstimate(maps).finite
-            # no exact 2-norm anywhere, no SVD of the mass outside ran(L_G),
-            # and the verdict on observability from K2's own SVDs alone: one
-            # on the dense configs, values then vectors on a rank-deficient K2
-            assert douglas_calls == [], label
-            tall = maps.K2.shape[0] >= maps.K2.shape[1]
-            assert calls[0] == (maps.K2.shape, tall), label  # values only if tall
-            assert calls[1:] in ([], [(maps.K2.shape, False)]), label
-            assert len(calls) == 1 or not label.startswith("control/"), label
+            # no exact 2-norm anywhere and no SVD of the mass outside
+            # ran(L_G); the observability verdict is that check's own, and
+            # the reference backward maps reach it independently
+            assert calls == [], label
             assert (rep.included, rep.conditions) == reference[:2], label
-            assert finite != blind, label
+            assert finite == rep.included != blind, label
             if rep.included:  # exact when read, to the bit
                 assert (rep.constant, rep.factor_residual) == reference[2:], label
             verdicts.add(rep.included)
@@ -384,90 +364,34 @@ class TestNormBrackets:
         assert abs(np.vdot(U[:, 4], rep.witness)) == pytest.approx(1.0, abs=1e-8)
 
 
-def orthonormal(rng, rows, cols):
-    return np.linalg.qr(crandn(rng, rows, cols))[0]
-
-
-def synthetic_maps(K1, K2):
-    """End maps around a given K1 and K2, for one component (m = 1) and the
-    horizon at the first sample."""
-    from evoq.control import EndMaps
-
-    n = K2.shape[1]
-    return EndMaps(L_F=None, L_G=None, K1=K1, K2=K2, certificate=None, post_start=0,
-                   grid=TimeGrid(0.0, 1.0, n), nu=1.0, m=1, q=1)
-
-
 class TestLazyObservability:
-    """The observability verdict is decided from the cheapest evidence that
-    settles it; c_obs, the witness and the cutoff keep the full route's bits,
-    whoever reads them first and at whatever thread count."""
+    """Observability is read off the primal Douglas check; it matches the
+    route through the reference backward maps K1, K2, whose kernel test and
+    generalized SVD it replaces."""
 
-    def test_desk_estimates_match_the_full_route(self, monkeypatch, tmp_path, two_threads):
+    def test_desk_estimates_match_the_full_route(self, tmp_path, two_threads):
         from evoq.control import ObservabilityEstimate
 
         verdicts = set()
-        for label, maps in desk_end_maps(tmp_path):
-            reference = full_route_observability(maps)
-            # the certificate's order: the verdict, then (here) the values,
-            # read outside any one-thread scope
-            certify = ObservabilityEstimate(maps)
-            assert certify.finite == math.isfinite(reference[0]), label
+        for label, maps, (K1, K2) in desk_end_maps(tmp_path):
+            c_ref = full_route_observability(K1, K2)
+            # values read outside any one-thread scope
+            estimate = ObservabilityEstimate(maps)
+            assert estimate.finite == math.isfinite(c_ref), label
+            w = estimate.witness.phi[maps.post_start:].reshape(-1)
             assert two_threads() == 2
-            assert same_bits(lazy_values(certify), reference), label
-            # `observability_constant`'s order: the values, then the verdict
-            # from them, with no further SVD
-            control = ObservabilityEstimate(maps)
-            assert same_bits(lazy_values(control), reference), label
-            with monkeypatch.context() as patch:
-                calls = count_svds(patch)
-                assert control.finite == certify.finite, label
-            assert calls == [], label
-            verdicts.add(certify.finite)
+            assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-12), label
+            seen, observed = np.linalg.norm(K1 @ w), np.linalg.norm(K2 @ w)
+            if estimate.finite:
+                assert estimate.c_obs == pytest.approx(c_ref, rel=1e-13, abs=0), label
+                assert seen >= estimate.c_obs * (1 - 1e-10) * observed, label
+            else:  # a blind datum: K2 misses it, K1 sees it
+                assert math.isinf(estimate.c_obs), label
+                assert observed <= 1e-8 * np.linalg.norm(K2, 2), label
+                assert seen > 1e-8 * np.linalg.norm(K1, 2), label
+            assert estimate.cutoff == maps._svd_G[1][0] * 1e-10, label
+            verdicts.add(estimate.finite)
         assert verdicts == {True, False}
-
-    @pytest.mark.parametrize("third, values_decide", [(1e-10 * (1 + 5e-13), False),
-                                                      (1e-9, True)],
-                             ids=["inside-guard", "clear"])
-    def test_singular_value_in_the_guard_band_takes_the_full_svd(self, monkeypatch,
-                                                                 third, values_decide):
-        # a tall K2 whose third singular value sits within _RANK_GUARD of the
-        # cutoff: the values alone cannot be trusted to rank it
-        from evoq.control import ObservabilityEstimate
-
-        rng = np.random.default_rng(21)
-        V = orthonormal(rng, 4, 4)
-        K2 = orthonormal(rng, 12, 4) @ np.diag([1.0, 0.5, third, 1e-3]) @ V.conj().T
-        maps = synthetic_maps(crandn(rng, 8, 4), K2)
-        reference = full_route_observability(maps)
-        estimate = ObservabilityEstimate(maps)
-        with monkeypatch.context() as patch:
-            calls = count_svds(patch)
-            assert estimate.finite == math.isfinite(reference[0])
-        assert calls[0] == ((12, 4), True)
-        assert (((12, 4), False) in calls) is not values_decide
-        assert same_bits(lazy_values(estimate), reference)
-
-    @pytest.mark.parametrize("seen, finite", [(0.9e-8, True), (1.1e-8, False)])
-    def test_straddled_blind_bracket_takes_the_blind_svd(self, monkeypatch, seen, finite):
-        # K1 sees ker K2 with two singular values `seen`, so the Frobenius
-        # bracket of K1 on ker K2, [seen, sqrt(2) seen], straddles the rung
-        # 1e-8 ||K1||_2, whose own bracket is [0.71e-8, 1.41e-8]
-        from evoq.control import ObservabilityEstimate
-
-        rng = np.random.default_rng(22)
-        V = orthonormal(rng, 4, 4)
-        K2 = orthonormal(rng, 6, 2) @ np.diag([1.0, 0.5]) @ V[:, :2].conj().T
-        K1 = orthonormal(rng, 4, 4) @ np.diag([1.0, 1.0, seen, seen]) @ V.conj().T
-        maps = synthetic_maps(K1, K2)
-        reference = full_route_observability(maps)
-        estimate = ObservabilityEstimate(maps)
-        with monkeypatch.context() as patch:
-            calls = count_svds(patch)
-            assert estimate.finite is finite == math.isfinite(reference[0])
-        assert ((4, 4), True) in calls   # ||K1||_2, the rung's exact value
-        assert ((4, 2), False) in calls  # the blind SVD, whose top value decides
-        assert same_bits(lazy_values(estimate), reference)
 
 
 class TestEndMaps:
@@ -500,6 +424,26 @@ class TestEndMaps:
                 0.25).solution.phi[maps.post_start:]
             col = maps.L_F[:, j * 2 + i].reshape(-1, 2)
             assert np.abs(col - direct).max() <= 1e-10 * max(np.abs(direct).max(), 1.0)
+
+    @pytest.mark.parametrize("command", [["control"], ["control", "--certify-duality"]],
+                             ids=["control", "certify"])
+    def test_perturbed_backward_system_fails_the_dot_test(self, monkeypatch, tmp_path,
+                                                          capsys, command):
+        # every assembly solves the nu-adjoint system and compares it with
+        # L_F^H, so a backward solve off by 1e-6 fails loudly
+        from evoq import solver
+        from evoq.cli import main
+
+        monkeypatch.setattr(solver.SpectralOperator, "adjoint_blocks", property(
+            lambda op: np.conj(np.swapaxes(op.blocks, 1, 2)) * (1 + 1e-6)))
+        message = "the adjoint of L_F disagrees with a backward solve"
+        cp = ControlProblem(base=rotation_base(n=64), B=np.eye(2), T=0.5)
+        with pytest.raises(ConsistencyError, match=message):
+            assemble_endmaps(cp)
+        path = write_heat_control_config(tmp_path, "I")
+        capsys.readouterr()
+        assert main([*command, "--config", path]) == 1
+        assert message in capsys.readouterr().err
 
     def test_size_guard(self, monkeypatch):
         from evoq import control
@@ -568,7 +512,8 @@ class TestNullControl:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         null_control(cp, maps)
         null_control(cp, maps)
-        observability_constant(cp, maps)  # its primal Douglas check runs
+        obs = observability_constant(cp, maps)
+        obs.c_obs, obs.witness  # the primal Douglas check and the core's SVD run
         assert len(factored) == 1
 
     def test_batched_lstsq_matches_column_solves(self):
@@ -586,26 +531,23 @@ class TestNullControl:
             assert np.abs(x[:, k] - column).max() <= 1e-12 * np.abs(column).max()
 
     @pytest.mark.parametrize("injection, svds, command", [
-        ("I", 3, ["control"]), ("I", 2, ["control", "--certify-duality"]),
-        ("zero", 3, ["control"]), ("zero", 2, ["control", "--certify-duality"]),
-    ], ids=["I-3-control", "I-2-certify", "zero-3-control", "zero-2-certify"])
+        ("I", 2, ["control"]), ("I", 1, ["control", "--certify-duality"]),
+        ("zero", 1, ["control"]), ("zero", 1, ["control", "--certify-duality"]),
+    ], ids=["I-control", "I-certify", "zero-control", "zero-certify"])
     def test_dense_svd_count_per_command(self, monkeypatch, tmp_path, command,
                                          injection, svds):
-        # L_G once (shared) and K2; `control` adds W (B = I) or the blind
-        # matrix (B = 0) for c_obs and its witness.  The certificate reads
-        # only the observability verdict: B = I's tall K2 keeps every column
-        # by its singular values alone, and B = 0's blind matrix is decided
-        # by its norm bracket.  Every thresholded 2-norm is decided from its
-        # Frobenius bracket, and B = 0's Douglas witness is a column of L_F,
-        # so no norm(., 2) and no SVD of the mass outside ran(L_G) runs.
+        # L_G once, shared by the null-control solves and the Douglas check,
+        # whose verdict is also the observability verdict.  `control` with
+        # B = I adds the core's SVD for c_obs and its witness; with B = 0 the
+        # witness is the Douglas witness, a column of L_F.  Every thresholded
+        # 2-norm is decided from its Frobenius bracket, so no norm(., 2) and
+        # no SVD of the mass outside ran(L_G) runs.
         from evoq.cli import main
 
         path = write_heat_control_config(tmp_path, injection)
         calls = count_svds(monkeypatch)
         assert main([*command, "--config", path, "--out", str(tmp_path / "out")]) == 0
-        assert len(calls) == svds
-        values_only = [norm for _, norm in calls]
-        assert values_only == [False, injection == "I" and svds == 2, False][:svds]
+        assert [norm for _, norm in calls] == [False] * svds
 
     @pytest.mark.parametrize("command", [["control"], ["control", "--certify-duality"]],
                              ids=["control", "certify"])
@@ -713,13 +655,14 @@ class TestObservability:
             assert sol.norm <= (1 + 1e-10) * obs.c_obs * filtered.norm
 
     def test_adjoint_factorization_identity(self):
-        # the matrix adjoint of the primal end map equals the backward map
-        # assembled from adjoint solves
+        # the matrix adjoint of the primal end map equals the reference
+        # backward map assembled from adjoint solves
         base = rotation_base(n=64)
         cp = ControlProblem(base=base, B=np.eye(2), T=0.5)
         maps = assemble_endmaps(cp)
-        gap = np.linalg.norm(maps.L_F.conj().T - maps.K1, 2)
-        assert gap <= 1e-10 * np.linalg.norm(maps.K1, 2)
+        K1, _ = backward_end_maps(cp, DEFAULT_PAD_FRACTION)
+        gap = np.linalg.norm(maps.L_F.conj().T - K1, 2)
+        assert gap <= 1e-10 * np.linalg.norm(K1, 2)
 
     def test_random_search_lower_bound_matches_dense(self):
         # criterion 8's oracle bounds the dense constant from below and
@@ -729,7 +672,7 @@ class TestObservability:
         cp = ControlProblem(base=base, B=B, T=1.0)
         maps = assemble_endmaps(cp)
         dense = observability_constant(cp, maps)
-        K1, K2 = maps.K1, maps.K2
+        K1, K2 = backward_end_maps(cp, DEFAULT_PAD_FRACTION)
         bound, _ = random_search_lower_bound(lambda v: K1 @ v, lambda v: K2 @ v,
                                              K1.shape[1], budget=400)
         assert bound <= dense.c_obs * (1 + 1e-9)
@@ -749,7 +692,7 @@ class TestObservability:
         base = rotation_base()
         cp = ControlProblem(base=base, B=np.array([[1.0], [0.0]]), T=1.0)
         maps = assemble_endmaps(cp)
-        obs = observability_constant(cp, maps)  # raises on disagreement
+        obs = observability_constant(cp, maps)  # read off the primal check
         dgl = douglas_check(maps.L_F, maps.L_G)
         assert math.isinf(obs.c_obs) == (not dgl.included)
 
