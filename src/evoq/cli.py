@@ -362,7 +362,12 @@ def _run(args) -> int:
     except OSError as exc:
         print(f"evoq: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (EvoqError, LinAlgError) as exc:
+    except MemoryError as exc:
+        # the config asks for more memory than the machine has
+        detail = f": {exc}" if str(exc) else ""
+        print(f"evoq: config rejected (MemoryError): out of memory{detail}", file=sys.stderr)
+        return EXIT_SCHEMA
+    except (EvoqError, LinAlgError, OverflowError) as exc:
         kind = type(exc).__name__
         if isinstance(exc, (NonCoerciveError, DefinitenessError, NotSkewError,
                             PreconditionError, UnsupportedLawError, SizeGuardError)):

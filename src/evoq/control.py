@@ -14,9 +14,10 @@ same primal check: the backward (nu-adjoint) end maps are the adjoints of
 L_F and L_G, so by Douglas' lemma in its control/observation form c_obs is
 finite exactly when ran L_F lies in ran L_G, and is then the norm of the
 Douglas core.  Each assembly checks that adjointness against real backward
-solves.  The values behind a verdict (the observability constant and its
-witness, the Douglas constant and factor residual) are exact, computed when
-first read.
+solves.  The Douglas check decides its verdicts without forming the dense
+factor C = V_r core.  The values behind a verdict (the observability
+constant and its witness, the Douglas constant, the factor and its residual
+||A - B C||_2 on the explicit product) are exact, computed when first read.
 Infeasibility is a finding, not an error: certifying that a system cannot be
 controlled (say, B = 0) is part of the job.
 
@@ -77,6 +78,7 @@ _PROBES = 8             # random probes per ball-inclusion and adjoint-dominatio
 _ROUNDING = 1e-10       # relative widening of each cheap norm bound, for its rounding
 _FROBENIUS_MIN = 1e-150  # below it the squares in a Frobenius norm may underflow
 _POWER_STEPS = 3        # power steps behind the lower bound on ||core||_2
+_FACTOR_SAFE = 1e300    # a bound on the entries of C = V_r core that cannot overflow
 
 
 @dataclass(frozen=True)
@@ -173,27 +175,40 @@ class DouglasReport:
     domination ||A^* x|| <= c ||B^* x||.  Their verdicts are returned so
     callers can assert agreement.
 
-    `constant` (c = ||C||_2) and `factor_residual` (||A - BC||_2) are exact
-    2-norms, taken on first read (one SVD each) and None when excluded; the
-    verdicts need only bounds on them.
+    The check never forms the factor C = V_r core.  `factor` (C),
+    `constant` (c = ||C||_2) and `factor_residual` (||A - BC||_2, on the
+    explicit product B (V_r core)) are exact, taken on first read (one SVD
+    for each norm) and None when excluded; the verdicts need only bounds on
+    them.
     """
 
     included: bool
-    factor: Optional[np.ndarray]
     witness: Optional[np.ndarray]
     cutoff: float
     conditions: dict
-    # when included: brackets of ||A - BC||_2 and ||C||_2, and the core
-    # U_r^* A / s_r, whose 2-norm is ||C||_2
-    _norms: Optional[tuple] = field(default=None, repr=False, compare=False)
+    # when included: the core U_r^* A / s_r, whose 2-norm is ||C||_2, the
+    # bracket of that norm, and A, B and the kept rows of V^* to form C
+    _parts: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    @one_blas_thread
+    def factor(self) -> Optional[np.ndarray]:
+        if not self.included:
+            return None
+        core, _, _, _, Vrh = self._parts
+        return Vrh.conj().T @ core
 
     @cached_property
     def constant(self) -> Optional[float]:
-        return self._norms[1].exact if self.included else None
+        return self._parts[1].exact if self.included else None
 
     @cached_property
+    @one_blas_thread
     def factor_residual(self) -> Optional[float]:
-        return self._norms[0].exact if self.included else None
+        if not self.included:
+            return None
+        _, _, Amat, Bmat, _ = self._parts
+        return _exact_norm(Amat - Bmat @ self.factor)
 
 
 class _Bracket:
@@ -275,9 +290,10 @@ def douglas_check(Amat: np.ndarray, Bmat: np.ndarray,
                   rng: Optional[np.random.Generator] = None) -> DouglasReport:
     """Decide ran(A) subseteq ran(B) for matrices with a common row space.
 
-    When included, returns the factor C = B^+ A (verified to satisfy A = BC)
-    and the constant c = ||C||_2, which is simultaneously the smallest ball
-    radius and the smallest adjoint-domination constant; both `constant` and
+    When included, A = BC holds for C = B^+ A to the factorization rung, and
+    the report gives the constant c = ||C||_2, which is simultaneously the
+    smallest ball radius and the smallest adjoint-domination constant; C
+    itself is formed only when `factor` is read, and `constant` and
     `factor_residual` are exact when read.  When excluded, returns a unit
     witness x with B^* x ~ 0 but A^* x != 0: the normalized largest column of
     the part of A outside ran(B), or its top left singular vector only when
@@ -303,16 +319,42 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
     """Body of `douglas_check` for a complex 2-D `Bmat` whose thin SVD
     (U, s, Vh) the caller already holds; the constant ||V_r core||_2 is
     ||core||_2.  Every comparison goes through `_at_most`, and the probes
-    draw from `rng` in the same order whichever way a comparison is decided.
+    draw from `rng` in the same order whichever way a comparison is decided:
+    8 (re, im) pairs of width cols for the ball, then 8 of width rows for
+    the adjoint domination.  Each family is drawn in one call, which gives
+    the same numbers, and applied as one matrix product.
+
+    The factor C = V_r core (N x cols for N columns of B) is never formed.
+    `factorization` is decided on M' = A - (B V_r) core, and the ball probes
+    apply C as V_r (core y).  `factor_residual` reads M = A - B (V_r core),
+    which equals M' in exact arithmetic.  A complex product of inner
+    dimension k rounds each entry by at most sqrt(2) gamma_2k times that
+    entry of |X| |Y| (its real and imaginary parts are real inner products
+    of length 2k; gamma_k = k u / (1 - k u), u = eps / 2).  With r kept
+    singular values, rho = min(rows, N), ||V_r||_F = sqrt(r),
+    ||core||_F <= sqrt(r) ||C||_2 and ||B||_F <= sqrt(rho) ||B||_2, to first
+    order in eps
+
+        ||M' - M||_2 <= 2 sqrt(2) (r gamma_2r + sqrt(rho r) gamma_2N) ||B||_2 ||C||_2
+                        + u sqrt(rho) (||M||_2 + ||M'||_2)
+                     ~= 2 sqrt(2) (r^2 + N sqrt(rho r)) eps ||B||_2 ||C||_2.
+
+    ||B||_2 ||C||_2 >= ||A||_2, and it grows with the condition of B on the
+    part of its kept range that A uses.  Each of M and M' lies within half
+    that bound of the exact A - B B^+ A, so the two give different
+    `factorization` verdicts only for a pair whose residual lies within the
+    bound of the rung 1e-10 ||A||_2, where neither verdict is determined by
+    the pair.
     """
     Amat = np.atleast_2d(np.asarray(Amat, dtype=complex))
     if Amat.shape[0] != Bmat.shape[0]:
         raise PreconditionError("A and B must share their codomain dimension")
     rng = rng or np.random.default_rng(0)
+    rows, cols = Amat.shape
 
     Ub, sb, Vbh = svd_b
     _, cutoff, rank_b = _truncation(sb, DEFAULT_SVD_RTOL)
-    Ur = Ub[:, :rank_b]
+    Ur, Vrh = Ub[:, :rank_b], Vbh[:rank_b]
 
     # Mass of A outside the numerical range of B, against the scale of A
     # alone: scaling B moves neither ran(B) nor a verdict.
@@ -324,44 +366,51 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
 
     conditions = {"range_inclusion": included}
 
+    Vr = Vrh.conj().T
     with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite_solution
         core /= sb[:rank_b, None]
-        factor = _finite_solution(Vbh[:rank_b].conj().T @ core, sb[:rank_b])
-    residual = _norm_bracket(Amat - Bmat @ factor)
+        # |V_r| <= 1 entrywise, so each entry of C is at most r max|core|; C
+        # is formed, to check that it is finite, only past that safe bound
+        if not np.abs(core).max(initial=0.0) * rank_b < _FACTOR_SAFE:
+            _finite_solution(Vr @ core, sb[:rank_b])
+        residual = _norm_bracket(Amat - (Bmat @ Vr) @ core)
     conditions["factorization"] = _at_most(residual, _monotone(lambda s: 1e-10 * s, scale))
     constant = _norm_bracket(core, _power_lower_bound(core)) if core.size else _known(0.0)
 
-    # products that overflow leave a norm that _norm refuses
+    # products that overflow leave a norm that _column_norms refuses
     with np.errstate(over="ignore", invalid="ignore"):
         # Ball inclusion, probed: the min-norm preimage of A y must fit in the
-        # c-ball and reproduce A y.
+        # c-ball and reproduce A y.  One probe per column.
+        draws = rng.standard_normal((_PROBES, 2, cols))
+        Y = (draws[:, 0] + 1j * draws[:, 1]).T
+        Y /= np.linalg.norm(Y, axis=0)
+        G = Vr @ (core @ Y)
+        radius = _monotone(lambda c: c * (1 + 1e-8) + 1e-12, constant)
         ball_ok = True
-        for _ in range(_PROBES):
-            y = rng.standard_normal(Amat.shape[1]) + 1j * rng.standard_normal(Amat.shape[1])
-            y /= np.linalg.norm(y)
-            g = factor @ y
-            ball_ok &= _at_most(_known(_norm(Bmat @ g - Amat @ y)), rung)
-            ball_ok &= _at_most(_known(_norm(g)), _monotone(lambda c: c * (1 + 1e-8) + 1e-12,
-                                                            constant))
+        for miss, length in zip(_column_norms(Bmat @ G - Amat @ Y), _column_norms(G)):
+            ball_ok &= _at_most(_known(miss), rung)
+            ball_ok &= _at_most(_known(length), radius)
         conditions["ball_inclusion"] = bool(ball_ok)
 
         # Adjoint domination on random probes; meaningful constant only when the
-        # factorisation holds, so decided only then.  The adjoints are formed
-        # once for every probe and the witness.
-        Ah, Bh = Amat.conj().T, Bmat.conj().T
+        # factorisation holds, so decided only then; the norms are taken for
+        # every pair, so that one that overflows is refused whatever the
+        # verdict.  One probe per column of X: the columns of A^T conj(X) are
+        # the conjugates of A^* x, so no adjoint is formed.
+        draws = rng.standard_normal((_PROBES, 2, rows))
+        X = (draws[:, 0] + 1j * draws[:, 1]).T
+        lhs_all = _column_norms(Amat.T @ X.conj())
+        rhs_all = _column_norms(Bmat.T @ X.conj())
         dom_ok = True
-        for _ in range(_PROBES):
-            x = rng.standard_normal(Amat.shape[0]) + 1j * rng.standard_normal(Amat.shape[0])
-            lhs = _norm(Ah @ x)
-            rhs = _norm(Bh @ x)
-            if included:
-                xn = np.linalg.norm(x)
+        if included:
+            for lhs, rhs, xn in zip(lhs_all, rhs_all, np.linalg.norm(X, axis=0)):
                 dom_ok &= _at_most(_known(lhs), _monotone(
                     lambda c, s: c * rhs * (1 + 1e-8) + _INCLUSION_RTOL * s * xn,
                     constant, scale))
 
         witness = None
         if not included:
+            Ah, Bh = Amat.conj().T, Bmat.conj().T
             # A direction of A orthogonal to ran(B): B^* x ~ 0, A^* x != 0, so
             # ||A^* x|| > c ||B^* x|| defeats the factor's constant c.  The largest column
             # of `outside` has ||A^* x|| >= ||outside||_F / sqrt(cols); the
@@ -391,11 +440,10 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
 
     return DouglasReport(
         included=included,
-        factor=factor if included else None,
         witness=witness,
         cutoff=cutoff,
         conditions=conditions,
-        _norms=(residual, constant, core) if included else None,
+        _parts=(core, constant, Amat, Bmat, Vrh) if included else None,
     )
 
 
@@ -541,6 +589,16 @@ def _norm(v: np.ndarray) -> float:
     return value
 
 
+def _column_norms(M: np.ndarray) -> np.ndarray:
+    """||.||_2 of each column of M, refused as `_norm` refuses one that is not
+    finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.linalg.norm(M, axis=0)
+    if not np.isfinite(values).all():
+        raise np.linalg.LinAlgError("a norm overflows the float range")
+    return values
+
+
 def _finite_solution(x: np.ndarray, kept: np.ndarray) -> np.ndarray:
     """`x`, a solution through the kept singular values `kept`, if it is
     finite.  The cutoff is relative, so a map that is tiny as a whole keeps
@@ -631,7 +689,7 @@ class ObservabilityEstimate:
         """(c_obs, witness, cutoff)."""
         maps = self._maps
         report = maps._inclusion
-        core = report._norms[2] if report.included else None
+        core = report._parts[0] if report.included else None
         if core is None:
             c_obs, datum = math.inf, report.witness
         elif core.size:

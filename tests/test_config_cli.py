@@ -440,6 +440,27 @@ class TestCliExitCodes:
         verdict = "config rejected" if code == 2 else "numerical failure"
         assert capsys.readouterr().err == f"evoq: {verdict} (Special{base}): probe\n"
 
+    @pytest.mark.parametrize("error, code, line", [
+        (OverflowError("e^(nu t) overflows"), 1,
+         "evoq: numerical failure (OverflowError): e^(nu t) overflows\n"),
+        (MemoryError(), 2, "evoq: config rejected (MemoryError): out of memory\n"),
+        (MemoryError("Unable to allocate 5.82 GiB"), 2,
+         "evoq: config rejected (MemoryError): out of memory: Unable to allocate 5.82 GiB\n"),
+    ], ids=["overflow", "memory", "memory-with-message"])
+    def test_overflow_and_memory_exit_in_one_line(self, tmp_path, capsys, monkeypatch,
+                                                  error, code, line):
+        # neither escapes as a traceback: an overflow is a numerical failure,
+        # and a run that needs more memory than there is rejects its config
+        from evoq import control
+
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(control, "assemble_endmaps", fail)
+        path = write_config(tmp_path, bundled("heat_small", 32))
+        assert main(["control", "--config", path]) == code
+        assert capsys.readouterr().err == line
+
     @pytest.mark.parametrize("command", [
         "solve", "adjoint", "verify --suite duality", "verify --suite causality",
         "verify --suite reversal", "verify --suite nu-independence", "control",

@@ -87,6 +87,9 @@ class TestDouglasCheck:
         R = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
         rep = douglas_check(B @ R, B)
         assert rep.included
+        # the check forms no factor; C is formed on its first read, once
+        assert "factor" not in vars(rep)
+        assert rep.factor is rep.factor
         assert np.linalg.norm(rep.factor - R, 2) <= 1e-8 * np.linalg.norm(R, 2)
         assert rep.factor_residual <= 1e-10 * np.linalg.norm(B @ R, 2)
 
@@ -102,18 +105,52 @@ class TestDouglasCheck:
             assert len(set(rep.conditions.values())) == 1
             assert rep.included == (trial % 2 == 0)
 
+    @pytest.mark.parametrize("included", [True, False], ids=["included", "excluded"])
+    def test_probes_leave_the_generator_where_the_reference_does(self, included):
+        # acceptance criterion 7 draws its next pair from the generator the
+        # check used: 8 (re, im) draws of width cols, then 8 of width rows,
+        # however the probes are applied
+        rng = np.random.default_rng(6)
+        B = crandn(rng, 9, 4)
+        A = B @ crandn(rng, 4, 7)
+        if not included:
+            A[:, 0] += np.linalg.svd(B)[0][:, -1]
+        ours, reference = np.random.default_rng(21), np.random.default_rng(21)
+        rep = douglas_check(A, B, rng=ours)
+        verdict = exact_douglas(A, B, np.linalg.svd(B, full_matrices=False), reference)[0]
+        assert rep.included is verdict is included
+        assert ours.bit_generator.state == reference.bit_generator.state
+
+    def test_a_wide_included_pair_forms_no_factor(self):
+        # C = B^+ A is 600 x 600 complex, 5.8 MB; the check and its constant
+        # never form it
+        import tracemalloc
+
+        rng = np.random.default_rng(9)
+        B = crandn(rng, 4, 600)
+        A = B @ crandn(rng, 600, 600)
+        tracemalloc.start()
+        try:
+            rep = douglas_check(A, B)
+            assert rep.included and rep.constant > 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 @one_blas_thread
-def exact_douglas(Amat, Bmat, svd_b):
+def exact_douglas(Amat, Bmat, svd_b, rng=None):
     """Reference: the range-inclusion check with every threshold decided on
-    exact 2-norms and the witness taken from an SVD of the mass outside
-    ran(B), on one BLAS thread as in every caller of `_douglas`.  Returns
+    exact 2-norms, the explicit factor C and product B C, one probe at a
+    time, and the witness taken from an SVD of the mass outside ran(B), on
+    one BLAS thread as in every caller of `_douglas`.  Returns
     (included, conditions, constant, factor_residual) or raises the same
     ConsistencyError."""
     from evoq.control import _INCLUSION_RTOL, _PROBES, _finite_solution, _norm, _truncation
 
     Amat = np.atleast_2d(np.asarray(Amat, dtype=complex))
-    rng = np.random.default_rng(0)
+    rng = rng or np.random.default_rng(0)
     Ub, sb, Vbh = svd_b
     rank_b = _truncation(sb, 1e-10)[2]
     Ur = Ub[:, :rank_b]
@@ -316,6 +353,33 @@ class TestNormBrackets:
             assert "disagree" in outcome
         else:
             assert outcome[0] is verdict and set(outcome[1].values()) == {verdict}
+
+    @pytest.mark.parametrize("relative", [0.5e-10, 0.9e-10, 1.1e-10, 2e-10])
+    @pytest.mark.parametrize("spread", [False, True], ids=["conditioned", "graded"])
+    def test_verdicts_near_the_factorization_rung_match_the_explicit_product(
+            self, spread, relative):
+        # ||A - B B^+ A||_2 = relative ||A||_2, on either side of the rung
+        # 1e-10 ||A||_2 at which `factorization` is judged on the reassociated
+        # residual A - (B V_r) core; the reference judges A - B (V_r core).
+        # Below 1e-8 the range inclusion holds, so the pairs above the rung
+        # raise for disagreeing conditions.  B as the equal-maps test builds it
+        rng = np.random.default_rng(12)
+        B = crandn(rng, 12, 6)
+        if spread:
+            U, _, Vh = np.linalg.svd(B, full_matrices=False)
+            B = U @ np.diag(np.logspace(0, -9, 6)) @ Vh
+        A = B @ crandn(rng, 6, 9)
+        U = np.linalg.svd(B)[0]
+        A = A + relative * np.linalg.norm(A, 2) * np.outer(U[:, -1], unit(crandn(rng, 9)).conj())
+        Ur = U[:, :6]
+        mass = np.linalg.norm(A - Ur @ (Ur.conj().T @ A), 2) / np.linalg.norm(A, 2)
+        assert mass == pytest.approx(relative, rel=1e-4)
+        expected = exact_outcome(A, B)
+        assert douglas_outcome(A, B) == expected
+        if relative < 1e-10:
+            assert expected[0] is True
+        else:
+            assert "disagree" in expected
 
     @pytest.mark.parametrize("spread", [False, True], ids=["conditioned", "graded"])
     def test_equal_maps_decide_the_tight_constant_from_bounds(self, monkeypatch, spread):
