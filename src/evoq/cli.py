@@ -331,13 +331,6 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
-    if args.command == "suite":
-        try:
-            return _cmd_suite(args)
-        except OSError as exc:
-            print(f"evoq: I/O failure: {exc}", file=sys.stderr)
-            return EXIT_IO
-
     from numpy.linalg import LinAlgError
 
     from .config import load_config
@@ -346,6 +339,8 @@ def _run(args) -> int:
                          UnsupportedLawError)
 
     try:
+        if args.command == "suite":
+            return _cmd_suite(args)
         cfg = load_config(args.config)
         if args.command == "solve":
             return _cmd_solve(cfg, args, "forward")

@@ -9,17 +9,19 @@ decision here is made relative to a declared truncated-SVD cutoff
 on a spectral norm is first decided from cheap bounds,
 ||M||_F / sqrt(min(shape)) <= ||M||_2 <= ||M||_F widened for rounding; the
 exact norm (an SVD) is taken only when the bounds straddle the threshold,
-so a verdict is the one the exact norms give.  Observability is read off the
-same primal check: the backward (nu-adjoint) end maps are the adjoints of
-L_F and L_G, so by Douglas' lemma in its control/observation form c_obs is
-finite exactly when ran L_F lies in ran L_G, and is then the norm of the
-Douglas core.  Each assembly checks that adjointness against real backward
-solves.  The Douglas check decides its verdicts without forming the dense
-factor C = V_r core.  The values behind a verdict (the observability
-constant and its witness, the Douglas constant, the factor and its residual
+so a verdict is the one the exact norms give.  The Douglas check first
+scales A and B into [2^-200, 2^200] by powers of two, which is exact, so no
+verdict depends on the scale of the data.  Observability is read off that
+check: the backward (nu-adjoint) end maps are the adjoints of L_F and L_G,
+so by Douglas' lemma in its control/observation form c_obs is finite
+exactly when ran L_F lies in ran L_G, and is then the norm of the Douglas
+core.  Each assembly checks that adjointness against real backward solves.
+The Douglas check decides its verdicts without forming the dense factor
+C = V_r core.  The values behind a verdict (the observability constant and
+its witness, the Douglas constant, the factor and its residual
 ||A - B C||_2 on the explicit product) are exact, computed when first read.
-Infeasibility is a finding, not an error: certifying that a system cannot be
-controlled (say, B = 0) is part of the job.
+Infeasibility is a finding, not an error: certifying that a system cannot
+be controlled (say, B = 0) is part of the job.
 
 Every dense entry point (`douglas_check`, `assemble_endmaps`, `null_control`,
 `observability_constant`, the pointwise pair and the duality verdicts) runs
@@ -76,9 +78,8 @@ DEFAULT_SIZE_GUARD = 4_000_000
 _INCLUSION_RTOL = 1e-8  # mass outside ran(B) that still counts as inside, relative
 _PROBES = 8             # random probes per ball-inclusion and adjoint-domination check
 _ROUNDING = 1e-10       # relative widening of each cheap norm bound, for its rounding
-_FROBENIUS_MIN = 1e-150  # below it the squares in a Frobenius norm may underflow
 _POWER_STEPS = 3        # power steps behind the lower bound on ||core||_2
-_FACTOR_SAFE = 1e300    # a bound on the entries of C = V_r core that cannot overflow
+_RANGE = 2.0 ** 200     # the Douglas check scales ||A||_F and ||B||_2 into [1/_RANGE, _RANGE]
 
 
 @dataclass(frozen=True)
@@ -186,8 +187,8 @@ class DouglasReport:
     witness: Optional[np.ndarray]
     cutoff: float
     conditions: dict
-    # when included: the core U_r^* A / s_r, whose 2-norm is ||C||_2, the
-    # bracket of that norm, and A, B and the kept rows of V^* to form C
+    # when included: the core U_r^* A / s_r, the bracket of ||C||_2, A, B, the
+    # kept rows of V^*, and the powers of two ka, kb that took A and B into range
     _parts: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @cached_property
@@ -195,8 +196,8 @@ class DouglasReport:
     def factor(self) -> Optional[np.ndarray]:
         if not self.included:
             return None
-        core, _, _, _, Vrh = self._parts
-        return Vrh.conj().T @ core
+        core, _, _, _, Vrh, ka, kb = self._parts
+        return _ldexp(Vrh.conj().T @ core, kb - ka)
 
     @cached_property
     def constant(self) -> Optional[float]:
@@ -207,8 +208,8 @@ class DouglasReport:
     def factor_residual(self) -> Optional[float]:
         if not self.included:
             return None
-        _, _, Amat, Bmat, _ = self._parts
-        return _exact_norm(Amat - Bmat @ self.factor)
+        _, _, Amat, Bmat, _, ka, kb = self._parts
+        return _ldexp(_exact_norm(Amat - Bmat @ _ldexp(self.factor, ka - kb)), -ka)
 
 
 class _Bracket:
@@ -251,30 +252,40 @@ def _exact_norm(M: np.ndarray) -> float:
 
 def _norm_bracket(M: np.ndarray, lower: float = 0.0) -> _Bracket:
     """||M||_2 between max(||M||_F / sqrt(min(shape)), `lower`) and ||M||_F,
-    each widened by `_ROUNDING`.  A Frobenius norm that is not finite, or
-    small enough for its squares to underflow, brackets nothing."""
+    each widened by `_ROUNDING`; ||M||_F past the float range is inf, unwarned."""
     with np.errstate(over="ignore", invalid="ignore"):
         fro = float(np.linalg.norm(M))
-    if _FROBENIUS_MIN <= fro < math.inf:
-        lo = max(fro / math.sqrt(min(M.shape)), lower) * (1 - _ROUNDING)
-        hi = fro * (1 + _ROUNDING)
-    else:
-        lo, hi = 0.0, math.inf
-    return _Bracket(lo, hi, lambda: _exact_norm(M))
+    lo = max(fro / math.sqrt(min(M.shape)), lower) * (1 - _ROUNDING)
+    return _Bracket(lo, fro * (1 + _ROUNDING), lambda: _exact_norm(M))
+
+
+def _into_range(M: np.ndarray, size: float) -> tuple:
+    """(M, 0) if `size`, a norm of M, lies in [1/_RANGE, _RANGE]; else (2^k M, k),
+    k <= 1022 taking M's largest real or imaginary part to [1/2, 1): exact."""
+    if 1 / _RANGE <= size <= _RANGE:
+        return M, 0
+    k = min(-math.frexp(np.abs([M.real, M.imag]).max(initial=0.0))[1], 1022)
+    return _ldexp(M, k), k
+
+
+def _ldexp(x, k: int):
+    """x * 2^k for |k| <= 2046, by two normal doubles so only the result can overflow."""
+    return x * 2.0 ** (k // 2) * 2.0 ** (k - k // 2) if k else x
 
 
 def _power_lower_bound(M: np.ndarray) -> float:
     """||M v|| / ||v|| after `_POWER_STEPS` power steps started at the
     largest row of M, so at least that row's norm: a lower bound on
     ||M||_2.  Each iterate is scaled to a largest entry of 1, so that ||v||
-    cannot underflow; 0 when the arithmetic leaves the float range."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v = M[int(np.argmax(np.linalg.norm(M, axis=1)))].conj()
-        for _ in range(_POWER_STEPS):
-            v = M.conj().T @ (M @ (v / np.abs(v).max()))
-        v = v / np.abs(v).max()
-        value = float(np.linalg.norm(M @ v) / np.linalg.norm(v))
-    return value if math.isfinite(value) else 0.0
+    cannot underflow; 0 for a zero M, or an iterate that underflows to 0."""
+    v = M[int(np.argmax(np.linalg.norm(M, axis=1)))].conj()
+    Mh = M.conj().T  # formed once, after the row norms' temporaries are freed
+    for step in range(_POWER_STEPS + 1):
+        top = np.abs(v).max()
+        if top == 0:
+            return 0.0
+        v = Mh @ (M @ (v / top)) if step < _POWER_STEPS else v / top
+    return float(np.linalg.norm(M @ v) / np.linalg.norm(v))
 
 
 def _truncation(s: np.ndarray, rtol: float) -> tuple:
@@ -302,27 +313,35 @@ def douglas_check(Amat: np.ndarray, Bmat: np.ndarray,
     Each threshold on a 2-norm (of A, of that outside part, of A - BC and of
     C) is decided from cheap bounds, and from the exact norm only when the
     bounds straddle it, so the verdicts are those of the exact norms.  The
-    thresholds scale with ||A||_2 alone: scaling B leaves ran(B), and so
-    every verdict, unchanged.  The conditions `range_inclusion` and
-    `factorization` are not independent: both measure the mass of
-    A - B B^+ A (the first through the range projector, the second through
-    the factor), so their agreement checks the arithmetic rather than a
-    second property.
+    thresholds scale with ||A||_2 alone, and B is scaled into range before
+    its SVD as `_douglas` scales A and B, so neither verdicts nor witness
+    depend on the scale of either.  `range_inclusion` and `factorization`
+    both measure the mass of A - B B^+ A (through the range projector and
+    through the factor), so their agreement checks the arithmetic rather
+    than a second property.
     """
     Bmat = np.atleast_2d(np.asarray(Bmat, dtype=complex))
-    svd_b = np.linalg.svd(Bmat, full_matrices=False)
-    return _douglas(Amat, Bmat, svd_b, rng)
+    scaled, k = _into_range(Bmat, _norm_bracket(Bmat).hi)
+    U, s, Vh = np.linalg.svd(scaled, full_matrices=False)
+    return _douglas(Amat, Bmat, (U, _ldexp(s, -k), Vh), rng)
 
 
 def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
              rng: Optional[np.random.Generator] = None) -> DouglasReport:
     """Body of `douglas_check` for a complex 2-D `Bmat` whose thin SVD
-    (U, s, Vh) the caller already holds; the constant ||V_r core||_2 is
-    ||core||_2.  Every comparison goes through `_at_most`, and the probes
-    draw from `rng` in the same order whichever way a comparison is decided:
-    8 (re, im) pairs of width cols for the ball, then 8 of width rows for
-    the adjoint domination.  Each family is drawn in one call, which gives
-    the same numbers, and applied as one matrix product.
+    (U, s, Vh), which gives the cutoff, the caller holds; ||V_r core||_2 = ||core||_2.
+
+    Range rule: A, or B and s, with ||A||_F or s[0] outside [2^-200, 2^200]
+    is scaled into it by a power of two, and read values scale back.  The
+    core is then below about 2^433 (2^400 from the ranges, 2^33 from the
+    cutoff): no square in a norm overflows, and its SVD stays in LAPACK's
+    unscaled range (2^+-457), where bits scale exactly.
+
+    Every comparison goes through `_at_most`, and the probes draw from `rng`
+    in the same order whichever way a comparison is decided: 8 (re, im)
+    pairs of width cols for the ball, then 8 of width rows for the adjoint
+    domination, each family drawn in one call (the same numbers) and applied
+    as one matrix product.
 
     The factor C = V_r core (N x cols for N columns of B) is never formed.
     `factorization` is decided on M' = A - (B V_r) core, and the ball probes
@@ -353,86 +372,81 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
     rows, cols = Amat.shape
 
     Ub, sb, Vbh = svd_b
-    _, cutoff, rank_b = _truncation(sb, DEFAULT_SVD_RTOL)
+    sigma_max, cutoff, rank_b = _truncation(sb, DEFAULT_SVD_RTOL)
     Ur, Vrh = Ub[:, :rank_b], Vbh[:rank_b]
+
+    norm_a = _norm_bracket(Amat)
+    Amat, ka = _into_range(Amat, norm_a.hi)
+    norm_a = _norm_bracket(Amat) if ka else norm_a
+    Bmat, kb = _into_range(Bmat, sigma_max)
 
     # Mass of A outside the numerical range of B, against the scale of A
     # alone: scaling B moves neither ran(B) nor a verdict.
     core = Ur.conj().T @ Amat  # divided by the kept singular values below
     outside = Amat - Ur @ core
-    scale = _monotone(lambda a: max(a, NORM_FLOOR), _norm_bracket(Amat))
+    scale = _monotone(lambda a: max(a, NORM_FLOOR), norm_a)
     rung = _monotone(lambda s: _INCLUSION_RTOL * s, scale)
     included = _at_most(_norm_bracket(outside), rung)
 
     conditions = {"range_inclusion": included}
 
     Vr = Vrh.conj().T
-    with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite_solution
-        core /= sb[:rank_b, None]
-        # |V_r| <= 1 entrywise, so each entry of C is at most r max|core|; C
-        # is formed, to check that it is finite, only past that safe bound
-        if not np.abs(core).max(initial=0.0) * rank_b < _FACTOR_SAFE:
-            _finite_solution(Vr @ core, sb[:rank_b])
-        residual = _norm_bracket(Amat - (Bmat @ Vr) @ core)
+    core /= _ldexp(sb[:rank_b, None], kb)
+    residual = _norm_bracket(Amat - (Bmat @ Vr) @ core)
     conditions["factorization"] = _at_most(residual, _monotone(lambda s: 1e-10 * s, scale))
     constant = _norm_bracket(core, _power_lower_bound(core)) if core.size else _known(0.0)
+    norm_c = _monotone(lambda c: _ldexp(c, kb - ka), constant)  # ||C||_2, scaled back
 
-    # products that overflow leave a norm that _column_norms refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Ball inclusion, probed: the min-norm preimage of A y must fit in the
-        # c-ball and reproduce A y.  One probe per column.
-        draws = rng.standard_normal((_PROBES, 2, cols))
-        Y = (draws[:, 0] + 1j * draws[:, 1]).T
-        Y /= np.linalg.norm(Y, axis=0)
-        G = Vr @ (core @ Y)
-        radius = _monotone(lambda c: c * (1 + 1e-8) + 1e-12, constant)
-        ball_ok = True
-        for miss, length in zip(_column_norms(Bmat @ G - Amat @ Y), _column_norms(G)):
-            ball_ok &= _at_most(_known(miss), rung)
-            ball_ok &= _at_most(_known(length), radius)
-        conditions["ball_inclusion"] = bool(ball_ok)
+    # Ball inclusion, probed: the min-norm preimage of A y must fit in the
+    # c-ball and reproduce A y.  One probe per column.
+    draws = rng.standard_normal((_PROBES, 2, cols))
+    Y = (draws[:, 0] + 1j * draws[:, 1]).T
+    Y /= np.linalg.norm(Y, axis=0)
+    G = Vr @ (core @ Y)
+    radius = _monotone(lambda c: c * (1 + 1e-8) + 1e-12, constant)
+    ball_ok = True
+    for miss, length in zip(np.linalg.norm(Bmat @ G - Amat @ Y, axis=0),
+                            np.linalg.norm(G, axis=0)):
+        ball_ok &= _at_most(_known(miss), rung)
+        ball_ok &= _at_most(_known(length), radius)
+    conditions["ball_inclusion"] = bool(ball_ok)
 
-        # Adjoint domination on random probes; meaningful constant only when the
-        # factorisation holds, so decided only then; the norms are taken for
-        # every pair, so that one that overflows is refused whatever the
-        # verdict.  One probe per column of X: the columns of A^T conj(X) are
-        # the conjugates of A^* x, so no adjoint is formed.
-        draws = rng.standard_normal((_PROBES, 2, rows))
+    # Adjoint domination on random probes, drawn whatever the verdict;
+    # meaningful constant only when the factorisation holds, so decided only
+    # then.  One probe per column of X: the columns of A^T conj(X) are the
+    # conjugates of A^* x, so no adjoint is formed.
+    draws = rng.standard_normal((_PROBES, 2, rows))
+    if included:
         X = (draws[:, 0] + 1j * draws[:, 1]).T
-        lhs_all = _column_norms(Amat.T @ X.conj())
-        rhs_all = _column_norms(Bmat.T @ X.conj())
         dom_ok = True
-        if included:
-            for lhs, rhs, xn in zip(lhs_all, rhs_all, np.linalg.norm(X, axis=0)):
-                dom_ok &= _at_most(_known(lhs), _monotone(
-                    lambda c, s: c * rhs * (1 + 1e-8) + _INCLUSION_RTOL * s * xn,
-                    constant, scale))
+        lhs_all, rhs_all = (np.linalg.norm(M.T @ X.conj(), axis=0) for M in (Amat, Bmat))
+        for lhs, rhs, xn in zip(lhs_all, rhs_all, np.linalg.norm(X, axis=0)):
+            dom_ok &= _at_most(_known(lhs), _monotone(
+                lambda c, s: c * rhs * (1 + 1e-8) + _INCLUSION_RTOL * s * xn,
+                constant, scale))
+        conditions["adjoint_domination"] = bool(dom_ok)
+    else:
+        Ah, Bh = Amat.conj().T, Bmat.conj().T
+        # A direction of A orthogonal to ran(B): B^* x ~ 0, A^* x != 0, so
+        # ||A^* x|| > c ||B^* x|| defeats the factor's constant c.  The largest column
+        # of `outside` has ||A^* x|| >= ||outside||_F / sqrt(cols); the
+        # strongest direction, an SVD, is taken only when it fails.
+        def candidates():
+            columns = np.linalg.norm(outside, axis=0)
+            j = int(np.argmax(columns))
+            if columns[j] > 0:
+                yield outside[:, j] / columns[j]
+            yield np.linalg.svd(outside, full_matrices=False)[0][:, 0]
 
-        witness = None
-        if not included:
-            Ah, Bh = Amat.conj().T, Bmat.conj().T
-            # A direction of A orthogonal to ran(B): B^* x ~ 0, A^* x != 0, so
-            # ||A^* x|| > c ||B^* x|| defeats the factor's constant c.  The largest column
-            # of `outside` has ||A^* x|| >= ||outside||_F / sqrt(cols); the
-            # strongest direction, an SVD, is taken only when it fails.
-            def candidates():
-                columns = np.linalg.norm(outside, axis=0)
-                j = int(np.argmax(columns))
-                if columns[j] > 0:
-                    yield outside[:, j] / columns[j]
-                yield np.linalg.svd(outside, full_matrices=False)[0][:, 0]
-
-            for witness in candidates():
-                lhs = _norm(Ah @ witness)
-                rhs = _norm(Bh @ witness)
-                defeated = not _at_most(_known(lhs), _monotone(
-                    lambda c, s: c * rhs * (1 + 1e-8) + _INCLUSION_RTOL * s,
-                    constant, scale))
-                if defeated:
-                    break
-            conditions["adjoint_domination"] = not defeated
-        else:
-            conditions["adjoint_domination"] = bool(dom_ok)
+        for witness in candidates():
+            lhs = float(np.linalg.norm(Ah @ witness))
+            rhs = float(np.linalg.norm(Bh @ witness))
+            defeated = not _at_most(_known(lhs), _monotone(
+                lambda c, s: c * rhs * (1 + 1e-8) + _INCLUSION_RTOL * s,
+                constant, scale))
+            if defeated:
+                break
+        conditions["adjoint_domination"] = not defeated
 
     verdicts = set(conditions.values())
     if len(verdicts) != 1:
@@ -440,10 +454,10 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
 
     return DouglasReport(
         included=included,
-        witness=witness,
+        witness=None if included else witness,
         cutoff=cutoff,
         conditions=conditions,
-        _parts=(core, constant, Amat, Bmat, Vrh) if included else None,
+        _parts=(core, norm_c, Amat, Bmat, Vrh, ka, kb) if included else None,
     )
 
 
@@ -589,16 +603,6 @@ def _norm(v: np.ndarray) -> float:
     return value
 
 
-def _column_norms(M: np.ndarray) -> np.ndarray:
-    """||.||_2 of each column of M, refused as `_norm` refuses one that is not
-    finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = np.linalg.norm(M, axis=0)
-    if not np.isfinite(values).all():
-        raise np.linalg.LinAlgError("a norm overflows the float range")
-    return values
-
-
 def _finite_solution(x: np.ndarray, kept: np.ndarray) -> np.ndarray:
     """`x`, a solution through the kept singular values `kept`, if it is
     finite.  The cutoff is relative, so a map that is tiny as a whole keeps
@@ -697,7 +701,8 @@ class ObservabilityEstimate:
             U, sg, _ = maps._svd_G
             r = core.shape[0]
             datum = U[:, :r] @ (u[:, 0] / sg[:r])
-            c_obs, datum = float(s[0]), datum / np.linalg.norm(datum)
+            c_obs = _ldexp(float(s[0]), report._parts[6] - report._parts[5])
+            datum = datum / np.linalg.norm(datum)
         else:  # L_G keeps nothing, and L_F is negligible
             c_obs, datum = 0.0, np.zeros(maps.L_F.shape[0], dtype=complex)
         return c_obs, _embed_post(datum, maps.grid, -maps.nu, maps.post_start,

@@ -461,6 +461,19 @@ class TestCliExitCodes:
         assert main(["control", "--config", path]) == code
         assert capsys.readouterr().err == line
 
+    def test_suite_acceptance_exits_as_every_command_does(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # a criterion that fails numerically is told in one line, exit 1
+        from evoq import acceptance
+        from evoq.errors import ConsistencyError
+
+        def criterion():
+            raise ConsistencyError("probe")
+
+        monkeypatch.setattr(acceptance, "ALL_CRITERIA", [criterion])
+        assert main(["suite", "acceptance", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "evoq: numerical failure (ConsistencyError): probe\n"
+
     @pytest.mark.parametrize("command", [
         "solve", "adjoint", "verify --suite duality", "verify --suite causality",
         "verify --suite reversal", "verify --suite nu-independence", "control",

@@ -14,6 +14,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evoq
 from evoq import (
@@ -336,8 +338,6 @@ class TestNormBrackets:
         (1, 40, 5e-8, 1.0, 0.1, False),     # ||outside||_2 just above 1e-8 scale
         (5, 10, 7e-11, 0.1, 10.0, True),    # ||A - BC||_2 just below 1e-10 scale
         (1, 40, 5e-9, 1.0, 0.1, "raises"),  # inside ran(B) by one rung, not the other
-        # entries near 1e-160: the squares in ||.||_F underflow, so no bracket
-        (2, 12, 1e-3, 1e-160, 1.0, "raises"),
     ])
     def test_straddled_threshold_takes_the_exact_norm(self, monkeypatch, seed, rows,
                                                       relative, b_scale, r_scale,
@@ -426,6 +426,59 @@ class TestNormBrackets:
         assert not rep.included
         assert ((rows, cols), False) in calls  # the witness SVD
         assert abs(np.vdot(U[:, 4], rep.witness)) == pytest.approx(1.0, abs=1e-8)
+
+
+def scale_pair(kind):
+    """(A, B) of one kind, built as `outside_mass` builds them, and the
+    verdict at scale 1."""
+    if kind == "rank-deficient":  # B of rank 2 in 4 columns, A in its range
+        rng = np.random.default_rng(3)
+        B = crandn(rng, 12, 2) @ crandn(rng, 2, 4)
+        return B @ crandn(rng, 4, 12), B, True
+    relative = {"included": 0.0, "excluded": 1e-3}[kind]
+    return (*outside_mass(2, 12, relative, 1.0, 1.0), kind == "included")
+
+
+def normal_ldexp(x, k):
+    """x * 2^k when that is a normal double, else None."""
+    try:
+        value = math.ldexp(x, k)
+    except OverflowError:
+        return None
+    return value if abs(value) >= sys.float_info.min else None
+
+
+class TestScaleInvariance:
+    """The Douglas check scales A and B into range by powers of two, so its
+    verdicts do not depend on the scale of the data, and its values scale
+    exactly."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["included", "excluded", "rank-deficient"]),
+           a=st.integers(-1000, 1000), b=st.integers(-1000, 1000))
+    def test_powers_of_two_keep_every_verdict_and_scale_every_value(self, kind, a, b):
+        A, B, verdict = scale_pair(kind)
+        base = douglas_check(A, B)
+        assert base.included is verdict and set(base.conditions.values()) == {verdict}
+        sA, sB = A * 2.0 ** a, B * 2.0 ** b
+        assert np.array_equal(sA * 2.0 ** -a, A) and np.array_equal(sB * 2.0 ** -b, B)
+        rep = douglas_check(sA, sB)
+        assert rep.included is base.included and rep.conditions == base.conditions
+        if not verdict:
+            assert np.array_equal(rep.witness, base.witness)
+        elif (constant := normal_ldexp(base.constant, a - b)) is not None:
+            assert rep.constant == constant
+        if (cutoff := normal_ldexp(base.cutoff, b)) is not None:
+            assert rep.cutoff == cutoff
+
+    def test_entries_near_1e_160_take_the_scale_1_verdict(self):
+        # the squares in ||.||_F underflow there; the excluded pair above,
+        # scaled by 1e-160, which is no power of two
+        A, B = outside_mass(2, 12, 1e-3, 1e-160, 1.0)
+        verdict = {name: False for name in
+                   ("range_inclusion", "factorization", "ball_inclusion", "adjoint_domination")}
+        assert douglas_outcome(A, B) == (False, verdict)
+        assert douglas_outcome(*scale_pair("excluded")[:2]) == (False, verdict)
 
 
 class TestLazyObservability:

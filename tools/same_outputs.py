@@ -11,10 +11,11 @@ stderr and every file the commands wrote are compared byte for byte; the
 script prints each difference and exits 0 only if there is none (1 if some
 output differs, 2 if a tree holds no `evoq` package).
 
-The default command set (65 commands):
+The default command set (67 commands):
   - `solve`, `adjoint` and the four `verify` suites on each bundled config;
   - `control` and `control --certify-duality` on `heat_small` and
-    `pointwise_decay`;
+    `pointwise_decay`, and on `heat_small` at n = 32 with B[1][0] = 1e100,
+    whose sigma_max(L_G) ~ 7e99 sends the Douglas check through its scaling;
   - both on 18 dense-control configs drawn by the benchmark's generator
     (heat, wave, Maxwell x n in {32, 64} x B in {I, e1, zero});
   - `suite acceptance --json`.
@@ -70,6 +71,11 @@ def default_commands():
         config = _bundled(name)
         commands.append((f"control/{name}", ["control"], config))
         commands.append((f"certify/{name}", ["control", "--certify-duality"], config))
+    config = _bundled("heat_small")
+    config["grid"]["n"] = 32
+    config["control"]["B"][1][0] = [1e100, 0.0]
+    commands.append(("control/heat_small-huge-B", ["control"], config))
+    commands.append(("certify/heat_small-huge-B", ["control", "--certify-duality"], config))
     workloads = _workloads()
     rng = random.Random("same-outputs")
     for kind in workloads.KINDS:
