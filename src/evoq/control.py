@@ -49,7 +49,7 @@ from .errors import (
     SizeGuardError,
     UnsupportedLawError,
 )
-from .signals import NORM_FLOOR, TimeGrid, WeightedSignal
+from .signals import NORM_FLOOR, TimeGrid, WeightedSignal, _exponent, _ldexp, _norm2
 from .solver import (DEFAULT_PAD_FRACTION, CoercivityCertificate, EvoProblem,
                      SpectralOperator, _split_law, timestep_oracle)
 from .waveforms import random_signal
@@ -252,9 +252,8 @@ def _exact_norm(M: np.ndarray) -> float:
 
 def _norm_bracket(M: np.ndarray, lower: float = 0.0) -> _Bracket:
     """||M||_2 between max(||M||_F / sqrt(min(shape)), `lower`) and ||M||_F,
-    each widened by `_ROUNDING`; ||M||_F past the float range is inf, unwarned."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        fro = float(np.linalg.norm(M))
+    each widened by `_ROUNDING`; ||M||_F above the largest double is inf."""
+    fro = float(_norm2(M))
     lo = max(fro / math.sqrt(min(M.shape)), lower) * (1 - _ROUNDING)
     return _Bracket(lo, fro * (1 + _ROUNDING), lambda: _exact_norm(M))
 
@@ -264,13 +263,8 @@ def _into_range(M: np.ndarray, size: float) -> tuple:
     k <= 1022 taking M's largest real or imaginary part to [1/2, 1): exact."""
     if 1 / _RANGE <= size <= _RANGE:
         return M, 0
-    k = min(-math.frexp(np.abs([M.real, M.imag]).max(initial=0.0))[1], 1022)
+    k = min(_exponent(M), 1022)
     return _ldexp(M, k), k
-
-
-def _ldexp(x, k: int):
-    """x * 2^k for |k| <= 2046, by two normal doubles so only the result can overflow."""
-    return x * 2.0 ** (k // 2) * 2.0 ** (k - k // 2) if k else x
 
 
 def _power_lower_bound(M: np.ndarray) -> float:
@@ -526,9 +520,8 @@ def _time_major(blocks: np.ndarray) -> np.ndarray:
 
 def _check_agrees(via: np.ndarray, direct: np.ndarray, what: str) -> None:
     """Raise `ConsistencyError` unless `via` matches `direct` to 1e-10
-    relative; an overflowed norm fails."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        err = np.linalg.norm(via - direct) / max(np.linalg.norm(direct), NORM_FLOOR)
+    relative; a norm above the largest double fails."""
+    err = float(_norm2(via - direct)) / max(float(_norm2(direct)), NORM_FLOOR)
     if not err <= 1e-10:
         raise ConsistencyError(f"{what}: {err:.3e}")
 
@@ -594,12 +587,11 @@ def _truncated_lstsq(svd: tuple, b: np.ndarray, rtol: float):
 
 
 def _norm(v: np.ndarray) -> float:
-    """||v||_2, computed with no warning and refused when it is not finite:
-    a norm that overflows decides nothing."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(np.linalg.norm(v))
+    """||v||_2 by `_norm2`, refused when it is not finite: a norm above the
+    largest double decides nothing."""
+    value = float(_norm2(v))
     if not math.isfinite(value):
-        raise np.linalg.LinAlgError("a norm overflows the float range")
+        raise np.linalg.LinAlgError("a norm is above the largest double")
     return value
 
 
@@ -620,8 +612,7 @@ def _null_solve(maps: EndMaps, f: np.ndarray) -> tuple:
     target = -(maps.L_F @ f)
     g, reg = _truncated_lstsq(maps._svd_G, target, DEFAULT_SVD_RTOL)
     residual = maps.L_G @ g - target
-    rel = (np.linalg.norm(residual, axis=0)
-           / np.maximum(np.linalg.norm(target, axis=0), NORM_FLOOR))
+    rel = _norm2(residual, axis=0) / np.maximum(_norm2(target, axis=0), NORM_FLOOR)
     return g, residual, reg, bool(np.all(rel < FEASIBILITY_TOL))
 
 
@@ -641,7 +632,7 @@ def null_control(cp: ControlProblem, endmaps: Optional[EndMaps] = None) -> Contr
 
     grid = maps.grid
     G = WeightedSignal(grid, maps.nu, g_flat.reshape(grid.n, maps.q))
-    terminal = float(np.sqrt(grid.dt) * np.linalg.norm(residual))
+    terminal = float(_norm2(residual, factor=math.sqrt(grid.dt)))
     return ControlResult(
         G=G,
         terminal_residual=terminal,
@@ -702,7 +693,7 @@ class ObservabilityEstimate:
             r = core.shape[0]
             datum = U[:, :r] @ (u[:, 0] / sg[:r])
             c_obs = _ldexp(float(s[0]), report._parts[6] - report._parts[5])
-            datum = datum / np.linalg.norm(datum)
+            datum = datum / _norm2(datum)
         else:  # L_G keeps nothing, and L_F is negligible
             c_obs, datum = 0.0, np.zeros(maps.L_F.shape[0], dtype=complex)
         return c_obs, _embed_post(datum, maps.grid, -maps.nu, maps.post_start,
@@ -881,12 +872,12 @@ def _pointwise_target(base: EvoProblem, T: float, U0: np.ndarray) -> np.ndarray:
 
 
 def _b_scale(B: np.ndarray) -> float:
-    """max(||B||_2, 1), the divisor that keeps the pointwise variant's
-    products with a huge B finite; it keeps every bit when ||B||_2 <= 1.
-    A ||B||_2 that is not finite is refused."""
+    """max(||B||_2, 1), the divisor that keeps the linearity probe's product
+    B g finite for a huge B; it keeps every bit when ||B||_2 <= 1.  A
+    ||B||_2 that is not finite is refused."""
     scale = _exact_norm(B)
     if not math.isfinite(scale):
-        raise np.linalg.LinAlgError("a norm overflows the float range")
+        raise np.linalg.LinAlgError("a norm is above the largest double")
     return max(scale, 1.0)
 
 
@@ -916,11 +907,11 @@ def pointwise_null_control(cp: ControlProblem,
                      + 1j * rng.standard_normal((len(active), q))) / _b_scale(cp.B)
     direct = base.law.coeffs[0] @ _at_T(grid, nu, cp.T, _stepped(base, probe @ cp.B.T))
     via = Phi @ probe[active].reshape(-1)
-    if np.linalg.norm(via - direct) > 1e-10 * max(np.linalg.norm(direct), 1.0):
+    if _norm2(via - direct) > 1e-10 * max(_norm2(direct), 1.0):
         raise ConsistencyError("pointwise response assembly disagrees with a direct solve")
 
     g_active, reg = _truncated_lstsq(np.linalg.svd(Phi, full_matrices=False), b, rtol)
-    residual = float(np.linalg.norm(Phi @ g_active - b))
+    residual = float(_norm2(Phi @ g_active - b))
     feasible = residual < feasibility_tol * (1.0 + _norm(b))
 
     phi_G = np.zeros((grid.n, q), dtype=complex)
@@ -929,7 +920,7 @@ def pointwise_null_control(cp: ControlProblem,
     closed_loop = pointwise_solve(cp, G)
     return ControlResult(
         G=G,
-        terminal_residual=float(np.linalg.norm(closed_loop.M0U_at_T)),
+        terminal_residual=float(_norm2(closed_loop.M0U_at_T)),
         feasible=feasible,
         regularization=reg,
     )
@@ -941,21 +932,22 @@ def pointwise_duality_check(cp: ControlProblem) -> dict:
     of the assembled pair; the two verdicts must agree.
 
     The m basis targets are solved as one right-hand side of m columns.  Phi
-    is divided by `_b_scale` first: scaling leaves ran(Phi), and so every
-    verdict, unchanged, and keeps the Douglas probes' norms finite when B is
-    huge.
+    is first taken into range by the rule `douglas_check` applies to B: a
+    power of two, which leaves ran(Phi), and so every verdict, unchanged,
+    and keeps sigma_max(Phi), and so the cutoff, a double when B is huge.
     """
     if cp.variant != "pointwise":
         raise PreconditionError("pointwise_duality_check needs the pointwise variant")
     base = cp.base
-    Phi = _pointwise_response_matrix(cp)[0] / _b_scale(cp.B)
+    Phi = _pointwise_response_matrix(cp)[0]
+    Phi = _into_range(Phi, _norm_bracket(Phi).hi)[0]
     Psi = np.stack([_pointwise_target(base, cp.T, U0)
                     for U0 in np.eye(base.A.m, dtype=complex)], axis=1)
     svd_phi = np.linalg.svd(Phi, full_matrices=False)
     g, _ = _truncated_lstsq(svd_phi, Psi, DEFAULT_SVD_RTOL)
-    residual = np.linalg.norm(Phi @ g - Psi, axis=0)
+    residual = _norm2(Phi @ g - Psi, axis=0)
     feasible = bool(np.all(residual < POINTWISE_FEASIBILITY_TOL
-                           * (1.0 + np.linalg.norm(Psi, axis=0))))
+                           * (1.0 + _norm2(Psi, axis=0))))
     report = _douglas(Psi, Phi, svd_phi)
     return {
         "feasible_for_basis": feasible,

@@ -7,6 +7,9 @@ restrictions, time reversal) becomes a plain array operation, and the
 exponential weight never has to be materialised.  Only converting samples
 to flat coordinates and back evaluates it, under one rule: |nu * t| <= 700
 on every grid sample, below where e^{nu t} overflows double precision.
+Norms, here and in the modules built on this one, follow one rule too,
+`_norm2`: data whose sum of squares leaves the float range is scaled into
+it by a power of two first.
 """
 
 from __future__ import annotations
@@ -20,7 +23,41 @@ import numpy as np
 
 from .errors import GridError, NonFiniteSignalError, PairingError, WindowError
 
-NORM_FLOOR = 1e-300
+# The floor under a norm in a denominator: the smallest normal double, below
+# every norm `_norm2` gives an array with a normal entry, so it stands in
+# only for 0.
+NORM_FLOOR = 2.0 ** -1022
+# A norm at least this large lost nothing to underflowed squares: each is
+# below 2^-1022, far below the rounding of a sum of squares of 2^-920 or more.
+_NORM_MIN = 2.0 ** -460
+
+
+def _exponent(x: np.ndarray) -> int:
+    """The power of two that takes the largest real or imaginary part of x
+    into [1/2, 1); 0 for a zero x."""
+    return -math.frexp(np.abs([x.real, x.imag]).max(initial=0.0))[1]
+
+
+def _ldexp(x, k: int):
+    """x * 2^k for |k| <= 2046, by two normal doubles so only the result can overflow."""
+    return x * 2.0 ** (k // 2) * 2.0 ** (k - k // 2) if k else x
+
+
+def _norm2(x: np.ndarray, axis=None, factor: float = 1.0):
+    """factor * ||x||_2 over all entries, or along `axis`: the one norm rule.
+
+    Where `np.linalg.norm` lies in [2^-460, inf), that value times `factor`,
+    bit for bit.  Elsewhere x is scaled by `_exponent(x)`, which is exact,
+    and the norm times `factor` is scaled back, so a nonzero x has a nonzero
+    norm and only a true result above the largest double is inf.  An x with
+    a non-finite entry gets the direct value.  Warns nothing.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.linalg.norm(x, axis=axis)
+        if np.all((value >= _NORM_MIN) & (value < math.inf)) or not np.isfinite(x).all():
+            return factor * value
+        k = _exponent(x)
+        return _ldexp(factor * np.linalg.norm(_ldexp(x, k), axis=axis), -k)
 
 
 @dataclass(frozen=True)
@@ -120,17 +157,10 @@ class WeightedSignal:
 
     @property
     def norm(self) -> float:
-        """Weighted L2 norm, dt-quadrature of the flat coordinates; +inf where
-        finite samples square past the float range.  When every square
-        underflows, the samples are rescaled by their largest modulus, so a
-        nonzero signal never has norm 0."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = float(np.linalg.norm(self.phi))
-        if value == 0.0 and self.phi.any():
-            moduli = np.abs(self.phi)
-            largest = float(moduli.max())
-            value = largest * float(np.linalg.norm(moduli / largest))
-        return math.sqrt(self.grid.dt) * value
+        """Weighted L2 norm, dt-quadrature of the flat coordinates, by
+        `_norm2`: +inf only where the norm itself is above the largest
+        double, and nonzero for a nonzero signal."""
+        return float(_norm2(self.phi, factor=math.sqrt(self.grid.dt)))
 
     def values(self) -> np.ndarray:
         """Reconstruct the unweighted samples f(t_j) = e^{nu t_j} phi_j.

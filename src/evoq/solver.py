@@ -42,7 +42,7 @@ from .errors import (
     UnsupportedLawError,
 )
 from .material import CoercivityCertificate, MaterialLaw, coercivity, eval_law_many, finite_sum_law
-from .signals import NORM_FLOOR, TimeGrid, WeightedSignal, time_reverse
+from .signals import NORM_FLOOR, TimeGrid, WeightedSignal, _norm2, time_reverse
 from .spatial import SpatialOperator
 from .transform import block_apply, block_solve, grid_frequencies
 
@@ -140,10 +140,9 @@ def _pinned(phi: np.ndarray, forward: bool) -> slice:
 
 
 def _leakage(u: np.ndarray, pinned: slice) -> float:
-    """Relative mass of u on the pinned samples; NaN or 0 where a norm
-    overflows, which the reports write as "nan"."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.linalg.norm(u[pinned])) / max(float(np.linalg.norm(u)), NORM_FLOOR)
+    """Relative mass of u on the pinned samples, by `_norm2`, so it does not
+    depend on the scale of u."""
+    return float(_norm2(u[pinned])) / max(float(_norm2(u)), NORM_FLOOR)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import NotInvertibleError, SolverError, SymbolError
-from .signals import NORM_FLOOR, TimeGrid, WeightedSignal
+from .signals import NORM_FLOOR, TimeGrid, WeightedSignal, _norm2
 
 __all__ = [
     "Spectrum",
@@ -62,7 +62,7 @@ class Spectrum:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.hat))
+        return float(_norm2(self.hat))
 
 
 def fourier_laplace(f: WeightedSignal) -> Spectrum:
@@ -149,7 +149,7 @@ def block_solve(blocks: np.ndarray, phi: np.ndarray, residual: bool = False):
         if not residual:
             return u
         defect = np.einsum("kij,kj...->ki...", blocks, uhat) - hat
-        return u, float(np.linalg.norm(defect) / max(np.linalg.norm(hat), NORM_FLOOR))
+        return u, float(_norm2(defect)) / max(float(_norm2(hat)), NORM_FLOOR)
 
 
 def spectral_multiplier(

@@ -356,7 +356,7 @@ class TestCliExitCodes:
     def test_a_huge_pointwise_injection_is_controlled(self, tmp_path, capsys):
         # B = 1e308 only scales the sought control by 1e-308; the random
         # linearity probe, scaled by 1/||B||_2, no longer overflows in B g,
-        # and the certificate, which divides Phi by ||B||_2, agrees
+        # and the certificate, which takes Phi into range, agrees
         payload = bundled("pointwise_decay", 64)
         payload["control"]["B"] = [[[1e308, 0.0]]]
         path = write_config(tmp_path, payload)
@@ -402,24 +402,46 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"evoq: config rejected ({error}):") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("field, value, command", [
-        ("B", [[[1.7e308, 1.7e308]]], "control --certify-duality"),
-        ("B", [[[1.7e308, 1.7e308]]], "control"),
-        ("U0", [[1e308, 0.0]], "control"),
-    ], ids=["B-certify", "B-control", "U0-control"])
-    def test_overflowing_pointwise_norm_exits_1(self, tmp_path, capsys, field, value, command):
-        # finite entries whose norms overflow: refused in one line, not
-        # reported as an infinite but feasible control.  A B of modulus
-        # 2.4e308 has no finite ||B||_2 to divide Phi or the probe by
+    def test_overflowing_pointwise_norm_exits_1(self, tmp_path, capsys):
+        # finite entries whose norm is above the largest double: refused in
+        # one line, not reported as an infinite but feasible control.  A B
+        # of modulus 2.4e308 has no finite ||B||_2 to divide the probe by
         payload = bundled("pointwise_decay", 64)
-        payload["control"][field] = value
-        name, *options = command.split()
+        payload["control"]["B"] = [[[1.7e308, 1.7e308]]]
         code, caught = main_recording_warnings(
-            [name, "--config", write_config(tmp_path, payload), *options])
+            ["control", "--config", write_config(tmp_path, payload)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("evoq: numerical failure (LinAlgError):") and err.count("\n") == 1
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("field, value, command", [
+        ("B", [[[1.7e308, 1.7e308]]], "control --certify-duality"),
+        ("U0", [[1e308, 0.0]], "control"),
+    ], ids=["B-certify", "U0-control"])
+    def test_huge_pointwise_data_take_the_scale_1_verdict(self, tmp_path, capsys, field,
+                                                          value, command):
+        # every stored number is a double, and so are the norms behind the
+        # verdicts, taken by a power of two into range; with U0 = 1e308 the
+        # control is 1e308 times the control from U0 = 1
+        payload = bundled("pointwise_decay", 64)
+        name, *options = command.split()
+        path = write_config(tmp_path, payload, "unit.json")
+        assert main([name, "--config", path, *options, "--json"]) == 0
+        unit = json.loads(capsys.readouterr().out)
+        payload["control"][field] = value
+        code, caught = main_recording_warnings(
+            [name, "--config", write_config(tmp_path, payload), *options, "--json"])
+        assert code == 0, capsys.readouterr().err
+        table = json.loads(capsys.readouterr().out)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        if field == "B":
+            assert table["agree"] and table["verdicts"] == {"feasible_for_basis": True,
+                                                            "range_included": True}
+        else:
+            assert table["result"]["feasible"]
+            assert table["result"]["control_norm"] == pytest.approx(
+                1e308 * unit["result"]["control_norm"], rel=1e-12)
 
     @pytest.mark.parametrize("base, code", [
         ("NonCoerciveError", 2), ("DefinitenessError", 2), ("NotSkewError", 2),
@@ -535,16 +557,22 @@ class TestCliExitCodes:
         assert main(["solve", "--config", write_config(tmp_path, payload, "c2.json")]) == 2
         assert "rhs.csv" in capsys.readouterr().err
 
-    def test_non_finite_report_numbers_are_strings(self, tmp_path):
-        # at a vanishing weight the heat solve is singular at frequency 0:
-        # the norms overflow, a numerical failure written as valid JSON
+    @pytest.mark.parametrize("nu, amplitude, ratio", [
+        (0.1, 1e307, "infinity"), (1.0, 5e307, "nan")], ids=["infinity", "nan"])
+    def test_non_finite_report_numbers_are_strings(self, tmp_path, nu, amplitude, ratio):
+        # one forcing sample on a grid of dt = 32: every sample is a double,
+        # but at nu = 0.1 the solution's norm, about 4 times the forcing's
+        # 5.7e307, is not; at 5e307 and nu = 1 neither is the forcing's.
+        # Their ratio is written as valid JSON
         with open(os.path.join(CONFIG_DIR, "heat_small.json")) as fh:
             payload = json.load(fh)
-        payload["nu"] = 1e-300
+        payload.update(nu=nu, grid={"t_min": -64.0, "t_max": 64.0, "n": 4})
+        payload["rhs"] = {"shape": "indicator", "component": 0, "lo": 0.0, "hi": 1.0,
+                          "amplitude": amplitude}
         out = tmp_path / "out"
         code, caught = main_recording_warnings(
             ["solve", "--config", write_config(tmp_path, payload), "--out", str(out)])
-        assert code == 1
+        assert code == 0
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
         def reject(constant):
@@ -552,27 +580,28 @@ class TestCliExitCodes:
 
         report = json.loads((out / "report.json").read_text(encoding="utf-8"),
                             parse_constant=reject)["report"]
-        assert report["norm_ratio"] == "infinity"
-        assert report["causality_leakage"] == "nan"
+        assert report["norm_ratio"] == ratio
 
-    @pytest.mark.parametrize("command", [
-        "adjoint", "verify --suite duality", "verify --suite causality",
-        "control", "control --certify-duality"])
-    def test_overflowing_norms_warn_nothing(self, tmp_path, capsys, command):
-        # the vanishing weight of the test above, under the other commands
-        # whose norms overflow; dense control runs at n = 32 and fails in
-        # its end-map check, told in one line, where the others fail the
-        # check their report records
+    @pytest.mark.parametrize("command, expected", [
+        ("solve", 1), ("adjoint", 1), ("verify --suite duality", 1),
+        ("verify --suite causality", 0), ("control", 0), ("control --certify-duality", 0)])
+    def test_overflowing_norms_warn_nothing(self, tmp_path, capsys, command, expected):
+        # at a vanishing weight the heat solve is singular at frequency 0,
+        # and the sums of squares of its norms leave the float range, but
+        # no norm does: each command exits on the ladder's verdict (solve,
+        # adjoint and duality fail their residual rungs; dense control runs
+        # at n = 32), and nothing warns
         name, *options = command.split()
         payload = bundled("heat_small", 32 if name == "control" else 256)
         payload["nu"] = 1e-300
+        out = tmp_path / "out"
         code, caught = main_recording_warnings(
-            [name, "--config", write_config(tmp_path, payload), *options])
-        assert code == 1
+            [name, "--config", write_config(tmp_path, payload), *options, "--out", str(out)])
+        assert code == expected, capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        if name == "control":
-            err = capsys.readouterr().err
-            assert err.startswith("evoq: numerical failure") and err.count("\n") == 1
+        if name in ("solve", "adjoint"):
+            report = json.loads((out / "report.json").read_text())["report"]
+            assert report["norm_ratio"] == pytest.approx(9.07e298, rel=1e-3)
 
     def test_control_csvs_reload_to_recomputed_signals(self, tmp_path):
         payload = base_config()

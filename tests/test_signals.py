@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import evoq
@@ -25,6 +25,8 @@ from evoq import (
     time_reverse,
     weight_flip,
 )
+from evoq.solver import _leakage
+from evoq.transform import block_solve, fourier_laplace
 from evoq.waveforms import random_signal
 
 
@@ -116,6 +118,58 @@ class TestWeightedSignal:
         vals = rng.standard_normal((64, 3)) + 1j * rng.standard_normal((64, 3))
         sig = evoq.signal_from_values(g, 1.5, vals)
         assert np.allclose(sig.values(), vals, rtol=1e-12)
+
+
+def scales_normally(x, k):
+    """True when every real and imaginary part of x, and of 2^k x, is a
+    normal double."""
+    parts = np.abs(np.concatenate([x.real.ravel(), x.imag.ravel()]))
+    if not parts.min() >= 2.0 ** -1022:
+        return False
+    return (-1021 - math.frexp(parts.min())[1] <= k <= 1024 - math.frexp(parts.max())[1])
+
+
+def crandn(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestOneNormRule:
+    """Every norm goes through one rule, which scales data out of range by a
+    power of two: norms scale exactly with the data, and relative values do
+    not move, wherever the data's parts are normal doubles at both scales."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(e=st.integers(-24, 24), k=st.integers(-1000, 1000))
+    @example(e=21, k=1000)  # the unweighted sum passes the largest double, the norm does not
+    @example(e=-24, k=-1000)  # every square underflows
+    def test_a_power_of_two_scales_the_norm_exactly(self, e, k):
+        s = random_signal(TimeGrid(-1.0, 1.0, 64), 1.0, 2, np.random.default_rng(0)) * 2.0 ** e
+        assume(scales_normally(s.phi, k))
+        scaled = s * 2.0 ** k
+        assert scaled.norm == math.ldexp(s.norm, k)
+        if scales_normally(np.fft.fft(s.phi, axis=0), k):  # else the DFT itself overflows
+            assert fourier_laplace(scaled).norm == math.ldexp(fourier_laplace(s).norm, k)
+            assert fourier_laplace(scaled).norm == pytest.approx(scaled.norm, rel=1e-13)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(k=st.integers(-1000, 1000))
+    def test_a_power_of_two_leaves_the_leakage(self, k):
+        u = crandn(np.random.default_rng(1), 64, 3)
+        assert scales_normally(u, k)
+        assert _leakage(u * 2.0 ** k, slice(0, 20)) == _leakage(u, slice(0, 20))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(k=st.integers(-1000, 1000))
+    def test_a_power_of_two_leaves_the_block_residual(self, k):
+        rng = np.random.default_rng(2)
+        blocks = 4.0 * np.eye(3) + crandn(rng, 32, 3, 3)
+        # the defect behind the residual is a difference of doubles near
+        # 2^-52 of the data, itself subnormal for data below about 2^-970,
+        # so data scaled down start at 2^40
+        phi = crandn(rng, 32, 3) * 2.0 ** (40 if k < 0 else 0)
+        assert scales_normally(phi, k)
+        assert (block_solve(blocks, phi * 2.0 ** k, residual=True)[1]
+                == block_solve(blocks, phi, residual=True)[1])
 
 
 class TestNuProduct:

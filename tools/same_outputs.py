@@ -11,11 +11,15 @@ stderr and every file the commands wrote are compared byte for byte; the
 script prints each difference and exits 0 only if there is none (1 if some
 output differs, 2 if a tree holds no `evoq` package).
 
-The default command set (67 commands):
+The default command set (69 commands):
   - `solve`, `adjoint` and the four `verify` suites on each bundled config;
   - `control` and `control --certify-duality` on `heat_small` and
     `pointwise_decay`, and on `heat_small` at n = 32 with B[1][0] = 1e100,
     whose sigma_max(L_G) ~ 7e99 sends the Douglas check through its scaling;
+  - two whose sums of squares leave the float range, so that their norms
+    are taken on data scaled by a power of two: `verify --suite causality`
+    on `heat_small` at nu = 1e-300, and `control` on `pointwise_decay` at
+    n = 64 with U0 = [[1e308, 0]];
   - both on 18 dense-control configs drawn by the benchmark's generator
     (heat, wave, Maxwell x n in {32, 64} x B in {I, e1, zero});
   - `suite acceptance --json`.
@@ -76,6 +80,14 @@ def default_commands():
     config["control"]["B"][1][0] = [1e100, 0.0]
     commands.append(("control/heat_small-huge-B", ["control"], config))
     commands.append(("certify/heat_small-huge-B", ["control", "--certify-duality"], config))
+    config = _bundled("heat_small")
+    config["nu"] = 1e-300
+    commands.append(("verify-causality/heat_small-tiny-nu", ["verify", "--suite", "causality"],
+                     config))
+    config = _bundled("pointwise_decay")
+    config["grid"]["n"] = 64
+    config["control"]["U0"] = [[1e308, 0.0]]
+    commands.append(("control/pointwise_decay-huge-U0", ["control"], config))
     workloads = _workloads()
     rng = random.Random("same-outputs")
     for kind in workloads.KINDS:
