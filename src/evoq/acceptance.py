@@ -33,6 +33,7 @@ from .control import (
     _kernel_blocks,
     _pointwise_response_matrix,
     _pointwise_target,
+    _svd,
     _time_major,
     _truncated_lstsq,
 )
@@ -435,8 +436,7 @@ def _brute_force_min_norm_excess(cp: ControlProblem) -> float:
     b = _pointwise_target(cp.base, cp.T, cp.U0)
     if Phi.shape[0] != 1:
         raise ValueError("the piecewise-constant search handles one readout equation")
-    g_min, _ = _truncated_lstsq(np.linalg.svd(Phi, full_matrices=False), b,
-                                DEFAULT_SVD_RTOL)
+    g_min, _ = _truncated_lstsq(_svd(Phi), b, DEFAULT_SVD_RTOL)
     min_norm = float(np.linalg.norm(g_min))
 
     grid = cp.base.grid

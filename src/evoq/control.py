@@ -9,9 +9,10 @@ decision here is made relative to a declared truncated-SVD cutoff
 on a spectral norm is first decided from cheap bounds,
 ||M||_F / sqrt(min(shape)) <= ||M||_2 <= ||M||_F widened for rounding; the
 exact norm (an SVD) is taken only when the bounds straddle the threshold,
-so a verdict is the one the exact norms give.  The Douglas check first
-scales A and B into [2^-200, 2^200] by powers of two, which is exact, so no
-verdict depends on the scale of the data.  Observability is read off that
+so a verdict is the one the exact norms give.  Every dense SVD and the
+Douglas check first take their matrices into range by a power of two
+(`signals._into_range`), which is exact, so no verdict depends on the scale
+of the data.  Observability is read off that
 check: the backward (nu-adjoint) end maps are the adjoints of L_F and L_G,
 so by Douglas' lemma in its control/observation form c_obs is finite
 exactly when ran L_F lies in ran L_G, and is then the norm of the Douglas
@@ -49,7 +50,7 @@ from .errors import (
     SizeGuardError,
     UnsupportedLawError,
 )
-from .signals import NORM_FLOOR, TimeGrid, WeightedSignal, _exponent, _ldexp, _norm2
+from .signals import NORM_FLOOR, TimeGrid, WeightedSignal, _into_range, _ldexp, _norm2
 from .solver import (DEFAULT_PAD_FRACTION, CoercivityCertificate, EvoProblem,
                      SpectralOperator, _split_law, timestep_oracle)
 from .waveforms import random_signal
@@ -79,7 +80,6 @@ _INCLUSION_RTOL = 1e-8  # mass outside ran(B) that still counts as inside, relat
 _PROBES = 8             # random probes per ball-inclusion and adjoint-domination check
 _ROUNDING = 1e-10       # relative widening of each cheap norm bound, for its rounding
 _POWER_STEPS = 3        # power steps behind the lower bound on ||core||_2
-_RANGE = 2.0 ** 200     # the Douglas check scales ||A||_F and ||B||_2 into [1/_RANGE, _RANGE]
 
 
 @dataclass(frozen=True)
@@ -258,13 +258,10 @@ def _norm_bracket(M: np.ndarray, lower: float = 0.0) -> _Bracket:
     return _Bracket(lo, fro * (1 + _ROUNDING), lambda: _exact_norm(M))
 
 
-def _into_range(M: np.ndarray, size: float) -> tuple:
-    """(M, 0) if `size`, a norm of M, lies in [1/_RANGE, _RANGE]; else (2^k M, k),
-    k <= 1022 taking M's largest real or imaginary part to [1/2, 1): exact."""
-    if 1 / _RANGE <= size <= _RANGE:
-        return M, 0
-    k = min(_exponent(M), 1022)
-    return _ldexp(M, k), k
+def _svd(M: np.ndarray) -> tuple:
+    """The thin SVD under the range rule: (U, s, Vh, k) with 2^k M = U diag(s) Vh."""
+    scaled, k = _into_range(M)
+    return (*np.linalg.svd(scaled, full_matrices=False), k)
 
 
 def _power_lower_bound(M: np.ndarray) -> float:
@@ -307,29 +304,26 @@ def douglas_check(Amat: np.ndarray, Bmat: np.ndarray,
     Each threshold on a 2-norm (of A, of that outside part, of A - BC and of
     C) is decided from cheap bounds, and from the exact norm only when the
     bounds straddle it, so the verdicts are those of the exact norms.  The
-    thresholds scale with ||A||_2 alone, and B is scaled into range before
-    its SVD as `_douglas` scales A and B, so neither verdicts nor witness
-    depend on the scale of either.  `range_inclusion` and `factorization`
-    both measure the mass of A - B B^+ A (through the range projector and
-    through the factor), so their agreement checks the arithmetic rather
-    than a second property.
+    thresholds scale with ||A||_2 alone, and A and B are taken into range
+    by powers of two, so neither verdicts nor witness depend on the scale of
+    either.  `range_inclusion` and `factorization` both measure the mass of
+    A - B B^+ A (through the range projector and through the factor), so
+    their agreement checks the arithmetic rather than a second property.
     """
     Bmat = np.atleast_2d(np.asarray(Bmat, dtype=complex))
-    scaled, k = _into_range(Bmat, _norm_bracket(Bmat).hi)
-    U, s, Vh = np.linalg.svd(scaled, full_matrices=False)
-    return _douglas(Amat, Bmat, (U, _ldexp(s, -k), Vh), rng)
+    return _douglas(Amat, Bmat, _svd(Bmat), rng)
 
 
 def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
              rng: Optional[np.random.Generator] = None) -> DouglasReport:
-    """Body of `douglas_check` for a complex 2-D `Bmat` whose thin SVD
-    (U, s, Vh), which gives the cutoff, the caller holds; ||V_r core||_2 = ||core||_2.
+    """Body of `douglas_check` for a complex 2-D `Bmat` whose SVD `_svd`, which
+    gives the cutoff, the caller holds; ||V_r core||_2 = ||core||_2.
 
-    Range rule: A, or B and s, with ||A||_F or s[0] outside [2^-200, 2^200]
-    is scaled into it by a power of two, and read values scale back.  The
-    core is then below about 2^433 (2^400 from the ranges, 2^33 from the
-    cutoff): no square in a norm overflows, and its SVD stays in LAPACK's
-    unscaled range (2^+-457), where bits scale exactly.
+    Range rule: A goes into range by `_into_range`, B by its SVD's power,
+    and read values scale back.  With largest parts below 2^200 the core is
+    below about 2^445 (2^400 from the ranges, 2^33 from the cutoff, 2^12 from
+    sqrt(2 rows cols) under the size guard): no square in a norm overflows,
+    and its SVD stays in LAPACK's unscaled range (2^+-457), where bits scale.
 
     Every comparison goes through `_at_most`, and the probes draw from `rng`
     in the same order whichever way a comparison is decided: 8 (re, im)
@@ -365,14 +359,13 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
     rng = rng or np.random.default_rng(0)
     rows, cols = Amat.shape
 
-    Ub, sb, Vbh = svd_b
-    sigma_max, cutoff, rank_b = _truncation(sb, DEFAULT_SVD_RTOL)
+    Ub, sb, Vbh, kb = svd_b
+    _, cutoff, rank_b = _truncation(sb, DEFAULT_SVD_RTOL)
     Ur, Vrh = Ub[:, :rank_b], Vbh[:rank_b]
 
+    Amat, ka = _into_range(Amat)
     norm_a = _norm_bracket(Amat)
-    Amat, ka = _into_range(Amat, norm_a.hi)
-    norm_a = _norm_bracket(Amat) if ka else norm_a
-    Bmat, kb = _into_range(Bmat, sigma_max)
+    Bmat = _ldexp(Bmat, kb)
 
     # Mass of A outside the numerical range of B, against the scale of A
     # alone: scaling B moves neither ran(B) nor a verdict.
@@ -385,7 +378,7 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
     conditions = {"range_inclusion": included}
 
     Vr = Vrh.conj().T
-    core /= _ldexp(sb[:rank_b, None], kb)
+    core /= sb[:rank_b, None]
     residual = _norm_bracket(Amat - (Bmat @ Vr) @ core)
     conditions["factorization"] = _at_most(residual, _monotone(lambda s: 1e-10 * s, scale))
     constant = _norm_bracket(core, _power_lower_bound(core)) if core.size else _known(0.0)
@@ -449,7 +442,7 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
     return DouglasReport(
         included=included,
         witness=None if included else witness,
-        cutoff=cutoff,
+        cutoff=_ldexp(cutoff, -kb),
         conditions=conditions,
         _parts=(core, norm_c, Amat, Bmat, Vrh, ka, kb) if included else None,
     )
@@ -481,9 +474,9 @@ class EndMaps:
 
     @cached_property
     def _svd_G(self) -> tuple:
-        """Thin SVD (U, s, Vh) of L_G, taken on first use and shared by every
-        null-control solve and range-inclusion check on these maps."""
-        return np.linalg.svd(self.L_G, full_matrices=False)
+        """Thin SVD (U, s, Vh, k) of 2^k L_G (`_svd`), taken on first use and
+        shared by every null-control solve and range-inclusion check on these maps."""
+        return _svd(self.L_G)
 
     @cached_property
     def _inclusion(self) -> DouglasReport:
@@ -575,15 +568,16 @@ def assemble_endmaps(cp: ControlProblem,
 
 def _truncated_lstsq(svd: tuple, b: np.ndarray, rtol: float):
     """Least-norm solution of M x = b through a truncated SVD, given the
-    factorization `svd` = (U, s, Vh) of M rather than M itself, so one
-    factorization serves every right-hand side, `b` or each column of it."""
-    U, s, Vh = svd
+    factorization `_svd(M)` rather than M itself, so one factorization serves
+    every right-hand side, `b` or each column of it.  Rank and cutoff are read
+    off the scaled values; x, sigma_max and the cutoff are scaled back."""
+    U, s, Vh, k = svd
     sigma_max, cutoff, r = _truncation(s, rtol)
     with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite_solution
         coeffs = ((U[:, :r].conj().T @ b).T / s[:r]).T  # rank axis last to broadcast
-        x = Vh[:r].conj().T @ coeffs
-    return _finite_solution(x, s[:r]), RegularizationReport(rank=r, cutoff=cutoff,
-                                                             sigma_max=sigma_max)
+        x = _finite_solution(_ldexp(Vh[:r].conj().T @ coeffs, k), _ldexp(s[:r], -k))
+    return x, RegularizationReport(rank=r, cutoff=_ldexp(cutoff, -k),
+                                   sigma_max=_ldexp(sigma_max, -k))
 
 
 def _norm(v: np.ndarray) -> float:
@@ -658,7 +652,7 @@ class ObservabilityEstimate:
     sees.  `cutoff` is the truncation of L_G, sigma_max(L_G) * 1e-10.
     """
 
-    method: ClassVar[str] = "generalized-svd"  # the one (dense) route
+    method: ClassVar[str] = "douglas-core-svd"  # the one (dense) route
     _maps: EndMaps = field(repr=False, compare=False)
 
     @property
@@ -689,7 +683,7 @@ class ObservabilityEstimate:
             c_obs, datum = math.inf, report.witness
         elif core.size:
             u, s, _ = np.linalg.svd(core, full_matrices=False)
-            U, sg, _ = maps._svd_G
+            U, sg = maps._svd_G[:2]
             r = core.shape[0]
             datum = U[:, :r] @ (u[:, 0] / sg[:r])
             c_obs = _ldexp(float(s[0]), report._parts[6] - report._parts[5])
@@ -871,14 +865,12 @@ def _pointwise_target(base: EvoProblem, T: float, U0: np.ndarray) -> np.ndarray:
     return M0 @ _at_T(base.grid, base.nu, T, _stepped(base, _drift(base, U0))) - M0 @ U0
 
 
-def _b_scale(B: np.ndarray) -> float:
-    """max(||B||_2, 1), the divisor that keeps the linearity probe's product
-    B g finite for a huge B; it keeps every bit when ||B||_2 <= 1.  A
-    ||B||_2 that is not finite is refused."""
-    scale = _exact_norm(B)
-    if not math.isfinite(scale):
-        raise np.linalg.LinAlgError("a norm is above the largest double")
-    return max(scale, 1.0)
+def _readout_lstsq(Phi: np.ndarray, b: np.ndarray, rtol: float) -> tuple:
+    """The pointwise variant's one solve: (g, Phi g - b, report, SVD) for the
+    least-norm g of Phi g = b through the SVD of Phi under the range rule."""
+    svd = _svd(Phi)
+    g, reg = _truncated_lstsq(svd, b, rtol)
+    return g, Phi @ g - b, reg, svd
 
 
 @one_blas_thread
@@ -900,19 +892,18 @@ def pointwise_null_control(cp: ControlProblem,
     b = _pointwise_target(base, cp.T, cp.U0)
 
     # Linearity probe: the assembled response must match a direct solve.  The
-    # probe is divided by _b_scale, so that B g stays finite.
+    # probe takes B's power of two from the range rule, so that B g stays finite.
     rng = np.random.default_rng(11)
     probe = np.zeros((grid.n, q), dtype=complex)
-    probe[active] = (rng.standard_normal((len(active), q))
-                     + 1j * rng.standard_normal((len(active), q))) / _b_scale(cp.B)
+    probe[active] = _ldexp(rng.standard_normal((len(active), q))
+                           + 1j * rng.standard_normal((len(active), q)), _into_range(cp.B)[1])
     direct = base.law.coeffs[0] @ _at_T(grid, nu, cp.T, _stepped(base, probe @ cp.B.T))
     via = Phi @ probe[active].reshape(-1)
     if _norm2(via - direct) > 1e-10 * max(_norm2(direct), 1.0):
         raise ConsistencyError("pointwise response assembly disagrees with a direct solve")
 
-    g_active, reg = _truncated_lstsq(np.linalg.svd(Phi, full_matrices=False), b, rtol)
-    residual = float(_norm2(Phi @ g_active - b))
-    feasible = residual < feasibility_tol * (1.0 + _norm(b))
+    g_active, misfit, reg, _ = _readout_lstsq(Phi, b, rtol)
+    feasible = float(_norm2(misfit)) < feasibility_tol * (1.0 + _norm(b))
 
     phi_G = np.zeros((grid.n, q), dtype=complex)
     phi_G[active] = g_active.reshape(len(active), q)
@@ -931,22 +922,18 @@ def pointwise_duality_check(cp: ControlProblem) -> dict:
     """Feasibility for a basis of initial states against the range inclusion
     of the assembled pair; the two verdicts must agree.
 
-    The m basis targets are solved as one right-hand side of m columns.  Phi
-    is first taken into range by the rule `douglas_check` applies to B: a
-    power of two, which leaves ran(Phi), and so every verdict, unchanged,
-    and keeps sigma_max(Phi), and so the cutoff, a double when B is huge.
+    The m basis targets are solved as one right-hand side of m columns,
+    through the SVD of Phi under the range rule, which the Douglas check
+    shares.
     """
     if cp.variant != "pointwise":
         raise PreconditionError("pointwise_duality_check needs the pointwise variant")
     base = cp.base
     Phi = _pointwise_response_matrix(cp)[0]
-    Phi = _into_range(Phi, _norm_bracket(Phi).hi)[0]
     Psi = np.stack([_pointwise_target(base, cp.T, U0)
                     for U0 in np.eye(base.A.m, dtype=complex)], axis=1)
-    svd_phi = np.linalg.svd(Phi, full_matrices=False)
-    g, _ = _truncated_lstsq(svd_phi, Psi, DEFAULT_SVD_RTOL)
-    residual = _norm2(Phi @ g - Psi, axis=0)
-    feasible = bool(np.all(residual < POINTWISE_FEASIBILITY_TOL
+    _, misfit, _, svd_phi = _readout_lstsq(Phi, Psi, DEFAULT_SVD_RTOL)
+    feasible = bool(np.all(_norm2(misfit, axis=0) < POINTWISE_FEASIBILITY_TOL
                            * (1.0 + _norm2(Psi, axis=0))))
     report = _douglas(Psi, Phi, svd_phi)
     return {

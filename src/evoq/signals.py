@@ -7,9 +7,9 @@ restrictions, time reversal) becomes a plain array operation, and the
 exponential weight never has to be materialised.  Only converting samples
 to flat coordinates and back evaluates it, under one rule: |nu * t| <= 700
 on every grid sample, below where e^{nu t} overflows double precision.
-Norms, here and in the modules built on this one, follow one rule too,
-`_norm2`: data whose sum of squares leaves the float range is scaled into
-it by a power of two first.
+Norms, solves and dense SVDs, here and in the modules built on this one,
+follow one range rule too (`_norm2`, `_into_range`): data out of range are
+scaled into it by a power of two first, which is exact, and scaled back.
 """
 
 from __future__ import annotations
@@ -34,13 +34,23 @@ _NORM_MIN = 2.0 ** -460
 
 def _exponent(x: np.ndarray) -> int:
     """The power of two that takes the largest real or imaginary part of x
-    into [1/2, 1); 0 for a zero x."""
-    return -math.frexp(np.abs([x.real, x.imag]).max(initial=0.0))[1]
+    into [1/2, 1); 0 for a zero x.  A contiguous x is read in place."""
+    flat = x.ravel(order="K")
+    parts = flat.view(flat.real.dtype) if np.iscomplexobj(flat) else flat
+    return -math.frexp(max(parts.max(initial=0.0), -parts.min(initial=0.0)))[1]
 
 
 def _ldexp(x, k: int):
     """x * 2^k for |k| <= 2046, by two normal doubles so only the result can overflow."""
     return x * 2.0 ** (k // 2) * 2.0 ** (k - k // 2) if k else x
+
+
+def _into_range(x: np.ndarray) -> tuple:
+    """(2^k x, k), the range rule at the entry of every solve and dense SVD:
+    x itself, uncopied, and k = 0 if its largest real or imaginary part lies
+    in [2^-200, 2^200) or is 0 or not finite; else k = `_exponent(x)`."""
+    k = min(_exponent(x), 1022)  # so `_ldexp` takes any difference of two such powers
+    return (x, 0) if -200 <= k < 200 else (_ldexp(x, k), k)
 
 
 def _norm2(x: np.ndarray, axis=None, factor: float = 1.0):

@@ -42,7 +42,7 @@ from .errors import (
     UnsupportedLawError,
 )
 from .material import CoercivityCertificate, MaterialLaw, coercivity, eval_law_many, finite_sum_law
-from .signals import NORM_FLOOR, TimeGrid, WeightedSignal, _norm2, time_reverse
+from .signals import NORM_FLOOR, TimeGrid, WeightedSignal, _into_range, _ldexp, _norm2, time_reverse
 from .spatial import SpatialOperator
 from .transform import block_apply, block_solve, grid_frequencies
 
@@ -309,7 +309,7 @@ def timestep_oracle(p: EvoProblem) -> WeightedSignal:
 
 
 def _trapezoidal(law: MaterialLaw, A: np.ndarray, rhs: WeightedSignal) -> WeightedSignal:
-    """The forward stepper on `rhs` at its (positive) weight."""
+    """The forward stepper on `rhs` at its (positive) weight, under `_into_range`."""
     M0, M1 = _split_law(law)
     grid, nu = rhs.grid, rhs.nu
     dt = grid.dt
@@ -327,7 +327,7 @@ def _trapezoidal(law: MaterialLaw, A: np.ndarray, rhs: WeightedSignal) -> Weight
     except np.linalg.LinAlgError as exc:
         raise OracleError(f"singular step matrix: {exc}") from exc
 
-    psi = rhs.phi
+    psi, k = _into_range(rhs.phi)
     out = np.zeros_like(psi)
     # Virtual step into the first sample from a zero state and zero rhs
     # before the grid, so the recurrence is shift invariant in the rhs.
@@ -336,7 +336,8 @@ def _trapezoidal(law: MaterialLaw, A: np.ndarray, rhs: WeightedSignal) -> Weight
     for j in range(1, grid.n):
         state = propagate @ state + inject @ (psi[j - 1] + psi[j])
         out[j] = state
-    return WeightedSignal(grid, nu, out)
+    with np.errstate(over="ignore"):  # a signal refuses a solution that is not a double
+        return WeightedSignal(grid, nu, _ldexp(out, -k))
 
 
 def causality_check(op: SpectralOperator, rhs: WeightedSignal,

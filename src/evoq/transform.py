@@ -18,7 +18,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import NotInvertibleError, SolverError, SymbolError
-from .signals import NORM_FLOOR, TimeGrid, WeightedSignal, _norm2
+from .signals import NORM_FLOOR, TimeGrid, WeightedSignal, _into_range, _ldexp, _norm2
 
 __all__ = [
     "Spectrum",
@@ -129,11 +129,12 @@ def block_apply(blocks: np.ndarray, phi: np.ndarray) -> np.ndarray:
 def block_solve(blocks: np.ndarray, phi: np.ndarray, residual: bool = False):
     """Solve one m-by-m system per frequency (LU with partial pivoting).
 
-    Same shapes as `block_apply`; a batch shares one factorization per block,
-    and each of its columns gets the bits it would get solved alone.  Returns
-    the solution in flat coordinates; with `residual`, also the relative
-    frequency-domain residual of the assembled operator.
+    Same shapes as `block_apply`; a batch shares one factorization per block
+    and one `_into_range` power, and each of its columns gets the bits it
+    would get solved alone where the doubles stay normal.  Returns the flat
+    solution; with `residual`, also the relative frequency-domain residual.
     """
+    phi, k = _into_range(phi)
     # as in `block_apply`; `np.linalg.solve` sets its own error state
     with np.errstate(over="ignore", invalid="ignore"):
         hat = np.fft.fft(phi, axis=0)
@@ -145,7 +146,7 @@ def block_solve(blocks: np.ndarray, phi: np.ndarray, residual: bool = False):
             # that LU meets an exactly zero pivot
             raise SolverError(f"singular frequency block: {exc}") from exc
         uhat = uhat.reshape(hat.shape)
-        u = np.fft.ifft(uhat, axis=0)
+        u = _ldexp(np.fft.ifft(uhat, axis=0), -k)
         if not residual:
             return u
         defect = np.einsum("kij,kj...->ki...", blocks, uhat) - hat

@@ -402,46 +402,43 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"evoq: config rejected ({error}):") and err.count("\n") == 1
 
-    def test_overflowing_pointwise_norm_exits_1(self, tmp_path, capsys):
-        # finite entries whose norm is above the largest double: refused in
-        # one line, not reported as an infinite but feasible control.  A B
-        # of modulus 2.4e308 has no finite ||B||_2 to divide the probe by
-        payload = bundled("pointwise_decay", 64)
-        payload["control"]["B"] = [[[1.7e308, 1.7e308]]]
-        code, caught = main_recording_warnings(
-            ["control", "--config", write_config(tmp_path, payload)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("evoq: numerical failure (LinAlgError):") and err.count("\n") == 1
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-
-    @pytest.mark.parametrize("field, value, command", [
-        ("B", [[[1.7e308, 1.7e308]]], "control --certify-duality"),
-        ("U0", [[1e308, 0.0]], "control"),
-    ], ids=["B-certify", "U0-control"])
-    def test_huge_pointwise_data_take_the_scale_1_verdict(self, tmp_path, capsys, field,
+    @pytest.mark.parametrize("name, field, value, command", [
+        ("pointwise_decay", "B", [[[1.7e308, 1.7e308]]], "control --certify-duality"),
+        ("pointwise_decay", "B", [[[1.7e308, 1.7e308]]], "control"),
+        ("pointwise_decay", "U0", [[1e308, 0.0]], "control"),
+        ("pointwise_decay", "U0", [[1.7e308, 1.7e308]], "control"),
+        ("heat_small", "B", [[[1.7e308, 1.7e308]]] + [[[0.0, 0.0]]] * 8, "control"),
+    ], ids=["B-certify", "B-control", "U0-control", "U0-modulus-control", "supported-B-control"])
+    def test_huge_pointwise_data_take_the_scale_1_verdict(self, tmp_path, capsys, name, field,
                                                           value, command):
-        # every stored number is a double, and so are the norms behind the
-        # verdicts, taken by a power of two into range; with U0 = 1e308 the
-        # control is 1e308 times the control from U0 = 1
-        payload = bundled("pointwise_decay", 64)
-        name, *options = command.split()
+        # every stored number is a double, and the solves, SVDs and norms
+        # behind the verdicts take their data into range by a power of two,
+        # though a B or U0 of modulus 2.4e308 has no 2-norm that is a double;
+        # the control from U0 is |U0| times the control from U0 = 1.  A
+        # supported control prints its observability after its result
+        first = json.JSONDecoder().raw_decode
+        payload = bundled(name, 64 if name == "pointwise_decay" else 32)
+        cmd, *options = command.split()
         path = write_config(tmp_path, payload, "unit.json")
-        assert main([name, "--config", path, *options, "--json"]) == 0
-        unit = json.loads(capsys.readouterr().out)
+        assert main([cmd, "--config", path, *options, "--json"]) == 0
+        unit = first(capsys.readouterr().out)[0]
         payload["control"][field] = value
         code, caught = main_recording_warnings(
-            [name, "--config", write_config(tmp_path, payload), *options, "--json"])
+            [cmd, "--config", write_config(tmp_path, payload), *options, "--json"])
         assert code == 0, capsys.readouterr().err
-        table = json.loads(capsys.readouterr().out)
+        table = first(capsys.readouterr().out)[0]
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        if field == "B":
+        if options:
             assert table["agree"] and table["verdicts"] == {"feasible_for_basis": True,
                                                             "range_included": True}
-        else:
-            assert table["result"]["feasible"]
-            assert table["result"]["control_norm"] == pytest.approx(
-                1e308 * unit["result"]["control_norm"], rel=1e-12)
+            return
+        result = table["result"]
+        assert result["feasible"] == unit["result"]["feasible"] is True
+        assert result["regularization"]["rank"] == unit["result"]["regularization"]["rank"]
+        if field == "U0":
+            modulus = abs(complex(*value[0]) * 2.0 ** -1000)  # times 2^1000, last
+            assert result["control_norm"] == pytest.approx(
+                unit["result"]["control_norm"] * modulus * 2.0 ** 1000, rel=1e-12)
 
     @pytest.mark.parametrize("base, code", [
         ("NonCoerciveError", 2), ("DefinitenessError", 2), ("NotSkewError", 2),

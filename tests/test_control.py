@@ -291,10 +291,10 @@ def outside_mass(seed, rows, relative, b_scale, r_scale):
 
 def douglas_outcome(A, B):
     """(included, conditions) of `_douglas`, or the ConsistencyError message."""
-    from evoq.control import _douglas
+    from evoq.control import _douglas, _svd
 
     try:
-        rep = _douglas(A, B, np.linalg.svd(B, full_matrices=False))
+        rep = _douglas(A, B, _svd(B))
     except ConsistencyError as exc:
         return str(exc)
     return rep.included, rep.conditions
@@ -317,7 +317,8 @@ class TestNormBrackets:
         verdicts = set()
         for label, maps, backward in desk_end_maps(tmp_path):
             svd_g = maps._svd_G
-            reference = exact_douglas(maps.L_F, maps.L_G, svd_g)
+            assert svd_g[3] == 0, label  # the reference takes the SVD of L_G itself
+            reference = exact_douglas(maps.L_F, maps.L_G, svd_g[:3])
             blind = math.isinf(full_route_observability(*backward))
             with monkeypatch.context() as patch:
                 calls = count_svds(patch)
@@ -634,13 +635,13 @@ class TestNullControl:
         assert len(factored) == 1
 
     def test_batched_lstsq_matches_column_solves(self):
-        from evoq.control import _truncated_lstsq
+        from evoq.control import _svd, _truncated_lstsq
 
         rng = np.random.default_rng(5)
         M = (rng.standard_normal((12, 4)) + 1j * rng.standard_normal((12, 4))) \
             @ (rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8)))
         b = rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5))
-        svd = np.linalg.svd(M, full_matrices=False)
+        svd = _svd(M)
         x, reg = _truncated_lstsq(svd, b, 1e-10)
         assert reg.rank == 4 and x.shape == (8, 5)
         for k in range(b.shape[1]):
@@ -725,7 +726,7 @@ class TestObservability:
         cp = ControlProblem(base=base, B=np.eye(2), T=1.0)
         obs = observability_constant(cp)
         assert obs.c_obs == pytest.approx(1.0, rel=1e-10)
-        assert obs.method == "generalized-svd"
+        assert obs.method == "douglas-core-svd"
 
     def test_zero_injection_infinite(self):
         base = rotation_base()

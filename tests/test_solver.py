@@ -5,11 +5,13 @@ closed-form rotation kernel integrated by composite Simpson for the Duhamel
 check, and hand recurrences for the stepper.
 """
 
+import math
 import os
+from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
@@ -418,3 +420,60 @@ class TestSpectralOperator:
             assert np.array_equal(report.solution.phi, direct.solution.phi)
             assert report.residual_rel == direct.residual_rel
             assert report.certificate == direct.certificate
+
+
+def scales_exactly(x, k):
+    """True when every nonzero real and imaginary part of x is a normal
+    double, and stays one scaled by 2^k."""
+    parts = np.abs(np.concatenate([x.real.ravel(), x.imag.ravel()]))
+    parts = parts[parts > 0]
+    return parts.size == 0 or (parts.min() >= 2.0 ** -1022 and -1021 - math.frexp(
+        parts.min())[1] <= k <= 1024 - math.frexp(parts.max())[1])
+
+
+@cache
+def heat_operator():
+    from evoq.solver import SpectralOperator
+
+    inst = evoq.make_heat_instance(n=256)
+    return SpectralOperator(inst.law, inst.A, inst.nu, inst.grid, inst.pad_fraction)
+
+
+class TestOneRangeRule:
+    """The spectral solve and the stepper take their data into range by a
+    power of two and scale the solution back: the solution operators are
+    linear, so a power of two scales the solution exactly, wherever the data
+    and the solution are normal doubles at both scales."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(e=st.integers(-24, 24), k=st.integers(-1000, 1000))
+    @example(e=13, k=1000)  # from 2^1013 the FFT of such data passes the largest double
+    def test_a_power_of_two_scales_the_spectral_solve_exactly(self, e, k):
+        op = heat_operator()
+        rng = np.random.default_rng(12)
+        phi = (rng.standard_normal((op.grid.n, op.A.m))
+               + 1j * rng.standard_normal((op.grid.n, op.A.m))) * 2.0 ** e
+        u = op.padded_solve(phi, True)
+        assume(scales_exactly(phi, k) and scales_exactly(u, k))
+        assert np.array_equal(op.padded_solve(phi * 2.0 ** k, True), u * 2.0 ** k)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(e=st.integers(-24, 24), k=st.integers(-1000, 1000))
+    @example(e=0, k=1000)  # U0 = [[1.7e308, 1.7e308]]: two adjacent samples sum past it
+    def test_a_power_of_two_scales_the_stepper_exactly(self, e, k):
+        # the forcing an initial state puts on the pointwise law 1 + 1/z:
+        # zero before t = 0, a decaying exponential after
+        from evoq.control import _drift
+
+        g = TimeGrid(-2.0, 6.0, 64)
+        law = finite_sum_law([np.eye(1), np.eye(1)])
+        A = check_skew(np.zeros((1, 1)))
+
+        def stepped(phi):
+            return timestep_oracle(EvoProblem(1.0, g, law, A, WeightedSignal(g, 1.0, phi))).phi
+
+        drift = _drift(EvoProblem(1.0, g, law, A, zero_signal(g, 1.0, 1)),
+                       np.array([1.7e308 + 1.7e308j]) * 2.0 ** (e - 1000))
+        u = stepped(drift)
+        assume(scales_exactly(drift, k) and scales_exactly(u, k))
+        assert np.array_equal(stepped(drift * 2.0 ** k), u * 2.0 ** k)

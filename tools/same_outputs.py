@@ -11,7 +11,7 @@ stderr and every file the commands wrote are compared byte for byte; the
 script prints each difference and exits 0 only if there is none (1 if some
 output differs, 2 if a tree holds no `evoq` package).
 
-The default command set (69 commands):
+The default command set (72 commands):
   - `solve`, `adjoint` and the four `verify` suites on each bundled config;
   - `control` and `control --certify-duality` on `heat_small` and
     `pointwise_decay`, and on `heat_small` at n = 32 with B[1][0] = 1e100,
@@ -20,6 +20,10 @@ The default command set (69 commands):
     are taken on data scaled by a power of two: `verify --suite causality`
     on `heat_small` at nu = 1e-300, and `control` on `pointwise_decay` at
     n = 64 with U0 = [[1e308, 0]];
+  - three whose solves or SVDs take their data into range by a power of
+    two: `solve` on `heat_small` with rhs amplitude 1e306, and `control` on
+    `pointwise_decay` at n = 64 with B = [[1.7e308, 1.7e308]] and on
+    `heat_small` at n = 32 with B[0][0] = [1.7e308, 1.7e308];
   - both on 18 dense-control configs drawn by the benchmark's generator
     (heat, wave, Maxwell x n in {32, 64} x B in {I, e1, zero});
   - `suite acceptance --json`.
@@ -88,6 +92,17 @@ def default_commands():
     config["grid"]["n"] = 64
     config["control"]["U0"] = [[1e308, 0.0]]
     commands.append(("control/pointwise_decay-huge-U0", ["control"], config))
+    config = _bundled("heat_small")
+    config["rhs"]["amplitude"] = 1e306
+    commands.append(("solve/heat_small-huge-amplitude", ["solve"], config))
+    config = _bundled("pointwise_decay")
+    config["grid"]["n"] = 64
+    config["control"]["B"] = [[[1.7e308, 1.7e308]]]
+    commands.append(("control/pointwise_decay-huge-B", ["control"], config))
+    config = _bundled("heat_small")
+    config["grid"]["n"] = 32
+    config["control"]["B"][0][0] = [1.7e308, 1.7e308]
+    commands.append(("control/heat_small-huge-B00", ["control"], config))
     workloads = _workloads()
     rng = random.Random("same-outputs")
     for kind in workloads.KINDS:
