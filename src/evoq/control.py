@@ -18,9 +18,10 @@ so by Douglas' lemma in its control/observation form c_obs is finite
 exactly when ran L_F lies in ran L_G, and is then the norm of the Douglas
 core.  Each assembly checks that adjointness against real backward solves.
 The Douglas check decides its verdicts without forming the dense factor
-C = V_r core.  The values behind a verdict (the observability constant and
-its witness, the Douglas constant, the factor and its residual
-||A - B C||_2 on the explicit product) are exact, computed when first read.
+C = V_r core.  Its report owns the values behind them, exact and computed
+when first read: the constant ||C||_2 = ||core||_2, which is c_obs, and its
+extremal datum, the witness, both from one thin SVD of the core, and the
+residual ||A - (B V_r) core||_2 that `factorization` was judged on.
 Infeasibility is a finding, not an error: certifying that a system cannot
 be controlled (say, B = 0) is part of the job.
 
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
@@ -176,40 +177,50 @@ class DouglasReport:
     domination ||A^* x|| <= c ||B^* x||.  Their verdicts are returned so
     callers can assert agreement.
 
-    The check never forms the factor C = V_r core.  `factor` (C),
-    `constant` (c = ||C||_2) and `factor_residual` (||A - BC||_2, on the
-    explicit product B (V_r core)) are exact, taken on first read (one SVD
-    for each norm) and None when excluded; the verdicts need only bounds on
-    them.
+    The check never forms the factor C = V_r core.  Its values are exact,
+    taken on first read, on one BLAS thread; the verdicts need only bounds
+    on them.  `constant` (c = ||C||_2, None when excluded) is the top
+    singular value of the core, and `witness` the extremal datum: when
+    included the unit x = U_r s_r^{-1} u_1 (normalised) for the core's top
+    left singular vector u_1, which attains ||A^* x|| = c ||B^* x|| (zero
+    when B keeps nothing), both from one thin SVD of the core; when excluded
+    a unit x that B^* misses and A^* sees.  `factor_residual` (None when
+    excluded) is ||A - (B V_r) core||_2, the residual `factorization` was
+    judged on.
     """
 
     included: bool
-    witness: Optional[np.ndarray]
     cutoff: float
     conditions: dict
-    # when included: the core U_r^* A / s_r, the bracket of ||C||_2, A, B, the
-    # kept rows of V^*, and the powers of two ka, kb that took A and B into range
+    _witness: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    # when included: the bracket of ||C||_2, the core U_r^* A / s_r, its thin
+    # SVD (u, s) on first call, U_r, s_r, the kept rows of V^*, A and B in
+    # range, and the power of two ka that took A there
     _parts: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @cached_property
     @one_blas_thread
-    def factor(self) -> Optional[np.ndarray]:
-        if not self.included:
-            return None
-        core, _, _, _, Vrh, ka, kb = self._parts
-        return _ldexp(Vrh.conj().T @ core, kb - ka)
+    def constant(self) -> Optional[float]:
+        return self._parts[0].exact if self.included else None
 
     @cached_property
-    def constant(self) -> Optional[float]:
-        return self._parts[1].exact if self.included else None
+    @one_blas_thread
+    def witness(self) -> np.ndarray:
+        if not self.included:
+            return self._witness
+        _, core, svd_core, Ur, sr = self._parts[:5]
+        if not core.size:  # B keeps nothing, and A is negligible
+            return np.zeros(Ur.shape[0], dtype=complex)
+        datum = Ur @ (svd_core()[0][:, 0] / sr)
+        return datum / _norm2(datum)
 
     @cached_property
     @one_blas_thread
     def factor_residual(self) -> Optional[float]:
         if not self.included:
             return None
-        _, _, Amat, Bmat, _, ka, kb = self._parts
-        return _ldexp(_exact_norm(Amat - Bmat @ _ldexp(self.factor, ka - kb)), -ka)
+        _, core, _, _, _, Vrh, Amat, Bmat, ka = self._parts
+        return _ldexp(_exact_norm(Amat - (Bmat @ Vrh.conj().T) @ core), -ka)
 
 
 class _Bracket:
@@ -250,12 +261,14 @@ def _exact_norm(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, 2))
 
 
-def _norm_bracket(M: np.ndarray, lower: float = 0.0) -> _Bracket:
+def _norm_bracket(M: np.ndarray, lower: float = 0.0,
+                  exact: Optional[Callable[[], float]] = None) -> _Bracket:
     """||M||_2 between max(||M||_F / sqrt(min(shape)), `lower`) and ||M||_F,
-    each widened by `_ROUNDING`; ||M||_F above the largest double is inf."""
+    each widened by `_ROUNDING`; ||M||_F above the largest double is inf.
+    The exact value is `exact()`, by default an SVD of M without vectors."""
     fro = float(_norm2(M))
     lo = max(fro / math.sqrt(min(M.shape)), lower) * (1 - _ROUNDING)
-    return _Bracket(lo, fro * (1 + _ROUNDING), lambda: _exact_norm(M))
+    return _Bracket(lo, fro * (1 + _ROUNDING), exact or (lambda: _exact_norm(M)))
 
 
 def _svd(M: np.ndarray) -> tuple:
@@ -294,12 +307,11 @@ def douglas_check(Amat: np.ndarray, Bmat: np.ndarray,
 
     When included, A = BC holds for C = B^+ A to the factorization rung, and
     the report gives the constant c = ||C||_2, which is simultaneously the
-    smallest ball radius and the smallest adjoint-domination constant; C
-    itself is formed only when `factor` is read, and `constant` and
-    `factor_residual` are exact when read.  When excluded, returns a unit
-    witness x with B^* x ~ 0 but A^* x != 0: the normalized largest column of
-    the part of A outside ran(B), or its top left singular vector only when
-    that column does not defeat the factor's constant.
+    smallest ball radius and the smallest adjoint-domination constant, and
+    the witness that attains it; C itself is never formed.  When excluded,
+    the witness is a unit x with B^* x ~ 0 but A^* x != 0: the normalized
+    largest column of the part of A outside ran(B), or its top left singular
+    vector only when that column does not defeat the factor's constant.
 
     Each threshold on a 2-norm (of A, of that outside part, of A - BC and of
     C) is decided from cheap bounds, and from the exact norm only when the
@@ -331,27 +343,11 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
     domination, each family drawn in one call (the same numbers) and applied
     as one matrix product.
 
-    The factor C = V_r core (N x cols for N columns of B) is never formed.
-    `factorization` is decided on M' = A - (B V_r) core, and the ball probes
-    apply C as V_r (core y).  `factor_residual` reads M = A - B (V_r core),
-    which equals M' in exact arithmetic.  A complex product of inner
-    dimension k rounds each entry by at most sqrt(2) gamma_2k times that
-    entry of |X| |Y| (its real and imaginary parts are real inner products
-    of length 2k; gamma_k = k u / (1 - k u), u = eps / 2).  With r kept
-    singular values, rho = min(rows, N), ||V_r||_F = sqrt(r),
-    ||core||_F <= sqrt(r) ||C||_2 and ||B||_F <= sqrt(rho) ||B||_2, to first
-    order in eps
-
-        ||M' - M||_2 <= 2 sqrt(2) (r gamma_2r + sqrt(rho r) gamma_2N) ||B||_2 ||C||_2
-                        + u sqrt(rho) (||M||_2 + ||M'||_2)
-                     ~= 2 sqrt(2) (r^2 + N sqrt(rho r)) eps ||B||_2 ||C||_2.
-
-    ||B||_2 ||C||_2 >= ||A||_2, and it grows with the condition of B on the
-    part of its kept range that A uses.  Each of M and M' lies within half
-    that bound of the exact A - B B^+ A, so the two give different
-    `factorization` verdicts only for a pair whose residual lies within the
-    bound of the rung 1e-10 ||A||_2, where neither verdict is determined by
-    the pair.
+    The factor C = V_r core (N x cols for N columns of B) is never formed:
+    `factorization` is decided on A - (B V_r) core, and the ball probes
+    apply C as V_r (core y).  The report holds views of the SVD of B, not
+    V_r itself, and takes the core's thin SVD once, when `constant` is first
+    needed, here or on read.
     """
     Amat = np.atleast_2d(np.asarray(Amat, dtype=complex))
     if Amat.shape[0] != Bmat.shape[0]:
@@ -361,7 +357,7 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
 
     Ub, sb, Vbh, kb = svd_b
     _, cutoff, rank_b = _truncation(sb, DEFAULT_SVD_RTOL)
-    Ur, Vrh = Ub[:, :rank_b], Vbh[:rank_b]
+    Ur, sr, Vrh = Ub[:, :rank_b], sb[:rank_b], Vbh[:rank_b]
 
     Amat, ka = _into_range(Amat)
     norm_a = _norm_bracket(Amat)
@@ -378,10 +374,12 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
     conditions = {"range_inclusion": included}
 
     Vr = Vrh.conj().T
-    core /= sb[:rank_b, None]
+    core /= sr[:, None]
     residual = _norm_bracket(Amat - (Bmat @ Vr) @ core)
     conditions["factorization"] = _at_most(residual, _monotone(lambda s: 1e-10 * s, scale))
-    constant = _norm_bracket(core, _power_lower_bound(core)) if core.size else _known(0.0)
+    svd_core = cache(lambda: np.linalg.svd(core, full_matrices=False)[:2])  # (u, s)
+    constant = (_norm_bracket(core, _power_lower_bound(core), lambda: float(svd_core()[1][0]))
+                if core.size else _known(0.0))
     norm_c = _monotone(lambda c: _ldexp(c, kb - ka), constant)  # ||C||_2, scaled back
 
     # Ball inclusion, probed: the min-norm preimage of A y must fit in the
@@ -413,7 +411,6 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
                 constant, scale))
         conditions["adjoint_domination"] = bool(dom_ok)
     else:
-        Ah, Bh = Amat.conj().T, Bmat.conj().T
         # A direction of A orthogonal to ran(B): B^* x ~ 0, A^* x != 0, so
         # ||A^* x|| > c ||B^* x|| defeats the factor's constant c.  The largest column
         # of `outside` has ||A^* x|| >= ||outside||_F / sqrt(cols); the
@@ -426,8 +423,7 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
             yield np.linalg.svd(outside, full_matrices=False)[0][:, 0]
 
         for witness in candidates():
-            lhs = float(np.linalg.norm(Ah @ witness))
-            rhs = float(np.linalg.norm(Bh @ witness))
+            lhs, rhs = (float(np.linalg.norm(M.T @ witness.conj())) for M in (Amat, Bmat))
             defeated = not _at_most(_known(lhs), _monotone(
                 lambda c, s: c * rhs * (1 + 1e-8) + _INCLUSION_RTOL * s,
                 constant, scale))
@@ -441,10 +437,10 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
 
     return DouglasReport(
         included=included,
-        witness=None if included else witness,
         cutoff=_ldexp(cutoff, -kb),
         conditions=conditions,
-        _parts=(core, norm_c, Amat, Bmat, Vrh, ka, kb) if included else None,
+        _witness=None if included else witness,
+        _parts=(norm_c, core, svd_core, Ur, sr, Vrh, Amat, Bmat, ka) if included else None,
     )
 
 
@@ -473,12 +469,14 @@ class EndMaps:
     q: int
 
     @cached_property
+    @one_blas_thread
     def _svd_G(self) -> tuple:
         """Thin SVD (U, s, Vh, k) of 2^k L_G (`_svd`), taken on first use and
         shared by every null-control solve and range-inclusion check on these maps."""
         return _svd(self.L_G)
 
     @cached_property
+    @one_blas_thread
     def _inclusion(self) -> DouglasReport:
         """The range-inclusion check ran L_F in ran L_G on `_svd_G`, taken on
         first use and shared by the duality verdicts and the observability
@@ -643,55 +641,35 @@ class ObservabilityEstimate:
     The backward end maps are L_F^H and L_G^H, so by Douglas' lemma (in the
     control/observation duality of Dolecki and Russell) `c_obs` is finite
     exactly when ran L_F lies in ran L_G, and then equals ||core||_2 for the
-    Douglas core U_r^* L_F / s_r of the thin SVD of L_G.  `finite` is that
-    verdict, read off the maps' one range-inclusion check.  `c_obs`,
-    `witness` and `cutoff` are computed together on first read, on one BLAS
-    thread: a finite constant and its witness U_r s_r^{-1} u_1 (normalised)
-    from one thin SVD of the core, 0.0 when L_G keeps nothing; an infinite
-    one with the Douglas witness, a unit datum that L_G^H misses and L_F^H
-    sees.  `cutoff` is the truncation of L_G, sigma_max(L_G) * 1e-10.
+    Douglas core U_r^* L_F / s_r of the thin SVD of L_G.  Every value is read
+    off the maps' one range-inclusion check, computed on first read:
+    `finite` is its verdict, `c_obs` its constant (+inf when excluded, 0.0
+    when L_G keeps nothing), `witness` its extremal datum at weight -nu (a
+    unit datum that attains c_obs, or that L_G^H misses and L_F^H sees), and
+    `cutoff` the truncation of L_G, sigma_max(L_G) * 1e-10.
     """
 
     method: ClassVar[str] = "douglas-core-svd"  # the one (dense) route
     _maps: EndMaps = field(repr=False, compare=False)
 
     @property
-    @one_blas_thread
     def finite(self) -> bool:
         return self._maps._inclusion.included
 
     @property
     def c_obs(self) -> float:
-        return self._exact[0]
+        return self._maps._inclusion.constant if self.finite else math.inf
 
     @property
     def witness(self) -> WeightedSignal:
-        return self._exact[1]
+        maps = self._maps
+        phi = np.zeros((maps.grid.n, maps.m), dtype=complex)
+        phi[maps.post_start:] = maps._inclusion.witness.reshape(-1, maps.m)
+        return WeightedSignal(maps.grid, -maps.nu, phi)
 
     @property
     def cutoff(self) -> float:
-        return self._exact[2]
-
-    @cached_property
-    @one_blas_thread
-    def _exact(self) -> tuple:
-        """(c_obs, witness, cutoff)."""
-        maps = self._maps
-        report = maps._inclusion
-        core = report._parts[0] if report.included else None
-        if core is None:
-            c_obs, datum = math.inf, report.witness
-        elif core.size:
-            u, s, _ = np.linalg.svd(core, full_matrices=False)
-            U, sg = maps._svd_G[:2]
-            r = core.shape[0]
-            datum = U[:, :r] @ (u[:, 0] / sg[:r])
-            c_obs = _ldexp(float(s[0]), report._parts[6] - report._parts[5])
-            datum = datum / _norm2(datum)
-        else:  # L_G keeps nothing, and L_F is negligible
-            c_obs, datum = 0.0, np.zeros(maps.L_F.shape[0], dtype=complex)
-        return c_obs, _embed_post(datum, maps.grid, -maps.nu, maps.post_start,
-                                  maps.m), report.cutoff
+        return self._maps._inclusion.cutoff
 
 
 def observability_constant(cp: ControlProblem,
@@ -706,13 +684,6 @@ def observability_constant(cp: ControlProblem,
     The values are computed when first read.
     """
     return ObservabilityEstimate(endmaps or assemble_endmaps(cp))
-
-
-def _embed_post(flat_post: np.ndarray, grid: TimeGrid, nu: float,
-                post: int, m: int) -> WeightedSignal:
-    phi = np.zeros((grid.n, m), dtype=complex)
-    phi[post:] = flat_post.reshape(grid.n - post, m)
-    return WeightedSignal(grid, nu, phi)
 
 
 @one_blas_thread

@@ -89,11 +89,24 @@ class TestDouglasCheck:
         R = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
         rep = douglas_check(B @ R, B)
         assert rep.included
-        # the check forms no factor; C is formed on its first read, once
-        assert "factor" not in vars(rep)
-        assert rep.factor is rep.factor
-        assert np.linalg.norm(rep.factor - R, 2) <= 1e-8 * np.linalg.norm(R, 2)
         assert rep.factor_residual <= 1e-10 * np.linalg.norm(B @ R, 2)
+
+    def test_included_witness_attains_the_constant_from_one_svd(self, monkeypatch):
+        # the extremal datum of the adjoint domination ||A^* x|| <= c ||B^* x||;
+        # constant and witness come from one thin SVD of the core (4 x 6),
+        # and no exact 2-norm runs
+        rng = np.random.default_rng(1)
+        B = crandn(rng, 9, 4)
+        A = B @ crandn(rng, 4, 6)
+        rep = douglas_check(A, B)
+        assert rep.included
+        with monkeypatch.context() as patch:
+            calls = count_svds(patch)
+            constant, x = rep.constant, rep.witness
+        assert calls == [((4, 6), False)]
+        assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-12)
+        assert np.linalg.norm(A.conj().T @ x) == pytest.approx(
+            constant * np.linalg.norm(B.conj().T @ x), rel=1e-10)
 
     def test_all_four_conditions_share_a_verdict(self):
         rng = np.random.default_rng(2)
@@ -148,7 +161,9 @@ def exact_douglas(Amat, Bmat, svd_b, rng=None):
     time, and the witness taken from an SVD of the mass outside ran(B), on
     one BLAS thread as in every caller of `_douglas`.  Returns
     (included, conditions, constant, factor_residual) or raises the same
-    ConsistencyError."""
+    ConsistencyError: the constant is the top singular value of the core's
+    thin SVD, and the residual reported is ||A - (B V_r) core||_2, while
+    `factorization` is judged on the explicit product."""
     from evoq.control import _INCLUSION_RTOL, _PROBES, _finite_solution, _norm, _truncation
 
     Amat = np.atleast_2d(np.asarray(Amat, dtype=complex))
@@ -161,10 +176,11 @@ def exact_douglas(Amat, Bmat, svd_b, rng=None):
     included = float(np.linalg.norm(outside, 2)) <= _INCLUSION_RTOL * scale
     conditions = {"range_inclusion": included}
     core = (Ur.conj().T @ Amat) / sb[:rank_b, None]
-    factor = _finite_solution(Vbh[:rank_b].conj().T @ core, sb[:rank_b])
-    factor_residual = float(np.linalg.norm(Amat - Bmat @ factor, 2))
-    conditions["factorization"] = factor_residual <= 1e-10 * scale
-    constant = float(np.linalg.norm(core, 2)) if core.size else 0.0
+    Vr = Vbh[:rank_b].conj().T
+    factor = _finite_solution(Vr @ core, sb[:rank_b])
+    conditions["factorization"] = float(np.linalg.norm(Amat - Bmat @ factor, 2)) <= 1e-10 * scale
+    factor_residual = float(np.linalg.norm(Amat - (Bmat @ Vr) @ core, 2))
+    constant = float(np.linalg.svd(core, full_matrices=False)[1][0]) if core.size else 0.0
     ball_ok = True
     for _ in range(_PROBES):
         y = rng.standard_normal(Amat.shape[1]) + 1j * rng.standard_normal(Amat.shape[1])
@@ -502,6 +518,8 @@ class TestLazyObservability:
             seen, observed = np.linalg.norm(K1 @ w), np.linalg.norm(K2 @ w)
             if estimate.finite:
                 assert estimate.c_obs == pytest.approx(c_ref, rel=1e-13, abs=0), label
+                # the report's constant, to the bit: one SVD of the core gives both
+                assert maps._inclusion.constant == estimate.c_obs, label
                 assert seen >= estimate.c_obs * (1 - 1e-10) * observed, label
             else:  # a blind datum: K2 misses it, K1 sees it
                 assert math.isinf(estimate.c_obs), label
