@@ -49,13 +49,13 @@ from .signals import (
     NORM_FLOOR,
     TimeGrid,
     WeightedSignal,
-    nu_product,
     zero_signal,
 )
 from .solver import (
     CROSS_METHOD_TOL,
     EvoProblem,
     SpectralOperator,
+    _pairing_gap,
     causality_check,
     nu_independence_check,
     solve_forward,
@@ -80,7 +80,7 @@ def _batched_solve(op: SpectralOperator, direction: str, phis: np.ndarray) -> np
     """Padded flat solutions (N, m, batch) for a batch (n, m, batch) of
     right-hand sides; used where per-call reports are not needed."""
     sols = op.padded_solve(phis, direction == "forward")
-    # numpy's reductions sum in memory order, so criteria 1 and 3 get their
+    # numpy's reductions sum in memory order, so criterion 1 gets its
     # recorded last digits only from batch-major memory.
     return np.ascontiguousarray(sols.transpose(0, 2, 1)).transpose(0, 2, 1)
 
@@ -126,23 +126,13 @@ def criterion_2_causality_amnesia() -> CriterionResult:
 
 def criterion_3_duality_pairing() -> CriterionResult:
     """<S f, g> = <f, S* g> to 1e-10 relative over random pairs."""
-    count = 100
     rng = np.random.default_rng(303)
     worst = 0.0
     for inst in bundled_instances(n=512):
-        fs = rng.standard_normal((inst.grid.n, inst.m, count)) \
-            + 1j * rng.standard_normal((inst.grid.n, inst.m, count))
-        gs = rng.standard_normal((inst.grid.n, inst.m, count)) \
-            + 1j * rng.standard_normal((inst.grid.n, inst.m, count))
         op = SpectralOperator(inst.law, inst.A, inst.nu, inst.grid, inst.pad_fraction)
-        npad, n = op.npad, inst.grid.n
-        sf = _batched_solve(op, "forward", fs)[npad:npad + n]
-        sg = _batched_solve(op, "adjoint", gs)[npad:npad + n]
-        dt = inst.grid.dt
-        lhs = dt * np.einsum("jmb,jmb->b", np.conj(sf), gs)
-        rhs = dt * np.einsum("jmb,jmb->b", np.conj(fs), sg)
-        norms = dt * np.linalg.norm(fs, axis=(0, 1)) * np.linalg.norm(gs, axis=(0, 1))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs) / norms)))
+        pairs = ((random_signal(inst.grid, inst.nu, inst.m, rng),
+                  random_signal(inst.grid, -inst.nu, inst.m, rng)) for _ in range(100))
+        worst = max(worst, _pairing_gap(pairs, op.solutions))
     return CriterionResult(3, "duality pairing of forward and adjoint solves",
                            worst <= DEFAULT_TOLERANCES["pairing"],
                            {"max_relative_gap": worst})
@@ -155,12 +145,9 @@ def criterion_4_adjoint_system_formula() -> CriterionResult:
     worst = 0.0
     for inst in bundled_instances(n=512):
         op = SpectralOperator(inst.law, inst.A, inst.nu, inst.grid, 0.0)
-        for _ in range(10):
-            f = band_limited_signal(inst.grid, inst.nu, inst.m, rng)
-            g = band_limited_signal(inst.grid, -inst.nu, inst.m, rng)
-            lhs = nu_product(op.apply(f), g)
-            rhs = nu_product(f, op.apply(g))
-            worst = max(worst, abs(lhs - rhs) / (f.norm * g.norm))
+        pairs = ((band_limited_signal(inst.grid, inst.nu, inst.m, rng),
+                  band_limited_signal(inst.grid, -inst.nu, inst.m, rng)) for _ in range(10))
+        worst = max(worst, _pairing_gap(pairs, lambda batch: [op.apply(f) for f in batch]))
     return CriterionResult(4, "backward system is the pairing adjoint",
                            worst <= DEFAULT_TOLERANCES["pairing"],
                            {"max_relative_gap": worst})

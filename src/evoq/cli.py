@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -51,22 +52,13 @@ def _write_json(payload: dict, out_dir: str, name: str, echo: bool) -> None:
         print(text)
 
 
-def _certificate_dict(cert) -> dict:
-    return {
-        "nu": cert.nu,
-        "c_est": cert.c_est,
-        "sample_count": cert.sample_count,
-        "min_location": cert.min_location,
-    }
-
-
 def _report_dict(report) -> dict:
     leakage = "causality_leakage" if report.solution.nu > 0 else "amnesia_leakage"
     return {
         "residual_rel": report.residual_rel,
         "norm_ratio": report.norm_ratio,
         "wraparound_tolerance": report.wraparound_tolerance,
-        "certificate": _certificate_dict(report.certificate),
+        "certificate": asdict(report.certificate),
         leakage: report.leakage,
     }
 
@@ -96,31 +88,18 @@ def _cmd_solve(cfg, args, direction: str) -> int:
 
 
 _DUALITY_PAIRS = 32
-# Pairs per batched solve.  Each column of a batched solve has the bits of a
-# one-column solve, so the width changes no output.  At n = 512, m = 9 on a
-# 2-core Xeon (OpenBLAS 0.3.31) a command took 212 ms one pair at a time,
-# 94 ms at 4 and 87 ms at 8 or 16, while each column added about 0.7 MB to
-# its peak memory.
-_DUALITY_BATCH = 8
 
 
 def _verify_duality(cfg, rng):
     # Pairs are drawn f1, g1, f2, g2, ...; one forward and one adjoint solve
-    # serve each batch of them.  Acceptance criterion 3 pairs whole batches.
-    from .signals import nu_product
-    from .solver import SpectralOperator
+    # serve each batch of them.
+    from .solver import SpectralOperator, _pairing_gap
     from .waveforms import random_signal
 
     op = SpectralOperator(cfg.law, cfg.A, cfg.nu, cfg.grid, cfg.pad_fraction)
-    worst = 0.0
-    for _ in range(_DUALITY_PAIRS // _DUALITY_BATCH):
-        pairs = [(random_signal(cfg.grid, cfg.nu, cfg.m, rng),
-                  random_signal(cfg.grid, -cfg.nu, cfg.m, rng))
-                 for _ in range(_DUALITY_BATCH)]
-        fs, gs = zip(*pairs)
-        for f, g, uf, vg in zip(fs, gs, op.solutions(fs), op.solutions(gs)):
-            gap = abs(nu_product(uf, g) - nu_product(f, vg))
-            worst = max(worst, gap / (f.norm * g.norm))
+    pairs = ((random_signal(cfg.grid, cfg.nu, cfg.m, rng),
+              random_signal(cfg.grid, -cfg.nu, cfg.m, rng)) for _ in range(_DUALITY_PAIRS))
+    worst = _pairing_gap(pairs, op.solutions)
     tol = cfg.tolerances["pairing"]
     return {"suite": "duality", "pairs": _DUALITY_PAIRS, "max_relative_gap": worst,
             "tolerance": tol, "passed": worst <= tol}
@@ -212,11 +191,7 @@ def _control_result_dict(res) -> dict:
         "feasible": res.feasible,
         "terminal_residual": res.terminal_residual,
         "control_norm": res.control_norm,
-        "regularization": {
-            "rank": res.regularization.rank,
-            "cutoff": res.regularization.cutoff,
-            "sigma_max": res.regularization.sigma_max,
-        },
+        "regularization": asdict(res.regularization),
     }
 
 
@@ -265,7 +240,7 @@ def _cmd_control(cfg, args) -> int:
         res = null_control(cp, maps)
         obs = observability_constant(cp, maps)
     payload = {"command": "control", "variant": cp.variant, "seed": cfg.seed,
-               "certificate": _certificate_dict(cert),
+               "certificate": asdict(cert),
                "result": _control_result_dict(res)}
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -80,7 +80,6 @@ DEFAULT_SIZE_GUARD = 4_000_000
 _INCLUSION_RTOL = 1e-8  # mass outside ran(B) that still counts as inside, relative
 _PROBES = 8             # random probes per ball-inclusion and adjoint-domination check
 _ROUNDING = 1e-10       # relative widening of each cheap norm bound, for its rounding
-_POWER_STEPS = 3        # power steps behind the lower bound on ||core||_2
 
 
 @dataclass(frozen=True)
@@ -261,35 +260,19 @@ def _exact_norm(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, 2))
 
 
-def _norm_bracket(M: np.ndarray, lower: float = 0.0,
-                  exact: Optional[Callable[[], float]] = None) -> _Bracket:
-    """||M||_2 between max(||M||_F / sqrt(min(shape)), `lower`) and ||M||_F,
-    each widened by `_ROUNDING`; ||M||_F above the largest double is inf.
-    The exact value is `exact()`, by default an SVD of M without vectors."""
+def _norm_bracket(M: np.ndarray, exact: Optional[Callable[[], float]] = None) -> _Bracket:
+    """||M||_2 between ||M||_F / sqrt(min(shape)) and ||M||_F, each widened by
+    `_ROUNDING`; ||M||_F above the largest double is inf.  The exact value is
+    `exact()`, by default an SVD of M without vectors."""
     fro = float(_norm2(M))
-    lo = max(fro / math.sqrt(min(M.shape)), lower) * (1 - _ROUNDING)
-    return _Bracket(lo, fro * (1 + _ROUNDING), exact or (lambda: _exact_norm(M)))
+    return _Bracket(fro / math.sqrt(min(M.shape)) * (1 - _ROUNDING), fro * (1 + _ROUNDING),
+                    exact or (lambda: _exact_norm(M)))
 
 
 def _svd(M: np.ndarray) -> tuple:
     """The thin SVD under the range rule: (U, s, Vh, k) with 2^k M = U diag(s) Vh."""
     scaled, k = _into_range(M)
     return (*np.linalg.svd(scaled, full_matrices=False), k)
-
-
-def _power_lower_bound(M: np.ndarray) -> float:
-    """||M v|| / ||v|| after `_POWER_STEPS` power steps started at the
-    largest row of M, so at least that row's norm: a lower bound on
-    ||M||_2.  Each iterate is scaled to a largest entry of 1, so that ||v||
-    cannot underflow; 0 for a zero M, or an iterate that underflows to 0."""
-    v = M[int(np.argmax(np.linalg.norm(M, axis=1)))].conj()
-    Mh = M.conj().T  # formed once, after the row norms' temporaries are freed
-    for step in range(_POWER_STEPS + 1):
-        top = np.abs(v).max()
-        if top == 0:
-            return 0.0
-        v = Mh @ (M @ (v / top)) if step < _POWER_STEPS else v / top
-    return float(np.linalg.norm(M @ v) / np.linalg.norm(v))
 
 
 def _truncation(s: np.ndarray, rtol: float) -> tuple:
@@ -378,7 +361,7 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
     residual = _norm_bracket(Amat - (Bmat @ Vr) @ core)
     conditions["factorization"] = _at_most(residual, _monotone(lambda s: 1e-10 * s, scale))
     svd_core = cache(lambda: np.linalg.svd(core, full_matrices=False)[:2])  # (u, s)
-    constant = (_norm_bracket(core, _power_lower_bound(core), lambda: float(svd_core()[1][0]))
+    constant = (_norm_bracket(core, lambda: float(svd_core()[1][0]))
                 if core.size else _known(0.0))
     norm_c = _monotone(lambda c: _ldexp(c, kb - ka), constant)  # ||C||_2, scaled back
 

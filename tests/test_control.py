@@ -93,17 +93,19 @@ class TestDouglasCheck:
 
     def test_included_witness_attains_the_constant_from_one_svd(self, monkeypatch):
         # the extremal datum of the adjoint domination ||A^* x|| <= c ||B^* x||;
-        # constant and witness come from one thin SVD of the core (4 x 6),
-        # and no exact 2-norm runs
+        # over the check and both reads, the SVDs with vectors are B's (9 x 4)
+        # and one thin SVD of the core (4 x 6), which gives the constant.  No
+        # exact 2-norm of the core runs; the one of A (9 x 6) is the scale of
+        # the domination probe that the core's Frobenius bracket leaves open.
         rng = np.random.default_rng(1)
         B = crandn(rng, 9, 4)
         A = B @ crandn(rng, 4, 6)
-        rep = douglas_check(A, B)
-        assert rep.included
         with monkeypatch.context() as patch:
             calls = count_svds(patch)
+            rep = douglas_check(A, B)
             constant, x = rep.constant, rep.witness
-        assert calls == [((4, 6), False)]
+        assert rep.included
+        assert calls == [((9, 4), False), ((4, 6), False), ((9, 6), True)]
         assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-12)
         assert np.linalg.norm(A.conj().T @ x) == pytest.approx(
             constant * np.linalg.norm(B.conj().T @ x), rel=1e-10)
@@ -402,7 +404,9 @@ class TestNormBrackets:
     def test_equal_maps_decide_the_tight_constant_from_bounds(self, monkeypatch, spread):
         # A = B: C projects onto ran(B^*), ||C||_2 = 1, and adjoint domination
         # ||A^* x|| <= c ||B^* x|| (1 + 1e-8) is tight; graded singular values
-        # down to 1e-9 leave rows of the core off unit length by about 1e-8
+        # down to 1e-9 leave rows of the core off unit length by about 1e-8, so
+        # the Frobenius bracket of the 6 x 6 core leaves c open and its thin
+        # SVD is the one SVD besides B's
         rng = np.random.default_rng(12)
         B = crandn(rng, 12, 6)
         if spread:
@@ -413,7 +417,8 @@ class TestNormBrackets:
             calls = count_svds(patch)
             rep = douglas_check(B, B)
         assert (rep.included, rep.conditions) == expected
-        assert rep.included and len(calls) == 1 and not calls[0][1]
+        core_svd = [((6, 6), False)] if spread else []
+        assert rep.included and calls == [((12, 6), False)] + core_svd
         assert rep.constant == pytest.approx(1.0, rel=1e-6)
 
     def test_weak_largest_column_falls_back_to_the_svd_witness(self, monkeypatch):

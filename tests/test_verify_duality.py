@@ -1,5 +1,6 @@
-"""`verify --suite duality` solves its pairs in batches; its report must equal,
-bit for bit, the one-pair-at-a-time loop kept here as the reference."""
+"""`verify --suite duality` and acceptance criterion 3 solve their pairs in
+batches; their values must equal, bit for bit, the one-pair-at-a-time loop
+kept here as the reference."""
 
 import importlib.util
 import json
@@ -8,9 +9,11 @@ import os
 import numpy as np
 import pytest
 
+from evoq.acceptance import criterion_3_duality_pairing
 from evoq.cli import _verify_duality, main
 from evoq.config import load_config
 from evoq.errors import PreconditionError
+from evoq.instances import bundled_instances
 from evoq.signals import nu_product
 from evoq.solver import SpectralOperator
 from evoq.waveforms import random_signal
@@ -19,19 +22,17 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 BUNDLED = ("heat_small", "wave_small", "maxwell_small")
 
 
-def reference_duality(cfg, rng):
-    """The suite solving one pair at a time with full solve reports."""
-    op = SpectralOperator(cfg.law, cfg.A, cfg.nu, cfg.grid, cfg.pad_fraction)
+def reference_duality(op, rng, count):
+    """The largest relative pairing gap over `count` random pairs drawn
+    f1, g1, f2, g2, ..., solving one pair at a time with full solve reports."""
     worst = 0.0
-    for _ in range(32):
-        f = random_signal(cfg.grid, cfg.nu, cfg.m, rng)
-        g = random_signal(cfg.grid, -cfg.nu, cfg.m, rng)
+    for _ in range(count):
+        f = random_signal(op.grid, op.nu, op.A.m, rng)
+        g = random_signal(op.grid, -op.nu, op.A.m, rng)
         uf, vg = op.solve(f), op.solve(g)
         gap = abs(nu_product(uf.solution, g) - nu_product(f, vg.solution))
         worst = max(worst, gap / (f.norm * g.norm))
-    tol = cfg.tolerances["pairing"]
-    return {"suite": "duality", "pairs": 32, "max_relative_gap": worst,
-            "tolerance": tol, "passed": worst <= tol}
+    return worst
 
 
 def _generated_configs():
@@ -64,8 +65,20 @@ def test_batched_suite_equals_per_pair_loop(tmp_path, payload):
     path.write_text(json.dumps(payload))
     cfg = load_config(str(path))
     batched = _verify_duality(cfg, np.random.default_rng(cfg.seed))
-    assert batched == reference_duality(cfg, np.random.default_rng(cfg.seed))
+    op = SpectralOperator(cfg.law, cfg.A, cfg.nu, cfg.grid, cfg.pad_fraction)
+    worst = reference_duality(op, np.random.default_rng(cfg.seed), 32)
+    tol = cfg.tolerances["pairing"]
+    assert batched == {"suite": "duality", "pairs": 32, "max_relative_gap": worst,
+                       "tolerance": tol, "passed": worst <= tol}
     assert batched["passed"]
+
+
+def test_criterion_3_equals_per_pair_loop():
+    rng = np.random.default_rng(303)
+    worst = max(reference_duality(SpectralOperator(inst.law, inst.A, inst.nu, inst.grid,
+                                                   inst.pad_fraction), rng, 100)
+                for inst in bundled_instances(n=512))
+    assert criterion_3_duality_pairing().measured == {"max_relative_gap": worst}
 
 
 def test_singular_block_in_a_batch_exits_1(tmp_path, capsys):
