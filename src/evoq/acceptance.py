@@ -76,15 +76,6 @@ class CriterionResult:
     measured: dict = field(default_factory=dict)
 
 
-def _batched_solve(op: SpectralOperator, direction: str, phis: np.ndarray) -> np.ndarray:
-    """Padded flat solutions (N, m, batch) for a batch (n, m, batch) of
-    right-hand sides; used where per-call reports are not needed."""
-    sols = op.padded_solve(phis, direction == "forward")
-    # numpy's reductions sum in memory order, so criterion 1 gets its
-    # recorded last digits only from batch-major memory.
-    return np.ascontiguousarray(sols.transpose(0, 2, 1)).transpose(0, 2, 1)
-
-
 def criterion_1_norm_bound() -> CriterionResult:
     """Solution-operator norm below 1/c on random data, both directions."""
     count = 100
@@ -97,7 +88,10 @@ def criterion_1_norm_bound() -> CriterionResult:
         for direction in ("forward", "adjoint"):
             phis = rng.standard_normal((inst.grid.n, inst.m, count)) \
                 + 1j * rng.standard_normal((inst.grid.n, inst.m, count))
-            sols = _batched_solve(op, direction, phis)
+            sols = op.padded_solve(phis, direction == "forward")
+            # numpy's reductions sum in memory order, so the recorded last
+            # digits come only from batch-major memory
+            sols = np.ascontiguousarray(sols.transpose(0, 2, 1)).transpose(0, 2, 1)
             ratios = np.linalg.norm(sols, axis=(0, 1)) / np.linalg.norm(phis, axis=(0, 1))
             scaled = float(np.max(ratios)) * cert.c_est
             details[f"{inst.name}_{direction}_max_ratio_times_c"] = scaled

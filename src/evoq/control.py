@@ -9,7 +9,9 @@ decision here is made relative to a declared truncated-SVD cutoff
 on a spectral norm is first decided from cheap bounds,
 ||M||_F / sqrt(min(shape)) <= ||M||_2 <= ||M||_F widened for rounding; the
 exact norm (an SVD) is taken only when the bounds straddle the threshold,
-so a verdict is the one the exact norms give.  Every dense SVD and the
+so a verdict is the one the exact norms give.  A threshold built from
+several norms takes their exact values one at a time, in order, and stops
+as soon as the bounds decide.  Every dense SVD and the
 Douglas check first take their matrices into range by a power of two
 (`signals._into_range`), which is exact, so no verdict depends on the scale
 of the data.  Observability is read off that
@@ -39,7 +41,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Callable, ClassVar, Optional
+from itertools import chain
+from typing import Callable, ClassVar, Iterable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -224,10 +227,12 @@ class DouglasReport:
 
 class _Bracket:
     """lo <= x <= hi for a value x whose exact computation is costly; `exact`
-    computes it on first read."""
+    computes it on first read, and `tighter()` yields brackets of x between
+    these bounds and the exact value in cost, each costlier than the last."""
 
-    def __init__(self, lo: float, hi: float, exact: Callable[[], float]):
-        self.lo, self.hi, self._exact = lo, hi, exact
+    def __init__(self, lo: float, hi: float, exact: Callable[[], float],
+                 tighter: Callable[[], Iterable[_Bracket]] = tuple):
+        self.lo, self.hi, self._exact, self.tighter = lo, hi, exact, tighter
 
     @cached_property
     def exact(self) -> float:
@@ -239,18 +244,22 @@ def _known(value: float) -> _Bracket:
 
 
 def _monotone(fn: Callable[..., float], *args: _Bracket) -> _Bracket:
-    """fn(*args) for an `fn` that does not decrease in any argument."""
+    """fn(*args) for an `fn` that does not decrease in any argument; its
+    tighter brackets take the arguments' exact values one at a time."""
     return _Bracket(fn(*(a.lo for a in args)), fn(*(a.hi for a in args)),
-                    lambda: fn(*(a.exact for a in args)))
+                    lambda: fn(*(a.exact for a in args)),
+                    lambda: (_monotone(fn, *[_known(a.exact) for a in args[:i]], *args[i:])
+                             for i in range(1, len(args))))
 
 
 def _at_most(value: _Bracket, threshold: _Bracket) -> bool:
-    """value <= threshold: from the bounds when they decide it, else from the
-    exact values, the threshold's first."""
-    if value.hi <= threshold.lo:
-        return True
-    if value.lo > threshold.hi:
-        return False
+    """value <= threshold: from the threshold's bounds, then its tighter ones,
+    when they decide it, else from the exact values, the threshold's first."""
+    for bounds in chain([threshold], threshold.tighter()):
+        if value.hi <= bounds.lo:
+            return True
+        if value.lo > bounds.hi:
+            return False
     limit = threshold.exact
     return value.exact <= limit
 

@@ -7,13 +7,13 @@ or `evoq suite acceptance` for the same table from the command line.
 import numpy as np
 import pytest
 
-from evoq.acceptance import ALL_CRITERIA, _batched_solve
+from evoq.acceptance import ALL_CRITERIA
 
 
 @pytest.mark.parametrize("direction", ["forward", "adjoint"])
 def test_batched_solve_matches_per_problem_path(direction):
-    # criterion 1 relies on each column of a batched solve having the bits of
-    # a one-column solve
+    # criterion 1 relies on each column of a batched `padded_solve` having the
+    # bits of a one-column solve
     import evoq
 
     for inst in evoq.bundled_instances(n=128):
@@ -22,7 +22,7 @@ def test_batched_solve_matches_per_problem_path(direction):
             + 1j * rng.standard_normal((inst.grid.n, inst.m, 3))
         op = evoq.solver.SpectralOperator(inst.law, inst.A, inst.nu, inst.grid,
                                           inst.pad_fraction)
-        batch = _batched_solve(op, direction, phis)
+        batch = op.padded_solve(phis, direction == "forward")
         npad = op.npad
         weight = inst.nu if direction == "forward" else -inst.nu
         solve = evoq.solve_forward if direction == "forward" else evoq.solve_adjoint

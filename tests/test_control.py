@@ -93,10 +93,10 @@ class TestDouglasCheck:
 
     def test_included_witness_attains_the_constant_from_one_svd(self, monkeypatch):
         # the extremal datum of the adjoint domination ||A^* x|| <= c ||B^* x||;
-        # over the check and both reads, the SVDs with vectors are B's (9 x 4)
-        # and one thin SVD of the core (4 x 6), which gives the constant.  No
-        # exact 2-norm of the core runs; the one of A (9 x 6) is the scale of
-        # the domination probe that the core's Frobenius bracket leaves open.
+        # over the check and both reads, the SVDs are B's (9 x 4) and one thin
+        # SVD of the core (4 x 6), which gives the constant, and no exact
+        # 2-norm runs: a domination probe that the core's Frobenius bracket
+        # leaves open is decided by the exact constant, not ||A||_2 as well.
         rng = np.random.default_rng(1)
         B = crandn(rng, 9, 4)
         A = B @ crandn(rng, 4, 6)
@@ -105,7 +105,7 @@ class TestDouglasCheck:
             rep = douglas_check(A, B)
             constant, x = rep.constant, rep.witness
         assert rep.included
-        assert calls == [((9, 4), False), ((4, 6), False), ((9, 6), True)]
+        assert calls == [((9, 4), False), ((4, 6), False)]
         assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-12)
         assert np.linalg.norm(A.conj().T @ x) == pytest.approx(
             constant * np.linalg.norm(B.conj().T @ x), rel=1e-10)
@@ -352,6 +352,26 @@ class TestNormBrackets:
                 assert (rep.constant, rep.factor_residual) == reference[2:], label
             verdicts.add(rep.included)
         assert verdicts == {True, False}
+
+    def test_threshold_takes_its_exact_arguments_one_at_a_time(self):
+        # c + s with c in [0, 2] (exactly 1) and s in [0.5, 1] (exactly 0.75):
+        # the bounds [0.5, 3] decide 0.4 and 3.1, c's exact value narrows them
+        # to [1.5, 2], which decides 1.5 and 2.1 without s's, and 1.7 and 1.8,
+        # still open there, take s's as well
+        from evoq.control import _at_most, _Bracket, _known, _monotone
+
+        def threshold(read):
+            def arg(name, lo, hi, exact):
+                return _Bracket(lo, hi, lambda: read.append(name) or exact)
+            return _monotone(lambda c, s: c + s, arg("c", 0.0, 2.0, 1.0),
+                             arg("s", 0.5, 1.0, 0.75))
+
+        for value, verdict, reads in [(0.4, True, []), (3.1, False, []),
+                                      (1.5, True, ["c"]), (2.1, False, ["c"]),
+                                      (1.7, True, ["c", "s"]), (1.8, False, ["c", "s"])]:
+            read = []
+            assert _at_most(_known(value), threshold(read)) is verdict, value
+            assert read == reads, value
 
     @pytest.mark.parametrize("seed, rows, relative, b_scale, r_scale, verdict", [
         (1, 40, 5e-8, 1.0, 0.1, False),     # ||outside||_2 just above 1e-8 scale
