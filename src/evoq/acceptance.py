@@ -312,7 +312,7 @@ def criterion_8_control_duality() -> CriterionResult:
         cp = ControlProblem(base=base, B=B, T=1.0)
         maps = assemble_endmaps(cp, inst.pad_fraction)
 
-        feasible, dgl, obs = _duality_verdicts(cp, maps, rng)
+        feasible, dgl, obs = _duality_verdicts(maps, rng)
         verdicts = {feasible, dgl.included, math.isfinite(obs.c_obs)}
         agree = len(verdicts) == 1
         measured[label] = {

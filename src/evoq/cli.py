@@ -215,7 +215,7 @@ def _cmd_control(cfg, args) -> int:
         cert = coercivity(cfg.law, cfg.nu, cfg.grid)
     else:
         maps = assemble_endmaps(cp, cfg.pad_fraction)
-        cert = maps.certificate
+        cert = maps.op.certificate
 
     if args.certify_duality:
         if pointwise:
@@ -223,8 +223,7 @@ def _cmd_control(cfg, args) -> int:
             verdicts = {"feasible_for_basis": chk["feasible_for_basis"],
                         "range_included": chk["range_included"]}
         else:
-            feasible, douglas, obs = _duality_verdicts(cp, maps,
-                                                       np.random.default_rng(cfg.seed))
+            feasible, douglas, obs = _duality_verdicts(maps, np.random.default_rng(cfg.seed))
             verdicts = {"feasible_for_spanning_set": feasible,
                         "range_included": douglas.included,
                         "observability_finite": obs.finite}

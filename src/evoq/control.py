@@ -18,12 +18,13 @@ of the data.  Observability is read off that
 check: the backward (nu-adjoint) end maps are the adjoints of L_F and L_G,
 so by Douglas' lemma in its control/observation form c_obs is finite
 exactly when ran L_F lies in ran L_G, and is then the norm of the Douglas
-core.  Each assembly checks that adjointness against real backward solves.
-The Douglas check decides its verdicts without forming the dense factor
-C = V_r core.  Its report owns the values behind them, exact and computed
-when first read: the constant ||C||_2 = ||core||_2, which is c_obs, and its
-extremal datum, the witness, both from one thin SVD of the core, and the
-residual ||A - (B V_r) core||_2 that `factorization` was judged on.
+core.  The maps keep their `SpectralOperator`, whose backward solves check
+that adjointness at assembly.  The Douglas check decides each condition
+once over its probe family, without forming the dense factor C = V_r core.
+Its report owns the values behind them, exact and computed when first
+read: the constant ||C||_2 = ||core||_2, which is c_obs, and its extremal
+datum, the witness, both from one thin SVD of the core, and the residual
+||A - (B V_r) core||_2 that `factorization` was judged on.
 Infeasibility is a finding, not an error: certifying that a system cannot
 be controlled (say, B = 0) is part of the job.
 
@@ -55,8 +56,8 @@ from .errors import (
     UnsupportedLawError,
 )
 from .signals import NORM_FLOOR, TimeGrid, WeightedSignal, _into_range, _ldexp, _norm2
-from .solver import (DEFAULT_PAD_FRACTION, CoercivityCertificate, EvoProblem,
-                     SpectralOperator, _split_law, timestep_oracle)
+from .solver import (DEFAULT_PAD_FRACTION, EvoProblem, SpectralOperator, _split_law,
+                     timestep_oracle)
 from .waveforms import random_signal
 
 __all__ = [
@@ -109,6 +110,8 @@ class ControlProblem:
             raise PreconditionError(f"B: needs {self.base.A.m} rows, got {B.shape[0]}")
         if B.shape[1] < 1:
             raise PreconditionError("B: needs at least one column")
+        if not np.isfinite(B).all():
+            raise PreconditionError("B: must be finite")
         B.setflags(write=False)
         object.__setattr__(self, "B", B)
         if self.base.direction != "forward":
@@ -129,6 +132,8 @@ class ControlProblem:
                 )
             if self.T <= 0:
                 raise PreconditionError("T: pointwise horizon must be positive")
+            if self.U0 is None:
+                raise PreconditionError("U0: the pointwise variant needs an initial state")
             U0 = np.ascontiguousarray(np.asarray(self.U0, dtype=complex).ravel())
             if U0.shape != (self.base.A.m,):
                 raise PreconditionError(f"U0: must have {self.base.A.m} entries")
@@ -176,8 +181,8 @@ class DouglasReport:
     The four classically equivalent conditions are evaluated on every call:
     range inclusion via the SVD range projector, existence of a factor C with
     A = BC, inclusion of A(unit ball) in B(ball of radius c), and the adjoint
-    domination ||A^* x|| <= c ||B^* x||.  Their verdicts are returned so
-    callers can assert agreement.
+    domination ||A^* x|| <= c ||B^* x||, each decided once over its probe
+    family.  Their verdicts are returned so callers can assert agreement.
 
     The check never forms the factor C = V_r core.  Its values are exact,
     taken on first read, on one BLAS thread; the verdicts need only bounds
@@ -222,7 +227,7 @@ class DouglasReport:
         if not self.included:
             return None
         _, core, _, _, _, Vrh, Amat, Bmat, ka = self._parts
-        return _ldexp(_exact_norm(Amat - (Bmat @ Vrh.conj().T) @ core), -ka)
+        return _ldexp(float(np.linalg.norm(Amat - (Bmat @ Vrh.conj().T) @ core, 2)), -ka)
 
 
 class _Bracket:
@@ -264,18 +269,13 @@ def _at_most(value: _Bracket, threshold: _Bracket) -> bool:
     return value.exact <= limit
 
 
-@one_blas_thread
-def _exact_norm(M: np.ndarray) -> float:
-    return float(np.linalg.norm(M, 2))
-
-
 def _norm_bracket(M: np.ndarray, exact: Optional[Callable[[], float]] = None) -> _Bracket:
     """||M||_2 between ||M||_F / sqrt(min(shape)) and ||M||_F, each widened by
     `_ROUNDING`; ||M||_F above the largest double is inf.  The exact value is
     `exact()`, by default an SVD of M without vectors."""
     fro = float(_norm2(M))
     return _Bracket(fro / math.sqrt(min(M.shape)) * (1 - _ROUNDING), fro * (1 + _ROUNDING),
-                    exact or (lambda: _exact_norm(M)))
+                    exact or (lambda: float(np.linalg.norm(M, 2))))
 
 
 def _svd(M: np.ndarray) -> tuple:
@@ -333,7 +333,9 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
     in the same order whichever way a comparison is decided: 8 (re, im)
     pairs of width cols for the ball, then 8 of width rows for the adjoint
     domination, each family drawn in one call (the same numbers) and applied
-    as one matrix product.
+    as one matrix product.  The ball is decided on the family's largest miss
+    and then its largest length, so a pair that misses never reads the
+    radius and takes no SVD of its core; adjoint domination is one predicate.
 
     The factor C = V_r core (N x cols for N columns of B) is never formed:
     `factorization` is decided on A - (B V_r) core, and the ball probes
@@ -356,11 +358,11 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
     Bmat = _ldexp(Bmat, kb)
 
     # Mass of A outside the numerical range of B, against the scale of A
-    # alone: scaling B moves neither ran(B) nor a verdict.
+    # alone: scaling B moves neither ran(B) nor a verdict.  In range,
+    # ||A||_2 >= 2^-200 unless A = 0, where every condition holds as 0 <= 0.
     core = Ur.conj().T @ Amat  # divided by the kept singular values below
     outside = Amat - Ur @ core
-    scale = _monotone(lambda a: max(a, NORM_FLOOR), norm_a)
-    rung = _monotone(lambda s: _INCLUSION_RTOL * s, scale)
+    rung = _monotone(lambda s: _INCLUSION_RTOL * s, norm_a)
     included = _at_most(_norm_bracket(outside), rung)
 
     conditions = {"range_inclusion": included}
@@ -368,25 +370,28 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
     Vr = Vrh.conj().T
     core /= sr[:, None]
     residual = _norm_bracket(Amat - (Bmat @ Vr) @ core)
-    conditions["factorization"] = _at_most(residual, _monotone(lambda s: 1e-10 * s, scale))
+    conditions["factorization"] = _at_most(residual, _monotone(lambda s: 1e-10 * s, norm_a))
     svd_core = cache(lambda: np.linalg.svd(core, full_matrices=False)[:2])  # (u, s)
     constant = (_norm_bracket(core, lambda: float(svd_core()[1][0]))
                 if core.size else _known(0.0))
     norm_c = _monotone(lambda c: _ldexp(c, kb - ka), constant)  # ||C||_2, scaled back
 
     # Ball inclusion, probed: the min-norm preimage of A y must fit in the
-    # c-ball and reproduce A y.  One probe per column.
+    # c-ball and reproduce A y.  One probe per column; the largest miss, then
+    # the largest length, decides.
     draws = rng.standard_normal((_PROBES, 2, cols))
     Y = (draws[:, 0] + 1j * draws[:, 1]).T
     Y /= np.linalg.norm(Y, axis=0)
     G = Vr @ (core @ Y)
     radius = _monotone(lambda c: c * (1 + 1e-8) + 1e-12, constant)
-    ball_ok = True
-    for miss, length in zip(np.linalg.norm(Bmat @ G - Amat @ Y, axis=0),
-                            np.linalg.norm(G, axis=0)):
-        ball_ok &= _at_most(_known(miss), rung)
-        ball_ok &= _at_most(_known(length), radius)
-    conditions["ball_inclusion"] = bool(ball_ok)
+    conditions["ball_inclusion"] = bool(
+        _at_most(_known(np.linalg.norm(Bmat @ G - Amat @ Y, axis=0).max()), rung)
+        and _at_most(_known(np.linalg.norm(G, axis=0).max()), radius))
+
+    def dominated(lhs, rhs, xn=1.0) -> bool:
+        """||A^* x|| = lhs <= c ||B^* x|| = c rhs, for ||x|| = xn, to the rungs."""
+        return _at_most(_known(lhs), _monotone(
+            lambda c, s: c * rhs * (1 + 1e-8) + _INCLUSION_RTOL * s * xn, constant, norm_a))
 
     # Adjoint domination on random probes, drawn whatever the verdict;
     # meaningful constant only when the factorisation holds, so decided only
@@ -395,13 +400,9 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
     draws = rng.standard_normal((_PROBES, 2, rows))
     if included:
         X = (draws[:, 0] + 1j * draws[:, 1]).T
-        dom_ok = True
-        lhs_all, rhs_all = (np.linalg.norm(M.T @ X.conj(), axis=0) for M in (Amat, Bmat))
-        for lhs, rhs, xn in zip(lhs_all, rhs_all, np.linalg.norm(X, axis=0)):
-            dom_ok &= _at_most(_known(lhs), _monotone(
-                lambda c, s: c * rhs * (1 + 1e-8) + _INCLUSION_RTOL * s * xn,
-                constant, scale))
-        conditions["adjoint_domination"] = bool(dom_ok)
+        conditions["adjoint_domination"] = all(map(
+            dominated, *(np.linalg.norm(M.T @ X.conj(), axis=0) for M in (Amat, Bmat)),
+            np.linalg.norm(X, axis=0)))
     else:
         # A direction of A orthogonal to ran(B): B^* x ~ 0, A^* x != 0, so
         # ||A^* x|| > c ||B^* x|| defeats the factor's constant c.  The largest column
@@ -415,13 +416,11 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
             yield np.linalg.svd(outside, full_matrices=False)[0][:, 0]
 
         for witness in candidates():
-            lhs, rhs = (float(np.linalg.norm(M.T @ witness.conj())) for M in (Amat, Bmat))
-            defeated = not _at_most(_known(lhs), _monotone(
-                lambda c, s: c * rhs * (1 + 1e-8) + _INCLUSION_RTOL * s,
-                constant, scale))
-            if defeated:
+            held = dominated(*(float(np.linalg.norm(M.T @ witness.conj()))
+                               for M in (Amat, Bmat)))
+            if not held:
                 break
-        conditions["adjoint_domination"] = not defeated
+        conditions["adjoint_domination"] = held
 
     verdicts = set(conditions.values())
     if len(verdicts) != 1:
@@ -446,19 +445,14 @@ class EndMaps:
     flat arrays of F (dimension n*m) and G (dimension n*q).  Their adjoints
     are the backward end maps: L_F^H maps a backward datum supported at or
     after T to the backward solution, L_G^H to its B^*-filtered observation
-    (checked against backward solves at assembly).  `certificate` is the
-    operator's padded-grid certificate, the one that bounds every solve
-    behind the maps.
+    (checked against backward solves at assembly).  `op` is that operator,
+    the one owner of the grid, nu, m and the certificate behind the maps.
     """
 
     L_F: np.ndarray
     L_G: np.ndarray
-    certificate: CoercivityCertificate
+    op: SpectralOperator
     post_start: int
-    grid: TimeGrid
-    nu: float
-    m: int
-    q: int
 
     @cached_property
     @one_blas_thread
@@ -519,8 +513,11 @@ def assemble_endmaps(cp: ControlProblem,
     linearity of L_F against direct solves, and a dot test of L_F^H against
     backward solves of post-horizon data at weight -nu, the nu-adjoint system
     whose observability the maps decide.  Maps of more than
-    `DEFAULT_SIZE_GUARD` entries raise `SizeGuardError` before any solve.
+    `DEFAULT_SIZE_GUARD` entries raise `SizeGuardError` before any solve;
+    a pointwise problem, whose U0 they would ignore, is refused.
     """
+    if cp.variant != "supported":
+        raise PreconditionError("assemble_endmaps cuts the supported variant's maps")
     base = cp.base
     grid, m, q = base.grid, base.A.m, cp.q
     n = grid.n
@@ -552,8 +549,7 @@ def assemble_endmaps(cp: ControlProblem,
         _check_agrees(np.conj(y.phi[post:].reshape(-1).conj() @ L_F).reshape(n, m), v.phi,
                       "the adjoint of L_F disagrees with a backward solve")
 
-    return EndMaps(L_F=L_F, L_G=L_G, certificate=op.certificate,
-                   post_start=post, grid=grid, nu=base.nu, m=m, q=q)
+    return EndMaps(L_F=L_F, L_G=L_G, op=op, post_start=post)
 
 
 def _truncated_lstsq(svd: tuple, b: np.ndarray, rtol: float):
@@ -614,8 +610,8 @@ def null_control(cp: ControlProblem, endmaps: Optional[EndMaps] = None) -> Contr
     maps = endmaps or assemble_endmaps(cp)
     g_flat, residual, reg, feasible = _null_solve(maps, cp.F.phi.reshape(-1))
 
-    grid = maps.grid
-    G = WeightedSignal(grid, maps.nu, g_flat.reshape(grid.n, maps.q))
+    grid = maps.op.grid
+    G = WeightedSignal(grid, maps.op.nu, g_flat.reshape(grid.n, -1))
     terminal = float(_norm2(residual, factor=math.sqrt(grid.dt)))
     return ControlResult(
         G=G,
@@ -654,10 +650,10 @@ class ObservabilityEstimate:
 
     @property
     def witness(self) -> WeightedSignal:
-        maps = self._maps
-        phi = np.zeros((maps.grid.n, maps.m), dtype=complex)
-        phi[maps.post_start:] = maps._inclusion.witness.reshape(-1, maps.m)
-        return WeightedSignal(maps.grid, -maps.nu, phi)
+        maps, op = self._maps, self._maps.op
+        phi = np.zeros((op.grid.n, op.A.m), dtype=complex)
+        phi[maps.post_start:] = maps._inclusion.witness.reshape(-1, op.A.m)
+        return WeightedSignal(op.grid, -op.nu, phi)
 
     @property
     def cutoff(self) -> float:
@@ -679,16 +675,15 @@ def observability_constant(cp: ControlProblem,
 
 
 @one_blas_thread
-def _duality_verdicts(cp: ControlProblem, maps: EndMaps,
-                      rng: np.random.Generator) -> tuple:
+def _duality_verdicts(maps: EndMaps, rng: np.random.Generator) -> tuple:
     """(feasible, douglas, observability) on one set of end maps: null control
     of max(m, 3) forcings drawn from `rng` (one right-hand side of as many
     columns), ran(L_F) in ran(L_G), and the backward observability estimate,
     whose verdict is that inclusion and whose values are computed only when
     read.  By duality the three verdicts agree."""
-    base = cp.base
-    probes = np.stack([random_signal(base.grid, base.nu, base.A.m, rng).phi.reshape(-1)
-                       for _ in range(max(base.A.m, 3))], axis=1)
+    op = maps.op
+    probes = np.stack([random_signal(op.grid, op.nu, op.A.m, rng).phi.reshape(-1)
+                       for _ in range(max(op.A.m, 3))], axis=1)
     feasible = _null_solve(maps, probes)[3]
     return feasible, maps._inclusion, ObservabilityEstimate(maps)
 

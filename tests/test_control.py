@@ -63,6 +63,26 @@ def write_heat_control_config(tmp_path, injection):
     return str(path)
 
 
+def write_benchmark_heat_config(tmp_path, injection):
+    """A heat config by the dense-control benchmark's recipe at n = 32: grid
+    [-8, 8), k = 4 (m = 9) and T just below 2, so 12 samples lie at or
+    after the horizon; B = I, e1 or 0."""
+    m = 9
+    B = {"I": np.eye(m), "e1": np.eye(m)[:, :1], "zero": np.zeros((m, 1))}[injection]
+    config = {
+        "seed": 17, "nu": 1.3,
+        "grid": {"t_min": -8.0, "t_max": 8.0, "n": 32, "padding_fraction": 0.25},
+        "spatial": {"kind": "heat", "k": 4, "dx": 1.0, "a": 2.2},
+        "rhs": {"shape": "bump", "component": 4, "center": -1.2, "width": 1.3,
+                "amplitude": 1.1},
+        "control": {"B": [[[float(v), 0.0] for v in row] for row in B],
+                    "T": 1.9, "variant": "supported"},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
 def rotation_base(n=128, nu=1.0, rhs=None):
     g = TimeGrid(-4.0, 4.0, n)
     law = finite_sum_law([np.eye(2)])
@@ -109,6 +129,21 @@ class TestDouglasCheck:
         assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-12)
         assert np.linalg.norm(A.conj().T @ x) == pytest.approx(
             constant * np.linalg.norm(B.conj().T @ x), rel=1e-10)
+
+    def test_an_excluded_pair_takes_no_core_svd(self, monkeypatch):
+        # criterion 7's shapes: A = B R + u w^* with u orthogonal to ran(B).
+        # Every ball probe misses A y by the mass outside ran(B), so the ball
+        # family fails on its largest miss and never reads the radius, whose
+        # exact value is the 6 x 4 core's SVD: B's SVD is the only one
+        rng = np.random.default_rng(707)
+        B = crandn(rng, 10, 6)
+        A = B @ crandn(rng, 6, 4) + np.outer(np.linalg.svd(B)[0][:, -1], crandn(rng, 4))
+        with monkeypatch.context() as patch:
+            calls = count_svds(patch)
+            rep = douglas_check(A, B, rng=rng)
+        assert not rep.included
+        assert set(rep.conditions.values()) == {False}
+        assert calls == [((10, 6), False)]
 
     def test_all_four_conditions_share_a_verdict(self):
         rng = np.random.default_rng(2)
@@ -606,6 +641,33 @@ class TestEndMaps:
         assert main([*command, "--config", path]) == 1
         assert message in capsys.readouterr().err
 
+    def test_maps_keep_the_operator_they_are_cut_from(self, tmp_path):
+        # one owner for the grid, the weight, the dimensions and the
+        # certificate: the operator, whose certificate `control` reports
+        from dataclasses import asdict
+
+        from evoq.cli import main
+        from evoq.config import load_config
+        from evoq.solver import SpectralOperator
+
+        path = write_heat_control_config(tmp_path, "I")
+        cfg = load_config(path)
+        maps = assemble_endmaps(cfg.control, cfg.pad_fraction)
+        assert isinstance(maps.op, SpectralOperator)
+        assert maps.op.grid == cfg.control.base.grid
+        assert maps.op.nu == cfg.control.base.nu
+        assert main(["control", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "control_result.json") as fh:
+            written = json.load(fh)["certificate"]
+        assert written == json.loads(json.dumps(asdict(maps.op.certificate)))
+
+    def test_pointwise_problem_refused(self):
+        # its maps would ignore U0, so no constant may be read off them
+        cp = TestPointwise().scalar_cp(n=64)
+        for entry in (assemble_endmaps, observability_constant):
+            with pytest.raises(PreconditionError, match="supported variant"):
+                entry(cp)
+
     def test_size_guard(self, monkeypatch):
         from evoq import control
 
@@ -710,6 +772,29 @@ class TestNullControl:
         assert main([*command, "--config", path, "--out", str(tmp_path / "out")]) == 0
         assert [norm for _, norm in calls] == [False] * svds
 
+    @pytest.mark.parametrize("injection, command, shapes", [
+        ("I", ["control"], [(108, 288), (108, 288)]),
+        ("e1", ["control"], [(108, 32)]),
+        ("zero", ["control"], [(108, 32)]),
+        ("I", ["control", "--certify-duality"], [(108, 288)]),
+        ("e1", ["control", "--certify-duality"], [(108, 32)]),
+        ("zero", ["control", "--certify-duality"], [(108, 32)]),
+    ], ids=["I-control", "e1-control", "zero-control",
+            "I-certify", "e1-certify", "zero-certify"])
+    def test_benchmark_sized_svd_traffic(self, monkeypatch, tmp_path, injection, command,
+                                         shapes):
+        # the n = 32 heat cells of the dense-control benchmark: L_G is
+        # 12 post-horizon samples x 9 rows by 32 samples x q columns, and its
+        # SVD is shared by every solve and check of a command; `control` with
+        # B = I adds the Douglas core's (rank 108 x 288) for c_obs and its
+        # witness, and no command takes an exact 2-norm
+        from evoq.cli import main
+
+        path = write_benchmark_heat_config(tmp_path, injection)
+        calls = count_svds(monkeypatch)
+        assert main([*command, "--config", path, "--out", str(tmp_path / "out")]) == 0
+        assert calls == [(shape, False) for shape in shapes]
+
     @pytest.mark.parametrize("command", [["control"], ["control", "--certify-duality"]],
                              ids=["control", "certify"])
     def test_one_operator_per_command(self, monkeypatch, tmp_path, command):
@@ -750,7 +835,7 @@ class TestNullControl:
                                                 rhs, "forward"), B=B, T=1.0)
             maps = assemble_endmaps(cp, inst.pad_fraction)
             batched_rng, loop_rng = np.random.default_rng(9), np.random.default_rng(9)
-            batched, _, _ = control._duality_verdicts(cp, maps, batched_rng)
+            batched, _, _ = control._duality_verdicts(maps, batched_rng)
             looped = []
             for _ in range(max(inst.m, 3)):
                 probe = random_signal(inst.grid, inst.nu, inst.m, loop_rng)
@@ -958,6 +1043,21 @@ class TestPointwise:
     def test_horizon_validation(self):
         with pytest.raises(PreconditionError):
             self.scalar_cp(T=-1.0)
+
+    def test_missing_initial_state_named(self):
+        base = self.scalar_cp(n=64).base
+        with pytest.raises(PreconditionError,
+                           match="^U0: the pointwise variant needs an initial state$"):
+            ControlProblem(base=base, B=np.eye(1), T=2.0, variant="pointwise")
+
+    @pytest.mark.parametrize("variant", ["supported", "pointwise"])
+    def test_non_finite_injection_named(self, variant):
+        base = self.scalar_cp(n=64).base
+        U0 = np.array([1.0]) if variant == "pointwise" else None
+        for bad in (np.nan, np.inf):
+            with pytest.raises(PreconditionError, match="^B: must be finite$"):
+                ControlProblem(base=base, B=np.array([[bad]]), T=2.0, variant=variant,
+                               U0=U0)
 
     @pytest.mark.parametrize("variant", ["supported", "pointwise"])
     def test_horizon_past_the_last_sample_rejected(self, variant):
