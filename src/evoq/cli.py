@@ -308,9 +308,7 @@ def _run(args) -> int:
     from numpy.linalg import LinAlgError
 
     from .config import load_config
-    from .errors import (DefinitenessError, EvoqError, NonCoerciveError, NotSkewError,
-                         PreconditionError, SchemaError, SizeGuardError,
-                         UnsupportedLawError)
+    from .errors import EvoqError, SchemaError
 
     try:
         if args.command == "suite":
@@ -327,7 +325,7 @@ def _run(args) -> int:
         raise AssertionError(f"unhandled command {args.command}")
     except SchemaError as exc:
         print(f"evoq: config rejected: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+        return exc.exit_code
     except OSError as exc:
         print(f"evoq: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -337,13 +335,10 @@ def _run(args) -> int:
         print(f"evoq: config rejected (MemoryError): out of memory{detail}", file=sys.stderr)
         return EXIT_SCHEMA
     except (EvoqError, LinAlgError, OverflowError) as exc:
-        kind = type(exc).__name__
-        if isinstance(exc, (NonCoerciveError, DefinitenessError, NotSkewError,
-                            PreconditionError, UnsupportedLawError, SizeGuardError)):
-            print(f"evoq: config rejected ({kind}): {exc}", file=sys.stderr)
-            return EXIT_SCHEMA
-        print(f"evoq: numerical failure ({kind}): {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        code = getattr(exc, "exit_code", EXIT_NUMERICAL)
+        verdict = "config rejected" if code == EXIT_SCHEMA else "numerical failure"
+        print(f"evoq: {verdict} ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -2,7 +2,13 @@
 
 
 class EvoqError(Exception):
-    """Base class for all library-specific errors."""
+    """Base class for all library-specific errors.
+
+    `exit_code` is what the CLI exits with when the error ends a command:
+    1 for a numerical failure, 2 for a config the library rejects.
+    """
+
+    exit_code = 1
 
 
 class GridError(EvoqError):
@@ -36,9 +42,13 @@ class NotInvertibleError(EvoqError):
 class PreconditionError(EvoqError):
     """An operation was called outside its admissible parameter range."""
 
+    exit_code = 2
+
 
 class NonCoerciveError(EvoqError):
     """The coercivity certificate failed; carries where the minimum sat."""
+
+    exit_code = 2
 
     def __init__(self, message, min_location=None):
         super().__init__(message)
@@ -48,6 +58,8 @@ class NonCoerciveError(EvoqError):
 class NotSkewError(EvoqError):
     """A matrix failed the skew-selfadjointness check."""
 
+    exit_code = 2
+
     def __init__(self, message, entry=None):
         super().__init__(message)
         self.entry = entry
@@ -55,6 +67,8 @@ class NotSkewError(EvoqError):
 
 class DefinitenessError(EvoqError):
     """A coefficient matrix misses a required definiteness property."""
+
+    exit_code = 2
 
 
 class SolverError(EvoqError):
@@ -68,9 +82,13 @@ class OracleError(EvoqError):
 class UnsupportedLawError(EvoqError):
     """The operation needs a material law of a more restricted form."""
 
+    exit_code = 2
+
 
 class SizeGuardError(EvoqError):
     """Dense assembly would exceed the configured size guard."""
+
+    exit_code = 2
 
 
 class ConsistencyError(EvoqError):
@@ -79,3 +97,5 @@ class ConsistencyError(EvoqError):
 
 class SchemaError(EvoqError):
     """An instance configuration failed validation."""
+
+    exit_code = 2

@@ -7,6 +7,12 @@ antiderivative deliberately avoids the spectral inverse: it is an
 exponentially weighted cumulative trapezoid rule, which is exactly causal
 (anticausal for negative weights) where a periodic inverse would wrap around
 the grid.
+
+Its recurrence is `scipy.signal.lfilter`, imported on the first call.  At
+the top of the module it would load ~530 scipy modules into `import evoq`
+and add about 0.9 s to every CLI command, though no command calls
+`antiderivative`.  So a command starts in about 0.2 s, with numpy as the
+floor, and only `suite acceptance` loads scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import NotInvertibleError, SolverError, SymbolError
 from .signals import NORM_FLOOR, TimeGrid, WeightedSignal, _into_range, _ldexp, _norm2
@@ -97,6 +102,8 @@ def antiderivative(g: WeightedSignal) -> WeightedSignal:
     recurrence on the flat coordinates, so no weight is ever exponentiated
     and the support can only grow in the causal direction.
     """
+    from scipy.signal import lfilter  # here, not at the top: it costs every CLI command ~0.9 s
+
     nu = g.nu
     if nu == 0:
         raise NotInvertibleError("the shifted derivative has no bounded inverse at nu=0")

@@ -440,15 +440,24 @@ class TestCliExitCodes:
             assert result["control_norm"] == pytest.approx(
                 unit["result"]["control_norm"] * modulus * 2.0 ** 1000, rel=1e-12)
 
-    @pytest.mark.parametrize("base, code", [
-        ("NonCoerciveError", 2), ("DefinitenessError", 2), ("NotSkewError", 2),
-        ("PreconditionError", 2), ("UnsupportedLawError", 2), ("SizeGuardError", 2),
-        ("ConsistencyError", 1), ("SolverError", 1), ("NonFiniteSignalError", 1),
-    ])
+    ERROR_EXITS = {
+        "SchemaError": 2, "NonCoerciveError": 2, "DefinitenessError": 2,
+        "NotSkewError": 2, "PreconditionError": 2, "UnsupportedLawError": 2,
+        "SizeGuardError": 2,
+        "GridError": 1, "PairingError": 1, "WindowError": 1, "PoleError": 1,
+        "NonFiniteSignalError": 1, "SymbolError": 1, "NotInvertibleError": 1,
+        "SolverError": 1, "OracleError": 1, "ConsistencyError": 1,
+    }
+
+    @pytest.mark.parametrize("base, code", sorted(ERROR_EXITS.items()))
     def test_errors_are_classified_by_class(self, tmp_path, capsys, monkeypatch, base, code):
-        # a subclass exits as its base class does, under its own name
+        # a subclass exits as its base class does, under its own name; the
+        # table covers every error class in `errors`
         from evoq import cli, errors
 
+        assert {name for name, obj in vars(errors).items() if isinstance(obj, type)
+                and issubclass(obj, errors.EvoqError) and obj is not errors.EvoqError
+                } == set(self.ERROR_EXITS)
         error = type(f"Special{base}", (getattr(errors, base),), {})
 
         def fail(*args):
@@ -456,8 +465,12 @@ class TestCliExitCodes:
 
         monkeypatch.setattr(cli, "_cmd_solve", fail)
         assert main(["solve", "--config", write_config(tmp_path, base_config())]) == code
-        verdict = "config rejected" if code == 2 else "numerical failure"
-        assert capsys.readouterr().err == f"evoq: {verdict} (Special{base}): probe\n"
+        if base == "SchemaError":
+            line = "evoq: config rejected: probe\n"
+        else:
+            verdict = "config rejected" if code == 2 else "numerical failure"
+            line = f"evoq: {verdict} (Special{base}): probe\n"
+        assert capsys.readouterr().err == line
 
     @pytest.mark.parametrize("error, code, line", [
         (OverflowError("e^(nu t) overflows"), 1,
@@ -674,6 +687,48 @@ class TestCliExitCodes:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "solve" in proc.stdout
+
+    def test_commands_start_without_scipy(self, tmp_path):
+        # numpy is the floor of every command's start-up: neither `import
+        # evoq` nor any command below loads scipy (`scipy.signal` alone
+        # costs ~0.9 s).  `suite acceptance` is the one command allowed to,
+        # and `antiderivative` loads `scipy.signal` on its first call.  A
+        # fresh interpreter, because pytest itself already holds scipy.
+        heat = bundled("heat_small", 32)
+        m = len(heat["control"]["B"])
+        heat["control"]["B"] = [[[float(i == j), 0.0] for j in range(m)] for i in range(m)]
+        solve = write_config(tmp_path, bundled("heat_small", 64), "solve.json")
+        control = write_config(tmp_path, heat, "control.json")
+        pointwise = os.path.join(CONFIG_DIR, "pointwise_decay.json")
+        commands = [["solve", "--config", solve], ["adjoint", "--config", solve]]
+        commands += [["verify", "--config", solve, "--suite", suite]
+                     for suite in ("duality", "causality", "reversal", "nu-independence")]
+        commands += [["control", "--config", control],
+                     ["control", "--config", control, "--certify-duality"],
+                     ["control", "--config", pointwise]]
+        script = f"""
+import contextlib, io, json, sys
+import evoq, evoq.cli
+
+def scipy_modules():
+    return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+
+rows = [["import evoq, evoq.cli", None, scipy_modules()]]
+for k, argv in enumerate({commands!r}):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = evoq.cli.main(argv + ["--out", {str(tmp_path)!r} + f"/out{{k}}"])
+    rows.append([" ".join(argv), code, scipy_modules()])
+print(json.dumps(rows))
+"""
+        env = dict(os.environ, PYTHONPATH=os.path.join(CONFIG_DIR, "..", "src"))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        rows = json.loads(proc.stdout)
+        assert len(rows) == 1 + len(commands)
+        for command, code, loaded in rows:
+            assert code in (None, 0), (command, proc.stderr)
+            assert loaded == [], (command, loaded[:5])
 
     def test_console_script_is_cli_main(self, capsys):
         # the installed `evoq` script is `evoq.cli.main`, the one way in

@@ -262,7 +262,7 @@ def full_route_observability(K1, K2):
 
 
 def desk_end_maps(tmp_path):
-    """(label, end maps, reference backward maps (K1, K2)) of the 18 dense
+    """(label, end maps, reference backward maps (K1, K2), B) of the 18 dense
     configs `tools/same_outputs.py` runs and of the acceptance suite's
     control instances."""
     import importlib.util
@@ -283,13 +283,13 @@ def desk_end_maps(tmp_path):
         path.write_text(json.dumps(config))
         cfg = load_config(str(path))
         yield (label, assemble_endmaps(cfg.control, cfg.pad_fraction),
-               backward_end_maps(cfg.control, cfg.pad_fraction))
+               backward_end_maps(cfg.control, cfg.pad_fraction), cfg.control.B)
     for inst, B, label in _control_instances():
         rhs = random_signal(inst.grid, inst.nu, inst.m, np.random.default_rng(8))
         cp = ControlProblem(base=EvoProblem(inst.nu, inst.grid, inst.law, inst.A,
                                             rhs, "forward"), B=B, T=1.0)
         yield (label, assemble_endmaps(cp, inst.pad_fraction),
-               backward_end_maps(cp, inst.pad_fraction))
+               backward_end_maps(cp, inst.pad_fraction), cp.B)
 
 
 def count_svds(monkeypatch):
@@ -368,7 +368,7 @@ class TestNormBrackets:
         from evoq.control import ObservabilityEstimate, _douglas
 
         verdicts = set()
-        for label, maps, backward in desk_end_maps(tmp_path):
+        for label, maps, backward, _ in desk_end_maps(tmp_path):
             svd_g = maps._svd_G
             assert svd_g[3] == 0, label  # the reference takes the SVD of L_G itself
             reference = exact_douglas(maps.L_F, maps.L_G, svd_g[:3])
@@ -567,17 +567,22 @@ class TestLazyObservability:
         from evoq.control import ObservabilityEstimate
 
         verdicts = set()
-        for label, maps, (K1, K2) in desk_end_maps(tmp_path):
+        for label, maps, (K1, K2), B in desk_end_maps(tmp_path):
             c_ref = full_route_observability(K1, K2)
             # values read outside any one-thread scope
             estimate = ObservabilityEstimate(maps)
             assert estimate.finite == math.isfinite(c_ref), label
+            # the supported control acts on the whole grid, so B alone decides:
+            # included exactly when B has full row rank, and c_obs <= 1/σ_min(B)
+            assert estimate.finite == (np.linalg.matrix_rank(B) == B.shape[0]), label
             w = estimate.witness.phi[maps.post_start:].reshape(-1)
             assert two_threads() == 2
             assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-12), label
             seen, observed = np.linalg.norm(K1 @ w), np.linalg.norm(K2 @ w)
             if estimate.finite:
                 assert estimate.c_obs == pytest.approx(c_ref, rel=1e-13, abs=0), label
+                sigma_min = np.linalg.svd(B, compute_uv=False)[-1]
+                assert estimate.c_obs <= (1 + 1e-12) / sigma_min, label
                 # the report's constant, to the bit: one SVD of the core gives both
                 assert maps._inclusion.constant == estimate.c_obs, label
                 assert seen >= estimate.c_obs * (1 - 1e-10) * observed, label
