@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
-import scipy.linalg
 from scipy.integrate import simpson
 
 from .config import DEFAULT_TOLERANCES
@@ -25,16 +23,15 @@ from .control import (
     DEFAULT_SVD_RTOL,
     POINTWISE_FEASIBILITY_TOL,
     ControlProblem,
+    EndMaps,
     assemble_endmaps,
     douglas_check,
     pointwise_null_control,
     pointwise_solve,
     _duality_verdicts,
-    _kernel_blocks,
     _pointwise_response_matrix,
     _pointwise_target,
     _svd,
-    _time_major,
     _truncated_lstsq,
 )
 from .instances import (
@@ -49,6 +46,8 @@ from .signals import (
     NORM_FLOOR,
     TimeGrid,
     WeightedSignal,
+    _norm2,
+    signal_from_values,
     zero_signal,
 )
 from .solver import (
@@ -232,78 +231,38 @@ def _control_instances():
     return out
 
 
-def random_search_lower_bound(apply_K1, apply_K2, dim: int,
-                              budget: int = 10_000,
-                              rng: Optional[np.random.Generator] = None) -> tuple:
-    """Maximise ||K1 x|| / ||K2 x|| by random sampling plus exact line
-    maximisation along random directions.
+def _observability_bracket(maps: EndMaps, B: np.ndarray) -> tuple:
+    """(lower, upper) bounds of c_obs on the end maps `maps` of B, of full
+    row rank, from the duality alone (Dolecki & Russell 1977).
 
-    Each refinement step solves the 2x2 generalized eigenproblem restricted
-    to span{x, d} in closed form, so the search spends its budget on
-    evaluations only.  Returns (best ratio, best x); the value is a valid
-    lower bound for the supremum by construction.
+    Lower: ||v|| / ||B^* v|| for v the backward solution of one post-horizon
+    datum, valid whatever the datum.  The datum is the nu-adjoint operator
+    applied to a Gaussian along u, the left singular vector of B for
+    sigma_min(B), cut to t >= T; the bundled laws act locally in time, so v
+    is that Gaussian up to the cut.  A Gaussian, not `smooth_bump`: the
+    bump's slowly decaying spectrum leaks up to 1.4e-3 of the datum before
+    T, where the Gaussian leaks 3.9e-12.
+    Upper: 1/sigma_min(B), since ||B^* x|| >= sigma_min(B) ||x||.  Neither
+    end touches L_F, L_G or the Douglas core.
     """
-    rng = rng or np.random.default_rng(1234)
-    n_seed = max(budget // 4, 1)
-    best_x, best_val = None, -1.0
-    for _ in range(n_seed):
-        x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        a = np.linalg.norm(apply_K1(x))
-        b = np.linalg.norm(apply_K2(x))
-        val = math.inf if b == 0 else a / b
-        if val > best_val:
-            best_val, best_x = val, x
-    x = best_x / np.linalg.norm(best_x)
-    k1x, k2x = apply_K1(x), apply_K2(x)
-    for _ in range(budget - n_seed):
-        d = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        d /= np.linalg.norm(d)
-        k1d, k2d = apply_K1(d), apply_K2(d)
-        # Generalized eigenproblem of the 2x2 pencil on span{x, d}.
-        A2 = np.array([[np.vdot(k1x, k1x), np.vdot(k1x, k1d)],
-                       [np.vdot(k1d, k1x), np.vdot(k1d, k1d)]])
-        B2 = np.array([[np.vdot(k2x, k2x), np.vdot(k2x, k2d)],
-                       [np.vdot(k2d, k2x), np.vdot(k2d, k2d)]])
-        B2 += 1e-300 * np.eye(2)
-        try:
-            _, vecs = scipy.linalg.eigh(A2, B2)
-        except np.linalg.LinAlgError:  # the pencil is not definite on this span
-            continue
-        w = vecs[:, -1]
-        cand = w[0] * x + w[1] * d
-        nc = np.linalg.norm(cand)
-        if nc == 0:
-            continue
-        cand /= nc
-        k1c, k2c = w[0] * k1x + w[1] * k1d, w[0] * k2x + w[1] * k2d
-        denom = np.linalg.norm(k2c)
-        val = math.inf if denom == 0 else float(np.linalg.norm(k1c) / denom)
-        if val > best_val:
-            best_val, x, k1x, k2x = val, cand, k1c / nc, k2c / nc
-    return best_val, x
-
-
-def backward_end_maps(cp: ControlProblem, pad_fraction: float) -> tuple:
-    """(K1, K2), the reference backward end maps of a supported control
-    problem: K1 maps a backward datum supported at or after T (columns,
-    n_post*m) to the backward solution (rows n*m), K2 to its B^*-filtered
-    observation (rows n*q).  Cut from backward impulse solves of the
-    nu-adjoint system, independently of the primal maps whose adjoints they
-    are."""
-    base = cp.base
-    n = base.grid.n
-    post = base.grid.index_at_or_after(cp.T)
-    op = SpectralOperator(base.law, base.A, base.nu, base.grid, pad_fraction)
-    backward = _kernel_blocks(op, False, np.arange(n), post + np.arange(n - post))
-    return (_time_major(backward),
-            _time_major(np.einsum("kl,ipkj->iplj", np.conj(cp.B), backward)))
+    op, post = maps.op, maps.post_start
+    U, s, _ = np.linalg.svd(B)
+    t = op.grid.times
+    lo, hi = t[post], t[-1]
+    profile = np.exp(-0.5 * ((t - (lo + hi) / 2) / ((hi - lo) / 14)) ** 2)
+    y = op.apply(signal_from_values(op.grid, -op.nu, np.outer(profile, U[:, -1])))
+    v = op.solutions([y.with_phi(np.where((t >= lo)[:, None], y.phi, 0.0))])[0]
+    return float(_norm2(v.phi) / _norm2(v.phi @ B.conj())), float(1.0 / s[-1])
 
 
 def criterion_8_control_duality() -> CriterionResult:
-    """Three-way agreement of feasibility, range inclusion and finite
-    observability; where finite, a random-search lower bound on the reference
-    backward maps within 5% of c_obs."""
+    """Agreement of feasibility, range inclusion and finite observability;
+    where finite, c_obs between the two ends of `_observability_bracket`
+    to the algebraic rung.  `observability_finite` is `range_included` by
+    construction (it reads the same Douglas check), so two of the three
+    verdicts are independent."""
     rng = np.random.default_rng(808)
+    tol = DEFAULT_TOLERANCES["algebraic"]
     measured = {}
     ok = True
     for inst, B, label in _control_instances():
@@ -323,14 +282,12 @@ def criterion_8_control_duality() -> CriterionResult:
         }
         ok &= agree
 
-        if math.isfinite(obs.c_obs) and label.endswith(("B=tri", "B=2")):
-            K1, K2 = backward_end_maps(cp, inst.pad_fraction)
-            lb, _ = random_search_lower_bound(
-                lambda v: K1 @ v, lambda v: K2 @ v, K1.shape[1],
-                budget=10_000, rng=np.random.default_rng(4242))
-            measured[label]["search_lower_bound"] = lb
-            ok &= lb <= obs.c_obs * (1 + 1e-9)
-            ok &= obs.c_obs <= 1.05 * lb
+        if math.isfinite(obs.c_obs):
+            lower, upper = _observability_bracket(maps, B)
+            measured[label].update(bracket_lower=lower, bracket_upper=upper)
+            ok &= lower <= obs.c_obs * (1 + tol)
+            ok &= obs.c_obs <= upper * (1 + tol)
+            ok &= upper <= lower * (1 + tol)
     return CriterionResult(8, "null-control duality (three-way agreement)",
                            bool(ok), measured)
 

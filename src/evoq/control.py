@@ -470,25 +470,6 @@ class EndMaps:
         return _douglas(self.L_F, self.L_G, self._svd_G)
 
 
-def _kernel_blocks(op: SpectralOperator, forward: bool, rows: np.ndarray,
-                   cols: np.ndarray) -> np.ndarray:
-    """Blocks (len(rows), len(cols), m, m) of the forward or backward solution
-    operator of `op` between original sample indices `rows` and `cols`.  The
-    end maps take the forward blocks; the backward ones serve the acceptance
-    suite's reference backward maps.
-
-    The solve is a circulant on the padded grid, so one impulse solve per
-    component (impulse at padded index npad) gives every block: the entry
-    for padded row npad+r and padded source npad+c sits at kernel index
-    (npad + r - c) mod N.
-    """
-    m = op.A.m
-    impulse = np.zeros((op.grid.n, m, m), dtype=complex)
-    impulse[0] = np.eye(m)
-    kernel = op.padded_solve(impulse, forward)
-    return kernel[(op.npad + rows[:, None] - cols[None, :]) % op.pad_grid.n]
-
-
 def _time_major(blocks: np.ndarray) -> np.ndarray:
     """Blocks (r, c, a, b) as the dense (r*a, c*b) matrix."""
     r, c, a, b = blocks.shape
@@ -530,8 +511,15 @@ def assemble_endmaps(cp: ControlProblem,
         )
 
     op = SpectralOperator(base.law, base.A, base.nu, grid, pad_fraction)
-    full, after = np.arange(n), post + np.arange(n_post)
-    forward = _kernel_blocks(op, True, after, full)     # (n_post, n, m, m)
+    # The solve is a circulant on the padded grid, so one impulse solve per
+    # component (impulse at padded index npad) gives every block: the entry
+    # for padded row npad+r and padded source npad+c sits at kernel index
+    # (npad + r - c) mod N.  The blocks are (n_post, n, m, m).
+    impulse = np.zeros((n, m, m), dtype=complex)
+    impulse[0] = np.eye(m)
+    kernel = op.padded_solve(impulse, True)
+    rows, cols = post + np.arange(n_post), np.arange(n)
+    forward = kernel[(op.npad + rows[:, None] - cols[None, :]) % op.pad_grid.n]
     L_F = _time_major(forward)
     L_G = _time_major(np.einsum("pjik,kl->pjil", forward, cp.B))
 

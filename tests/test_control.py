@@ -40,8 +40,9 @@ from evoq import (
     zero_signal,
 )
 from evoq._blas import one_blas_thread
-from evoq.acceptance import backward_end_maps, random_search_lower_bound
-from evoq.solver import DEFAULT_PAD_FRACTION
+from evoq.acceptance import _control_instances, _observability_bracket
+from evoq.control import _time_major
+from evoq.solver import DEFAULT_PAD_FRACTION, SpectralOperator
 from evoq.waveforms import bump_signal, random_signal
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -245,6 +246,28 @@ def exact_douglas(Amat, Bmat, svd_b, rng=None):
     return included, conditions, constant, factor_residual
 
 
+def backward_end_maps(cp, pad_fraction):
+    """(K1, K2), the reference backward end maps of a supported control
+    problem: K1 maps a backward datum supported at or after T (columns,
+    n_post*m) to the backward solution (rows n*m), K2 to its B^*-filtered
+    observation (rows n*q).  Cut from backward impulse solves of the
+    nu-adjoint system, independently of the primal maps whose adjoints they
+    are."""
+    base = cp.base
+    n, m = base.grid.n, base.A.m
+    post = base.grid.index_at_or_after(cp.T)
+    op = SpectralOperator(base.law, base.A, base.nu, base.grid, pad_fraction)
+    impulse = np.zeros((n, m, m), dtype=complex)
+    impulse[0] = np.eye(m)
+    kernel = op.padded_solve(impulse, False)
+    # a circulant on the padded grid: the block for padded row npad+r and
+    # padded source npad+c sits at kernel index (npad + r - c) mod N
+    rows, cols = np.arange(n), post + np.arange(n - post)
+    backward = kernel[(op.npad + rows[:, None] - cols[None, :]) % op.pad_grid.n]
+    return (_time_major(backward),
+            _time_major(np.einsum("kl,ipkj->iplj", np.conj(cp.B), backward)))
+
+
 @one_blas_thread
 def full_route_observability(K1, K2):
     """Reference: c_obs on the backward maps K1, K2 of `backward_end_maps`,
@@ -267,7 +290,6 @@ def desk_end_maps(tmp_path):
     control instances."""
     import importlib.util
 
-    from evoq.acceptance import _control_instances
     from evoq.config import load_config
 
     spec = importlib.util.spec_from_file_location(
@@ -828,7 +850,6 @@ class TestNullControl:
     def test_batched_probe_verdicts_match_per_probe_null_control(self, monkeypatch):
         # reference: one null_control per probe, over the same draws of the rng
         from evoq import control
-        from evoq.acceptance import _control_instances
 
         solve_one = control.null_control
         monkeypatch.setattr(control, "null_control", lambda *a, **k: pytest.fail(
@@ -915,19 +936,59 @@ class TestObservability:
         gap = np.linalg.norm(maps.L_F.conj().T - K1, 2)
         assert gap <= 1e-10 * np.linalg.norm(K1, 2)
 
-    def test_random_search_lower_bound_matches_dense(self):
-        # criterion 8's oracle bounds the dense constant from below and
-        # reaches it within 1 % on 400 evaluations of the same maps
-        base = rotation_base(n=48)
-        B = np.array([[1.0, 0.3], [0.0, 0.5]])
-        cp = ControlProblem(base=base, B=B, T=1.0)
-        maps = assemble_endmaps(cp)
-        dense = observability_constant(cp, maps)
-        K1, K2 = backward_end_maps(cp, DEFAULT_PAD_FRACTION)
-        bound, _ = random_search_lower_bound(lambda v: K1 @ v, lambda v: K2 @ v,
-                                             K1.shape[1], budget=400)
-        assert bound <= dense.c_obs * (1 + 1e-9)
-        assert bound == pytest.approx(dense.c_obs, rel=1e-2)
+    @pytest.mark.parametrize("kappa", [2.0, 10.0, 100.0, None],
+                             ids=["kappa2", "kappa10", "kappa100", "orthonormal"])
+    @pytest.mark.parametrize("maker", [evoq.make_heat_instance, evoq.make_wave_instance,
+                                       evoq.make_maxwell_instance],
+                             ids=["heat", "wave", "maxwell"])
+    def test_bracket_pins_the_dense_constant(self, maker, kappa):
+        # the control acts on the whole grid, so for B of full row rank the
+        # datum's ratio attains 1/σ_min(B) and the dense c_obs sits on it; B
+        # with orthonormal rows (m x (m+1), κ = 1) has c_obs = 1
+        inst = maker(k=2, n=96, t_half=4.0)
+        m = inst.m
+        rng = np.random.default_rng(13)
+        left = np.linalg.qr(crandn(rng, m, m))[0]
+        right = np.linalg.qr(crandn(rng, m + 1, m))[0]
+        sigma = np.ones(m) if kappa is None else np.geomspace(1.0, 1.0 / kappa, m)
+        B = (left * sigma) @ right.conj().T
+        rhs = random_signal(inst.grid, inst.nu, m, rng)
+        cp = ControlProblem(base=EvoProblem(inst.nu, inst.grid, inst.law, inst.A,
+                                            rhs, "forward"), B=B, T=1.0)
+        maps = assemble_endmaps(cp, inst.pad_fraction)
+        c_obs = observability_constant(cp, maps).c_obs
+        lower, upper = _observability_bracket(maps, B)
+        assert upper == pytest.approx(1.0 / sigma[-1], rel=1e-12)
+        assert lower == pytest.approx(upper, rel=1e-12, abs=0)
+        assert upper * (1 - 1e-12) <= c_obs <= upper * (1 + 1e-12)
+        if kappa is None:
+            assert c_obs == pytest.approx(1.0, rel=1e-12, abs=0)
+
+    def test_bracket_datum_cut_is_negligible(self, monkeypatch):
+        # the Gaussian datum of the bracket is almost all after T once the
+        # adjoint operator acts: a Gaussian of σ = span/14, not smooth_bump,
+        # whose spectrum leaks up to 1.4e-3 before T on these grids
+        apply = SpectralOperator.apply
+        applied = []
+
+        def recording(op, f):
+            applied.append(apply(op, f))
+            return applied[-1]
+
+        monkeypatch.setattr(SpectralOperator, "apply", recording)
+        for inst, B, label in _control_instances():
+            rhs = random_signal(inst.grid, inst.nu, inst.m, np.random.default_rng(8))
+            cp = ControlProblem(base=EvoProblem(inst.nu, inst.grid, inst.law, inst.A,
+                                                rhs, "forward"), B=B, T=1.0)
+            maps = assemble_endmaps(cp, inst.pad_fraction)
+            with np.errstate(divide="ignore"):  # B = 0 sees nothing
+                lower, _ = _observability_bracket(maps, B)
+            y = applied[-1].phi
+            cut = np.linalg.norm(y[:maps.post_start]) / np.linalg.norm(y)
+            assert cut <= 1e-11, label
+            if np.linalg.matrix_rank(B) < inst.m:
+                # the datum along ker B^* is blind far beyond the 1e-8 inclusion rung
+                assert lower >= 1e8, label
 
     def test_size_guard_precedes_dense_work(self, monkeypatch):
         from evoq import control
