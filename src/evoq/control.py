@@ -19,12 +19,13 @@ check: the backward (nu-adjoint) end maps are the adjoints of L_F and L_G,
 so by Douglas' lemma in its control/observation form c_obs is finite
 exactly when ran L_F lies in ran L_G, and is then the norm of the Douglas
 core.  The maps keep their `SpectralOperator`, whose backward solves check
-that adjointness at assembly.  The Douglas check decides each condition
-once over its probe family, without forming the dense factor C = V_r core.
-Its report owns the values behind them, exact and computed when first
-read: the constant ||C||_2 = ||core||_2, which is c_obs, and its extremal
-datum, the witness, both from one thin SVD of the core, and the residual
-||A - (B V_r) core||_2 that `factorization` was judged on.
+that adjointness at assembly.  The Douglas check reads B only through its
+truncated SVD (U_r, s_r) and decides each condition once over its probe
+family, without forming the dense factor C = V_r core.  Its report owns the
+values behind them, exact and computed when first read: the constant
+||C||_2 = ||core||_2, which is c_obs, and its extremal datum, the witness,
+both from one thin SVD of the core, and the residual ||A - U_r U_r^* A||_2,
+the mass outside ran(B) that `factorization` was judged on.
 Infeasibility is a finding, not an error: certifying that a system cannot
 be controlled (say, B = 0) is part of the job.
 
@@ -184,16 +185,17 @@ class DouglasReport:
     domination ||A^* x|| <= c ||B^* x||, each decided once over its probe
     family.  Their verdicts are returned so callers can assert agreement.
 
-    The check never forms the factor C = V_r core.  Its values are exact,
-    taken on first read, on one BLAS thread; the verdicts need only bounds
-    on them.  `constant` (c = ||C||_2, None when excluded) is the top
-    singular value of the core, and `witness` the extremal datum: when
-    included the unit x = U_r s_r^{-1} u_1 (normalised) for the core's top
-    left singular vector u_1, which attains ||A^* x|| = c ||B^* x|| (zero
-    when B keeps nothing), both from one thin SVD of the core; when excluded
-    a unit x that B^* misses and A^* sees.  `factor_residual` (None when
-    excluded) is ||A - (B V_r) core||_2, the residual `factorization` was
-    judged on.
+    B enters only as its truncated SVD U_r diag(s_r) V_r^*, and the check
+    never forms the factor C = V_r core.  Its values are exact, taken on
+    first read, on one BLAS thread; the verdicts need only bounds on them.
+    `constant` (c = ||C||_2, None when excluded) is the top singular value
+    of the core, and `witness` the extremal datum: when included the unit
+    x = U_r s_r^{-1} u_1 (normalised) for the core's top left singular
+    vector u_1, which attains ||A^* x|| = c ||B^* x|| (zero when B keeps
+    nothing), both from one thin SVD of the core; when excluded a unit x
+    that B^* misses and A^* sees.  `factor_residual` (None when excluded)
+    is ||A - U_r U_r^* A||_2 = ||A - BC||_2, the residual `factorization`
+    was judged on, recomputed on read.
     """
 
     included: bool
@@ -201,8 +203,8 @@ class DouglasReport:
     conditions: dict
     _witness: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     # when included: the bracket of ||C||_2, the core U_r^* A / s_r, its thin
-    # SVD (u, s) on first call, U_r, s_r, the kept rows of V^*, A and B in
-    # range, and the power of two ka that took A there
+    # SVD (u, s) on first call, U_r, s_r, A in range, and the power of two ka
+    # that took it there
     _parts: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @cached_property
@@ -226,8 +228,8 @@ class DouglasReport:
     def factor_residual(self) -> Optional[float]:
         if not self.included:
             return None
-        _, core, _, _, _, Vrh, Amat, Bmat, ka = self._parts
-        return _ldexp(float(np.linalg.norm(Amat - (Bmat @ Vrh.conj().T) @ core, 2)), -ka)
+        _, _, _, Ur, _, Amat, ka = self._parts
+        return _ldexp(float(np.linalg.norm(Amat - Ur @ (Ur.conj().T @ Amat), 2)), -ka)
 
 
 class _Bracket:
@@ -305,23 +307,27 @@ def douglas_check(Amat: np.ndarray, Bmat: np.ndarray,
     largest column of the part of A outside ran(B), or its top left singular
     vector only when that column does not defeat the factor's constant.
 
-    Each threshold on a 2-norm (of A, of that outside part, of A - BC and of
-    C) is decided from cheap bounds, and from the exact norm only when the
-    bounds straddle it, so the verdicts are those of the exact norms.  The
-    thresholds scale with ||A||_2 alone, and A and B are taken into range
-    by powers of two, so neither verdicts nor witness depend on the scale of
-    either.  `range_inclusion` and `factorization` both measure the mass of
-    A - B B^+ A (through the range projector and through the factor), so
-    their agreement checks the arithmetic rather than a second property.
+    B is read only through its truncated SVD: C = V_r core for the core
+    U_r^* A / s_r, so A - BC = A - U_r U_r^* A, ||C y|| = ||core y|| and
+    ||B^* x|| = ||s_r (U_r^* x)||, and no verdict sees a singular value of B
+    below the cutoff or the rounding of a product with B, which grows with
+    ||B||_2 ||C||_2.  Each threshold on a 2-norm (of A, of that outside part
+    and of C) is decided from cheap bounds, and from the exact norm only
+    when the bounds straddle it, so the verdicts are those of the exact
+    norms.  The thresholds scale with ||A||_2 alone, and A and B are taken
+    into range by powers of two, so neither verdicts nor witness depend on
+    the scale of either.  `range_inclusion` and `factorization` judge the
+    same mass of A - B B^+ A at the rungs 1e-8 and 1e-10 ||A||_2, so a pair
+    whose mass lies between them raises `ConsistencyError`.
     """
-    Bmat = np.atleast_2d(np.asarray(Bmat, dtype=complex))
-    return _douglas(Amat, Bmat, _svd(Bmat), rng)
+    return _douglas(Amat, _svd(np.atleast_2d(np.asarray(Bmat, dtype=complex))), rng)
 
 
-def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
+def _douglas(Amat: np.ndarray, svd_b: tuple,
              rng: Optional[np.random.Generator] = None) -> DouglasReport:
-    """Body of `douglas_check` for a complex 2-D `Bmat` whose SVD `_svd`, which
-    gives the cutoff, the caller holds; ||V_r core||_2 = ||core||_2.
+    """Body of `douglas_check` given `_svd(B)`, which the caller holds,
+    rather than B: B is read only as its kept left singular vectors U_r and
+    values s_r, the truncated B the cutoff defines.
 
     Range rule: A goes into range by `_into_range`, B by its SVD's power,
     and read values scale back.  With largest parts below 2^200 the core is
@@ -337,40 +343,37 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
     and then its largest length, so a pair that misses never reads the
     radius and takes no SVD of its core; adjoint domination is one predicate.
 
-    The factor C = V_r core (N x cols for N columns of B) is never formed:
-    `factorization` is decided on A - (B V_r) core, and the ball probes
-    apply C as V_r (core y).  The report holds views of the SVD of B, not
-    V_r itself, and takes the core's thin SVD once, when `constant` is first
-    needed, here or on read.
+    The factor C = V_r core (N x cols for N columns of B) is never formed.
+    B V_r = U_r S_r, so A - BC is `outside` = A - U_r U_r^* A: `factorization`
+    is judged on its mass, a ball probe y misses A y by ||outside y||, and
+    ||C y|| = ||core y||.  ||B^* x|| is ||s_r (U_r^* x)||.  The core's thin
+    SVD is taken once, when `constant` is first needed, here or on read.
     """
     Amat = np.atleast_2d(np.asarray(Amat, dtype=complex))
-    if Amat.shape[0] != Bmat.shape[0]:
+    Ub, sb, _, kb = svd_b
+    if Amat.shape[0] != Ub.shape[0]:
         raise PreconditionError("A and B must share their codomain dimension")
     rng = rng or np.random.default_rng(0)
     rows, cols = Amat.shape
 
-    Ub, sb, Vbh, kb = svd_b
     _, cutoff, rank_b = _truncation(sb, DEFAULT_SVD_RTOL)
-    Ur, sr, Vrh = Ub[:, :rank_b], sb[:rank_b], Vbh[:rank_b]
+    Ur, sr = Ub[:, :rank_b], sb[:rank_b]
 
     Amat, ka = _into_range(Amat)
     norm_a = _norm_bracket(Amat)
-    Bmat = _ldexp(Bmat, kb)
 
     # Mass of A outside the numerical range of B, against the scale of A
     # alone: scaling B moves neither ran(B) nor a verdict.  In range,
     # ||A||_2 >= 2^-200 unless A = 0, where every condition holds as 0 <= 0.
     core = Ur.conj().T @ Amat  # divided by the kept singular values below
     outside = Amat - Ur @ core
+    mass = _norm_bracket(outside)
     rung = _monotone(lambda s: _INCLUSION_RTOL * s, norm_a)
-    included = _at_most(_norm_bracket(outside), rung)
+    included = _at_most(mass, rung)
 
-    conditions = {"range_inclusion": included}
-
-    Vr = Vrh.conj().T
+    conditions = {"range_inclusion": included,
+                  "factorization": _at_most(mass, _monotone(lambda s: 1e-10 * s, norm_a))}
     core /= sr[:, None]
-    residual = _norm_bracket(Amat - (Bmat @ Vr) @ core)
-    conditions["factorization"] = _at_most(residual, _monotone(lambda s: 1e-10 * s, norm_a))
     svd_core = cache(lambda: np.linalg.svd(core, full_matrices=False)[:2])  # (u, s)
     constant = (_norm_bracket(core, lambda: float(svd_core()[1][0]))
                 if core.size else _known(0.0))
@@ -382,27 +385,31 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
     draws = rng.standard_normal((_PROBES, 2, cols))
     Y = (draws[:, 0] + 1j * draws[:, 1]).T
     Y /= np.linalg.norm(Y, axis=0)
-    G = Vr @ (core @ Y)
     radius = _monotone(lambda c: c * (1 + 1e-8) + 1e-12, constant)
     conditions["ball_inclusion"] = bool(
-        _at_most(_known(np.linalg.norm(Bmat @ G - Amat @ Y, axis=0).max()), rung)
-        and _at_most(_known(np.linalg.norm(G, axis=0).max()), radius))
+        _at_most(_known(np.linalg.norm(outside @ Y, axis=0).max()), rung)
+        and _at_most(_known(np.linalg.norm(core @ Y, axis=0).max()), radius))
 
     def dominated(lhs, rhs, xn=1.0) -> bool:
         """||A^* x|| = lhs <= c ||B^* x|| = c rhs, for ||x|| = xn, to the rungs."""
         return _at_most(_known(lhs), _monotone(
             lambda c, s: c * rhs * (1 + 1e-8) + _INCLUSION_RTOL * s * xn, constant, norm_a))
 
+    def adjoint_norms(X) -> tuple:
+        """(||A^* x||, ||B^* x||) of each column x of X: the columns of
+        A^T conj(X) are the conjugates of A^* x, so no adjoint is formed."""
+        Xc = X.conj()
+        return (np.linalg.norm(Amat.T @ Xc, axis=0),
+                np.linalg.norm(sr[:, None] * (Ur.T @ Xc), axis=0))
+
     # Adjoint domination on random probes, drawn whatever the verdict;
     # meaningful constant only when the factorisation holds, so decided only
-    # then.  One probe per column of X: the columns of A^T conj(X) are the
-    # conjugates of A^* x, so no adjoint is formed.
+    # then.  One probe per column of X.
     draws = rng.standard_normal((_PROBES, 2, rows))
     if included:
         X = (draws[:, 0] + 1j * draws[:, 1]).T
         conditions["adjoint_domination"] = all(map(
-            dominated, *(np.linalg.norm(M.T @ X.conj(), axis=0) for M in (Amat, Bmat)),
-            np.linalg.norm(X, axis=0)))
+            dominated, *adjoint_norms(X), np.linalg.norm(X, axis=0)))
     else:
         # A direction of A orthogonal to ran(B): B^* x ~ 0, A^* x != 0, so
         # ||A^* x|| > c ||B^* x|| defeats the factor's constant c.  The largest column
@@ -416,8 +423,7 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
             yield np.linalg.svd(outside, full_matrices=False)[0][:, 0]
 
         for witness in candidates():
-            held = dominated(*(float(np.linalg.norm(M.T @ witness.conj()))
-                               for M in (Amat, Bmat)))
+            held = dominated(*(float(v[0]) for v in adjoint_norms(witness[:, None])))
             if not held:
                 break
         conditions["adjoint_domination"] = held
@@ -431,7 +437,7 @@ def _douglas(Amat: np.ndarray, Bmat: np.ndarray, svd_b: tuple,
         cutoff=_ldexp(cutoff, -kb),
         conditions=conditions,
         _witness=None if included else witness,
-        _parts=(norm_c, core, svd_core, Ur, sr, Vrh, Amat, Bmat, ka) if included else None,
+        _parts=(norm_c, core, svd_core, Ur, sr, Amat, ka) if included else None,
     )
 
 
@@ -467,7 +473,7 @@ class EndMaps:
         """The range-inclusion check ran L_F in ran L_G on `_svd_G`, taken on
         first use and shared by the duality verdicts and the observability
         estimate."""
-        return _douglas(self.L_F, self.L_G, self._svd_G)
+        return _douglas(self.L_F, self._svd_G)
 
 
 def _time_major(blocks: np.ndarray) -> np.ndarray:
@@ -881,7 +887,7 @@ def pointwise_duality_check(cp: ControlProblem) -> dict:
     _, misfit, _, svd_phi = _readout_lstsq(Phi, Psi, DEFAULT_SVD_RTOL)
     feasible = bool(np.all(_norm2(misfit, axis=0) < POINTWISE_FEASIBILITY_TOL
                            * (1.0 + _norm2(Psi, axis=0))))
-    report = _douglas(Psi, Phi, svd_phi)
+    report = _douglas(Psi, svd_phi)
     return {
         "feasible_for_basis": feasible,
         "range_included": report.included,

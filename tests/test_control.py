@@ -200,8 +200,9 @@ def exact_douglas(Amat, Bmat, svd_b, rng=None):
     one BLAS thread as in every caller of `_douglas`.  Returns
     (included, conditions, constant, factor_residual) or raises the same
     ConsistencyError: the constant is the top singular value of the core's
-    thin SVD, and the residual reported is ||A - (B V_r) core||_2, while
-    `factorization` is judged on the explicit product."""
+    thin SVD, and the residual reported is ||A - U_r U_r^* A||_2, the mass
+    outside ran(B), while `factorization` is judged on the explicit product
+    with the raw B."""
     from evoq.control import _INCLUSION_RTOL, _PROBES, _finite_solution, _norm, _truncation
 
     Amat = np.atleast_2d(np.asarray(Amat, dtype=complex))
@@ -217,7 +218,7 @@ def exact_douglas(Amat, Bmat, svd_b, rng=None):
     Vr = Vbh[:rank_b].conj().T
     factor = _finite_solution(Vr @ core, sb[:rank_b])
     conditions["factorization"] = float(np.linalg.norm(Amat - Bmat @ factor, 2)) <= 1e-10 * scale
-    factor_residual = float(np.linalg.norm(Amat - (Bmat @ Vr) @ core, 2))
+    factor_residual = float(np.linalg.norm(outside, 2))
     constant = float(np.linalg.svd(core, full_matrices=False)[1][0]) if core.size else 0.0
     ball_ok = True
     for _ in range(_PROBES):
@@ -369,7 +370,7 @@ def douglas_outcome(A, B):
     from evoq.control import _douglas, _svd
 
     try:
-        rep = _douglas(A, B, _svd(B))
+        rep = _douglas(A, _svd(B))
     except ConsistencyError as exc:
         return str(exc)
     return rep.included, rep.conditions
@@ -397,7 +398,7 @@ class TestNormBrackets:
             blind = math.isinf(full_route_observability(*backward))
             with monkeypatch.context() as patch:
                 calls = count_svds(patch)
-                rep = one_blas_thread(_douglas)(maps.L_F, maps.L_G, svd_g)
+                rep = one_blas_thread(_douglas)(maps.L_F, svd_g)
                 finite = ObservabilityEstimate(maps).finite
             # no exact 2-norm anywhere and no SVD of the mass outside
             # ran(L_G); the observability verdict is that check's own, and
@@ -455,8 +456,9 @@ class TestNormBrackets:
     def test_verdicts_near_the_factorization_rung_match_the_explicit_product(
             self, spread, relative):
         # ||A - B B^+ A||_2 = relative ||A||_2, on either side of the rung
-        # 1e-10 ||A||_2 at which `factorization` is judged on the reassociated
-        # residual A - (B V_r) core; the reference judges A - B (V_r core).
+        # 1e-10 ||A||_2 at which `factorization` is judged on the mass
+        # outside ran(B), A - U_r U_r^* A; the reference judges the explicit
+        # product A - B (V_r core) with the raw B.
         # Below 1e-8 the range inclusion holds, so the pairs above the rung
         # raise for disagreeing conditions.  B as the equal-maps test builds it
         rng = np.random.default_rng(12)
@@ -499,32 +501,33 @@ class TestNormBrackets:
         assert rep.constant == pytest.approx(1.0, rel=1e-6)
 
     def test_weak_largest_column_falls_back_to_the_svd_witness(self, monkeypatch):
-        # B keeps singular values 1, 0.5 and 2e-10 and truncates 0.5e-10 (the
-        # cutoff is 1e-10).  Outside ran(B), A has a direction B^* misses,
-        # spread thinly over 399 columns, and the truncated direction filling
-        # the remaining column alone.  That column is the largest, but B^*
-        # still sees it, and A's mass along the 2e-10 direction makes the
-        # constant large enough that it does not defeat; the top singular
-        # vector of the outside mass, the first direction, does.
-        rng = np.random.default_rng(4)
-        rows, cols = 10, 400
-        U = np.linalg.qr(crandn(rng, rows, rows))[0]
-        V = np.linalg.qr(crandn(rng, 4, 4))[0]
-        B = U[:, :4] @ np.diag([1.0, 0.5, 2e-10, 0.5e-10]) @ V.conj().T
+        # A = B R plus two directions outside ran(B): u1 spread thinly over
+        # every column but the first (4e-7 ||B R||_2), and u2 filling column 0
+        # alone (9.5e-9 ||B R||_2).  Column 0 is the largest column of the
+        # outside mass, but ||A^* u2|| stays under the 1e-8 ||A||_2 rung, so
+        # it does not defeat the constant; the top singular vector of the
+        # outside mass, u1, does.  With probe seeds 0, 1 or 3 every ball probe
+        # misses the thin mass by less than the rung, and the check raises
+        rng = np.random.default_rng(2)
+        rows, cols = 10, 2000
+        B = crandn(rng, rows, 4)
+        U = np.linalg.svd(B)[0]
+        A = B @ crandn(rng, 4, cols)
+        scale = np.linalg.norm(A, 2)
         spread = np.ones(cols)
         spread[0] = 0.0
-        A = (B @ crandn(rng, 4, cols) / cols
-             + 1e-2 * np.outer(U[:, 2], unit(crandn(rng, cols)))
-             + 1e-2 * np.outer(U[:, 4], unit(spread)))
-        A[:, 0] += 1e-3 * U[:, 3]
-        expected = exact_outcome(A, B)
-        with monkeypatch.context() as patch:
-            calls = count_svds(patch)
-            rep = douglas_check(A, B)
-        assert (rep.included, rep.conditions) == expected
-        assert not rep.included
-        assert ((rows, cols), False) in calls  # the witness SVD
-        assert abs(np.vdot(U[:, 4], rep.witness)) == pytest.approx(1.0, abs=1e-8)
+        A += 4e-7 * scale * np.outer(U[:, 4], unit(spread))
+        A[:, 0] += 9.5e-9 * scale * U[:, 5]
+        for probes in (2, 4, 5):
+            expected = exact_douglas(A, B, np.linalg.svd(B, full_matrices=False),
+                                     np.random.default_rng(probes))[:2]
+            with monkeypatch.context() as patch:
+                calls = count_svds(patch)
+                rep = douglas_check(A, B, rng=np.random.default_rng(probes))
+            assert (rep.included, rep.conditions) == expected, probes
+            assert not rep.included, probes
+            assert ((rows, cols), False) in calls, probes  # the witness SVD
+            assert abs(np.vdot(U[:, 4], rep.witness)) == pytest.approx(1.0, abs=1e-8), probes
 
 
 def scale_pair(kind):
@@ -1009,6 +1012,59 @@ class TestObservability:
         assert math.isinf(obs.c_obs) == (not dgl.included)
 
 
+def write_bundled_config(tmp_path, kind, n, eps=None):
+    """The bundled `kind` config at n samples, with B = diag(1, ..., 1, eps)
+    when `eps` is given."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "configs",
+                           f"{kind}_small.json")) as fh:
+        config = json.load(fh)
+    config["grid"]["n"] = n
+    if eps is not None:
+        B = np.eye(len(config["control"]["B"]))
+        B[-1, -1] = eps
+        config["control"]["B"] = [[[float(v), 0.0] for v in row] for row in B]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+class TestWeakActuator:
+    """B's weak direction ε runs from far above L_G's cutoff to below it:
+    every pair gets a verdict, included exactly when L_G keeps full rank, and
+    then c_obs = 1/ε."""
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-7, 1e-9, 8e-10, 5e-10, 3e-10, 2e-10, 1e-10])
+    @pytest.mark.parametrize("kind", ["heat", "wave", "maxwell"])
+    def test_every_weak_direction_gets_a_verdict(self, tmp_path, kind, eps):
+        from evoq.config import load_config
+        from evoq.control import _truncation
+
+        cp = load_config(write_bundled_config(tmp_path, kind, 64, eps)).control
+        estimate = observability_constant(cp)
+        s = estimate._maps._svd_G[1]
+        assert estimate.finite == (_truncation(s, 1e-10)[2] == s.size)
+        if estimate.finite:
+            assert estimate.c_obs == pytest.approx(1.0 / eps, rel=1e-5, abs=0)
+        else:
+            assert math.isinf(estimate.c_obs)
+
+    def test_weak_wave_actuator_exits_0(self, tmp_path):
+        # wave at n = 64 with ε = 1e-7 once made both commands exit 1 on
+        # disagreeing conditions
+        from evoq.cli import main
+
+        path = write_bundled_config(tmp_path, "wave", 64, 1e-7)
+        out = tmp_path / "out"
+        assert main(["control", "--config", path, "--out", str(out)]) == 0
+        with open(out / "observability.json") as fh:
+            assert json.load(fh)["c_obs"] == pytest.approx(1e7, rel=1e-5)
+        assert main(["control", "--certify-duality", "--config", path,
+                     "--out", str(out)]) == 0
+        with open(out / "duality_table.json") as fh:
+            table = json.load(fh)
+        assert table["agree"] and set(table["verdicts"].values()) == {True}
+
+
 class TestPointwise:
     def scalar_cp(self, n=1024, lam=1.0, T=2.0, u0=1.0):
         law = finite_sum_law([np.eye(1), lam * np.eye(1)])
@@ -1135,16 +1191,6 @@ class TestPointwise:
             ControlProblem(base=base, B=np.eye(1), T=5.9, variant=variant, U0=U0)
 
 
-def write_wave_config(tmp_path, n):
-    """The bundled wave k=4 (m=9) config at n samples."""
-    with open(os.path.join(os.path.dirname(__file__), "..", "configs", "wave_small.json")) as fh:
-        config = json.load(fh)
-    config["grid"]["n"] = n
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
-    return str(path)
-
-
 class TestOneBlasThread:
     """Every CLI command, the dense control entry points and the spectral
     solve whose report the CLI writes run on one OpenBLAS thread and hand the
@@ -1254,7 +1300,7 @@ class TestOneBlasThread:
         # unpinned, two threads gave other last digits.  A host with one
         # core runs both on one thread, so there this shows nothing
         src = os.path.join(os.path.dirname(__file__), "..", "src")
-        write_wave_config(tmp_path, 2048)
+        write_bundled_config(tmp_path, "wave", 2048)
         runs = []
         for threads in ("1", "2"):
             env = {**os.environ, "PYTHONPATH": os.path.abspath(src),
@@ -1272,7 +1318,7 @@ class TestOneBlasThread:
         from evoq.cli import _json_safe, _report_dict, main
         from evoq.config import load_config
 
-        path = write_wave_config(tmp_path, 2048)
+        path = write_bundled_config(tmp_path, "wave", 2048)
         assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 0
         with open(tmp_path / "out" / "report.json") as fh:
             written = json.load(fh)["report"]
