@@ -7,12 +7,6 @@ antiderivative deliberately avoids the spectral inverse: it is an
 exponentially weighted cumulative trapezoid rule, which is exactly causal
 (anticausal for negative weights) where a periodic inverse would wrap around
 the grid.
-
-Its recurrence is `scipy.signal.lfilter`, imported on the first call.  At
-the top of the module it would load ~530 scipy modules into `import evoq`
-and add about 0.9 s to every CLI command, though no command calls
-`antiderivative`.  So a command starts in about 0.2 s, with numpy as the
-floor, and only `suite acceptance` loads scipy.
 """
 
 from __future__ import annotations
@@ -102,22 +96,21 @@ def antiderivative(g: WeightedSignal) -> WeightedSignal:
     recurrence on the flat coordinates, so no weight is ever exponentiated
     and the support can only grow in the causal direction.
     """
-    from scipy.signal import lfilter  # here, not at the top: it costs every CLI command ~0.9 s
-
     nu = g.nu
     if nu == 0:
         raise NotInvertibleError("the shifted derivative has no bounded inverse at nu=0")
     dt = g.grid.dt
-    if nu > 0:
-        decay = np.exp(-nu * dt)
-        b = (dt / 2.0) * np.array([1.0, decay])
-        a = np.array([1.0, -decay])
-        phi = lfilter(b, a, g.phi, axis=0)
-    else:
-        growth = np.exp(nu * dt)  # < 1 for nu < 0
-        b = (dt / 2.0) * np.array([1.0, growth])
-        a = np.array([1.0, -growth])
-        phi = -lfilter(b, a, g.phi[::-1], axis=0)[::-1]
+    decay = np.exp(-abs(nu) * dt)
+    # the direct-form-II-transposed filter (dt/2) [1, decay] / [1, -decay],
+    # run from the left for nu > 0 and from the right for nu < 0
+    x = g.phi if nu > 0 else g.phi[::-1]
+    fresh, carried = (dt / 2.0) * x, ((dt / 2.0) * decay) * x
+    y = np.empty_like(x)
+    z = np.zeros_like(x[0])
+    for j in range(len(x)):
+        y[j] = fresh[j] + z
+        z = carried[j] + decay * y[j]
+    phi = y if nu > 0 else -y[::-1]
     return WeightedSignal(g.grid, nu, phi)
 
 

@@ -7,6 +7,7 @@ or `evoq suite acceptance` for the same table from the command line.
 import numpy as np
 import pytest
 
+from evoq import acceptance
 from evoq.acceptance import ALL_CRITERIA
 
 
@@ -44,3 +45,20 @@ def test_criterion(criterion):
     for key, value in result.measured.items():
         print(f"    {key} = {value}")
     assert result.passed, f"criterion {result.cid} failed: {result.measured}"
+
+
+def test_simpson_has_the_bits_of_scipy_on_criterion_10(monkeypatch):
+    # every integrand of criterion 10's Duhamel oracle, summed both ways
+    from scipy.integrate import simpson
+
+    ours_of, sums = acceptance._simpson, []
+
+    def both(y, dx):
+        ours = ours_of(y, dx)
+        assert np.float64(ours).tobytes() == np.float64(simpson(y, dx=dx)).tobytes()
+        sums.append(ours)
+        return ours
+
+    monkeypatch.setattr(acceptance, "_simpson", both)
+    acceptance._rotation_duhamel_gap(2048)
+    assert len(sums) == 2 * 2047

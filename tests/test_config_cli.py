@@ -1,5 +1,6 @@
 """Configuration parsing and the command-line front end."""
 
+import ast
 import importlib
 import json
 import os
@@ -689,11 +690,10 @@ class TestCliExitCodes:
         assert "solve" in proc.stdout
 
     def test_commands_start_without_scipy(self, tmp_path):
-        # numpy is the floor of every command's start-up: neither `import
-        # evoq` nor any command below loads scipy (`scipy.signal` alone
-        # costs ~0.9 s).  `suite acceptance` is the one command allowed to,
-        # and `antiderivative` loads `scipy.signal` on its first call.  A
-        # fresh interpreter, because pytest itself already holds scipy.
+        # numpy is evoq's one runtime dependency: neither `import evoq`, nor
+        # any command below, nor `antiderivative` loads scipy (`scipy.signal`
+        # alone costs ~0.9 s).  A fresh interpreter, because pytest itself
+        # already holds scipy.
         heat = bundled("heat_small", 32)
         m = len(heat["control"]["B"])
         heat["control"]["B"] = [[[float(i == j), 0.0] for j in range(m)] for i in range(m)]
@@ -705,7 +705,8 @@ class TestCliExitCodes:
                      for suite in ("duality", "causality", "reversal", "nu-independence")]
         commands += [["control", "--config", control],
                      ["control", "--config", control, "--certify-duality"],
-                     ["control", "--config", pointwise]]
+                     ["control", "--config", pointwise],
+                     ["suite", "acceptance"]]
         script = f"""
 import contextlib, io, json, sys
 import evoq, evoq.cli
@@ -718,6 +719,8 @@ for k, argv in enumerate({commands!r}):
     with contextlib.redirect_stdout(io.StringIO()):
         code = evoq.cli.main(argv + ["--out", {str(tmp_path)!r} + f"/out{{k}}"])
     rows.append([" ".join(argv), code, scipy_modules()])
+evoq.antiderivative(evoq.zero_signal(evoq.TimeGrid(-1.0, 1.0, 16), 1.0, 1))
+rows.append(["antiderivative", None, scipy_modules()])
 print(json.dumps(rows))
 """
         env = dict(os.environ, PYTHONPATH=os.path.join(CONFIG_DIR, "..", "src"))
@@ -725,10 +728,30 @@ print(json.dumps(rows))
                               text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         rows = json.loads(proc.stdout)
-        assert len(rows) == 1 + len(commands)
+        assert len(rows) == 2 + len(commands)
         for command, code, loaded in rows:
             assert code in (None, 0), (command, proc.stderr)
             assert loaded == [], (command, loaded[:5])
+
+    def test_no_module_imports_scipy(self):
+        # the AST, not `sys.modules`: an import inside a function counts too
+        src = os.path.join(CONFIG_DIR, "..", "src", "evoq")
+        found = []
+        for name in sorted(os.listdir(src)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module]
+                else:
+                    continue
+                found += [(name, node.lineno, module) for module in modules
+                          if module.split(".")[0] == "scipy"]
+        assert found == []
 
     def test_console_script_is_cli_main(self, capsys):
         # the installed `evoq` script is `evoq.cli.main`, the one way in

@@ -171,6 +171,25 @@ class TestAntiderivative:
         out = antiderivative(WeightedSignal(g, -2.0, phi))
         assert np.all(out.phi[120:] == 0)
 
+    @pytest.mark.parametrize("nu, m", [(2.5, 3), (-0.7, 3), (1.0, 1)])
+    def test_recurrence_has_the_bits_of_lfilter(self, nu, m):
+        # the reference is scipy's direct-form-II-transposed filter with the
+        # trapezoid's coefficients; the leading zeros check signed zeros too
+        from scipy.signal import lfilter
+
+        g = TimeGrid(-3.0, 4.0, 500)  # dt / 2 not a power of two
+        rng = np.random.default_rng(6)
+        phi = rng.standard_normal((500, m)) + 1j * rng.standard_normal((500, m))
+        phi[:100] = 0.0
+        decay = np.exp(-nu * g.dt) if nu > 0 else np.exp(nu * g.dt)
+        b, a = (g.dt / 2.0) * np.array([1.0, decay]), np.array([1.0, -decay])
+        if nu > 0:
+            expected = lfilter(b, a, phi, axis=0)
+        else:
+            expected = -lfilter(b, a, phi[::-1], axis=0)[::-1]
+        out = antiderivative(WeightedSignal(g, nu, phi)).phi
+        assert out.tobytes() == np.ascontiguousarray(expected).tobytes()
+
 
 class TestSpectralMultiplier:
     def test_identity_symbol(self):
