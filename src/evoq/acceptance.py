@@ -22,12 +22,12 @@ from .control import (
     DEFAULT_SVD_RTOL,
     POINTWISE_FEASIBILITY_TOL,
     ControlProblem,
-    EndMaps,
     assemble_endmaps,
     douglas_check,
     pointwise_null_control,
     pointwise_solve,
     _duality_verdicts,
+    _observability_bracket,
     _pointwise_response_matrix,
     _pointwise_target,
 )
@@ -43,8 +43,6 @@ from .signals import (
     NORM_FLOOR,
     TimeGrid,
     WeightedSignal,
-    _norm2,
-    signal_from_values,
     zero_signal,
 )
 from .solver import (
@@ -226,30 +224,6 @@ def _control_instances():
                       finite_sum_law([np.eye(1)]), check_skew(np.zeros((1, 1))))
     out.append((scalar, np.array([[2.0]]), "scalar/B=2"))
     return out
-
-
-def _observability_bracket(maps: EndMaps, B: np.ndarray) -> tuple:
-    """(lower, upper) bounds of c_obs on the end maps `maps` of B, of full
-    row rank, from the duality alone (Dolecki & Russell 1977).
-
-    Lower: ||v|| / ||B^* v|| for v the backward solution of one post-horizon
-    datum, valid whatever the datum.  The datum is the nu-adjoint operator
-    applied to a Gaussian along u, the left singular vector of B for
-    sigma_min(B), cut to t >= T; the bundled laws act locally in time, so v
-    is that Gaussian up to the cut.  A Gaussian, not `smooth_bump`: the
-    bump's slowly decaying spectrum leaks up to 1.4e-3 of the datum before
-    T, where the Gaussian leaks 3.9e-12.
-    Upper: 1/sigma_min(B), since ||B^* x|| >= sigma_min(B) ||x||.  Neither
-    end touches L_F, L_G or the Douglas core.
-    """
-    op, post = maps.op, maps.post_start
-    U, s, _ = np.linalg.svd(B)
-    t = op.grid.times
-    lo, hi = t[post], t[-1]
-    profile = np.exp(-0.5 * ((t - (lo + hi) / 2) / ((hi - lo) / 14)) ** 2)
-    y = op.apply(signal_from_values(op.grid, -op.nu, np.outer(profile, U[:, -1])))
-    v = op.solutions([y.with_phi(np.where((t >= lo)[:, None], y.phi, 0.0))])[0]
-    return float(_norm2(v.phi) / _norm2(v.phi @ B.conj())), float(1.0 / s[-1])
 
 
 def criterion_8_control_duality() -> CriterionResult:

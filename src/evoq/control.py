@@ -29,6 +29,20 @@ the mass outside ran(B) that `factorization` was judged on.
 Infeasibility is a finding, not an error: certifying that a system cannot
 be controlled (say, B = 0) is part of the job.
 
+The supported variant's control acts on the whole grid, so its verdicts
+and c_obs follow B: for B of full row rank, c_obs = 1/sigma_min(B), an
+upper bound for any law, and ||v|| / ||B^* v|| bounds it from below for
+the backward solution v of any post-horizon datum (Dolecki & Russell).
+The B route (`_b_route`) decides from B's SVD and one such datum, built
+along B's weakest direction: when B has full row rank with condition
+number below `_KAPPA_LIMIT` and the datum closes that bracket, c_obs is
+1/sigma_min(B) and the datum its witness.  Then neither the Douglas check
+nor the core's SVD runs, and certify assembles no end maps: its
+feasibility comes from the explicit control g = -(I x B^+) f, with a dot
+test of forward against backward solves in place of the assembly's.
+Every other pair, and every library entry point above, takes the dense
+route.
+
 Every dense entry point (`douglas_check`, `assemble_endmaps`, `null_control`,
 `observability_constant`, the pointwise pair and the duality verdicts) runs
 on one OpenBLAS thread whatever the caller's thread count says, then
@@ -56,7 +70,8 @@ from .errors import (
     SizeGuardError,
     UnsupportedLawError,
 )
-from .signals import NORM_FLOOR, TimeGrid, WeightedSignal, _into_range, _ldexp, _norm2
+from .signals import (NORM_FLOOR, TimeGrid, WeightedSignal, _into_range, _ldexp, _norm2,
+                      signal_from_values)
 from .solver import (DEFAULT_PAD_FRACTION, EvoProblem, SpectralOperator, _split_law,
                      timestep_oracle)
 from .waveforms import random_signal
@@ -85,6 +100,11 @@ DEFAULT_SIZE_GUARD = 4_000_000
 _INCLUSION_RTOL = 1e-8  # mass outside ran(B) that still counts as inside, relative
 _PROBES = 8             # random probes per ball-inclusion and adjoint-domination check
 _ROUNDING = 1e-10       # relative widening of each cheap norm bound, for its rounding
+# kappa(B) below which the B route decides: a direction that L_G = L_F (I x B)
+# drops at its cutoff has ||L_F^* x|| <= 1e-10 kappa(B) ||L_F||_2, under the
+# inclusion rung, so the dense check could only say "included"
+_KAPPA_LIMIT = _INCLUSION_RTOL / DEFAULT_SVD_RTOL  # 100.0
+_DOT_TEST_FAILURE = "the adjoint of L_F disagrees with a backward solve"
 
 
 @dataclass(frozen=True)
@@ -505,18 +525,32 @@ def assemble_endmaps(cp: ControlProblem,
     """
     if cp.variant != "supported":
         raise PreconditionError("assemble_endmaps cuts the supported variant's maps")
+    return _assemble(cp, _operator(cp, pad_fraction))
+
+
+def _operator(cp: ControlProblem, pad_fraction: float) -> SpectralOperator:
+    """The one operator of a supported problem, built after its size guard:
+    end maps of more than `DEFAULT_SIZE_GUARD` entries raise `SizeGuardError`
+    before any solve or SVD, whichever route the command then takes."""
     base = cp.base
-    grid, m, q = base.grid, base.A.m, cp.q
-    n = grid.n
-    post = grid.index_at_or_after(cp.T)
-    n_post = n - post  # at least 1: T lies at or before the last sample
-    if n_post * m * n * max(m, q) > DEFAULT_SIZE_GUARD:
+    grid, m = base.grid, base.A.m
+    n_post = grid.n - grid.index_at_or_after(cp.T)  # at least 1: T is at or before the last sample
+    entries = n_post * m * grid.n * max(m, cp.q)
+    if entries > DEFAULT_SIZE_GUARD:
         raise SizeGuardError(
-            f"dense end maps need {n_post * m * n * max(m, q)} entries "
+            f"dense end maps need {entries} entries "
             f"(> guard {DEFAULT_SIZE_GUARD}); coarsen the grid or move the horizon T later"
         )
+    return SpectralOperator(base.law, base.A, base.nu, grid, pad_fraction)
 
-    op = SpectralOperator(base.law, base.A, base.nu, grid, pad_fraction)
+
+def _assemble(cp: ControlProblem, op: SpectralOperator) -> EndMaps:
+    """`assemble_endmaps`' body on the operator `op` of `_operator(cp, .)`."""
+    base = cp.base
+    grid, m = base.grid, base.A.m
+    n = grid.n
+    post = grid.index_at_or_after(cp.T)
+    n_post = n - post
     # The solve is a circulant on the padded grid, so one impulse solve per
     # component (impulse at padded index npad) gives every block: the entry
     # for padded row npad+r and padded source npad+c sits at kernel index
@@ -541,7 +575,7 @@ def assemble_endmaps(cp: ControlProblem,
     duals = [WeightedSignal(grid, -base.nu, phi) for phi in data]
     for y, v in zip(duals, op.solutions(duals)):
         _check_agrees(np.conj(y.phi[post:].reshape(-1).conj() @ L_F).reshape(n, m), v.phi,
-                      "the adjoint of L_F disagrees with a backward solve")
+                      _DOT_TEST_FAILURE)
 
     return EndMaps(L_F=L_F, L_G=L_G, op=op, post_start=post)
 
@@ -618,7 +652,8 @@ def null_control(cp: ControlProblem, endmaps: Optional[EndMaps] = None) -> Contr
 @dataclass(frozen=True)
 class ObservabilityEstimate:
     """Smallest constant bounding the backward solution by its B-filtered
-    observation, over right-hand sides supported at or after the horizon.
+    observation, over right-hand sides supported at or after the horizon,
+    by the dense route.
 
     The backward end maps are L_F^H and L_G^H, so by Douglas' lemma (in the
     control/observation duality of Dolecki and Russell) `c_obs` is finite
@@ -628,10 +663,13 @@ class ObservabilityEstimate:
     `finite` is its verdict, `c_obs` its constant (+inf when excluded, 0.0
     when L_G keeps nothing), `witness` its extremal datum at weight -nu (a
     unit datum that attains c_obs, or that L_G^H misses and L_F^H sees), and
-    `cutoff` the truncation of L_G, sigma_max(L_G) * 1e-10.
+    `cutoff` the truncation of L_G, sigma_max(L_G) * 1e-10.  For a
+    well-conditioned B the `control` command reads the B route instead
+    (`_BRoute`: this c_obs to 1e-12, with the datum as witness, and no
+    Douglas check); this estimate is the reference it is tested against.
     """
 
-    method: ClassVar[str] = "douglas-core-svd"  # the one (dense) route
+    method: ClassVar[str] = "douglas-core-svd"  # the dense route; `_BRoute.method` the other
     _maps: EndMaps = field(repr=False, compare=False)
 
     @property
@@ -662,8 +700,10 @@ def observability_constant(cp: ControlProblem,
 
     Assembles the end maps at the default padding unless `endmaps` is given
     (pass `assemble_endmaps(cp, pad_fraction)` for another); past their size
-    guard this raises `SizeGuardError`, as there is no matrix-free route.
-    The values are computed when first read.
+    guard this raises `SizeGuardError` before any solve.  This is the dense
+    route for every B; the values are computed when first read.  The
+    `control` command takes the B route (`_b_route`) where it decides, and
+    this function where it does not.
     """
     return ObservabilityEstimate(endmaps or assemble_endmaps(cp))
 
@@ -680,6 +720,111 @@ def _duality_verdicts(maps: EndMaps, rng: np.random.Generator) -> tuple:
                        for _ in range(max(op.A.m, 3))], axis=1)
     feasible = _null_solve(maps, probes)[3]
     return feasible, maps._inclusion, ObservabilityEstimate(maps)
+
+
+def _bracket(op: SpectralOperator, post: int, B: np.ndarray, u: np.ndarray,
+             sigma_min: float) -> tuple:
+    """(lower, upper, datum): bounds of c_obs for B of full row rank, from
+    the duality alone (Dolecki & Russell 1977), and the datum behind the
+    lower one.
+
+    Lower: ||v|| / ||B^* v|| for v the backward solution of one post-horizon
+    datum, valid whatever the datum.  The datum is the nu-adjoint operator
+    applied to a Gaussian along u, B's left singular vector for sigma_min,
+    cut to t >= T (samples `post` on); for a law local in time v is that
+    Gaussian up to the cut.  A Gaussian, not `smooth_bump`: the bump's
+    slowly decaying spectrum leaks up to 1.4e-3 of the datum before T, where
+    the Gaussian leaks 3.9e-12.
+    Upper: 1/sigma_min, since ||B^* x|| >= sigma_min(B) ||x||.  Neither end
+    touches L_F, L_G or the Douglas core.
+    """
+    t = op.grid.times
+    lo, hi = t[post], t[-1]
+    profile = np.exp(-0.5 * ((t - (lo + hi) / 2) / ((hi - lo) / 14)) ** 2)
+    y = op.apply(signal_from_values(op.grid, -op.nu, np.outer(profile, u)))
+    datum = y.with_phi(np.where((t >= lo)[:, None], y.phi, 0.0))
+    v = op.solutions([datum])[0]
+    return float(_norm2(v.phi) / _norm2(v.phi @ B.conj())), float(1.0 / sigma_min), datum
+
+
+def _observability_bracket(maps: EndMaps, B: np.ndarray) -> tuple:
+    """(lower, upper) of `_bracket` on the end maps `maps` of B, of full row
+    rank: criterion 8's check of the dense c_obs."""
+    U, s, _ = np.linalg.svd(B)
+    return _bracket(maps.op, maps.post_start, B, U[:, -1], s[-1])[:2]
+
+
+@dataclass(frozen=True)
+class _BRoute:
+    """The B route's observability, read like `ObservabilityEstimate`:
+    finite, `c_obs` = 1/sigma_min(B), and as `witness` the cut datum that
+    attains it to the algebraic rung, unit over the post-horizon rows
+    (samples `post` on).  `B` (taken into range by a power of two) and its
+    pseudoinverse `pinv` give certify its explicit control."""
+
+    method: ClassVar[str] = "b-sigma-min-datum"
+    finite: ClassVar[bool] = True
+    c_obs: float
+    witness: WeightedSignal
+    post: int
+    B: np.ndarray
+    pinv: np.ndarray
+
+
+@one_blas_thread
+def _b_route(op: SpectralOperator, post: int, B: np.ndarray) -> Optional[_BRoute]:
+    """The B route of a supported problem with injection B and horizon
+    sample `post`, on its operator `op`, or None where the dense route
+    decides.
+
+    It is taken when B has full row rank m with kappa(B) < `_KAPPA_LIMIT`,
+    where the dense check could only say "included", and the datum of
+    `_bracket` closes the bracket: lower >= upper (1 - 1e-12), the algebraic
+    rung.  Both ends bound c_obs for any law, so a law that is not local in
+    time fails to close it and takes the dense route; no law is tested.
+    """
+    B, k = _into_range(B)
+    U, s, Vh = np.linalg.svd(B)
+    if not (s.size == op.A.m and s[0] < _KAPPA_LIMIT * s[-1] and post < op.grid.n - 1):
+        return None  # rank deficient, ill-conditioned, or one post-horizon sample
+    lower, upper, datum = _bracket(op, post, B, U[:, -1], s[-1])
+    if not lower >= upper * (1 - 1e-12):
+        return None
+    return _BRoute(c_obs=_ldexp(upper, k),
+                   witness=datum.with_phi(datum.phi / _norm2(datum.phi[post:])), post=post,
+                   B=B, pinv=(Vh[:s.size].conj().T / s) @ U.conj().T)
+
+
+@one_blas_thread
+def _b_feasible(op: SpectralOperator, route: _BRoute, rng: np.random.Generator) -> bool:
+    """Certify's feasibility on the B route, with no end maps: for each of
+    the max(m, 3) probes f that `_duality_verdicts` draws from `rng`, the
+    explicit control g = -(I x B^+) f leaves the forcing f + B g =
+    (I - B B^+) f, and one batched forward solve of the probes and of those
+    forcings gives the target -L_F f and the residual, judged as
+    `_null_solve` judges them.  A dot test pairs those forward solves with
+    backward solves of two random post-horizon data to 1e-10, as the
+    assembly's does, so a wrong backward system raises `ConsistencyError`."""
+    grid, m, nu, post = op.grid, op.A.m, op.nu, route.post
+    probes = [random_signal(grid, nu, m, rng) for _ in range(max(m, 3))]
+    F = np.stack([f.phi for f in probes], axis=-1)  # (n, m, probes)
+    rest = F - route.B @ (route.pinv @ F)
+    forcings = probes + [f.with_phi(r) for f, r in zip(probes, np.moveaxis(rest, -1, 0))]
+    X = np.stack([f.phi.reshape(-1) for f in forcings], axis=1)
+    LX = np.stack([u.phi[post:].reshape(-1) for u in op.solutions(forcings)], axis=1)
+    target, residual = -LX[:, :len(probes)], LX[:, len(probes):]
+    rel = _norm2(residual, axis=0) / np.maximum(_norm2(target, axis=0), NORM_FLOOR)
+
+    dots = np.random.default_rng(7)
+    data = np.zeros((2, grid.n, m), dtype=complex)
+    data[:, post:] = (dots.standard_normal((2, grid.n - post, m))
+                      + 1j * dots.standard_normal((2, grid.n - post, m)))
+    V = np.stack([v.phi.reshape(-1) for v in
+                  op.solutions([WeightedSignal(grid, -nu, phi) for phi in data])], axis=1)
+    Y = data[:, post:].reshape(2, -1).T
+    # <L_F x, y> against <x, L_F^H y> for every forcing x and datum y
+    _check_agrees(Y.conj().T @ LX, V.conj().T @ X, _DOT_TEST_FAILURE)
+    return bool(np.all(rel < FEASIBILITY_TOL))
 
 
 # ---------------------------------------------------------------------------

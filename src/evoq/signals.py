@@ -345,13 +345,15 @@ def save_signal(sig: WeightedSignal, basepath: str) -> None:
     with open(basepath + ".json", "w") as fh:
         json.dump(header, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    cols = [sig.grid.times] + [sig.phi[:, i].real for i in range(sig.m)] \
-        + [sig.phi[:, i].imag for i in range(sig.m)]
     names = ["t"] + [f"re_phi_{i + 1}" for i in range(sig.m)] \
         + [f"im_phi_{i + 1}" for i in range(sig.m)]
-    data = np.column_stack(cols)
-    np.savetxt(basepath + ".csv", data, fmt="%.17g", delimiter=",",
-               header=",".join(names), comments="")
+    data = np.column_stack([sig.grid.times, sig.phi.real, sig.phi.imag])
+    # np.savetxt's bytes (fmt "%.17g", delimiter ",", the header line without
+    # a comment mark), formatted in one operation rather than row by row
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    with open(basepath + ".csv", "w") as fh:
+        fh.write(",".join(names) + "\n")
+        fh.write((row * data.shape[0]) % tuple(data.ravel().tolist()))
 
 
 def load_signal(basepath: str) -> WeightedSignal:

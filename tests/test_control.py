@@ -785,16 +785,18 @@ class TestNullControl:
 
     @pytest.mark.parametrize("injection, svds, command", [
         ("I", 2, ["control"]), ("I", 1, ["control", "--certify-duality"]),
-        ("zero", 1, ["control"]), ("zero", 1, ["control", "--certify-duality"]),
+        ("zero", 2, ["control"]), ("zero", 2, ["control", "--certify-duality"]),
     ], ids=["I-control", "I-certify", "zero-control", "zero-certify"])
     def test_dense_svd_count_per_command(self, monkeypatch, tmp_path, command,
                                          injection, svds):
-        # L_G once, shared by the null-control solves and the Douglas check,
-        # whose verdict is also the observability verdict.  `control` with
-        # B = I adds the core's SVD for c_obs and its witness; with B = 0 the
-        # witness is the Douglas witness, a column of L_F.  Every thresholded
-        # 2-norm is decided from its Frobenius bracket, so no norm(., 2) and
-        # no SVD of the mass outside ran(L_G) runs.
+        # B's SVD decides the route.  With B = I the B route gives c_obs and
+        # its witness, so `control` adds only L_G's SVD for the control and
+        # certify none.  With B = 0 the dense route takes L_G once, shared by
+        # the null-control solves and the Douglas check, whose verdict is
+        # also the observability verdict; the witness is the Douglas witness,
+        # a column of L_F.  Every thresholded 2-norm is decided from its
+        # Frobenius bracket, so no norm(., 2) and no SVD of the mass outside
+        # ran(L_G) runs.
         from evoq.cli import main
 
         path = write_heat_control_config(tmp_path, injection)
@@ -803,21 +805,22 @@ class TestNullControl:
         assert [norm for _, norm in calls] == [False] * svds
 
     @pytest.mark.parametrize("injection, command, shapes", [
-        ("I", ["control"], [(108, 288), (108, 288)]),
-        ("e1", ["control"], [(108, 32)]),
-        ("zero", ["control"], [(108, 32)]),
-        ("I", ["control", "--certify-duality"], [(108, 288)]),
-        ("e1", ["control", "--certify-duality"], [(108, 32)]),
-        ("zero", ["control", "--certify-duality"], [(108, 32)]),
+        ("I", ["control"], [(108, 288), (9, 9)]),
+        ("e1", ["control"], [(108, 32), (9, 1)]),
+        ("zero", ["control"], [(108, 32), (9, 1)]),
+        ("I", ["control", "--certify-duality"], [(9, 9)]),
+        ("e1", ["control", "--certify-duality"], [(9, 1), (108, 32)]),
+        ("zero", ["control", "--certify-duality"], [(9, 1), (108, 32)]),
     ], ids=["I-control", "e1-control", "zero-control",
             "I-certify", "e1-certify", "zero-certify"])
     def test_benchmark_sized_svd_traffic(self, monkeypatch, tmp_path, injection, command,
                                          shapes):
         # the n = 32 heat cells of the dense-control benchmark: L_G is
         # 12 post-horizon samples x 9 rows by 32 samples x q columns, and its
-        # SVD is shared by every solve and check of a command; `control` with
-        # B = I adds the Douglas core's (rank 108 x 288) for c_obs and its
-        # witness, and no command takes an exact 2-norm
+        # SVD is shared by every solve and check of a command; B's (9 x q)
+        # decides the route.  With B = I the B route gives c_obs and its
+        # witness, so `control` takes no SVD of the Douglas core (rank
+        # 108 x 288) and certify none of L_G; no command takes an exact 2-norm
         from evoq.cli import main
 
         path = write_benchmark_heat_config(tmp_path, injection)
@@ -1010,6 +1013,124 @@ class TestObservability:
         obs = observability_constant(cp, maps)  # read off the primal check
         dgl = douglas_check(maps.L_F, maps.L_G)
         assert math.isinf(obs.c_obs) == (not dgl.included)
+
+
+def kappa_injection(m, kappa, rng):
+    """A random m x (m+1) B of full row rank with condition number `kappa`."""
+    left = np.linalg.qr(crandn(rng, m, m))[0]
+    right = np.linalg.qr(crandn(rng, m + 1, m))[0]
+    return (left * np.geomspace(1.0, 1.0 / kappa, m)) @ right.conj().T
+
+
+def route_gate(maps, B):
+    """The B route's gate, recomputed: B of full row rank with
+    sigma_max < 100 sigma_min, and the datum's bracket closed to 1e-12."""
+    s = np.linalg.svd(B, compute_uv=False)
+    if not (s.size == B.shape[0] and s[0] < 100 * s[-1]):
+        return False
+    lower, upper = _observability_bracket(maps, B)
+    return lower >= upper * (1 - 1e-12)
+
+
+def check_route_against_dense(label, maps, B):
+    """The B route is taken exactly when its gate holds, and then gives the
+    dense verdicts, the dense c_obs to 1e-12 and a witness attaining it."""
+    from evoq.control import ObservabilityEstimate, _b_feasible, _b_route, _duality_verdicts
+
+    route = _b_route(maps.op, maps.post_start, B)
+    assert (route is not None) == route_gate(maps, B), label
+    if route is None:
+        return False
+    dense = ObservabilityEstimate(maps)  # the dense estimate, read explicitly
+    feasible, douglas, _ = _duality_verdicts(maps, np.random.default_rng(5))
+    assert (feasible, douglas.included, dense.finite) == (True, True, True), label
+    assert _b_feasible(maps.op, route, np.random.default_rng(5)), label
+    assert route.c_obs == pytest.approx(dense.c_obs, rel=1e-12, abs=0), label
+    w = route.witness
+    assert w.nu == -maps.op.nu and not w.phi[:maps.post_start].any(), label
+    assert np.linalg.norm(w.phi[maps.post_start:]) == pytest.approx(1.0, rel=1e-12), label
+    v = maps.op.solutions([w])[0].phi
+    ratio = np.linalg.norm(v) / np.linalg.norm(v @ B.conj())
+    assert ratio == pytest.approx(route.c_obs, rel=1e-12, abs=0), label
+    return True
+
+
+def write_rotation_config(tmp_path, B, memory=False):
+    """Rotation A (m = 2) at n = 128 with B; the law M0 = I, or with
+    `memory` the law I + z^-2 I, whose z M(z) = z + z^-1 integrates in time.
+    The grid resolves the bracket's Gaussian, so a local law closes it."""
+    pair = lambda M: [[[float(v.real), float(v.imag)] for v in row] for row in np.atleast_2d(M)]
+    coeffs = [np.eye(2)] + ([np.zeros((2, 2)), np.eye(2)] if memory else [])
+    config = {
+        "seed": 4, "nu": 1.0,
+        "grid": {"t_min": -4.0, "t_max": 4.0, "n": 128, "padding_fraction": 0.25},
+        "spatial": {"kind": "matrix", "matrix": pair(ROT)},
+        "law": {"coeffs": [pair(c) for c in coeffs]},
+        "rhs": {"shape": "bump", "component": 0, "center": -1.0, "width": 1.0},
+        "control": {"B": pair(np.asarray(B, dtype=complex)), "T": 1.0,
+                    "variant": "supported"},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+class TestBRoute:
+    """`control` and certify decide a well-conditioned B from B and one
+    nu-adjoint datum; the dense route, read explicitly, is the reference."""
+
+    @pytest.mark.parametrize("kappa", [2.0, 10.0, 99.0], ids=["kappa2", "kappa10", "kappa99"])
+    @pytest.mark.parametrize("maker", [evoq.make_heat_instance, evoq.make_wave_instance,
+                                       evoq.make_maxwell_instance],
+                             ids=["heat", "wave", "maxwell"])
+    def test_route_matches_the_dense_route(self, maker, kappa):
+        inst = maker(k=2, n=96, t_half=4.0)
+        rng = np.random.default_rng(17)
+        B = kappa_injection(inst.m, kappa, rng)
+        cp = ControlProblem(base=EvoProblem(inst.nu, inst.grid, inst.law, inst.A,
+                                            random_signal(inst.grid, inst.nu, inst.m, rng),
+                                            "forward"), B=B, T=1.0)
+        assert check_route_against_dense(maker.__name__, assemble_endmaps(cp, inst.pad_fraction),
+                                         B)
+
+    def test_desk_pairs_take_the_route_exactly_at_the_gate(self, tmp_path):
+        taken = [check_route_against_dense(label, maps, B)
+                 for label, maps, _, B in desk_end_maps(tmp_path)]
+        # B = I, scalar/B=2 and rotation/B=tri take it; e1, cell0 and 0 do not
+        assert True in taken and False in taken
+
+    @pytest.mark.parametrize("B, memory, method", [
+        (np.diag([1.0, 0.1]), False, "b-sigma-min-datum"),
+        (np.diag([1.0, 0.01]), False, "douglas-core-svd"),
+        (np.array([[1.0], [0.0]]), False, "douglas-core-svd"),
+        (np.diag([1.0, 0.1]), True, "douglas-core-svd"),
+    ], ids=["kappa10", "kappa100", "rank-deficient", "bracket-open"])
+    def test_observability_names_the_route_that_decided(self, tmp_path, capsys, B, memory,
+                                                        method):
+        from evoq.cli import main
+
+        path = write_rotation_config(tmp_path, B, memory)
+        out = tmp_path / "out"
+        assert main(["control", "--config", path, "--out", str(out)]) == 0
+        obs = json.loads((out / "observability.json").read_text())
+        assert obs["method"] == method
+        finite = np.linalg.matrix_rank(B) == 2
+        if finite:
+            sigma_min = np.linalg.svd(B, compute_uv=False)[-1]
+            assert obs["c_obs"] == pytest.approx(1.0 / sigma_min, rel=1e-12)
+        assert main(["control", "--certify-duality", "--config", path,
+                     "--out", str(out)]) == 0
+        table = json.loads((out / "duality_table.json").read_text())
+        assert table["agree"] and set(table["verdicts"].values()) == {bool(finite)}
+
+    def test_certify_route_assembles_no_end_maps(self, monkeypatch, tmp_path):
+        from evoq import control
+        from evoq.cli import main
+
+        monkeypatch.setattr(control, "_assemble", lambda *a: pytest.fail(
+            "the B route assembles no end maps"))
+        path = write_heat_control_config(tmp_path, "I")
+        assert main(["control", "--certify-duality", "--config", path]) == 0
 
 
 def write_bundled_config(tmp_path, kind, n, eps=None):

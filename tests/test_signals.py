@@ -372,3 +372,24 @@ class TestSerialization:
         assert back.grid == sig.grid
         assert back.nu == sig.nu
         assert np.array_equal(back.phi, sig.phi)  # %.17g reproduces doubles
+
+    @pytest.mark.parametrize("n, m, special", [
+        (2, 3, False), (16, 1, False), (2048, 9, False), (4, 2, True),
+    ], ids=["n2", "m1", "n2048-m9", "signed-zero-subnormal-huge"])
+    def test_csv_bytes_are_those_of_savetxt(self, tmp_path, n, m, special):
+        # the one-format-string writer against the np.savetxt call it replaced,
+        # on the smallest grid (2 samples), one component, a long signal, and
+        # -0.0, subnormals and the largest doubles
+        sig = random_signal(TimeGrid(-3.0, 5.0, n), 1.25, m, np.random.default_rng(n))
+        if special:
+            sig = sig.with_phi(np.array([[-0.0 + 1e-310j, 1e308 - 0.0j],
+                                         [-1e-310 + 0.0j, -1e308 + 1e308j],
+                                         [5e-324 - 5e-324j, 0.0 - 0.0j],
+                                         [1.0 + 0.1j, -2.5e-300 + 1.7976931348623157e308j]]))
+        evoq.save_signal(sig, str(tmp_path / "sig"))
+        names = (["t"] + [f"re_phi_{i + 1}" for i in range(m)]
+                 + [f"im_phi_{i + 1}" for i in range(m)])
+        np.savetxt(tmp_path / "ref.csv",
+                   np.column_stack([sig.grid.times, sig.phi.real, sig.phi.imag]),
+                   fmt="%.17g", delimiter=",", header=",".join(names), comments="")
+        assert (tmp_path / "sig.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
