@@ -36,12 +36,15 @@ the backward solution v of any post-horizon datum (Dolecki & Russell).
 The B route (`_b_route`) decides from B's SVD and one such datum, built
 along B's weakest direction: when B has full row rank with condition
 number below `_KAPPA_LIMIT` and the datum closes that bracket, c_obs is
-1/sigma_min(B) and the datum its witness.  Then neither the Douglas check
-nor the core's SVD runs, and certify assembles no end maps: its
-feasibility comes from the explicit control g = -(I x B^+) f, with a dot
-test of forward against backward solves in place of the assembly's.
-Every other pair, and every library entry point above, takes the dense
-route.
+1/sigma_min(B) and the datum its witness.  Then no end map is assembled,
+and no SVD but B's runs.  `control`'s least-norm control comes from the
+Hilbert Uniqueness Method (`_hum_control`): preconditioned conjugate
+gradients on the Gramian L_G L_G^H, whose every product is one backward
+and one forward solve.  Certify's feasibility comes from the explicit
+control g = -(I x B^+) f.  Both pair their forward solves with backward
+ones in a dot test (`_dot_test`) in place of the assembly's.  Every other
+pair, and every library entry point above, takes the dense route;
+`null_control` is the reference the HUM control is tested against.
 
 Every dense entry point (`douglas_check`, `assemble_endmaps`, `null_control`,
 `observability_constant`, the pointwise pair and the duality verdicts) runs
@@ -70,10 +73,11 @@ from .errors import (
     SizeGuardError,
     UnsupportedLawError,
 )
-from .signals import (NORM_FLOOR, TimeGrid, WeightedSignal, _into_range, _ldexp, _norm2,
-                      signal_from_values)
+from .signals import (NORM_FLOOR, TimeGrid, WeightedSignal, _exponent, _into_range, _ldexp,
+                      _norm2, signal_from_values)
 from .solver import (DEFAULT_PAD_FRACTION, EvoProblem, SpectralOperator, _split_law,
                      timestep_oracle)
+from .transform import block_apply
 from .waveforms import random_signal
 
 __all__ = [
@@ -183,12 +187,14 @@ class RegularizationReport:
 
 @dataclass(frozen=True)
 class ControlResult:
-    """Outcome of a control synthesis.  `feasible=False` is a finding."""
+    """Outcome of a control synthesis.  `feasible=False` is a finding.
+    `regularization` is the truncation of the SVD behind the control, or on
+    the B route the report of its conjugate-gradient solve."""
 
     G: WeightedSignal
     terminal_residual: float
     feasible: bool
-    regularization: RegularizationReport
+    regularization: RegularizationReport | _HumReport
 
     @property
     def control_norm(self) -> float:
@@ -631,7 +637,10 @@ def null_control(cp: ControlProblem, endmaps: Optional[EndMaps] = None) -> Contr
     Solves L_G g = -L_F f by truncated-SVD pseudoinverse; feasible iff the
     relative residual stays below `FEASIBILITY_TOL`.  With B = 0 and a
     nonvanishing post-horizon response this reports feasible=False together
-    with the best-effort control.
+    with the best-effort control.  This is the dense route for every B: the
+    `control` command computes the B route's control by HUM instead
+    (`_hum_control`, which reports no cutoff), and this function is the
+    reference it is tested against.
     """
     if cp.variant != "supported":
         raise PreconditionError("null_control drives the supported variant")
@@ -665,8 +674,9 @@ class ObservabilityEstimate:
     unit datum that attains c_obs, or that L_G^H misses and L_F^H sees), and
     `cutoff` the truncation of L_G, sigma_max(L_G) * 1e-10.  For a
     well-conditioned B the `control` command reads the B route instead
-    (`_BRoute`: this c_obs to 1e-12, with the datum as witness, and no
-    Douglas check); this estimate is the reference it is tested against.
+    (`_BRoute`: this c_obs to 1e-12, with the datum as witness, and no end
+    maps, so no cutoff); this estimate is the reference it is tested
+    against.
     """
 
     method: ClassVar[str] = "douglas-core-svd"  # the dense route; `_BRoute.method` the other
@@ -759,8 +769,9 @@ class _BRoute:
     """The B route's observability, read like `ObservabilityEstimate`:
     finite, `c_obs` = 1/sigma_min(B), and as `witness` the cut datum that
     attains it to the algebraic rung, unit over the post-horizon rows
-    (samples `post` on).  `B` (taken into range by a power of two) and its
-    pseudoinverse `pinv` give certify its explicit control."""
+    (samples `post` on).  `B`, taken into range as 2^k B, and its
+    pseudoinverse `pinv` give certify its explicit control and `_hum_control`
+    its Gramian and preconditioner."""
 
     method: ClassVar[str] = "b-sigma-min-datum"
     finite: ClassVar[bool] = True
@@ -769,6 +780,7 @@ class _BRoute:
     post: int
     B: np.ndarray
     pinv: np.ndarray
+    k: int
 
 
 @one_blas_thread
@@ -792,7 +804,24 @@ def _b_route(op: SpectralOperator, post: int, B: np.ndarray) -> Optional[_BRoute
         return None
     return _BRoute(c_obs=_ldexp(upper, k),
                    witness=datum.with_phi(datum.phi / _norm2(datum.phi[post:])), post=post,
-                   B=B, pinv=(Vh[:s.size].conj().T / s) @ U.conj().T)
+                   B=B, pinv=(Vh[:s.size].conj().T / s) @ U.conj().T, k=k)
+
+
+def _dot_test(op: SpectralOperator, post: int, X: np.ndarray, LX: np.ndarray) -> None:
+    """Pair forward solves with backward ones: for flattened forcings X (a
+    column each) and their post-horizon responses LX = L_F X, compare
+    <L_F x, y> with <x, L_F^H y> for two random post-horizon data y (seed 7),
+    solved backward, to 1e-10, as the assembly's dot test does, so a wrong
+    backward system raises `ConsistencyError`."""
+    grid, m = op.grid, op.A.m
+    dots = np.random.default_rng(7)
+    data = np.zeros((2, grid.n, m), dtype=complex)
+    data[:, post:] = (dots.standard_normal((2, grid.n - post, m))
+                      + 1j * dots.standard_normal((2, grid.n - post, m)))
+    V = np.stack([v.phi.reshape(-1) for v in
+                  op.solutions([WeightedSignal(grid, -op.nu, phi) for phi in data])], axis=1)
+    Y = data[:, post:].reshape(2, -1).T
+    _check_agrees(Y.conj().T @ LX, V.conj().T @ X, _DOT_TEST_FAILURE)
 
 
 @one_blas_thread
@@ -802,9 +831,7 @@ def _b_feasible(op: SpectralOperator, route: _BRoute, rng: np.random.Generator) 
     explicit control g = -(I x B^+) f leaves the forcing f + B g =
     (I - B B^+) f, and one batched forward solve of the probes and of those
     forcings gives the target -L_F f and the residual, judged as
-    `_null_solve` judges them.  A dot test pairs those forward solves with
-    backward solves of two random post-horizon data to 1e-10, as the
-    assembly's does, so a wrong backward system raises `ConsistencyError`."""
+    `_null_solve` judges them.  Those forward solves pass `_dot_test`."""
     grid, m, nu, post = op.grid, op.A.m, op.nu, route.post
     probes = [random_signal(grid, nu, m, rng) for _ in range(max(m, 3))]
     F = np.stack([f.phi for f in probes], axis=-1)  # (n, m, probes)
@@ -814,17 +841,103 @@ def _b_feasible(op: SpectralOperator, route: _BRoute, rng: np.random.Generator) 
     LX = np.stack([u.phi[post:].reshape(-1) for u in op.solutions(forcings)], axis=1)
     target, residual = -LX[:, :len(probes)], LX[:, len(probes):]
     rel = _norm2(residual, axis=0) / np.maximum(_norm2(target, axis=0), NORM_FLOOR)
-
-    dots = np.random.default_rng(7)
-    data = np.zeros((2, grid.n, m), dtype=complex)
-    data[:, post:] = (dots.standard_normal((2, grid.n - post, m))
-                      + 1j * dots.standard_normal((2, grid.n - post, m)))
-    V = np.stack([v.phi.reshape(-1) for v in
-                  op.solutions([WeightedSignal(grid, -nu, phi) for phi in data])], axis=1)
-    Y = data[:, post:].reshape(2, -1).T
-    # <L_F x, y> against <x, L_F^H y> for every forcing x and datum y
-    _check_agrees(Y.conj().T @ LX, V.conj().T @ X, _DOT_TEST_FAILURE)
+    _dot_test(op, post, X, LX)
     return bool(np.all(rel < FEASIBILITY_TOL))
+
+
+@dataclass(frozen=True)
+class _HumReport:
+    """How `_hum_control` solved its Gramian equation: the conjugate-gradient
+    steps it took and the relative residual it stopped at."""
+
+    iterations: int
+    relative_residual: float
+    method: str = "hum-pcg"
+
+
+@one_blas_thread
+def _hum_control(op: SpectralOperator, route: _BRoute, F: WeightedSignal) -> ControlResult:
+    """`null_control` on the B route, with no end maps: the Hilbert
+    Uniqueness Method (Lions 1988).  The least-norm g with L_G g = -L_F f is
+    g = L_G^H z = (I x B^*) L_F^H z, the observation of the backward
+    solution of one post-horizon datum z, and z solves the Gramian equation
+    L_G L_G^H z = -L_F f, here by conjugate gradients.
+
+    A Gramian product is a backward `padded_solve` of z cut to t >= T, a
+    product with B B^* and a forward `padded_solve` read on the
+    post-horizon rows R.  The end maps are sections of the padded solve
+    S = A^-1 of the operator's frequency blocks A, so the preconditioner is
+    R A^H (I x (B B^*)^-1) A R^T (Strang 1986; Chan & Ng 1996): two
+    `block_apply` calls, (B B^*)^-1 from B's SVD.  CG stops at the algebraic
+    rung, a relative residual of 1e-12, and raises `LinAlgError` when it
+    has not reached it after as many steps as the Gramian has rows, where
+    exact CG terminates.  Feasibility is judged as `_null_solve` judges it,
+    on the true residual L_F (f + B g) from one more forward solve.
+
+    Range rule: f goes into range by `_into_range`, B is the route's
+    (2^k B), and the target -L_F f is scaled so its largest part lies in
+    [1/2, 1), where no inner product of CG leaves the doubles; the control
+    and the residual are scaled back exactly.  The forward solve of f
+    passes `_dot_test`.
+    """
+    grid, m, post, B = op.grid, op.A.m, route.post, route.B
+    rows = slice(op.npad + post, op.npad + grid.n)
+    # transposed, so that a flat array times them applies B B^* and
+    # (B B^*)^-1 = (B^+)^* B^+ to each sample
+    gram_b = (B @ B.conj().T).T
+    inverse = (route.pinv.conj().T @ route.pinv).T
+
+    def forward(phi):  # L_F phi
+        return op.padded_solve(phi, True)[rows]
+
+    def backward(z):  # L_F^H z
+        datum = np.zeros((grid.n, m), dtype=complex)
+        datum[post:] = z
+        return op.padded_solve(datum, False)[op.npad:op.npad + grid.n]
+
+    def precondition(r):
+        padded = np.zeros((op.pad_grid.n, m), dtype=complex)
+        padded[rows] = r
+        return block_apply(op.adjoint_blocks, block_apply(op.blocks, padded) @ inverse)[rows]
+
+    f, kf = _into_range(F.phi)
+    response = forward(f)
+    _dot_test(op, post, f.reshape(-1, 1), response.reshape(-1, 1))
+    j = _exponent(response)
+    r = _ldexp(-response, j)  # the target, in [1/2, 1)
+    scale = max(float(_norm2(r)), NORM_FLOOR)
+    z, p, rho, iterations = np.zeros_like(r), None, 0.0, 0
+    while (rel := _norm(r) / scale) > 1e-12:
+        if iterations == r.size:
+            raise np.linalg.LinAlgError(
+                f"conjugate gradients on the HUM Gramian stalled at a relative residual "
+                f"of {rel:.3e} after {iterations} iterations, its dimension")
+        w = precondition(r)
+        rho, last = np.vdot(r, w).real, rho
+        p = w if p is None else w + (rho / last) * p
+        q = forward(backward(p) @ gram_b)
+        curvature = np.vdot(p, q).real
+        if not curvature > 0:
+            raise np.linalg.LinAlgError(
+                f"the HUM Gramian is not positive definite: <p, G p> = {curvature:.3e}")
+        z += (rho / curvature) * p
+        r -= (rho / curvature) * q
+        iterations += 1
+
+    g = _ldexp(backward(z) @ B.conj(), -j)  # the control of f through 2^k B
+    residual = forward(f + g @ B.T)
+    feasible = float(_norm2(residual)) / max(float(_norm2(response)), NORM_FLOOR) \
+        < FEASIBILITY_TOL
+    with np.errstate(over="ignore"):
+        G = _ldexp(g, route.k - kf)
+    if not np.isfinite(G).all():
+        raise np.linalg.LinAlgError("the least-norm control overflows")
+    return ControlResult(
+        G=WeightedSignal(grid, op.nu, G),
+        terminal_residual=_ldexp(float(_norm2(residual, factor=math.sqrt(grid.dt))), -kf),
+        feasible=feasible,
+        regularization=_HumReport(iterations, rel),
+    )
 
 
 # ---------------------------------------------------------------------------

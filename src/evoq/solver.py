@@ -333,12 +333,15 @@ def _trapezoidal(law: MaterialLaw, A: np.ndarray, rhs: WeightedSignal) -> Weight
 
     psi, k = _into_range(rhs.phi)
     out = np.zeros_like(psi)
+    # Every step's injection in one stacked product, each with the bits of
+    # its own matrix-vector product (a 2-D product with inject.T is not).
+    drive = (inject @ (psi[:-1] + psi[1:])[:, :, None])[..., 0]
     # Virtual step into the first sample from a zero state and zero rhs
     # before the grid, so the recurrence is shift invariant in the rhs.
     state = inject @ psi[0]
     out[0] = state
     for j in range(1, grid.n):
-        state = propagate @ state + inject @ (psi[j - 1] + psi[j])
+        state = propagate @ state + drive[j - 1]
         out[j] = state
     with np.errstate(over="ignore"):  # a signal refuses a solution that is not a double
         return WeightedSignal(grid, nu, _ldexp(out, -k))

@@ -489,7 +489,7 @@ class TestCliExitCodes:
         def fail(*args):
             raise error
 
-        monkeypatch.setattr(control, "assemble_endmaps", fail)
+        monkeypatch.setattr(control, "_assemble", fail)
         path = write_config(tmp_path, bundled("heat_small", 32))
         assert main(["control", "--config", path]) == code
         assert capsys.readouterr().err == line

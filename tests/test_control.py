@@ -285,10 +285,10 @@ def full_route_observability(K1, K2):
     return float(np.linalg.svd(K1 @ whiten, compute_uv=False)[0])
 
 
-def desk_end_maps(tmp_path):
-    """(label, end maps, reference backward maps (K1, K2), B) of the 18 dense
-    configs `tools/same_outputs.py` runs and of the acceptance suite's
-    control instances."""
+def desk_problems(tmp_path):
+    """(label, control problem, pad fraction) of the 18 dense configs
+    `tools/same_outputs.py` runs and of the acceptance suite's control
+    instances."""
     import importlib.util
 
     from evoq.config import load_config
@@ -305,14 +305,20 @@ def desk_end_maps(tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         cfg = load_config(str(path))
-        yield (label, assemble_endmaps(cfg.control, cfg.pad_fraction),
-               backward_end_maps(cfg.control, cfg.pad_fraction), cfg.control.B)
+        yield label, cfg.control, cfg.pad_fraction
     for inst, B, label in _control_instances():
         rhs = random_signal(inst.grid, inst.nu, inst.m, np.random.default_rng(8))
         cp = ControlProblem(base=EvoProblem(inst.nu, inst.grid, inst.law, inst.A,
                                             rhs, "forward"), B=B, T=1.0)
-        yield (label, assemble_endmaps(cp, inst.pad_fraction),
-               backward_end_maps(cp, inst.pad_fraction), cp.B)
+        yield label, cp, inst.pad_fraction
+
+
+def desk_end_maps(tmp_path):
+    """(label, end maps, reference backward maps (K1, K2), B) of each of
+    `desk_problems`."""
+    for label, cp, pad_fraction in desk_problems(tmp_path):
+        yield (label, assemble_endmaps(cp, pad_fraction),
+               backward_end_maps(cp, pad_fraction), cp.B)
 
 
 def count_svds(monkeypatch):
@@ -784,14 +790,14 @@ class TestNullControl:
             assert np.abs(x[:, k] - column).max() <= 1e-12 * np.abs(column).max()
 
     @pytest.mark.parametrize("injection, svds, command", [
-        ("I", 2, ["control"]), ("I", 1, ["control", "--certify-duality"]),
+        ("I", 1, ["control"]), ("I", 1, ["control", "--certify-duality"]),
         ("zero", 2, ["control"]), ("zero", 2, ["control", "--certify-duality"]),
     ], ids=["I-control", "I-certify", "zero-control", "zero-certify"])
     def test_dense_svd_count_per_command(self, monkeypatch, tmp_path, command,
                                          injection, svds):
         # B's SVD decides the route.  With B = I the B route gives c_obs and
-        # its witness, so `control` adds only L_G's SVD for the control and
-        # certify none.  With B = 0 the dense route takes L_G once, shared by
+        # its witness, and `control` solves for the control by HUM, so
+        # neither command takes another SVD.  With B = 0 the dense route takes L_G once, shared by
         # the null-control solves and the Douglas check, whose verdict is
         # also the observability verdict; the witness is the Douglas witness,
         # a column of L_F.  Every thresholded 2-norm is decided from its
@@ -805,9 +811,9 @@ class TestNullControl:
         assert [norm for _, norm in calls] == [False] * svds
 
     @pytest.mark.parametrize("injection, command, shapes", [
-        ("I", ["control"], [(108, 288), (9, 9)]),
-        ("e1", ["control"], [(108, 32), (9, 1)]),
-        ("zero", ["control"], [(108, 32), (9, 1)]),
+        ("I", ["control"], [(9, 9)]),
+        ("e1", ["control"], [(9, 1), (108, 32)]),
+        ("zero", ["control"], [(9, 1), (108, 32)]),
         ("I", ["control", "--certify-duality"], [(9, 9)]),
         ("e1", ["control", "--certify-duality"], [(9, 1), (108, 32)]),
         ("zero", ["control", "--certify-duality"], [(9, 1), (108, 32)]),
@@ -818,9 +824,10 @@ class TestNullControl:
         # the n = 32 heat cells of the dense-control benchmark: L_G is
         # 12 post-horizon samples x 9 rows by 32 samples x q columns, and its
         # SVD is shared by every solve and check of a command; B's (9 x q)
-        # decides the route.  With B = I the B route gives c_obs and its
-        # witness, so `control` takes no SVD of the Douglas core (rank
-        # 108 x 288) and certify none of L_G; no command takes an exact 2-norm
+        # decides the route, first.  With B = I the B route gives c_obs and
+        # its witness, and `control` solves for the control by HUM, so
+        # neither command takes an SVD of L_G (108 x 288) or of the Douglas
+        # core; no command takes an exact 2-norm
         from evoq.cli import main
 
         path = write_benchmark_heat_config(tmp_path, injection)
@@ -1131,6 +1138,104 @@ class TestBRoute:
             "the B route assembles no end maps"))
         path = write_heat_control_config(tmp_path, "I")
         assert main(["control", "--certify-duality", "--config", path]) == 0
+
+
+def check_hum_against_null_control(label, cp, maps):
+    """On the B route, `_hum_control` gives `null_control`'s verdict and its
+    control to 1e-11, having stopped at the 1e-12 rung; False off the route."""
+    from evoq.control import _b_route, _hum_control
+
+    route = _b_route(maps.op, maps.post_start, cp.B)
+    if route is None:
+        return False
+    res, ref = _hum_control(maps.op, route, cp.F), null_control(cp, maps)
+    assert res.feasible == ref.feasible, label
+    assert np.linalg.norm(res.G.phi - ref.G.phi) <= 1e-11 * np.linalg.norm(ref.G.phi), label
+    assert (res.G.grid, res.G.nu) == (ref.G.grid, ref.G.nu), label
+    assert res.regularization.relative_residual <= 1e-12, label
+    return True
+
+
+def hum_report(tmp_path, path):
+    """(control_result.json, observability.json) of `control` on `path`."""
+    from evoq.cli import main
+
+    out = tmp_path / "out"
+    assert main(["control", "--config", path, "--out", str(out)]) == 0
+    return tuple(json.loads((out / name).read_text())
+                 for name in ("control_result.json", "observability.json"))
+
+
+class TestHum:
+    """On the B route `control` computes the least-norm control by
+    preconditioned conjugate gradients on the HUM Gramian, with no end maps;
+    the dense `null_control` is the reference."""
+
+    @pytest.mark.parametrize("kappa", [2.0, 10.0, 99.0], ids=["kappa2", "kappa10", "kappa99"])
+    @pytest.mark.parametrize("maker", [evoq.make_heat_instance, evoq.make_wave_instance,
+                                       evoq.make_maxwell_instance],
+                             ids=["heat", "wave", "maxwell"])
+    def test_control_matches_null_control(self, maker, kappa):
+        inst = maker(k=2, n=96, t_half=4.0)
+        rng = np.random.default_rng(17)
+        B = kappa_injection(inst.m, kappa, rng)
+        cp = ControlProblem(base=EvoProblem(inst.nu, inst.grid, inst.law, inst.A,
+                                            random_signal(inst.grid, inst.nu, inst.m, rng),
+                                            "forward"), B=B, T=1.0)
+        assert check_hum_against_null_control(maker.__name__, cp,
+                                               assemble_endmaps(cp, inst.pad_fraction))
+
+    def test_desk_pairs_on_the_route_match_null_control(self, tmp_path):
+        taken = [check_hum_against_null_control(label, cp, assemble_endmaps(cp, pad_fraction))
+                 for label, cp, pad_fraction in desk_problems(tmp_path)]
+        assert True in taken and False in taken
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_iterations_stay_bounded_on_a_wave_sweep(self, tmp_path, n):
+        # the preconditioner keeps the count flat in n; B times 2^+-300 goes
+        # into range and the control scales back by 2^-+300
+        path = write_bundled_config(tmp_path, "wave", n)
+        unit, obs = hum_report(tmp_path, path)
+        assert obs == {"c_obs": 1.0, "method": "b-sigma-min-datum"}
+        assert unit["result"]["feasible"]
+        for e in (300, -300):
+            config = json.loads((tmp_path / "cfg.json").read_text())
+            config["control"]["B"] = [[[v * 2.0 ** e for v in pair] for pair in row]
+                                      for row in config["control"]["B"]]
+            scaled = tmp_path / "scaled.json"
+            scaled.write_text(json.dumps(config))
+            result, obs = hum_report(tmp_path, str(scaled))
+            assert obs["c_obs"] == 2.0 ** -e and obs["method"] == "b-sigma-min-datum"
+            assert result["result"]["feasible"]
+            assert result["result"]["control_norm"] == pytest.approx(
+                unit["result"]["control_norm"] * 2.0 ** -e, rel=1e-11)
+            for report in (unit, result):
+                reg = report["result"]["regularization"]
+                assert reg["method"] == "hum-pcg" and reg["relative_residual"] <= 1e-12
+                assert 0 < reg["iterations"] <= 100
+
+    def test_stalled_solve_exits_1_in_one_line(self, monkeypatch, tmp_path, capsys):
+        # the Gramian products take B's first row alone: L_G then has rank
+        # at most 32 (samples) of 108 (post-horizon rows), so the Gramian is
+        # singular and CG cannot reach the rung within its dimension
+        import dataclasses
+
+        from evoq import control
+        from evoq.cli import main
+
+        route = control._b_route
+
+        def singular(*args):
+            found = route(*args)
+            return dataclasses.replace(found, B=found.B * (np.arange(9) == 0)[:, None])
+
+        monkeypatch.setattr(control, "_b_route", singular)
+        path = write_benchmark_heat_config(tmp_path, "I")
+        capsys.readouterr()
+        assert main(["control", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("evoq: numerical failure (LinAlgError): conjugate gradients")
+        assert "after 108 iterations" in err and err.count("\n") == 1
 
 
 def write_bundled_config(tmp_path, kind, n, eps=None):

@@ -36,6 +36,7 @@ from evoq import (
     timestep_oracle,
     zero_signal,
 )
+from evoq.signals import _into_range, _ldexp
 from evoq.waveforms import band_limited_signal, bump_signal, random_signal, smooth_bump
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -225,6 +226,42 @@ class TestTimestepOracle:
                           WeightedSignal(inst.grid, -inst.nu, phi), "adjoint")
         out = timestep_oracle(prob)
         assert np.all(out.phi[80:] == 0)
+
+
+def stepped_per_step(M0, M1, A, rhs):
+    """Reference: the trapezoidal stepper for the law M0 + z^-1 M1 with each
+    step's injection taken inside the loop, one matrix-vector product per
+    step."""
+    dt, nu = rhs.grid.dt, rhs.nu
+    K = nu * M0 + M1 + A
+    step = M0 / dt + 0.5 * K
+    propagate = np.linalg.solve(step, M0 / dt - 0.5 * K)
+    inject = np.linalg.solve(step, 0.5 * np.eye(rhs.m, dtype=complex))
+    psi, k = _into_range(rhs.phi)
+    out = np.zeros_like(psi)
+    state = inject @ psi[0]
+    out[0] = state
+    for j in range(1, rhs.grid.n):
+        state = propagate @ state + inject @ (psi[j - 1] + psi[j])
+        out[j] = state
+    return _ldexp(out, -k)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e250, 1e-250], ids=["in-range", "huge", "tiny"])
+@pytest.mark.parametrize("m", [1, 2, 9])
+def test_stepper_injection_keeps_the_per_step_bits(m, scale):
+    # the injections of every step, taken in one stacked product before the
+    # loop, have the bits of the per-step products, in range and out of it
+    rng = np.random.default_rng(m)
+    g = TimeGrid(-4.0, 4.0, 256)
+    M0 = np.eye(m) + 0.1 * rng.standard_normal((m, m))
+    M0, M1 = M0 @ M0.T, rng.standard_normal((m, m))
+    A = rng.standard_normal((m, m))
+    A = check_skew(A - A.T)
+    phi = scale * (rng.standard_normal((g.n, m)) + 1j * rng.standard_normal((g.n, m)))
+    rhs = WeightedSignal(g, 1.0, phi)
+    stepped = timestep_oracle(EvoProblem(1.0, g, finite_sum_law([M0, M1]), A, rhs)).phi
+    assert np.array_equal(stepped, stepped_per_step(M0, M1, A.A, rhs))
 
 
 class TestConjugationCheck:

@@ -11,7 +11,7 @@ stderr and every file the commands wrote are compared byte for byte; the
 script prints each difference and exits 0 only if there is none (1 if some
 output differs, 2 if a tree holds no `evoq` package).
 
-The default command set (78 commands):
+The default command set (81 commands):
   - `solve`, `adjoint` and the four `verify` suites on each bundled config;
   - `control` and `control --certify-duality` on `heat_small` and
     `pointwise_decay`, and on `heat_small` at n = 32 with B[1][0] = 1e100,
@@ -27,7 +27,10 @@ The default command set (78 commands):
   - both on 18 dense-control configs drawn by the benchmark's generator
     (heat, wave, Maxwell x n in {32, 64} x B in {I, e1, zero});
   - both on heat, wave and Maxwell at n = 32 with a seeded random 9 x 9 B
-    of condition number 10, so that a c_obs other than 1 is compared;
+    of condition number 10, so that a c_obs other than 1 is compared, and
+    `control` with the same B at n = 96, where it takes the B route and
+    its least-norm control comes from conjugate gradients under a B that
+    is not orthonormal;
   - `suite acceptance --json`.
 `--workload NAME --seed S` runs one cycle of a benchmark workload from
 `perfbench/workloads.py` instead.  `--only REGEX` keeps the commands whose
@@ -118,16 +121,22 @@ def default_commands():
                 commands.append((f"certify/{label}",
                                  ["control", "--certify-duality", "--json"], config))
     b_rng = np.random.default_rng(10)
+    kappa10 = {}
     for kind in workloads.KINDS:
         config = workloads._command(("control", kind, 32, "I"), rng)["config"]
         m = workloads.M_DIM
         left, right = (np.linalg.qr(b_rng.standard_normal((m, m))
                                     + 1j * b_rng.standard_normal((m, m)))[0] for _ in range(2))
         B = (left * np.geomspace(1.0, 0.1, m)) @ right.conj().T
-        config["control"]["B"] = [[[float(v.real), float(v.imag)] for v in row] for row in B]
+        config["control"]["B"] = kappa10[kind] = [[[float(v.real), float(v.imag)] for v in row]
+                                                  for row in B]
         label = f"kappa10-{kind}-n32"
         commands.append((f"control/{label}", ["control", "--json"], config))
         commands.append((f"certify/{label}", ["control", "--certify-duality", "--json"], config))
+    for kind in workloads.KINDS:
+        config = workloads._command(("control", kind, 96, "I"), rng)["config"]
+        config["control"]["B"] = kappa10[kind]
+        commands.append((f"control/kappa10-{kind}-n96", ["control", "--json"], config))
     commands.append(("suite-acceptance", ["suite", "acceptance", "--json"], None))
     return commands
 
