@@ -24,6 +24,7 @@ from .control import (
     ControlProblem,
     assemble_endmaps,
     douglas_check,
+    observability_constant,
     pointwise_null_control,
     pointwise_solve,
     _duality_verdicts,
@@ -229,9 +230,9 @@ def _control_instances():
 def criterion_8_control_duality() -> CriterionResult:
     """Agreement of feasibility, range inclusion and finite observability;
     where finite, c_obs between the two ends of `_observability_bracket`
-    to the algebraic rung.  `observability_finite` is `range_included` by
-    construction (it reads the same Douglas check), so two of the three
-    verdicts are independent."""
+    to the algebraic rung.  Finite observability is the range inclusion's
+    verdict (`ObservabilityEstimate.finite`), so two of the three verdicts
+    are independent."""
     rng = np.random.default_rng(808)
     tol = DEFAULT_TOLERANCES["algebraic"]
     measured = {}
@@ -242,12 +243,13 @@ def criterion_8_control_duality() -> CriterionResult:
         cp = ControlProblem(base=base, B=B, T=1.0)
         maps = assemble_endmaps(cp, inst.pad_fraction)
 
-        feasible, dgl, obs = _duality_verdicts(maps, rng)
-        verdicts = {feasible, dgl.included, math.isfinite(obs.c_obs)}
+        feasible, included = _duality_verdicts(maps, rng)
+        obs = observability_constant(cp, maps)
+        verdicts = {feasible, included, math.isfinite(obs.c_obs)}
         agree = len(verdicts) == 1
         measured[label] = {
             "feasible": feasible,
-            "included": dgl.included,
+            "included": included,
             "c_obs": obs.c_obs if math.isfinite(obs.c_obs) else "inf",
             "agree": agree,
         }

@@ -198,68 +198,37 @@ def _control_result_dict(res) -> dict:
 def _cmd_control(cfg, args) -> int:
     import numpy as np
 
-    from .control import (_assemble, _b_feasible, _b_route, _duality_verdicts, _hum_control,
-                          _operator, null_control, observability_constant,
-                          pointwise_duality_check, pointwise_null_control)
+    from .control import _certify, _synthesize
     from .errors import SchemaError
-    from .material import coercivity
     from .signals import save_signal
 
     cp = cfg.control
     if cp is None:
         raise SchemaError("config has no control section")
-    pointwise = cp.variant == "pointwise"
-
-    if pointwise:
-        # the stepper runs on the unpadded grid
-        cert = coercivity(cfg.law, cfg.nu, cfg.grid)
-    else:
-        # one operator, after the size guard, whichever route decides
-        op = _operator(cp, cfg.pad_fraction)
-        route = _b_route(op, cfg.grid.index_at_or_after(cp.T), cp.B)
 
     if args.certify_duality:
-        rng = np.random.default_rng(cfg.seed)
-        if pointwise:
-            chk = pointwise_duality_check(cp)
-            verdicts = {"feasible_for_basis": chk["feasible_for_basis"],
-                        "range_included": chk["range_included"]}
-        elif route is None:
-            feasible, douglas, obs = _duality_verdicts(_assemble(cp, op), rng)
-            verdicts = {"feasible_for_spanning_set": feasible,
-                        "range_included": douglas.included,
-                        "observability_finite": obs.finite}
-        else:  # B decides both range verdicts
-            verdicts = {"feasible_for_spanning_set": _b_feasible(op, route, rng),
-                        "range_included": True, "observability_finite": route.finite}
+        verdicts = _certify(cp, cfg.pad_fraction, np.random.default_rng(cfg.seed))
         agree = len(set(verdicts.values())) == 1
         payload = {"command": "control --certify-duality", "variant": cp.variant,
                    "verdicts": verdicts, "agree": agree}
         _write_json(payload, args.out, "duality_table.json", args.json)
         return EXIT_OK if agree else EXIT_NUMERICAL
 
-    if pointwise:
-        res = pointwise_null_control(cp)
-    else:
-        if route is None:
-            maps = _assemble(cp, op)
-            res, obs = null_control(cp, maps), observability_constant(cp, maps)
-        else:  # the B route's control, by HUM without end maps
-            res, obs = _hum_control(op, route, cp.F), route
-        cert = op.certificate
+    # obs is None for the pointwise variant, and its cutoff None on the B route
+    cert, res, obs = _synthesize(cp, cfg.pad_fraction)
     payload = {"command": "control", "variant": cp.variant, "seed": cfg.seed,
                "certificate": asdict(cert),
                "result": _control_result_dict(res)}
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         save_signal(res.G, os.path.join(args.out, "control_G"))
-        if not pointwise:
+        if obs is not None:
             save_signal(obs.witness, os.path.join(args.out, "observability_witness"))
     _write_json(payload, args.out, "control_result.json", args.json)
-    if not pointwise:
+    if obs is not None:
         obs_payload = {"c_obs": obs.c_obs, "method": obs.method}
-        if route is None:  # L_G's cutoff, from the SVD that the least-norm control took
-            obs_payload["cutoff"] = res.regularization.cutoff
+        if obs.cutoff is not None:
+            obs_payload["cutoff"] = obs.cutoff
         _write_json(obs_payload, args.out, "observability.json", args.json)
     return EXIT_OK
 

@@ -11,7 +11,7 @@ on a spectral norm is first decided from cheap bounds,
 exact norm (an SVD) is taken only when the bounds straddle the threshold,
 so a verdict is the one the exact norms give.  A threshold built from
 several norms takes their exact values one at a time, in order, and stops
-as soon as the bounds decide.  Every dense SVD and the
+as soon as the bounds decide (`_at_most`).  Every dense SVD and the
 Douglas check first take their matrices into range by a power of two
 (`signals._into_range`), which is exact, so no verdict depends on the scale
 of the data.  Observability is read off that
@@ -42,9 +42,14 @@ Hilbert Uniqueness Method (`_hum_control`): preconditioned conjugate
 gradients on the Gramian L_G L_G^H, whose every product is one backward
 and one forward solve.  Certify's feasibility comes from the explicit
 control g = -(I x B^+) f.  Both pair their forward solves with backward
-ones in a dot test (`_dot_test`) in place of the assembly's.  Every other
-pair, and every library entry point above, takes the dense route;
-`null_control` is the reference the HUM control is tested against.
+ones in a dot test (`_dot_test`) on the assembly's backward data
+(`_backward_data`).  Every other pair, and every library entry point
+above, takes the dense route; `null_control` is the reference the HUM
+control is tested against.  The `control` command chooses between the
+variants and the routes in one place: `_certify` for its duality table,
+`_synthesize` for its control and observability.  The rules both routes
+share are written once: feasibility (`_feasible`), the backward data of
+the dot tests, and finite observability, which is the range inclusion.
 
 Every dense entry point (`douglas_check`, `assemble_endmaps`, `null_control`,
 `observability_constant`, the pointwise pair and the duality verdicts) runs
@@ -60,8 +65,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import chain
-from typing import Callable, ClassVar, Iterable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -73,6 +77,7 @@ from .errors import (
     SizeGuardError,
     UnsupportedLawError,
 )
+from .material import coercivity
 from .signals import (NORM_FLOOR, TimeGrid, WeightedSignal, _exponent, _into_range, _ldexp,
                       _norm2, signal_from_values)
 from .solver import (DEFAULT_PAD_FRACTION, EvoProblem, SpectralOperator, _split_law,
@@ -228,15 +233,18 @@ class DouglasReport:
     cutoff: float
     conditions: dict
     _witness: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    # when included: the bracket of ||C||_2, the core U_r^* A / s_r, its thin
-    # SVD (u, s) on first call, U_r, s_r, A in range, and the power of two ka
-    # that took it there
+    # when included: the bounds of ||core||_2 for the core U_r^* A / s_r, the
+    # core, its thin SVD (u, s) on first call, U_r, s_r, A in range, and the
+    # powers of two ka and kb that took A and B there
     _parts: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @cached_property
     @one_blas_thread
     def constant(self) -> Optional[float]:
-        return self._parts[0].exact if self.included else None
+        if not self.included:
+            return None
+        norm_core, *_, ka, kb = self._parts
+        return _ldexp(norm_core.exact, kb - ka)  # ||C||_2, scaled back
 
     @cached_property
     @one_blas_thread
@@ -254,56 +262,45 @@ class DouglasReport:
     def factor_residual(self) -> Optional[float]:
         if not self.included:
             return None
-        _, _, _, Ur, _, Amat, ka = self._parts
+        _, _, _, Ur, _, Amat, ka, _ = self._parts
         return _ldexp(float(np.linalg.norm(Amat - Ur @ (Ur.conj().T @ Amat), 2)), -ka)
 
 
-class _Bracket:
-    """lo <= x <= hi for a value x whose exact computation is costly; `exact`
-    computes it on first read, and `tighter()` yields brackets of x between
-    these bounds and the exact value in cost, each costlier than the last."""
+class _Norm:
+    """lo <= x <= hi for a norm x whose exact value is costly; `exact`
+    computes it on first read."""
 
-    def __init__(self, lo: float, hi: float, exact: Callable[[], float],
-                 tighter: Callable[[], Iterable[_Bracket]] = tuple):
-        self.lo, self.hi, self._exact, self.tighter = lo, hi, exact, tighter
+    def __init__(self, lo: float, hi: float, exact: Callable[[], float]):
+        self.lo, self.hi, self._exact = lo, hi, exact
 
     @cached_property
     def exact(self) -> float:
         return self._exact()
 
 
-def _known(value: float) -> _Bracket:
-    return _Bracket(value, value, lambda: value)
-
-
-def _monotone(fn: Callable[..., float], *args: _Bracket) -> _Bracket:
-    """fn(*args) for an `fn` that does not decrease in any argument; its
-    tighter brackets take the arguments' exact values one at a time."""
-    return _Bracket(fn(*(a.lo for a in args)), fn(*(a.hi for a in args)),
-                    lambda: fn(*(a.exact for a in args)),
-                    lambda: (_monotone(fn, *[_known(a.exact) for a in args[:i]], *args[i:])
-                             for i in range(1, len(args))))
-
-
-def _at_most(value: _Bracket, threshold: _Bracket) -> bool:
-    """value <= threshold: from the threshold's bounds, then its tighter ones,
-    when they decide it, else from the exact values, the threshold's first."""
-    for bounds in chain([threshold], threshold.tighter()):
-        if value.hi <= bounds.lo:
+def _at_most(value: float | _Norm, threshold: Callable[..., float], *norms: _Norm) -> bool:
+    """value <= threshold(*norms), for a `threshold` that does not decrease
+    in any norm: from the norms' bounds when they decide it, then with their
+    exact values taken one at a time, in order, and when no bound decides it
+    from the exact values, the threshold's before the value's."""
+    lo, hi = (value.lo, value.hi) if isinstance(value, _Norm) else (value, value)
+    for i in range(len(norms)):
+        exact = [n.exact for n in norms[:i]]
+        if hi <= threshold(*exact, *(n.lo for n in norms[i:])):
             return True
-        if value.lo > bounds.hi:
+        if lo > threshold(*exact, *(n.hi for n in norms[i:])):
             return False
-    limit = threshold.exact
-    return value.exact <= limit
+    limit = threshold(*(n.exact for n in norms))
+    return (value.exact if isinstance(value, _Norm) else value) <= limit
 
 
-def _norm_bracket(M: np.ndarray, exact: Optional[Callable[[], float]] = None) -> _Bracket:
+def _norm_bracket(M: np.ndarray, exact: Optional[Callable[[], float]] = None) -> _Norm:
     """||M||_2 between ||M||_F / sqrt(min(shape)) and ||M||_F, each widened by
     `_ROUNDING`; ||M||_F above the largest double is inf.  The exact value is
     `exact()`, by default an SVD of M without vectors."""
     fro = float(_norm2(M))
-    return _Bracket(fro / math.sqrt(min(M.shape)) * (1 - _ROUNDING), fro * (1 + _ROUNDING),
-                    exact or (lambda: float(np.linalg.norm(M, 2))))
+    return _Norm(fro / math.sqrt(min(M.shape)) * (1 - _ROUNDING), fro * (1 + _ROUNDING),
+                 exact or (lambda: float(np.linalg.norm(M, 2))))
 
 
 def _svd(M: np.ndarray) -> tuple:
@@ -394,16 +391,14 @@ def _douglas(Amat: np.ndarray, svd_b: tuple,
     core = Ur.conj().T @ Amat  # divided by the kept singular values below
     outside = Amat - Ur @ core
     mass = _norm_bracket(outside)
-    rung = _monotone(lambda s: _INCLUSION_RTOL * s, norm_a)
-    included = _at_most(mass, rung)
+    included = _at_most(mass, lambda s: _INCLUSION_RTOL * s, norm_a)
 
     conditions = {"range_inclusion": included,
-                  "factorization": _at_most(mass, _monotone(lambda s: 1e-10 * s, norm_a))}
+                  "factorization": _at_most(mass, lambda s: 1e-10 * s, norm_a)}
     core /= sr[:, None]
     svd_core = cache(lambda: np.linalg.svd(core, full_matrices=False)[:2])  # (u, s)
     constant = (_norm_bracket(core, lambda: float(svd_core()[1][0]))
-                if core.size else _known(0.0))
-    norm_c = _monotone(lambda c: _ldexp(c, kb - ka), constant)  # ||C||_2, scaled back
+                if core.size else _Norm(0.0, 0.0, lambda: 0.0))  # ||core||_2 = 2^(ka - kb) ||C||_2
 
     # Ball inclusion, probed: the min-norm preimage of A y must fit in the
     # c-ball and reproduce A y.  One probe per column; the largest miss, then
@@ -411,15 +406,16 @@ def _douglas(Amat: np.ndarray, svd_b: tuple,
     draws = rng.standard_normal((_PROBES, 2, cols))
     Y = (draws[:, 0] + 1j * draws[:, 1]).T
     Y /= np.linalg.norm(Y, axis=0)
-    radius = _monotone(lambda c: c * (1 + 1e-8) + 1e-12, constant)
     conditions["ball_inclusion"] = bool(
-        _at_most(_known(np.linalg.norm(outside @ Y, axis=0).max()), rung)
-        and _at_most(_known(np.linalg.norm(core @ Y, axis=0).max()), radius))
+        _at_most(np.linalg.norm(outside @ Y, axis=0).max(), lambda s: _INCLUSION_RTOL * s,
+                 norm_a)
+        and _at_most(np.linalg.norm(core @ Y, axis=0).max(),
+                     lambda c: c * (1 + 1e-8) + 1e-12, constant))
 
     def dominated(lhs, rhs, xn=1.0) -> bool:
         """||A^* x|| = lhs <= c ||B^* x|| = c rhs, for ||x|| = xn, to the rungs."""
-        return _at_most(_known(lhs), _monotone(
-            lambda c, s: c * rhs * (1 + 1e-8) + _INCLUSION_RTOL * s * xn, constant, norm_a))
+        return _at_most(lhs, lambda c, s: c * rhs * (1 + 1e-8) + _INCLUSION_RTOL * s * xn,
+                        constant, norm_a)
 
     def adjoint_norms(X) -> tuple:
         """(||A^* x||, ||B^* x||) of each column x of X: the columns of
@@ -463,7 +459,7 @@ def _douglas(Amat: np.ndarray, svd_b: tuple,
         cutoff=_ldexp(cutoff, -kb),
         conditions=conditions,
         _witness=None if included else witness,
-        _parts=(norm_c, core, svd_core, Ur, sr, Amat, ka) if included else None,
+        _parts=(constant, core, svd_core, Ur, sr, Amat, ka, kb) if included else None,
     )
 
 
@@ -576,12 +572,9 @@ def _assemble(cp: ControlProblem, op: SpectralOperator) -> EndMaps:
         _check_agrees((L_F @ f.phi.reshape(-1)).reshape(n_post, m), u.phi[post:],
                       "end-map assembly disagrees with a direct solve")
     # Dot test: L_F^H y is the backward solve of a post-horizon datum y.
-    data = np.zeros((2, n, m), dtype=complex)
-    data[:, post:] = rng.standard_normal((2, n_post, m)) + 1j * rng.standard_normal((2, n_post, m))
-    duals = [WeightedSignal(grid, -base.nu, phi) for phi in data]
-    for y, v in zip(duals, op.solutions(duals)):
-        _check_agrees(np.conj(y.phi[post:].reshape(-1).conj() @ L_F).reshape(n, m), v.phi,
-                      _DOT_TEST_FAILURE)
+    Y, V = _backward_data(op, post)
+    for y, v in zip(Y.T, V.T):
+        _check_agrees(np.conj(y.conj() @ L_F), v, _DOT_TEST_FAILURE)
 
     return EndMaps(L_F=L_F, L_G=L_G, op=op, post_start=post)
 
@@ -620,14 +613,20 @@ def _finite_solution(x: np.ndarray, kept: np.ndarray) -> np.ndarray:
     return x
 
 
+def _feasible(residual: np.ndarray, target: np.ndarray) -> bool:
+    """The null-control feasibility rule: each column of `residual` (or a
+    flat one) below `FEASIBILITY_TOL` relative to its column of `target`."""
+    rel = _norm2(residual, axis=0) / np.maximum(_norm2(target, axis=0), NORM_FLOOR)
+    return bool(np.all(rel < FEASIBILITY_TOL))
+
+
 def _null_solve(maps: EndMaps, f: np.ndarray) -> tuple:
     """`null_control`'s solve and verdict for one flattened forcing `f` or,
     feasible only if each is, for every column of `f`."""
     target = -(maps.L_F @ f)
     g, reg = _truncated_lstsq(maps._svd_G, target, DEFAULT_SVD_RTOL)
     residual = maps.L_G @ g - target
-    rel = _norm2(residual, axis=0) / np.maximum(_norm2(target, axis=0), NORM_FLOOR)
-    return g, residual, reg, bool(np.all(rel < FEASIBILITY_TOL))
+    return g, residual, reg, _feasible(residual, target)
 
 
 @one_blas_thread
@@ -713,23 +712,22 @@ def observability_constant(cp: ControlProblem,
     guard this raises `SizeGuardError` before any solve.  This is the dense
     route for every B; the values are computed when first read.  The
     `control` command takes the B route (`_b_route`) where it decides, and
-    this function where it does not.
+    this function where it does not (`_synthesize`).
     """
     return ObservabilityEstimate(endmaps or assemble_endmaps(cp))
 
 
 @one_blas_thread
 def _duality_verdicts(maps: EndMaps, rng: np.random.Generator) -> tuple:
-    """(feasible, douglas, observability) on one set of end maps: null control
-    of max(m, 3) forcings drawn from `rng` (one right-hand side of as many
-    columns), ran(L_F) in ran(L_G), and the backward observability estimate,
-    whose verdict is that inclusion and whose values are computed only when
-    read.  By duality the three verdicts agree."""
+    """(feasible, included) on one set of end maps: null control of
+    max(m, 3) forcings drawn from `rng` (one right-hand side of as many
+    columns), and ran(L_F) in ran(L_G).  By duality the two agree; the
+    backward observability is finite exactly when that inclusion holds
+    (`ObservabilityEstimate.finite` is its verdict), so it adds none."""
     op = maps.op
     probes = np.stack([random_signal(op.grid, op.nu, op.A.m, rng).phi.reshape(-1)
                        for _ in range(max(op.A.m, 3))], axis=1)
-    feasible = _null_solve(maps, probes)[3]
-    return feasible, maps._inclusion, ObservabilityEstimate(maps)
+    return _null_solve(maps, probes)[3], maps._inclusion.included
 
 
 def _bracket(op: SpectralOperator, post: int, B: np.ndarray, u: np.ndarray,
@@ -767,14 +765,15 @@ def _observability_bracket(maps: EndMaps, B: np.ndarray) -> tuple:
 @dataclass(frozen=True)
 class _BRoute:
     """The B route's observability, read like `ObservabilityEstimate`:
-    finite, `c_obs` = 1/sigma_min(B), and as `witness` the cut datum that
+    `c_obs` = 1/sigma_min(B), finite, and as `witness` the cut datum that
     attains it to the algebraic rung, unit over the post-horizon rows
-    (samples `post` on).  `B`, taken into range as 2^k B, and its
-    pseudoinverse `pinv` give certify its explicit control and `_hum_control`
-    its Gramian and preconditioner."""
+    (samples `post` on); no end map is assembled, so there is no `cutoff`.
+    `B`, taken into range as 2^k B, and its pseudoinverse `pinv` give
+    certify its explicit control and `_hum_control` its Gramian and
+    preconditioner."""
 
     method: ClassVar[str] = "b-sigma-min-datum"
-    finite: ClassVar[bool] = True
+    cutoff: ClassVar[None] = None
     c_obs: float
     witness: WeightedSignal
     post: int
@@ -807,20 +806,27 @@ def _b_route(op: SpectralOperator, post: int, B: np.ndarray) -> Optional[_BRoute
                    B=B, pinv=(Vh[:s.size].conj().T / s) @ U.conj().T, k=k)
 
 
+def _backward_data(op: SpectralOperator, post: int) -> tuple:
+    """(Y, V): two random post-horizon data y (seed 7), a column each of Y
+    flattened over the samples `post` on, and their backward solves L_F^H y
+    at -nu, a column each of V flattened over the grid.  Both dot tests,
+    the assembly's and `_dot_test`, compare L_F^H with these."""
+    grid, m = op.grid, op.A.m
+    rng = np.random.default_rng(7)
+    data = np.zeros((2, grid.n, m), dtype=complex)
+    data[:, post:] = (rng.standard_normal((2, grid.n - post, m))
+                      + 1j * rng.standard_normal((2, grid.n - post, m)))
+    V = np.stack([v.phi.reshape(-1) for v in
+                  op.solutions([WeightedSignal(grid, -op.nu, phi) for phi in data])], axis=1)
+    return data[:, post:].reshape(2, -1).T, V
+
+
 def _dot_test(op: SpectralOperator, post: int, X: np.ndarray, LX: np.ndarray) -> None:
     """Pair forward solves with backward ones: for flattened forcings X (a
     column each) and their post-horizon responses LX = L_F X, compare
-    <L_F x, y> with <x, L_F^H y> for two random post-horizon data y (seed 7),
-    solved backward, to 1e-10, as the assembly's dot test does, so a wrong
-    backward system raises `ConsistencyError`."""
-    grid, m = op.grid, op.A.m
-    dots = np.random.default_rng(7)
-    data = np.zeros((2, grid.n, m), dtype=complex)
-    data[:, post:] = (dots.standard_normal((2, grid.n - post, m))
-                      + 1j * dots.standard_normal((2, grid.n - post, m)))
-    V = np.stack([v.phi.reshape(-1) for v in
-                  op.solutions([WeightedSignal(grid, -op.nu, phi) for phi in data])], axis=1)
-    Y = data[:, post:].reshape(2, -1).T
+    <L_F x, y> with <x, L_F^H y> for the data of `_backward_data` to 1e-10,
+    so a wrong backward system raises `ConsistencyError`."""
+    Y, V = _backward_data(op, post)
     _check_agrees(Y.conj().T @ LX, V.conj().T @ X, _DOT_TEST_FAILURE)
 
 
@@ -830,8 +836,8 @@ def _b_feasible(op: SpectralOperator, route: _BRoute, rng: np.random.Generator) 
     the max(m, 3) probes f that `_duality_verdicts` draws from `rng`, the
     explicit control g = -(I x B^+) f leaves the forcing f + B g =
     (I - B B^+) f, and one batched forward solve of the probes and of those
-    forcings gives the target -L_F f and the residual, judged as
-    `_null_solve` judges them.  Those forward solves pass `_dot_test`."""
+    forcings gives the target -L_F f and the residual, judged by
+    `_feasible`.  Those forward solves pass `_dot_test`."""
     grid, m, nu, post = op.grid, op.A.m, op.nu, route.post
     probes = [random_signal(grid, nu, m, rng) for _ in range(max(m, 3))]
     F = np.stack([f.phi for f in probes], axis=-1)  # (n, m, probes)
@@ -840,9 +846,8 @@ def _b_feasible(op: SpectralOperator, route: _BRoute, rng: np.random.Generator) 
     X = np.stack([f.phi.reshape(-1) for f in forcings], axis=1)
     LX = np.stack([u.phi[post:].reshape(-1) for u in op.solutions(forcings)], axis=1)
     target, residual = -LX[:, :len(probes)], LX[:, len(probes):]
-    rel = _norm2(residual, axis=0) / np.maximum(_norm2(target, axis=0), NORM_FLOOR)
     _dot_test(op, post, X, LX)
-    return bool(np.all(rel < FEASIBILITY_TOL))
+    return _feasible(residual, target)
 
 
 @dataclass(frozen=True)
@@ -871,8 +876,8 @@ def _hum_control(op: SpectralOperator, route: _BRoute, F: WeightedSignal) -> Con
     `block_apply` calls, (B B^*)^-1 from B's SVD.  CG stops at the algebraic
     rung, a relative residual of 1e-12, and raises `LinAlgError` when it
     has not reached it after as many steps as the Gramian has rows, where
-    exact CG terminates.  Feasibility is judged as `_null_solve` judges it,
-    on the true residual L_F (f + B g) from one more forward solve.
+    exact CG terminates.  Feasibility is judged by `_feasible` on the true
+    residual L_F (f + B g) from one more forward solve.
 
     Range rule: f goes into range by `_into_range`, B is the route's
     (2^k B), and the target -L_F f is scaled so its largest part lies in
@@ -926,8 +931,7 @@ def _hum_control(op: SpectralOperator, route: _BRoute, F: WeightedSignal) -> Con
 
     g = _ldexp(backward(z) @ B.conj(), -j)  # the control of f through 2^k B
     residual = forward(f + g @ B.T)
-    feasible = float(_norm2(residual)) / max(float(_norm2(response)), NORM_FLOOR) \
-        < FEASIBILITY_TOL
+    feasible = _feasible(residual.reshape(-1), response.reshape(-1))
     with np.errstate(over="ignore"):
         G = _ldexp(g, route.k - kf)
     if not np.isfinite(G).all():
@@ -1152,3 +1156,57 @@ def pointwise_duality_check(cp: ControlProblem) -> dict:
         "agree": feasible == report.included,
         "douglas": report,
     }
+
+# ---------------------------------------------------------------------------
+# The `control` command: where each variant and route is chosen.
+# ---------------------------------------------------------------------------
+
+
+def _route(cp: ControlProblem, pad_fraction: float) -> tuple:
+    """(op, route) of a supported problem: its one operator, after the size
+    guard, and its B route, or None where the dense route decides."""
+    op = _operator(cp, pad_fraction)
+    return op, _b_route(op, op.grid.index_at_or_after(cp.T), cp.B)
+
+
+def _certify(cp: ControlProblem, pad_fraction: float, rng: np.random.Generator) -> dict:
+    """The verdicts of `control --certify-duality`, which agree by duality.
+
+    Pointwise: feasibility for a basis of initial states and the range
+    inclusion of `pointwise_duality_check`, after the law's coercivity on
+    the stepper's unpadded grid.  Supported: feasibility for a spanning set
+    of forcings drawn from `rng`, range inclusion, and finite observability,
+    which is that inclusion (`ObservabilityEstimate.finite`); on the B route
+    B decides the inclusion and `_b_feasible` the feasibility, with no end
+    maps, elsewhere `_duality_verdicts` decides both on the assembled maps.
+    """
+    if cp.variant == "pointwise":
+        coercivity(cp.base.law, cp.base.nu, cp.base.grid)
+        check = pointwise_duality_check(cp)
+        return {key: check[key] for key in ("feasible_for_basis", "range_included")}
+    op, route = _route(cp, pad_fraction)
+    feasible, included = (_duality_verdicts(_assemble(cp, op), rng) if route is None
+                          else (_b_feasible(op, route, rng), True))
+    return {"feasible_for_spanning_set": feasible, "range_included": included,
+            "observability_finite": included}
+
+
+def _synthesize(cp: ControlProblem, pad_fraction: float) -> tuple:
+    """(certificate, control, observability) of the `control` command.
+
+    Pointwise: the coercivity certificate on the stepper's unpadded grid,
+    `pointwise_null_control`, and no observability.  Supported: the
+    operator's certificate and, on the B route, the HUM control with the
+    route as observability, with no end maps; elsewhere `null_control` and
+    `observability_constant` on the assembled maps, whose `cutoff` is the
+    control's, both from the one SVD of L_G.
+    """
+    if cp.variant == "pointwise":
+        cert = coercivity(cp.base.law, cp.base.nu, cp.base.grid)
+        return cert, pointwise_null_control(cp), None
+    op, route = _route(cp, pad_fraction)
+    if route is not None:
+        return op.certificate, _hum_control(op, route, cp.F), route
+    maps = _assemble(cp, op)
+    res, obs = null_control(cp, maps), observability_constant(cp, maps)
+    return op.certificate, res, obs

@@ -422,19 +422,18 @@ class TestNormBrackets:
         # the bounds [0.5, 3] decide 0.4 and 3.1, c's exact value narrows them
         # to [1.5, 2], which decides 1.5 and 2.1 without s's, and 1.7 and 1.8,
         # still open there, take s's as well
-        from evoq.control import _at_most, _Bracket, _known, _monotone
+        from evoq.control import _at_most, _Norm
 
-        def threshold(read):
+        def norms(read):
             def arg(name, lo, hi, exact):
-                return _Bracket(lo, hi, lambda: read.append(name) or exact)
-            return _monotone(lambda c, s: c + s, arg("c", 0.0, 2.0, 1.0),
-                             arg("s", 0.5, 1.0, 0.75))
+                return _Norm(lo, hi, lambda: read.append(name) or exact)
+            return arg("c", 0.0, 2.0, 1.0), arg("s", 0.5, 1.0, 0.75)
 
         for value, verdict, reads in [(0.4, True, []), (3.1, False, []),
                                       (1.5, True, ["c"]), (2.1, False, ["c"]),
                                       (1.7, True, ["c", "s"]), (1.8, False, ["c", "s"])]:
             read = []
-            assert _at_most(_known(value), threshold(read)) is verdict, value
+            assert _at_most(value, lambda c, s: c + s, *norms(read)) is verdict, value
             assert read == reads, value
 
     @pytest.mark.parametrize("seed, rows, relative, b_scale, r_scale, verdict", [
@@ -874,7 +873,7 @@ class TestNullControl:
                                                 rhs, "forward"), B=B, T=1.0)
             maps = assemble_endmaps(cp, inst.pad_fraction)
             batched_rng, loop_rng = np.random.default_rng(9), np.random.default_rng(9)
-            batched, _, _ = control._duality_verdicts(maps, batched_rng)
+            batched, _ = control._duality_verdicts(maps, batched_rng)
             looped = []
             for _ in range(max(inst.m, 3)):
                 probe = random_signal(inst.grid, inst.nu, inst.m, loop_rng)
@@ -1049,8 +1048,8 @@ def check_route_against_dense(label, maps, B):
     if route is None:
         return False
     dense = ObservabilityEstimate(maps)  # the dense estimate, read explicitly
-    feasible, douglas, _ = _duality_verdicts(maps, np.random.default_rng(5))
-    assert (feasible, douglas.included, dense.finite) == (True, True, True), label
+    feasible, included = _duality_verdicts(maps, np.random.default_rng(5))
+    assert (feasible, included, dense.finite) == (True, True, True), label
     assert _b_feasible(maps.op, route, np.random.default_rng(5)), label
     assert route.c_obs == pytest.approx(dense.c_obs, rel=1e-12, abs=0), label
     w = route.witness
@@ -1060,6 +1059,11 @@ def check_route_against_dense(label, maps, B):
     ratio = np.linalg.norm(v) / np.linalg.norm(v @ B.conj())
     assert ratio == pytest.approx(route.c_obs, rel=1e-12, abs=0), label
     return True
+
+
+# B route inputs on the rotation system beyond a square real B: more
+# actuators than states (q = 3 > m = 2), and B = iI
+ROUTE_B = [np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.2]]), 1j * np.eye(2)]
 
 
 def write_rotation_config(tmp_path, B, memory=False):
@@ -1100,6 +1104,11 @@ class TestBRoute:
         assert check_route_against_dense(maker.__name__, assemble_endmaps(cp, inst.pad_fraction),
                                          B)
 
+    @pytest.mark.parametrize("B", ROUTE_B, ids=["wide", "complex"])
+    def test_wide_and_complex_B_match_the_dense_route(self, B):
+        cp = ControlProblem(base=rotation_base(), B=B, T=1.0)
+        assert check_route_against_dense("rotation", assemble_endmaps(cp), cp.B)
+
     def test_desk_pairs_take_the_route_exactly_at_the_gate(self, tmp_path):
         taken = [check_route_against_dense(label, maps, B)
                  for label, maps, _, B in desk_end_maps(tmp_path)]
@@ -1121,6 +1130,13 @@ class TestBRoute:
         assert main(["control", "--config", path, "--out", str(out)]) == 0
         obs = json.loads((out / "observability.json").read_text())
         assert obs["method"] == method
+        # the dense cutoff is L_G's, which the control's truncation reports
+        # too: one SVD, read off the observability, bit for bit
+        result = json.loads((out / "control_result.json").read_text())["result"]
+        if method == "douglas-core-svd":
+            assert obs["cutoff"] == result["regularization"]["cutoff"]
+        else:
+            assert "cutoff" not in obs
         finite = np.linalg.matrix_rank(B) == 2
         if finite:
             sigma_min = np.linalg.svd(B, compute_uv=False)[-1]
@@ -1184,6 +1200,11 @@ class TestHum:
                                             "forward"), B=B, T=1.0)
         assert check_hum_against_null_control(maker.__name__, cp,
                                                assemble_endmaps(cp, inst.pad_fraction))
+
+    @pytest.mark.parametrize("B", ROUTE_B, ids=["wide", "complex"])
+    def test_wide_and_complex_B_match_null_control(self, B):
+        cp = ControlProblem(base=rotation_base(), B=B, T=1.0)
+        assert check_hum_against_null_control("rotation", cp, assemble_endmaps(cp))
 
     def test_desk_pairs_on_the_route_match_null_control(self, tmp_path):
         taken = [check_hum_against_null_control(label, cp, assemble_endmaps(cp, pad_fraction))

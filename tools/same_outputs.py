@@ -11,7 +11,7 @@ stderr and every file the commands wrote are compared byte for byte; the
 script prints each difference and exits 0 only if there is none (1 if some
 output differs, 2 if a tree holds no `evoq` package).
 
-The default command set (81 commands):
+The default command set (84 commands):
   - `solve`, `adjoint` and the four `verify` suites on each bundled config;
   - `control` and `control --certify-duality` on `heat_small` and
     `pointwise_decay`, and on `heat_small` at n = 32 with B[1][0] = 1e100,
@@ -28,9 +28,9 @@ The default command set (81 commands):
     (heat, wave, Maxwell x n in {32, 64} x B in {I, e1, zero});
   - both on heat, wave and Maxwell at n = 32 with a seeded random 9 x 9 B
     of condition number 10, so that a c_obs other than 1 is compared, and
-    `control` with the same B at n = 96, where it takes the B route and
-    its least-norm control comes from conjugate gradients under a B that
-    is not orthonormal;
+    both with the same B at n = 96, where they take the B route under a B
+    that is not orthonormal: the least-norm control comes from conjugate
+    gradients, and certify's feasibility from the explicit control;
   - `suite acceptance --json`.
 `--workload NAME --seed S` runs one cycle of a benchmark workload from
 `perfbench/workloads.py` instead.  `--only REGEX` keeps the commands whose
@@ -136,7 +136,9 @@ def default_commands():
     for kind in workloads.KINDS:
         config = workloads._command(("control", kind, 96, "I"), rng)["config"]
         config["control"]["B"] = kappa10[kind]
-        commands.append((f"control/kappa10-{kind}-n96", ["control", "--json"], config))
+        label = f"kappa10-{kind}-n96"
+        commands.append((f"control/{label}", ["control", "--json"], config))
+        commands.append((f"certify/{label}", ["control", "--certify-duality", "--json"], config))
     commands.append(("suite-acceptance", ["suite", "acceptance", "--json"], None))
     return commands
 
