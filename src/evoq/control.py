@@ -41,15 +41,19 @@ and no SVD but B's runs.  `control`'s least-norm control comes from the
 Hilbert Uniqueness Method (`_hum_control`): preconditioned conjugate
 gradients on the Gramian L_G L_G^H, whose every product is one backward
 and one forward solve.  Certify's feasibility comes from the explicit
-control g = -(I x B^+) f.  Both pair their forward solves with backward
-ones in a dot test (`_dot_test`) on the assembly's backward data
-(`_backward_data`).  Every other pair, and every library entry point
-above, takes the dense route; `null_control` is the reference the HUM
-control is tested against.  The `control` command chooses between the
-variants and the routes in one place: `_certify` for its duality table,
-`_synthesize` for its control and observability.  The rules both routes
-share are written once: feasibility (`_feasible`), the backward data of
-the dot tests, and finite observability, which is the range inclusion.
+control g = -(I x B^+) f.  The route's forward and backward solves are
+one pair, L_F and L_F^H solved (`_response`, `_observation`), and both
+commands pair them in a dot test (`_dot_test`) on the assembly's backward
+data (`_backward_data`).  With no end map there is no end-map size guard:
+it sits in `_assemble`, the one code that builds end maps.  Every other
+pair, and every library entry point above, takes the dense route;
+`null_control` is the reference the HUM control is tested against.  The
+`control` command chooses between the variants and the routes in one
+place: `_certify` for its duality table, `_synthesize` for its control and
+observability.  The rules both routes share are written once: feasibility
+(`_feasible`), the backward data of the dot tests, the probes of certify's
+feasibility (`_probes`), and finite observability, which is the range
+inclusion.
 
 Every dense entry point (`douglas_check`, `assemble_endmaps`, `null_control`,
 `observability_constant`, the pointwise pair and the duality verdicts) runs
@@ -78,8 +82,8 @@ from .errors import (
     UnsupportedLawError,
 )
 from .material import coercivity
-from .signals import (NORM_FLOOR, TimeGrid, WeightedSignal, _exponent, _into_range, _ldexp,
-                      _norm2, signal_from_values)
+from .signals import (NORM_FLOOR, TimeGrid, WeightedSignal, _exponent, _finite, _into_range,
+                      _ldexp, _norm2, signal_from_values)
 from .solver import (DEFAULT_PAD_FRACTION, EvoProblem, SpectralOperator, _split_law,
                      timestep_oracle)
 from .transform import block_apply
@@ -234,8 +238,9 @@ class DouglasReport:
     conditions: dict
     _witness: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     # when included: the bounds of ||core||_2 for the core U_r^* A / s_r, the
-    # core, its thin SVD (u, s) on first call, U_r, s_r, A in range, and the
-    # powers of two ka and kb that took A and B there
+    # core, its thin SVD (u, s) on first call, U_r, s_r, the bounds of the
+    # mass ||A - U_r U_r^* A||_2 with A in range, and the powers of two ka
+    # and kb that took A and B there
     _parts: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @cached_property
@@ -262,8 +267,7 @@ class DouglasReport:
     def factor_residual(self) -> Optional[float]:
         if not self.included:
             return None
-        _, _, _, Ur, _, Amat, ka, _ = self._parts
-        return _ldexp(float(np.linalg.norm(Amat - Ur @ (Ur.conj().T @ Amat), 2)), -ka)
+        return _ldexp(self._parts[5].exact, -self._parts[6])  # ||A - U_r U_r^* A||_2
 
 
 class _Norm:
@@ -459,7 +463,7 @@ def _douglas(Amat: np.ndarray, svd_b: tuple,
         cutoff=_ldexp(cutoff, -kb),
         conditions=conditions,
         _witness=None if included else witness,
-        _parts=(constant, core, svd_core, Ur, sr, Amat, ka, kb) if included else None,
+        _parts=(constant, core, svd_core, Ur, sr, mass, ka, kb) if included else None,
     )
 
 
@@ -522,37 +526,31 @@ def assemble_endmaps(cp: ControlProblem,
     linearity of L_F against direct solves, and a dot test of L_F^H against
     backward solves of post-horizon data at weight -nu, the nu-adjoint system
     whose observability the maps decide.  Maps of more than
-    `DEFAULT_SIZE_GUARD` entries raise `SizeGuardError` before any solve;
-    a pointwise problem, whose U0 they would ignore, is refused.
+    `DEFAULT_SIZE_GUARD` entries raise `SizeGuardError` before any solve,
+    in `_assemble`, the one code that builds end maps; a pointwise
+    problem, whose U0 they would ignore, is refused.
     """
     if cp.variant != "supported":
         raise PreconditionError("assemble_endmaps cuts the supported variant's maps")
-    return _assemble(cp, _operator(cp, pad_fraction))
+    base = cp.base
+    return _assemble(cp, SpectralOperator(base.law, base.A, base.nu, base.grid, pad_fraction))
 
 
-def _operator(cp: ControlProblem, pad_fraction: float) -> SpectralOperator:
-    """The one operator of a supported problem, built after its size guard:
-    end maps of more than `DEFAULT_SIZE_GUARD` entries raise `SizeGuardError`
-    before any solve or SVD, whichever route the command then takes."""
+def _assemble(cp: ControlProblem, op: SpectralOperator) -> EndMaps:
+    """`assemble_endmaps`' body on the operator `op` of `cp`, and the only
+    code that builds end maps: maps of more than `DEFAULT_SIZE_GUARD`
+    entries raise `SizeGuardError` here, before the impulse solve."""
     base = cp.base
     grid, m = base.grid, base.A.m
-    n_post = grid.n - grid.index_at_or_after(cp.T)  # at least 1: T is at or before the last sample
-    entries = n_post * m * grid.n * max(m, cp.q)
+    n = grid.n
+    post = grid.index_at_or_after(cp.T)
+    n_post = n - post  # at least 1: T is at or before the last sample
+    entries = n_post * m * n * max(m, cp.q)
     if entries > DEFAULT_SIZE_GUARD:
         raise SizeGuardError(
             f"dense end maps need {entries} entries "
             f"(> guard {DEFAULT_SIZE_GUARD}); coarsen the grid or move the horizon T later"
         )
-    return SpectralOperator(base.law, base.A, base.nu, grid, pad_fraction)
-
-
-def _assemble(cp: ControlProblem, op: SpectralOperator) -> EndMaps:
-    """`assemble_endmaps`' body on the operator `op` of `_operator(cp, .)`."""
-    base = cp.base
-    grid, m = base.grid, base.A.m
-    n = grid.n
-    post = grid.index_at_or_after(cp.T)
-    n_post = n - post
     # The solve is a circulant on the padded grid, so one impulse solve per
     # component (impulse at padded index npad) gives every block: the entry
     # for padded row npad+r and padded source npad+c sits at kernel index
@@ -711,8 +709,10 @@ def observability_constant(cp: ControlProblem,
     (pass `assemble_endmaps(cp, pad_fraction)` for another); past their size
     guard this raises `SizeGuardError` before any solve.  This is the dense
     route for every B; the values are computed when first read.  The
-    `control` command takes the B route (`_b_route`) where it decides, and
-    this function where it does not (`_synthesize`).
+    `control` command takes the B route (`_b_route`) where it decides,
+    with no end maps and so no size guard, and this function where it does
+    not (`_synthesize`), refused past the guard before any end map is
+    assembled.
     """
     return ObservabilityEstimate(endmaps or assemble_endmaps(cp))
 
@@ -724,10 +724,15 @@ def _duality_verdicts(maps: EndMaps, rng: np.random.Generator) -> tuple:
     columns), and ran(L_F) in ran(L_G).  By duality the two agree; the
     backward observability is finite exactly when that inclusion holds
     (`ObservabilityEstimate.finite` is its verdict), so it adds none."""
-    op = maps.op
-    probes = np.stack([random_signal(op.grid, op.nu, op.A.m, rng).phi.reshape(-1)
-                       for _ in range(max(op.A.m, 3))], axis=1)
-    return _null_solve(maps, probes)[3], maps._inclusion.included
+    probes = _probes(maps.op, rng)
+    return _null_solve(maps, probes.reshape(-1, probes.shape[-1]))[3], maps._inclusion.included
+
+
+def _probes(op: SpectralOperator, rng: np.random.Generator) -> np.ndarray:
+    """The max(m, 3) random forcings of certify's feasibility, drawn from
+    `rng` on `op`'s grid, as one batch (n, m, p)."""
+    return np.stack([random_signal(op.grid, op.nu, op.A.m, rng).phi
+                     for _ in range(max(op.A.m, 3))], axis=-1)
 
 
 def _bracket(op: SpectralOperator, post: int, B: np.ndarray, u: np.ndarray,
@@ -806,19 +811,33 @@ def _b_route(op: SpectralOperator, post: int, B: np.ndarray) -> Optional[_BRoute
                    B=B, pinv=(Vh[:s.size].conj().T / s) @ U.conj().T, k=k)
 
 
+def _response(op: SpectralOperator, post: int, phi: np.ndarray) -> np.ndarray:
+    """L_F phi: the forward solve of flat data phi (n, m), or of a batch
+    (n, m, b), read on the samples `post` on.  Like `op.solutions` it takes
+    no residual and refuses a non-finite result (`NonFiniteSignalError`),
+    but it takes no certificate: its callers have read `op.solutions` first."""
+    return _finite(op.padded_solve(phi, True)[op.npad + post:op.npad + op.grid.n])
+
+
+def _observation(op: SpectralOperator, post: int, z: np.ndarray) -> np.ndarray:
+    """L_F^H z: the backward solve at -nu of data z (n - post, m), or of a
+    batch (n - post, m, b), on the samples `post` on and zero before, read
+    on the grid; as `_response`, a non-finite result is refused."""
+    datum = np.zeros((op.grid.n,) + z.shape[1:], dtype=complex)
+    datum[post:] = z
+    return _finite(op.padded_solve(datum, False)[op.npad:op.npad + op.grid.n])
+
+
 def _backward_data(op: SpectralOperator, post: int) -> tuple:
     """(Y, V): two random post-horizon data y (seed 7), a column each of Y
     flattened over the samples `post` on, and their backward solves L_F^H y
     at -nu, a column each of V flattened over the grid.  Both dot tests,
     the assembly's and `_dot_test`, compare L_F^H with these."""
-    grid, m = op.grid, op.A.m
     rng = np.random.default_rng(7)
-    data = np.zeros((2, grid.n, m), dtype=complex)
-    data[:, post:] = (rng.standard_normal((2, grid.n - post, m))
-                      + 1j * rng.standard_normal((2, grid.n - post, m)))
-    V = np.stack([v.phi.reshape(-1) for v in
-                  op.solutions([WeightedSignal(grid, -op.nu, phi) for phi in data])], axis=1)
-    return data[:, post:].reshape(2, -1).T, V
+    shape = (2, op.grid.n - post, op.A.m)
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    V = _observation(op, post, np.moveaxis(data, 0, -1))
+    return data.reshape(2, -1).T, V.reshape(-1, 2)
 
 
 def _dot_test(op: SpectralOperator, post: int, X: np.ndarray, LX: np.ndarray) -> None:
@@ -835,19 +854,15 @@ def _b_feasible(op: SpectralOperator, route: _BRoute, rng: np.random.Generator) 
     """Certify's feasibility on the B route, with no end maps: for each of
     the max(m, 3) probes f that `_duality_verdicts` draws from `rng`, the
     explicit control g = -(I x B^+) f leaves the forcing f + B g =
-    (I - B B^+) f, and one batched forward solve of the probes and of those
-    forcings gives the target -L_F f and the residual, judged by
-    `_feasible`.  Those forward solves pass `_dot_test`."""
-    grid, m, nu, post = op.grid, op.A.m, op.nu, route.post
-    probes = [random_signal(grid, nu, m, rng) for _ in range(max(m, 3))]
-    F = np.stack([f.phi for f in probes], axis=-1)  # (n, m, probes)
-    rest = F - route.B @ (route.pinv @ F)
-    forcings = probes + [f.with_phi(r) for f, r in zip(probes, np.moveaxis(rest, -1, 0))]
-    X = np.stack([f.phi.reshape(-1) for f in forcings], axis=1)
-    LX = np.stack([u.phi[post:].reshape(-1) for u in op.solutions(forcings)], axis=1)
-    target, residual = -LX[:, :len(probes)], LX[:, len(probes):]
-    _dot_test(op, post, X, LX)
-    return _feasible(residual, target)
+    (I - B B^+) f, and one batched forward solve (`_response`) of the probes
+    and of those forcings gives the target -L_F f and the residual, judged
+    by `_feasible`.  Those forward solves pass `_dot_test`."""
+    F = _probes(op, rng)  # (n, m, p)
+    p = F.shape[-1]
+    X = np.concatenate([F, F - route.B @ (route.pinv @ F)], axis=-1)
+    LX = _response(op, route.post, X).reshape(-1, 2 * p)
+    _dot_test(op, route.post, X.reshape(-1, 2 * p), LX)
+    return _feasible(LX[:, p:], -LX[:, :p])
 
 
 @dataclass(frozen=True)
@@ -868,13 +883,13 @@ def _hum_control(op: SpectralOperator, route: _BRoute, F: WeightedSignal) -> Con
     solution of one post-horizon datum z, and z solves the Gramian equation
     L_G L_G^H z = -L_F f, here by conjugate gradients.
 
-    A Gramian product is a backward `padded_solve` of z cut to t >= T, a
-    product with B B^* and a forward `padded_solve` read on the
-    post-horizon rows R.  The end maps are sections of the padded solve
-    S = A^-1 of the operator's frequency blocks A, so the preconditioner is
-    R A^H (I x (B B^*)^-1) A R^T (Strang 1986; Chan & Ng 1996): two
-    `block_apply` calls, (B B^*)^-1 from B's SVD.  CG stops at the algebraic
-    rung, a relative residual of 1e-12, and raises `LinAlgError` when it
+    A Gramian product is a backward solve of z cut to t >= T
+    (`_observation`), a product with B B^* and a forward solve read on the
+    post-horizon rows R (`_response`).  The end maps are sections of the
+    padded solve S = A^-1 of the operator's frequency blocks A, so the
+    preconditioner is R A^H (I x (B B^*)^-1) A R^T (Strang 1986; Chan & Ng
+    1996): two `block_apply` calls, (B B^*)^-1 from B's SVD.  CG stops at
+    the algebraic rung, a relative residual of 1e-12, and raises `LinAlgError` when it
     has not reached it after as many steps as the Gramian has rows, where
     exact CG terminates.  Feasibility is judged by `_feasible` on the true
     residual L_F (f + B g) from one more forward solve.
@@ -885,28 +900,20 @@ def _hum_control(op: SpectralOperator, route: _BRoute, F: WeightedSignal) -> Con
     and the residual are scaled back exactly.  The forward solve of f
     passes `_dot_test`.
     """
-    grid, m, post, B = op.grid, op.A.m, route.post, route.B
+    grid, post, B = op.grid, route.post, route.B
     rows = slice(op.npad + post, op.npad + grid.n)
     # transposed, so that a flat array times them applies B B^* and
     # (B B^*)^-1 = (B^+)^* B^+ to each sample
     gram_b = (B @ B.conj().T).T
     inverse = (route.pinv.conj().T @ route.pinv).T
 
-    def forward(phi):  # L_F phi
-        return op.padded_solve(phi, True)[rows]
-
-    def backward(z):  # L_F^H z
-        datum = np.zeros((grid.n, m), dtype=complex)
-        datum[post:] = z
-        return op.padded_solve(datum, False)[op.npad:op.npad + grid.n]
-
     def precondition(r):
-        padded = np.zeros((op.pad_grid.n, m), dtype=complex)
+        padded = np.zeros((op.pad_grid.n, op.A.m), dtype=complex)
         padded[rows] = r
         return block_apply(op.adjoint_blocks, block_apply(op.blocks, padded) @ inverse)[rows]
 
     f, kf = _into_range(F.phi)
-    response = forward(f)
+    response = _response(op, post, f)
     _dot_test(op, post, f.reshape(-1, 1), response.reshape(-1, 1))
     j = _exponent(response)
     r = _ldexp(-response, j)  # the target, in [1/2, 1)
@@ -920,7 +927,7 @@ def _hum_control(op: SpectralOperator, route: _BRoute, F: WeightedSignal) -> Con
         w = precondition(r)
         rho, last = np.vdot(r, w).real, rho
         p = w if p is None else w + (rho / last) * p
-        q = forward(backward(p) @ gram_b)
+        q = _response(op, post, _observation(op, post, p) @ gram_b)
         curvature = np.vdot(p, q).real
         if not curvature > 0:
             raise np.linalg.LinAlgError(
@@ -929,8 +936,8 @@ def _hum_control(op: SpectralOperator, route: _BRoute, F: WeightedSignal) -> Con
         r -= (rho / curvature) * q
         iterations += 1
 
-    g = _ldexp(backward(z) @ B.conj(), -j)  # the control of f through 2^k B
-    residual = forward(f + g @ B.T)
+    g = _ldexp(_observation(op, post, z) @ B.conj(), -j)  # the control of f through 2^k B
+    residual = _response(op, post, f + g @ B.T)
     feasible = _feasible(residual.reshape(-1), response.reshape(-1))
     with np.errstate(over="ignore"):
         G = _ldexp(g, route.k - kf)
@@ -1163,10 +1170,12 @@ def pointwise_duality_check(cp: ControlProblem) -> dict:
 
 
 def _route(cp: ControlProblem, pad_fraction: float) -> tuple:
-    """(op, route) of a supported problem: its one operator, after the size
-    guard, and its B route, or None where the dense route decides."""
-    op = _operator(cp, pad_fraction)
-    return op, _b_route(op, op.grid.index_at_or_after(cp.T), cp.B)
+    """(op, route) of a supported problem: its one operator and its B route,
+    or None where the dense route decides.  No size guard runs here: the B
+    route assembles no end map, and `_assemble` guards the dense route."""
+    base = cp.base
+    op = SpectralOperator(base.law, base.A, base.nu, base.grid, pad_fraction)
+    return op, _b_route(op, base.grid.index_at_or_after(cp.T), cp.B)
 
 
 def _certify(cp: ControlProblem, pad_fraction: float, rng: np.random.Generator) -> dict:

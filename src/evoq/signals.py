@@ -53,6 +53,14 @@ def _into_range(x: np.ndarray) -> tuple:
     return (x, 0) if -200 <= k < 200 else (_ldexp(x, k), k)
 
 
+def _finite(x: np.ndarray) -> np.ndarray:
+    """x, or `NonFiniteSignalError` when an entry is not finite: the rule of
+    every signal, and of every solve read without one."""
+    if not np.isfinite(x).all():
+        raise NonFiniteSignalError("signal entries must be finite")
+    return x
+
+
 def _norm2(x: np.ndarray, axis=None, factor: float = 1.0):
     """factor * ||x||_2 over all entries, or along `axis`: the one norm rule.
 
@@ -155,9 +163,7 @@ class WeightedSignal:
             raise GridError(
                 f"phi must have shape (n, m) with n={self.grid.n}, got {phi.shape}"
             )
-        if not np.isfinite(phi).all():
-            raise NonFiniteSignalError("signal entries must be finite")
-        phi = np.ascontiguousarray(phi)
+        phi = np.ascontiguousarray(_finite(phi))
         phi.setflags(write=False)
         object.__setattr__(self, "phi", phi)
 

@@ -285,21 +285,27 @@ def full_route_observability(K1, K2):
     return float(np.linalg.svd(K1 @ whiten, compute_uv=False)[0])
 
 
-def desk_problems(tmp_path):
-    """(label, control problem, pad fraction) of the 18 dense configs
-    `tools/same_outputs.py` runs and of the acceptance suite's control
-    instances."""
+def same_outputs_configs(prefix):
+    """(label, config) of each command of `tools/same_outputs.py` whose
+    label starts with `prefix`."""
     import importlib.util
-
-    from evoq.config import load_config
 
     spec = importlib.util.spec_from_file_location(
         "same_outputs", os.path.join(os.path.dirname(__file__), "..", "tools",
                                      "same_outputs.py"))
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    dense = [(label, config) for label, argv, config in tool.default_commands()
-             if label.startswith("control/dense-")]
+    return [(label, config) for label, argv, config in tool.default_commands()
+            if label.startswith(prefix)]
+
+
+def desk_problems(tmp_path):
+    """(label, control problem, pad fraction) of the 18 dense configs
+    `tools/same_outputs.py` runs and of the acceptance suite's control
+    instances."""
+    from evoq.config import load_config
+
+    dense = same_outputs_configs("control/dense-")
     assert len(dense) == 18
     for label, config in dense:
         path = tmp_path / "cfg.json"
@@ -1257,6 +1263,117 @@ class TestHum:
         err = capsys.readouterr().err
         assert err.startswith("evoq: numerical failure (LinAlgError): conjugate gradients")
         assert "after 108 iterations" in err and err.count("\n") == 1
+
+
+class TestPastTheEndMapGuard:
+    """The B route assembles no end map, so their size guard does not
+    refuse it; the dense route is still refused before any end map is
+    assembled, with the guard's message."""
+
+    @staticmethod
+    def past_the_guard(path):
+        from evoq.config import load_config
+
+        with pytest.raises(SizeGuardError, match="coarsen the grid"):
+            assemble_endmaps(load_config(path).control)
+
+    @pytest.mark.parametrize("n", [512, 2048])
+    def test_wave_takes_the_route(self, tmp_path, n):
+        from evoq.cli import main
+
+        path = write_bundled_config(tmp_path, "wave", n)
+        self.past_the_guard(path)
+        result, obs = hum_report(tmp_path, path)
+        assert obs == {"c_obs": 1.0, "method": "b-sigma-min-datum"}
+        assert result["result"]["feasible"]
+        assert 0 < result["result"]["regularization"]["iterations"] <= 100
+        out = tmp_path / "out"
+        assert main(["control", "--certify-duality", "--config", path,
+                     "--out", str(out)]) == 0
+        table = json.loads((out / "duality_table.json").read_text())
+        assert table["agree"] and set(table["verdicts"].values()) == {True}
+
+    @pytest.mark.parametrize("kind", ["heat", "maxwell"])
+    def test_kappa10_B_takes_the_route(self, tmp_path, kind):
+        # the seeded B of condition number 10 that `tools/same_outputs.py`
+        # compares at n = 96
+        from evoq.cli import main
+
+        [(_, config)] = same_outputs_configs(f"control/kappa10-{kind}-n96")
+        config["grid"]["n"] = 512
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        self.past_the_guard(str(path))
+        result, obs = hum_report(tmp_path, str(path))
+        assert obs["method"] == "b-sigma-min-datum" and result["result"]["feasible"]
+        assert main(["control", "--certify-duality", "--config", str(path)]) == 0
+
+    @pytest.mark.parametrize("command", [["control"], ["control", "--certify-duality"]],
+                             ids=["control", "certify"])
+    def test_dense_route_is_refused_in_one_line(self, monkeypatch, tmp_path, capsys,
+                                                command):
+        # heat_small's B = e1 is rank deficient, so only its own small SVD
+        # runs before the guard, and no solve; 224 post-horizon samples x 9
+        # x 512 x 9 entries
+        from evoq.cli import main
+
+        monkeypatch.setattr(SpectralOperator, "padded_solve", lambda *a: pytest.fail(
+            "no solve may run before the guard refuses a rank-deficient B"))
+        path = write_bundled_config(tmp_path, "heat", 512)
+        capsys.readouterr()
+        assert main([*command, "--config", path]) == 2
+        assert capsys.readouterr().err == (
+            "evoq: config rejected (SizeGuardError): dense end maps need 9289728 entries "
+            "(> guard 4000000); coarsen the grid or move the horizon T later\n")
+
+
+class TestSolvePair:
+    """`_response` and `_observation` are L_F and L_F^H, solved: the B
+    route's one pair of forward and backward solves."""
+
+    def test_pair_applies_the_end_maps(self, tmp_path):
+        from evoq.control import _observation, _response
+
+        rng = np.random.default_rng(12)
+        for label, maps, _, _ in desk_end_maps(tmp_path):
+            op, post = maps.op, maps.post_start
+            n, m = op.grid.n, op.A.m
+            X, Z = crandn(rng, n, m, 3), crandn(rng, n - post, m, 3)
+            LX, LZ = _response(op, post, X), _observation(op, post, Z)
+            assert LX.shape == (n - post, m, 3) and LZ.shape == (n, m, 3), label
+            for got, want in ((LX, maps.L_F @ X.reshape(-1, 3)),
+                              (LZ, maps.L_F.conj().T @ Z.reshape(-1, 3))):
+                assert (np.linalg.norm(got.reshape(want.shape) - want)
+                        <= 1e-12 * np.linalg.norm(want)), label
+            # the columns of `op.solutions`, bit for bit, batched or alone
+            data = np.zeros((n, m, 3), dtype=complex)
+            data[post:] = Z
+            forward = op.solutions([evoq.WeightedSignal(op.grid, op.nu, X[..., b])
+                                    for b in range(3)])
+            backward = op.solutions([evoq.WeightedSignal(op.grid, -op.nu, data[..., b])
+                                     for b in range(3)])
+            for b in range(3):
+                assert (LX[..., b] == forward[b].phi[post:]).all(), label
+                assert (LZ[..., b] == backward[b].phi).all(), label
+            assert (_response(op, post, X[..., 0]) == forward[0].phi[post:]).all(), label
+            assert (_observation(op, post, Z[..., 0]) == backward[0].phi).all(), label
+
+    def test_a_non_finite_solve_is_refused_as_by_solutions(self):
+        # at nu = 0.01 the solve amplifies a constant forcing about 100-fold,
+        # so data near the largest double overflow
+        from evoq.control import _observation, _response
+
+        base = rotation_base(nu=0.01)
+        op = SpectralOperator(base.law, base.A, base.nu, base.grid, 0.25)
+        post = base.grid.index_at_or_after(1.0)
+        data = np.full((base.grid.n, 2), 1e308, dtype=complex)
+        data[:post] = 0.0
+        for nu, solve in ((op.nu, lambda: _response(op, post, data)),
+                          (-op.nu, lambda: _observation(op, post, data[post:]))):
+            with pytest.raises(evoq.NonFiniteSignalError, match="must be finite"):
+                op.solutions([evoq.WeightedSignal(base.grid, nu, data)])
+            with pytest.raises(evoq.NonFiniteSignalError, match="must be finite"):
+                solve()
 
 
 def write_bundled_config(tmp_path, kind, n, eps=None):
