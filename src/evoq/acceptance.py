@@ -31,6 +31,7 @@ from .control import (
     _observability_bracket,
     _pointwise_response_matrix,
     _pointwise_target,
+    _probes,
 )
 from .instances import (
     Instance,
@@ -243,7 +244,7 @@ def criterion_8_control_duality() -> CriterionResult:
         cp = ControlProblem(base=base, B=B, T=1.0)
         maps = assemble_endmaps(cp, inst.pad_fraction)
 
-        feasible, included = _duality_verdicts(maps, rng)
+        feasible, included = _duality_verdicts(maps, _probes(maps.op, rng))
         obs = observability_constant(cp, maps)
         verdicts = {feasible, included, math.isfinite(obs.c_obs)}
         agree = len(verdicts) == 1

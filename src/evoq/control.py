@@ -44,16 +44,21 @@ and one forward solve.  Certify's feasibility comes from the explicit
 control g = -(I x B^+) f.  The route's forward and backward solves are
 one pair, L_F and L_F^H solved (`_response`, `_observation`), and both
 commands pair them in a dot test (`_dot_test`) on the assembly's backward
-data (`_backward_data`).  With no end map there is no end-map size guard:
-it sits in `_assemble`, the one code that builds end maps.  Every other
-pair, and every library entry point above, takes the dense route;
-`null_control` is the reference the HUM control is tested against.  The
+data (`_backward_data`).  Certify has a third route, the separating one
+(`_separated`), for the pairs the B route declines: one such datum, along
+a direction B^* misses, that L_F^H sees makes every verdict False when its
+bounds close, from B's SVD, the datum, one more forward solve, the probes'
+forward solves and the operator's certificate.  With no end map there is
+no end-map size guard: it sits in `_assemble`, the one code that builds
+end maps.  Every other pair, and every library entry point above, takes
+the dense route; `null_control` is the reference the HUM control is tested
+against, and `_duality_verdicts` the one the separating route is.  The
 `control` command chooses between the variants and the routes in one
 place: `_certify` for its duality table, `_synthesize` for its control and
-observability.  The rules both routes share are written once: feasibility
+observability.  The rules the routes share are written once: feasibility
 (`_feasible`), the backward data of the dot tests, the probes of certify's
-feasibility (`_probes`), and finite observability, which is the range
-inclusion.
+feasibility (`_probes`, drawn once per command), B's SVD (`_b_svd`), the
+datum (`_datum`), and finite observability, which is the range inclusion.
 
 Every dense entry point (`douglas_check`, `assemble_endmaps`, `null_control`,
 `observability_constant`, the pointwise pair and the duality verdicts) runs
@@ -718,13 +723,13 @@ def observability_constant(cp: ControlProblem,
 
 
 @one_blas_thread
-def _duality_verdicts(maps: EndMaps, rng: np.random.Generator) -> tuple:
-    """(feasible, included) on one set of end maps: null control of
-    max(m, 3) forcings drawn from `rng` (one right-hand side of as many
-    columns), and ran(L_F) in ran(L_G).  By duality the two agree; the
-    backward observability is finite exactly when that inclusion holds
+def _duality_verdicts(maps: EndMaps, probes: np.ndarray) -> tuple:
+    """(feasible, included) on one set of end maps, the dense route of
+    certify: null control of the forcings `probes` (n, m, p), the batch
+    `_probes` draws, solved as one right-hand side of p columns, and
+    ran(L_F) in ran(L_G).  By duality the two agree; the backward
+    observability is finite exactly when that inclusion holds
     (`ObservabilityEstimate.finite` is its verdict), so it adds none."""
-    probes = _probes(maps.op, rng)
     return _null_solve(maps, probes.reshape(-1, probes.shape[-1]))[3], maps._inclusion.included
 
 
@@ -735,28 +740,41 @@ def _probes(op: SpectralOperator, rng: np.random.Generator) -> np.ndarray:
                      for _ in range(max(op.A.m, 3))], axis=-1)
 
 
+def _gaussian(op: SpectralOperator, post: int) -> np.ndarray:
+    """The profile of the routes' data: a Gaussian on `op`'s grid centred on
+    the samples `post` on (at least two), with a 14th of their span as its
+    standard deviation."""
+    t = op.grid.times
+    lo, hi = t[post], t[-1]
+    return np.exp(-0.5 * ((t - (lo + hi) / 2) / ((hi - lo) / 14)) ** 2)
+
+
+def _datum(op: SpectralOperator, post: int, u: np.ndarray) -> tuple:
+    """(y, v): a post-horizon datum y at -nu and its backward solution
+    v = L_F^H y, certified (`op.solutions`).  y is the nu-adjoint operator
+    applied to the Gaussian of `_gaussian` along the direction u, cut to
+    t >= T (samples `post` on); for a law local in time v is that Gaussian
+    up to the cut.  A Gaussian, not `smooth_bump`: the bump's slowly
+    decaying spectrum leaks up to 1.4e-3 of the datum before T, where the
+    Gaussian leaks 3.9e-12."""
+    t = op.grid.times
+    y = op.apply(signal_from_values(op.grid, -op.nu, np.outer(_gaussian(op, post), u)))
+    datum = y.with_phi(np.where((t >= t[post])[:, None], y.phi, 0.0))
+    return datum, op.solutions([datum])[0]
+
+
 def _bracket(op: SpectralOperator, post: int, B: np.ndarray, u: np.ndarray,
              sigma_min: float) -> tuple:
     """(lower, upper, datum): bounds of c_obs for B of full row rank, from
     the duality alone (Dolecki & Russell 1977), and the datum behind the
     lower one.
 
-    Lower: ||v|| / ||B^* v|| for v the backward solution of one post-horizon
-    datum, valid whatever the datum.  The datum is the nu-adjoint operator
-    applied to a Gaussian along u, B's left singular vector for sigma_min,
-    cut to t >= T (samples `post` on); for a law local in time v is that
-    Gaussian up to the cut.  A Gaussian, not `smooth_bump`: the bump's
-    slowly decaying spectrum leaks up to 1.4e-3 of the datum before T, where
-    the Gaussian leaks 3.9e-12.
-    Upper: 1/sigma_min, since ||B^* x|| >= sigma_min(B) ||x||.  Neither end
-    touches L_F, L_G or the Douglas core.
+    Lower: ||v|| / ||B^* v|| for the datum of `_datum` along u, B's left
+    singular vector for sigma_min, and its backward solution v; valid
+    whatever the datum.  Upper: 1/sigma_min, since ||B^* x|| >=
+    sigma_min(B) ||x||.  Neither end touches L_F, L_G or the Douglas core.
     """
-    t = op.grid.times
-    lo, hi = t[post], t[-1]
-    profile = np.exp(-0.5 * ((t - (lo + hi) / 2) / ((hi - lo) / 14)) ** 2)
-    y = op.apply(signal_from_values(op.grid, -op.nu, np.outer(profile, u)))
-    datum = y.with_phi(np.where((t >= lo)[:, None], y.phi, 0.0))
-    v = op.solutions([datum])[0]
+    datum, v = _datum(op, post, u)
     return float(_norm2(v.phi) / _norm2(v.phi @ B.conj())), float(1.0 / sigma_min), datum
 
 
@@ -787,20 +805,26 @@ class _BRoute:
     k: int
 
 
+def _b_svd(B: np.ndarray) -> tuple:
+    """(2^k B, k, U, s, Vh): the injection taken into range by a power of
+    two and its full SVD 2^k B = U diag(s) Vh, which the routes share."""
+    B, k = _into_range(B)
+    return (B, k, *np.linalg.svd(B))
+
+
 @one_blas_thread
-def _b_route(op: SpectralOperator, post: int, B: np.ndarray) -> Optional[_BRoute]:
-    """The B route of a supported problem with injection B and horizon
-    sample `post`, on its operator `op`, or None where the dense route
-    decides.
+def _b_route(op: SpectralOperator, post: int, svd_b: tuple) -> Optional[_BRoute]:
+    """The B route of a supported problem with injection B, given as
+    `_b_svd(B)`, and horizon sample `post`, on its operator `op`, or None
+    where another route decides.
 
     It is taken when B has full row rank m with kappa(B) < `_KAPPA_LIMIT`,
     where the dense check could only say "included", and the datum of
     `_bracket` closes the bracket: lower >= upper (1 - 1e-12), the algebraic
     rung.  Both ends bound c_obs for any law, so a law that is not local in
-    time fails to close it and takes the dense route; no law is tested.
+    time fails to close it and takes another route; no law is tested.
     """
-    B, k = _into_range(B)
-    U, s, Vh = np.linalg.svd(B)
+    B, k, U, s, Vh = svd_b
     if not (s.size == op.A.m and s[0] < _KAPPA_LIMIT * s[-1] and post < op.grid.n - 1):
         return None  # rank deficient, ill-conditioned, or one post-horizon sample
     lower, upper, datum = _bracket(op, post, B, U[:, -1], s[-1])
@@ -850,19 +874,83 @@ def _dot_test(op: SpectralOperator, post: int, X: np.ndarray, LX: np.ndarray) ->
 
 
 @one_blas_thread
-def _b_feasible(op: SpectralOperator, route: _BRoute, rng: np.random.Generator) -> bool:
+def _b_feasible(op: SpectralOperator, route: _BRoute, F: np.ndarray) -> bool:
     """Certify's feasibility on the B route, with no end maps: for each of
-    the max(m, 3) probes f that `_duality_verdicts` draws from `rng`, the
-    explicit control g = -(I x B^+) f leaves the forcing f + B g =
-    (I - B B^+) f, and one batched forward solve (`_response`) of the probes
-    and of those forcings gives the target -L_F f and the residual, judged
-    by `_feasible`.  Those forward solves pass `_dot_test`."""
-    F = _probes(op, rng)  # (n, m, p)
+    the probes f of `F` (n, m, p), the batch `_probes` draws, the explicit
+    control g = -(I x B^+) f leaves the forcing f + B g = (I - B B^+) f, and
+    one batched forward solve (`_response`) of the probes and of those
+    forcings gives the target -L_F f and the residual, judged by
+    `_feasible`.  Those forward solves pass `_dot_test`."""
     p = F.shape[-1]
     X = np.concatenate([F, F - route.B @ (route.pinv @ F)], axis=-1)
     LX = _response(op, route.post, X).reshape(-1, 2 * p)
     _dot_test(op, route.post, X.reshape(-1, 2 * p), LX)
     return _feasible(LX[:, p:], -LX[:, :p])
+
+
+@one_blas_thread
+def _separated(op: SpectralOperator, post: int, svd_b: tuple, F: np.ndarray) -> bool:
+    """True when one nu-adjoint datum that B^* misses and L_F^H sees
+    decides certify's verdicts, all False, with no end map: the separating
+    route of a supported problem with injection B, given as `_b_svd(B)`,
+    horizon sample `post` and the probes `F` (n, m, p) that `_probes` drew.
+    False where its bounds do not close, and the dense route decides.
+
+    The datum y is `_datum`'s along B's last left singular vector u (a left
+    null vector when B has fewer columns than rows), with its backward
+    solution v = L_F^H y and beta = ||B^* v|| = ||L_G^H y||.  One forward
+    solve of the Gaussian along B's top left singular vector, sigma_max(B)
+    times it being L_G x for x along the top right one, gives ell =
+    1e-10 ||L_G x|| / ||x||, at most the dense cutoff 1e-10 sigma_max(L_G).
+    A kept singular value of L_G exceeds that cutoff, so the dense truncated
+    control of a target t has ||g|| < ||t|| / ell, and the kept left
+    singular vectors U_r see ||U_r^* y|| <= beta / ell.  L_F is a section
+    of the padded solve, whose blocks' Hermitian parts are those of z M(z)
+    plus that of A, so ||L_F||_2 <= 1/c for c = c_est - ||(A + A^*)/2||_F.
+    Then, every norm widened by `_ROUNDING`:
+      - excluded: the Douglas mass ||(I - U_r U_r^*) L_F||_2 is at least
+        (||v|| - beta / (ell c)) / ||y||, and exceeds the inclusion rung
+        1e-8 ||L_F||_2 when that exceeds 1e-8 / c;
+      - infeasible: the residual L_G g + L_F f of any control g is at least
+        (|<y, L_F f>| - beta ||g||) / ||y||, so a probe with
+        (|<y, L_F f>| - beta ||L_F f|| / ell) / ||y|| at or above the
+        feasibility rung relative to ||L_F f|| defeats the dense control.
+    When beta = 0, as for B = 0, ell is not needed.  Both conditions need
+    beta / ell < ||y||, checked before the probes' forward solves, and first
+    against ell's own bound 1e-10 sigma_max(B) / c, before the forward solve
+    behind ell; the inclusion is decided before the probes' solves too, and
+    those solves pass `_dot_test`.
+    """
+    if post == op.grid.n - 1:
+        return False  # one post-horizon sample: no Gaussian fits after T
+    B, _, U, s, _ = svd_b
+    datum, v = _datum(op, post, U[:, -1])
+    y = datum.phi[post:].reshape(-1)
+    norm_y = float(_norm2(y)) * (1 + _ROUNDING)
+    beta = float(_norm2(v.phi @ B.conj())) * (1 + _ROUNDING)
+    skew_defect = float(_norm2(op.A.A + op.A.A.conj().T)) / 2 * (1 + _ROUNDING)
+    c = op.certificate.c_est * (1 - _ROUNDING) - skew_defect  # ||L_F||_2 <= 1/c
+    if not c > 0:
+        return False
+    blind = 0.0  # beta / ell, at least ||U_r^* y||
+    if beta:
+        if not beta < 1e-10 * s[0] / c * norm_y:  # ell's own bound: no solve can close
+            return False
+        profile = _gaussian(op, post)
+        reach = float(_norm2(_response(op, post, np.outer(profile, s[0] * U[:, 0]))))
+        ell = 1e-10 * reach * (1 - _ROUNDING) / (float(_norm2(profile)) * (1 + _ROUNDING))
+        if not beta < ell * norm_y:
+            return False
+        blind = beta / ell
+    if not (float(_norm2(v.phi)) * (1 - _ROUNDING) - blind / c) / norm_y > _INCLUSION_RTOL / c:
+        return False
+    p = F.shape[-1]
+    LF = _response(op, post, F).reshape(-1, p)
+    _dot_test(op, post, F.reshape(-1, p), LF)
+    target = _norm2(LF, axis=0) * (1 + _ROUNDING)
+    seen = np.abs(y.conj() @ LF) * (1 - _ROUNDING)
+    return bool(np.any((seen - blind * target) / norm_y
+                       >= FEASIBILITY_TOL * np.maximum(target, NORM_FLOOR)))
 
 
 @dataclass(frozen=True)
@@ -1170,12 +1258,16 @@ def pointwise_duality_check(cp: ControlProblem) -> dict:
 
 
 def _route(cp: ControlProblem, pad_fraction: float) -> tuple:
-    """(op, route) of a supported problem: its one operator and its B route,
-    or None where the dense route decides.  No size guard runs here: the B
-    route assembles no end map, and `_assemble` guards the dense route."""
+    """(op, post, svd_b, route) of a supported problem: its one operator,
+    with its certificate read first, so that its blocks reuse the law's
+    evaluation, its horizon sample, `_b_svd(B)` and its B route, or None
+    where another route decides.  No size guard runs here: the B route
+    assembles no end map, and `_assemble` guards the dense route."""
     base = cp.base
     op = SpectralOperator(base.law, base.A, base.nu, base.grid, pad_fraction)
-    return op, _b_route(op, base.grid.index_at_or_after(cp.T), cp.B)
+    op.certificate
+    post, svd_b = base.grid.index_at_or_after(cp.T), _b_svd(cp.B)
+    return op, post, svd_b, _b_route(op, post, svd_b)
 
 
 def _certify(cp: ControlProblem, pad_fraction: float, rng: np.random.Generator) -> dict:
@@ -1184,18 +1276,27 @@ def _certify(cp: ControlProblem, pad_fraction: float, rng: np.random.Generator) 
     Pointwise: feasibility for a basis of initial states and the range
     inclusion of `pointwise_duality_check`, after the law's coercivity on
     the stepper's unpadded grid.  Supported: feasibility for a spanning set
-    of forcings drawn from `rng`, range inclusion, and finite observability,
-    which is that inclusion (`ObservabilityEstimate.finite`); on the B route
-    B decides the inclusion and `_b_feasible` the feasibility, with no end
-    maps, elsewhere `_duality_verdicts` decides both on the assembled maps.
+    of forcings, the probes `_probes` draws once from `rng`, range
+    inclusion, and finite observability, which is that inclusion
+    (`ObservabilityEstimate.finite`).  Three routes, tried in this order,
+    decide them on the same probes: the B route, where B decides the
+    inclusion and `_b_feasible` the feasibility; the separating route
+    (`_separated`), where one nu-adjoint datum that B^* misses makes all
+    three False; both assemble no end map.  Elsewhere `_duality_verdicts`
+    decides on the assembled maps.
     """
     if cp.variant == "pointwise":
         coercivity(cp.base.law, cp.base.nu, cp.base.grid)
         check = pointwise_duality_check(cp)
         return {key: check[key] for key in ("feasible_for_basis", "range_included")}
-    op, route = _route(cp, pad_fraction)
-    feasible, included = (_duality_verdicts(_assemble(cp, op), rng) if route is None
-                          else (_b_feasible(op, route, rng), True))
+    op, post, svd_b, route = _route(cp, pad_fraction)
+    F = _probes(op, rng)
+    if route is not None:
+        feasible, included = _b_feasible(op, route, F), True
+    elif _separated(op, post, svd_b, F):
+        feasible = included = False
+    else:
+        feasible, included = _duality_verdicts(_assemble(cp, op), F)
     return {"feasible_for_spanning_set": feasible, "range_included": included,
             "observability_finite": included}
 
@@ -1213,7 +1314,7 @@ def _synthesize(cp: ControlProblem, pad_fraction: float) -> tuple:
     if cp.variant == "pointwise":
         cert = coercivity(cp.base.law, cp.base.nu, cp.base.grid)
         return cert, pointwise_null_control(cp), None
-    op, route = _route(cp, pad_fraction)
+    op, _, _, route = _route(cp, pad_fraction)
     if route is not None:
         return op.certificate, _hum_control(op, route, cp.F), route
     maps = _assemble(cp, op)

@@ -149,6 +149,16 @@ class CoercivityCertificate:
     min_location: float
 
 
+def _law_blocks(law: MaterialLaw, nu: float, grid: TimeGrid) -> np.ndarray:
+    """z M(z) at z = i xi + nu over the grid frequencies xi, shape (n, m, m):
+    the blocks behind both the coercivity certificate and the frequency
+    blocks of a solve.  An overflowing entry is left inf or NaN, which the
+    certificate refuses."""
+    z = 1j * grid_frequencies(grid) + nu
+    with np.errstate(over="ignore", invalid="ignore"):
+        return z[:, None, None] * eval_law_many(law, z)
+
+
 def coercivity(law: MaterialLaw, nu: float, grid: TimeGrid) -> CoercivityCertificate:
     """Certify the discrete coercivity constant of the law at weight nu.
 
@@ -157,15 +167,21 @@ def coercivity(law: MaterialLaw, nu: float, grid: TimeGrid) -> CoercivityCertifi
     is not positive (NaN included), and `PreconditionError` when nu is
     inadmissible.
     """
+    return _coercivity(law, nu, grid, lambda: _law_blocks(law, nu, grid))
+
+
+def _coercivity(law: MaterialLaw, nu: float, grid: TimeGrid,
+                law_blocks: Callable[[], np.ndarray]) -> CoercivityCertificate:
+    """`coercivity` on the blocks z M(z) that `law_blocks()` gives, read
+    only once nu has passed the preconditions."""
     if nu <= 0:
         raise PreconditionError(f"coercivity requires nu > 0, got {nu}")
     if nu < law.nu0:
         raise PreconditionError(f"nu={nu} below the declared bound nu0={law.nu0}")
     xi = grid_frequencies(grid)
-    z = 1j * xi + nu
+    blocks = law_blocks()
     # an overflow leaves a NaN minimum, which the check below refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks = z[:, None, None] * eval_law_many(law, z)
         herm = 0.5 * (blocks + np.conj(np.swapaxes(blocks, 1, 2)))
     lam = np.linalg.eigvalsh(herm)[:, 0]
     k = int(np.argmin(lam))

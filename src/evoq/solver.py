@@ -44,11 +44,12 @@ from .errors import (
     PreconditionError,
     UnsupportedLawError,
 )
-from .material import CoercivityCertificate, MaterialLaw, coercivity, eval_law_many, finite_sum_law
+from .material import (CoercivityCertificate, MaterialLaw, _coercivity, _law_blocks,
+                       finite_sum_law)
 from .signals import (NORM_FLOOR, TimeGrid, WeightedSignal, _into_range, _ldexp, _norm2,
                       nu_product, time_reverse)
 from .spatial import SpatialOperator
-from .transform import block_apply, block_solve, grid_frequencies
+from .transform import block_apply, block_solve
 
 __all__ = [
     "EvoProblem",
@@ -126,11 +127,16 @@ class SolveReport:
 
 def forward_blocks(law: MaterialLaw, A: SpatialOperator, nu: float,
                    grid: TimeGrid) -> np.ndarray:
-    """Frequency blocks (i xi + nu) M(i xi + nu) + A, shape (n, m, m)."""
-    z = 1j * grid_frequencies(grid) + nu
+    """Frequency blocks (i xi + nu) M(i xi + nu) + A, shape (n, m, m).
+    `SpectralOperator.blocks` adds A to its certificate's z M(z) instead,
+    when it has one, with the same bits."""
+    return _with_skew(_law_blocks(law, nu, grid), A)
+
+
+def _with_skew(law_blocks: np.ndarray, A: SpatialOperator) -> np.ndarray:
     # an overflowing block fails the certificate, or the signal an apply makes
     with np.errstate(over="ignore", invalid="ignore"):
-        return z[:, None, None] * eval_law_many(law, z) + A.A
+        return law_blocks + A.A
 
 
 def _pinned(phi: np.ndarray, forward: bool) -> slice:
@@ -155,8 +161,11 @@ class SpectralOperator:
 
     The certificate, the forward blocks and their conjugate transposes (the
     backward blocks, equal to them identically, which keeps the duality
-    pairing exact) are each built on first use and kept.  Data at weight +nu
-    goes to the forward system, data at -nu to the backward system.
+    pairing exact) are each built on first use and kept.  The certificate
+    leaves its evaluation of z M(z) on the padded grid's frequencies to the
+    forward blocks, when they come later; blocks built first evaluate it
+    themselves and keep none.  Data at weight +nu goes to the forward
+    system, data at -nu to the backward system.
     """
 
     law: MaterialLaw
@@ -176,11 +185,19 @@ class SpectralOperator:
     # writable
     @cached_property
     def certificate(self) -> CoercivityCertificate:
-        return coercivity(self.law, self.nu, self.pad_grid)
+        def law_blocks():
+            evaluated = _law_blocks(self.law, self.nu, self.pad_grid)
+            if "blocks" not in self.__dict__:
+                self.__dict__["_law_blocks"] = evaluated  # until `blocks` takes it
+            return evaluated
+        return _coercivity(self.law, self.nu, self.pad_grid, law_blocks)
 
     @cached_property
     def blocks(self) -> np.ndarray:
-        return forward_blocks(self.law, self.A, self.nu, self.pad_grid)
+        law_blocks = self.__dict__.pop("_law_blocks", None)
+        if law_blocks is None:
+            return forward_blocks(self.law, self.A, self.nu, self.pad_grid)
+        return _with_skew(law_blocks, self.A)
 
     @cached_property
     def adjoint_blocks(self) -> np.ndarray:

@@ -324,19 +324,29 @@ class TestCliExitCodes:
         assert main(["control", "--config", write_config(tmp_path, payload)]) == 0
 
     def test_unconverged_svd_exits_1(self, tmp_path, capsys):
-        # a tiny B entry scales every singular value of L_G near 1e-308, so the
+        # B = 1e-308 e1 scales every singular value of L_G near 1e-308, so the
         # least-norm solve through them overflows: a numerical failure told in
-        # one line, under both control commands
-        payload = bundled("heat_small", 32)
-        payload["control"]["B"][0][0] = [1e-308, 0.0]
-        path = write_config(tmp_path, payload)
-        for options in ([], ["--certify-duality"]):
+        # one line, under both control commands where they take the dense
+        # route.  Heat's certify takes the separating route instead, which
+        # solves for no control: a datum that B^* misses decides its verdicts
+        def tiny_e1(name):
+            payload = bundled(name, 32)
+            payload["control"]["B"] = [[[1e-308 if i == 0 else 0.0, 0.0]] for i in range(9)]
+            return write_config(tmp_path, payload, f"{name}.json")
+
+        heat, wave = tiny_e1("heat_small"), tiny_e1("wave_small")
+        for path, options in ((heat, []), (wave, []), (wave, ["--certify-duality"])):
             code, caught = main_recording_warnings(["control", "--config", path, *options])
             assert code == 1
             err = capsys.readouterr().err
             assert err.startswith("evoq: numerical failure (LinAlgError):")
             assert err.count("\n") == 1
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        code, caught = main_recording_warnings(["control", "--certify-duality", "--config",
+                                                heat, "--json"])
+        assert code == 0
+        assert set(json.loads(capsys.readouterr().out)["verdicts"].values()) == {False}
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_a_huge_injection_entry_leaves_the_verdicts_agreeing(self, tmp_path, capsys):
         # scaling a column of B moves neither ran(L_G) nor a verdict: the mass

@@ -9,8 +9,10 @@ solves against the assembled columns.
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -796,16 +798,18 @@ class TestNullControl:
 
     @pytest.mark.parametrize("injection, svds, command", [
         ("I", 1, ["control"]), ("I", 1, ["control", "--certify-duality"]),
-        ("zero", 2, ["control"]), ("zero", 2, ["control", "--certify-duality"]),
+        ("zero", 2, ["control"]), ("zero", 1, ["control", "--certify-duality"]),
     ], ids=["I-control", "I-certify", "zero-control", "zero-certify"])
     def test_dense_svd_count_per_command(self, monkeypatch, tmp_path, command,
                                          injection, svds):
         # B's SVD decides the route.  With B = I the B route gives c_obs and
         # its witness, and `control` solves for the control by HUM, so
-        # neither command takes another SVD.  With B = 0 the dense route takes L_G once, shared by
-        # the null-control solves and the Douglas check, whose verdict is
-        # also the observability verdict; the witness is the Douglas witness,
-        # a column of L_F.  Every thresholded 2-norm is decided from its
+        # neither command takes another SVD.  With B = 0 certify takes the
+        # separating route, which needs no other SVD either, and `control`
+        # the dense route: it takes L_G once, shared by the null-control
+        # solves and the Douglas check, whose verdict is also the
+        # observability verdict; the witness is the Douglas witness, a
+        # column of L_F.  Every thresholded 2-norm is decided from its
         # Frobenius bracket, so no norm(., 2) and no SVD of the mass outside
         # ran(L_G) runs.
         from evoq.cli import main
@@ -820,8 +824,8 @@ class TestNullControl:
         ("e1", ["control"], [(9, 1), (108, 32)]),
         ("zero", ["control"], [(9, 1), (108, 32)]),
         ("I", ["control", "--certify-duality"], [(9, 9)]),
-        ("e1", ["control", "--certify-duality"], [(9, 1), (108, 32)]),
-        ("zero", ["control", "--certify-duality"], [(9, 1), (108, 32)]),
+        ("e1", ["control", "--certify-duality"], [(9, 1)]),
+        ("zero", ["control", "--certify-duality"], [(9, 1)]),
     ], ids=["I-control", "e1-control", "zero-control",
             "I-certify", "e1-certify", "zero-certify"])
     def test_benchmark_sized_svd_traffic(self, monkeypatch, tmp_path, injection, command,
@@ -832,7 +836,8 @@ class TestNullControl:
         # decides the route, first.  With B = I the B route gives c_obs and
         # its witness, and `control` solves for the control by HUM, so
         # neither command takes an SVD of L_G (108 x 288) or of the Douglas
-        # core; no command takes an exact 2-norm
+        # core.  With B = e1 or 0 certify takes the separating route, which
+        # takes none either; no command takes an exact 2-norm
         from evoq.cli import main
 
         path = write_benchmark_heat_config(tmp_path, injection)
@@ -842,28 +847,15 @@ class TestNullControl:
 
     @pytest.mark.parametrize("command", [["control"], ["control", "--certify-duality"]],
                              ids=["control", "certify"])
-    def test_one_operator_per_command(self, monkeypatch, tmp_path, command):
+    def test_one_operator_per_command(self, law_evaluations, tmp_path, command):
         # primal and backward maps come from one operator's blocks, and the
-        # reported certificate is that operator's own
-        from evoq import material, solver
+        # reported certificate is that operator's own: the law is evaluated
+        # once, for both
         from evoq.cli import main
 
-        calls = {"forward_blocks": 0, "coercivity": 0}
-
-        def counting(module, name):
-            original = getattr(module, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
-
-        counting(solver, "forward_blocks")
-        counting(solver, "coercivity")
-        counting(material, "coercivity")  # the CLI's own import
         path = write_heat_control_config(tmp_path, "I")
         assert main([*command, "--config", path, "--out", str(tmp_path / "out")]) == 0
-        assert calls == {"forward_blocks": 1, "coercivity": 1}
+        assert len(law_evaluations) == 1
 
     def test_batched_probe_verdicts_match_per_probe_null_control(self, monkeypatch):
         # reference: one null_control per probe, over the same draws of the rng
@@ -879,7 +871,7 @@ class TestNullControl:
                                                 rhs, "forward"), B=B, T=1.0)
             maps = assemble_endmaps(cp, inst.pad_fraction)
             batched_rng, loop_rng = np.random.default_rng(9), np.random.default_rng(9)
-            batched, _ = control._duality_verdicts(maps, batched_rng)
+            batched, _ = control._duality_verdicts(maps, control._probes(maps.op, batched_rng))
             looped = []
             for _ in range(max(inst.m, 3)):
                 probe = random_signal(inst.grid, inst.nu, inst.m, loop_rng)
@@ -1047,16 +1039,18 @@ def route_gate(maps, B):
 def check_route_against_dense(label, maps, B):
     """The B route is taken exactly when its gate holds, and then gives the
     dense verdicts, the dense c_obs to 1e-12 and a witness attaining it."""
-    from evoq.control import ObservabilityEstimate, _b_feasible, _b_route, _duality_verdicts
+    from evoq.control import (ObservabilityEstimate, _b_feasible, _b_route, _b_svd,
+                               _duality_verdicts, _probes)
 
-    route = _b_route(maps.op, maps.post_start, B)
+    route = _b_route(maps.op, maps.post_start, _b_svd(B))
     assert (route is not None) == route_gate(maps, B), label
     if route is None:
         return False
     dense = ObservabilityEstimate(maps)  # the dense estimate, read explicitly
-    feasible, included = _duality_verdicts(maps, np.random.default_rng(5))
+    probes = _probes(maps.op, np.random.default_rng(5))
+    feasible, included = _duality_verdicts(maps, probes)
     assert (feasible, included, dense.finite) == (True, True, True), label
-    assert _b_feasible(maps.op, route, np.random.default_rng(5)), label
+    assert _b_feasible(maps.op, route, probes), label
     assert route.c_obs == pytest.approx(dense.c_obs, rel=1e-12, abs=0), label
     w = route.witness
     assert w.nu == -maps.op.nu and not w.phi[:maps.post_start].any(), label
@@ -1165,9 +1159,9 @@ class TestBRoute:
 def check_hum_against_null_control(label, cp, maps):
     """On the B route, `_hum_control` gives `null_control`'s verdict and its
     control to 1e-11, having stopped at the 1e-12 rung; False off the route."""
-    from evoq.control import _b_route, _hum_control
+    from evoq.control import _b_route, _b_svd, _hum_control
 
-    route = _b_route(maps.op, maps.post_start, cp.B)
+    route = _b_route(maps.op, maps.post_start, _b_svd(cp.B))
     if route is None:
         return False
     res, ref = _hum_control(maps.op, route, cp.F), null_control(cp, maps)
@@ -1266,9 +1260,9 @@ class TestHum:
 
 
 class TestPastTheEndMapGuard:
-    """The B route assembles no end map, so their size guard does not
-    refuse it; the dense route is still refused before any end map is
-    assembled, with the guard's message."""
+    """The B route and certify's separating route assemble no end map, so
+    their size guard does not refuse them; the dense route is still refused
+    before any end map is assembled, with the guard's message."""
 
     @staticmethod
     def past_the_guard(path):
@@ -1308,18 +1302,40 @@ class TestPastTheEndMapGuard:
         assert obs["method"] == "b-sigma-min-datum" and result["result"]["feasible"]
         assert main(["control", "--certify-duality", "--config", str(path)]) == 0
 
-    @pytest.mark.parametrize("command", [["control"], ["control", "--certify-duality"]],
-                             ids=["control", "certify"])
-    def test_dense_route_is_refused_in_one_line(self, monkeypatch, tmp_path, capsys,
-                                                command):
-        # heat_small's B = e1 is rank deficient, so only its own small SVD
-        # runs before the guard, and no solve; 224 post-horizon samples x 9
-        # x 512 x 9 entries
+    @pytest.mark.parametrize("kind", ["heat", "maxwell"])
+    def test_rank_deficient_certify_takes_the_separating_route(self, monkeypatch, tmp_path,
+                                                               capsys, kind):
+        # the bundled B = e1 (heat) and B = 0 (Maxwell): a datum that B^*
+        # misses decides every verdict, with no end map
+        from evoq import control
         from evoq.cli import main
 
-        monkeypatch.setattr(SpectralOperator, "padded_solve", lambda *a: pytest.fail(
-            "no solve may run before the guard refuses a rank-deficient B"))
-        path = write_bundled_config(tmp_path, "heat", 512)
+        path = write_bundled_config(tmp_path, kind, 512)
+        self.past_the_guard(path)
+        monkeypatch.setattr(control, "_assemble", lambda *a: pytest.fail(
+            "the separating route assembles no end maps"))
+        capsys.readouterr()
+        assert main(["control", "--certify-duality", "--config", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdicts"] == {
+            "feasible_for_spanning_set": False, "range_included": False,
+            "observability_finite": False}
+
+    @pytest.mark.parametrize("command, kind, eps", [
+        (["control"], "heat", None), (["control", "--certify-duality"], "wave", 0.0),
+    ], ids=["control", "certify"])
+    def test_dense_route_is_refused_in_one_line(self, monkeypatch, tmp_path, capsys,
+                                                command, kind, eps):
+        # heat_small's B = e1 is rank deficient, so `control` runs only B's
+        # own small SVD before the guard, and no solve.  Certify tries the
+        # separating route first, whose datum on wave_small with
+        # B = diag(1, ..., 1, 0) leaves its bounds open.  Both have
+        # 224 post-horizon samples x 9 x 512 x 9 entries
+        from evoq.cli import main
+
+        if eps is None:
+            monkeypatch.setattr(SpectralOperator, "padded_solve", lambda *a: pytest.fail(
+                "no solve may run before the guard refuses a rank-deficient B"))
+        path = write_bundled_config(tmp_path, kind, 512, eps)
         capsys.readouterr()
         assert main([*command, "--config", path]) == 2
         assert capsys.readouterr().err == (
@@ -1427,6 +1443,122 @@ class TestWeakActuator:
         with open(out / "duality_table.json") as fh:
             table = json.load(fh)
         assert table["agree"] and set(table["verdicts"].values()) == {True}
+
+
+def check_separation_against_dense(label, maps, B):
+    """Certify's separating route, tried as certify tries it (the B route
+    first), decides only pairs the dense route finds infeasible and
+    excluded, on the same probes; returns whether it decided."""
+    from evoq.control import _b_route, _b_svd, _duality_verdicts, _probes, _separated
+
+    svd_b = _b_svd(B)
+    if _b_route(maps.op, maps.post_start, svd_b) is not None:
+        return False
+    probes = _probes(maps.op, np.random.default_rng(5))
+    separated = _separated(maps.op, maps.post_start, svd_b, probes)
+    if separated:
+        assert _duality_verdicts(maps, probes) == (False, False), label
+    return separated
+
+
+def benchmark_certify_cells(seed):
+    """(label, control problem, pad fraction) of the 18 rank-deficient
+    certify cells of a `control-dense` cycle: heat, wave and Maxwell at
+    n in {32, 48, 64} with B = e1 and B = 0, from the benchmark's generator."""
+    import importlib.util
+
+    from evoq.config import load_config
+
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                                  "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    rng = random.Random(seed)
+    for kind in workloads.KINDS:
+        for n in (32, 48, 64):
+            for b in ("e1", "zero"):
+                cell = ("certify", kind, n, b)
+                with tempfile.TemporaryDirectory() as tmp:
+                    path = os.path.join(tmp, "cfg.json")
+                    with open(path, "w") as fh:
+                        json.dump(workloads._command(cell, rng)["config"], fh)
+                    cfg = load_config(path)
+                yield f"{kind}-n{n}-{b}", cfg.control, cfg.pad_fraction
+
+
+class TestSeparatingRoute:
+    """Certify decides a pair that the B route declines from one nu-adjoint
+    datum that B^* misses and L_F^H sees, with no end maps, where its bounds
+    close; the dense verdicts, read on the same probes, are the reference."""
+
+    def test_desk_pairs_match_the_dense_route(self, tmp_path):
+        # every rank-deficient pair takes the route but wave and Maxwell
+        # with B = e1 at n <= 64, whose datum's blind ratio is 5e-9 or more
+        decided, dense = set(), set()
+        for label, maps, _, B in desk_end_maps(tmp_path):
+            if np.linalg.matrix_rank(B) < maps.op.A.m:
+                (decided if check_separation_against_dense(label, maps, B)
+                 else dense).add(label)
+        assert dense == {f"control/dense-{kind}-n{n}-e1" for kind in ("wave", "maxwell")
+                         for n in (32, 64)}
+        assert len(decided) == 15
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_benchmark_cells_match_the_dense_route(self, seed):
+        # all B = 0 cells and the heat B = e1 cells take the route; wave and
+        # Maxwell with B = e1 leave a blind ratio of 1e-9 or more on these
+        # grids, and stay dense
+        for label, cp, pad_fraction in benchmark_certify_cells(seed):
+            maps = assemble_endmaps(cp, pad_fraction)
+            expected = label.startswith("heat") or label.endswith("zero")
+            assert check_separation_against_dense(label, maps, cp.B) == expected, label
+
+    def test_weak_actuators_match_the_dense_route(self, tmp_path):
+        # B = diag(1, ..., 1, eps) with eps at or below L_G's cutoff is
+        # excluded.  For eps > 0 beta / ||v|| is about eps, as large as the
+        # cutoff ell relative to ||L_G||, so no bound closes; at eps = 0
+        # only wave and Maxwell leak enough into B^* v to stay dense
+        from evoq.config import load_config
+
+        decided = set()
+        for kind in ("heat", "wave", "maxwell"):
+            for eps in (5e-10, 3e-10, 2e-10, 1e-10, 0.0):
+                cp = load_config(write_bundled_config(tmp_path, kind, 64, eps)).control
+                maps = assemble_endmaps(cp)
+                if not observability_constant(cp, maps).finite:
+                    if check_separation_against_dense(f"{kind}-{eps}", maps, cp.B):
+                        decided.add((kind, eps))
+        assert decided == {("heat", 0.0)}
+
+    @pytest.mark.parametrize("memory", [False, True], ids=["local", "memory"])
+    def test_a_law_with_memory_falls_back(self, tmp_path, memory):
+        # the law I + z^-2 I integrates in time, so the cut datum leaks into
+        # B^* v and the route leaves the verdicts to the dense route
+        from evoq.config import load_config
+        from evoq.control import _probes, _route, _separated
+
+        cfg = load_config(write_rotation_config(tmp_path, np.array([[1.0], [0.0]]), memory))
+        op, post, svd_b, route = _route(cfg.control, cfg.pad_fraction)
+        assert route is None
+        probes = _probes(op, np.random.default_rng(cfg.seed))
+        assert _separated(op, post, svd_b, probes) is not memory
+
+    def test_perturbed_backward_system_fails_the_dot_test(self, monkeypatch, tmp_path,
+                                                          capsys):
+        # the route's probes pass the dot test before its datum is trusted,
+        # so a backward solve off by 1e-6 exits 1 with no end map assembled
+        from evoq import control, solver
+        from evoq.cli import main
+
+        monkeypatch.setattr(solver.SpectralOperator, "adjoint_blocks", property(
+            lambda op: np.conj(np.swapaxes(op.blocks, 1, 2)) * (1 + 1e-6)))
+        monkeypatch.setattr(control, "_assemble", lambda *a: pytest.fail(
+            "the separating route assembles no end maps"))
+        path = write_benchmark_heat_config(tmp_path, "e1")
+        capsys.readouterr()
+        assert main(["control", "--certify-duality", "--config", path]) == 1
+        assert "the adjoint of L_F disagrees with a backward solve" in capsys.readouterr().err
 
 
 class TestPointwise:

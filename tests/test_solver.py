@@ -328,23 +328,16 @@ class TestNuIndependence:
         for diff in diffs.values():
             assert diff <= 1e-4
 
-    def test_suite_builds_one_operator_per_weight(self, monkeypatch, tmp_path):
+    def test_suite_builds_one_operator_per_weight(self, law_evaluations, tmp_path):
         # the forward and the backward solve at one weight share its blocks
-        # and its certificate
-        from evoq import solver
+        # and its certificate, which share one evaluation of the law
         from evoq.cli import main
 
-        calls = {"forward_blocks": 0, "coercivity": 0}
-        for name in calls:
-            def counted(*args, _name=name, _original=getattr(solver, name), **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-            monkeypatch.setattr(solver, name, counted)
         config = os.path.join(os.path.dirname(__file__), "..", "configs", "heat_small.json")
         code = main(["verify", "--config", config, "--suite", "nu-independence",
                      "--out", str(tmp_path)])
         assert code == 0
-        assert calls == {"forward_blocks": 2, "coercivity": 2}
+        assert len(law_evaluations) == 2
 
 
 class TestRandomInstanceProperties:
@@ -422,21 +415,15 @@ class TestOperatorApplications:
 
 
 class TestSpectralOperator:
-    def test_duality_suite_builds_blocks_and_certificate_once(self, monkeypatch, tmp_path):
-        from evoq import solver
+    def test_duality_suite_builds_blocks_and_certificate_once(self, law_evaluations, tmp_path):
+        # the blocks and the certificate share one evaluation of the law
         from evoq.cli import main
 
-        calls = {"forward_blocks": 0, "coercivity": 0}
-        for name in calls:
-            def counted(*args, _name=name, _original=getattr(solver, name), **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-            monkeypatch.setattr(solver, name, counted)
         config = os.path.join(os.path.dirname(__file__), "..", "configs", "heat_small.json")
         code = main(["verify", "--config", config, "--suite", "duality",
                      "--out", str(tmp_path)])
         assert code == 0
-        assert calls == {"forward_blocks": 1, "coercivity": 1}
+        assert len(law_evaluations) == 1
 
     def test_solve_pair_matches_operator_bit_for_bit(self):
         from evoq.solver import SpectralOperator
