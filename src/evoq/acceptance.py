@@ -27,8 +27,9 @@ from .control import (
     observability_constant,
     pointwise_null_control,
     pointwise_solve,
+    _b_svd,
+    _bracket,
     _duality_verdicts,
-    _observability_bracket,
     _pointwise_response_matrix,
     _pointwise_target,
     _probes,
@@ -230,7 +231,7 @@ def _control_instances():
 
 def criterion_8_control_duality() -> CriterionResult:
     """Agreement of feasibility, range inclusion and finite observability;
-    where finite, c_obs between the two ends of `_observability_bracket`
+    where finite, c_obs between the two ends of the B route's `_bracket`
     to the algebraic rung.  Finite observability is the range inclusion's
     verdict (`ObservabilityEstimate.finite`), so two of the three verdicts
     are independent."""
@@ -257,7 +258,7 @@ def criterion_8_control_duality() -> CriterionResult:
         ok &= agree
 
         if math.isfinite(obs.c_obs):
-            lower, upper = _observability_bracket(maps, B)
+            lower, upper, *_ = _bracket(_b_svd(maps.op, maps.post_start, B))
             measured[label].update(bracket_lower=lower, bracket_upper=upper)
             ok &= lower <= obs.c_obs * (1 + tol)
             ok &= obs.c_obs <= upper * (1 + tol)

@@ -274,7 +274,7 @@ def _parse_spatial(section: dict, nu: float, n_pad: int):
     if dx <= 0:
         _fail("spatial.dx", f"must be positive, got {dx}")
 
-    def coeff(name, size, default=None):
+    def coeff(name, default=None):
         if name not in section:
             if default is None:
                 _fail("spatial", f"kind {kind!r} requires field {name!r}")
@@ -286,11 +286,11 @@ def _parse_spatial(section: dict, nu: float, n_pad: int):
 
     try:
         if kind == "heat":
-            return build_heat_block(k, coeff("a", k), dx=dx, nu=nu)
+            return build_heat_block(k, coeff("a"), dx=dx, nu=nu)
         if kind == "wave":
-            return build_wave_block(k, coeff("T_elast", k + 1), dx=dx, nu=nu)
-        return build_maxwell_block(k, coeff("eps", k, 1.0), coeff("mu", k + 1, 1.0),
-                                   coeff("sigma", k, 0.0), dx=dx, nu=nu)
+            return build_wave_block(k, coeff("T_elast"), dx=dx, nu=nu)
+        return build_maxwell_block(k, coeff("eps", 1.0), coeff("mu", 1.0),
+                                   coeff("sigma", 0.0), dx=dx, nu=nu)
     except (DefinitenessError, NonCoerciveError) as exc:
         # the builders' messages open with the coefficient's name
         raise SchemaError(f"spatial.{exc}") from None

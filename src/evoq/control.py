@@ -45,10 +45,12 @@ control g = -(I x B^+) f.  The route's forward and backward solves are
 one pair, L_F and L_F^H solved (`_response`, `_observation`), and both
 commands pair them in a dot test (`_dot_test`) on the assembly's backward
 data (`_backward_data`).  Certify has a third route, the separating one
-(`_separated`), for the pairs the B route declines: one such datum, along
-a direction B^* misses, that L_F^H sees makes every verdict False when its
-bounds close, from B's SVD, the datum, one more forward solve, the probes'
-forward solves and the operator's certificate.  With no end map there is
+(`_separated`), for the pairs the B route declines: the B route's datum,
+where B^* misses its direction and L_F^H sees it, makes every verdict
+False when its bounds close, from B's SVD, the datum, one more forward
+solve, the probes' forward solves and the operator's certificate.  The
+datum is solved once per command, on first read, whichever routes read
+it (`_b_svd`).  With no end map there is
 no end-map size guard: it sits in `_assemble`, the one code that builds
 end maps.  Every other pair, and every library entry point above, takes
 the dense route; `null_control` is the reference the HUM control is tested
@@ -57,13 +59,16 @@ against, and `_duality_verdicts` the one the separating route is.  The
 place: `_certify` for its duality table, `_synthesize` for its control and
 observability.  The rules the routes share are written once: feasibility
 (`_feasible`), the backward data of the dot tests, the probes of certify's
-feasibility (`_probes`, drawn once per command), B's SVD (`_b_svd`), the
-datum (`_datum`), and finite observability, which is the range inclusion.
+feasibility (`_probes`, drawn once per command), B's SVD with the datum
+(`_b_svd`), the bracket of c_obs (`_bracket`), and finite observability,
+which is the range inclusion.
 
 Every dense entry point (`douglas_check`, `assemble_endmaps`, `null_control`,
 `observability_constant`, the pointwise pair and the duality verdicts) runs
 on one OpenBLAS thread whatever the caller's thread count says, then
-restores the caller's count, as every CLI command does.  Mid-size complex
+restores the caller's count, as every CLI command does.  The routes that
+assemble no end map run only inside a command, so they take no pin of
+their own.  Mid-size complex
 SVDs are faster that way than on two threads, and the results no longer
 depend on the thread count (bitwise reproducibility still assumes the same
 numpy/OpenBLAS build and CPU kernel).
@@ -763,76 +768,71 @@ def _datum(op: SpectralOperator, post: int, u: np.ndarray) -> tuple:
     return datum, op.solutions([datum])[0]
 
 
-def _bracket(op: SpectralOperator, post: int, B: np.ndarray, u: np.ndarray,
-             sigma_min: float) -> tuple:
-    """(lower, upper, datum): bounds of c_obs for B of full row rank, from
-    the duality alone (Dolecki & Russell 1977), and the datum behind the
-    lower one.
+def _b_svd(op: SpectralOperator, post: int, B: np.ndarray) -> tuple:
+    """(2^k B, k, U, s, Vh, datum), which the routes share: the injection
+    taken into range by a power of two, its full SVD 2^k B = U diag(s) Vh,
+    and the datum of `_datum` along U[:, -1], B's weakest left direction,
+    on `op` with horizon sample `post`.  `datum()` solves it on first call
+    and returns the same (y, v) after, so a command solves it at most once;
+    `datum` is None when only one post-horizon sample exists, where no
+    Gaussian fits after T."""
+    B, k = _into_range(B)
+    U, s, Vh = np.linalg.svd(B)
+    datum = cache(lambda: _datum(op, post, U[:, -1])) if post < op.grid.n - 1 else None
+    return B, k, U, s, Vh, datum
 
-    Lower: ||v|| / ||B^* v|| for the datum of `_datum` along u, B's left
-    singular vector for sigma_min, and its backward solution v; valid
+
+def _bracket(svd_b: tuple) -> tuple:
+    """(lower, upper, y): bounds of c_obs for B of full row rank, given as
+    `_b_svd(B)` with a datum, from the duality alone (Dolecki & Russell
+    1977), and the datum y behind the lower one.
+
+    Lower: ||v|| / ||B^* v|| for the backward solution v of y, valid
     whatever the datum.  Upper: 1/sigma_min, since ||B^* x|| >=
-    sigma_min(B) ||x||.  Neither end touches L_F, L_G or the Douglas core.
+    sigma_min(B) ||x||.  Both are read on 2^k B and scaled back.  Neither
+    end touches L_F, L_G or the Douglas core.
     """
-    datum, v = _datum(op, post, u)
-    return float(_norm2(v.phi) / _norm2(v.phi @ B.conj())), float(1.0 / sigma_min), datum
-
-
-def _observability_bracket(maps: EndMaps, B: np.ndarray) -> tuple:
-    """(lower, upper) of `_bracket` on the end maps `maps` of B, of full row
-    rank: criterion 8's check of the dense c_obs."""
-    U, s, _ = np.linalg.svd(B)
-    return _bracket(maps.op, maps.post_start, B, U[:, -1], s[-1])[:2]
+    B, k, _, s, _, datum = svd_b
+    y, v = datum()
+    return (_ldexp(float(_norm2(v.phi) / _norm2(v.phi @ B.conj())), k),
+            _ldexp(float(1.0 / s[-1]), k), y)
 
 
 @dataclass(frozen=True)
 class _BRoute:
     """The B route's observability, read like `ObservabilityEstimate`:
     `c_obs` = 1/sigma_min(B), finite, and as `witness` the cut datum that
-    attains it to the algebraic rung, unit over the post-horizon rows
-    (samples `post` on); no end map is assembled, so there is no `cutoff`.
-    `B`, taken into range as 2^k B, and its pseudoinverse `pinv` give
-    certify its explicit control and `_hum_control` its Gramian and
-    preconditioner."""
+    attains it to the algebraic rung, unit over the post-horizon rows; no
+    end map is assembled, so there is no `cutoff`.  The pseudoinverse
+    `pinv` of 2^k B gives certify its explicit control and `_hum_control`
+    its preconditioner."""
 
     method: ClassVar[str] = "b-sigma-min-datum"
     cutoff: ClassVar[None] = None
     c_obs: float
     witness: WeightedSignal
-    post: int
-    B: np.ndarray
     pinv: np.ndarray
-    k: int
 
 
-def _b_svd(B: np.ndarray) -> tuple:
-    """(2^k B, k, U, s, Vh): the injection taken into range by a power of
-    two and its full SVD 2^k B = U diag(s) Vh, which the routes share."""
-    B, k = _into_range(B)
-    return (B, k, *np.linalg.svd(B))
-
-
-@one_blas_thread
-def _b_route(op: SpectralOperator, post: int, svd_b: tuple) -> Optional[_BRoute]:
+def _b_route(post: int, svd_b: tuple) -> Optional[_BRoute]:
     """The B route of a supported problem with injection B, given as
-    `_b_svd(B)`, and horizon sample `post`, on its operator `op`, or None
-    where another route decides.
+    `_b_svd(B)`, and horizon sample `post`, or None where another route
+    decides.
 
     It is taken when B has full row rank m with kappa(B) < `_KAPPA_LIMIT`,
-    where the dense check could only say "included", and the datum of
-    `_bracket` closes the bracket: lower >= upper (1 - 1e-12), the algebraic
-    rung.  Both ends bound c_obs for any law, so a law that is not local in
-    time fails to close it and takes another route; no law is tested.
+    where the dense check could only say "included", and `_bracket`
+    closes: lower >= upper (1 - 1e-12), the algebraic rung.  Both ends
+    bound c_obs for any law, so a law that is not local in time fails to
+    close it and takes another route; no law is tested.
     """
-    B, k, U, s, Vh = svd_b
-    if not (s.size == op.A.m and s[0] < _KAPPA_LIMIT * s[-1] and post < op.grid.n - 1):
+    B, _, U, s, Vh, datum = svd_b
+    if not (s.size == B.shape[0] and s[0] < _KAPPA_LIMIT * s[-1] and datum is not None):
         return None  # rank deficient, ill-conditioned, or one post-horizon sample
-    lower, upper, datum = _bracket(op, post, B, U[:, -1], s[-1])
+    lower, upper, y = _bracket(svd_b)
     if not lower >= upper * (1 - 1e-12):
         return None
-    return _BRoute(c_obs=_ldexp(upper, k),
-                   witness=datum.with_phi(datum.phi / _norm2(datum.phi[post:])), post=post,
-                   B=B, pinv=(Vh[:s.size].conj().T / s) @ U.conj().T, k=k)
+    return _BRoute(c_obs=upper, witness=y.with_phi(y.phi / _norm2(y.phi[post:])),
+                   pinv=(Vh[:s.size].conj().T / s) @ U.conj().T)
 
 
 def _response(op: SpectralOperator, post: int, phi: np.ndarray) -> np.ndarray:
@@ -873,22 +873,21 @@ def _dot_test(op: SpectralOperator, post: int, X: np.ndarray, LX: np.ndarray) ->
     _check_agrees(Y.conj().T @ LX, V.conj().T @ X, _DOT_TEST_FAILURE)
 
 
-@one_blas_thread
-def _b_feasible(op: SpectralOperator, route: _BRoute, F: np.ndarray) -> bool:
-    """Certify's feasibility on the B route, with no end maps: for each of
-    the probes f of `F` (n, m, p), the batch `_probes` draws, the explicit
-    control g = -(I x B^+) f leaves the forcing f + B g = (I - B B^+) f, and
-    one batched forward solve (`_response`) of the probes and of those
-    forcings gives the target -L_F f and the residual, judged by
-    `_feasible`.  Those forward solves pass `_dot_test`."""
+def _b_feasible(op: SpectralOperator, post: int, svd_b: tuple, route: _BRoute,
+                F: np.ndarray) -> bool:
+    """Certify's feasibility on the B route of `_route`'s values, with no
+    end maps: for each of the probes f of `F` (n, m, p), the batch `_probes`
+    draws, the explicit control g = -(I x B^+) f leaves the forcing
+    f + B g = (I - B B^+) f, and one batched forward solve (`_response`) of
+    the probes and of those forcings gives the target -L_F f and the
+    residual, judged by `_feasible`.  Those forward solves pass `_dot_test`."""
     p = F.shape[-1]
-    X = np.concatenate([F, F - route.B @ (route.pinv @ F)], axis=-1)
-    LX = _response(op, route.post, X).reshape(-1, 2 * p)
-    _dot_test(op, route.post, X.reshape(-1, 2 * p), LX)
+    X = np.concatenate([F, F - svd_b[0] @ (route.pinv @ F)], axis=-1)
+    LX = _response(op, post, X).reshape(-1, 2 * p)
+    _dot_test(op, post, X.reshape(-1, 2 * p), LX)
     return _feasible(LX[:, p:], -LX[:, :p])
 
 
-@one_blas_thread
 def _separated(op: SpectralOperator, post: int, svd_b: tuple, F: np.ndarray) -> bool:
     """True when one nu-adjoint datum that B^* misses and L_F^H sees
     decides certify's verdicts, all False, with no end map: the separating
@@ -896,12 +895,13 @@ def _separated(op: SpectralOperator, post: int, svd_b: tuple, F: np.ndarray) -> 
     horizon sample `post` and the probes `F` (n, m, p) that `_probes` drew.
     False where its bounds do not close, and the dense route decides.
 
-    The datum y is `_datum`'s along B's last left singular vector u (a left
-    null vector when B has fewer columns than rows), with its backward
-    solution v = L_F^H y and beta = ||B^* v|| = ||L_G^H y||.  One forward
-    solve of the Gaussian along B's top left singular vector, sigma_max(B)
-    times it being L_G x for x along the top right one, gives ell =
-    1e-10 ||L_G x|| / ||x||, at most the dense cutoff 1e-10 sigma_max(L_G).
+    The datum y is the B route's, `_b_svd`'s along B's last left singular
+    vector u (a left null vector when B has fewer columns than rows), with
+    its backward solution v = L_F^H y and beta = ||B^* v|| = ||L_G^H y||.
+    One forward solve of the Gaussian along B's top left singular vector,
+    sigma_max(B) times it being L_G x for x along the top right one, gives
+    ell = 1e-10 ||L_G x|| / ||x||, at most the dense cutoff
+    1e-10 sigma_max(L_G) (`DEFAULT_SVD_RTOL`), as a sound bound must be.
     A kept singular value of L_G exceeds that cutoff, so the dense truncated
     control of a target t has ||g|| < ||t|| / ell, and the kept left
     singular vectors U_r see ||U_r^* y|| <= beta / ell.  L_F is a section
@@ -921,11 +921,11 @@ def _separated(op: SpectralOperator, post: int, svd_b: tuple, F: np.ndarray) -> 
     behind ell; the inclusion is decided before the probes' solves too, and
     those solves pass `_dot_test`.
     """
-    if post == op.grid.n - 1:
-        return False  # one post-horizon sample: no Gaussian fits after T
-    B, _, U, s, _ = svd_b
-    datum, v = _datum(op, post, U[:, -1])
-    y = datum.phi[post:].reshape(-1)
+    B, _, U, s, _, datum = svd_b
+    if datum is None:
+        return False  # one post-horizon sample
+    w, v = datum()
+    y = w.phi[post:].reshape(-1)
     norm_y = float(_norm2(y)) * (1 + _ROUNDING)
     beta = float(_norm2(v.phi @ B.conj())) * (1 + _ROUNDING)
     skew_defect = float(_norm2(op.A.A + op.A.A.conj().T)) / 2 * (1 + _ROUNDING)
@@ -934,11 +934,12 @@ def _separated(op: SpectralOperator, post: int, svd_b: tuple, F: np.ndarray) -> 
         return False
     blind = 0.0  # beta / ell, at least ||U_r^* y||
     if beta:
-        if not beta < 1e-10 * s[0] / c * norm_y:  # ell's own bound: no solve can close
+        if not beta < DEFAULT_SVD_RTOL * s[0] / c * norm_y:  # ell's own bound: no solve can close
             return False
         profile = _gaussian(op, post)
         reach = float(_norm2(_response(op, post, np.outer(profile, s[0] * U[:, 0]))))
-        ell = 1e-10 * reach * (1 - _ROUNDING) / (float(_norm2(profile)) * (1 + _ROUNDING))
+        ell = (DEFAULT_SVD_RTOL * reach * (1 - _ROUNDING)
+               / (float(_norm2(profile)) * (1 + _ROUNDING)))
         if not beta < ell * norm_y:
             return False
         blind = beta / ell
@@ -963,13 +964,13 @@ class _HumReport:
     method: str = "hum-pcg"
 
 
-@one_blas_thread
-def _hum_control(op: SpectralOperator, route: _BRoute, F: WeightedSignal) -> ControlResult:
-    """`null_control` on the B route, with no end maps: the Hilbert
-    Uniqueness Method (Lions 1988).  The least-norm g with L_G g = -L_F f is
-    g = L_G^H z = (I x B^*) L_F^H z, the observation of the backward
-    solution of one post-horizon datum z, and z solves the Gramian equation
-    L_G L_G^H z = -L_F f, here by conjugate gradients.
+def _hum_control(op: SpectralOperator, post: int, svd_b: tuple, route: _BRoute,
+                 F: WeightedSignal) -> ControlResult:
+    """`null_control` on the B route of `_route`'s values, with no end
+    maps: the Hilbert Uniqueness Method (Lions 1988).  The least-norm g
+    with L_G g = -L_F f is g = L_G^H z = (I x B^*) L_F^H z, the observation
+    of the backward solution of one post-horizon datum z, and z solves the
+    Gramian equation L_G L_G^H z = -L_F f, here by conjugate gradients.
 
     A Gramian product is a backward solve of z cut to t >= T
     (`_observation`), a product with B B^* and a forward solve read on the
@@ -982,13 +983,13 @@ def _hum_control(op: SpectralOperator, route: _BRoute, F: WeightedSignal) -> Con
     exact CG terminates.  Feasibility is judged by `_feasible` on the true
     residual L_F (f + B g) from one more forward solve.
 
-    Range rule: f goes into range by `_into_range`, B is the route's
-    (2^k B), and the target -L_F f is scaled so its largest part lies in
+    Range rule: f goes into range by `_into_range`, B is `_b_svd`'s
+    2^k B, and the target -L_F f is scaled so its largest part lies in
     [1/2, 1), where no inner product of CG leaves the doubles; the control
     and the residual are scaled back exactly.  The forward solve of f
     passes `_dot_test`.
     """
-    grid, post, B = op.grid, route.post, route.B
+    grid, (B, k) = op.grid, svd_b[:2]
     rows = slice(op.npad + post, op.npad + grid.n)
     # transposed, so that a flat array times them applies B B^* and
     # (B B^*)^-1 = (B^+)^* B^+ to each sample
@@ -1028,7 +1029,7 @@ def _hum_control(op: SpectralOperator, route: _BRoute, F: WeightedSignal) -> Con
     residual = _response(op, post, f + g @ B.T)
     feasible = _feasible(residual.reshape(-1), response.reshape(-1))
     with np.errstate(over="ignore"):
-        G = _ldexp(g, route.k - kf)
+        G = _ldexp(g, k - kf)
     if not np.isfinite(G).all():
         raise np.linalg.LinAlgError("the least-norm control overflows")
     return ControlResult(
@@ -1260,14 +1261,17 @@ def pointwise_duality_check(cp: ControlProblem) -> dict:
 def _route(cp: ControlProblem, pad_fraction: float) -> tuple:
     """(op, post, svd_b, route) of a supported problem: its one operator,
     with its certificate read first, so that its blocks reuse the law's
-    evaluation, its horizon sample, `_b_svd(B)` and its B route, or None
-    where another route decides.  No size guard runs here: the B route
-    assembles no end map, and `_assemble` guards the dense route."""
+    evaluation, its horizon sample, `_b_svd(B)` with the datum not yet
+    solved, and its B route, or None where another route decides.  The
+    routes read these values and rebuild none of them.  No size guard runs
+    here: the B route assembles no end map, and `_assemble` guards the
+    dense route."""
     base = cp.base
     op = SpectralOperator(base.law, base.A, base.nu, base.grid, pad_fraction)
     op.certificate
-    post, svd_b = base.grid.index_at_or_after(cp.T), _b_svd(cp.B)
-    return op, post, svd_b, _b_route(op, post, svd_b)
+    post = base.grid.index_at_or_after(cp.T)
+    svd_b = _b_svd(op, post, cp.B)
+    return op, post, svd_b, _b_route(post, svd_b)
 
 
 def _certify(cp: ControlProblem, pad_fraction: float, rng: np.random.Generator) -> dict:
@@ -1292,7 +1296,7 @@ def _certify(cp: ControlProblem, pad_fraction: float, rng: np.random.Generator) 
     op, post, svd_b, route = _route(cp, pad_fraction)
     F = _probes(op, rng)
     if route is not None:
-        feasible, included = _b_feasible(op, route, F), True
+        feasible, included = _b_feasible(op, post, svd_b, route, F), True
     elif _separated(op, post, svd_b, F):
         feasible = included = False
     else:
@@ -1314,9 +1318,9 @@ def _synthesize(cp: ControlProblem, pad_fraction: float) -> tuple:
     if cp.variant == "pointwise":
         cert = coercivity(cp.base.law, cp.base.nu, cp.base.grid)
         return cert, pointwise_null_control(cp), None
-    op, _, _, route = _route(cp, pad_fraction)
+    op, post, svd_b, route = _route(cp, pad_fraction)
     if route is not None:
-        return op.certificate, _hum_control(op, route, cp.F), route
+        return op.certificate, _hum_control(op, post, svd_b, route, cp.F), route
     maps = _assemble(cp, op)
     res, obs = null_control(cp, maps), observability_constant(cp, maps)
     return op.certificate, res, obs

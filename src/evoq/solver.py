@@ -240,21 +240,19 @@ class SpectralOperator:
 
     @one_blas_thread
     def solve(self, rhs: WeightedSignal) -> SolveReport:
-        """Certified solve; leakage and wrap-around are measured before the rhs
-        support (forward) or after it (backward)."""
+        """Certified solve; leakage, on the grid, and wrap-around, on the
+        padded grid, are measured before the rhs support (forward) or after
+        it (backward)."""
         forward = self._is_forward(rhs)
         cert = self.certificate
+        padded = self._embed(rhs.phi)
         u_pad, residual = block_solve(self.blocks if forward else self.adjoint_blocks,
-                                      self._embed(rhs.phi), residual=True)
-        npad, n = self.npad, self.grid.n
-        pinned = _pinned(rhs.phi, forward)
-        pinned_pad = (slice(0, npad + pinned.stop) if forward
-                      else slice(npad + pinned.start, self.pad_grid.n))
-        wraparound = _leakage(u_pad, pinned_pad)
-        u = u_pad[npad:npad + n]
+                                      padded, residual=True)
+        u = u_pad[self.npad:self.npad + self.grid.n]
         solution = WeightedSignal(self.grid, rhs.nu, u)
         return SolveReport(solution, residual, solution.norm / max(rhs.norm, NORM_FLOOR),
-                           wraparound, cert, _leakage(u, pinned))
+                           _leakage(u_pad, _pinned(padded, forward)), cert,
+                           _leakage(u, _pinned(rhs.phi, forward)))
 
 
 def solve_forward(p: EvoProblem, pad_fraction: float = DEFAULT_PAD_FRACTION) -> SolveReport:

@@ -42,8 +42,8 @@ from evoq import (
     zero_signal,
 )
 from evoq._blas import one_blas_thread
-from evoq.acceptance import _control_instances, _observability_bracket
-from evoq.control import _time_major
+from evoq.acceptance import _control_instances
+from evoq.control import _b_svd, _bracket, _time_major
 from evoq.solver import DEFAULT_PAD_FRACTION, SpectralOperator
 from evoq.waveforms import bump_signal, random_signal
 
@@ -51,8 +51,8 @@ ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def write_heat_control_config(tmp_path, injection):
-    """A heat k=2 (m=5), n=32 supported-control config with B = I or B = 0."""
-    B = np.eye(5) if injection == "I" else np.zeros((5, 1))
+    """A heat k=2 (m=5), n=32 supported-control config with B = I, e1 or 0."""
+    B = {"I": np.eye(5), "e1": np.eye(5)[:, :1], "zero": np.zeros((5, 1))}[injection]
     config = {
         "seed": 3, "nu": 1.0,
         "grid": {"t_min": -4.0, "t_max": 4.0, "n": 32, "padding_fraction": 0.25},
@@ -967,7 +967,7 @@ class TestObservability:
                                             rhs, "forward"), B=B, T=1.0)
         maps = assemble_endmaps(cp, inst.pad_fraction)
         c_obs = observability_constant(cp, maps).c_obs
-        lower, upper = _observability_bracket(maps, B)
+        lower, upper, *_ = _bracket(_b_svd(maps.op, maps.post_start, B))
         assert upper == pytest.approx(1.0 / sigma[-1], rel=1e-12)
         assert lower == pytest.approx(upper, rel=1e-12, abs=0)
         assert upper * (1 - 1e-12) <= c_obs <= upper * (1 + 1e-12)
@@ -992,7 +992,7 @@ class TestObservability:
                                                 rhs, "forward"), B=B, T=1.0)
             maps = assemble_endmaps(cp, inst.pad_fraction)
             with np.errstate(divide="ignore"):  # B = 0 sees nothing
-                lower, _ = _observability_bracket(maps, B)
+                lower, *_ = _bracket(_b_svd(maps.op, maps.post_start, B))
             y = applied[-1].phi
             cut = np.linalg.norm(y[:maps.post_start]) / np.linalg.norm(y)
             assert cut <= 1e-11, label
@@ -1032,17 +1032,18 @@ def route_gate(maps, B):
     s = np.linalg.svd(B, compute_uv=False)
     if not (s.size == B.shape[0] and s[0] < 100 * s[-1]):
         return False
-    lower, upper = _observability_bracket(maps, B)
+    lower, upper, *_ = _bracket(_b_svd(maps.op, maps.post_start, B))
     return lower >= upper * (1 - 1e-12)
 
 
 def check_route_against_dense(label, maps, B):
     """The B route is taken exactly when its gate holds, and then gives the
     dense verdicts, the dense c_obs to 1e-12 and a witness attaining it."""
-    from evoq.control import (ObservabilityEstimate, _b_feasible, _b_route, _b_svd,
+    from evoq.control import (ObservabilityEstimate, _b_feasible, _b_route,
                                _duality_verdicts, _probes)
 
-    route = _b_route(maps.op, maps.post_start, _b_svd(B))
+    svd_b = _b_svd(maps.op, maps.post_start, B)
+    route = _b_route(maps.post_start, svd_b)
     assert (route is not None) == route_gate(maps, B), label
     if route is None:
         return False
@@ -1050,7 +1051,7 @@ def check_route_against_dense(label, maps, B):
     probes = _probes(maps.op, np.random.default_rng(5))
     feasible, included = _duality_verdicts(maps, probes)
     assert (feasible, included, dense.finite) == (True, True, True), label
-    assert _b_feasible(maps.op, route, probes), label
+    assert _b_feasible(maps.op, maps.post_start, svd_b, route, probes), label
     assert route.c_obs == pytest.approx(dense.c_obs, rel=1e-12, abs=0), label
     w = route.witness
     assert w.nu == -maps.op.nu and not w.phi[:maps.post_start].any(), label
@@ -1159,12 +1160,14 @@ class TestBRoute:
 def check_hum_against_null_control(label, cp, maps):
     """On the B route, `_hum_control` gives `null_control`'s verdict and its
     control to 1e-11, having stopped at the 1e-12 rung; False off the route."""
-    from evoq.control import _b_route, _b_svd, _hum_control
+    from evoq.control import _b_route, _hum_control
 
-    route = _b_route(maps.op, maps.post_start, _b_svd(cp.B))
+    svd_b = _b_svd(maps.op, maps.post_start, cp.B)
+    route = _b_route(maps.post_start, svd_b)
     if route is None:
         return False
-    res, ref = _hum_control(maps.op, route, cp.F), null_control(cp, maps)
+    res = _hum_control(maps.op, maps.post_start, svd_b, route, cp.F)
+    ref = null_control(cp, maps)
     assert res.feasible == ref.feasible, label
     assert np.linalg.norm(res.G.phi - ref.G.phi) <= 1e-11 * np.linalg.norm(ref.G.phi), label
     assert (res.G.grid, res.G.nu) == (ref.G.grid, ref.G.nu), label
@@ -1239,18 +1242,16 @@ class TestHum:
         # the Gramian products take B's first row alone: L_G then has rank
         # at most 32 (samples) of 108 (post-horizon rows), so the Gramian is
         # singular and CG cannot reach the rung within its dimension
-        import dataclasses
-
         from evoq import control
         from evoq.cli import main
 
-        route = control._b_route
+        hum = control._hum_control
 
-        def singular(*args):
-            found = route(*args)
-            return dataclasses.replace(found, B=found.B * (np.arange(9) == 0)[:, None])
+        def singular(op, post, svd_b, route, F):
+            B, *rest = svd_b
+            return hum(op, post, (B * (np.arange(9) == 0)[:, None], *rest), route, F)
 
-        monkeypatch.setattr(control, "_b_route", singular)
+        monkeypatch.setattr(control, "_hum_control", singular)
         path = write_benchmark_heat_config(tmp_path, "I")
         capsys.readouterr()
         assert main(["control", "--config", path]) == 1
@@ -1449,10 +1450,10 @@ def check_separation_against_dense(label, maps, B):
     """Certify's separating route, tried as certify tries it (the B route
     first), decides only pairs the dense route finds infeasible and
     excluded, on the same probes; returns whether it decided."""
-    from evoq.control import _b_route, _b_svd, _duality_verdicts, _probes, _separated
+    from evoq.control import _b_route, _duality_verdicts, _probes, _separated
 
-    svd_b = _b_svd(B)
-    if _b_route(maps.op, maps.post_start, svd_b) is not None:
+    svd_b = _b_svd(maps.op, maps.post_start, B)
+    if _b_route(maps.post_start, svd_b) is not None:
         return False
     probes = _probes(maps.op, np.random.default_rng(5))
     separated = _separated(maps.op, maps.post_start, svd_b, probes)
@@ -1491,6 +1492,39 @@ class TestSeparatingRoute:
     """Certify decides a pair that the B route declines from one nu-adjoint
     datum that B^* misses and L_F^H sees, with no end maps, where its bounds
     close; the dense verdicts, read on the same probes, are the reference."""
+
+    @staticmethod
+    def datum_solves(monkeypatch, path, command):
+        """The number of times `command` on the config `path` solves the
+        nu-adjoint datum."""
+        from evoq import control
+        from evoq.cli import main
+
+        datum, calls = control._datum, []
+
+        def counting(*args):
+            calls.append(args)
+            return datum(*args)
+
+        monkeypatch.setattr(control, "_datum", counting)
+        assert main([*command, "--config", path]) == 0
+        return len(calls)
+
+    @pytest.mark.parametrize("kind", ["heat", "wave", "maxwell"])
+    def test_certify_solves_the_datum_once(self, monkeypatch, tmp_path, kind):
+        # at n = 32 the seeded kappa(B) = 10 datum leaves the bracket open, so
+        # the B route declines and the separating route reads the same datum
+        [(_, config)] = same_outputs_configs(f"control/kappa10-{kind}-n32")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert self.datum_solves(monkeypatch, str(path),
+                                 ["control", "--certify-duality"]) == 1
+
+    @pytest.mark.parametrize("injection", ["e1", "zero"])
+    def test_control_on_a_rank_deficient_B_solves_no_datum(self, monkeypatch, tmp_path,
+                                                           injection):
+        path = write_benchmark_heat_config(tmp_path, injection)
+        assert self.datum_solves(monkeypatch, path, ["control"]) == 0
 
     def test_desk_pairs_match_the_dense_route(self, tmp_path):
         # every rank-deficient pair takes the route but wave and Maxwell
@@ -1718,15 +1752,19 @@ class TestOneBlasThread:
         assert seen and set(seen) == {1}
         assert two_threads() == 2
 
-    @pytest.mark.parametrize("command", [
-        ["solve"], ["adjoint"],
-        *[["verify", "--suite", suite]
-          for suite in ("duality", "causality", "reversal", "nu-independence")],
-        ["control"],
+    @pytest.mark.parametrize("command, injection", [
+        *[(command, "I") for command in (
+            ["solve"], ["adjoint"],
+            *[["verify", "--suite", suite]
+              for suite in ("duality", "causality", "reversal", "nu-independence")],
+            ["control"])],
+        (["control", "--certify-duality"], "I"), (["control", "--certify-duality"], "e1"),
     ], ids=["solve", "adjoint", "duality", "causality", "reversal", "nu-independence",
-            "control"])
+            "control", "certify-B-route", "certify-separating-route"])
     def test_every_command_reduces_on_one_thread(self, monkeypatch, tmp_path, two_threads,
-                                                 command):
+                                                 command, injection):
+        # certify with B = I takes the B route (`_b_feasible`), with B = e1
+        # the separating route (`_separated`), neither of which pins itself
         from evoq.cli import main
 
         # the reductions, and the block solves (the weight-independence
@@ -1738,7 +1776,7 @@ class TestOneBlasThread:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(namespace, name, recording)
-        path = write_heat_control_config(tmp_path, "I")
+        path = write_heat_control_config(tmp_path, injection)
         assert main([*command, "--config", path, "--out", str(tmp_path / "out")]) == 0
         assert seen and set(seen) == {1}
         assert two_threads() == 2

@@ -43,3 +43,19 @@ def test_old_env_reaches_the_old_tree_only():
     proc = run_tool(SRC, SRC, r"^solve/heat_small$", "--old-env", "PYTHONVERBOSE")
     assert proc.returncode == 2
     assert "KEY=VALUE" in proc.stderr
+
+
+def test_default_command_count_is_the_documented_one():
+    # README and the tool's docstring state how many commands it runs; the
+    # stated count drifted from the real one twice before
+    import importlib.util
+    import re
+
+    spec = importlib.util.spec_from_file_location("same_outputs", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    assert len(tool.default_commands()) == 88
+    assert re.findall(r"\((\d+) commands\)", tool.__doc__) == ["88"]
+    assert re.findall(r"tools/same_outputs\.py .*# (\d+) commands", readme) == ["88"]

@@ -68,6 +68,7 @@ class TestSolveForward:
         rep = solve_forward(scalar_problem(g, 1.0, zero_signal(g, 1.0, 1)))
         assert rep.solution.norm == 0.0
         assert rep.residual_rel == 0.0
+        assert rep.leakage == 0.0 and rep.wraparound_tolerance == 0.0
 
     def test_duhamel_rotation_oracle(self):
         # closed-form kernel e^{-nu tau} R(-tau), composite Simpson on a
@@ -142,6 +143,7 @@ class TestSolveAdjoint:
         g = TimeGrid(-2.0, 2.0, 64)
         rep = solve_adjoint(scalar_problem(g, 1.0, zero_signal(g, -1.0, 1), "adjoint"))
         assert rep.solution.norm == 0.0
+        assert rep.leakage == 0.0 and rep.wraparound_tolerance == 0.0
 
     def test_duality_pairing(self):
         inst = evoq.make_maxwell_instance(n=256)
