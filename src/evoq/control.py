@@ -50,11 +50,16 @@ where B^* misses its direction and L_F^H sees it, makes every verdict
 False when its bounds close, from B's SVD, the datum, one more forward
 solve, the probes' forward solves and the operator's certificate.  The
 datum is solved once per command, on first read, whichever routes read
-it (`_b_svd`).  With no end map there is
-no end-map size guard: it sits in `_assemble`, the one code that builds
-end maps.  Every other pair, and every library entry point above, takes
-the dense route; `null_control` is the reference the HUM control is tested
-against, and `_duality_verdicts` the one the separating route is.  The
+it (`_b_svd`).  With no end map there is no end-map size guard: it sits in
+`_assemble`, the one code that builds both end maps.  For B without full
+row rank both commands have the L_G route (`_lg_route`), which builds L_G
+alone, past a guard on its own entries: its thin SVD gives the truncated
+control of the targets -L_F f, each one forward solve, and a datum that
+L_G^H misses and L_F^H sees makes the inclusion False when its bound
+closes.  Every other pair, and every library entry point above, takes
+the dense route; `null_control` is the reference the HUM and L_G controls
+are tested against, and `_duality_verdicts` the one the separating and
+L_G routes are.  The
 `control` command chooses between the variants and the routes in one
 place: `_certify` for its duality table, `_synthesize` for its control and
 observability.  The rules the routes share are written once: feasibility
@@ -546,30 +551,46 @@ def assemble_endmaps(cp: ControlProblem,
     return _assemble(cp, SpectralOperator(base.law, base.A, base.nu, base.grid, pad_fraction))
 
 
+def _guard(entries: int, maps: str) -> None:
+    """Refuse dense `maps` ("... need") of `entries` entries past
+    `DEFAULT_SIZE_GUARD` with `SizeGuardError`, before any solve."""
+    if entries > DEFAULT_SIZE_GUARD:
+        raise SizeGuardError(
+            f"{maps} {entries} entries (> guard {DEFAULT_SIZE_GUARD}); "
+            f"coarsen the grid or move the horizon T later"
+        )
+
+
+def _forward_blocks(op: SpectralOperator, post: int, B: Optional[np.ndarray] = None):
+    """The blocks (n_post, n, m, m) of L_F on `op` with horizon sample `post`,
+    or with B (m, q) those (n_post, n, m, q) of L_F (I x B).
+
+    The solve is a circulant on the padded grid, so one impulse solve per
+    component (impulse at padded index npad) gives every block: the entry
+    for padded row npad+r and padded source npad+c sits at kernel index
+    (npad + r - c) mod N.  B multiplies the kernel before the cut, which
+    gives each entry the bits of the cut blocks times B."""
+    n, m = op.grid.n, op.A.m
+    impulse = np.zeros((n, m, m), dtype=complex)
+    impulse[0] = np.eye(m)
+    kernel = op.padded_solve(impulse, True)
+    if B is not None:
+        kernel = np.einsum("sik,kl->sil", kernel, B)
+    rows, cols = post + np.arange(n - post), np.arange(n)
+    return kernel[(op.npad + rows[:, None] - cols[None, :]) % op.pad_grid.n]
+
+
 def _assemble(cp: ControlProblem, op: SpectralOperator) -> EndMaps:
     """`assemble_endmaps`' body on the operator `op` of `cp`, and the only
-    code that builds end maps: maps of more than `DEFAULT_SIZE_GUARD`
+    code that builds both end maps: maps of more than `DEFAULT_SIZE_GUARD`
     entries raise `SizeGuardError` here, before the impulse solve."""
     base = cp.base
     grid, m = base.grid, base.A.m
     n = grid.n
     post = grid.index_at_or_after(cp.T)
     n_post = n - post  # at least 1: T is at or before the last sample
-    entries = n_post * m * n * max(m, cp.q)
-    if entries > DEFAULT_SIZE_GUARD:
-        raise SizeGuardError(
-            f"dense end maps need {entries} entries "
-            f"(> guard {DEFAULT_SIZE_GUARD}); coarsen the grid or move the horizon T later"
-        )
-    # The solve is a circulant on the padded grid, so one impulse solve per
-    # component (impulse at padded index npad) gives every block: the entry
-    # for padded row npad+r and padded source npad+c sits at kernel index
-    # (npad + r - c) mod N.  The blocks are (n_post, n, m, m).
-    impulse = np.zeros((n, m, m), dtype=complex)
-    impulse[0] = np.eye(m)
-    kernel = op.padded_solve(impulse, True)
-    rows, cols = post + np.arange(n_post), np.arange(n)
-    forward = kernel[(op.npad + rows[:, None] - cols[None, :]) % op.pad_grid.n]
+    _guard(n_post * m * n * max(m, cp.q), "dense end maps need")
+    forward = _forward_blocks(op, post)
     L_F = _time_major(forward)
     L_G = _time_major(np.einsum("pjik,kl->pjil", forward, cp.B))
 
@@ -628,13 +649,31 @@ def _feasible(residual: np.ndarray, target: np.ndarray) -> bool:
     return bool(np.all(rel < FEASIBILITY_TOL))
 
 
+def _least_norm(L_G: np.ndarray, svd_G: tuple, target: np.ndarray, k: int = 0) -> tuple:
+    """(g, residual, report, feasible) of the truncated least-norm solve of
+    L_G g = target, for L_G given as 2^k L_G and `svd_G`, the SVD `_svd` of
+    L_G itself; the residual multiplies 2^k L_G by 2^-k g, which has the
+    bits of L_G g."""
+    g, reg = _truncated_lstsq(svd_G, target, DEFAULT_SVD_RTOL)
+    residual = L_G @ _ldexp(g, -k) - target
+    return g, residual, reg, _feasible(residual, target)
+
+
 def _null_solve(maps: EndMaps, f: np.ndarray) -> tuple:
     """`null_control`'s solve and verdict for one flattened forcing `f` or,
     feasible only if each is, for every column of `f`."""
-    target = -(maps.L_F @ f)
-    g, reg = _truncated_lstsq(maps._svd_G, target, DEFAULT_SVD_RTOL)
-    residual = maps.L_G @ g - target
-    return g, residual, reg, _feasible(residual, target)
+    return _least_norm(maps.L_G, maps._svd_G, -(maps.L_F @ f))
+
+
+def _control_result(op: SpectralOperator, solve: tuple) -> ControlResult:
+    """The `ControlResult` on `op`'s grid of a flat `_least_norm` solve."""
+    g, residual, reg, feasible = solve
+    return ControlResult(
+        G=WeightedSignal(op.grid, op.nu, g.reshape(op.grid.n, -1)),
+        terminal_residual=float(_norm2(residual, factor=math.sqrt(op.grid.dt))),
+        feasible=feasible,
+        regularization=reg,
+    )
 
 
 @one_blas_thread
@@ -644,25 +683,17 @@ def null_control(cp: ControlProblem, endmaps: Optional[EndMaps] = None) -> Contr
     Solves L_G g = -L_F f by truncated-SVD pseudoinverse; feasible iff the
     relative residual stays below `FEASIBILITY_TOL`.  With B = 0 and a
     nonvanishing post-horizon response this reports feasible=False together
-    with the best-effort control.  This is the dense route for every B: the
+    with the best-effort control.  This is the dense route for every B.  The
     `control` command computes the B route's control by HUM instead
-    (`_hum_control`, which reports no cutoff), and this function is the
-    reference it is tested against.
+    (`_hum_control`, which reports no cutoff), and for B without full row
+    rank solves the same truncated system on L_G alone, with the target
+    from one forward solve (`_lg_route`); this function is the reference
+    both are tested against.
     """
     if cp.variant != "supported":
         raise PreconditionError("null_control drives the supported variant")
     maps = endmaps or assemble_endmaps(cp)
-    g_flat, residual, reg, feasible = _null_solve(maps, cp.F.phi.reshape(-1))
-
-    grid = maps.op.grid
-    G = WeightedSignal(grid, maps.op.nu, g_flat.reshape(grid.n, -1))
-    terminal = float(_norm2(residual, factor=math.sqrt(grid.dt)))
-    return ControlResult(
-        G=G,
-        terminal_residual=terminal,
-        feasible=feasible,
-        regularization=reg,
-    )
+    return _control_result(maps.op, _null_solve(maps, cp.F.phi.reshape(-1)))
 
 
 @dataclass(frozen=True)
@@ -679,14 +710,16 @@ class ObservabilityEstimate:
     `finite` is its verdict, `c_obs` its constant (+inf when excluded, 0.0
     when L_G keeps nothing), `witness` its extremal datum at weight -nu (a
     unit datum that attains c_obs, or that L_G^H misses and L_F^H sees), and
-    `cutoff` the truncation of L_G, sigma_max(L_G) * 1e-10.  For a
-    well-conditioned B the `control` command reads the B route instead
-    (`_BRoute`: this c_obs to 1e-12, with the datum as witness, and no end
-    maps, so no cutoff); this estimate is the reference it is tested
-    against.
+    `cutoff` the truncation of L_G, sigma_max(L_G) * 1e-10.  The `control`
+    command reads it only where its other routes decline (`_Observability`):
+    for a well-conditioned B the B route gives this c_obs to 1e-12, with the
+    datum as witness and no cutoff, and for B without full row rank the L_G
+    route gives the excluded verdict, with L_G's cutoff and a datum that
+    L_G^H misses as witness.  This estimate is the reference both are
+    tested against.
     """
 
-    method: ClassVar[str] = "douglas-core-svd"  # the dense route; `_BRoute.method` the other
+    method: ClassVar[str] = "douglas-core-svd"  # the dense route; `_Observability` the others
     _maps: EndMaps = field(repr=False, compare=False)
 
     @property
@@ -719,10 +752,11 @@ def observability_constant(cp: ControlProblem,
     (pass `assemble_endmaps(cp, pad_fraction)` for another); past their size
     guard this raises `SizeGuardError` before any solve.  This is the dense
     route for every B; the values are computed when first read.  The
-    `control` command takes the B route (`_b_route`) where it decides,
-    with no end maps and so no size guard, and this function where it does
-    not (`_synthesize`), refused past the guard before any end map is
-    assembled.
+    `control` command takes the B route (`_b_route`) where it decides, with
+    no end maps and so no size guard, and for B without full row rank the
+    L_G route (`_lg_route`), guarded on L_G's entries alone; this function
+    only where neither decides (`_synthesize`), refused past the guard
+    before any end map is assembled.
     """
     return ObservabilityEstimate(endmaps or assemble_endmaps(cp))
 
@@ -799,22 +833,19 @@ def _bracket(svd_b: tuple) -> tuple:
 
 
 @dataclass(frozen=True)
-class _BRoute:
-    """The B route's observability, read like `ObservabilityEstimate`:
-    `c_obs` = 1/sigma_min(B), finite, and as `witness` the cut datum that
-    attains it to the algebraic rung, unit over the post-horizon rows; no
-    end map is assembled, so there is no `cutoff`.  The pseudoinverse
-    `pinv` of 2^k B gives certify its explicit control and `_hum_control`
-    its preconditioner."""
+class _Observability:
+    """The observability of a route that runs no Douglas check, read like
+    `ObservabilityEstimate`: `c_obs`, its `witness`, a datum at -nu that is
+    unit over the post-horizon rows, the `cutoff` of L_G (None where no SVD
+    of L_G ran) and the route's `method`."""
 
-    method: ClassVar[str] = "b-sigma-min-datum"
-    cutoff: ClassVar[None] = None
     c_obs: float
     witness: WeightedSignal
-    pinv: np.ndarray
+    cutoff: Optional[float]
+    method: str
 
 
-def _b_route(post: int, svd_b: tuple) -> Optional[_BRoute]:
+def _b_route(post: int, svd_b: tuple) -> Optional[_Observability]:
     """The B route of a supported problem with injection B, given as
     `_b_svd(B)`, and horizon sample `post`, or None where another route
     decides.
@@ -823,16 +854,25 @@ def _b_route(post: int, svd_b: tuple) -> Optional[_BRoute]:
     where the dense check could only say "included", and `_bracket`
     closes: lower >= upper (1 - 1e-12), the algebraic rung.  Both ends
     bound c_obs for any law, so a law that is not local in time fails to
-    close it and takes another route; no law is tested.
+    close it and takes another route; no law is tested.  Then c_obs is
+    1/sigma_min(B), and the cut datum that attains it is the witness.
     """
-    B, _, U, s, Vh, datum = svd_b
+    B, _, _, s, _, datum = svd_b
     if not (s.size == B.shape[0] and s[0] < _KAPPA_LIMIT * s[-1] and datum is not None):
         return None  # rank deficient, ill-conditioned, or one post-horizon sample
     lower, upper, y = _bracket(svd_b)
     if not lower >= upper * (1 - 1e-12):
         return None
-    return _BRoute(c_obs=upper, witness=y.with_phi(y.phi / _norm2(y.phi[post:])),
-                   pinv=(Vh[:s.size].conj().T / s) @ U.conj().T)
+    return _Observability(c_obs=upper, witness=y.with_phi(y.phi / _norm2(y.phi[post:])),
+                          cutoff=None, method="b-sigma-min-datum")
+
+
+def _pinv(svd_b: tuple) -> np.ndarray:
+    """The pseudoinverse of `_b_svd`'s 2^k B, for B of full row rank: it
+    gives certify its explicit control and `_hum_control` its
+    preconditioner."""
+    _, _, U, s, Vh, _ = svd_b
+    return (Vh[:s.size].conj().T / s) @ U.conj().T
 
 
 def _response(op: SpectralOperator, post: int, phi: np.ndarray) -> np.ndarray:
@@ -873,8 +913,7 @@ def _dot_test(op: SpectralOperator, post: int, X: np.ndarray, LX: np.ndarray) ->
     _check_agrees(Y.conj().T @ LX, V.conj().T @ X, _DOT_TEST_FAILURE)
 
 
-def _b_feasible(op: SpectralOperator, post: int, svd_b: tuple, route: _BRoute,
-                F: np.ndarray) -> bool:
+def _b_feasible(op: SpectralOperator, post: int, svd_b: tuple, F: np.ndarray) -> bool:
     """Certify's feasibility on the B route of `_route`'s values, with no
     end maps: for each of the probes f of `F` (n, m, p), the batch `_probes`
     draws, the explicit control g = -(I x B^+) f leaves the forcing
@@ -882,10 +921,18 @@ def _b_feasible(op: SpectralOperator, post: int, svd_b: tuple, route: _BRoute,
     the probes and of those forcings gives the target -L_F f and the
     residual, judged by `_feasible`.  Those forward solves pass `_dot_test`."""
     p = F.shape[-1]
-    X = np.concatenate([F, F - svd_b[0] @ (route.pinv @ F)], axis=-1)
+    X = np.concatenate([F, F - svd_b[0] @ (_pinv(svd_b) @ F)], axis=-1)
     LX = _response(op, post, X).reshape(-1, 2 * p)
     _dot_test(op, post, X.reshape(-1, 2 * p), LX)
     return _feasible(LX[:, p:], -LX[:, :p])
+
+
+def _solve_bound(op: SpectralOperator) -> float:
+    """c with ||L_F||_2 <= 1/c where c > 0: L_F is a section of the padded
+    solve, whose blocks' Hermitian parts are those of z M(z) plus that of A,
+    so c = c_est - ||(A + A^*)/2||_F, each widened by `_ROUNDING`."""
+    skew_defect = float(_norm2(op.A.A + op.A.A.conj().T)) / 2 * (1 + _ROUNDING)
+    return op.certificate.c_est * (1 - _ROUNDING) - skew_defect
 
 
 def _separated(op: SpectralOperator, post: int, svd_b: tuple, F: np.ndarray) -> bool:
@@ -905,8 +952,7 @@ def _separated(op: SpectralOperator, post: int, svd_b: tuple, F: np.ndarray) -> 
     A kept singular value of L_G exceeds that cutoff, so the dense truncated
     control of a target t has ||g|| < ||t|| / ell, and the kept left
     singular vectors U_r see ||U_r^* y|| <= beta / ell.  L_F is a section
-    of the padded solve, whose blocks' Hermitian parts are those of z M(z)
-    plus that of A, so ||L_F||_2 <= 1/c for c = c_est - ||(A + A^*)/2||_F.
+    of the padded solve, so ||L_F||_2 <= 1/c for c of `_solve_bound`.
     Then, every norm widened by `_ROUNDING`:
       - excluded: the Douglas mass ||(I - U_r U_r^*) L_F||_2 is at least
         (||v|| - beta / (ell c)) / ||y||, and exceeds the inclusion rung
@@ -928,8 +974,7 @@ def _separated(op: SpectralOperator, post: int, svd_b: tuple, F: np.ndarray) -> 
     y = w.phi[post:].reshape(-1)
     norm_y = float(_norm2(y)) * (1 + _ROUNDING)
     beta = float(_norm2(v.phi @ B.conj())) * (1 + _ROUNDING)
-    skew_defect = float(_norm2(op.A.A + op.A.A.conj().T)) / 2 * (1 + _ROUNDING)
-    c = op.certificate.c_est * (1 - _ROUNDING) - skew_defect  # ||L_F||_2 <= 1/c
+    c = _solve_bound(op)
     if not c > 0:
         return False
     blind = 0.0  # beta / ell, at least ||U_r^* y||
@@ -954,6 +999,66 @@ def _separated(op: SpectralOperator, post: int, svd_b: tuple, F: np.ndarray) -> 
                        >= FEASIBILITY_TOL * np.maximum(target, NORM_FLOOR)))
 
 
+def _lg_route(op: SpectralOperator, post: int, svd_b: tuple, F: np.ndarray) -> Optional[tuple]:
+    """(observability, solve): the L_G route of a supported problem with
+    injection B, given as `_b_svd(B)`, horizon sample `post` and forcings
+    F (n, m, p), or None where B keeps all m singular values above
+    `DEFAULT_SVD_RTOL` sigma_max(B) or the route's bound does not close, and
+    another route decides.  It takes B = e1, 0 or diag(1, ..., 1, 0), say.
+    `solve` is `_least_norm`'s (g, residual, report, feasible) for the
+    targets -L_F f, a column each: the dense truncated solve, with the
+    dense cutoff and rank.
+
+    Only L_G is built: 2^k L_G from `_b_svd`'s 2^k B (`_forward_blocks`),
+    guarded on its n_post m x n q entries before any solve, and checked to
+    1e-10 against direct solves of 2^k B g for two seeded probes g.  Those
+    solves and the targets' are one batch (`_response`), which passes
+    `_dot_test`.  The thin SVD of L_G (`_svd`, scaled back by 2^-k) serves
+    the control.
+
+    The verdict comes from one post-horizon datum: a seeded random y less
+    its component along the kept left singular vectors U_r of L_G, solved
+    backward, v = L_F^H y (`_observation`).  As
+    L_F^H y = L_F^H (I - U_r U_r^*) y + L_F^H U_r U_r^* y and ||L_F||_2 <= 1/c
+    (`_solve_bound`), the Douglas mass ||(I - U_r U_r^*) L_F||_2 is at least
+    (||v|| - ||U_r^* y|| / c) / ||y||.  When that exceeds 1e-8 / c, itself at
+    least the inclusion rung 1e-8 ||L_F||_2, every norm widened by
+    `_ROUNDING`, the dense range inclusion is False: c_obs = inf, and y,
+    unit over the post-horizon rows, is the witness that L_G^H misses to
+    the cutoff and L_F^H sees.  No rung moves and no law is tested.
+    """
+    B, kb, _, s_b = svd_b[:4]
+    c = _solve_bound(op)
+    if _truncation(s_b, DEFAULT_SVD_RTOL)[2] == B.shape[0] or not c > 0:
+        return None
+    grid, m, q = op.grid, op.A.m, B.shape[1]
+    n, n_post, p = grid.n, grid.n - post, F.shape[-1]
+    _guard(n_post * m * n * q, "the end map L_G needs")
+    L_G = _time_major(_forward_blocks(op, post, B))  # 2^kb L_G
+    rng = np.random.default_rng(7)
+    probes = rng.standard_normal((n, q, 2)) + 1j * rng.standard_normal((n, q, 2))
+    X = np.concatenate([F, B @ probes], axis=-1)
+    LX = _response(op, post, X).reshape(-1, p + 2)
+    _dot_test(op, post, X.reshape(-1, p + 2), LX)
+    _check_agrees(L_G @ probes.reshape(-1, 2), LX[:, p:],
+                  "the end map L_G disagrees with a direct solve")
+
+    U, s, Vh, k = _svd(L_G)
+    Ur = U[:, :_truncation(s, DEFAULT_SVD_RTOL)[2]]
+    y = rng.standard_normal(n_post * m) + 1j * rng.standard_normal(n_post * m)
+    y -= Ur @ (Ur.conj().T @ y)
+    v = _observation(op, post, y.reshape(n_post, m))
+    blind = float(_norm2(Ur.conj().T @ y)) * (1 + _ROUNDING)  # ||U_r^* y||
+    mass = (float(_norm2(v)) * (1 - _ROUNDING) - blind / c) / (float(_norm2(y)) * (1 + _ROUNDING))
+    if not mass > _INCLUSION_RTOL / c:
+        return None
+    solve = _least_norm(L_G, (U, s, Vh, k + kb), -LX[:, :p], kb)
+    witness = np.zeros((n, m), dtype=complex)
+    witness[post:] = (y / _norm2(y)).reshape(n_post, m)
+    return (_Observability(c_obs=math.inf, witness=WeightedSignal(grid, -op.nu, witness),
+                           cutoff=solve[2].cutoff, method="lg-projected-datum"), solve)
+
+
 @dataclass(frozen=True)
 class _HumReport:
     """How `_hum_control` solved its Gramian equation: the conjugate-gradient
@@ -964,7 +1069,7 @@ class _HumReport:
     method: str = "hum-pcg"
 
 
-def _hum_control(op: SpectralOperator, post: int, svd_b: tuple, route: _BRoute,
+def _hum_control(op: SpectralOperator, post: int, svd_b: tuple,
                  F: WeightedSignal) -> ControlResult:
     """`null_control` on the B route of `_route`'s values, with no end
     maps: the Hilbert Uniqueness Method (Lions 1988).  The least-norm g
@@ -994,7 +1099,8 @@ def _hum_control(op: SpectralOperator, post: int, svd_b: tuple, route: _BRoute,
     # transposed, so that a flat array times them applies B B^* and
     # (B B^*)^-1 = (B^+)^* B^+ to each sample
     gram_b = (B @ B.conj().T).T
-    inverse = (route.pinv.conj().T @ route.pinv).T
+    pinv = _pinv(svd_b)
+    inverse = (pinv.conj().T @ pinv).T
 
     def precondition(r):
         padded = np.zeros((op.pad_grid.n, op.A.m), dtype=complex)
@@ -1264,8 +1370,8 @@ def _route(cp: ControlProblem, pad_fraction: float) -> tuple:
     evaluation, its horizon sample, `_b_svd(B)` with the datum not yet
     solved, and its B route, or None where another route decides.  The
     routes read these values and rebuild none of them.  No size guard runs
-    here: the B route assembles no end map, and `_assemble` guards the
-    dense route."""
+    here: the B route assembles no end map, the L_G route guards L_G, and
+    `_assemble` the dense route."""
     base = cp.base
     op = SpectralOperator(base.law, base.A, base.nu, base.grid, pad_fraction)
     op.certificate
@@ -1282,12 +1388,14 @@ def _certify(cp: ControlProblem, pad_fraction: float, rng: np.random.Generator) 
     the stepper's unpadded grid.  Supported: feasibility for a spanning set
     of forcings, the probes `_probes` draws once from `rng`, range
     inclusion, and finite observability, which is that inclusion
-    (`ObservabilityEstimate.finite`).  Three routes, tried in this order,
+    (`ObservabilityEstimate.finite`).  Four routes, tried in this order,
     decide them on the same probes: the B route, where B decides the
     inclusion and `_b_feasible` the feasibility; the separating route
     (`_separated`), where one nu-adjoint datum that B^* misses makes all
-    three False; both assemble no end map.  Elsewhere `_duality_verdicts`
-    decides on the assembled maps.
+    three False; for B without full row rank the L_G route (`_lg_route`),
+    where a datum that L_G^H misses excludes the inclusion and the probes'
+    truncated solves on L_G decide the feasibility.  None assembles both
+    end maps.  Elsewhere `_duality_verdicts` decides on the assembled maps.
     """
     if cp.variant == "pointwise":
         coercivity(cp.base.law, cp.base.nu, cp.base.grid)
@@ -1296,9 +1404,11 @@ def _certify(cp: ControlProblem, pad_fraction: float, rng: np.random.Generator) 
     op, post, svd_b, route = _route(cp, pad_fraction)
     F = _probes(op, rng)
     if route is not None:
-        feasible, included = _b_feasible(op, post, svd_b, route, F), True
+        feasible, included = _b_feasible(op, post, svd_b, F), True
     elif _separated(op, post, svd_b, F):
         feasible = included = False
+    elif (decided := _lg_route(op, post, svd_b, F)) is not None:
+        feasible, included = decided[1][3], False
     else:
         feasible, included = _duality_verdicts(_assemble(cp, op), F)
     return {"feasible_for_spanning_set": feasible, "range_included": included,
@@ -1311,16 +1421,22 @@ def _synthesize(cp: ControlProblem, pad_fraction: float) -> tuple:
     Pointwise: the coercivity certificate on the stepper's unpadded grid,
     `pointwise_null_control`, and no observability.  Supported: the
     operator's certificate and, on the B route, the HUM control with the
-    route as observability, with no end maps; elsewhere `null_control` and
-    `observability_constant` on the assembled maps, whose `cutoff` is the
-    control's, both from the one SVD of L_G.
+    route as observability, with no end maps; for B without full row rank,
+    where its bound closes, the L_G route's truncated control and excluded
+    observability, from L_G alone.  Elsewhere `null_control` and
+    `observability_constant` on the assembled maps.  Either way, a
+    `cutoff` is the control's, from the one SVD of L_G.
     """
     if cp.variant == "pointwise":
         cert = coercivity(cp.base.law, cp.base.nu, cp.base.grid)
         return cert, pointwise_null_control(cp), None
     op, post, svd_b, route = _route(cp, pad_fraction)
     if route is not None:
-        return op.certificate, _hum_control(op, post, svd_b, route, cp.F), route
+        return op.certificate, _hum_control(op, post, svd_b, cp.F), route
+    decided = _lg_route(op, post, svd_b, cp.F.phi[..., None])
+    if decided is not None:
+        obs, solve = decided
+        return op.certificate, _control_result(op, solve), obs
     maps = _assemble(cp, op)
     res, obs = null_control(cp, maps), observability_constant(cp, maps)
     return op.certificate, res, obs

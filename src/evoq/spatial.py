@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DefinitenessError, NonCoerciveError, NotSkewError
 from .material import finite_sum_law
+from .signals import _norm2
 
 __all__ = [
     "SpatialOperator",
@@ -202,7 +203,8 @@ def build_maxwell_block(k: int, eps, mu, sigma, dx: float = 1.0,
     so the assembled [[0, -curl], [curl0, 0]] block is exactly skew; this is
     an analogue of the 3D operator, not a 3D discretisation.  The law is
     M0 = diag(eps, mu), M1 = diag(sigma, 0); when `nu` is given the combined
-    certificate (covering nu*eps + Re sigma > 0 and nu*mu > 0) is checked.
+    certificate (covering nu*eps + Re sigma > 0 and nu*mu > 0) is checked,
+    and mu must keep the block at z = nu nonsingular in doubles.
     """
     eps = _as_matrix(eps, k, "eps")
     mu = _as_matrix(mu, k + 1, "mu")
@@ -225,6 +227,21 @@ def build_maxwell_block(k: int, eps, mu, sigma, dx: float = 1.0,
     law = finite_sum_law([M0, M1])
     if nu is not None:
         _check_block_coercivity(M0, M1, nu, "maxwell", "sigma")
+        # The constant magnetic field w is curl-free (D0^T w = 0), so the
+        # block at z = nu maps the unit (0, w) to (0, nu mu w), while its norm
+        # is at least that of its skew part, A plus a block-diagonal part, so
+        # at least ||A||_2, and that at least A's largest column norm.  Below
+        # the floor its condition number passes 1/eps: the block is singular
+        # in doubles.
+        w = np.full(k + 1, (k + 1) ** -0.5)
+        reach = nu * float(_norm2(mu @ w))
+        floor = np.finfo(float).eps * float(np.linalg.norm(op.A, axis=0).max())
+        if not reach > floor:
+            raise DefinitenessError(
+                f"mu leaves the maxwell block singular to working precision at nu={nu}: "
+                f"nu ||mu w|| = {reach:.3e} <= eps max_j ||A e_j|| = {floor:.3e} for the "
+                f"curl-free magnetic field w"
+            )
     return op, law
 
 

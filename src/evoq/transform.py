@@ -142,8 +142,9 @@ def block_solve(blocks: np.ndarray, phi: np.ndarray, residual: bool = False):
             uhat = np.linalg.solve(blocks, hat[..., None] if hat.ndim == 2 else hat)
         except np.linalg.LinAlgError as exc:
             # reached under a positive certificate too, when it is so small
-            # against the block's other entries (Maxwell mu = 1e-308, say)
-            # that LU meets an exactly zero pivot
+            # against the block's other entries that LU meets an exactly zero
+            # pivot: Maxwell's blocks at mu = 1e-308, say, which the maxwell
+            # kind refuses at load but a matrix kind can pose
             raise SolverError(f"singular frequency block: {exc}") from exc
         uhat = uhat.reshape(hat.shape)
         u = _ldexp(np.fft.ifft(uhat, axis=0), -k)

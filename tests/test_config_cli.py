@@ -493,16 +493,36 @@ class TestCliExitCodes:
     def test_overflow_and_memory_exit_in_one_line(self, tmp_path, capsys, monkeypatch,
                                                   error, code, line):
         # neither escapes as a traceback: an overflow is a numerical failure,
-        # and a run that needs more memory than there is rejects its config
+        # and a run that needs more memory than there is rejects its config.
+        # heat_small's B = e1 lacks full row rank, so `control` takes the L_G
+        # route
         from evoq import control
 
         def fail(*args):
             raise error
 
-        monkeypatch.setattr(control, "_assemble", fail)
+        monkeypatch.setattr(control, "_lg_route", fail)
         path = write_config(tmp_path, bundled("heat_small", 32))
         assert main(["control", "--config", path]) == code
         assert capsys.readouterr().err == line
+
+    @pytest.mark.parametrize("command", ["solve", "control", "control --certify-duality"])
+    @pytest.mark.parametrize("mu", [1e-200, 1e-17])
+    def test_a_tiny_maxwell_mu_exits_2_naming_it(self, tmp_path, capsys, command, mu):
+        # mu = 1e-200 was a SolverError (exit 1) at the first frequency
+        # block, and 1e-17 solved a block singular in doubles (exit 0); both
+        # are refused at load.  mu = 1e-15 is loaded, and still solves
+        name, *options = command.split()
+        payload = bundled("maxwell_small", 64)
+        payload["spatial"]["mu"] = mu
+        code = main([name, "--config", write_config(tmp_path, payload), *options])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("evoq: config rejected: spatial.mu leaves the maxwell block "
+                              "singular to working precision at nu=1.0:")
+        assert err.count("\n") == 1
+        payload["spatial"]["mu"] = 1e-15
+        assert main(["solve", "--config", write_config(tmp_path, payload)]) == 0
 
     def test_suite_acceptance_exits_as_every_command_does(self, tmp_path, capsys,
                                                            monkeypatch):
@@ -631,12 +651,23 @@ class TestCliExitCodes:
         out = tmp_path / "out"
         assert main(["control", "--config", path, "--out", str(out)]) == 0
 
+        # B = e1 lacks full row rank: `control` takes the L_G route, recomputed
+        # here on one BLAS thread, as the command runs
+        from evoq._blas import one_blas_thread
+        from evoq.control import _control_result, _lg_route, _route
+
         cfg = load_config(path)
         base = evoq.EvoProblem(cfg.nu, cfg.grid, cfg.law, cfg.A, cfg.build_rhs(), "forward")
         cp = evoq.ControlProblem(base=base, B=cfg.control.B, T=cfg.control.T)
-        maps = evoq.assemble_endmaps(cp, cfg.pad_fraction)
-        G = evoq.null_control(cp, maps).G
-        witness = evoq.observability_constant(cp, maps).witness
+
+        @one_blas_thread
+        def recomputed():
+            op, post, svd_b, route = _route(cp, cfg.pad_fraction)
+            assert route is None
+            obs, solve = _lg_route(op, post, svd_b, cp.F.phi[..., None])
+            return _control_result(op, solve).G, obs.witness
+
+        G, witness = recomputed()
         for name, expected in (("control_G", G), ("observability_witness", witness)):
             loaded = evoq.load_signal(str(out / name))
             assert (loaded.grid, loaded.nu) == (expected.grid, expected.nu)

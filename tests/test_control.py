@@ -806,12 +806,9 @@ class TestNullControl:
         # its witness, and `control` solves for the control by HUM, so
         # neither command takes another SVD.  With B = 0 certify takes the
         # separating route, which needs no other SVD either, and `control`
-        # the dense route: it takes L_G once, shared by the null-control
-        # solves and the Douglas check, whose verdict is also the
-        # observability verdict; the witness is the Douglas witness, a
-        # column of L_F.  Every thresholded 2-norm is decided from its
-        # Frobenius bracket, so no norm(., 2) and no SVD of the mass outside
-        # ran(L_G) runs.
+        # the L_G route: it takes L_G once, shared by the null-control solve
+        # and the datum that L_G^H misses, which is the witness.  No
+        # norm(., 2) runs.
         from evoq.cli import main
 
         path = write_heat_control_config(tmp_path, injection)
@@ -837,7 +834,8 @@ class TestNullControl:
         # its witness, and `control` solves for the control by HUM, so
         # neither command takes an SVD of L_G (108 x 288) or of the Douglas
         # core.  With B = e1 or 0 certify takes the separating route, which
-        # takes none either; no command takes an exact 2-norm
+        # takes none either, and `control` the L_G route, which takes L_G's
+        # alone; no command takes an exact 2-norm
         from evoq.cli import main
 
         path = write_benchmark_heat_config(tmp_path, injection)
@@ -1051,7 +1049,7 @@ def check_route_against_dense(label, maps, B):
     probes = _probes(maps.op, np.random.default_rng(5))
     feasible, included = _duality_verdicts(maps, probes)
     assert (feasible, included, dense.finite) == (True, True, True), label
-    assert _b_feasible(maps.op, maps.post_start, svd_b, route, probes), label
+    assert _b_feasible(maps.op, maps.post_start, svd_b, probes), label
     assert route.c_obs == pytest.approx(dense.c_obs, rel=1e-12, abs=0), label
     w = route.witness
     assert w.nu == -maps.op.nu and not w.phi[:maps.post_start].any(), label
@@ -1119,7 +1117,7 @@ class TestBRoute:
     @pytest.mark.parametrize("B, memory, method", [
         (np.diag([1.0, 0.1]), False, "b-sigma-min-datum"),
         (np.diag([1.0, 0.01]), False, "douglas-core-svd"),
-        (np.array([[1.0], [0.0]]), False, "douglas-core-svd"),
+        (np.array([[1.0], [0.0]]), False, "lg-projected-datum"),
         (np.diag([1.0, 0.1]), True, "douglas-core-svd"),
     ], ids=["kappa10", "kappa100", "rank-deficient", "bracket-open"])
     def test_observability_names_the_route_that_decided(self, tmp_path, capsys, B, memory,
@@ -1131,10 +1129,11 @@ class TestBRoute:
         assert main(["control", "--config", path, "--out", str(out)]) == 0
         obs = json.loads((out / "observability.json").read_text())
         assert obs["method"] == method
-        # the dense cutoff is L_G's, which the control's truncation reports
-        # too: one SVD, read off the observability, bit for bit
+        # the dense and the L_G routes' cutoff is L_G's, which the control's
+        # truncation reports too: one SVD, read off the observability, bit
+        # for bit
         result = json.loads((out / "control_result.json").read_text())["result"]
-        if method == "douglas-core-svd":
+        if method != "b-sigma-min-datum":
             assert obs["cutoff"] == result["regularization"]["cutoff"]
         else:
             assert "cutoff" not in obs
@@ -1166,7 +1165,7 @@ def check_hum_against_null_control(label, cp, maps):
     route = _b_route(maps.post_start, svd_b)
     if route is None:
         return False
-    res = _hum_control(maps.op, maps.post_start, svd_b, route, cp.F)
+    res = _hum_control(maps.op, maps.post_start, svd_b, cp.F)
     ref = null_control(cp, maps)
     assert res.feasible == ref.feasible, label
     assert np.linalg.norm(res.G.phi - ref.G.phi) <= 1e-11 * np.linalg.norm(ref.G.phi), label
@@ -1247,9 +1246,9 @@ class TestHum:
 
         hum = control._hum_control
 
-        def singular(op, post, svd_b, route, F):
+        def singular(op, post, svd_b, F):
             B, *rest = svd_b
-            return hum(op, post, (B * (np.arange(9) == 0)[:, None], *rest), route, F)
+            return hum(op, post, (B * (np.arange(9) == 0)[:, None], *rest), F)
 
         monkeypatch.setattr(control, "_hum_control", singular)
         path = write_benchmark_heat_config(tmp_path, "I")
@@ -1261,9 +1260,10 @@ class TestHum:
 
 
 class TestPastTheEndMapGuard:
-    """The B route and certify's separating route assemble no end map, so
-    their size guard does not refuse them; the dense route is still refused
-    before any end map is assembled, with the guard's message."""
+    """The B route and certify's separating route assemble no end map, and
+    the L_G route only L_G, so the dense maps' size guard does not refuse
+    them; the L_G route is refused past its own guard, and the dense route
+    still before any end map is assembled, each with its guard's message."""
 
     @staticmethod
     def past_the_guard(path):
@@ -1321,22 +1321,63 @@ class TestPastTheEndMapGuard:
             "feasible_for_spanning_set": False, "range_included": False,
             "observability_finite": False}
 
-    @pytest.mark.parametrize("command, kind, eps", [
-        (["control"], "heat", None), (["control", "--certify-duality"], "wave", 0.0),
-    ], ids=["control", "certify"])
-    def test_dense_route_is_refused_in_one_line(self, monkeypatch, tmp_path, capsys,
-                                                command, kind, eps):
-        # heat_small's B = e1 is rank deficient, so `control` runs only B's
-        # own small SVD before the guard, and no solve.  Certify tries the
+    @pytest.mark.parametrize("kind", ["heat", "maxwell"])
+    def test_rank_deficient_control_takes_the_L_G_route(self, monkeypatch, tmp_path, kind):
+        # the bundled B = e1 (heat) and B = 0 (Maxwell): L_G has
+        # 224 x 9 x 512 x 1 entries, a ninth of the dense maps', and its
+        # route excludes the inclusion with no L_F matrix
+        from evoq import control
+
+        path = write_bundled_config(tmp_path, kind, 512)
+        self.past_the_guard(path)
+        monkeypatch.setattr(control, "_assemble", lambda *a: pytest.fail(
+            "the L_G route assembles no end maps"))
+        result, obs = hum_report(tmp_path, path)
+        assert obs["c_obs"] == "infinity" and obs["method"] == "lg-projected-datum"
+        assert obs["cutoff"] == result["result"]["regularization"]["cutoff"]
+        if kind == "maxwell":  # B = 0 steers nothing
+            assert result["result"]["feasible"] is False
+
+    @pytest.mark.parametrize("command, kind, n, eps, entries", [
+        (["control"], "heat", 1024, None, 4128768),
+        (["control"], "maxwell", 1024, None, 4128768),
+        (["control", "--certify-duality"], "wave", 512, 0.0, 9289728),
+    ], ids=["heat-control", "maxwell-control", "wave-certify"])
+    def test_rank_deficient_B_is_refused_at_the_L_G_guard(self, monkeypatch, tmp_path, capsys,
+                                                          command, kind, n, eps, entries):
+        # `control` on heat_small's B = e1 and maxwell_small's B = 0 takes the
+        # L_G route, whose guard counts L_G's 448 post-horizon samples x 9 x
+        # 1024 x 1 entries, and refuses before any solve.  Certify tries the
         # separating route first, whose datum on wave_small with
-        # B = diag(1, ..., 1, 0) leaves its bounds open.  Both have
-        # 224 post-horizon samples x 9 x 512 x 9 entries
+        # B = diag(1, ..., 1, 0) leaves its bounds open, and then the L_G
+        # route: 224 x 9 x 512 x 9 entries
         from evoq.cli import main
 
-        if eps is None:
+        if command == ["control"]:
             monkeypatch.setattr(SpectralOperator, "padded_solve", lambda *a: pytest.fail(
                 "no solve may run before the guard refuses a rank-deficient B"))
-        path = write_bundled_config(tmp_path, kind, 512, eps)
+        path = write_bundled_config(tmp_path, kind, n, eps)
+        capsys.readouterr()
+        assert main([*command, "--config", path]) == 2
+        assert capsys.readouterr().err == (
+            f"evoq: config rejected (SizeGuardError): the end map L_G needs {entries} entries "
+            "(> guard 4000000); coarsen the grid or move the horizon T later\n")
+
+    @pytest.mark.parametrize("command", [["control"], ["control", "--certify-duality"]],
+                             ids=["control", "certify"])
+    def test_dense_route_is_refused_in_one_line(self, monkeypatch, tmp_path, capsys,
+                                                command):
+        # wave_small with B = diag(1, ..., 1, 1e-5) has full row rank, but
+        # kappa(B) = 1e5 is past the B route's limit, so `control` runs only
+        # B's own small SVD before the dense guard, and no solve.  Certify
+        # tries the separating route first, whose bounds stay open.  Both
+        # maps have 224 post-horizon samples x 9 x 512 x 9 entries
+        from evoq.cli import main
+
+        if command == ["control"]:
+            monkeypatch.setattr(SpectralOperator, "padded_solve", lambda *a: pytest.fail(
+                "no solve may run before the guard refuses the dense route"))
+        path = write_bundled_config(tmp_path, "wave", 512, 1e-5)
         capsys.readouterr()
         assert main([*command, "--config", path]) == 2
         assert capsys.readouterr().err == (
@@ -1568,7 +1609,7 @@ class TestSeparatingRoute:
     @pytest.mark.parametrize("memory", [False, True], ids=["local", "memory"])
     def test_a_law_with_memory_falls_back(self, tmp_path, memory):
         # the law I + z^-2 I integrates in time, so the cut datum leaks into
-        # B^* v and the route leaves the verdicts to the dense route
+        # B^* v and the route leaves the verdicts to the L_G route
         from evoq.config import load_config
         from evoq.control import _probes, _route, _separated
 
@@ -1593,6 +1634,145 @@ class TestSeparatingRoute:
         capsys.readouterr()
         assert main(["control", "--certify-duality", "--config", path]) == 1
         assert "the adjoint of L_F disagrees with a backward solve" in capsys.readouterr().err
+
+
+@one_blas_thread
+def check_lg_route_against_dense(label, cp, pad_fraction, seed):
+    """The L_G route decides the rank-deficient `cp` and gives the dense
+    verdicts: for `control` the excluded observability, the feasibility,
+    rank, cutoff and sigma_max of `null_control` to the bit, its control to
+    eps sigma_max / cutoff relative, and a witness that L_G^H misses and
+    L_F^H sees; for certify, on the probes drawn from `seed`, the dense
+    feasibility.  All on one BLAS thread, as every command runs."""
+    from evoq.control import _control_result, _duality_verdicts, _lg_route, _probes, _route
+
+    op, post, svd_b, route = _route(cp, pad_fraction)
+    assert route is None, label
+    decided = _lg_route(op, post, svd_b, cp.F.phi[..., None])
+    assert decided is not None, label
+    obs, solve = decided
+    res = _control_result(op, solve)
+    maps = assemble_endmaps(cp, pad_fraction)
+    ref, dense = null_control(cp, maps), observability_constant(cp, maps)
+    assert not dense.finite and math.isinf(obs.c_obs), label
+    assert obs.method == "lg-projected-datum" and obs.cutoff == dense.cutoff, label
+    assert res.feasible == ref.feasible, label
+    assert res.regularization == ref.regularization, label  # rank, cutoff, sigma_max
+    reg = ref.regularization
+    tol = np.finfo(float).eps * reg.sigma_max / reg.cutoff if reg.rank else 0.0
+    assert (np.linalg.norm(res.G.phi - ref.G.phi) <= tol * np.linalg.norm(ref.G.phi)), label
+    assert (res.G.grid, res.G.nu) == (ref.G.grid, ref.G.nu), label
+    w = obs.witness
+    assert w.nu == -op.nu and not w.phi[:post].any(), label
+    y = w.phi[post:].reshape(-1)
+    assert np.linalg.norm(y) == pytest.approx(1.0, rel=1e-12), label
+    assert np.linalg.norm(maps.L_G.conj().T @ y) <= 1e-8 * np.linalg.norm(maps.L_G, 2), label
+    assert np.linalg.norm(maps.L_F.conj().T @ y) > 1e-8 * np.linalg.norm(maps.L_F, 2), label
+    probes = _probes(op, np.random.default_rng(seed))
+    certified = _lg_route(op, post, svd_b, probes)
+    assert certified is not None, label
+    assert (certified[1][3], False) == _duality_verdicts(maps, probes), label
+
+
+def benchmark_cells(tmp_path, seed):
+    """(label, config path) of the `e1` and `zero` control and certify
+    cells of the first `control-dense` cycle of `seed`, with the configs
+    the benchmark's generator writes for them."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                                  "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for i, entry in enumerate(workloads.generate("control-dense", seed, 1)):
+        if entry["cell"].split("/")[-1] in ("e1", "zero"):
+            path = tmp_path / f"cell{i}.json"
+            path.write_text(json.dumps(entry["config"]))
+            yield entry["cell"], str(path)
+
+
+class TestLGRoute:
+    """`control` and certify decide a B without full row rank from L_G
+    alone: no L_F matrix and no Douglas check; the dense route, read
+    explicitly, is the reference."""
+
+    def test_desk_pairs_match_the_dense_route(self, tmp_path):
+        decided = set()
+        for label, cp, pad_fraction in desk_problems(tmp_path):
+            if np.linalg.matrix_rank(cp.B) < cp.base.A.m:
+                check_lg_route_against_dense(label, cp, pad_fraction, 5)
+                decided.add(label)
+        # e1 and 0 of the 18 dense configs; 0, cell0 and rotation's e1 of the
+        # acceptance suite
+        assert len(decided) == 19
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_benchmark_cells_match_the_dense_route(self, monkeypatch, tmp_path, seed):
+        # every `e1` and `zero` cell, control and certify alike, through the
+        # command, with no end maps and no Douglas check
+        from evoq import control
+        from evoq.cli import main
+        from evoq.config import load_config
+
+        dense = []
+        for name in ("_assemble", "_douglas"):
+            monkeypatch.setattr(control, name, lambda *a, _name=name: dense.append(_name))
+        cells = list(benchmark_cells(tmp_path, seed))
+        assert len(cells) == 36
+        for label, path in cells:
+            command = ["control"] if label.startswith("control/") else [
+                "control", "--certify-duality"]
+            assert main([*command, "--config", path, "--out", str(tmp_path / "out")]) == 0
+            assert dense == [], label
+        monkeypatch.undo()
+        for label, path in cells:
+            if label.startswith("control/"):
+                cfg = load_config(path)
+                check_lg_route_against_dense(label, cfg.control, cfg.pad_fraction, cfg.seed)
+
+    def test_a_law_with_memory_takes_the_route(self, tmp_path):
+        # I + z^-2 I integrates in time, so the separating datum leaks into
+        # B^* v; the projected datum needs no local law
+        from evoq.config import load_config
+
+        cfg = load_config(write_rotation_config(tmp_path, np.array([[1.0], [0.0]]), True))
+        check_lg_route_against_dense("memory", cfg.control, cfg.pad_fraction, cfg.seed)
+
+    def test_perturbed_backward_system_fails_the_dot_test(self, monkeypatch, tmp_path,
+                                                          capsys):
+        # the route's forward solves pass the dot test before L_G is trusted,
+        # so a backward solve off by 1e-6 exits 1 with no end maps assembled
+        from evoq import control, solver
+        from evoq.cli import main
+
+        monkeypatch.setattr(solver.SpectralOperator, "adjoint_blocks", property(
+            lambda op: np.conj(np.swapaxes(op.blocks, 1, 2)) * (1 + 1e-6)))
+        monkeypatch.setattr(control, "_assemble", lambda *a: pytest.fail(
+            "the L_G route assembles no end maps"))
+        path = write_benchmark_heat_config(tmp_path, "e1")
+        capsys.readouterr()
+        assert main(["control", "--config", path]) == 1
+        assert "the adjoint of L_F disagrees with a backward solve" in capsys.readouterr().err
+
+    def test_a_wrong_L_G_fails_its_check(self, monkeypatch, tmp_path, capsys):
+        # L_G is checked against direct solves of B g before its SVD is read
+        from evoq import control
+        from evoq.cli import main
+
+        blocks = control._forward_blocks
+
+        def shifted(op, post, B=None):
+            cut = blocks(op, post, B)
+            return cut if B is None else np.roll(cut, 1, axis=1)
+
+        monkeypatch.setattr(control, "_forward_blocks", shifted)
+        path = write_benchmark_heat_config(tmp_path, "e1")
+        capsys.readouterr()
+        assert main(["control", "--config", path]) == 1
+        assert capsys.readouterr().err.startswith(
+            "evoq: numerical failure (ConsistencyError): the end map L_G disagrees with a "
+            "direct solve: ")
 
 
 class TestPointwise:

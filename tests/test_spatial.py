@@ -124,6 +124,21 @@ class TestMaxwellBlock:
         electric = nu * m0[:k, :k] + 0.5 * (m1[:k, :k] + m1[:k, :k].conj().T)
         assert np.linalg.eigvalsh(electric)[0] == pytest.approx(nu + 1.0, rel=1e-12)
 
+    def test_a_mu_that_leaves_the_block_singular_is_refused(self):
+        # the constant magnetic field is curl-free, so at z = nu the block
+        # sees only nu mu on it; at mu = 1e-200 LU meets an exactly zero
+        # pivot, and from eps times A's largest column norm, 3.1e-16, down
+        # the block is singular in doubles.  A tiny eps stays: the curl
+        # reaches every electric field
+        from evoq.errors import DefinitenessError
+
+        for mu in (1e-200, 1e-17, 1e-16):
+            with pytest.raises(DefinitenessError, match=r"^mu leaves the maxwell block"):
+                build_maxwell_block(4, 1.0, mu, 0.5, nu=1.0)
+        build_maxwell_block(4, 1.0, 1e-15, 0.5, nu=1.0)
+        build_maxwell_block(4, 1e-200, 1.0, 0.0, nu=1.0)
+        build_maxwell_block(4, 1.0, 1e-200, 0.5)  # no weight, no certificate
+
     def test_random_admissible_triple_is_skew(self):
         rng = np.random.default_rng(4)
         k = 5

@@ -82,13 +82,25 @@ def test_criterion_3_equals_per_pair_loop():
 
 
 def test_singular_block_in_a_batch_exits_1(tmp_path, capsys):
-    # Maxwell with mu = 1e-308 passes the certificate, but LU meets an exactly
-    # zero pivot in some frequency block, as in a single solve
+    # Maxwell's blocks with mu = 1e-308 pass the certificate, but LU meets an
+    # exactly zero pivot in some frequency block, as in a single solve.  The
+    # maxwell kind refuses that mu at load, so the blocks are written out as
+    # a matrix kind with its law
+    from evoq.spatial import build_maxwell_block
+
     with open(os.path.join(ROOT, "configs", "maxwell_small.json")) as fh:
         payload = json.load(fh)
     payload["grid"]["n"] = 64
     payload["spatial"]["mu"] = 1e-308
     path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    assert main(["solve", "--config", str(path)]) == 2
+    assert "spatial.mu" in capsys.readouterr().err
+    op, law = build_maxwell_block(4, 1.0, 1e-308, 0.5)
+    pairs = lambda M: [[[float(v.real), float(v.imag)] for v in row] for row in M]
+    del payload["control"]
+    payload["spatial"] = {"kind": "matrix", "matrix": pairs(op.A)}
+    payload["law"] = {"coeffs": [pairs(c) for c in law.coeffs]}
     path.write_text(json.dumps(payload))
     for argv in (["solve"], ["verify", "--suite", "duality"]):
         assert main(argv + ["--config", str(path)]) == 1

@@ -11,7 +11,7 @@ stderr and every file the commands wrote are compared byte for byte; the
 script prints each difference and exits 0 only if there is none (1 if some
 output differs, 2 if a tree holds no `evoq` package).
 
-The default command set (88 commands):
+The default command set (90 commands):
   - `solve`, `adjoint` and the four `verify` suites on each bundled config;
   - `control` and `control --certify-duality` on `heat_small` and
     `pointwise_decay`, and on `heat_small` at n = 32 with B[1][0] = 1e100,
@@ -26,9 +26,10 @@ The default command set (88 commands):
     `heat_small` at n = 32 with B[0][0] = [1.7e308, 1.7e308];
   - both on `wave_small` at n = 512, whose end maps would pass their size
     guard of 4,000,000 entries: B = I takes the B route, which assembles none;
-  - `control --certify-duality` on `heat_small` (B = e1) and `maxwell_small`
-    (B = 0) at n = 512, past the same guard: certify's separating route
-    decides these rank-deficient B with no end map;
+  - both on `heat_small` (B = e1) and `maxwell_small` (B = 0) at n = 512,
+    past the same guard: certify's separating route decides these
+    rank-deficient B with no end map, and `control`'s L_G route builds
+    L_G alone, a ninth of the end maps' entries;
   - both on 18 dense-control configs drawn by the benchmark's generator
     (heat, wave, Maxwell x n in {32, 64} x B in {I, e1, zero});
   - both on heat, wave and Maxwell at n = 32 with a seeded random 9 x 9 B
@@ -122,6 +123,7 @@ def default_commands():
     for name in ("heat_small", "maxwell_small"):
         config = _bundled(name)
         config["grid"]["n"] = 512
+        commands.append((f"control/{name}-n512", ["control"], config))
         commands.append((f"certify/{name}-n512", ["control", "--certify-duality"], config))
     workloads = _workloads()
     rng = random.Random("same-outputs")
