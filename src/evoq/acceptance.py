@@ -258,7 +258,7 @@ def criterion_8_control_duality() -> CriterionResult:
         ok &= agree
 
         if math.isfinite(obs.c_obs):
-            lower, upper, *_ = _bracket(_b_svd(maps.op, maps.post_start, B))
+            lower, upper, *_ = _bracket(maps.op, maps.post_start, _b_svd(B))
             measured[label].update(bracket_lower=lower, bracket_upper=upper)
             ok &= lower <= obs.c_obs * (1 + tol)
             ok &= obs.c_obs <= upper * (1 + tol)

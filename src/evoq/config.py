@@ -292,8 +292,9 @@ def _parse_spatial(section: dict, nu: float, n_pad: int):
         return build_maxwell_block(k, coeff("eps", 1.0), coeff("mu", 1.0),
                                    coeff("sigma", 0.0), dx=dx, nu=nu)
     except (DefinitenessError, NonCoerciveError) as exc:
-        # the builders' messages open with the coefficient's name
-        raise SchemaError(f"spatial.{exc}") from None
+        # the builders' messages open with the coefficient's name, and a
+        # singular block's message names the step as "dx="
+        raise SchemaError(f"spatial.{exc}".replace("dx=", "spatial.dx=")) from None
 
 
 def _parse_control(csec: dict, nu: float, grid: TimeGrid, law: MaterialLaw,

@@ -33,24 +33,26 @@ The supported variant's control acts on the whole grid, so its verdicts
 and c_obs follow B: for B of full row rank, c_obs = 1/sigma_min(B), an
 upper bound for any law, and ||v|| / ||B^* v|| bounds it from below for
 the backward solution v of any post-horizon datum (Dolecki & Russell).
-The B route (`_b_route`) decides from B's SVD and one such datum, built
-along B's weakest direction: when B has full row rank with condition
-number below `_KAPPA_LIMIT` and the datum closes that bracket, c_obs is
-1/sigma_min(B) and the datum its witness.  Then no end map is assembled,
-and no SVD but B's runs.  `control`'s least-norm control comes from the
-Hilbert Uniqueness Method (`_hum_control`): preconditioned conjugate
-gradients on the Gramian L_G L_G^H, whose every product is one backward
-and one forward solve.  Certify's feasibility comes from the explicit
-control g = -(I x B^+) f.  The route's forward and backward solves are
-one pair, L_F and L_F^H solved (`_response`, `_observation`), and both
+When B has full row rank with condition number below `_KAPPA_LIMIT`
+(`_well_conditioned`), the range inclusion holds for every law, so
+certify's B route decides from B's SVD (`_b_svd`) alone, with its
+feasibility from the explicit control g = -(I x B^+) f.  `control`'s B
+route (`_b_route`) also reports c_obs, so it solves one such datum, along
+B's weakest direction, and is taken when the datum closes that bracket:
+c_obs is 1/sigma_min(B) and the datum its witness.  Then no end map is
+assembled, and no SVD but B's runs.  `control`'s least-norm control
+comes from the Hilbert Uniqueness Method (`_hum_control`): preconditioned
+conjugate gradients on the Gramian L_G L_G^H, whose every product is one
+backward and one forward solve.  The route's forward and backward solves
+are one pair, L_F and L_F^H solved (`_response`, `_observation`), and both
 commands pair them in a dot test (`_dot_test`) on the assembly's backward
 data (`_backward_data`).  Certify has a third route, the separating one
-(`_separated`), for the pairs the B route declines: the B route's datum,
-where B^* misses its direction and L_F^H sees it, makes every verdict
-False when its bounds close, from B's SVD, the datum, one more forward
-solve, the probes' forward solves and the operator's certificate.  The
-datum is solved once per command, on first read, whichever routes read
-it (`_b_svd`).  With no end map there is no end-map size guard: it sits in
+(`_separated`), for the pairs the B route declines: the same kind of
+datum, where B^* misses its direction and L_F^H sees it, makes every
+verdict False when its bounds close, from B's SVD, the datum, one more
+forward solve, the probes' forward solves and the operator's certificate.
+Each command has at most one route that reads a datum, so it solves it at
+most once (`_datum`).  With no end map there is no end-map size guard: it sits in
 `_assemble`, the one code that builds both end maps.  For B without full
 row rank both commands have the L_G route (`_lg_route`), which builds L_G
 alone, past a guard on its own entries: its thin SVD gives the truncated
@@ -64,9 +66,9 @@ L_G routes are.  The
 place: `_certify` for its duality table, `_synthesize` for its control and
 observability.  The rules the routes share are written once: feasibility
 (`_feasible`), the backward data of the dot tests, the probes of certify's
-feasibility (`_probes`, drawn once per command), B's SVD with the datum
-(`_b_svd`), the bracket of c_obs (`_bracket`), and finite observability,
-which is the range inclusion.
+feasibility (`_probes`, drawn once per command), B's SVD (`_b_svd`) and
+its gate (`_well_conditioned`), the bracket of c_obs (`_bracket`), and
+finite observability, which is the range inclusion.
 
 Every dense entry point (`douglas_check`, `assemble_endmaps`, `null_control`,
 `observability_constant`, the pointwise pair and the duality verdicts) runs
@@ -128,9 +130,11 @@ DEFAULT_SIZE_GUARD = 4_000_000
 _INCLUSION_RTOL = 1e-8  # mass outside ran(B) that still counts as inside, relative
 _PROBES = 8             # random probes per ball-inclusion and adjoint-domination check
 _ROUNDING = 1e-10       # relative widening of each cheap norm bound, for its rounding
-# kappa(B) below which the B route decides: a direction that L_G = L_F (I x B)
-# drops at its cutoff has ||L_F^* x|| <= 1e-10 kappa(B) ||L_F||_2, under the
-# inclusion rung, so the dense check could only say "included"
+# kappa(B) below which B of full row rank decides the inclusion for every law
+# (`_well_conditioned`): a unit x orthogonal to the kept left singular vectors
+# of L_G = L_F (I x B) has sigma_min(B) ||L_F^* x|| <= ||L_G^* x|| <= 1e-10
+# sigma_max(B) ||L_F||_2, so the Douglas mass is at most 1e-10 kappa(B) ||L_F||_2,
+# under the inclusion rung, and the dense check could only say "included"
 _KAPPA_LIMIT = _INCLUSION_RTOL / DEFAULT_SVD_RTOL  # 100.0
 _DOT_TEST_FAILURE = "the adjoint of L_F disagrees with a backward solve"
 
@@ -712,8 +716,9 @@ class ObservabilityEstimate:
     unit datum that attains c_obs, or that L_G^H misses and L_F^H sees), and
     `cutoff` the truncation of L_G, sigma_max(L_G) * 1e-10.  The `control`
     command reads it only where its other routes decline (`_Observability`):
-    for a well-conditioned B the B route gives this c_obs to 1e-12, with the
-    datum as witness and no cutoff, and for B without full row rank the L_G
+    for a well-conditioned B whose datum closes the bracket the B route
+    gives this c_obs to 1e-12, with the datum as witness and no cutoff,
+    and for B without full row rank the L_G
     route gives the excluded verdict, with L_G's cutoff and a datum that
     L_G^H misses as witness.  This estimate is the reference both are
     tested against.
@@ -802,32 +807,35 @@ def _datum(op: SpectralOperator, post: int, u: np.ndarray) -> tuple:
     return datum, op.solutions([datum])[0]
 
 
-def _b_svd(op: SpectralOperator, post: int, B: np.ndarray) -> tuple:
-    """(2^k B, k, U, s, Vh, datum), which the routes share: the injection
-    taken into range by a power of two, its full SVD 2^k B = U diag(s) Vh,
-    and the datum of `_datum` along U[:, -1], B's weakest left direction,
-    on `op` with horizon sample `post`.  `datum()` solves it on first call
-    and returns the same (y, v) after, so a command solves it at most once;
-    `datum` is None when only one post-horizon sample exists, where no
-    Gaussian fits after T."""
+def _b_svd(B: np.ndarray) -> tuple:
+    """(2^k B, k, U, s, Vh), which the routes share: the injection taken into
+    range by a power of two and its full SVD 2^k B = U diag(s) Vh."""
     B, k = _into_range(B)
-    U, s, Vh = np.linalg.svd(B)
-    datum = cache(lambda: _datum(op, post, U[:, -1])) if post < op.grid.n - 1 else None
-    return B, k, U, s, Vh, datum
+    return (B, k, *np.linalg.svd(B))
 
 
-def _bracket(svd_b: tuple) -> tuple:
+def _well_conditioned(svd_b: tuple) -> bool:
+    """Whether B, given as `_b_svd(B)`, has full row rank m with
+    kappa(B) < `_KAPPA_LIMIT`, where the dense check could only say
+    "included" for any law (see `_KAPPA_LIMIT`): the gate of the B route."""
+    B, _, _, s, _ = svd_b
+    return s.size == B.shape[0] and s[0] < _KAPPA_LIMIT * s[-1]
+
+
+def _bracket(op: SpectralOperator, post: int, svd_b: tuple) -> tuple:
     """(lower, upper, y): bounds of c_obs for B of full row rank, given as
-    `_b_svd(B)` with a datum, from the duality alone (Dolecki & Russell
-    1977), and the datum y behind the lower one.
+    `_b_svd(B)`, from the duality alone (Dolecki & Russell 1977), and the
+    datum y behind the lower one: `_datum` along B's weakest left singular
+    vector, on `op` with horizon sample `post`, which leaves at least two
+    samples after T.
 
     Lower: ||v|| / ||B^* v|| for the backward solution v of y, valid
     whatever the datum.  Upper: 1/sigma_min, since ||B^* x|| >=
     sigma_min(B) ||x||.  Both are read on 2^k B and scaled back.  Neither
     end touches L_F, L_G or the Douglas core.
     """
-    B, k, _, s, _, datum = svd_b
-    y, v = datum()
+    B, k, U, s, _ = svd_b
+    y, v = _datum(op, post, U[:, -1])
     return (_ldexp(float(_norm2(v.phi) / _norm2(v.phi @ B.conj())), k),
             _ldexp(float(1.0 / s[-1]), k), y)
 
@@ -845,22 +853,22 @@ class _Observability:
     method: str
 
 
-def _b_route(post: int, svd_b: tuple) -> Optional[_Observability]:
-    """The B route of a supported problem with injection B, given as
-    `_b_svd(B)`, and horizon sample `post`, or None where another route
-    decides.
+def _b_route(op: SpectralOperator, post: int, svd_b: tuple) -> Optional[_Observability]:
+    """`control`'s B route of a supported problem on `op` with injection B,
+    given as `_b_svd(B)`, and horizon sample `post`, or None where another
+    route decides.
 
-    It is taken when B has full row rank m with kappa(B) < `_KAPPA_LIMIT`,
-    where the dense check could only say "included", and `_bracket`
-    closes: lower >= upper (1 - 1e-12), the algebraic rung.  Both ends
-    bound c_obs for any law, so a law that is not local in time fails to
-    close it and takes another route; no law is tested.  Then c_obs is
-    1/sigma_min(B), and the cut datum that attains it is the witness.
+    It is taken when B passes `_well_conditioned`, at least two samples
+    follow T, and `_bracket` closes: lower >= upper (1 - 1e-12), the
+    algebraic rung.  Both ends bound c_obs for any law, so a law that is
+    not local in time fails to close it and takes another route; no law is
+    tested.  Then c_obs is 1/sigma_min(B), and the cut datum that attains
+    it is the witness.  Certify needs no c_obs, so it takes its B route on
+    the gate alone and solves no datum.
     """
-    B, _, _, s, _, datum = svd_b
-    if not (s.size == B.shape[0] and s[0] < _KAPPA_LIMIT * s[-1] and datum is not None):
+    if not (_well_conditioned(svd_b) and post < op.grid.n - 1):
         return None  # rank deficient, ill-conditioned, or one post-horizon sample
-    lower, upper, y = _bracket(svd_b)
+    lower, upper, y = _bracket(op, post, svd_b)
     if not lower >= upper * (1 - 1e-12):
         return None
     return _Observability(c_obs=upper, witness=y.with_phi(y.phi / _norm2(y.phi[post:])),
@@ -871,7 +879,7 @@ def _pinv(svd_b: tuple) -> np.ndarray:
     """The pseudoinverse of `_b_svd`'s 2^k B, for B of full row rank: it
     gives certify its explicit control and `_hum_control` its
     preconditioner."""
-    _, _, U, s, Vh, _ = svd_b
+    _, _, U, s, Vh = svd_b
     return (Vh[:s.size].conj().T / s) @ U.conj().T
 
 
@@ -942,9 +950,10 @@ def _separated(op: SpectralOperator, post: int, svd_b: tuple, F: np.ndarray) -> 
     horizon sample `post` and the probes `F` (n, m, p) that `_probes` drew.
     False where its bounds do not close, and the dense route decides.
 
-    The datum y is the B route's, `_b_svd`'s along B's last left singular
-    vector u (a left null vector when B has fewer columns than rows), with
-    its backward solution v = L_F^H y and beta = ||B^* v|| = ||L_G^H y||.
+    The datum y is `_datum`'s along B's last left singular vector u (a left
+    null vector when B has fewer columns than rows), solved here, with its
+    backward solution v = L_F^H y and beta = ||B^* v|| = ||L_G^H y||; no
+    datum fits after T when only one sample follows it.
     One forward solve of the Gaussian along B's top left singular vector,
     sigma_max(B) times it being L_G x for x along the top right one, gives
     ell = 1e-10 ||L_G x|| / ||x||, at most the dense cutoff
@@ -967,10 +976,10 @@ def _separated(op: SpectralOperator, post: int, svd_b: tuple, F: np.ndarray) -> 
     behind ell; the inclusion is decided before the probes' solves too, and
     those solves pass `_dot_test`.
     """
-    B, _, U, s, _, datum = svd_b
-    if datum is None:
+    B, _, U, s, _ = svd_b
+    if post == op.grid.n - 1:
         return False  # one post-horizon sample
-    w, v = datum()
+    w, v = _datum(op, post, U[:, -1])
     y = w.phi[post:].reshape(-1)
     norm_y = float(_norm2(y)) * (1 + _ROUNDING)
     beta = float(_norm2(v.phi @ B.conj())) * (1 + _ROUNDING)
@@ -1014,7 +1023,8 @@ def _lg_route(op: SpectralOperator, post: int, svd_b: tuple, F: np.ndarray) -> O
     1e-10 against direct solves of 2^k B g for two seeded probes g.  Those
     solves and the targets' are one batch (`_response`), which passes
     `_dot_test`.  The thin SVD of L_G (`_svd`, scaled back by 2^-k) serves
-    the control.
+    the control; for B = 0, where 2^k L_G is zero, the SVD keeps nothing
+    and none is taken.
 
     The verdict comes from one post-horizon datum: a seeded random y less
     its component along the kept left singular vectors U_r of L_G, solved
@@ -1043,7 +1053,8 @@ def _lg_route(op: SpectralOperator, post: int, svd_b: tuple, F: np.ndarray) -> O
     _check_agrees(L_G @ probes.reshape(-1, 2), LX[:, p:],
                   "the end map L_G disagrees with a direct solve")
 
-    U, s, Vh, k = _svd(L_G)
+    # B = 0 leaves L_G zero: its SVD keeps nothing, and none is taken
+    U, s, Vh, k = _svd(L_G) if s_b[0] else (L_G[:, :0], s_b[:0], L_G[:0], 0)
     Ur = U[:, :_truncation(s, DEFAULT_SVD_RTOL)[2]]
     y = rng.standard_normal(n_post * m) + 1j * rng.standard_normal(n_post * m)
     y -= Ur @ (Ur.conj().T @ y)
@@ -1365,19 +1376,16 @@ def pointwise_duality_check(cp: ControlProblem) -> dict:
 
 
 def _route(cp: ControlProblem, pad_fraction: float) -> tuple:
-    """(op, post, svd_b, route) of a supported problem: its one operator,
-    with its certificate read first, so that its blocks reuse the law's
-    evaluation, its horizon sample, `_b_svd(B)` with the datum not yet
-    solved, and its B route, or None where another route decides.  The
-    routes read these values and rebuild none of them.  No size guard runs
+    """(op, post, svd_b) of a supported problem: its one operator, with its
+    certificate read first, so that its blocks reuse the law's evaluation,
+    its horizon sample and `_b_svd(B)`.  The routes read these values and
+    rebuild none of them; no datum is solved here.  No size guard runs
     here: the B route assembles no end map, the L_G route guards L_G, and
     `_assemble` the dense route."""
     base = cp.base
     op = SpectralOperator(base.law, base.A, base.nu, base.grid, pad_fraction)
     op.certificate
-    post = base.grid.index_at_or_after(cp.T)
-    svd_b = _b_svd(op, post, cp.B)
-    return op, post, svd_b, _b_route(post, svd_b)
+    return op, base.grid.index_at_or_after(cp.T), _b_svd(cp.B)
 
 
 def _certify(cp: ControlProblem, pad_fraction: float, rng: np.random.Generator) -> dict:
@@ -1389,8 +1397,9 @@ def _certify(cp: ControlProblem, pad_fraction: float, rng: np.random.Generator) 
     of forcings, the probes `_probes` draws once from `rng`, range
     inclusion, and finite observability, which is that inclusion
     (`ObservabilityEstimate.finite`).  Four routes, tried in this order,
-    decide them on the same probes: the B route, where B decides the
-    inclusion and `_b_feasible` the feasibility; the separating route
+    decide them on the same probes: the B route, for B that passes
+    `_well_conditioned`, where B's SVD alone decides the inclusion and
+    `_b_feasible` the feasibility, with no datum; the separating route
     (`_separated`), where one nu-adjoint datum that B^* misses makes all
     three False; for B without full row rank the L_G route (`_lg_route`),
     where a datum that L_G^H misses excludes the inclusion and the probes'
@@ -1401,9 +1410,9 @@ def _certify(cp: ControlProblem, pad_fraction: float, rng: np.random.Generator) 
         coercivity(cp.base.law, cp.base.nu, cp.base.grid)
         check = pointwise_duality_check(cp)
         return {key: check[key] for key in ("feasible_for_basis", "range_included")}
-    op, post, svd_b, route = _route(cp, pad_fraction)
+    op, post, svd_b = _route(cp, pad_fraction)
     F = _probes(op, rng)
-    if route is not None:
+    if _well_conditioned(svd_b):
         feasible, included = _b_feasible(op, post, svd_b, F), True
     elif _separated(op, post, svd_b, F):
         feasible = included = False
@@ -1430,8 +1439,8 @@ def _synthesize(cp: ControlProblem, pad_fraction: float) -> tuple:
     if cp.variant == "pointwise":
         cert = coercivity(cp.base.law, cp.base.nu, cp.base.grid)
         return cert, pointwise_null_control(cp), None
-    op, post, svd_b, route = _route(cp, pad_fraction)
-    if route is not None:
+    op, post, svd_b = _route(cp, pad_fraction)
+    if (route := _b_route(op, post, svd_b)) is not None:
         return op.certificate, _hum_control(op, post, svd_b, cp.F), route
     decided = _lg_route(op, post, svd_b, cp.F.phi[..., None])
     if decided is not None:

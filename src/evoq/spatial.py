@@ -175,7 +175,9 @@ def build_wave_block(k: int, T_elast, dx: float = 1.0, nu: Optional[float] = Non
 
     Returns the skew block -[[0, div], [grad0, 0]] with grad0 the clamped
     difference D0 and div = -D0^T, plus the law M0 = diag(I, T_elast^{-1})
-    with no memory term.
+    with no memory term.  When `nu` is given the law's coercivity is
+    checked, and T_elast must keep the block at z = nu nonsingular in
+    doubles (`_check_singular_floor`).
     """
     T_elast = _as_matrix(T_elast, k + 1, "T_elast")
     _require_spd(T_elast, "T_elast")
@@ -192,6 +194,8 @@ def build_wave_block(k: int, T_elast, dx: float = 1.0, nu: Optional[float] = Non
     law = finite_sum_law([M0])
     if nu is not None:
         _check_block_coercivity(M0, np.zeros_like(M0), nu, "wave", "T_elast")
+        _check_singular_floor(op, nu, dx, M0[k:, k:], "T_elast", "wave",
+                              "T_elast^-1", "constant stress field")
     return op, law
 
 
@@ -204,7 +208,8 @@ def build_maxwell_block(k: int, eps, mu, sigma, dx: float = 1.0,
     an analogue of the 3D operator, not a 3D discretisation.  The law is
     M0 = diag(eps, mu), M1 = diag(sigma, 0); when `nu` is given the combined
     certificate (covering nu*eps + Re sigma > 0 and nu*mu > 0) is checked,
-    and mu must keep the block at z = nu nonsingular in doubles.
+    and mu must keep the block at z = nu nonsingular in doubles
+    (`_check_singular_floor`).
     """
     eps = _as_matrix(eps, k, "eps")
     mu = _as_matrix(mu, k + 1, "mu")
@@ -227,22 +232,30 @@ def build_maxwell_block(k: int, eps, mu, sigma, dx: float = 1.0,
     law = finite_sum_law([M0, M1])
     if nu is not None:
         _check_block_coercivity(M0, M1, nu, "maxwell", "sigma")
-        # The constant magnetic field w is curl-free (D0^T w = 0), so the
-        # block at z = nu maps the unit (0, w) to (0, nu mu w), while its norm
-        # is at least that of its skew part, A plus a block-diagonal part, so
-        # at least ||A||_2, and that at least A's largest column norm.  Below
-        # the floor its condition number passes 1/eps: the block is singular
-        # in doubles.
-        w = np.full(k + 1, (k + 1) ** -0.5)
-        reach = nu * float(_norm2(mu @ w))
-        floor = np.finfo(float).eps * float(np.linalg.norm(op.A, axis=0).max())
-        if not reach > floor:
-            raise DefinitenessError(
-                f"mu leaves the maxwell block singular to working precision at nu={nu}: "
-                f"nu ||mu w|| = {reach:.3e} <= eps max_j ||A e_j|| = {floor:.3e} for the "
-                f"curl-free magnetic field w"
-            )
+        _check_singular_floor(op, nu, dx, mu, "mu", "maxwell", "mu", "curl-free magnetic field")
     return op, law
+
+
+def _check_singular_floor(op: SpatialOperator, nu: float, dx: float, weight: np.ndarray,
+                          coefficient: str, kind: str, name: str, field: str) -> None:
+    """Refuse a `coefficient` that leaves the block at z = nu singular in
+    doubles.  The constant field w on the last block's k + 1 components is
+    in A's null space (D0^T w = 0), so the block maps the unit (0, w) to
+    (0, nu `weight` w), where `weight` is that component's M0 block, while
+    its norm is at least that of its skew part, A plus a block-diagonal
+    part, so at least ||A||_2, and that at least A's largest column norm,
+    which grows as 1/dx.  Below eps times that floor its condition number
+    passes 1/eps.  The message names `coefficient` first and the step as
+    "dx=", the two values that move the floor."""
+    w = np.full(len(weight), len(weight) ** -0.5)
+    reach = nu * float(_norm2(weight @ w))
+    floor = np.finfo(float).eps * float(_norm2(op.A, axis=0).max())
+    if not reach > floor:
+        raise DefinitenessError(
+            f"{coefficient} leaves the {kind} block singular to working precision at "
+            f"nu={nu}: nu ||{name} w|| = {reach:.3e} <= eps max_j ||A e_j|| = {floor:.3e} "
+            f"for the {field} w, at dx={dx!r}"
+        )
 
 
 def _check_block_coercivity(M0: np.ndarray, M1: np.ndarray, nu: float, kind: str,

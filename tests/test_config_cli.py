@@ -524,6 +524,35 @@ class TestCliExitCodes:
         payload["spatial"]["mu"] = 1e-15
         assert main(["solve", "--config", write_config(tmp_path, payload)]) == 0
 
+    @pytest.mark.parametrize("name, field, value, coefficient", [
+        ("wave_small", "T_elast", 1e20, "T_elast"),
+        ("wave_small", "T_elast", 1e16, "T_elast"),
+        ("maxwell_small", "dx", 1e-200, "mu"),
+        ("wave_small", "dx", 1e-200, "T_elast"),
+    ], ids=["wave-T_elast-1e20", "wave-T_elast-1e16", "maxwell-dx", "wave-dx"])
+    def test_a_singular_block_exits_2_naming_its_coefficient_and_dx(
+            self, tmp_path, capsys, name, field, value, coefficient):
+        # the constant stress field (wave) and the curl-free magnetic field
+        # (Maxwell) see only nu times their M0 block at z = nu, against A's
+        # column norms, which grow as 1/dx: a huge T_elast solved on blocks
+        # singular in doubles (exit 0), and dx = 1e-200 overflowed the
+        # floor's norm (a RuntimeWarning); both are refused at load, naming
+        # the two values that move the floor.  T_elast = 1e15 still solves
+        payload = bundled(name, 64)
+        payload["spatial"][field] = value
+        code, caught = main_recording_warnings(
+            ["solve", "--config", write_config(tmp_path, payload)])
+        assert code == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err.startswith(f"evoq: config rejected: spatial.{coefficient} leaves the "
+                              f"{name.split('_')[0]} block singular to working precision")
+        assert f"spatial.dx={payload['spatial'].get('dx', 1.0)!r}" in err
+        assert err.count("\n") == 1
+        if field == "T_elast":
+            payload["spatial"]["T_elast"] = 1e15
+            assert main(["solve", "--config", write_config(tmp_path, payload)]) == 0
+
     def test_suite_acceptance_exits_as_every_command_does(self, tmp_path, capsys,
                                                            monkeypatch):
         # a criterion that fails numerically is told in one line, exit 1
@@ -654,7 +683,7 @@ class TestCliExitCodes:
         # B = e1 lacks full row rank: `control` takes the L_G route, recomputed
         # here on one BLAS thread, as the command runs
         from evoq._blas import one_blas_thread
-        from evoq.control import _control_result, _lg_route, _route
+        from evoq.control import _b_route, _control_result, _lg_route, _route
 
         cfg = load_config(path)
         base = evoq.EvoProblem(cfg.nu, cfg.grid, cfg.law, cfg.A, cfg.build_rhs(), "forward")
@@ -662,8 +691,8 @@ class TestCliExitCodes:
 
         @one_blas_thread
         def recomputed():
-            op, post, svd_b, route = _route(cp, cfg.pad_fraction)
-            assert route is None
+            op, post, svd_b = _route(cp, cfg.pad_fraction)
+            assert _b_route(op, post, svd_b) is None
             obs, solve = _lg_route(op, post, svd_b, cp.F.phi[..., None])
             return _control_result(op, solve).G, obs.witness
 

@@ -798,7 +798,7 @@ class TestNullControl:
 
     @pytest.mark.parametrize("injection, svds, command", [
         ("I", 1, ["control"]), ("I", 1, ["control", "--certify-duality"]),
-        ("zero", 2, ["control"]), ("zero", 1, ["control", "--certify-duality"]),
+        ("zero", 1, ["control"]), ("zero", 1, ["control", "--certify-duality"]),
     ], ids=["I-control", "I-certify", "zero-control", "zero-certify"])
     def test_dense_svd_count_per_command(self, monkeypatch, tmp_path, command,
                                          injection, svds):
@@ -806,9 +806,8 @@ class TestNullControl:
         # its witness, and `control` solves for the control by HUM, so
         # neither command takes another SVD.  With B = 0 certify takes the
         # separating route, which needs no other SVD either, and `control`
-        # the L_G route: it takes L_G once, shared by the null-control solve
-        # and the datum that L_G^H misses, which is the witness.  No
-        # norm(., 2) runs.
+        # the L_G route, whose L_G is zero, so it keeps nothing and takes no
+        # SVD.  No norm(., 2) runs.
         from evoq.cli import main
 
         path = write_heat_control_config(tmp_path, injection)
@@ -819,7 +818,7 @@ class TestNullControl:
     @pytest.mark.parametrize("injection, command, shapes", [
         ("I", ["control"], [(9, 9)]),
         ("e1", ["control"], [(9, 1), (108, 32)]),
-        ("zero", ["control"], [(9, 1), (108, 32)]),
+        ("zero", ["control"], [(9, 1)]),
         ("I", ["control", "--certify-duality"], [(9, 9)]),
         ("e1", ["control", "--certify-duality"], [(9, 1)]),
         ("zero", ["control", "--certify-duality"], [(9, 1)]),
@@ -835,7 +834,8 @@ class TestNullControl:
         # neither command takes an SVD of L_G (108 x 288) or of the Douglas
         # core.  With B = e1 or 0 certify takes the separating route, which
         # takes none either, and `control` the L_G route, which takes L_G's
-        # alone; no command takes an exact 2-norm
+        # alone for B = e1 and none for B = 0, whose L_G is zero; no command
+        # takes an exact 2-norm
         from evoq.cli import main
 
         path = write_benchmark_heat_config(tmp_path, injection)
@@ -965,7 +965,7 @@ class TestObservability:
                                             rhs, "forward"), B=B, T=1.0)
         maps = assemble_endmaps(cp, inst.pad_fraction)
         c_obs = observability_constant(cp, maps).c_obs
-        lower, upper, *_ = _bracket(_b_svd(maps.op, maps.post_start, B))
+        lower, upper, *_ = _bracket(maps.op, maps.post_start, _b_svd(B))
         assert upper == pytest.approx(1.0 / sigma[-1], rel=1e-12)
         assert lower == pytest.approx(upper, rel=1e-12, abs=0)
         assert upper * (1 - 1e-12) <= c_obs <= upper * (1 + 1e-12)
@@ -990,7 +990,7 @@ class TestObservability:
                                                 rhs, "forward"), B=B, T=1.0)
             maps = assemble_endmaps(cp, inst.pad_fraction)
             with np.errstate(divide="ignore"):  # B = 0 sees nothing
-                lower, *_ = _bracket(_b_svd(maps.op, maps.post_start, B))
+                lower, *_ = _bracket(maps.op, maps.post_start, _b_svd(B))
             y = applied[-1].phi
             cut = np.linalg.norm(y[:maps.post_start]) / np.linalg.norm(y)
             assert cut <= 1e-11, label
@@ -1030,7 +1030,7 @@ def route_gate(maps, B):
     s = np.linalg.svd(B, compute_uv=False)
     if not (s.size == B.shape[0] and s[0] < 100 * s[-1]):
         return False
-    lower, upper, *_ = _bracket(_b_svd(maps.op, maps.post_start, B))
+    lower, upper, *_ = _bracket(maps.op, maps.post_start, _b_svd(B))
     return lower >= upper * (1 - 1e-12)
 
 
@@ -1040,8 +1040,8 @@ def check_route_against_dense(label, maps, B):
     from evoq.control import (ObservabilityEstimate, _b_feasible, _b_route,
                                _duality_verdicts, _probes)
 
-    svd_b = _b_svd(maps.op, maps.post_start, B)
-    route = _b_route(maps.post_start, svd_b)
+    svd_b = _b_svd(B)
+    route = _b_route(maps.op, maps.post_start, svd_b)
     assert (route is not None) == route_gate(maps, B), label
     if route is None:
         return False
@@ -1085,9 +1085,59 @@ def write_rotation_config(tmp_path, B, memory=False):
     return str(path)
 
 
+def write_kappa_config(tmp_path, kind, n, kappa):
+    """The `tools/same_outputs.py` config with the seeded B of condition
+    number 10 on `kind`, at n samples, with B's singular values replaced by
+    a geometric ladder from 1 to 1/kappa."""
+    [(_, config)] = same_outputs_configs(f"control/kappa10-{kind}-n32")
+    B = np.array([[complex(*v) for v in row] for row in config["control"]["B"]])
+    U, _, Vh = np.linalg.svd(B)
+    B = (U * np.geomspace(1.0, 1.0 / kappa, B.shape[0])) @ Vh
+    config["control"]["B"] = [[[float(v.real), float(v.imag)] for v in row] for row in B]
+    config["grid"]["n"] = n
+    path = tmp_path / f"kappa-{kind}-{n}.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
 class TestBRoute:
-    """`control` and certify decide a well-conditioned B from B and one
-    nu-adjoint datum; the dense route, read explicitly, is the reference."""
+    """`control` decides a well-conditioned B from B and one nu-adjoint
+    datum, and certify from B alone; the dense route, read explicitly, is
+    the reference."""
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("kappa", [10.0, 50.0, 99.0], ids=["kappa10", "kappa50", "kappa99"])
+    @pytest.mark.parametrize("kind", ["heat", "wave", "maxwell"])
+    def test_certify_decides_a_well_conditioned_B_from_B_alone(self, monkeypatch, tmp_path,
+                                                              capsys, kind, kappa, n):
+        # kappa(B) < 100 settles the inclusion for every law, so certify
+        # solves no datum, assembles no end map and runs no Douglas check,
+        # also where the bracket stays open (kappa 10 at n = 32); `control`
+        # still reports c_obs, so it keeps its route: the B route where the
+        # bracket closes, the dense route elsewhere
+        from evoq import control
+        from evoq.cli import main
+        from evoq.config import load_config
+        from evoq.control import _duality_verdicts, _probes
+
+        path = write_kappa_config(tmp_path, kind, n, kappa)
+        cfg = load_config(path)
+        maps = assemble_endmaps(cfg.control, cfg.pad_fraction)
+        expected = _duality_verdicts(maps, _probes(maps.op, np.random.default_rng(cfg.seed)))
+        assert expected[1]
+        method = ("b-sigma-min-datum" if route_gate(maps, cfg.control.B)
+                  else "douglas-core-svd")
+        called = []
+        for name in ("_datum", "_assemble", "_douglas"):
+            monkeypatch.setattr(control, name, lambda *a, _name=name: called.append(_name))
+        capsys.readouterr()
+        assert main(["control", "--certify-duality", "--config", path, "--json"]) == 0
+        assert called == []
+        assert json.loads(capsys.readouterr().out)["verdicts"] == {
+            "feasible_for_spanning_set": expected[0], "range_included": expected[1],
+            "observability_finite": expected[1]}
+        monkeypatch.undo()
+        assert hum_report(tmp_path, path)[1]["method"] == method
 
     @pytest.mark.parametrize("kappa", [2.0, 10.0, 99.0], ids=["kappa2", "kappa10", "kappa99"])
     @pytest.mark.parametrize("maker", [evoq.make_heat_instance, evoq.make_wave_instance,
@@ -1161,8 +1211,8 @@ def check_hum_against_null_control(label, cp, maps):
     control to 1e-11, having stopped at the 1e-12 rung; False off the route."""
     from evoq.control import _b_route, _hum_control
 
-    svd_b = _b_svd(maps.op, maps.post_start, cp.B)
-    route = _b_route(maps.post_start, svd_b)
+    svd_b = _b_svd(cp.B)
+    route = _b_route(maps.op, maps.post_start, svd_b)
     if route is None:
         return False
     res = _hum_control(maps.op, maps.post_start, svd_b, cp.F)
@@ -1488,13 +1538,13 @@ class TestWeakActuator:
 
 
 def check_separation_against_dense(label, maps, B):
-    """Certify's separating route, tried as certify tries it (the B route
-    first), decides only pairs the dense route finds infeasible and
+    """Certify's separating route, tried as certify tries it (the B route's
+    gate first), decides only pairs the dense route finds infeasible and
     excluded, on the same probes; returns whether it decided."""
-    from evoq.control import _b_route, _duality_verdicts, _probes, _separated
+    from evoq.control import _duality_verdicts, _probes, _separated, _well_conditioned
 
-    svd_b = _b_svd(maps.op, maps.post_start, B)
-    if _b_route(maps.post_start, svd_b) is not None:
+    svd_b = _b_svd(B)
+    if _well_conditioned(svd_b):
         return False
     probes = _probes(maps.op, np.random.default_rng(5))
     separated = _separated(maps.op, maps.post_start, svd_b, probes)
@@ -1553,9 +1603,11 @@ class TestSeparatingRoute:
 
     @pytest.mark.parametrize("kind", ["heat", "wave", "maxwell"])
     def test_certify_solves_the_datum_once(self, monkeypatch, tmp_path, kind):
-        # at n = 32 the seeded kappa(B) = 10 datum leaves the bracket open, so
-        # the B route declines and the separating route reads the same datum
-        [(_, config)] = same_outputs_configs(f"control/kappa10-{kind}-n32")
+        # B = e1 fails the B route's gate, which solves no datum, and the
+        # separating route solves it once; it decides heat, and wave and
+        # Maxwell, whose blind ratio stays open at n = 32, go on to the L_G
+        # route, which reads no such datum
+        [(_, config)] = same_outputs_configs(f"certify/dense-{kind}-n32-e1")
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         assert self.datum_solves(monkeypatch, str(path),
@@ -1611,11 +1663,11 @@ class TestSeparatingRoute:
         # the law I + z^-2 I integrates in time, so the cut datum leaks into
         # B^* v and the route leaves the verdicts to the L_G route
         from evoq.config import load_config
-        from evoq.control import _probes, _route, _separated
+        from evoq.control import _probes, _route, _separated, _well_conditioned
 
         cfg = load_config(write_rotation_config(tmp_path, np.array([[1.0], [0.0]]), memory))
-        op, post, svd_b, route = _route(cfg.control, cfg.pad_fraction)
-        assert route is None
+        op, post, svd_b = _route(cfg.control, cfg.pad_fraction)
+        assert not _well_conditioned(svd_b)
         probes = _probes(op, np.random.default_rng(cfg.seed))
         assert _separated(op, post, svd_b, probes) is not memory
 
@@ -1644,10 +1696,11 @@ def check_lg_route_against_dense(label, cp, pad_fraction, seed):
     eps sigma_max / cutoff relative, and a witness that L_G^H misses and
     L_F^H sees; for certify, on the probes drawn from `seed`, the dense
     feasibility.  All on one BLAS thread, as every command runs."""
-    from evoq.control import _control_result, _duality_verdicts, _lg_route, _probes, _route
+    from evoq.control import (_b_route, _control_result, _duality_verdicts, _lg_route,
+                               _probes, _route)
 
-    op, post, svd_b, route = _route(cp, pad_fraction)
-    assert route is None, label
+    op, post, svd_b = _route(cp, pad_fraction)
+    assert _b_route(op, post, svd_b) is None, label
     decided = _lg_route(op, post, svd_b, cp.F.phi[..., None])
     assert decided is not None, label
     obs, solve = decided

@@ -56,6 +56,6 @@ def test_default_command_count_is_the_documented_one():
     spec.loader.exec_module(tool)
     with open(os.path.join(ROOT, "README.md")) as fh:
         readme = fh.read()
-    assert len(tool.default_commands()) == 90
-    assert re.findall(r"\((\d+) commands\)", tool.__doc__) == ["90"]
-    assert re.findall(r"tools/same_outputs\.py .*# (\d+) commands", readme) == ["90"]
+    assert len(tool.default_commands()) == 96
+    assert re.findall(r"\((\d+) commands\)", tool.__doc__) == ["96"]
+    assert re.findall(r"tools/same_outputs\.py .*# (\d+) commands", readme) == ["96"]

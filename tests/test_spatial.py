@@ -106,6 +106,17 @@ class TestWaveBlock:
         with pytest.raises(DefinitenessError):
             build_wave_block(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    def test_a_T_elast_that_leaves_the_wave_block_singular_is_refused(self):
+        # the constant stress field lies in A's null space, so at z = nu the
+        # wave block sees only nu T_elast^-1 on it, and from eps times A's
+        # largest column norm, 3.1e-16 at dx = 1, down it is singular in
+        # doubles; a finer dx raises that floor
+        for T_elast, dx in ((1e20, 1.0), (1e16, 1.0), (1.0, 1e-200), (1.0, 1e-17)):
+            with pytest.raises(DefinitenessError, match=r"^T_elast leaves the wave block"):
+                build_wave_block(4, T_elast, dx=dx, nu=1.0)
+        build_wave_block(4, 1e15, nu=1.0)
+        build_wave_block(4, 1e20)  # no weight, no certificate
+
 
 class TestMaxwellBlock:
     def test_identity_coefficients_certificate(self):

@@ -11,7 +11,7 @@ stderr and every file the commands wrote are compared byte for byte; the
 script prints each difference and exits 0 only if there is none (1 if some
 output differs, 2 if a tree holds no `evoq` package).
 
-The default command set (90 commands):
+The default command set (96 commands):
   - `solve`, `adjoint` and the four `verify` suites on each bundled config;
   - `control` and `control --certify-duality` on `heat_small` and
     `pointwise_decay`, and on `heat_small` at n = 32 with B[1][0] = 1e100,
@@ -37,6 +37,9 @@ The default command set (90 commands):
     both with the same B at n = 96, where they take the B route under a B
     that is not orthonormal: the least-norm control comes from conjugate
     gradients, and certify's feasibility from the explicit control;
+  - both on heat, wave and Maxwell at n = 32 with a seeded random 9 x 9 B
+    of condition number 99, just under the B route's limit of 100: certify
+    decides it from B alone, and `control` needs the datum's bracket;
   - `suite acceptance --json`.
 `--workload NAME --seed S` runs one cycle of a benchmark workload from
 `perfbench/workloads.py` instead.  `--only REGEX` keeps the commands whose
@@ -77,6 +80,15 @@ def _workloads():
 def _bundled(name):
     with open(os.path.join(ROOT, "configs", f"{name}.json")) as fh:
         return json.load(fh)
+
+
+def _conditioned(rng, m, kappa):
+    """A random m x m complex B with singular values from 1 down to
+    1/kappa, drawn from `rng`, as the config's rows of [re, im] pairs."""
+    left, right = (np.linalg.qr(rng.standard_normal((m, m))
+                                + 1j * rng.standard_normal((m, m)))[0] for _ in range(2))
+    B = (left * np.geomspace(1.0, 1.0 / kappa, m)) @ right.conj().T
+    return [[[float(v.real), float(v.imag)] for v in row] for row in B]
 
 
 def default_commands():
@@ -139,12 +151,7 @@ def default_commands():
     kappa10 = {}
     for kind in workloads.KINDS:
         config = workloads._command(("control", kind, 32, "I"), rng)["config"]
-        m = workloads.M_DIM
-        left, right = (np.linalg.qr(b_rng.standard_normal((m, m))
-                                    + 1j * b_rng.standard_normal((m, m)))[0] for _ in range(2))
-        B = (left * np.geomspace(1.0, 0.1, m)) @ right.conj().T
-        config["control"]["B"] = kappa10[kind] = [[[float(v.real), float(v.imag)] for v in row]
-                                                  for row in B]
+        config["control"]["B"] = kappa10[kind] = _conditioned(b_rng, workloads.M_DIM, 10)
         label = f"kappa10-{kind}-n32"
         commands.append((f"control/{label}", ["control", "--json"], config))
         commands.append((f"certify/{label}", ["control", "--certify-duality", "--json"], config))
@@ -152,6 +159,13 @@ def default_commands():
         config = workloads._command(("control", kind, 96, "I"), rng)["config"]
         config["control"]["B"] = kappa10[kind]
         label = f"kappa10-{kind}-n96"
+        commands.append((f"control/{label}", ["control", "--json"], config))
+        commands.append((f"certify/{label}", ["control", "--certify-duality", "--json"], config))
+    b_rng = np.random.default_rng(99)
+    for kind in workloads.KINDS:
+        config = workloads._command(("control", kind, 32, "I"), rng)["config"]
+        config["control"]["B"] = _conditioned(b_rng, workloads.M_DIM, 99)
+        label = f"kappa99-{kind}-n32"
         commands.append((f"control/{label}", ["control", "--json"], config))
         commands.append((f"certify/{label}", ["control", "--certify-duality", "--json"], config))
     commands.append(("suite-acceptance", ["suite", "acceptance", "--json"], None))
